@@ -1,6 +1,9 @@
 package analyses
 
 import (
+	"bytes"
+	"go/format"
+	"os"
 	"strings"
 	"testing"
 
@@ -144,5 +147,26 @@ func TestSourcesContainPaperStructure(t *testing.T) {
 		if !strings.Contains(msan, want) {
 			t.Errorf("msan source missing %q", want)
 		}
+	}
+}
+
+// TestStagedHandlersCurrent is the staleness gate of the staged
+// handler table: regenerating it from the embedded sources (so any
+// .alda edit counts) must reproduce the checked-in file byte for byte,
+// and the output must already be gofmt-clean.
+func TestStagedHandlersCurrent(t *testing.T) {
+	want, err := StagedSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if formatted, err := format.Source(want); err != nil || !bytes.Equal(formatted, want) {
+		t.Fatalf("generated staged source is not gofmt-clean (err %v)", err)
+	}
+	got, err := os.ReadFile("../compiler/staged_handlers.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("internal/compiler/staged_handlers.go is stale: run `make staged` and commit the result")
 	}
 }

@@ -1,35 +1,24 @@
 package compiler
 
 import (
-	"fmt"
-
-	"repro/internal/lang/ast"
-	"repro/internal/lang/sema"
 	"repro/internal/lang/token"
 	"repro/internal/meta"
 	"repro/internal/vm"
 )
 
-// Handler bodies compile to closure trees at Runtime construction time.
-// Every closure shares one mutable hstate per handler (the VM is
+// The closure emitter: lowered handlers (lower.go) become closure trees
+// at Runtime construction time. This is the backend for every analysis
+// the staged table (stage.go) does not cover — runtime-supplied
+// sources, ablation points, profiling builds and adapted layouts. Every
+// closure shares one mutable hstate per handler (the VM is
 // single-goroutine and handlers never nest), so dispatch allocates
 // nothing on the hot path.
 //
-// Metadata lookup minimization (§3.2.3, §5.4) happens at two levels:
-//
-//   - entry CSE: pure (group, key-class) pairs share a cached entry
-//     slice per invocation;
-//   - value CSE: pure scalar field reads share a cached value, kept
-//     coherent by write-through on assignment and invalidation of the
-//     member's other cache slots (two key classes may alias the same
-//     address at runtime).
-//
-// Caches validate against a per-invocation epoch, so handler entry costs
-// one increment instead of clearing slot arrays.
+// Entry and value CSE slots validate against a per-invocation epoch, so
+// handler entry costs one increment instead of clearing slot arrays.
 
 type hstate struct {
 	m        *vm.Machine
-	tid      uint64
 	args     []uint64
 	ret      uint64
 	returned bool
@@ -59,112 +48,71 @@ type setRef struct {
 
 type setFn func(st *hstate) setRef
 
-// loc is a compiled metadata location: how to fetch the entry and where
-// the field sits.
-type loc struct {
-	mem      *Member
-	ef       entryFn
-	constOff uint
-	dynOff   offFn  // nil ⇒ constant offset
-	class    string // entry key class, "" if impure (no caching)
+// cgen emits one lowered handler as closures bound to a runtime.
+type cgen struct {
+	rt *Runtime
+	h  *lHandler
 }
 
-type hcompiler struct {
-	rt       *Runtime
-	a        *Analysis
-	h        *sema.Handler
-	paramIdx map[string]int
-	// paramClass names each parameter by its *argument position* in the
-	// hook's arg list ("p#3"), so fused handlers whose different bodies
-	// receive the same argument under different parameter names share
-	// CSE slots.
-	paramClass map[string]string
-
-	useCSE bool
-	slots  map[string]int // entry cache slots
-	vslots map[string]int // value cache slots
-	// memberVSlots lists the value slots belonging to each metadata
-	// member, for aliasing invalidation on writes. Invalidator closures
-	// hold the *slotList so slots added by later statements are seen.
-	memberVSlots map[string]*slotList
-	uniq         int
-
-	syncGroups map[int]bool
-}
-
-func (rt *Runtime) buildHandlers() error {
-	a := rt.A
-	rt.handlers = make([]vm.HandlerFn, len(a.Info.HandlerOrder)+len(a.Fused))
-	for i, h := range a.Info.HandlerOrder {
-		fn, err := rt.buildHandler(h)
-		if err != nil {
-			return fmt.Errorf("compiler: handler %s: %w", h.Name, err)
-		}
-		rt.handlers[i] = fn
+// buildClosures compiles the handler table to closures.
+func (rt *Runtime) buildClosures() error {
+	lhs, err := lowerHandlers(rt.A)
+	if err != nil {
+		return err
 	}
-	for i := range a.Fused {
-		fn, err := rt.buildFusedHandler(&a.Fused[i])
-		if err != nil {
-			return fmt.Errorf("compiler: %s: %w", a.Fused[i].Name, err)
-		}
-		rt.handlers[len(a.Info.HandlerOrder)+i] = fn
+	rt.handlers = make([]vm.HandlerFn, len(lhs))
+	for i, lh := range lhs {
+		rt.handlers[i] = (&cgen{rt: rt, h: lh}).handler()
 	}
 	return nil
 }
 
-func newHCompiler(rt *Runtime) *hcompiler {
-	return &hcompiler{
-		rt:           rt,
-		a:            rt.A,
-		paramIdx:     make(map[string]int),
-		paramClass:   make(map[string]string),
-		useCSE:       rt.A.Opts.CSE,
-		slots:        make(map[string]int),
-		vslots:       make(map[string]int),
-		memberVSlots: make(map[string]*slotList),
-		syncGroups:   make(map[int]bool),
+func (c *cgen) handler() vm.HandlerFn {
+	lh := c.h
+	bodies := make([][]stmtFn, len(lh.parts))
+	for i, body := range lh.parts {
+		bodies[i] = c.stmts(body)
 	}
-}
-
-// bindParams points the compiler's parameter tables at one handler's
-// parameters, mapped onto absolute hook-argument positions.
-func (hc *hcompiler) bindParams(h *sema.Handler, argIdx []int) {
-	hc.h = h
-	hc.paramIdx = make(map[string]int, len(h.Decl.Params))
-	hc.paramClass = make(map[string]string, len(h.Decl.Params))
-	for i, p := range h.Decl.Params {
-		pos := i
-		if argIdx != nil {
-			pos = argIdx[i]
-		}
-		hc.paramIdx[p.Name] = pos
-		hc.paramClass[p.Name] = fmt.Sprintf("p#%d", pos)
+	mus := make([]*groupState, len(lh.locks))
+	for i, gid := range lh.locks {
+		mus[i] = c.rt.groups[gid]
 	}
-}
-
-func (rt *Runtime) buildHandler(h *sema.Handler) (vm.HandlerFn, error) {
-	hc := newHCompiler(rt)
-	hc.bindParams(h, nil)
-
-	body, err := hc.stmts(h.Decl.Body)
-	if err != nil {
-		return nil, err
-	}
-
-	syncMus := hc.sortedSyncGroups()
-
 	st := &hstate{
-		entries: make([][]uint64, len(hc.slots)),
-		evalid:  make([]uint64, len(hc.slots)),
-		egen:    make([]uint64, len(hc.slots)),
-		vcache:  make([]uint64, len(hc.vslots)),
-		vvalid:  make([]uint64, len(hc.vslots)),
+		entries: make([][]uint64, len(lh.slots)),
+		evalid:  make([]uint64, len(lh.slots)),
+		egen:    make([]uint64, len(lh.slots)),
+		vcache:  make([]uint64, lh.nvals),
+		vvalid:  make([]uint64, lh.nvals),
 	}
 
-	switch {
-	case len(syncMus) == 0:
+	if lh.fused {
 		return func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			st.m, st.tid, st.args = m, tid, args
+			st.m, st.args = m, args
+			st.ret = 0
+			st.epoch++
+			for _, gs := range mus {
+				gs.mu.Lock()
+			}
+			for _, body := range bodies {
+				st.returned = false
+				for _, s := range body {
+					s(st)
+					if st.returned {
+						break
+					}
+				}
+			}
+			for i := len(mus) - 1; i >= 0; i-- {
+				mus[i].mu.Unlock()
+			}
+			return 0
+		}
+	}
+	body := bodies[0]
+	switch len(mus) {
+	case 0:
+		return func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			st.m, st.args = m, args
 			st.ret, st.returned = 0, false
 			st.epoch++
 			for _, s := range body {
@@ -174,11 +122,11 @@ func (rt *Runtime) buildHandler(h *sema.Handler) (vm.HandlerFn, error) {
 				}
 			}
 			return st.ret
-		}, nil
-	case len(syncMus) == 1:
-		mu := &syncMus[0].mu
+		}
+	case 1:
+		mu := &mus[0].mu
 		return func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			st.m, st.tid, st.args = m, tid, args
+			st.m, st.args = m, args
 			st.ret, st.returned = 0, false
 			st.epoch++
 			mu.Lock()
@@ -190,13 +138,13 @@ func (rt *Runtime) buildHandler(h *sema.Handler) (vm.HandlerFn, error) {
 			}
 			mu.Unlock()
 			return st.ret
-		}, nil
+		}
 	default:
 		return func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			st.m, st.tid, st.args = m, tid, args
+			st.m, st.args = m, args
 			st.ret, st.returned = 0, false
 			st.epoch++
-			for _, gs := range syncMus {
+			for _, gs := range mus {
 				gs.mu.Lock()
 			}
 			for _, s := range body {
@@ -205,109 +153,30 @@ func (rt *Runtime) buildHandler(h *sema.Handler) (vm.HandlerFn, error) {
 					break
 				}
 			}
-			for i := len(syncMus) - 1; i >= 0; i-- {
-				syncMus[i].mu.Unlock()
+			for i := len(mus) - 1; i >= 0; i-- {
+				mus[i].mu.Unlock()
 			}
 			return st.ret
-		}, nil
-	}
-}
-
-// sortedSyncGroups returns the sync groups the compiled code touches,
-// mutexes ordered by group id (a canonical lock order).
-func (hc *hcompiler) sortedSyncGroups() []*groupState {
-	var syncMus []*groupState
-	for gid := range hc.syncGroups {
-		syncMus = append(syncMus, hc.rt.groups[gid])
-	}
-	for i := 0; i < len(syncMus); i++ { // insertion sort (tiny n)
-		for j := i; j > 0 && syncMus[j-1].g.ID > syncMus[j].g.ID; j-- {
-			syncMus[j-1], syncMus[j] = syncMus[j], syncMus[j-1]
 		}
 	}
-	return syncMus
-}
-
-// buildFusedHandler compiles several handlers' bodies into one closure
-// sharing a single hstate: the entry/value CSE slots span analyses, and
-// the union of sync groups is locked once around all bodies. A `return`
-// inside one body ends that body only.
-func (rt *Runtime) buildFusedHandler(spec *FusedSpec) (vm.HandlerFn, error) {
-	hc := newHCompiler(rt)
-	bodies := make([][]stmtFn, 0, len(spec.Parts))
-	for _, part := range spec.Parts {
-		h := rt.A.Info.Handlers[part.HandlerName]
-		if h == nil {
-			return nil, fmt.Errorf("fused part %s not found", part.HandlerName)
-		}
-		hc.bindParams(h, part.ArgIdx)
-		body, err := hc.stmts(h.Decl.Body)
-		if err != nil {
-			return nil, fmt.Errorf("part %s: %w", part.HandlerName, err)
-		}
-		bodies = append(bodies, body)
-	}
-	syncMus := hc.sortedSyncGroups()
-	st := &hstate{
-		entries: make([][]uint64, len(hc.slots)),
-		evalid:  make([]uint64, len(hc.slots)),
-		egen:    make([]uint64, len(hc.slots)),
-		vcache:  make([]uint64, len(hc.vslots)),
-		vvalid:  make([]uint64, len(hc.vslots)),
-	}
-	return func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-		st.m, st.tid, st.args = m, tid, args
-		st.ret = 0
-		st.epoch++
-		for _, gs := range syncMus {
-			gs.mu.Lock()
-		}
-		for _, body := range bodies {
-			st.returned = false
-			for _, s := range body {
-				s(st)
-				if st.returned {
-					break
-				}
-			}
-		}
-		for i := len(syncMus) - 1; i >= 0; i-- {
-			syncMus[i].mu.Unlock()
-		}
-		return 0
-	}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Statements
 
-func (hc *hcompiler) stmts(list []ast.Stmt) ([]stmtFn, error) {
-	out := make([]stmtFn, 0, len(list))
-	for _, s := range list {
-		fn, err := hc.stmt(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fn)
+func (c *cgen) stmts(list []lStmt) []stmtFn {
+	out := make([]stmtFn, len(list))
+	for i, s := range list {
+		out[i] = c.stmt(s)
 	}
-	return out, nil
+	return out
 }
 
-func (hc *hcompiler) stmt(s ast.Stmt) (stmtFn, error) {
+func (c *cgen) stmt(s lStmt) stmtFn {
 	switch st := s.(type) {
-	case *ast.IfStmt:
-		cond, err := hc.scalar(st.Cond)
-		if err != nil {
-			return nil, err
-		}
-		thenB, err := hc.stmts(st.Then)
-		if err != nil {
-			return nil, err
-		}
-		elseB, err := hc.stmts(st.Else)
-		if err != nil {
-			return nil, err
-		}
+	case *lIf:
+		cond := c.expr(st.cond)
+		thenB, elseB := c.stmts(st.then), c.stmts(st.els)
 		if len(elseB) == 0 {
 			return func(h *hstate) {
 				if cond(h) != 0 {
@@ -318,7 +187,7 @@ func (hc *hcompiler) stmt(s ast.Stmt) (stmtFn, error) {
 						}
 					}
 				}
-			}, nil
+			}
 		}
 		return func(h *hstate) {
 			branch := elseB
@@ -331,489 +200,129 @@ func (hc *hcompiler) stmt(s ast.Stmt) (stmtFn, error) {
 					return
 				}
 			}
-		}, nil
-
-	case *ast.ReturnStmt:
-		if st.Value == nil {
-			return func(h *hstate) { h.returned = true }, nil
 		}
-		val, err := hc.scalar(st.Value)
-		if err != nil {
-			return nil, err
+	case *lReturn:
+		if st.val == nil {
+			return func(h *hstate) { h.returned = true }
 		}
+		val := c.expr(st.val)
 		return func(h *hstate) {
 			h.ret = val(h)
 			h.returned = true
-		}, nil
-
-	case *ast.ExprStmt:
-		return hc.effect(st.X)
-	}
-	return nil, fmt.Errorf("unsupported statement %T", s)
-}
-
-// effect compiles an expression evaluated for side effect.
-func (hc *hcompiler) effect(e ast.Expr) (stmtFn, error) {
-	if as, ok := e.(*ast.AssignExpr); ok {
-		return hc.assign(as)
-	}
-	vt := hc.a.Info.ExprTypes[e]
-	if vt.Kind == sema.KSet {
-		fn, err := hc.set(e)
-		if err != nil {
-			return nil, err
 		}
-		return func(h *hstate) { fn(h) }, nil
+	case *lDoSet:
+		fn := c.set(st.x)
+		return func(h *hstate) { fn(h) }
 	}
-	fn, err := hc.scalar(e)
-	if err != nil {
-		return nil, err
-	}
-	return func(h *hstate) { fn(h) }, nil
-}
-
-func (hc *hcompiler) assign(as *ast.AssignExpr) (stmtFn, error) {
-	lt := hc.a.Info.ExprTypes[as.LHS]
-	if lt.Meta == nil {
-		return nil, fmt.Errorf("assignment target is not metadata")
-	}
-	l, err := hc.location(as.LHS)
-	if err != nil {
-		return nil, err
-	}
-
-	if lt.Kind == sema.KScalar {
-		rhs, err := hc.scalar(as.RHS)
-		if err != nil {
-			return nil, err
-		}
-		return hc.storeScalar(l, rhs)
-	}
-
-	// Set assignment. Peephole: `m[k] = m[k] OP other` compiles to an
-	// in-place bit-vector update — the dominant lockset-refinement
-	// pattern (Eraser's `addr2Lock[addr] = addr2Lock[addr] &
-	// thread2Lock[t]`) — skipping the scratch buffer and copy-back.
-	if bin, ok := as.RHS.(*ast.BinaryExpr); ok &&
-		(bin.Op == token.AND || bin.Op == token.OR) &&
-		l.mem.Repr == SetBitVec && l.class != "" && l.dynOff == nil {
-		if xl, err2 := hc.setOperandLoc(bin.X); err2 == nil &&
-			xl.mem == l.mem && xl.class == l.class && xl.dynOff == nil && xl.constOff == l.constOff {
-			other, err := hc.set(bin.Y)
-			if err != nil {
-				return nil, err
-			}
-			ef := l.ef
-			w := int(l.constOff / 64)
-			words := l.mem.SetWords
-			// Evaluate the RHS operand before fetching the destination
-			// view: the inline-arena hash tables may rehash while
-			// materializing `other`, which would detach an
-			// already-fetched destination and lose the write. A stale
-			// *source* view is harmless — rehash copies values.
-			if bin.Op == token.AND {
-				return func(h *hstate) {
-					r := other(h)
-					entry := ef(h)
-					dst := entry[w : w+words]
-					meta.BitAnd(dst, dst, r.bits)
-				}, nil
-			}
-			return func(h *hstate) {
-				r := other(h)
-				entry := ef(h)
-				dst := entry[w : w+words]
-				meta.BitOr(dst, dst, r.bits)
-			}, nil
-		}
-	}
-
-	rhs, err := hc.set(as.RHS)
-	if err != nil {
-		return nil, err
-	}
-	rt := hc.rt
-	mem := l.mem
-	switch mem.Repr {
-	case SetBitVec:
-		words := mem.SetWords
-		off := hc.offsetFn(l)
-		// Destination view fetched last: evaluating the offset or RHS
-		// may grow a hash container and detach an earlier view.
-		return func(h *hstate) {
-			w := int(off(h) / 64)
-			r := rhs(h)
-			entry := l.ef(h)
-			meta.BitCopy(entry[w:w+words], r.bits)
-		}, nil
-	default: // SetTree
-		off := hc.offsetFn(l)
-		return func(h *hstate) {
-			w := int(off(h) / 64)
-			r := rhs(h)
-			t := r.tree
-			if !r.owned {
-				t = t.Clone()
-			}
-			entry := l.ef(h)
-			if handle := entry[w]; handle != 0 {
-				rt.trees[handle-1] = t
-			} else {
-				entry[w] = rt.newTree(t)
-			}
-		}, nil
-	}
-}
-
-// withProfileCounter wraps an entry fetch with a per-member access
-// counter when the analysis was compiled with ProfileCollect.
-func (hc *hcompiler) withProfileCounter(mem *Member, ef entryFn) entryFn {
-	if !hc.a.Opts.ProfileCollect {
-		return ef
-	}
-	idx, ok := hc.a.memberCounterIdx[mem.Meta.Name]
-	if !ok {
-		return ef
-	}
-	counts := hc.rt.memberCounts
-	return func(h *hstate) []uint64 {
-		counts[idx]++
-		return ef(h)
-	}
-}
-
-// profileTick returns a statement-level counter for operations that
-// bypass entry fetches (range fills/reads), or nil.
-func (hc *hcompiler) profileTick(mem *Member) func() {
-	if !hc.a.Opts.ProfileCollect {
-		return nil
-	}
-	idx, ok := hc.a.memberCounterIdx[mem.Meta.Name]
-	if !ok {
-		return nil
-	}
-	counts := hc.rt.memberCounts
-	return func() { counts[idx]++ }
-}
-
-// setOperandLoc resolves a set expression to its storage location if it
-// is a direct member view (Ident/IndexExpr); used by the in-place
-// peephole to recognize self-updates.
-func (hc *hcompiler) setOperandLoc(e ast.Expr) (loc, error) {
-	switch e.(type) {
-	case *ast.Ident, *ast.IndexExpr:
-		return hc.location(e)
-	}
-	return loc{}, fmt.Errorf("not a member view")
-}
-
-// offsetFn converts a loc's offset to a uniform closure (cheap constant
-// variant when possible).
-func (hc *hcompiler) offsetFn(l loc) offFn {
-	if l.dynOff != nil {
-		return l.dynOff
-	}
-	off := l.constOff
-	return func(h *hstate) uint { return off }
+	fn := c.expr(s.(*lDo).x)
+	return func(h *hstate) { fn(h) }
 }
 
 // ---------------------------------------------------------------------------
 // Locations
 
-// location compiles a metadata access (Ident for globals, IndexExpr
-// chains for maps) into a loc.
-func (hc *hcompiler) location(e ast.Expr) (loc, error) {
-	vt := hc.a.Info.ExprTypes[e]
-	if vt.Meta == nil {
-		return loc{}, fmt.Errorf("expression is not a metadata access")
-	}
-	mem := hc.a.Layout.ByMeta[vt.Meta.Name]
-
-	var keys []ast.Expr
-	cur := e
-	for {
-		ix, ok := cur.(*ast.IndexExpr)
-		if !ok {
-			break
-		}
-		keys = append([]ast.Expr{ix.Index}, keys...)
-		cur = ix.X
-	}
-	return hc.memberLocation(mem, keys)
-}
-
-// memberLocation builds a loc for a member given its key expressions.
-func (hc *hcompiler) memberLocation(mem *Member, keys []ast.Expr) (loc, error) {
-	g := hc.a.Layout.Groups[mem.GroupID]
-	gs := hc.rt.groups[mem.GroupID]
-	if g.Sync {
-		hc.syncGroups[g.ID] = true
-	}
-
-	if g.Impl == ImplGlobal {
-		return loc{
-			mem:      mem,
-			ef:       hc.withProfileCounter(mem, func(h *hstate) []uint64 { return gs.global }),
-			constOff: mem.BitOff,
-			class:    fmt.Sprintf("g%d", g.ID),
-		}, nil
-	}
-
-	if len(keys) == 0 {
-		return loc{}, fmt.Errorf("map %s accessed without keys", mem.Meta.Name)
-	}
-
-	keyEval, err := hc.keyValue(keys[0], g.KeyType, g.AddrShift)
-	if err != nil {
-		return loc{}, err
-	}
-
-	var innerEvals []evalFn
-	var key2Eval evalFn
-	for i, kt := range mem.Meta.Keys[1:] {
-		if i+1 >= len(keys) {
-			return loc{}, fmt.Errorf("map %s: missing key %d", mem.Meta.Name, i+2)
-		}
-		ev, err := hc.keyValue(keys[i+1], kt, 0)
-		if err != nil {
-			return loc{}, err
-		}
-		if kt.Domain > 0 {
-			innerEvals = append(innerEvals, ev)
-		} else {
-			key2Eval = ev
-		}
-	}
-
+// entry emits an entry fetch: the container lookup, wrapped in its CSE
+// slot and profile counter when the lowering assigned them.
+func (c *cgen) entry(en *lEntry) entryFn {
+	gs := c.rt.groups[en.group]
 	var ef entryFn
-	switch g.Impl {
+	switch en.impl {
+	case ImplGlobal:
+		ef = func(h *hstate) []uint64 { return gs.global }
 	case ImplHash2:
 		c2 := gs.c2
-		ef = func(h *hstate) []uint64 { return c2.Entry(keyEval(h), key2Eval(h)) }
+		k1, k2 := c.expr(en.key), c.expr(en.key2)
+		ef = func(h *hstate) []uint64 { return c2.Entry(k1(h), k2(h)) }
 	default:
-		c := gs.c
-		ef = func(h *hstate) []uint64 { return c.Entry(keyEval(h)) }
+		cont := gs.c
+		key := c.expr(en.key)
+		ef = func(h *hstate) []uint64 { return cont.Entry(key(h)) }
 	}
 
-	class := ""
-	if hc.useCSE {
-		class = hc.entryClass(g, keys)
-		if class != "" {
-			slot, ok := hc.slots[class]
-			if !ok {
-				slot = len(hc.slots)
-				hc.slots[class] = slot
+	if slot := en.slot; slot >= 0 {
+		inner := ef
+		// The flat-arena hash tables rehash on growth and on
+		// back-shifting removal, detaching previously returned entry
+		// views from the live arena; their cache slots validate the
+		// container generation as well as the invocation epoch. The
+		// other containers never move a materialized entry.
+		switch en.impl {
+		case ImplHash:
+			hm := gs.c.(*meta.HashMap)
+			ef = func(h *hstate) []uint64 {
+				if h.evalid[slot] == h.epoch && h.egen[slot] == hm.Gen() {
+					return h.entries[slot]
+				}
+				e := inner(h)
+				h.entries[slot] = e
+				h.evalid[slot] = h.epoch
+				h.egen[slot] = hm.Gen()
+				return e
 			}
-			inner := ef
-			// The flat-arena hash tables rehash on growth and on
-			// back-shifting removal, detaching previously returned entry
-			// views from the live arena; their cache slots validate the
-			// container generation as well as the invocation epoch. The
-			// other containers never move a materialized entry.
-			switch g.Impl {
-			case ImplHash:
-				hm := gs.c.(*meta.HashMap)
-				ef = func(h *hstate) []uint64 {
-					if h.evalid[slot] == h.epoch && h.egen[slot] == hm.Gen() {
-						return h.entries[slot]
-					}
-					e := inner(h)
-					h.entries[slot] = e
-					h.evalid[slot] = h.epoch
-					h.egen[slot] = hm.Gen()
-					return e
+		case ImplHash2:
+			hm2 := gs.c2
+			ef = func(h *hstate) []uint64 {
+				if h.evalid[slot] == h.epoch && h.egen[slot] == hm2.Gen() {
+					return h.entries[slot]
 				}
-			case ImplHash2:
-				hm2 := gs.c2
-				ef = func(h *hstate) []uint64 {
-					if h.evalid[slot] == h.epoch && h.egen[slot] == hm2.Gen() {
-						return h.entries[slot]
-					}
-					e := inner(h)
-					h.entries[slot] = e
-					h.evalid[slot] = h.epoch
-					h.egen[slot] = hm2.Gen()
-					return e
+				e := inner(h)
+				h.entries[slot] = e
+				h.evalid[slot] = h.epoch
+				h.egen[slot] = hm2.Gen()
+				return e
+			}
+		default:
+			ef = func(h *hstate) []uint64 {
+				if h.evalid[slot] == h.epoch {
+					return h.entries[slot]
 				}
-			default:
-				ef = func(h *hstate) []uint64 {
-					if h.evalid[slot] == h.epoch {
-						return h.entries[slot]
-					}
-					e := inner(h)
-					h.entries[slot] = e
-					h.evalid[slot] = h.epoch
-					return e
-				}
+				e := inner(h)
+				h.entries[slot] = e
+				h.evalid[slot] = h.epoch
+				return e
 			}
 		}
 	}
 
-	ef = hc.withProfileCounter(mem, ef)
-
-	l := loc{mem: mem, ef: ef, constOff: mem.BitOff, class: class}
-	if len(innerEvals) > 0 {
-		base := mem.BitOff
-		doms := mem.InnerDomains
-		strides := mem.InnerStride
-		evals := innerEvals
-		l.dynOff = func(h *hstate) uint {
-			off := base
-			for i, ev := range evals {
-				idx := ev(h) % uint64(doms[i])
-				off += uint(idx) * strides[i]
-			}
-			return off
+	if en.counter >= 0 {
+		counts, idx, inner := c.rt.memberCounts, en.counter, ef
+		ef = func(h *hstate) []uint64 {
+			counts[idx]++
+			return inner(h)
 		}
-		// Dynamic offsets disable value caching (the offset is part of
-		// the location identity).
-		l.class = ""
 	}
-	return l, nil
+	return ef
 }
 
-// classify canonicalizes a key expression the way access.Classify does,
-// but names parameters by hook-argument position so fused handlers
-// share classes across bodies. Impure expressions get a unique "!" id.
-func (hc *hcompiler) classify(e ast.Expr) string {
-	unique := func() string {
-		hc.uniq++
-		return fmt.Sprintf("!%d", hc.uniq)
+// offset emits a location's bit offset (a cheap constant closure when
+// there are no dynamic dimensions).
+func (c *cgen) offset(l *lLoc) offFn {
+	base := l.mem.BitOff
+	if l.dims == nil {
+		return func(h *hstate) uint { return base }
 	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		if v, ok := hc.a.Info.Consts[x.Name]; ok {
-			return fmt.Sprintf("c%d", v)
+	evals := make([]evalFn, len(l.dims))
+	for i, d := range l.dims {
+		evals[i] = c.expr(d.x)
+	}
+	dims := l.dims
+	return func(h *hstate) uint {
+		off := base
+		for i, ev := range evals {
+			off += uint(ev(h)%dims[i].dom) * dims[i].stride
 		}
-		if cls, ok := hc.paramClass[x.Name]; ok {
-			return cls
-		}
-		return unique() // metadata reads are treated as impure keys
-	case *ast.IntLit:
-		return fmt.Sprintf("c%d", x.Value)
-	case *ast.UnaryExpr:
-		inner := hc.classify(x.X)
-		if inner[0] == '!' {
-			return inner
-		}
-		return x.Op.String() + inner
-	case *ast.BinaryExpr:
-		l, r := hc.classify(x.X), hc.classify(x.Y)
-		if l[0] == '!' || r[0] == '!' {
-			return unique()
-		}
-		return "(" + l + x.Op.String() + r + ")"
-	case *ast.CallExpr:
-		if x.Name == sema.BuiltinPtrOffset && len(x.Args) == 2 {
-			l, r := hc.classify(x.Args[0]), hc.classify(x.Args[1])
-			if l[0] != '!' && r[0] != '!' {
-				return "(" + l + "+" + r + ")"
-			}
-		}
-		return unique()
+		return off
 	}
-	return unique()
-}
-
-// entryClass builds the entry CSE cache key. Returns "" when any
-// entry-selecting key is impure.
-func (hc *hcompiler) entryClass(g *Group, keys []ast.Expr) string {
-	out := fmt.Sprintf("g%d", g.ID)
-	c0 := hc.classify(keys[0])
-	if c0[0] == '!' {
-		return ""
-	}
-	out += "|" + c0
-	if g.Impl == ImplHash2 {
-		mem := g.Members[0]
-		for i, kt := range mem.Meta.Keys[1:] {
-			if kt.Domain <= 0 && i+1 < len(keys) {
-				ck := hc.classify(keys[i+1])
-				if ck[0] == '!' {
-					return ""
-				}
-				out += "|" + ck
-			}
-		}
-	}
-	return out
-}
-
-// keyValue compiles a key expression with address shifting and lock-id
-// interning applied per the key's declared type.
-func (hc *hcompiler) keyValue(e ast.Expr, kt *sema.Type, addrShift uint) (evalFn, error) {
-	ev, err := hc.scalar(e)
-	if err != nil {
-		return nil, err
-	}
-	if kt != nil {
-		if tbl := hc.rt.internFor(kt); tbl != nil {
-			dom := kt.Domain
-			inner := ev
-			ev = func(h *hstate) uint64 { return internValue(tbl, dom, inner(h)) }
-		}
-	}
-	if addrShift > 0 {
-		inner := ev
-		sh := addrShift
-		ev = func(h *hstate) uint64 { return inner(h) >> sh }
-	}
-	return ev, nil
-}
-
-// elemValue compiles a set-element expression with interning.
-func (hc *hcompiler) elemValue(e ast.Expr, et *sema.Type) (evalFn, error) {
-	ev, err := hc.scalar(e)
-	if err != nil {
-		return nil, err
-	}
-	if tbl := hc.rt.internFor(et); tbl != nil {
-		dom := et.Domain
-		inner := ev
-		ev = func(h *hstate) uint64 { return internValue(tbl, dom, inner(h)) }
-	}
-	return ev, nil
 }
 
 // ---------------------------------------------------------------------------
 // Scalar load/store with value CSE
 
-// slotList is a mutable slot collection shared between the compile-time
-// registry and runtime invalidator closures.
-type slotList struct{ slots []int }
-
-func (hc *hcompiler) slotListFor(member string) *slotList {
-	lst := hc.memberVSlots[member]
-	if lst == nil {
-		lst = &slotList{}
-		hc.memberVSlots[member] = lst
-	}
-	return lst
-}
-
-// valueSlot assigns (or finds) the value cache slot for a pure scalar
-// location.
-func (hc *hcompiler) valueSlot(l loc) (int, bool) {
-	if !hc.useCSE || l.class == "" || l.dynOff != nil {
-		return 0, false
-	}
-	key := l.class + "#" + l.mem.Meta.Name
-	slot, ok := hc.vslots[key]
-	if !ok {
-		slot = len(hc.vslots)
-		hc.vslots[key] = slot
-		lst := hc.slotListFor(l.mem.Meta.Name)
-		lst.slots = append(lst.slots, slot)
-	}
-	return slot, true
-}
-
-// loadScalar compiles a cached scalar field read.
-func (hc *hcompiler) loadScalar(l loc) evalFn {
-	width, signed := l.mem.Width, l.mem.Signed
-	ef := l.ef
-	if l.dynOff != nil {
-		dyn := l.dynOff
+func (c *cgen) load(x *lLoad) evalFn {
+	width, signed := x.loc.mem.Width, x.loc.mem.Signed
+	ef := c.entry(x.loc.entry)
+	if x.loc.dims != nil {
+		dyn := c.offset(x.loc)
 		if signed && width < 64 {
 			return func(h *hstate) uint64 {
 				return meta.SignExtend(meta.LoadField(ef(h), dyn(h), width), width)
@@ -823,7 +332,7 @@ func (hc *hcompiler) loadScalar(l loc) evalFn {
 			return meta.LoadField(ef(h), dyn(h), width)
 		}
 	}
-	off := l.constOff
+	off := x.loc.mem.BitOff
 	raw := func(h *hstate) uint64 {
 		v := meta.LoadField(ef(h), off, width)
 		if signed && width < 64 {
@@ -831,8 +340,8 @@ func (hc *hcompiler) loadScalar(l loc) evalFn {
 		}
 		return v
 	}
-	slot, ok := hc.valueSlot(l)
-	if !ok {
+	slot := x.vslot
+	if slot < 0 {
 		return raw
 	}
 	return func(h *hstate) uint64 {
@@ -846,57 +355,58 @@ func (hc *hcompiler) loadScalar(l loc) evalFn {
 	}
 }
 
-// storeScalar compiles a scalar field write with write-through caching
-// and aliasing invalidation.
-func (hc *hcompiler) storeScalar(l loc, rhs evalFn) (stmtFn, error) {
-	width := l.mem.Width
-	ef := l.ef
-	if l.dynOff != nil {
-		dyn := l.dynOff
-		inval := hc.invalidator(l.mem.Meta.Name, -1)
+// store emits a scalar field write with write-through caching and
+// aliasing invalidation.
+func (c *cgen) store(x *lStore) evalFn {
+	width := x.loc.mem.Width
+	ef := c.entry(x.loc.entry)
+	rhs := c.expr(x.rhs)
+	inval := invalidator(x.inval, x.vslot)
+	if x.loc.dims != nil {
+		dyn := c.offset(x.loc)
 		// Entry view fetched last: the offset or RHS evaluation may
 		// grow a hash container and detach an earlier view.
-		return func(h *hstate) {
+		return func(h *hstate) uint64 {
 			d := dyn(h)
 			v := rhs(h)
 			meta.StoreField(ef(h), d, width, v)
 			inval(h)
-		}, nil
+			return 0
+		}
 	}
-	off := l.constOff
-	slot, cached := hc.valueSlot(l)
-	var exclude = -1
-	if cached {
-		exclude = slot
-	}
-	inval := hc.invalidator(l.mem.Meta.Name, exclude)
-	signed := l.mem.Signed
-	if cached {
-		return func(h *hstate) {
+	off := x.loc.mem.BitOff
+	slot, signed := x.vslot, x.loc.mem.Signed
+	if slot >= 0 {
+		return func(h *hstate) uint64 {
 			v := rhs(h)
 			meta.StoreField(ef(h), off, width, v)
 			inval(h)
-			if signed && width < 64 {
-				v = meta.SignExtend(meta.Truncate(v, width), width)
-			} else {
-				v = meta.Truncate(v, width)
-			}
-			h.vcache[slot] = v
+			h.vcache[slot] = cachedStore(v, width, signed)
 			h.vvalid[slot] = h.epoch
-		}, nil
+			return 0
+		}
 	}
-	return func(h *hstate) {
+	return func(h *hstate) uint64 {
 		v := rhs(h)
 		meta.StoreField(ef(h), off, width, v)
 		inval(h)
-	}, nil
+		return 0
+	}
 }
 
-// invalidator returns a closure dropping all value slots of a member
-// except `exclude` (-1 for none). The slot list is shared with the
-// registry, so slots added by later statements are covered too.
-func (hc *hcompiler) invalidator(memberName string, exclude int) stmtFn {
-	lst := hc.slotListFor(memberName)
+// cachedStore is the value a load of a width-bit field reads back after
+// storing v: the write-through value of a cached store.
+func cachedStore(v uint64, width uint, signed bool) uint64 {
+	if signed && width < 64 {
+		return meta.SignExtend(meta.Truncate(v, width), width)
+	}
+	return meta.Truncate(v, width)
+}
+
+// invalidator returns a closure dropping all value slots in lst except
+// `exclude` (-1 for none). lst is read at run time, so slots registered
+// after the store was lowered are covered too.
+func invalidator(lst *slotList, exclude int) stmtFn {
 	return func(h *hstate) {
 		for _, s := range lst.slots {
 			if s != exclude {
@@ -909,96 +419,99 @@ func (hc *hcompiler) invalidator(memberName string, exclude int) stmtFn {
 // ---------------------------------------------------------------------------
 // Scalar expressions
 
-func (hc *hcompiler) scalar(e ast.Expr) (evalFn, error) {
+func (c *cgen) expr(e lExpr) evalFn {
 	switch x := e.(type) {
-	case *ast.IntLit:
-		v := uint64(x.Value)
-		return func(h *hstate) uint64 { return v }, nil
-
-	case *ast.StringLit:
-		return func(h *hstate) uint64 { return 0 }, nil
-
-	case *ast.Ident:
-		if i, ok := hc.paramIdx[x.Name]; ok {
-			idx := i
-			return func(h *hstate) uint64 { return h.args[idx] }, nil
-		}
-		if v, ok := hc.a.Info.Consts[x.Name]; ok {
-			c := uint64(v)
-			return func(h *hstate) uint64 { return c }, nil
-		}
-		vt := hc.a.Info.ExprTypes[e]
-		if vt.Meta != nil && vt.Kind == sema.KScalar {
-			l, err := hc.location(e)
-			if err != nil {
-				return nil, err
-			}
-			return hc.loadScalar(l), nil
-		}
-		return nil, fmt.Errorf("identifier %s is not scalar-valued", x.Name)
-
-	case *ast.IndexExpr:
-		vt := hc.a.Info.ExprTypes[e]
-		if vt.Kind != sema.KScalar {
-			return nil, fmt.Errorf("map access is not scalar")
-		}
-		l, err := hc.location(e)
-		if err != nil {
-			return nil, err
-		}
-		return hc.loadScalar(l), nil
-
-	case *ast.UnaryExpr:
-		inner, err := hc.scalar(x.X)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case token.NOT:
+	case *lConst:
+		v := x.v
+		return func(h *hstate) uint64 { return v }
+	case *lArg:
+		idx := x.i
+		return func(h *hstate) uint64 { return h.args[idx] }
+	case *lLoad:
+		return c.load(x)
+	case *lStore:
+		return c.store(x)
+	case *lUnary:
+		inner := c.expr(x.x)
+		if x.op == token.NOT {
 			return func(h *hstate) uint64 {
 				if inner(h) == 0 {
 					return 1
 				}
 				return 0
-			}, nil
-		case token.SUB:
-			return func(h *hstate) uint64 { return -inner(h) }, nil
+			}
 		}
-		return nil, fmt.Errorf("unsupported unary operator %s", x.Op)
-
-	case *ast.BinaryExpr:
-		return hc.binary(x)
-
-	case *ast.MethodExpr:
-		return hc.scalarMethod(x)
-
-	case *ast.CallExpr:
-		return hc.call(x)
+		return func(h *hstate) uint64 { return -inner(h) }
+	case *lBinary:
+		return c.binary(x)
+	case *lIntern:
+		tbl, dom, inner := c.rt.internTable(x.table), x.dom, c.expr(x.x)
+		return func(h *hstate) uint64 { return internValue(tbl, dom, inner(h)) }
+	case *lSetAssign:
+		return c.setAssign(x)
+	case *lSetMethod:
+		return c.setMethod(x)
+	case *lRange:
+		return c.rangeOp(x)
+	case *lRemove:
+		cont, key := c.rt.groups[x.group].c, c.expr(x.key)
+		invals := make([]stmtFn, len(x.inval))
+		for i, lst := range x.inval {
+			invals[i] = invalidator(lst, -1)
+		}
+		return func(h *hstate) uint64 {
+			cont.Remove(key(h))
+			for _, iv := range invals {
+				iv(h)
+			}
+			return 0
+		}
+	case *lHas:
+		cont, key := c.rt.groups[x.group].c, c.expr(x.key)
+		return func(h *hstate) uint64 { return b2u(cont.Peek(key(h)) != nil) }
+	case *lAssert:
+		got, want := c.expr(x.got), c.expr(x.want)
+		rt, name, msg := c.rt, x.handler, x.msg
+		return func(h *hstate) uint64 {
+			rt.stats.Asserts++
+			g, w := got(h), want(h)
+			if g != w {
+				rt.stats.AssertFailures++
+				h.m.Report(name, msg, g, w)
+			}
+			return 0
+		}
+	case *lExtern:
+		argFns := make([]evalFn, len(x.args))
+		for i, a := range x.args {
+			argFns[i] = c.expr(a)
+		}
+		buf := make([]uint64, c.h.extBufs[x.buf])
+		fn := c.rt.externals[x.idx]
+		return func(h *hstate) uint64 {
+			for i, f := range argFns {
+				buf[i] = f(h)
+			}
+			return fn(h.m, buf)
+		}
 	}
-	return nil, fmt.Errorf("unsupported scalar expression %T", e)
+	panic("compiler: unknown lowered expression")
 }
 
-func (hc *hcompiler) binary(x *ast.BinaryExpr) (evalFn, error) {
-	a, err := hc.scalar(x.X)
-	if err != nil {
-		return nil, err
-	}
-	if x.Op == token.LAND || x.Op == token.LOR {
-		b, err := hc.scalar(x.Y)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == token.LAND {
-			return func(h *hstate) uint64 {
-				if a(h) == 0 {
-					return 0
-				}
-				if b(h) != 0 {
-					return 1
-				}
+func (c *cgen) binary(x *lBinary) evalFn {
+	a, b := c.expr(x.x), c.expr(x.y)
+	switch x.op {
+	case token.LAND:
+		return func(h *hstate) uint64 {
+			if a(h) == 0 {
 				return 0
-			}, nil
+			}
+			if b(h) != 0 {
+				return 1
+			}
+			return 0
 		}
+	case token.LOR:
 		return func(h *hstate) uint64 {
 			if a(h) != 0 {
 				return 1
@@ -1007,51 +520,44 @@ func (hc *hcompiler) binary(x *ast.BinaryExpr) (evalFn, error) {
 				return 1
 			}
 			return 0
-		}, nil
-	}
-	b, err := hc.scalar(x.Y)
-	if err != nil {
-		return nil, err
+		}
 	}
 	// Comparisons against constants are the dominant handler pattern
 	// (state-machine checks); specialize them.
-	if c, isConst := x.Y.(*ast.IntLit); isConst || constIdent(hc, x.Y) != nil {
-		var k int64
-		if isConst {
-			k = c.Value
-		} else {
-			k = *constIdent(hc, x.Y)
-		}
-		switch x.Op {
+	if k, ok := x.y.(*lConst); ok {
+		k := int64(k.v)
+		switch x.op {
 		case token.EQL:
-			return func(h *hstate) uint64 { return b2u(int64(a(h)) == k) }, nil
+			return func(h *hstate) uint64 { return b2u(int64(a(h)) == k) }
 		case token.NEQ:
-			return func(h *hstate) uint64 { return b2u(int64(a(h)) != k) }, nil
+			return func(h *hstate) uint64 { return b2u(int64(a(h)) != k) }
 		case token.LSS:
-			return func(h *hstate) uint64 { return b2u(int64(a(h)) < k) }, nil
+			return func(h *hstate) uint64 { return b2u(int64(a(h)) < k) }
 		case token.LEQ:
-			return func(h *hstate) uint64 { return b2u(int64(a(h)) <= k) }, nil
+			return func(h *hstate) uint64 { return b2u(int64(a(h)) <= k) }
 		case token.GTR:
-			return func(h *hstate) uint64 { return b2u(int64(a(h)) > k) }, nil
+			return func(h *hstate) uint64 { return b2u(int64(a(h)) > k) }
 		case token.GEQ:
-			return func(h *hstate) uint64 { return b2u(int64(a(h)) >= k) }, nil
+			return func(h *hstate) uint64 { return b2u(int64(a(h)) >= k) }
 		}
 	}
-	switch x.Op {
+	switch x.op {
 	case token.ADD:
-		return func(h *hstate) uint64 { return a(h) + b(h) }, nil
+		return func(h *hstate) uint64 { return a(h) + b(h) }
 	case token.SUB:
-		return func(h *hstate) uint64 { return a(h) - b(h) }, nil
+		return func(h *hstate) uint64 { return a(h) - b(h) }
 	case token.MUL:
-		return func(h *hstate) uint64 { return a(h) * b(h) }, nil
+		return func(h *hstate) uint64 { return a(h) * b(h) }
 	case token.QUO:
+		// The divisor is evaluated first; the dividend only when the
+		// divisor is non-zero (ALDA's x / 0 is 0).
 		return func(h *hstate) uint64 {
 			bv := int64(b(h))
 			if bv == 0 {
 				return 0
 			}
 			return uint64(int64(a(h)) / bv)
-		}, nil
+		}
 	case token.REM:
 		return func(h *hstate) uint64 {
 			bv := int64(b(h))
@@ -1059,31 +565,30 @@ func (hc *hcompiler) binary(x *ast.BinaryExpr) (evalFn, error) {
 				return 0
 			}
 			return uint64(int64(a(h)) % bv)
-		}, nil
+		}
 	case token.AND:
-		return func(h *hstate) uint64 { return a(h) & b(h) }, nil
+		return func(h *hstate) uint64 { return a(h) & b(h) }
 	case token.OR:
-		return func(h *hstate) uint64 { return a(h) | b(h) }, nil
+		return func(h *hstate) uint64 { return a(h) | b(h) }
 	case token.XOR:
-		return func(h *hstate) uint64 { return a(h) ^ b(h) }, nil
+		return func(h *hstate) uint64 { return a(h) ^ b(h) }
 	case token.SHL:
-		return func(h *hstate) uint64 { return a(h) << (b(h) & 63) }, nil
+		return func(h *hstate) uint64 { return a(h) << (b(h) & 63) }
 	case token.SHR:
-		return func(h *hstate) uint64 { return a(h) >> (b(h) & 63) }, nil
+		return func(h *hstate) uint64 { return a(h) >> (b(h) & 63) }
 	case token.EQL:
-		return func(h *hstate) uint64 { return b2u(int64(a(h)) == int64(b(h))) }, nil
+		return func(h *hstate) uint64 { return b2u(int64(a(h)) == int64(b(h))) }
 	case token.NEQ:
-		return func(h *hstate) uint64 { return b2u(int64(a(h)) != int64(b(h))) }, nil
+		return func(h *hstate) uint64 { return b2u(int64(a(h)) != int64(b(h))) }
 	case token.LSS:
-		return func(h *hstate) uint64 { return b2u(int64(a(h)) < int64(b(h))) }, nil
+		return func(h *hstate) uint64 { return b2u(int64(a(h)) < int64(b(h))) }
 	case token.LEQ:
-		return func(h *hstate) uint64 { return b2u(int64(a(h)) <= int64(b(h))) }, nil
+		return func(h *hstate) uint64 { return b2u(int64(a(h)) <= int64(b(h))) }
 	case token.GTR:
-		return func(h *hstate) uint64 { return b2u(int64(a(h)) > int64(b(h))) }, nil
-	case token.GEQ:
-		return func(h *hstate) uint64 { return b2u(int64(a(h)) >= int64(b(h))) }, nil
+		return func(h *hstate) uint64 { return b2u(int64(a(h)) > int64(b(h))) }
+	default: // token.GEQ
+		return func(h *hstate) uint64 { return b2u(int64(a(h)) >= int64(b(h))) }
 	}
-	return nil, fmt.Errorf("unsupported binary operator %s", x.Op)
 }
 
 func b2u(b bool) uint64 {
@@ -1093,462 +598,251 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// constIdent returns the constant value of an identifier expression, or
-// nil.
-func constIdent(hc *hcompiler, e ast.Expr) *int64 {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if _, isParam := hc.paramIdx[id.Name]; isParam {
-		return nil
-	}
-	if v, ok := hc.a.Info.Consts[id.Name]; ok {
-		return &v
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
-// Methods (set and map builtins)
+// Set and map builtins
 
-func (hc *hcompiler) scalarMethod(x *ast.MethodExpr) (evalFn, error) {
-	recvT := hc.a.Info.ExprTypes[x.Recv]
-	switch recvT.Kind {
-	case sema.KSet:
-		return hc.setScalarMethod(x, recvT)
-	case sema.KMapRef:
-		return hc.mapMethod(x, recvT)
+func (c *cgen) setMethod(x *lSetMethod) evalFn {
+	mem := x.loc.mem
+	ef, off := c.entry(x.loc.entry), c.offset(x.loc)
+	var ev evalFn
+	if x.elem != nil {
+		ev = c.expr(x.elem)
 	}
-	return nil, fmt.Errorf("method %s on non-collection", x.Name)
-}
-
-func (hc *hcompiler) setScalarMethod(x *ast.MethodExpr, recvT sema.VType) (evalFn, error) {
-	mem := hc.a.Layout.ByMeta[recvT.Meta.Name]
-	l, err := hc.location(x.Recv)
-	if err != nil {
-		return nil, err
-	}
-	ef := l.ef
-	off := hc.offsetFn(l)
-	rt := hc.rt
-	univ := mem.SetUniv
-
-	switch x.Name {
-	case "add", "remove", "find":
-		ev, err := hc.elemValue(x.Args[0], mem.Meta.Elem)
-		if err != nil {
-			return nil, err
-		}
-		if mem.Repr == SetBitVec {
-			words := mem.SetWords
-			dom := uint64(mem.SetDomain)
-			// Mutators fetch the entry view last so that offset/element
-			// evaluation growing a hash container cannot detach the
-			// write target.
-			switch x.Name {
-			case "add":
-				return func(h *hstate) uint64 {
-					w := int(off(h) / 64)
-					v := ev(h) % dom
-					e := ef(h)
-					meta.BitAdd(e[w:w+words], v)
-					return 0
-				}, nil
-			case "remove":
-				return func(h *hstate) uint64 {
-					w := int(off(h) / 64)
-					v := ev(h) % dom
-					e := ef(h)
-					meta.BitRemove(e[w:w+words], v)
-					return 0
-				}, nil
-			default:
-				return func(h *hstate) uint64 {
-					e := ef(h)
-					w := int(off(h) / 64)
-					return b2u(meta.BitFind(e[w:w+words], ev(h)%dom))
-				}, nil
-			}
-		}
-		// getTree writes the tree handle into the entry, so the entry
-		// view must be fetched after the offset; the tree itself lives
-		// outside the arena and survives rehashes.
-		switch x.Name {
+	if mem.Repr == SetBitVec {
+		words := mem.SetWords
+		dom := uint64(mem.SetDomain)
+		// Mutators fetch the entry view last so that offset/element
+		// evaluation growing a hash container cannot detach the write
+		// target.
+		switch x.name {
 		case "add":
 			return func(h *hstate) uint64 {
 				w := int(off(h) / 64)
-				rt.getTree(ef(h), w, univ).Add(ev(h))
+				v := ev(h) % dom
+				e := ef(h)
+				meta.BitAdd(e[w:w+words], v)
 				return 0
-			}, nil
+			}
 		case "remove":
 			return func(h *hstate) uint64 {
 				w := int(off(h) / 64)
-				rt.getTree(ef(h), w, univ).Remove(ev(h))
+				v := ev(h) % dom
+				e := ef(h)
+				meta.BitRemove(e[w:w+words], v)
 				return 0
-			}, nil
-		default:
-			return func(h *hstate) uint64 {
-				w := int(off(h) / 64)
-				return b2u(rt.getTree(ef(h), w, univ).Find(ev(h)))
-			}, nil
-		}
-
-	case "size", "empty":
-		if mem.Repr == SetBitVec {
-			words := mem.SetWords
-			if x.Name == "size" {
-				return func(h *hstate) uint64 {
-					e := ef(h)
-					w := int(off(h) / 64)
-					return uint64(meta.BitCount(e[w : w+words]))
-				}, nil
 			}
+		case "find":
+			return func(h *hstate) uint64 {
+				e := ef(h)
+				w := int(off(h) / 64)
+				return b2u(meta.BitFind(e[w:w+words], ev(h)%dom))
+			}
+		case "size":
+			return func(h *hstate) uint64 {
+				e := ef(h)
+				w := int(off(h) / 64)
+				return uint64(meta.BitCount(e[w : w+words]))
+			}
+		case "empty":
 			return func(h *hstate) uint64 {
 				e := ef(h)
 				w := int(off(h) / 64)
 				return b2u(meta.BitEmpty(e[w : w+words]))
-			}, nil
-		}
-		if x.Name == "size" {
-			return func(h *hstate) uint64 {
-				w := int(off(h) / 64)
-				return uint64(rt.getTree(ef(h), w, univ).Size())
-			}, nil
-		}
-		return func(h *hstate) uint64 {
-			w := int(off(h) / 64)
-			return b2u(rt.getTree(ef(h), w, univ).Empty())
-		}, nil
-
-	case "clear":
-		if mem.Repr == SetBitVec {
-			words := mem.SetWords
+			}
+		default: // clear
 			return func(h *hstate) uint64 {
 				w := int(off(h) / 64)
 				e := ef(h)
 				meta.BitClear(e[w : w+words])
 				return 0
-			}, nil
+			}
 		}
+	}
+	// getTree writes the tree handle into the entry, so the entry view
+	// must be fetched after the offset; the tree itself lives outside
+	// the arena and survives rehashes.
+	rt, univ := c.rt, mem.SetUniv
+	switch x.name {
+	case "add":
+		return func(h *hstate) uint64 {
+			w := int(off(h) / 64)
+			rt.getTree(ef(h), w, univ).Add(ev(h))
+			return 0
+		}
+	case "remove":
+		return func(h *hstate) uint64 {
+			w := int(off(h) / 64)
+			rt.getTree(ef(h), w, univ).Remove(ev(h))
+			return 0
+		}
+	case "find":
+		return func(h *hstate) uint64 {
+			w := int(off(h) / 64)
+			return b2u(rt.getTree(ef(h), w, univ).Find(ev(h)))
+		}
+	case "size":
+		return func(h *hstate) uint64 {
+			w := int(off(h) / 64)
+			return uint64(rt.getTree(ef(h), w, univ).Size())
+		}
+	case "empty":
+		return func(h *hstate) uint64 {
+			w := int(off(h) / 64)
+			return b2u(rt.getTree(ef(h), w, univ).Empty())
+		}
+	default: // clear
 		return func(h *hstate) uint64 {
 			w := int(off(h) / 64)
 			rt.getTree(ef(h), w, univ).Clear()
 			return 0
-		}, nil
+		}
 	}
-	return nil, fmt.Errorf("unknown set method %s", x.Name)
 }
 
-// mapMethod compiles map.set/get/remove/has including the range forms.
-func (hc *hcompiler) mapMethod(x *ast.MethodExpr, recvT sema.VType) (evalFn, error) {
-	mo := recvT.Meta
-	mem := hc.a.Layout.ByMeta[mo.Name]
-	g := hc.a.Layout.Groups[mem.GroupID]
-	gs := hc.rt.groups[mem.GroupID]
-	if g.Sync {
-		hc.syncGroups[g.ID] = true
+func (c *cgen) rangeOp(x *lRange) evalFn {
+	cont := c.rt.groups[x.group].c
+	key, n := c.expr(x.key), c.expr(x.n)
+	sh, off, width, signed := x.shift, x.off, x.width, x.signed
+	tick := func() {}
+	if x.counter >= 0 {
+		counts, idx := c.rt.memberCounts, x.counter
+		tick = func() { counts[idx]++ }
 	}
-
-	var recvKeys []ast.Expr
-	cur := x.Recv
-	for {
-		ix, ok := cur.(*ast.IndexExpr)
-		if !ok {
-			break
-		}
-		recvKeys = append([]ast.Expr{ix.Index}, recvKeys...)
-		cur = ix.X
-	}
-	allKeys := append(append([]ast.Expr{}, recvKeys...), x.Args[0])
-
-	isRange := (x.Name == "set" && len(x.Args) == 3) || (x.Name == "get" && len(x.Args) == 2)
-	if isRange {
-		if len(mem.InnerDomains) > 0 || g.Impl == ImplGlobal || g.Impl == ImplHash2 {
-			return nil, fmt.Errorf("range %s on %s requires a single-dimension container-backed map", x.Name, mo.Name)
-		}
-		if mem.IsSet == 1 {
-			return nil, fmt.Errorf("range %s on set-valued map %s", x.Name, mo.Name)
-		}
-		keyRaw, err := hc.scalar(allKeys[0])
-		if err != nil {
-			return nil, err
-		}
-		var nEval evalFn
-		if x.Name == "set" {
-			nEval, err = hc.scalar(x.Args[2])
-		} else {
-			nEval, err = hc.scalar(x.Args[1])
-		}
-		if err != nil {
-			return nil, err
-		}
-		c := gs.c
-		sh := g.AddrShift
-		width := mem.Width
-		bitOff := mem.BitOff
-		signed := mem.Signed
-
-		granules := func(h *hstate) (uint64, uint64) {
-			k := keyRaw(h)
-			n := nEval(h)
-			if n == 0 {
-				return k >> sh, 0
-			}
-			start := k >> sh
-			end := (k + n - 1) >> sh
-			return start, end - start + 1
-		}
-
-		tick := hc.profileTick(mem)
-		if tick == nil {
-			tick = func() {}
-		}
-		if x.Name == "set" {
-			vEval, err := hc.scalar(x.Args[1])
-			if err != nil {
-				return nil, err
-			}
-			inval := hc.invalidator(mo.Name, -1)
-			return func(h *hstate) uint64 {
-				tick()
-				start, cnt := granules(h)
-				if cnt > 0 {
-					c.Fill(start, cnt, bitOff, width, vEval(h))
-					inval(h)
-				}
-				return 0
-			}, nil
-		}
-		if signed && width < 64 {
-			return func(h *hstate) uint64 {
-				tick()
-				start, cnt := granules(h)
-				if cnt == 0 {
-					return 0
-				}
-				return meta.SignExtend(c.RangeOr(start, cnt, bitOff, width), width)
-			}, nil
-		}
+	if x.store {
+		val := c.expr(x.val)
+		inval := invalidator(x.inval, -1)
 		return func(h *hstate) uint64 {
 			tick()
-			start, cnt := granules(h)
+			k := key(h)
+			start, cnt := granules(k, n(h), sh)
+			if cnt > 0 {
+				cont.Fill(start, cnt, off, width, val(h))
+				inval(h)
+			}
+			return 0
+		}
+	}
+	if signed && width < 64 {
+		return func(h *hstate) uint64 {
+			tick()
+			k := key(h)
+			start, cnt := granules(k, n(h), sh)
 			if cnt == 0 {
 				return 0
 			}
-			return c.RangeOr(start, cnt, bitOff, width)
-		}, nil
-	}
-
-	switch x.Name {
-	case "set":
-		l, err := hc.memberLocation(mem, allKeys)
-		if err != nil {
-			return nil, err
-		}
-		vEval, err := hc.scalar(x.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		st, err := hc.storeScalar(l, vEval)
-		if err != nil {
-			return nil, err
-		}
-		return func(h *hstate) uint64 {
-			st(h)
-			return 0
-		}, nil
-	case "get":
-		l, err := hc.memberLocation(mem, allKeys)
-		if err != nil {
-			return nil, err
-		}
-		return hc.loadScalar(l), nil
-	case "remove", "has":
-		if g.Impl == ImplGlobal || g.Impl == ImplHash2 {
-			return nil, fmt.Errorf("%s unsupported on %s", x.Name, mo.Name)
-		}
-		keyEval, err := hc.keyValue(allKeys[0], g.KeyType, g.AddrShift)
-		if err != nil {
-			return nil, err
-		}
-		c := gs.c
-		if x.Name == "remove" {
-			// Removing resets the whole entry: invalidate every member of
-			// the group.
-			invals := make([]stmtFn, 0, len(g.Members))
-			for _, m := range g.Members {
-				invals = append(invals, hc.invalidator(m.Meta.Name, -1))
-			}
-			return func(h *hstate) uint64 {
-				c.Remove(keyEval(h))
-				for _, iv := range invals {
-					iv(h)
-				}
-				return 0
-			}, nil
-		}
-		return func(h *hstate) uint64 {
-			return b2u(c.Peek(keyEval(h)) != nil)
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown map method %s", x.Name)
-}
-
-// ---------------------------------------------------------------------------
-// Builtin and external calls
-
-func (hc *hcompiler) call(x *ast.CallExpr) (evalFn, error) {
-	switch x.Name {
-	case sema.BuiltinAssert:
-		got, err := hc.scalar(x.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		want, err := hc.scalar(x.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		msg := "assertion failed"
-		if len(x.Args) == 3 {
-			if s, ok := x.Args[2].(*ast.StringLit); ok {
-				msg = s.Value
-			}
-		}
-		name := hc.h.Name
-		rt := hc.rt
-		return func(h *hstate) uint64 {
-			rt.stats.Asserts++
-			g, w := got(h), want(h)
-			if g != w {
-				rt.stats.AssertFailures++
-				h.m.Report(name, msg, g, w)
-			}
-			return 0
-		}, nil
-
-	case sema.BuiltinPtrOffset:
-		p, err := hc.scalar(x.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		n, err := hc.scalar(x.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(h *hstate) uint64 { return p(h) + n(h) }, nil
-	}
-
-	idx := -1
-	for i, n := range hc.a.Info.Externals {
-		if n == x.Name {
-			idx = i
-			break
+			return meta.SignExtend(cont.RangeOr(start, cnt, off, width), width)
 		}
 	}
-	if idx < 0 {
-		return nil, fmt.Errorf("unknown function %s", x.Name)
-	}
-	argFns := make([]evalFn, len(x.Args))
-	for i, a := range x.Args {
-		fn, err := hc.scalar(a)
-		if err != nil {
-			return nil, err
-		}
-		argFns[i] = fn
-	}
-	buf := make([]uint64, len(argFns))
-	rt := hc.rt
 	return func(h *hstate) uint64 {
-		for i, fn := range argFns {
-			buf[i] = fn(h)
+		tick()
+		k := key(h)
+		start, cnt := granules(k, n(h), sh)
+		if cnt == 0 {
+			return 0
 		}
-		return rt.externals[idx](h.m, buf)
-	}, nil
+		return cont.RangeOr(start, cnt, off, width)
+	}
 }
 
 // ---------------------------------------------------------------------------
 // Set expressions
 
-func (hc *hcompiler) set(e ast.Expr) (setFn, error) {
-	vt := hc.a.Info.ExprTypes[e]
-	if vt.Kind != sema.KSet {
-		return nil, fmt.Errorf("expression is not a set")
-	}
-
-	switch x := e.(type) {
-	case *ast.Ident, *ast.IndexExpr:
-		mem := hc.a.Layout.ByMeta[vt.Meta.Name]
-		l, err := hc.location(e)
-		if err != nil {
-			return nil, err
+func (c *cgen) setAssign(x *lSetAssign) evalFn {
+	mem := x.loc.mem
+	ef := c.entry(x.loc.entry)
+	rhs := c.set(x.rhs)
+	if x.op != token.ASSIGN {
+		w := int(mem.BitOff / 64)
+		words := mem.SetWords
+		// Evaluate the RHS operand before fetching the destination
+		// view: the inline-arena hash tables may rehash while
+		// materializing it, which would detach an already-fetched
+		// destination and lose the write. A stale *source* view is
+		// harmless — rehash copies values.
+		if x.op == token.AND {
+			return func(h *hstate) uint64 {
+				r := rhs(h)
+				dst := ef(h)[w : w+words]
+				meta.BitAnd(dst, dst, r.bits)
+				return 0
+			}
 		}
-		ef := l.ef
-		off := hc.offsetFn(l)
-		rt := hc.rt
+		return func(h *hstate) uint64 {
+			r := rhs(h)
+			dst := ef(h)[w : w+words]
+			meta.BitOr(dst, dst, r.bits)
+			return 0
+		}
+	}
+	off := c.offset(x.loc)
+	if mem.Repr == SetBitVec {
+		words := mem.SetWords
+		// Destination view fetched last: evaluating the offset or RHS
+		// may grow a hash container and detach an earlier view.
+		return func(h *hstate) uint64 {
+			w := int(off(h) / 64)
+			r := rhs(h)
+			entry := ef(h)
+			meta.BitCopy(entry[w:w+words], r.bits)
+			return 0
+		}
+	}
+	rt := c.rt
+	return func(h *hstate) uint64 {
+		w := int(off(h) / 64)
+		r := rhs(h)
+		t := r.tree
+		if !r.owned {
+			t = t.Clone()
+		}
+		rt.setTree(ef(h), w, t)
+		return 0
+	}
+}
+
+func (c *cgen) set(s lSet) setFn {
+	if v, ok := s.(*lView); ok {
+		mem := v.loc.mem
+		ef, off := c.entry(v.loc.entry), c.offset(v.loc)
 		if mem.Repr == SetBitVec {
 			words := mem.SetWords
 			return func(h *hstate) setRef {
 				entry := ef(h)
 				w := int(off(h) / 64)
 				return setRef{bits: entry[w : w+words]}
-			}, nil
+			}
 		}
-		univ := mem.SetUniv
+		rt, univ := c.rt, mem.SetUniv
 		return func(h *hstate) setRef {
 			w := int(off(h) / 64)
 			return setRef{tree: rt.getTree(ef(h), w, univ)}
-		}, nil
-
-	case *ast.BinaryExpr:
-		a, err := hc.set(x.X)
-		if err != nil {
-			return nil, err
 		}
-		b, err := hc.set(x.Y)
-		if err != nil {
-			return nil, err
-		}
-		elem := vt.Elem
-		if elem == nil {
-			return nil, fmt.Errorf("set operation with unknown element type")
-		}
-		if hc.reprForElem(elem) == SetBitVec {
-			words := meta.BitWords(elem.Domain)
-			scratch := make([]uint64, words)
-			if x.Op == token.AND {
-				return func(h *hstate) setRef {
-					ra, rb := a(h), b(h)
-					meta.BitAnd(scratch, ra.bits, rb.bits)
-					return setRef{bits: scratch, owned: true}
-				}, nil
-			}
+	}
+	x := s.(*lSetBin)
+	a, b := c.set(x.x), c.set(x.y)
+	if x.bits {
+		scratch := make([]uint64, x.words)
+		if x.op == token.AND {
 			return func(h *hstate) setRef {
 				ra, rb := a(h), b(h)
-				meta.BitOr(scratch, ra.bits, rb.bits)
+				meta.BitAnd(scratch, ra.bits, rb.bits)
 				return setRef{bits: scratch, owned: true}
-			}, nil
-		}
-		if x.Op == token.AND {
-			return func(h *hstate) setRef {
-				ra, rb := a(h), b(h)
-				return setRef{tree: meta.Intersect(ra.tree, rb.tree), owned: true}
-			}, nil
+			}
 		}
 		return func(h *hstate) setRef {
 			ra, rb := a(h), b(h)
-			return setRef{tree: meta.Union(ra.tree, rb.tree), owned: true}
-		}, nil
+			meta.BitOr(scratch, ra.bits, rb.bits)
+			return setRef{bits: scratch, owned: true}
+		}
 	}
-	return nil, fmt.Errorf("unsupported set expression %T", e)
-}
-
-// reprForElem mirrors layout's set-representation decision for rvalue
-// temporaries.
-func (hc *hcompiler) reprForElem(elem *sema.Type) SetRepr {
-	if hc.a.Opts.SmartSelect && elem.Domain > 0 &&
-		meta.BitWords(elem.Domain)*8 <= hc.a.Opts.BitSetMaxBytes {
-		return SetBitVec
+	if x.op == token.AND {
+		return func(h *hstate) setRef {
+			ra, rb := a(h), b(h)
+			return setRef{tree: meta.Intersect(ra.tree, rb.tree), owned: true}
+		}
 	}
-	return SetTree
+	return func(h *hstate) setRef {
+		ra, rb := a(h), b(h)
+		return setRef{tree: meta.Union(ra.tree, rb.tree), owned: true}
+	}
 }

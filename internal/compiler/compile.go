@@ -106,6 +106,12 @@ type Analysis struct {
 	// memberCounterIdx assigns profile-counter slots when
 	// Options.ProfileCollect is set.
 	memberCounterIdx map[string]int
+
+	// The handler backend (stage.go): the staged table for this
+	// configuration, or the reason NewRuntime builds closures instead.
+	stageKey      string
+	staged        stagedFactory
+	closureReason string
 }
 
 // Compile parses, checks and compiles an ALDA source text.
@@ -182,6 +188,8 @@ func CompileProgram(prog *ast.Program, opts Options) (*Analysis, error) {
 		fuseNS = int64(time.Since(t))
 		traceStage("fuse", t)
 	}
+
+	a.attachStaged(prog)
 
 	coalesced := 0
 	for _, g := range lay.Groups {
@@ -424,13 +432,14 @@ func CountLOC(src string) int {
 	return n
 }
 
-// Plan renders the compilation plan — the aldaexplain output: groups,
-// container choices, shadow factors, entry layouts and per-handler CSE
-// slots.
+// Plan renders the compilation plan — the aldaexplain output: the
+// handler backend, groups, container choices, shadow factors, entry
+// layouts and per-handler CSE slots.
 func (a *Analysis) Plan() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ALDAcc plan (coalesce=%v cse=%v select=%v granularity=%dB engine=%s)\n",
 		a.Opts.Coalesce, a.Opts.CSE, a.Opts.SmartSelect, a.Opts.Granularity, a.Opts.Engine)
+	fmt.Fprintf(&b, "handlers: %s\n", a.HandlerBackend())
 	for _, g := range a.Layout.Groups {
 		key := "<none>"
 		if g.KeyType != nil {

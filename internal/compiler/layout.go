@@ -195,9 +195,10 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 	}
 	var buckets []*bucket
 	bySig := make(map[string]*bucket)
+	queried := hasQueried(info)
 	for _, m := range info.MetaOrder {
 		sig := keySig(m)
-		if !opts.Coalesce && sig != "<global>" {
+		if (!opts.Coalesce || queried[m.Name]) && sig != "<global>" {
 			// Without coalescing every keyed object is its own group.
 			buckets = append(buckets, &bucket{sig: sig + "#" + m.Name, metas: []*sema.MetaObj{m}})
 			continue
@@ -378,6 +379,9 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 				}
 			case kt.Domain > 0 && kt.Domain <= opts.ArrayMapMaxKeys:
 				g.Impl = ImplArray
+			case kt.Prim == ast.Pointer && queried[first.Name]:
+				g.Impl = ImplHash
+				g.AddrShift = opts.granShift()
 			case kt.Prim == ast.Pointer:
 				g.AddrShift = opts.granShift()
 				g.MaxKeys = opts.AddrSpace >> g.AddrShift
@@ -405,6 +409,65 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 
 	sort.SliceStable(lay.Groups, func(i, j int) bool { return lay.Groups[i].ID < lay.Groups[j].ID })
 	return lay, nil
+}
+
+// hasQueried returns the maps some handler queries with map.has. Their
+// answer is per-key presence, which the hash map and the array map
+// track exactly but shadow memory and the page table do not (they
+// materialize whole chunks or pages), and which a coalesced entry would
+// blur (any member's access materializes it). Such maps therefore get a
+// group of their own and never an address-space container.
+func hasQueried(info *sema.Info) map[string]bool {
+	out := make(map[string]bool)
+	var expr func(e ast.Expr)
+	expr = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.MethodExpr:
+			if vt := info.ExprTypes[x.Recv]; x.Name == "has" && vt.Meta != nil {
+				out[vt.Meta.Name] = true
+			}
+			expr(x.Recv)
+			for _, a := range x.Args {
+				expr(a)
+			}
+		case *ast.CallExpr:
+			for _, a := range x.Args {
+				expr(a)
+			}
+		case *ast.UnaryExpr:
+			expr(x.X)
+		case *ast.BinaryExpr:
+			expr(x.X)
+			expr(x.Y)
+		case *ast.IndexExpr:
+			expr(x.X)
+			expr(x.Index)
+		case *ast.AssignExpr:
+			expr(x.LHS)
+			expr(x.RHS)
+		}
+	}
+	var stmts func([]ast.Stmt)
+	stmts = func(list []ast.Stmt) {
+		for _, s := range list {
+			switch st := s.(type) {
+			case *ast.IfStmt:
+				expr(st.Cond)
+				stmts(st.Then)
+				stmts(st.Else)
+			case *ast.ReturnStmt:
+				if st.Value != nil {
+					expr(st.Value)
+				}
+			case *ast.ExprStmt:
+				expr(st.X)
+			}
+		}
+	}
+	for _, h := range info.HandlerOrder {
+		stmts(h.Decl.Body)
+	}
+	return out
 }
 
 // fillTemplate writes a member's initial state into the group template.

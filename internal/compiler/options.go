@@ -2,7 +2,9 @@
 // (§3.2, §5). It consumes the typed model from package sema and the
 // access summary from package access and produces a compiled Analysis:
 // metadata layout (coalesced groups with selected containers), event
-// handlers compiled to closures with metadata-lookup CSE, and lowered
+// handlers lowered once with metadata-lookup CSE (lower.go) and emitted
+// either as checked-in Go for the shipped configurations (stage.go,
+// staged_handlers.go) or as closures (codegen.go), and lowered
 // insertion rules for package instrument.
 package compiler
 

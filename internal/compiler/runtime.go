@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/lang/ast"
-	"repro/internal/lang/sema"
 	"repro/internal/meta"
 	"repro/internal/vm"
 )
@@ -55,9 +53,10 @@ type groupState struct {
 	mu     sync.Mutex
 }
 
-// NewRuntime instantiates containers and compiles handler closures.
-// External functions referenced by the analysis must have been supplied
-// via Analysis.Externals.
+// NewRuntime instantiates containers and the handler table: the staged
+// handlers when the analysis has a staged entry (see HandlerBackend),
+// closures otherwise. External functions referenced by the analysis
+// must have been supplied via Analysis.Externals.
 func (a *Analysis) NewRuntime() (*Runtime, error) {
 	rt := &Runtime{A: a}
 	for _, g := range a.Layout.Groups {
@@ -93,7 +92,11 @@ func (a *Analysis) NewRuntime() (*Runtime, error) {
 		rt.externals[i] = fn
 	}
 
-	if err := rt.buildHandlers(); err != nil {
+	if a.staged != nil {
+		rt.handlers = a.staged(rt)
+		return rt, nil
+	}
+	if err := rt.buildClosures(); err != nil {
 		return nil, err
 	}
 	return rt, nil
@@ -154,21 +157,16 @@ func (rt *Runtime) newTree(t *meta.TreeSet) uint64 {
 	return uint64(len(rt.trees))
 }
 
-// internFor returns the interning table for a type, or nil when the
-// type's values are already dense. Lock identifiers with a bounded
-// domain are interned (programs use addresses as lock ids; the bounded
-// metadata domain needs dense indices).
-func (rt *Runtime) internFor(t *sema.Type) map[uint64]uint64 {
-	if t == nil || t.Domain <= 0 || t.Prim != ast.LockID {
-		return nil
-	}
+// internTable returns the interning table of a lock-id type (see
+// interned), creating it on first use.
+func (rt *Runtime) internTable(typeName string) map[uint64]uint64 {
 	if rt.interns == nil {
 		rt.interns = make(map[string]map[uint64]uint64)
 	}
-	tbl, ok := rt.interns[t.Name]
+	tbl, ok := rt.interns[typeName]
 	if !ok {
 		tbl = make(map[uint64]uint64)
-		rt.interns[t.Name] = tbl
+		rt.interns[typeName] = tbl
 	}
 	return tbl
 }
@@ -199,4 +197,14 @@ func (rt *Runtime) getTree(entry []uint64, wordOff int, universe bool) *meta.Tre
 		return t
 	}
 	return rt.tree(h)
+}
+
+// setTree stores t as the tree of the member slot at wordOff, reusing
+// the slot's arena handle when it has one.
+func (rt *Runtime) setTree(entry []uint64, wordOff int, t *meta.TreeSet) {
+	if h := entry[wordOff]; h != 0 {
+		rt.trees[h-1] = t
+	} else {
+		entry[wordOff] = rt.newTree(t)
+	}
 }

@@ -55,3 +55,27 @@ func TestConformCombined(t *testing.T) {
 		})
 	}
 }
+
+// TestConformStaged is the staged leg of the sweep: every staged
+// variant, every generated workload, the staged handler table against
+// the closure emitter over the same configuration.
+func TestConformStaged(t *testing.T) {
+	pairs, err := CompileStagedPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	for seed := uint64(0); seed < uint64(*conformSeeds); seed++ {
+		w := Generate(seed)
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			ms, err := r.CheckStaged(w, pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range ms {
+				t.Errorf("%s", m)
+			}
+		})
+	}
+}

@@ -20,6 +20,20 @@ func fuzzR() *Runner {
 	return fuzzShared
 }
 
+// The staged variants compile once per process for both handler
+// backends (CompileStagedPairs toggles a compiler hook, so it runs
+// under the Once, before any leg of this process compiles in parallel).
+var (
+	fuzzStagedOnce  sync.Once
+	fuzzStagedPairs []StagedPair
+	fuzzStagedErr   error
+)
+
+func fuzzStaged() ([]StagedPair, error) {
+	fuzzStagedOnce.Do(func() { fuzzStagedPairs, fuzzStagedErr = CompileStagedPairs() })
+	return fuzzStagedPairs, fuzzStagedErr
+}
+
 // fuzzConfigs is a trimmed ablation matrix for fuzzing throughput: the
 // two extremes, the layout-only middle, and the closure-threaded
 // execution tier of the full configuration (the engine differential —
@@ -41,7 +55,8 @@ var fuzzAnalyses = []string{"fasttrack", "uaf", "sslsan", "tainttrack"}
 
 // FuzzConformance feeds arbitrary generator seeds through a trimmed
 // differential check: every analysis must produce identical verdicts
-// at every optimization level. The generator maps any uint64 to a
+// at every optimization level, and every staged variant must match the
+// closure emitter byte for byte. The generator maps any uint64 to a
 // verifier-clean workload, so the whole seed space is valid input.
 func FuzzConformance(f *testing.F) {
 	f.Add(uint64(0))
@@ -61,6 +76,12 @@ func FuzzConformance(f *testing.F) {
 	f.Add(uint64(3))  // single-threaded + zlib-uninit bug: adapted layout must reproduce the reports
 	f.Add(uint64(4))  // multi-threaded, sub-word accesses, ssl-misuse bug
 	f.Add(uint64(21)) // multi-threaded with two planted bugs (uaf + zlib-uninit)
+	// Staged-leg shapes: workloads on which staged variants report, so
+	// the staged handlers' report, assert-count and container-traffic
+	// paths are compared against the closures, not just their silence.
+	f.Add(uint64(9))  // multi-threaded, sub-word: eraser, msan, strictalias and both combinations report
+	f.Add(uint64(44)) // multi-threaded: eraser and tainttrack report through the fused combination
+	f.Add(uint64(45)) // single-threaded, sub-word: strictalias, uaf and zlibsan report
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		w := Generate(seed)
 		r := fuzzR()
@@ -80,6 +101,19 @@ func FuzzConformance(f *testing.F) {
 						w.Name, name, fuzzConfigs[0].Name, c.Name, diff(ref, got))
 				}
 			}
+		}
+		// Staged leg: every staged variant, staged handlers against the
+		// closure emitter at the same configuration.
+		pairs, err := fuzzStaged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := r.CheckStaged(w, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			t.Errorf("%s", m)
 		}
 		// Adaptive leg (msan only — the profile-guided showcase; one
 		// analysis keeps the adapted compiles, which are never memoized,

@@ -16,7 +16,7 @@ import (
 // CombinedNames is the paper's §6.4.2 four-way combination — the one
 // set of shipped analyses with no shadow-result conflict (msan and
 // tainttrack both claim the load result and cannot combine).
-var CombinedNames = []string{"eraser", "fasttrack", "uaf", "tainttrack"}
+var CombinedNames = analyses.Fig5Combination
 
 // oracles maps analysis names to their hand-written counterparts in
 // internal/baselines. Oracle verdicts are the third leg of the
@@ -35,7 +35,7 @@ type Mismatch struct {
 	Workload string
 	Seed     uint64
 	Analysis string
-	Property string // "ablation", "oracle", "schedule", "fusion", "union", "replay", "replay-exact"
+	Property string // "ablation", "oracle", "schedule", "fusion", "union", "replay", "replay-exact", "staged"
 	Ref, Got string // configuration (or leg) names
 	Detail   string
 }

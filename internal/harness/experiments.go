@@ -96,7 +96,7 @@ func Fig4(cfg Config) (*Table, error) {
 // analysis), reporting the combined-analysis speedup (Figure 5).
 func Fig5(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	parts := []string{"eraser", "fasttrack", "uaf", "tainttrack"}
+	parts := analyses.Fig5Combination
 	var individual []*compiler.Analysis
 	for _, n := range parts {
 		a, err := analyses.Compile(n, compiler.DefaultOptions())

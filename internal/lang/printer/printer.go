@@ -4,7 +4,7 @@
 package printer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/lang/ast"
@@ -15,6 +15,7 @@ import (
 // binary operators, and section-separating blank lines.
 func Print(prog *ast.Program) string {
 	p := &printer{}
+	p.b.Grow(64 * len(prog.Decls))
 	var prevKind string
 	for _, d := range prog.Decls {
 		kind := declKind(d)
@@ -43,31 +44,43 @@ func declKind(d ast.Decl) string {
 	return "?"
 }
 
+// printer streams canonical text into one builder; the compiler prints
+// every program it compiles (the staged-handler key), so Print stays
+// cheap next to a compile.
 type printer struct {
 	b      strings.Builder
 	indent int
 }
 
-func (p *printer) nl()                       { p.b.WriteByte('\n') }
-func (p *printer) line(s string)             { p.pad(); p.b.WriteString(s); p.nl() }
-func (p *printer) pad()                      { p.b.WriteString(strings.Repeat("    ", p.indent)) }
-func (p *printer) printf(f string, a ...any) { p.line(fmt.Sprintf(f, a...)) }
+func (p *printer) nl() { p.b.WriteByte('\n') }
+func (p *printer) pad() {
+	for i := 0; i < p.indent; i++ {
+		p.b.WriteString("    ")
+	}
+}
+func (p *printer) str(ss ...string) {
+	for _, s := range ss {
+		p.b.WriteString(s)
+	}
+}
+func (p *printer) line(ss ...string) { p.pad(); p.str(ss...); p.nl() }
 
 func (p *printer) decl(d ast.Decl) {
 	switch x := d.(type) {
 	case *ast.ConstDecl:
-		p.printf("const %s = %d", x.Name, x.Value)
+		p.line("const ", x.Name, " = ", strconv.FormatInt(x.Value, 10))
 	case *ast.TypeDecl:
-		s := fmt.Sprintf("%s := %s", x.Name, x.Prim)
+		p.pad()
+		p.str(x.Name, " := ", x.Prim.String())
 		if x.Sync {
-			s += " : sync"
+			p.str(" : sync")
 		}
 		if x.Domain > 0 {
-			s += fmt.Sprintf(" : %d", x.Domain)
+			p.str(" : ", strconv.FormatInt(x.Domain, 10))
 		}
-		p.line(s)
+		p.nl()
 	case *ast.MetaDecl:
-		p.printf("%s = %s", x.Name, x.Type)
+		p.line(x.Name, " = ", x.Type.String())
 	case *ast.FuncDecl:
 		p.funcDecl(x)
 	case *ast.InsertDecl:
@@ -76,21 +89,19 @@ func (p *printer) decl(d ast.Decl) {
 }
 
 func (p *printer) funcDecl(d *ast.FuncDecl) {
-	var sig strings.Builder
+	p.pad()
 	if d.Result != "" {
-		sig.WriteString(d.Result)
-		sig.WriteByte(' ')
+		p.str(d.Result, " ")
 	}
-	sig.WriteString(d.Name)
-	sig.WriteByte('(')
+	p.str(d.Name, "(")
 	for i, pr := range d.Params {
 		if i > 0 {
-			sig.WriteString(", ")
+			p.str(", ")
 		}
-		sig.WriteString(pr.Type + " " + pr.Name)
+		p.str(pr.Type, " ", pr.Name)
 	}
-	sig.WriteString(") {")
-	p.line(sig.String())
+	p.str(") {")
+	p.nl()
 	p.indent++
 	p.stmts(d.Body)
 	p.indent--
@@ -107,40 +118,32 @@ func (p *printer) stmts(stmts []ast.Stmt) {
 func (p *printer) stmt(s ast.Stmt) {
 	switch x := s.(type) {
 	case *ast.IfStmt:
-		p.printf("if (%s) {", expr(x.Cond))
-		p.indent++
-		p.stmts(x.Then)
-		p.indent--
-		if len(x.Else) == 0 {
-			p.line("}")
-			return
-		}
-		// else-if chains render flat.
-		if inner, ok := x.Else[0].(*ast.IfStmt); ok && len(x.Else) == 1 {
-			p.pad()
-			p.b.WriteString("} else ")
-			p.ifTail(inner)
-			return
-		}
-		p.line("} else {")
-		p.indent++
-		p.stmts(x.Else)
-		p.indent--
-		p.line("}")
+		p.pad()
+		p.ifTail(x)
 	case *ast.ReturnStmt:
-		if x.Value == nil {
-			p.line("return;")
-		} else {
-			p.printf("return %s;", expr(x.Value))
+		p.pad()
+		p.str("return")
+		if x.Value != nil {
+			p.str(" ")
+			p.expr(x.Value, 0)
 		}
+		p.str(";")
+		p.nl()
 	case *ast.ExprStmt:
-		p.printf("%s;", expr(x.X))
+		p.pad()
+		p.expr(x.X, 0)
+		p.str(";")
+		p.nl()
 	}
 }
 
-// ifTail continues an `} else if ...` chain without re-indenting.
+// ifTail prints an if statement from the current column; else-if
+// chains render flat (`} else if ...` without re-indenting).
 func (p *printer) ifTail(x *ast.IfStmt) {
-	p.b.WriteString(fmt.Sprintf("if (%s) {\n", expr(x.Cond)))
+	p.str("if (")
+	p.expr(x.Cond, 0)
+	p.str(") {")
+	p.nl()
 	p.indent++
 	p.stmts(x.Then)
 	p.indent--
@@ -150,7 +153,7 @@ func (p *printer) ifTail(x *ast.IfStmt) {
 	}
 	if inner, ok := x.Else[0].(*ast.IfStmt); ok && len(x.Else) == 1 {
 		p.pad()
-		p.b.WriteString("} else ")
+		p.str("} else ")
 		p.ifTail(inner)
 		return
 	}
@@ -166,22 +169,27 @@ func (p *printer) insertDecl(d *ast.InsertDecl) {
 	if d.After {
 		when = "after"
 	}
-	point := d.Point
+	p.pad()
+	p.str("insert ", when, " ")
 	if d.PointKind == ast.FuncPoint {
-		point = "func " + d.Point
+		p.str("func ")
 	}
-	args := make([]string, len(d.Args))
+	p.str(d.Point, " call ", d.Handler, "(")
 	for i, a := range d.Args {
-		args[i] = callArg(a)
+		if i > 0 {
+			p.str(", ")
+		}
+		p.callArg(a)
 	}
-	p.printf("insert %s %s call %s(%s)", when, point, d.Handler, strings.Join(args, ", "))
+	p.str(")")
+	p.nl()
 }
 
-func callArg(a ast.CallArg) string {
+func (p *printer) callArg(a ast.CallArg) {
 	var base string
 	switch a.Kind {
 	case ast.ArgOperand:
-		base = fmt.Sprintf("$%d", a.Index)
+		base = "$" + strconv.Itoa(a.Index)
 	case ast.ArgReturn:
 		base = "$r"
 	case ast.ArgThread:
@@ -189,55 +197,71 @@ func callArg(a ast.CallArg) string {
 	case ast.ArgAll:
 		base = "$p"
 	}
-	if a.Sizeof {
-		return "sizeof(" + base + ")"
+	switch {
+	case a.Sizeof:
+		p.str("sizeof(", base, ")")
+	case a.Meta:
+		p.str(base, ".m")
+	default:
+		p.str(base)
 	}
-	if a.Meta {
-		return base + ".m"
-	}
-	return base
 }
 
-// expr renders an expression with minimal parentheses: parens appear
+// expr prints an expression with minimal parentheses: parens appear
 // only where a child binds looser than (or equal to, on the right) its
 // parent.
-func expr(e ast.Expr) string { return exprPrec(e, 0) }
-
-func exprPrec(e ast.Expr, parent int) string {
+func (p *printer) expr(e ast.Expr, parent int) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		return x.Name
+		p.str(x.Name)
 	case *ast.IntLit:
-		return fmt.Sprintf("%d", x.Value)
+		p.str(strconv.FormatInt(x.Value, 10))
 	case *ast.StringLit:
-		return fmt.Sprintf("%q", x.Value)
+		p.str(strconv.Quote(x.Value))
 	case *ast.IndexExpr:
-		return exprPrec(x.X, 9) + "[" + expr(x.Index) + "]"
+		p.expr(x.X, 9)
+		p.str("[")
+		p.expr(x.Index, 0)
+		p.str("]")
 	case *ast.MethodExpr:
-		return exprPrec(x.Recv, 9) + "." + x.Name + "(" + argList(x.Args) + ")"
+		p.expr(x.Recv, 9)
+		p.str(".", x.Name, "(")
+		p.args(x.Args)
+		p.str(")")
 	case *ast.CallExpr:
-		return x.Name + "(" + argList(x.Args) + ")"
+		p.str(x.Name, "(")
+		p.args(x.Args)
+		p.str(")")
 	case *ast.UnaryExpr:
-		return x.Op.String() + exprPrec(x.X, 8)
+		p.str(x.Op.String())
+		p.expr(x.X, 8)
 	case *ast.AssignExpr:
-		return expr(x.LHS) + " = " + expr(x.RHS)
+		p.expr(x.LHS, 0)
+		p.str(" = ")
+		p.expr(x.RHS, 0)
 	case *ast.BinaryExpr:
 		prec := x.Op.Precedence()
-		s := exprPrec(x.X, prec-1) + " " + x.Op.String() + " " + exprPrec(x.Y, prec)
 		if prec <= parent {
-			return "(" + s + ")"
+			p.str("(")
 		}
-		return s
+		p.expr(x.X, prec-1)
+		p.str(" ", x.Op.String(), " ")
+		p.expr(x.Y, prec)
+		if prec <= parent {
+			p.str(")")
+		}
+	default:
+		p.str("?")
 	}
-	return "?"
 }
 
-func argList(args []ast.Expr) string {
-	out := make([]string, len(args))
+func (p *printer) args(args []ast.Expr) {
 	for i, a := range args {
-		out[i] = expr(a)
+		if i > 0 {
+			p.str(", ")
+		}
+		p.expr(a, 0)
 	}
-	return strings.Join(out, ", ")
 }
 
 // Format parses-and-prints, reporting parse errors.

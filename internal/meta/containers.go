@@ -7,9 +7,12 @@ package meta
 //
 // Entry returns the value words for a key, materializing the entry from
 // the group's init template if needed. Peek returns nil instead of
-// materializing. Fill and RangeOr are the range operations behind ALDA's
-// map.set(k, v, n) and map.get(k, n) builtins, specialized per container
-// so offset shadow memory gets its fast path.
+// materializing; only the hash maps and ArrayMap answer it per key —
+// ShadowMap and PageTableMap answer for a whole chunk or page, so the
+// compiler keeps maps queried with `has` off them. Fill and RangeOr are
+// the range operations behind ALDA's map.set(k, v, n) and map.get(k, n)
+// builtins, specialized per container so offset shadow memory gets its
+// fast path.
 type Container interface {
 	Entry(key uint64) []uint64
 	Peek(key uint64) []uint64
@@ -131,12 +134,15 @@ func (m *ArrayMap) Fill(key, n uint64, off, width uint, v uint64) {
 	}
 }
 
-// RangeOr ORs the field over n consecutive keys starting at key.
+// RangeOr ORs the field over n consecutive keys starting at key. It
+// reads without marking keys live: a range read must not make Peek (the
+// map's `has`) report keys nobody wrote.
 func (m *ArrayMap) RangeOr(key, n uint64, off, width uint) uint64 {
 	m.stats.Ranges++
 	var acc uint64
 	for i := uint64(0); i < n; i++ {
-		acc |= LoadField(m.Entry(key+i), off, width)
+		j := m.slot(key + i)
+		acc |= LoadField(m.words[j:j+m.ew], off, width)
 	}
 	return acc
 }

@@ -304,8 +304,29 @@ func arithProgram() *mir.Program {
 // built by prog and measures RunQuantum throughput on the given
 // execution tier — dispatch plus compiled-handler bodies, end to end.
 func dispatchBench(name, analysis string, prog func() *mir.Program, eng vm.Engine) Bench {
+	return dispatchBenchOf(name, analysis, prog, eng, func() (*compiler.Analysis, error) {
+		return analyses.Compile(analysis, compiler.DefaultOptions())
+	})
+}
+
+// closureDispatchBench is dispatchBench on the closure emitter: the
+// analysis compiles as a runtime-supplied source (one extra unused
+// constant, so the staged table has no entry for it) at the same
+// options and layout. It gates the path ablations and runtime-supplied
+// analyses still take now that the shipped ones run staged handlers.
+func closureDispatchBench(name, analysis string, prog func() *mir.Program) Bench {
+	return dispatchBenchOf(name, analysis, prog, vm.EngineInterp, func() (*compiler.Analysis, error) {
+		a, err := compiler.Compile(analyses.MustSource(analysis)+"\nconst RUNTIME_SUPPLIED = 1\n", compiler.DefaultOptions())
+		if err == nil && a.Staged() {
+			err = fmt.Errorf("closure twin compiled to %s", a.HandlerBackend())
+		}
+		return a, err
+	})
+}
+
+func dispatchBenchOf(name, analysis string, prog func() *mir.Program, eng vm.Engine, compile func() (*compiler.Analysis, error)) Bench {
 	return Bench{name, func() func(int) {
-		a, err := analyses.Compile(analysis, compiler.DefaultOptions())
+		a, err := compile()
 		if err != nil {
 			panic(fmt.Sprintf("perf: compile %s: %v", analysis, err))
 		}
@@ -337,8 +358,9 @@ func dispatchBench(name, analysis string, prog func() *mir.Program, eng vm.Engin
 }
 
 // dispatchBenches is the execution-tier half of the suite: every
-// analysis-dispatch workload on both engines. The interp entries keep
-// their historical names so BENCH_baseline comparisons stay valid.
+// analysis-dispatch workload on both engines, plus closure-emitter
+// twins of msan and eraser. The interp entries keep their historical
+// names so BENCH_baseline comparisons stay valid.
 func dispatchBenches() []Bench {
 	accesses := func() *mir.Program { return dispatchProgram(false) }
 	withLocks := func() *mir.Program { return dispatchProgram(true) }
@@ -349,6 +371,8 @@ func dispatchBenches() []Bench {
 		dispatchBench("dispatch/msan/threaded", "msan", accesses, vm.EngineThreaded),
 		dispatchBench("dispatch/eraser", "eraser", withLocks, vm.EngineInterp),
 		dispatchBench("dispatch/eraser/threaded", "eraser", withLocks, vm.EngineThreaded),
+		closureDispatchBench("dispatch/msan/closures", "msan", accesses),
+		closureDispatchBench("dispatch/eraser/closures", "eraser", withLocks),
 		dispatchBench("dispatch/uaf/arith", "uaf", arithProgram, vm.EngineInterp),
 		dispatchBench("dispatch/uaf/arith/threaded", "uaf", arithProgram, vm.EngineThreaded),
 	}

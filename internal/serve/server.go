@@ -174,7 +174,8 @@ func (j *job) setState(state string) {
 	j.mu.Unlock()
 }
 
-// finish records the terminal status and wakes waiters.
+// finish records the terminal status. Waiters wake only when runJob
+// closes j.done, after the status is journaled and counted.
 func (j *job) finish(res *JobResult, jerr *JobError) JobStatus {
 	j.mu.Lock()
 	if jerr != nil {
@@ -186,7 +187,6 @@ func (j *job) finish(res *JobResult, jerr *JobError) JobStatus {
 	}
 	out := j.stat
 	j.mu.Unlock()
-	close(j.done)
 	return out
 }
 
@@ -354,8 +354,8 @@ func (s *Server) worker(shIdx int, sh *shard) {
 }
 
 // runJob executes one job, journals the terminal status, records its
-// lifecycle spans and latency histograms, and folds the run's counters
-// into the registry.
+// lifecycle spans and latency histograms, folds the run's counters into
+// the registry, and only then wakes the job's waiters.
 func (s *Server) runJob(shIdx int, j *job) {
 	j.setState(StateRunning)
 	var shard *obs.Shard
@@ -426,6 +426,9 @@ func (s *Server) runJob(shIdx int, j *job) {
 	if s.cfg.SLOWall > 0 && wall > s.cfg.SLOWall {
 		s.reg.AddVolatile("serve.slo.jobs_over_deadline_total", 1)
 	}
+	// A waiter that wakes now finds the job journaled (or the journal
+	// degraded and the flight snapshot written) and counted.
+	close(j.done)
 }
 
 // autoFlightSnapshot dumps the flight recorder to the configured path,
