@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analyses"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/workloads"
@@ -103,5 +104,32 @@ func TestProfileHotWhenAllEqual(t *testing.T) {
 	}
 	if len(pgo.Layout.Groups) != 1 {
 		t.Fatalf("equal-profile groups = %d, want 1", len(pgo.Layout.Groups))
+	}
+}
+
+// TestAllHotProfileKeepsStaged: a profile that splits nothing leaves
+// the analysis as it was, staged handlers included. Only a profile that
+// changes the layout (TestProfileGuidedCoalescing) recompiles it.
+func TestAllHotProfileKeepsStaged(t *testing.T) {
+	msan, err := analyses.Compile("msan", compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := msan.HandlerBackend()
+	if !strings.HasPrefix(want, "staged (") {
+		t.Fatalf("msan at DefaultOptions: %s", want)
+	}
+	counts := map[string]uint64{}
+	for _, g := range msan.Layout.Groups {
+		for _, m := range g.Members {
+			counts[m.Meta.Name] = 100
+		}
+	}
+	pgo, err := core.RecompileWithProfile(msan, &compiler.Profile{Counts: counts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pgo.HandlerBackend(); got != want {
+		t.Fatalf("all-hot profile: %s, want %s", got, want)
 	}
 }

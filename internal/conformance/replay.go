@@ -18,10 +18,10 @@ import (
 //
 //   - "replay": the workload's plain trace is recorded once and fanned
 //     out across every configuration leg (including the threaded-tier
-//     twins — replay always executes on the replay tier, so this is
-//     also the replay-vs-threaded differential). The plain schedule is
-//     an interleaving no live scheduler seed produces once hooks are
-//     woven in, so the comparison uses the schedule-invariant
+//     twins — a replayed run always executes on the interpreter, so
+//     this is also the replay-vs-threaded differential). The plain
+//     schedule is an interleaving no live scheduler seed produces once
+//     hooks are woven in, so the comparison uses the schedule-invariant
 //     projection: SiteCanon reports, exit value, error kind.
 //
 //   - "replay-exact": the reference configuration records its own

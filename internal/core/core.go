@@ -57,8 +57,9 @@ type RunOptions struct {
 	// the usual entry point.
 	TraceSink io.Writer
 	// ReplayTrace, when non-nil, re-executes a recorded trace instead of
-	// running live (forces the replay tier; see vm.Config.Replay). The
-	// same decoded trace may feed concurrent runs.
+	// running live (the interpreter takes its inputs from the trace,
+	// whatever Engine says; see vm.Config.Replay). The same decoded trace
+	// may feed concurrent runs.
 	ReplayTrace *trace.Trace
 }
 
@@ -328,11 +329,15 @@ func CollectProfile(a *compiler.Analysis, train *mir.Program, opt RunOptions) (*
 }
 
 // RecompileWithProfile rebuilds an analysis under profile-guided
-// coalescing.
+// coalescing. The options come from AdaptOptions, the one path by
+// which a profile reaches the compiler; when the profile splits
+// nothing, the input analysis is returned unchanged.
 func RecompileWithProfile(a *compiler.Analysis, p *compiler.Profile) (*compiler.Analysis, error) {
-	opts := a.Opts
-	opts.Profile = p
-	na, err := compiler.CompileProgram(a.Info.Program, opts)
+	res := a.Opts.AdaptOptions(p)
+	if !res.Changed {
+		return a, nil
+	}
+	na, err := compiler.CompileProgram(a.Info.Program, res.Opts)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ import (
 // Record/replay experiment: each workload's uninstrumented run is
 // recorded once into TraceDir as a compressed trace, then every
 // analysis runs twice per workload — live (the program re-executes
-// under instrumentation) and trace-driven (the replay tier sources the
+// under instrumentation) and trace-driven (the interpreter sources the
 // schedule, load values and library results from the recorded stream
 // and only the analysis hooks do new work). The replay column is the
 // paper's offline-analysis story: record once, analyze many times

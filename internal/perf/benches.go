@@ -379,8 +379,8 @@ func dispatchBenches() []Bench {
 }
 
 // HotPathBenches is the BenchHotPath suite: per-container Get/Set/
-// Iterate, per-analysis handler dispatch on both execution tiers, the
-// trace record/replay tier, and the adaptive-PGO swap costs.
+// Iterate, per-analysis handler dispatch on both execution tiers,
+// trace record and replay, and the adaptive-PGO swap costs.
 func HotPathBenches() []Bench {
 	out := append(containerBenches(), dispatchBenches()...)
 	out = append(out, traceBenches()...)

@@ -46,7 +46,7 @@ func recordTraceBytes(p *mir.Program) []byte {
 	return buf.Bytes()
 }
 
-// traceBenches measures the record/replay tier end to end: recording a
+// traceBenches measures record and replay end to end: recording a
 // plain run to a discarded sink, decoding the compressed stream, and
 // replaying it into a uaf-instrumented clone (hooks dispatch live, the
 // environment comes from the trace). Each op is one full run.

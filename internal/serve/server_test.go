@@ -177,6 +177,30 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestReplayEngineRejectedAtAdmission: "replay" is not an engine (a
+// replayed run needs a recorded trace, which no job carries), so the
+// submit is a 400 at admission and never reaches the journal.
+func TestReplayEngineRejectedAtAdmission(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	_, ts := startServer(t, Config{JournalPath: jp})
+	code, b := postJob(t, ts, JobRequest{Workload: "sort", Analysis: "uaf",
+		Options: JobOptions{Engine: "replay"}}, "?wait=1")
+	var eb errorBody
+	if code != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil || eb.Error == nil || eb.Error.Kind != "BadRequest" {
+		t.Fatalf("code %d, body %s, want a typed 400 BadRequest", code, b)
+	}
+	lines, err := os.ReadFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Type != "hdr" {
+			t.Fatalf("journal holds %q after a rejected submit, want only the header", line)
+		}
+	}
+}
+
 // TestGetUnknownJob: 404 with the typed envelope.
 func TestGetUnknownJob(t *testing.T) {
 	_, ts := startServer(t, Config{})

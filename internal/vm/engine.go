@@ -11,6 +11,10 @@ import "fmt"
 // (superinstructions) when the machine starts. Conformance asserts the
 // two tiers are byte-identical in everything observable; perf shows
 // they are not in wall time.
+//
+// Recording and replay are not tiers: they are input sources of the
+// interpreter loop (Config.TraceSink, Config.Replay), and a replaying
+// machine runs that loop whatever its Engine says.
 type Engine uint8
 
 const (
@@ -22,17 +26,9 @@ const (
 	// side-effecting instructions become pre-bound closures with their
 	// operands, handler functions and library models resolved once.
 	EngineThreaded
-	// EngineReplay re-executes a run from a recorded trace
-	// (Config.Replay): register arithmetic, control flow, locks and
-	// hook dispatch run live, while load values, library results and
-	// the scheduler's quantum stream come from the trace — the memory
-	// model, library bodies and scheduler RNG are skipped entirely.
-	// Against a same-configuration recording it is step-exact; against
-	// the plain program's recording it drives any instrumented clone.
-	EngineReplay
 )
 
-var engineNames = [...]string{"interp", "threaded", "replay"}
+var engineNames = [...]string{"interp", "threaded"}
 
 func (e Engine) String() string {
 	if int(e) < len(engineNames) {
@@ -49,8 +45,6 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineInterp, nil
 	case "threaded":
 		return EngineThreaded, nil
-	case "replay":
-		return EngineReplay, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want interp, threaded or replay)", s)
+	return 0, fmt.Errorf("unknown engine %q (want interp or threaded)", s)
 }

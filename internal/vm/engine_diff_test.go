@@ -72,6 +72,29 @@ func compileCached(t *testing.T, name string) *compiler.Analysis {
 
 func engines() [2]vm.Engine { return [2]vm.Engine{vm.EngineInterp, vm.EngineThreaded} }
 
+// TestParseEngine: the CLI and job-option spellings of the tiers.
+// Replay is an input source of the interpreter (Config.Replay), not a
+// tier, so "replay" is rejected like any other unknown name.
+func TestParseEngine(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want vm.Engine
+		ok   bool
+	}{
+		{"", vm.EngineInterp, true},
+		{"interp", vm.EngineInterp, true},
+		{"threaded", vm.EngineThreaded, true},
+		{"replay", 0, false},
+		{"Interp", 0, false},
+		{"quantum", 0, false},
+	} {
+		got, err := vm.ParseEngine(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
 // diffAnalysis is the core differential: build the workload once, run
 // it under the analysis with each engine, compare.
 func diffAnalysis(t *testing.T, analysis, workload string, bug workloads.Bug, opt core.RunOptions) diffOutcome {

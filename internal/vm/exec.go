@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/mir"
+	"repro/internal/trace"
 )
 
 type tstate uint8
@@ -170,11 +171,14 @@ func (m *Machine) Start() error {
 	return nil
 }
 
-// RunQuantum executes one jittered scheduler slice on the next runnable
-// thread and reports whether the program is still running. It returns
-// false once the main thread finishes or the run fails; callers then
-// collect the outcome with Finish. Unlike Run, handler panics are not
-// recovered here.
+// RunQuantum executes one scheduler slice and reports whether the
+// program is still running. It returns false once the main thread
+// finishes or the run fails; callers then collect the outcome with
+// Finish. Unlike Run, handler panics are not recovered here.
+//
+// A live machine picks the next runnable thread round-robin and rolls
+// a jittered budget; a replaying one reads both from the next batch
+// record. The accounting, the trace span and the loop are shared.
 func (m *Machine) RunQuantum() bool {
 	main := m.main
 	if m.err != nil || main == nil || main.state == tDone {
@@ -196,24 +200,26 @@ func (m *Machine) RunQuantum() bool {
 			}
 		}
 	}
+	picked, q := -1, 0
 	if m.rp != nil {
-		// Replay tier: the schedule comes from the trace, not the RNG.
-		return m.replayQuantum()
-	}
-	// Pick the next runnable thread at or after the cursor.
-	n := len(m.threads)
-	picked := -1
-	for i := 0; i < n; i++ {
-		c := (m.rr + i) % n
-		if m.threads[c].state == tRunnable {
-			picked = c
-			break
+		if picked, q = m.replayGrant(); picked < 0 {
+			return false
 		}
-	}
-	if picked < 0 {
-		m.cur = main
-		m.failf(KindTrap, "deadlock: no runnable threads")
-		return false
+	} else {
+		n := len(m.threads)
+		for i := 0; i < n; i++ {
+			c := (m.rr + i) % n
+			if m.threads[c].state == tRunnable {
+				picked = c
+				break
+			}
+		}
+		if picked < 0 {
+			m.cur = main
+			m.failf(KindTrap, "deadlock: no runnable threads")
+			return false
+		}
+		q = m.cfg.Quantum/2 + int(m.Rand()%uint64(m.cfg.Quantum)) + 1
 	}
 	m.rr = picked + 1
 	m.quanta++
@@ -221,19 +227,24 @@ func (m *Machine) RunQuantum() bool {
 		m.ctxSwitches++
 		m.lastRun = picked
 	}
-	q := m.cfg.Quantum/2 + int(m.Rand()%uint64(m.cfg.Quantum)) + 1
 	if r := m.rec; r != nil {
 		r.curTid = picked
 	}
-	if tr := m.cfg.Trace; tr != nil {
-		q0 := time.Now()
-		steps0 := m.steps
-		m.exec(m.threads[picked], q)
+	tr := m.cfg.Trace
+	var q0 time.Time
+	if tr != nil {
+		q0 = time.Now()
+	}
+	steps0 := m.steps
+	if t := m.threads[picked]; m.tx != nil {
+		m.runThreaded(t, q)
+	} else {
+		m.runThread(t, q)
+	}
+	if tr != nil {
 		tr.Span("vm", "quantum", m.cfg.TraceTID, q0, time.Since(q0),
 			"tid", strconv.Itoa(picked),
 			"steps", strconv.FormatUint(m.steps-steps0, 10))
-	} else {
-		m.exec(m.threads[picked], q)
 	}
 	if r := m.rec; r != nil {
 		r.endBatch()
@@ -246,16 +257,13 @@ func (m *Machine) RunQuantum() bool {
 func (m *Machine) Finish() (*Result, error) {
 	wall := time.Since(m.runStart)
 	m.finishRecord()
-	if m.err != nil {
-		return nil, m.err
-	}
-	if m.rp != nil {
+	if m.err == nil && m.rp != nil {
 		// The stream must end in a matching terminal: leftover quanta or
 		// a recorded failure that replay sailed past are divergence.
 		m.replayCheckTerminal()
-		if m.err != nil {
-			return nil, m.err
-		}
+	}
+	if m.err != nil {
+		return nil, m.err
 	}
 	m.cur = m.main
 	for _, fn := range m.AtExit {
@@ -271,21 +279,20 @@ func (m *Machine) Finish() (*Result, error) {
 	}, nil
 }
 
-// exec runs one scheduler slice on the machine's execution tier.
-func (m *Machine) exec(t *thread, quantum int) {
-	if m.tx != nil {
-		m.runThreaded(t, quantum)
-		return
-	}
-	m.runThread(t, quantum)
-}
-
+// runThread is the interpreter loop of live, recording and replaying
+// machines. Where it reads an external input, a recording machine tees
+// the input to the recorder and a replaying one takes it from the trace
+// instead, checking the recomputed address against the recorded one.
+//
+// quantum is the slice's instruction budget. Replaying, it is the
+// recorded quantum's non-hook step count, and replayExtend refunds the
+// hooks when it runs out, so the slice ends where the recorded one did.
 func (m *Machine) runThread(t *thread, quantum int) {
 	m.cur = t
 	tid := uint64(t.id)
 
 frameLoop:
-	for quantum > 0 && t.state == tRunnable && m.err == nil {
+	for t.state == tRunnable && m.err == nil {
 		fr := &t.frames[len(t.frames)-1]
 		regs := t.regSlab[fr.regBase : fr.regBase+fr.fn.nregs]
 		var shadow []uint64
@@ -295,8 +302,13 @@ frameLoop:
 		}
 		code := fr.fn.blocks
 
-		for quantum > 0 {
+		for {
 			ins := &code[fr.block][fr.pc]
+			if quantum <= 0 {
+				if quantum = m.replayExtend(ins); quantum <= 0 {
+					return
+				}
+			}
 			m.steps++
 			m.opCounts[ins.Op]++
 			quantum--
@@ -411,13 +423,21 @@ frameLoop:
 					m.failf(KindTrap, "%d-byte load at %#x straddles a word boundary", ins.Size, a)
 					return
 				}
-				v := m.mem.load(a, ins.Size)
+				var v uint64
+				if m.rp != nil {
+					var ok bool
+					if v, ok = m.replayNext(trace.EvLoad, a); !ok {
+						return
+					}
+				} else {
+					v = m.mem.load(a, ins.Size)
+					if r := m.rec; r != nil {
+						r.w.Load(a, v)
+					}
+				}
 				regs[ins.Dst] = v
 				if track {
 					shadow[ins.Dst] = 0
-				}
-				if r := m.rec; r != nil {
-					r.w.Load(a, v)
 				}
 			case mir.OpStore:
 				a := opVal(regs, ins.A)
@@ -425,9 +445,20 @@ frameLoop:
 					m.failf(KindTrap, "store to out-of-range address %#x", a)
 					return
 				}
-				m.mem.store(a, opVal(regs, ins.B), ins.Size)
-				if r := m.rec; r != nil {
-					r.w.Store(a)
+				if straddles(a, ins.Size) {
+					m.failf(KindTrap, "%d-byte store at %#x straddles a word boundary", ins.Size, a)
+					return
+				}
+				if m.rp != nil {
+					// A replayed store is a no-op: loads carry their values.
+					if _, ok := m.replayNext(trace.EvStore, a); !ok {
+						return
+					}
+				} else {
+					m.mem.store(a, opVal(regs, ins.B), ins.Size)
+					if r := m.rec; r != nil {
+						r.w.Store(a)
+					}
 				}
 
 			case mir.OpAlloca:
@@ -474,11 +505,21 @@ frameLoop:
 					m.pushFrame(t, ins.UserFn, args, shs, ins.Dst)
 					continue frameLoop
 				}
-				args := t.libArgs[:0]
-				for _, a := range ins.Args {
-					args = append(args, opVal(regs, a))
+				var r uint64
+				if m.rp != nil {
+					// The model body is skipped: its result, and any
+					// allocator traffic it produced, comes from the trace.
+					var ok bool
+					if r, ok = m.replayNext(trace.EvLib, 0); !ok {
+						return
+					}
+				} else {
+					args := t.libArgs[:0]
+					for _, a := range ins.Args {
+						args = append(args, opVal(regs, a))
+					}
+					r = ins.Lib(m, t, args)
 				}
-				r := ins.Lib(m, t, args)
 				if ins.Dst != mir.NoReg {
 					regs[ins.Dst] = r
 					if track {
@@ -526,7 +567,11 @@ frameLoop:
 
 			case mir.OpLock:
 				v := opVal(regs, ins.A)
-				if r := m.rec; r != nil {
+				if m.rp != nil {
+					if _, ok := m.replayNext(trace.EvLock, v); !ok {
+						return
+					}
+				} else if r := m.rec; r != nil {
 					// Every attempt is recorded, including ones that block:
 					// the retry after wake re-executes the instruction and
 					// records again, keeping replay's step count aligned.
@@ -550,7 +595,11 @@ frameLoop:
 				}
 			case mir.OpUnlock:
 				v := opVal(regs, ins.A)
-				if r := m.rec; r != nil {
+				if m.rp != nil {
+					if _, ok := m.replayNext(trace.EvUnlock, v); !ok {
+						return
+					}
+				} else if r := m.rec; r != nil {
 					r.w.Unlock(v)
 				}
 				l := m.locks[v]
@@ -577,7 +626,11 @@ frameLoop:
 				if m.err != nil {
 					return
 				}
-				if r := m.rec; r != nil {
+				if m.rp != nil {
+					if _, ok := m.replayNext(trace.EvSpawn, uint64(nt.id)); !ok {
+						return
+					}
+				} else if r := m.rec; r != nil {
 					r.w.Spawn(uint64(nt.id))
 				}
 				regs[ins.Dst] = uint64(nt.id)
@@ -587,7 +640,11 @@ frameLoop:
 				m.cur = t // newThread does not switch execution
 			case mir.OpJoin:
 				target := int(opVal(regs, ins.A))
-				if r := m.rec; r != nil {
+				if m.rp != nil {
+					if _, ok := m.replayNext(trace.EvJoin, uint64(target)); !ok {
+						return
+					}
+				} else if r := m.rec; r != nil {
 					r.w.Join(uint64(target))
 				}
 				if target < 0 || target >= len(m.threads) {
@@ -646,7 +703,6 @@ frameLoop:
 			}
 			fr.pc++
 		}
-		return
 	}
 }
 

@@ -26,6 +26,7 @@ type Config struct {
 	// switch-dispatch interpreter; EngineThreaded builds closure-threaded
 	// code at Start. Both tiers are observably identical — verdicts,
 	// exit codes, counters, schedules — which conformance enforces.
+	// Replay ignores it (see Replay).
 	Engine Engine
 	// AddrSpace is the simulated byte address-space size (rounded up to a
 	// power of two). Default 1<<28 (256 MiB).
@@ -77,11 +78,11 @@ type Config struct {
 	// state. Record mode is interpreter-only and incompatible with
 	// Replay.
 	TraceSink io.Writer
-	// Replay, when non-nil, re-executes a recorded trace instead of
-	// running live: the machine takes its schedule, load values and
-	// library results from the stream while dispatching hooks into the
-	// installed Handlers. Forces EngineReplay. The Trace may be shared
-	// by concurrent machines — it is read-only during replay.
+	// Replay, when non-nil, makes a recorded trace the interpreter
+	// loop's input source: the schedule, load values and library results
+	// come from the stream while hooks dispatch into the installed
+	// Handlers. The interpreter runs whatever Engine says. The Trace may
+	// be shared by concurrent machines — it is read-only during replay.
 	Replay *trace.Trace
 }
 
@@ -202,8 +203,8 @@ type Machine struct {
 	tx *texec
 
 	// rec is the trace recorder (non-nil iff Config.TraceSink); rp is
-	// the replay state (non-nil iff Config.Replay). Like tx, each
-	// doubles as its mode's dispatch flag.
+	// the replay state (non-nil iff Config.Replay). The interpreter loop
+	// tests them where it reads an input.
 	rec        *recorder
 	rp         *replayState
 	traceStats trace.Stats
@@ -268,10 +269,8 @@ func New(prog *mir.Program, cfg Config) (*Machine, error) {
 		if fp := TraceFingerprint(prog); fp != m.cfg.Replay.ProgFP {
 			return nil, fmt.Errorf("vm: replay trace was recorded against a different program (fingerprint %#x, trace has %#x)", fp, m.cfg.Replay.ProgFP)
 		}
-		m.cfg.Engine = EngineReplay
+		m.cfg.Engine = EngineInterp
 		m.rp = &replayState{cur: m.cfg.Replay.Cursor()}
-	} else if m.cfg.Engine == EngineReplay {
-		return nil, fmt.Errorf("vm: EngineReplay requires Config.Replay")
 	}
 	if m.cfg.TraceSink != nil {
 		if m.cfg.Engine == EngineThreaded {

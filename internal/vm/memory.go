@@ -53,9 +53,10 @@ func (m *memory) storeWord(addr uint64, v uint64) {
 }
 
 // straddles reports whether a size-byte access at addr crosses out of
-// its containing 64-bit word. load shifts within one word only, so a
-// straddling sub-word read would silently return bytes from the wrong
-// locations; the VM traps on it instead (KindTrap RunError).
+// its containing 64-bit word. load and store shift within one word
+// only, so a straddling sub-word read would silently return bytes from
+// the wrong locations and a straddling write would drop the bytes past
+// the word; the VM traps on both instead (KindTrap RunError).
 func straddles(addr uint64, size uint8) bool {
 	return size != 8 && (addr&7)+uint64(size) > 8
 }
@@ -63,7 +64,7 @@ func straddles(addr uint64, size uint8) bool {
 // load reads size bytes (1, 2, 4 or 8) at addr, little-endian within the
 // containing word. Sub-word accesses must not straddle a word boundary;
 // workload builders keep natural alignment so they never do, and OpLoad
-// traps (straddles) before calling here.
+// and OpStore trap (straddles) before calling load or store.
 func (m *memory) load(addr uint64, size uint8) uint64 {
 	w := m.loadWord(addr)
 	if size == 8 {

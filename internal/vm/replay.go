@@ -2,39 +2,48 @@ package vm
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"repro/internal/mir"
 	"repro/internal/trace"
 )
 
-// Replay tier (EngineReplay): re-executes a run from a recorded trace
-// without re-executing the program's environment. The interpreter loop
-// runs for real — registers, frames, stack pointers, branches, lock
-// state, thread lifecycle and hook dispatch are all computed live, so
-// hook arguments, report keys and backtraces come out exactly as a
-// live run produces them — but the three external inputs are taken
-// from the stream instead:
+// Replay: a machine built with Config.Replay re-executes a recorded run
+// on the interpreter loop without re-executing the program's
+// environment. Registers, frames, stack pointers, branches, lock state,
+// thread lifecycle and hook dispatch are all computed live, so hook
+// arguments, report keys and backtraces come out exactly as a live run
+// produces them, but the three external inputs are taken from the
+// stream instead:
 //
 //   - the scheduler's quantum decisions (which thread, how many steps),
+//     read by RunQuantum from the next batch record,
 //   - load values (the memory model is never consulted; stores are
 //     no-ops),
 //   - library results (model bodies, including rand() and the
 //     allocation fault clocks, are skipped entirely).
 //
-// Every recorded event doubles as a divergence check: addresses and
-// operands recomputed at replay must match what the recording observed,
-// and any mismatch fails the run with a typed "replay divergence"
-// error rather than silently drifting. Replaying a trace recorded from
-// the same instrumented program is step- and counter-exact; replaying
-// the plain program's trace into an instrumented clone preserves the
-// non-hook instruction schedule and drives the analysis's hooks live.
+// runThread reads them at the same points where a recording machine
+// tees them to the recorder. Every recorded event doubles as a
+// divergence check: addresses and operands recomputed at replay must
+// match what the recording observed, and any mismatch fails the run
+// with a typed "replay divergence" error rather than silently drifting.
+// Replaying a trace recorded from the same instrumented program is
+// step- and counter-exact; replaying the plain program's trace into an
+// instrumented clone preserves the non-hook instruction schedule and
+// drives the analysis's hooks live.
 
 // replayState is the per-machine replay context. The *trace.Trace it
 // cursors over may be shared with concurrent machines; all mutable
 // state lives here.
 type replayState struct {
 	cur *trace.Cursor
+	// thooks is the current quantum's trailing-hook allowance: the hook
+	// dispatches the recorded quantum retired after its last non-hook
+	// step.
+	thooks uint64
+	// hooks is m.hookCalls when the slice's budget was last extended.
+	hooks uint64
 }
 
 // divergef fails the run with a replay-divergence trap. Divergence is
@@ -53,14 +62,70 @@ func (m *Machine) applyRecordedFail(rec trace.Rec) {
 	m.failf(k, "%s", rec.FailMsg)
 }
 
-// replayNext fetches the next event of the current batch, expecting
-// kind want. Heap alloc/free events are consumed transparently: they
-// re-drive the (deterministic) heap allocator so HeapSizeOf and
-// address reuse stay exact, and assert the allocator reproduced the
-// recorded addresses. Returns ok=false with m.err set on divergence,
-// corruption, or when the stream ends in the recorded run's failure
-// terminal (which is then applied verbatim).
-func (m *Machine) replayNext(want trace.EvKind) (trace.Event, bool) {
+// replayGrant reads the next batch record: the thread the recorded run
+// scheduled and its non-hook step budget, with the trailing-hook
+// allowance parked in rp.thooks. It returns tid -1 with m.err set when
+// the stream ends, fails or grants a thread that cannot run.
+func (m *Machine) replayGrant() (tid, psteps int) {
+	rec, err := m.rp.cur.NextRecord()
+	if err != nil {
+		m.divergef("reading next record: %v", err)
+		return -1, 0
+	}
+	switch rec.Kind {
+	case trace.RecFail:
+		m.applyRecordedFail(rec)
+		return -1, 0
+	case trace.RecEnd:
+		m.divergef("trace ended (exit %d) while main thread still running", rec.Exit)
+		return -1, 0
+	}
+	if rec.Tid < 0 || rec.Tid >= len(m.threads) {
+		m.divergef("quantum for unknown thread %d", rec.Tid)
+		return -1, 0
+	}
+	if m.threads[rec.Tid].state != tRunnable {
+		m.divergef("quantum granted to non-runnable thread %d", rec.Tid)
+		return -1, 0
+	}
+	m.rp.thooks, m.rp.hooks = rec.THooks, m.hookCalls
+	return rec.Tid, int(min(rec.PSteps, math.MaxInt)) // a corrupt count must not wrap negative
+}
+
+// replayExtend returns more budget for a slice that has spent its
+// quantum, or 0 to end it; a live slice always ends. A replayed slice
+// budgets non-hook steps only, so the hooks retired since the last
+// extension are refunded first. Once none are left to refund, the
+// non-hook budget is spent and only the recorded trailing hooks may
+// still retire, one at a time.
+func (m *Machine) replayExtend(ins *linkedInstr) int {
+	p := m.rp
+	if p == nil {
+		return 0
+	}
+	if n := m.hookCalls - p.hooks; n != 0 {
+		p.hooks = m.hookCalls
+		return int(n)
+	}
+	if p.thooks == 0 || ins.Op != mir.OpHook {
+		return 0
+	}
+	p.thooks--
+	p.hooks++ // the trailing hook is not refunded
+	return 1
+}
+
+// replayNext consumes the next event of the current batch, which must
+// be of kind want, and returns its value (a load's or library call's
+// result). Except for a library call, the event must also carry got:
+// the address the loop recomputed for a load, store, lock or unlock, or
+// the thread id of a spawn or join. Heap alloc/free events are consumed
+// transparently: they re-drive the (deterministic) heap allocator so
+// HeapSizeOf and address reuse stay exact, and assert the allocator
+// reproduced the recorded addresses. Returns ok=false with m.err set on
+// divergence, corruption, or when the stream ends in the recorded run's
+// failure terminal (which is then applied verbatim).
+func (m *Machine) replayNext(want trace.EvKind, got uint64) (uint64, bool) {
 	for {
 		ev, err := m.rp.cur.Next()
 		if err == trace.ErrBatchDrained {
@@ -72,17 +137,17 @@ func (m *Machine) replayNext(want trace.EvKind) (trace.Event, bool) {
 			} else {
 				m.divergef("event stream exhausted awaiting %v", want)
 			}
-			return trace.Event{}, false
+			return 0, false
 		}
 		if err != nil {
 			m.divergef("corrupt trace: %v", err)
-			return trace.Event{}, false
+			return 0, false
 		}
 		switch ev.Kind {
 		case trace.EvAlloc:
 			if a := m.heap.alloc(ev.Val); a != ev.Addr {
 				m.divergef("allocator produced %#x, trace recorded %#x", a, ev.Addr)
-				return trace.Event{}, false
+				return 0, false
 			}
 			continue
 		case trace.EvFree:
@@ -91,47 +156,32 @@ func (m *Machine) replayNext(want trace.EvKind) (trace.Event, bool) {
 		}
 		if ev.Kind != want {
 			m.divergef("next event is %v, want %v", ev.Kind, want)
-			return trace.Event{}, false
+			return 0, false
 		}
-		return ev, true
+		rec := ev.Addr
+		switch want {
+		case trace.EvLib:
+			return ev.Val, true
+		case trace.EvSpawn, trace.EvJoin:
+			rec = ev.Val
+		}
+		if rec != got {
+			m.divergef(replayMismatch[want], got, rec)
+			return 0, false
+		}
+		return ev.Val, true
 	}
 }
 
-// replayQuantum is RunQuantum's replay tier: instead of picking a
-// runnable thread and rolling a jittered slice, it takes both from the
-// next batch record. Scheduler accounting (quanta, context switches)
-// mirrors the live path so counters stay exact.
-func (m *Machine) replayQuantum() bool {
-	rec, err := m.rp.cur.NextRecord()
-	if err != nil {
-		m.divergef("reading next record: %v", err)
-		return false
-	}
-	switch rec.Kind {
-	case trace.RecFail:
-		m.applyRecordedFail(rec)
-		return false
-	case trace.RecEnd:
-		m.divergef("trace ended (exit %d) while main thread still running", rec.Exit)
-		return false
-	}
-	if rec.Tid < 0 || rec.Tid >= len(m.threads) {
-		m.divergef("quantum for unknown thread %d", rec.Tid)
-		return false
-	}
-	t := m.threads[rec.Tid]
-	if t.state != tRunnable {
-		m.divergef("quantum granted to non-runnable thread %d", rec.Tid)
-		return false
-	}
-	m.rr = rec.Tid + 1
-	m.quanta++
-	if rec.Tid != m.lastRun {
-		m.ctxSwitches++
-		m.lastRun = rec.Tid
-	}
-	m.execReplay(t, rec.PSteps, rec.THooks)
-	return m.err == nil && m.main.state != tDone
+// replayMismatch formats a divergence between the operand the loop
+// recomputed and the recorded one, per checked event kind.
+var replayMismatch = map[trace.EvKind]string{
+	trace.EvLoad:   "load address %#x, trace recorded %#x",
+	trace.EvStore:  "store address %#x, trace recorded %#x",
+	trace.EvLock:   "lock %#x, trace recorded %#x",
+	trace.EvUnlock: "unlock %#x, trace recorded %#x",
+	trace.EvSpawn:  "spawned thread %d, trace recorded %d",
+	trace.EvJoin:   "join on thread %d, trace recorded %d",
 }
 
 // replayCheckTerminal validates the stream's terminal once the main
@@ -151,411 +201,5 @@ func (m *Machine) replayCheckTerminal() {
 		m.divergef("recorded run failed (%s: %s) but replay completed", rec.FailKind, rec.FailMsg)
 	default:
 		m.divergef("unreplayed quanta remain after main returned")
-	}
-}
-
-// execReplay runs one recorded quantum on t: psteps non-hook
-// instructions plus thooks trailing hook dispatches. Hooks encountered
-// while psteps remain execute freely (they consumed live quantum
-// budget, but the batch shape already accounts for that); once psteps
-// is exhausted, each remaining dispatch draws down thooks and the
-// quantum ends exactly where the live one did. A trace recorded from
-// the plain program always carries thooks=0, and the same rule then
-// ends every quantum on its non-hook boundary.
-//
-// The loop is the interpreter's (exec.go runThread) with the memory,
-// library and RNG touch points swapped for trace events; keep the two
-// in sync when instruction semantics change.
-func (m *Machine) execReplay(t *thread, psteps, thooks uint64) {
-	m.cur = t
-	tid := uint64(t.id)
-
-frameLoop:
-	for t.state == tRunnable && m.err == nil {
-		fr := &t.frames[len(t.frames)-1]
-		regs := t.regSlab[fr.regBase : fr.regBase+fr.fn.nregs]
-		var shadow []uint64
-		track := m.cfg.TrackShadow
-		if track {
-			shadow = t.shadowSlab[fr.regBase : fr.regBase+fr.fn.nregs]
-		}
-		code := fr.fn.blocks
-
-		for {
-			ins := &code[fr.block][fr.pc]
-			if ins.Op == mir.OpHook {
-				if psteps == 0 {
-					if thooks == 0 {
-						return // quantum boundary
-					}
-					thooks--
-				}
-			} else {
-				if psteps == 0 {
-					return // quantum boundary (leftover thooks defer to the next grant)
-				}
-				psteps--
-			}
-			m.steps++
-			m.opCounts[ins.Op]++
-
-			switch ins.Op {
-			case mir.OpConst:
-				regs[ins.Dst] = uint64(ins.Imm)
-				if track {
-					shadow[ins.Dst] = 0
-				}
-			case mir.OpMov:
-				regs[ins.Dst] = opVal(regs, ins.A)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A)
-				}
-			case mir.OpAdd:
-				regs[ins.Dst] = opVal(regs, ins.A) + opVal(regs, ins.B)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpSub:
-				regs[ins.Dst] = opVal(regs, ins.A) - opVal(regs, ins.B)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpMul:
-				regs[ins.Dst] = opVal(regs, ins.A) * opVal(regs, ins.B)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpDiv:
-				b := int64(opVal(regs, ins.B))
-				if b == 0 {
-					regs[ins.Dst] = 0
-				} else {
-					regs[ins.Dst] = uint64(int64(opVal(regs, ins.A)) / b)
-				}
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpRem:
-				b := int64(opVal(regs, ins.B))
-				if b == 0 {
-					regs[ins.Dst] = 0
-				} else {
-					regs[ins.Dst] = uint64(int64(opVal(regs, ins.A)) % b)
-				}
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpAnd:
-				regs[ins.Dst] = opVal(regs, ins.A) & opVal(regs, ins.B)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpOr:
-				regs[ins.Dst] = opVal(regs, ins.A) | opVal(regs, ins.B)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpXor:
-				regs[ins.Dst] = opVal(regs, ins.A) ^ opVal(regs, ins.B)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpShl:
-				regs[ins.Dst] = opVal(regs, ins.A) << (opVal(regs, ins.B) & 63)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpShr:
-				regs[ins.Dst] = opVal(regs, ins.A) >> (opVal(regs, ins.B) & 63)
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-			case mir.OpEq, mir.OpNe, mir.OpLt, mir.OpLe, mir.OpGt, mir.OpGe:
-				a, b := int64(opVal(regs, ins.A)), int64(opVal(regs, ins.B))
-				var r bool
-				switch ins.Op {
-				case mir.OpEq:
-					r = a == b
-				case mir.OpNe:
-					r = a != b
-				case mir.OpLt:
-					r = a < b
-				case mir.OpLe:
-					r = a <= b
-				case mir.OpGt:
-					r = a > b
-				default:
-					r = a >= b
-				}
-				if r {
-					regs[ins.Dst] = 1
-				} else {
-					regs[ins.Dst] = 0
-				}
-				if track {
-					shadow[ins.Dst] = opSh(shadow, ins.A) | opSh(shadow, ins.B)
-				}
-
-			case mir.OpLoad:
-				a := opVal(regs, ins.A)
-				if a > m.mem.byteMask {
-					m.failf(KindTrap, "load from out-of-range address %#x", a)
-					return
-				}
-				if straddles(a, ins.Size) {
-					m.failf(KindTrap, "%d-byte load at %#x straddles a word boundary", ins.Size, a)
-					return
-				}
-				ev, ok := m.replayNext(trace.EvLoad)
-				if !ok {
-					return
-				}
-				if ev.Addr != a {
-					m.divergef("load address %#x, trace recorded %#x", a, ev.Addr)
-					return
-				}
-				regs[ins.Dst] = ev.Val
-				if track {
-					shadow[ins.Dst] = 0
-				}
-			case mir.OpStore:
-				a := opVal(regs, ins.A)
-				if a > m.mem.byteMask {
-					m.failf(KindTrap, "store to out-of-range address %#x", a)
-					return
-				}
-				ev, ok := m.replayNext(trace.EvStore)
-				if !ok {
-					return
-				}
-				if ev.Addr != a {
-					m.divergef("store address %#x, trace recorded %#x", a, ev.Addr)
-					return
-				}
-				// The store itself is a no-op: loads carry their values.
-
-			case mir.OpAlloca:
-				sz := (uint64(ins.Imm) + 7) &^ 7
-				if t.sp-sz < t.stackLow {
-					m.failf(KindTrap, "stack overflow in %s", fr.fn.name)
-					return
-				}
-				t.sp -= sz
-				regs[ins.Dst] = t.sp
-				if track {
-					shadow[ins.Dst] = 0
-				}
-
-			case mir.OpBr:
-				fr.block = ins.Target
-				fr.pc = 0
-				continue
-			case mir.OpCondBr:
-				if opVal(regs, ins.A) != 0 {
-					fr.block = ins.Target
-				} else {
-					fr.block = ins.Else
-				}
-				fr.pc = 0
-				continue
-
-			case mir.OpCall:
-				if ins.UserFn >= 0 {
-					args := t.libArgs[:0]
-					for _, a := range ins.Args {
-						args = append(args, opVal(regs, a))
-					}
-					var shs []uint64
-					if track {
-						shs = t.libShs[:0]
-						for _, a := range ins.Args {
-							shs = append(shs, opSh(shadow, a))
-						}
-					}
-					fr.pc++ // resume after the call
-					m.pushFrame(t, ins.UserFn, args, shs, ins.Dst)
-					continue frameLoop
-				}
-				// Library call: the model body is skipped; its result (and
-				// any allocator traffic it produced) comes from the trace.
-				ev, ok := m.replayNext(trace.EvLib)
-				if !ok {
-					return
-				}
-				if ins.Dst != mir.NoReg {
-					regs[ins.Dst] = ev.Val
-					if track {
-						shadow[ins.Dst] = 0
-					}
-				}
-
-			case mir.OpRet, mir.OpRetVal:
-				if ins.Op == mir.OpRetVal {
-					t.retVal = opVal(regs, ins.A)
-					if track {
-						t.retShadow = opSh(shadow, ins.A)
-					} else {
-						t.retShadow = 0
-					}
-				} else {
-					t.retVal, t.retShadow = 0, 0
-				}
-				t.sp = fr.savedSP
-				retReg := fr.retReg
-				t.frames = t.frames[:len(t.frames)-1]
-				if len(t.frames) == 0 {
-					t.state = tDone
-					m.nlive--
-					m.wakeJoiners(t.id)
-					return
-				}
-				if retReg != mir.NoReg {
-					parent := &t.frames[len(t.frames)-1]
-					t.regSlab[parent.regBase+int(retReg)] = t.retVal
-					if track {
-						t.shadowSlab[parent.regBase+int(retReg)] = t.retShadow
-					}
-				}
-				continue frameLoop
-
-			case mir.OpLock:
-				v := opVal(regs, ins.A)
-				ev, ok := m.replayNext(trace.EvLock)
-				if !ok {
-					return
-				}
-				if ev.Addr != v {
-					m.divergef("lock %#x, trace recorded %#x", v, ev.Addr)
-					return
-				}
-				l := m.locks[v]
-				if l == nil {
-					l = &lockState{}
-					m.locks[v] = l
-				}
-				if !l.held {
-					l.held = true
-					l.owner = t.id
-				} else if l.owner == t.id {
-					m.failf(KindTrap, "recursive lock %#x by thread %d", v, t.id)
-					return
-				} else {
-					t.state = tBlockedLock
-					t.waitLock = v
-					return // retry this instruction when woken
-				}
-			case mir.OpUnlock:
-				v := opVal(regs, ins.A)
-				ev, ok := m.replayNext(trace.EvUnlock)
-				if !ok {
-					return
-				}
-				if ev.Addr != v {
-					m.divergef("unlock %#x, trace recorded %#x", v, ev.Addr)
-					return
-				}
-				l := m.locks[v]
-				if l == nil || !l.held || l.owner != t.id {
-					m.failf(KindTrap, "unlock of lock %#x not held by thread %d", v, t.id)
-					return
-				}
-				l.held = false
-				m.wakeLockWaiters(v)
-
-			case mir.OpSpawn:
-				args := t.libArgs[:0]
-				for _, a := range ins.Args {
-					args = append(args, opVal(regs, a))
-				}
-				var shs []uint64
-				if track {
-					shs = t.libShs[:0]
-					for _, a := range ins.Args {
-						shs = append(shs, opSh(shadow, a))
-					}
-				}
-				nt := m.newThread(ins.UserFn, args, shs)
-				if m.err != nil {
-					return
-				}
-				ev, ok := m.replayNext(trace.EvSpawn)
-				if !ok {
-					return
-				}
-				if ev.Val != uint64(nt.id) {
-					m.divergef("spawned thread %d, trace recorded %d", nt.id, ev.Val)
-					return
-				}
-				regs[ins.Dst] = uint64(nt.id)
-				if track {
-					shadow[ins.Dst] = 0
-				}
-				m.cur = t // newThread does not switch execution
-			case mir.OpJoin:
-				target := int(opVal(regs, ins.A))
-				ev, ok := m.replayNext(trace.EvJoin)
-				if !ok {
-					return
-				}
-				if ev.Val != uint64(target) {
-					m.divergef("join on thread %d, trace recorded %d", target, ev.Val)
-					return
-				}
-				if target < 0 || target >= len(m.threads) {
-					m.failf(KindTrap, "join on invalid thread handle %d", target)
-					return
-				}
-				if m.threads[target].state != tDone {
-					t.state = tBlockedJoin
-					t.joinTarget = target
-					return // retry when woken
-				}
-
-			case mir.OpHook:
-				h := ins.Hook
-				args := t.hookArgs[:0]
-				for _, a := range h.Args {
-					switch a.Kind {
-					case mir.HookConst:
-						args = append(args, uint64(a.Const))
-					case mir.HookReg:
-						args = append(args, regs[a.Reg])
-					case mir.HookRegMeta:
-						if track {
-							args = append(args, shadow[a.Reg])
-						} else {
-							args = append(args, 0)
-						}
-					case mir.HookThread:
-						args = append(args, tid)
-					}
-				}
-				m.hookCalls++
-				m.hookPer[h.HandlerID]++
-				if f := m.cfg.Faults.HandlerPanicNth; f != 0 && m.hookCalls == f {
-					m.faultsFired++
-					m.cfg.Trace.Instant("vm", "fault.handler_panic", m.cfg.TraceTID)
-					panic(fmt.Sprintf("injected fault: handler panic at hook dispatch #%d (%s)", f, h.Name))
-				}
-				var r uint64
-				if m.hookNS != nil {
-					t0 := time.Now()
-					r = m.Handlers[h.HandlerID](m, tid, args)
-					m.hookNS[h.HandlerID] += uint64(time.Since(t0))
-				} else {
-					r = m.Handlers[h.HandlerID](m, tid, args)
-				}
-				if h.MetaDst != mir.NoReg && track {
-					shadow[h.MetaDst] = r
-				}
-
-			case mir.OpNop:
-				// nothing
-			default:
-				m.failf(KindTrap, "invalid opcode %s", ins.Op)
-				return
-			}
-			fr.pc++
-		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/conformance"
 	"repro/internal/core"
+	"repro/internal/mir"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -267,4 +268,42 @@ func TestReplayFingerprintMismatch(t *testing.T) {
 	if !strings.Contains(rerr.Error(), "fingerprint") {
 		t.Fatalf("unexpected error: %v", rerr)
 	}
+}
+
+// TestReplayQuantumSpans: Config.Trace sees a replayed run's scheduler
+// slices as it sees a live run's, one vm/quantum span per quantum.
+func TestReplayQuantumSpans(t *testing.T) {
+	prog, err := workloads.Build("radiosity", workloads.SizeTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec bytes.Buffer
+	live := quantumSpans(t, prog, vm.Config{Seed: 1, TraceSink: &rec})
+	replayed := quantumSpans(t, prog, vm.Config{Seed: 1, Replay: mustDecode(t, rec.Bytes())})
+	if replayed != live {
+		t.Fatalf("replay emitted %d quantum spans, live %d", replayed, live)
+	}
+}
+
+// quantumSpans runs prog with a Chrome trace attached and returns its
+// quantum span count, which must equal the machine's Quanta metric.
+func quantumSpans(t *testing.T, prog *mir.Program, cfg vm.Config) uint64 {
+	t.Helper()
+	var out bytes.Buffer
+	cfg.Trace = obs.NewTrace(&out)
+	m, err := vm.New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Trace.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(bytes.Count(out.Bytes(), []byte(`"name":"quantum"`)))
+	if q := m.Metrics().Quanta; n != q || n == 0 {
+		t.Fatalf("%d quantum spans for %d quanta (replay %v)", n, q, cfg.Replay != nil)
+	}
+	return n
 }

@@ -919,6 +919,10 @@ func (m *Machine) buildOp(ins *linkedInstr, track bool) topFn {
 				m.failf(KindTrap, "store to out-of-range address %#x", a)
 				return sigStop
 			}
+			if straddles(a, size) {
+				m.failf(KindTrap, "%d-byte store at %#x straddles a word boundary", size, a)
+				return sigStop
+			}
 			m.mem.store(a, opVal(x.regs, bOp), size)
 			return sigNext
 		}

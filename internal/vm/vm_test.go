@@ -1,12 +1,14 @@
 package vm
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/mir"
+	"repro/internal/trace"
 )
 
 // wantKind asserts err is a *RunError of the given taxonomy kind —
@@ -707,28 +709,54 @@ func TestSchedPerturbDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestStraddlingSubWordLoadTraps(t *testing.T) {
-	// A 4-byte load at offset 6 of an 8-aligned buffer crosses its
-	// containing 64-bit word. The old behavior silently shifted within
-	// one word and returned bytes from the wrong locations; it must
-	// trap instead.
-	p := mir.NewProgram()
-	b := p.NewFunc("main", 0)
-	buf := b.Alloca(16)
-	a := b.Add(mir.R(buf), mir.C(6))
-	b.Load(mir.R(a), 4)
-	b.Ret()
-	if err := p.Verify(); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	m, _ := New(p, Config{})
-	_, err := m.Run()
-	re := wantKind(t, err, KindTrap)
-	if !strings.Contains(re.Msg, "straddles") {
-		t.Fatalf("trap message %q, want straddle diagnostic", re.Msg)
+	// A 4-byte access at offset 6 of an 8-aligned buffer crosses its
+	// containing 64-bit word. Memory shifts within one word only, so a
+	// load used to return bytes from the wrong locations and a store
+	// used to drop the bytes past the word; both must trap instead, on
+	// both tiers and on a replayed run.
+	for _, op := range []string{"load", "store"} {
+		p := mir.NewProgram()
+		b := p.NewFunc("main", 0)
+		buf := b.Alloca(16)
+		a := b.Add(mir.R(buf), mir.C(6))
+		if op == "load" {
+			b.Load(mir.R(a), 4)
+		} else {
+			b.Store(mir.R(a), mir.C(0x11223344), 4)
+		}
+		b.Ret()
+		if err := p.Verify(); err != nil {
+			t.Fatalf("verify: %v", err)
+		}
+		var rec bytes.Buffer
+		for _, name := range []string{"interp", "threaded", "record", "replay"} {
+			var cfg Config
+			switch name {
+			case "threaded":
+				cfg.Engine = EngineThreaded
+			case "record":
+				cfg.TraceSink = &rec
+			case "replay":
+				tr, err := trace.Decode(rec.Bytes())
+				if err != nil {
+					t.Fatalf("%s: decode: %v", op, err)
+				}
+				cfg.Replay = tr
+			}
+			m, err := New(p, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: new: %v", op, name, err)
+			}
+			_, err = m.Run()
+			re := wantKind(t, err, KindTrap)
+			if !strings.Contains(re.Msg, "4-byte "+op+" at 0x") || !strings.Contains(re.Msg, "straddles") {
+				t.Fatalf("%s %s: trap message %q, want straddle diagnostic", op, name, re.Msg)
+			}
+		}
 	}
 
-	// Aligned sub-word loads and full-word loads at any alignment
-	// within a word stay legal.
+	// Aligned sub-word loads and stores and full-word accesses at any
+	// alignment within a word stay legal.
 	res := run(t, exprProg(func(b *mir.FuncBuilder) mir.Reg {
 		buf := b.Alloca(16)
 		b.Store(mir.R(buf), mir.C(0x1122334455667788), 8)
@@ -737,5 +765,15 @@ func TestStraddlingSubWordLoadTraps(t *testing.T) {
 	}), Config{})
 	if res.Exit != 0x11223344 {
 		t.Fatalf("aligned 4-byte load = %#x, want 0x11223344", res.Exit)
+	}
+	res = run(t, exprProg(func(b *mir.FuncBuilder) mir.Reg {
+		buf := b.Alloca(16)
+		b.Store(mir.R(buf), mir.C(0x1122334455667788), 8)
+		a6 := b.Add(mir.R(buf), mir.C(6))
+		b.Store(mir.R(a6), mir.C(0xaabb), 2)
+		return b.Load(mir.R(buf), 8)
+	}), Config{})
+	if res.Exit != 0xaabb334455667788 {
+		t.Fatalf("aligned 2-byte store left %#x, want 0xaabb334455667788", res.Exit)
 	}
 }
