@@ -114,7 +114,7 @@ func runBench(emitJSON bool, gate bool, baseline string, benchtime time.Duration
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig3|fig4|fig5|table3|table4|libsan|ablate|pgo|adapt|mem|gran|replay|all")
 	sizeFlag := flag.String("size", "small", "workload size: tiny|small|medium|large")
-	reps := flag.Int("reps", 3, "measured repetitions per configuration (one warm-up run is added)")
+	reps := flag.Int("reps", 3, "measured repetitions per configuration (one warm-up run is added; configurations too short to time run more)")
 	seed := flag.Int64("seed", 1, "deterministic scheduler seed")
 	engineFlag := flag.String("engine", "interp", "VM execution tier: interp|threaded (observably identical; threaded pays less per dispatch)")
 	parallel := flag.Int("parallel", 0, "measurement-cell worker goroutines (0 = GOMAXPROCS, 1 = serial)")

@@ -82,6 +82,7 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 
 	n := len(programs) * 2 // (base, inst) per program
 	walls := make([]time.Duration, n)
+	runs := make([]int, n)
 	shards := make([]*obs.Shard, n)
 	cellErrs := make([]error, n)
 	err = cfg.forEachCell(n, func(i int) (err error) {
@@ -119,14 +120,14 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 			return err
 		}
 		start := time.Now()
-		w, _, err := cc.measure(fn)
+		w, _, nruns, err := cc.measure(fn)
 		if cfg.Trace != nil {
 			cfg.Trace.Span("harness", "attrib/"+program+"/"+kind, int64(i), start, time.Since(start))
 		}
 		if err != nil {
 			return err
 		}
-		walls[i], shards[i] = w, sh
+		walls[i], runs[i], shards[i] = w, nruns, sh
 		cfg.noteCell(sh, nil, w, 0, nil)
 		return nil
 	})
@@ -137,10 +138,6 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 	mode := "wall"
 	if cfg.Virtual {
 		mode = "virtual"
-	}
-	runs := uint64(1)
-	if !cfg.Virtual {
-		runs = uint64(cfg.Reps) + 1 // measure() runs warm-up + Reps
 	}
 	t := &AttribTable{
 		Title:   fmt.Sprintf("Overhead attribution: %s (size=%s, %s)", analysis, cfg.Size, mode),
@@ -156,7 +153,7 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 			t.Rows = append(t.Rows, AttribRow{Program: program, Err: errKindLabel(e)})
 			continue
 		}
-		row := attribRow(program, walls[bi], walls[ii], shards[ii], catOf, cfg.Virtual, runs)
+		row := attribRow(program, walls[bi], walls[ii], shards[ii], catOf, cfg.Virtual, uint64(runs[ii]))
 		t.Rows = append(t.Rows, row)
 	}
 	t.Render(cfg.Out)

@@ -27,7 +27,8 @@ type Config struct {
 	// Reps is the number of measured repetitions per configuration
 	// (default 3). One extra warm-up run is discarded, matching the
 	// paper's "six runs, geomean of the later five" protocol scaled
-	// down.
+	// down. A configuration whose Reps runs are too short to time
+	// reliably runs more (see timedRuns).
 	Reps int
 	// Opt is the VM configuration.
 	Opt core.RunOptions
@@ -195,35 +196,58 @@ func geomean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// measure runs fn Reps+1 times, discards the first run as warm-up, and
-// returns the minimum wall time of the rest along with the last result.
-// The paper geomeans five native runs; on a shared, contended machine
-// the minimum is the robust estimator of the workload's intrinsic cost
-// (OS noise only ever adds time), and since both the baseline and the
-// instrumented run use it, normalized overheads stay comparable.
-func (c Config) measure(fn func() (*vm.Result, error)) (time.Duration, *vm.Result, error) {
+// minTimedVirtual is the least virtual time (see virtualWall) the timed
+// runs of one wall-clock cell cover together. A tiny workload's run
+// lasts about a millisecond, so a single preemption by another process
+// can multiply it; a cell whose Reps runs would cover less than this
+// takes more runs, giving the minimum an undisturbed one to find.
+const minTimedVirtual = 3 * time.Millisecond
+
+// maxTimedRuns caps the runs minTimedVirtual asks of a near-empty
+// workload.
+const maxTimedRuns = 20
+
+// timedRuns returns how many timed runs follow the warm-up run warm:
+// Reps, or as many as cover minTimedVirtual when that is more. The
+// count depends only on the deterministic warm-up, so the counters a
+// cell accumulates are the same on every sweep.
+func (c Config) timedRuns(warm *vm.Result) int {
+	v := virtualWall(warm)
+	if v <= 0 {
+		return c.Reps
+	}
+	need := int((minTimedVirtual + v - 1) / v)
+	return max(c.Reps, min(need, maxTimedRuns))
+}
+
+// measure runs fn once as warm-up and then timedRuns more times, and
+// returns the minimum wall time of the timed runs, the last result and
+// the number of runs made, warm-up included. The paper geomeans five
+// native runs; on a shared, contended machine the minimum is the robust
+// estimator of the workload's intrinsic cost (OS noise only ever adds
+// time), and since both the baseline and the instrumented run use it,
+// normalized overheads stay comparable.
+func (c Config) measure(fn func() (*vm.Result, error)) (time.Duration, *vm.Result, int, error) {
+	res, err := fn()
+	if err != nil {
+		return 0, nil, 0, err
+	}
 	if c.Virtual {
 		// Virtual time is a pure function of the deterministic run, so
 		// repetitions and warm-up would measure the same number again.
-		res, err := fn()
-		if err != nil {
-			return 0, nil, err
-		}
-		return virtualWall(res), res, nil
+		return virtualWall(res), res, 1, nil
 	}
+	n := c.timedRuns(res)
 	best := time.Duration(0)
-	var last *vm.Result
-	for i := 0; i <= c.Reps; i++ {
-		res, err := fn()
-		if err != nil {
-			return 0, nil, err
+	for i := 0; i < n; i++ {
+		if res, err = fn(); err != nil {
+			return 0, nil, 0, err
 		}
-		if i > 0 && (best == 0 || res.Wall < best) {
+		if best == 0 || res.Wall < best {
 			best = res.Wall
 		}
-		last = res
 	}
-	return best, last, nil
+	return best, res, n + 1, nil
 }
 
 // runnerPlain builds the uninstrumented runner for a workload.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -186,6 +187,27 @@ func TestGranularitySmoke(t *testing.T) {
 	}
 	if len(tbl.Rows) != 4 || len(tbl.Columns) != 4 {
 		t.Fatalf("gran shape: %d rows %d cols", len(tbl.Rows), len(tbl.Columns))
+	}
+}
+
+// TestTimedRuns pins how many timed runs a wall-clock cell takes: Reps
+// when they already cover minTimedVirtual, enough to cover it when they
+// do not, and never more than maxTimedRuns.
+func TestTimedRuns(t *testing.T) {
+	c := Config{Reps: 3}
+	for _, tc := range []struct {
+		steps, hooks uint64
+		want         int
+	}{
+		{steps: 10_000_000, want: 3},
+		{steps: 300_000, want: 10},
+		{steps: 100_000, hooks: 10_000, want: 12}, // 260k virtual
+		{steps: 30_000, want: maxTimedRuns},
+		{want: 3},
+	} {
+		if got := c.timedRuns(&vm.Result{Steps: tc.steps, HookCalls: tc.hooks}); got != tc.want {
+			t.Errorf("steps=%d hooks=%d: %d timed runs, want %d", tc.steps, tc.hooks, got, tc.want)
+		}
 	}
 }
 

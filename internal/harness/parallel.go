@@ -67,9 +67,10 @@ func (g *gridSpec) colName(col int) string {
 }
 
 // forEachCell runs f for every index in [0, n) across the configured
-// worker count. Without KeepGoing, a failure skips cells that have not
-// started yet and the error of the lowest-indexed failing cell is
-// returned (matching what a serial sweep would have reported first).
+// worker count. Without KeepGoing, a failure skips the higher-indexed
+// cells that have not started yet and the error of the lowest-indexed
+// failing cell is returned (matching what a serial sweep would have
+// reported first: a lower-indexed cell still runs, and may fail first).
 // With KeepGoing, every cell runs regardless of failures; the
 // lowest-indexed error is still returned so callers know the sweep
 // degraded.
@@ -93,26 +94,26 @@ func (c Config) forEachCell(n int, f func(i int) error) error {
 		return firstErr
 	}
 	var (
-		failed   atomic.Bool
+		firstIdx atomic.Int64 // lowest failing index so far; n if none
 		mu       sync.Mutex
-		firstIdx = n
 		firstErr error
 		wg       sync.WaitGroup
 	)
+	firstIdx.Store(int64(n))
 	cells := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range cells {
-				if !c.KeepGoing && failed.Load() {
+				if !c.KeepGoing && int64(i) > firstIdx.Load() {
 					continue
 				}
 				if err := f(i); err != nil {
-					failed.Store(true)
 					mu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
+					if int64(i) < firstIdx.Load() {
+						firstIdx.Store(int64(i))
+						firstErr = err
 					}
 					mu.Unlock()
 				}
@@ -146,7 +147,7 @@ func (c Config) measureCell(g *gridSpec, program string, col int, sh *obs.Shard)
 		if err != nil {
 			return 0, err
 		}
-		w, _, err = c.measure(fn)
+		w, _, _, err = c.measure(fn)
 		return w, err
 	}
 	policy := retryPolicy{
