@@ -114,17 +114,17 @@ func (c Config) traceHash() uint64 {
 }
 
 // traceCache memoizes decoded trace files across the grid's cells (one
-// workload's trace replays into every analysis column) keyed by path
-// plus the file's stat identity, so a regenerated file is re-decoded.
+// workload's trace replays into every analysis column). It keeps one
+// entry per path, tagged with the file's stat identity: a regenerated
+// file is re-decoded and replaces its entry.
 var traceCache = struct {
 	mu sync.Mutex
-	m  map[traceKey]*trace.Trace
-}{m: map[traceKey]*trace.Trace{}}
+	m  map[string]cachedTrace
+}{m: map[string]cachedTrace{}}
 
-type traceKey struct {
-	path string
-	size int64
-	mod  int64
+type cachedTrace struct {
+	size, mod int64
+	tr        *trace.Trace
 }
 
 func loadTraceFile(path string) (*trace.Trace, error) {
@@ -132,11 +132,11 @@ func loadTraceFile(path string) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := traceKey{path: path, size: st.Size(), mod: st.ModTime().UnixNano()}
+	size, mod := st.Size(), st.ModTime().UnixNano()
 	traceCache.mu.Lock()
 	defer traceCache.mu.Unlock()
-	if tr := traceCache.m[key]; tr != nil {
-		return tr, nil
+	if e, ok := traceCache.m[path]; ok && e.size == size && e.mod == mod {
+		return e.tr, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -146,7 +146,7 @@ func loadTraceFile(path string) (*trace.Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	traceCache.m[key] = tr
+	traceCache.m[path] = cachedTrace{size: size, mod: mod, tr: tr}
 	return tr, nil
 }
 

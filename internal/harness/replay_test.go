@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -147,5 +149,53 @@ func TestResumeRejectsStaleTrace(t *testing.T) {
 	}
 	if got := strings.Count(progress.String(), "resumed from checkpoint"); got != 0 {
 		t.Fatalf("stale-trace resume restored %d cells from the checkpoint", got)
+	}
+}
+
+// TestTraceCacheOneEntryPerPath: re-recording a trace file replaces its
+// decoded entry in the cache instead of adding a second one, and the
+// next load sees the new recording.
+func TestTraceCacheOneEntryPerPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.trc")
+	record := func(w string, mod time.Time) {
+		p, err := workloads.Build(w, workloads.SizeTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := core.RecordTrace(p, core.RunOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, mod, mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := func() int {
+		traceCache.mu.Lock()
+		defer traceCache.mu.Unlock()
+		return len(traceCache.m)
+	}
+	before := entries()
+	record("fft", time.Unix(1, 0))
+	first, err := loadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := loadTraceFile(path); err != nil || again != first {
+		t.Fatalf("unchanged file re-decoded (err %v)", err)
+	}
+	record("radix", time.Unix(2, 0))
+	second, err := loadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first || second.ProgFP == first.ProgFP {
+		t.Fatal("re-recorded file served from the stale cache entry")
+	}
+	if got := entries() - before; got != 1 {
+		t.Fatalf("cache grew by %d entries for one path, want 1", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/mir"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -73,18 +74,31 @@ func startUAFMachine(t *testing.T, tweak func(*vm.Config)) *vm.Machine {
 
 // TestQuantumAllocFree asserts a full instrumented vm.Machine quantum —
 // dispatch, hook argument marshalling and the compiled UAF handler
-// bodies — allocates nothing once warm, in both execution tiers: the
+// bodies — allocates nothing once warm, in both execution tiers (the
 // interpreter's switch loop and the closure-threaded tier's fused runs
-// and superinstruction chains (which pre-bind everything at Start and
-// must not allocate per quantum either). This is the end-to-end version
-// of the per-container guarantees in internal/meta, and it is also the
-// observability-disabled proof: the opcode, per-hook and scheduler
-// counters are unconditional plain fields that increment on this path,
-// so "compiled in but switched off" costs zero allocations.
+// and superinstruction chains, which pre-bind everything at Start and
+// must not allocate per quantum either) and when the interpreter
+// replays a recorded trace instead of running live. This is the
+// end-to-end version of the per-container guarantees in internal/meta,
+// and it is also the observability-disabled proof: the opcode,
+// per-hook and scheduler counters are unconditional plain fields that
+// increment on this path, so "compiled in but switched off" costs zero
+// allocations.
 func TestQuantumAllocFree(t *testing.T) {
-	for _, eng := range []vm.Engine{vm.EngineInterp, vm.EngineThreaded} {
-		t.Run(eng.String(), func(t *testing.T) {
-			m := startUAFMachine(t, func(c *vm.Config) { c.Engine = eng })
+	tr, err := trace.Decode(recordTraceBytes(quickstartUAFProgram()))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	for _, leg := range []struct {
+		name  string
+		tweak func(*vm.Config)
+	}{
+		{vm.EngineInterp.String(), func(c *vm.Config) { c.Engine = vm.EngineInterp }},
+		{vm.EngineThreaded.String(), func(c *vm.Config) { c.Engine = vm.EngineThreaded }},
+		{"replay", func(c *vm.Config) { c.Replay = tr }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			m := startUAFMachine(t, leg.tweak)
 			if avg := testing.AllocsPerRun(100, func() {
 				if !m.RunQuantum() {
 					t.Fatal("workload finished during measurement")

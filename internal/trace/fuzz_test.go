@@ -10,12 +10,12 @@ import (
 // FuzzTraceDecoder hammers Decode and the cursor walk with arbitrary
 // bytes. The contract under fuzz: a typed *DecodeError (or a clean
 // decode), never a panic, never an allocation sized by an untrusted
-// length field. When the input does decode, walking it must terminate
-// and a second decode must agree — Decode is a pure function of the
-// bytes.
+// length or count field. When the input does decode, walking it must
+// terminate and a second decode must agree — Decode is a pure function
+// of the bytes.
 func FuzzTraceDecoder(f *testing.F) {
 	// Seed corpus: a small valid trace, its torn-final-batch prefix, a
-	// bad magic, and a huge claimed payload length.
+	// bad magic, a huge claimed payload length, and a huge run count.
 	var buf bytes.Buffer
 	w := NewWriter(&buf, 0xabc, 3, 64)
 	w.Load(0x1000, 7)
@@ -38,6 +38,7 @@ func FuzzTraceDecoder(f *testing.F) {
 	huge := append([]byte{}, valid[:len(Magic)+1+8+1+1]...)
 	huge = append(huge, recBatch, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
+	f.Add(hugeRunTrace())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(data)
@@ -48,8 +49,11 @@ func FuzzTraceDecoder(f *testing.F) {
 			}
 			return
 		}
-		// A decoded trace must be fully walkable, and re-decoding the
-		// same bytes must succeed with identical stats.
+		// A decoded trace must be walkable, and re-decoding the same
+		// bytes must succeed with identical stats. A run may claim far
+		// more events than the input has bytes, so the walk reads at
+		// most 64 events per input byte and NextRecord skips the rest.
+		budget, walked := 64*len(data), uint64(0)
 		c := tr.Cursor()
 		for {
 			rec, err := c.NextRecord()
@@ -62,14 +66,19 @@ func FuzzTraceDecoder(f *testing.F) {
 			if rec.Kind != RecBatch {
 				continue
 			}
-			for {
+			for ; budget > 0; budget-- {
 				if _, err := c.Next(); err != nil {
 					if err == ErrBatchDrained {
 						break
 					}
 					t.Fatalf("validated batch failed to walk: %v", err)
 				}
+				walked++
 			}
+		}
+		// A walk that fit the budget returned every event Decode counted.
+		if budget > 0 && walked != tr.Stats().Events {
+			t.Fatalf("walked %d events, Decode counted %d", walked, tr.Stats().Events)
 		}
 		tr2, err := Decode(data)
 		if err != nil {

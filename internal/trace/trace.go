@@ -1,12 +1,11 @@
-// Package trace defines the compressed binary event-stream format the
-// VM's record mode emits and the replay engine consumes (the ROADMAP's
-// SD3-style trace tier). A trace captures everything about one
-// execution that is not recomputable from the program text and the
-// thread interleaving: load values, library-call results, and the
-// scheduler's quantum decisions. Register arithmetic, branches, lock
-// state and stack layout are deterministic given those inputs, so the
-// replay engine re-derives them instead of storing them — that is what
-// makes the stream small.
+// Package trace defines the compressed binary event-stream format a
+// recording VM run emits, and decodes it for replay. A trace captures
+// everything about one execution that is not recomputable from the
+// program text and the thread interleaving: load values, library-call
+// results, and the scheduler's quantum decisions. Register arithmetic,
+// branches, lock state and stack layout are deterministic given those
+// inputs, so a replaying VM re-derives them instead of storing them —
+// that is what makes the stream small.
 //
 // Layout (all integers varint unless noted):
 //
@@ -27,7 +26,7 @@
 // address (and each load value) is encoded as the signed residual
 // against a {last, stride} predictor, and runs of perfectly predicted
 // accesses collapse into a single run-length record. Predictor state
-// persists across batches and is shared by writer and reader.
+// persists across batches; the Writer and Decode run identical copies.
 //
 //	0x10 load    svarint addr-resid, svarint val-resid
 //	0x11 store   svarint addr-resid
@@ -39,10 +38,14 @@
 //	0x19 alloc   svarint Δaddr, uvarint size
 //	0x1a free    svarint Δaddr
 //
-// The decoder is hardened against adversarial input: every length field
-// is validated against the bytes actually present before use, so a
-// corrupt trace yields a typed *DecodeError, never a panic or an
-// attacker-sized allocation.
+// Decode is the only decoder. Its one pass validates the stream and
+// keeps every record and event with absolute operands, so a Cursor
+// replays the Trace without parsing bytes or running predictors. It is
+// hardened against adversarial input: every length field is validated
+// against the bytes actually present before use, and a run-length
+// record stays three entries whatever count it claims, so a corrupt
+// trace yields a typed *DecodeError, never a panic, and decoded memory
+// stays proportional to the input's size.
 package trace
 
 import (
@@ -119,7 +122,8 @@ func (e *DecodeError) Error() string {
 }
 
 // ErrBatchDrained reports that the current batch has no more events;
-// the replay engine then advances to the next record.
+// the caller then advances to the next record. It is the only error
+// Cursor.Next returns: Decode has already validated every event.
 var ErrBatchDrained = errors.New("trace: batch drained")
 
 // failStringCap bounds the kind/msg strings of a fail record; real
@@ -128,7 +132,7 @@ var ErrBatchDrained = errors.New("trace: batch drained")
 const failStringCap = 1 << 16
 
 // pred is one stride predictor. predict() guesses last+stride; observe
-// folds the true value in. Writer and cursor run identical copies.
+// folds the true value in. Writer and Decode run identical copies.
 type pred struct{ last, stride uint64 }
 
 func (p *pred) predict() uint64  { return p.last + p.stride }
@@ -187,6 +191,32 @@ func rawCost(kind EvKind) uint64 {
 }
 
 const rawBatchCost = 1 + 8 + 8 + 8 // tag + tid + psteps + thooks, fixed width
+
+// count adds n events of kind to s.
+func (s *Stats) count(kind EvKind, n uint64) {
+	s.Events += n
+	s.RawBytes += n * rawCost(kind)
+	switch kind {
+	case EvLoad:
+		s.Loads += n
+	case EvStore:
+		s.Stores += n
+	case EvLib:
+		s.Libs += n
+	case EvLock:
+		s.Locks += n
+	case EvUnlock:
+		s.Unlocks += n
+	case EvJoin:
+		s.Joins += n
+	case EvSpawn:
+		s.Spawns += n
+	case EvAlloc:
+		s.Allocs += n
+	case EvFree:
+		s.Frees += n
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -411,138 +441,232 @@ func (w *Writer) Fail(kind, msg string) error {
 // ---------------------------------------------------------------------------
 // Trace + Decode
 
-// Trace is a decoded, validated trace. The underlying bytes are
-// read-only after Decode: any number of Cursors may replay the same
-// Trace concurrently (each cursor carries its own predictor state).
+// Trace is a decoded, validated trace: Decode keeps every record and
+// every batch event it decodes, with absolute operands, so replay never
+// parses the bytes again. A Trace is read-only after Decode: any number
+// of Cursors may replay it concurrently.
 type Trace struct {
-	data    []byte
 	ProgFP  uint64
 	Seed    int64
 	Quantum int
 	stats   Stats
-	body    int // offset of the first record
+
+	// chunks hold the batches in stream order, each batch inside one
+	// chunk: an entry {psteps, thooks}, an entry {tid, count of event
+	// entries}, then the event entries. A run-length record is three
+	// event entries: {its tag, its count}, its first access, and the
+	// stride each later access adds.
+	chunks [][]Event
+	term   Rec // the terminal record, which follows the last batch
 }
+
+// chunkLen is the entry count of a chunk, unless one batch needs more
+// or the whole input could need less.
+const chunkLen = 1 << 15
 
 // Stats returns the aggregate statistics computed during Decode.
 func (t *Trace) Stats() Stats { return t.stats }
 
-// Len returns the encoded size in bytes.
-func (t *Trace) Len() int { return len(t.data) }
+// decoder is Decode's single pass: the bytes, the read offset, the
+// predictors the writer ran, the Trace it fills, and the first error.
+type decoder struct {
+	data []byte
+	pos  int
+	p    preds
+	t    *Trace
+	err  error
+}
 
 // Decode validates data as a complete trace — header, every record,
-// every event, exactly one terminal — and returns it ready for replay.
-// data is retained (not copied); the caller must not mutate it.
+// every event, exactly one terminal — and returns it decoded, ready for
+// replay. Decode does not retain data, and the Trace takes memory
+// proportional to len(data): a run-length record stays three entries
+// whatever count it claims.
 func Decode(data []byte) (*Trace, error) {
-	t := &Trace{data: data}
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, &DecodeError{Off: 0, Msg: "bad magic"}
 	}
-	pos := len(Magic)
-	u := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, &DecodeError{Off: pos, Msg: "truncated " + what}
-		}
-		pos += n
-		return v, nil
+	t := &Trace{}
+	d := &decoder{data: data, pos: len(Magic), t: t}
+	end := len(data)
+	if ver := d.uvarint(end, "version"); d.err == nil && ver != Version {
+		d.fail(len(Magic), fmt.Sprintf("unsupported version %d", ver))
 	}
-	ver, err := u("version")
-	if err != nil {
-		return nil, err
+	if d.err == nil && end-d.pos < 8 {
+		d.fail(d.pos, "truncated fingerprint")
 	}
-	if ver != Version {
-		return nil, &DecodeError{Off: len(Magic), Msg: fmt.Sprintf("unsupported version %d", ver)}
+	if d.err != nil {
+		return nil, d.err
 	}
-	if len(data)-pos < 8 {
-		return nil, &DecodeError{Off: pos, Msg: "truncated fingerprint"}
+	t.ProgFP = binary.LittleEndian.Uint64(data[d.pos:])
+	d.pos += 8
+	t.Seed = d.svarint(end, "seed")
+	if q := d.uvarint(end, "quantum"); q > 1<<30 {
+		d.fail(d.pos, "implausible quantum")
+	} else {
+		t.Quantum = int(q)
 	}
-	t.ProgFP = binary.LittleEndian.Uint64(data[pos:])
-	pos += 8
-	seed, n := binary.Varint(data[pos:])
-	if n <= 0 {
-		return nil, &DecodeError{Off: pos, Msg: "truncated seed"}
-	}
-	pos += n
-	t.Seed = seed
-	q, err := u("quantum")
-	if err != nil {
-		return nil, err
-	}
-	if q > 1<<30 {
-		return nil, &DecodeError{Off: pos, Msg: "implausible quantum"}
-	}
-	t.Quantum = int(q)
-	t.body = pos
+	t.stats = Stats{ProgFP: t.ProgFP, Seed: t.Seed, Quantum: t.Quantum, Bytes: uint64(end), RawBytes: uint64(d.pos)}
 
-	// Full validation walk: decode every record and event once, so
-	// replay (and every other consumer) can trust the structure.
-	st := Stats{ProgFP: t.ProgFP, Seed: t.Seed, Quantum: t.Quantum, Bytes: uint64(len(data))}
-	st.RawBytes = uint64(t.body)
-	c := t.Cursor()
-	terminal := false
-walk:
-	for {
-		rec, err := c.NextRecord()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break walk
+	var tid int64
+	for d.err == nil && d.pos < end {
+		tag := data[d.pos]
+		d.pos++
+		switch tag {
+		case recBatch:
+			if tid += d.svarint(end, "batch tid"); d.err == nil && (tid < 0 || tid > 1<<20) {
+				d.fail(d.pos, "implausible batch tid")
 			}
-			return nil, err
-		}
-		switch rec.Kind {
-		case RecBatch:
-			st.Batches++
-			st.RawBytes += rawBatchCost
-			for {
-				ev, err := c.Next()
-				if err == ErrBatchDrained {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				st.Events++
-				st.RawBytes += rawCost(ev.Kind)
-				switch ev.Kind {
-				case EvLoad:
-					st.Loads++
-				case EvStore:
-					st.Stores++
-				case EvLib:
-					st.Libs++
-				case EvLock:
-					st.Locks++
-				case EvUnlock:
-					st.Unlocks++
-				case EvJoin:
-					st.Joins++
-				case EvSpawn:
-					st.Spawns++
-				case EvAlloc:
-					st.Allocs++
-				case EvFree:
-					st.Frees++
-				}
+			psteps := d.uvarint(end, "batch psteps")
+			thooks := d.uvarint(end, "batch thooks")
+			if plen := d.uvarint(end, "batch payload length"); d.err == nil && plen > uint64(end-d.pos) {
+				d.fail(d.pos, fmt.Sprintf("batch payload length %d exceeds remaining %d bytes", plen, end-d.pos))
+			} else if d.err == nil {
+				d.batch(tid, psteps, thooks, d.pos+int(plen))
 			}
-		case RecEnd, RecFail:
-			terminal = true
-			st.RawBytes += 9
-			if rec.Kind == RecFail {
-				st.RawBytes += uint64(len(rec.FailKind) + len(rec.FailMsg))
-			}
-			// The terminal must be the final record.
-			if _, err := c.NextRecord(); !errors.Is(err, io.EOF) {
-				return nil, &DecodeError{Off: c.pos, Msg: "data after terminal record"}
-			}
-			break walk
+		case recEnd:
+			t.term = Rec{Kind: RecEnd, Exit: d.uvarint(end, "exit value")}
+			return d.terminal()
+		case recFail:
+			t.term = Rec{Kind: RecFail, FailKind: d.str(end, "fail kind")}
+			t.term.FailMsg = d.str(end, "fail message")
+			t.stats.RawBytes += uint64(len(t.term.FailKind) + len(t.term.FailMsg))
+			return d.terminal()
+		default:
+			d.fail(d.pos-1, fmt.Sprintf("unknown record tag %#x", tag))
 		}
 	}
-	if !terminal {
-		return nil, &DecodeError{Off: pos, Msg: "missing terminal record (torn trace)"}
+	if d.err == nil {
+		d.fail(d.pos, "missing terminal record (torn trace)")
 	}
-	st.RepRuns = c.repRuns
-	t.stats = st
-	return t, nil
+	return nil, d.err
+}
+
+// terminal finishes Decode once the terminal record is read: it must be
+// the final record.
+func (d *decoder) terminal() (*Trace, error) {
+	if d.err == nil && d.pos < len(d.data) {
+		d.fail(d.pos, "data after terminal record")
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	d.t.stats.RawBytes += 9
+	return d.t, nil
+}
+
+// fail records the first error; the reads after it return zeros and
+// Decode returns it at its next check.
+func (d *decoder) fail(off int, msg string) {
+	if d.err == nil {
+		d.err = &DecodeError{Off: off, Msg: msg}
+	}
+}
+
+func (d *decoder) uvarint(limit int, what string) uint64 {
+	v, n := binary.Uvarint(d.data[d.pos:limit])
+	if n <= 0 {
+		d.fail(d.pos, "truncated "+what)
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *decoder) svarint(limit int, what string) int64 {
+	v, n := binary.Varint(d.data[d.pos:limit])
+	if n <= 0 {
+		d.fail(d.pos, "truncated "+what)
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *decoder) str(limit int, what string) string {
+	n := d.uvarint(limit, what+" length")
+	if d.err != nil {
+		return ""
+	}
+	if n > failStringCap || n > uint64(limit-d.pos) {
+		d.fail(d.pos, fmt.Sprintf("%s length %d exceeds available data", what, n))
+		return ""
+	}
+	d.pos += int(n)
+	return string(d.data[d.pos-int(n) : d.pos])
+}
+
+// batch decodes one batch, whose payload ends at byte offset limit,
+// onto the last chunk, and counts its events. A payload byte pair
+// decodes to at most three entries, so the batch is known to fit before
+// it is decoded.
+func (d *decoder) batch(tid int64, psteps, thooks uint64, limit int) {
+	t, p, st := d.t, &d.p, &d.t.stats
+	need := 2 + 3*(limit-d.pos)/2
+	if n := len(t.chunks); n == 0 || cap(t.chunks[n-1])-len(t.chunks[n-1]) < need {
+		t.chunks = append(t.chunks, make([]Event, 0, max(need, min(chunkLen, 3*len(d.data)/2))))
+	}
+	out := t.chunks[len(t.chunks)-1]
+	out = append(out, Event{Addr: psteps, Val: thooks}, Event{Addr: uint64(tid)})
+	hdr := len(out) - 1
+	for d.err == nil && d.pos < limit {
+		tag := EvKind(d.data[d.pos])
+		d.pos++
+		ev := Event{Kind: tag}
+		switch tag {
+		case EvLoad:
+			ev.Addr = p.loadA.predict() + uint64(d.svarint(limit, "load address residual"))
+			ev.Val = p.loadV.predict() + uint64(d.svarint(limit, "load value residual"))
+			p.loadA.observe(ev.Addr)
+			p.loadV.observe(ev.Val)
+		case EvStore:
+			ev.Addr = p.storeA.predict() + uint64(d.svarint(limit, "store address residual"))
+			p.storeA.observe(ev.Addr)
+		case evRepLoad, evRepStore:
+			n := d.uvarint(limit, "rep count")
+			if n == 0 { // or unreadable, which already failed
+				d.fail(d.pos, "empty rep run")
+				continue
+			}
+			// Every access of a run is predicted, so the stride holds
+			// and the predictors end n strides on.
+			first, a, v := Event{Kind: EvStore}, &p.storeA, &pred{}
+			if tag == evRepLoad {
+				first.Kind, a, v = EvLoad, &p.loadA, &p.loadV
+			}
+			first.Addr, first.Val = a.predict(), v.predict()
+			out = append(out, Event{Kind: tag, Addr: n}, first, Event{Addr: a.stride, Val: v.stride})
+			a.last += n * a.stride
+			v.last += n * v.stride
+			st.count(first.Kind, n)
+			st.RepRuns++
+			continue
+		case EvLib:
+			p.lastRet += uint64(d.svarint(limit, "lib return delta"))
+			ev.Val = p.lastRet
+		case EvLock, EvUnlock:
+			p.lastSync += uint64(d.svarint(limit, "sync address delta"))
+			ev.Addr = p.lastSync
+		case EvJoin:
+			ev.Val = d.uvarint(limit, "join target")
+		case EvSpawn:
+			ev.Val = d.uvarint(limit, "spawn tid")
+		case EvAlloc, EvFree:
+			p.lastAlloc += uint64(d.svarint(limit, tag.String()+" address delta"))
+			ev.Addr = p.lastAlloc
+			if tag == EvAlloc {
+				ev.Val = d.uvarint(limit, "alloc size")
+			}
+		default:
+			d.fail(d.pos-1, fmt.Sprintf("unknown event tag %#x", uint8(tag)))
+		}
+		out = append(out, ev)
+		st.count(tag, 1)
+	}
+	out[hdr].Val = uint64(len(out) - hdr - 1)
+	t.chunks[len(t.chunks)-1] = out
+	st.Batches++
+	st.RawBytes += rawBatchCost
 }
 
 // ---------------------------------------------------------------------------
@@ -578,228 +702,61 @@ type Event struct {
 	Val  uint64
 }
 
-// Cursor walks a Trace record by record. Each Cursor owns its predictor
-// state, so concurrent replays of one Trace are safe.
+// Cursor walks a Trace record by record. It holds only positions into
+// the decoded Trace, so concurrent replays of one Trace are safe.
 type Cursor struct {
-	t   *Trace
-	pos int
-	p   preds
-
-	payloadEnd int // absolute end of the current batch payload, -1 outside a batch
-	repKind    EvKind
-	repLeft    uint64
-	lastTid    int64
-	repRuns    uint64
+	t      *Trace
+	chunks [][]Event // chunks not yet entered
+	evs    []Event   // the current chunk
+	i, end int       // next entry in evs, and the end of the current batch
+	next   Event     // the open run's next access
+	stride Event     // what each access of the open run adds to the last
+	left   uint64    // accesses left in the open run
+	done   bool      // the terminal has been returned
 }
 
 // Cursor returns a fresh cursor positioned at the first record.
-func (t *Trace) Cursor() *Cursor {
-	return &Cursor{t: t, pos: t.body, payloadEnd: -1}
-}
+func (t *Trace) Cursor() *Cursor { return &Cursor{t: t, chunks: t.chunks} }
 
-func (c *Cursor) uvarint(limit int, what string) (uint64, error) {
-	v, n := binary.Uvarint(c.t.data[c.pos:limit])
-	if n <= 0 {
-		return 0, &DecodeError{Off: c.pos, Msg: "truncated " + what}
-	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *Cursor) svarint(limit int, what string) (int64, error) {
-	v, n := binary.Varint(c.t.data[c.pos:limit])
-	if n <= 0 {
-		return 0, &DecodeError{Off: c.pos, Msg: "truncated " + what}
-	}
-	c.pos += n
-	return v, nil
-}
-
-// NextRecord advances to the next record. Any unconsumed events of the
-// current batch are decoded and discarded first (keeping predictor
-// state aligned with the writer's). Returns io.EOF at end of data.
+// NextRecord advances to the next record, skipping whatever the current
+// batch has not yet returned. Returns io.EOF after the terminal.
 func (c *Cursor) NextRecord() (Rec, error) {
-	if c.payloadEnd >= 0 {
-		for {
-			_, err := c.Next()
-			if err == ErrBatchDrained {
-				break
+	c.i, c.left = c.end, 0
+	if c.i == len(c.evs) {
+		if len(c.chunks) == 0 {
+			if c.done {
+				return Rec{}, io.EOF
 			}
-			if err != nil {
-				return Rec{}, err
-			}
+			c.done = true
+			return c.t.term, nil
 		}
-		c.payloadEnd = -1
+		c.evs, c.chunks, c.i = c.chunks[0], c.chunks[1:], 0
 	}
-	data := c.t.data
-	if c.pos >= len(data) {
-		return Rec{}, io.EOF
-	}
-	tag := data[c.pos]
-	c.pos++
-	end := len(data)
-	switch tag {
-	case recBatch:
-		d, err := c.svarint(end, "batch tid")
-		if err != nil {
-			return Rec{}, err
-		}
-		c.lastTid += d
-		if c.lastTid < 0 || c.lastTid > 1<<20 {
-			return Rec{}, &DecodeError{Off: c.pos, Msg: "implausible batch tid"}
-		}
-		psteps, err := c.uvarint(end, "batch psteps")
-		if err != nil {
-			return Rec{}, err
-		}
-		thooks, err := c.uvarint(end, "batch thooks")
-		if err != nil {
-			return Rec{}, err
-		}
-		plen, err := c.uvarint(end, "batch payload length")
-		if err != nil {
-			return Rec{}, err
-		}
-		if plen > uint64(len(data)-c.pos) {
-			return Rec{}, &DecodeError{Off: c.pos, Msg: fmt.Sprintf("batch payload length %d exceeds remaining %d bytes", plen, len(data)-c.pos)}
-		}
-		c.payloadEnd = c.pos + int(plen)
-		return Rec{Kind: RecBatch, Tid: int(c.lastTid), PSteps: psteps, THooks: thooks}, nil
-	case recEnd:
-		exit, err := c.uvarint(end, "exit value")
-		if err != nil {
-			return Rec{}, err
-		}
-		return Rec{Kind: RecEnd, Exit: exit}, nil
-	case recFail:
-		kind, err := c.str(end, "fail kind")
-		if err != nil {
-			return Rec{}, err
-		}
-		msg, err := c.str(end, "fail message")
-		if err != nil {
-			return Rec{}, err
-		}
-		return Rec{Kind: RecFail, FailKind: kind, FailMsg: msg}, nil
-	default:
-		return Rec{}, &DecodeError{Off: c.pos - 1, Msg: fmt.Sprintf("unknown record tag %#x", tag)}
-	}
+	h, x := c.evs[c.i], c.evs[c.i+1]
+	c.i += 2
+	c.end = c.i + int(x.Val)
+	return Rec{Kind: RecBatch, Tid: int(x.Addr), PSteps: h.Addr, THooks: h.Val}, nil
 }
 
-func (c *Cursor) str(limit int, what string) (string, error) {
-	n, err := c.uvarint(limit, what+" length")
-	if err != nil {
-		return "", err
-	}
-	if n > failStringCap || n > uint64(limit-c.pos) {
-		return "", &DecodeError{Off: c.pos, Msg: fmt.Sprintf("%s length %d exceeds available data", what, n)}
-	}
-	s := string(c.t.data[c.pos : c.pos+int(n)])
-	c.pos += int(n)
-	return s, nil
-}
-
-// Next decodes the next event of the current batch, expanding
-// run-length records into their individual loads/stores. Returns
-// ErrBatchDrained when the batch payload is exhausted.
+// Next returns the next event of the current batch, expanding run-length
+// records into their individual loads/stores. Returns ErrBatchDrained
+// when the batch is exhausted.
 func (c *Cursor) Next() (Event, error) {
-	if c.repLeft > 0 {
-		c.repLeft--
-		if c.repKind == evRepLoad {
-			a, v := c.p.loadA.predict(), c.p.loadV.predict()
-			c.p.loadA.observe(a)
-			c.p.loadV.observe(v)
-			return Event{Kind: EvLoad, Addr: a, Val: v}, nil
+	if c.left == 0 {
+		if c.i == c.end {
+			return Event{}, ErrBatchDrained
 		}
-		a := c.p.storeA.predict()
-		c.p.storeA.observe(a)
-		return Event{Kind: EvStore, Addr: a}, nil
+		ev := c.evs[c.i]
+		c.i++
+		if ev.Kind != evRepLoad && ev.Kind != evRepStore {
+			return ev, nil
+		}
+		c.left, c.next, c.stride = ev.Addr, c.evs[c.i], c.evs[c.i+1]
+		c.i += 2
 	}
-	if c.payloadEnd < 0 || c.pos >= c.payloadEnd {
-		return Event{}, ErrBatchDrained
-	}
-	limit := c.payloadEnd
-	tag := EvKind(c.t.data[c.pos])
-	c.pos++
-	switch tag {
-	case EvLoad:
-		ar, err := c.svarint(limit, "load address residual")
-		if err != nil {
-			return Event{}, err
-		}
-		vr, err := c.svarint(limit, "load value residual")
-		if err != nil {
-			return Event{}, err
-		}
-		a := c.p.loadA.predict() + uint64(ar)
-		v := c.p.loadV.predict() + uint64(vr)
-		c.p.loadA.observe(a)
-		c.p.loadV.observe(v)
-		return Event{Kind: EvLoad, Addr: a, Val: v}, nil
-	case EvStore:
-		ar, err := c.svarint(limit, "store address residual")
-		if err != nil {
-			return Event{}, err
-		}
-		a := c.p.storeA.predict() + uint64(ar)
-		c.p.storeA.observe(a)
-		return Event{Kind: EvStore, Addr: a}, nil
-	case evRepLoad, evRepStore:
-		n, err := c.uvarint(limit, "rep count")
-		if err != nil {
-			return Event{}, err
-		}
-		if n == 0 {
-			return Event{}, &DecodeError{Off: c.pos, Msg: "empty rep run"}
-		}
-		c.repKind, c.repLeft = tag, n
-		c.repRuns++
-		return c.Next()
-	case EvLib:
-		d, err := c.svarint(limit, "lib return delta")
-		if err != nil {
-			return Event{}, err
-		}
-		c.p.lastRet += uint64(d)
-		return Event{Kind: EvLib, Val: c.p.lastRet}, nil
-	case EvLock, EvUnlock:
-		d, err := c.svarint(limit, "sync address delta")
-		if err != nil {
-			return Event{}, err
-		}
-		c.p.lastSync += uint64(d)
-		return Event{Kind: tag, Addr: c.p.lastSync}, nil
-	case EvJoin:
-		v, err := c.uvarint(limit, "join target")
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{Kind: EvJoin, Val: v}, nil
-	case EvSpawn:
-		v, err := c.uvarint(limit, "spawn tid")
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{Kind: EvSpawn, Val: v}, nil
-	case EvAlloc:
-		d, err := c.svarint(limit, "alloc address delta")
-		if err != nil {
-			return Event{}, err
-		}
-		sz, err := c.uvarint(limit, "alloc size")
-		if err != nil {
-			return Event{}, err
-		}
-		c.p.lastAlloc += uint64(d)
-		return Event{Kind: EvAlloc, Addr: c.p.lastAlloc, Val: sz}, nil
-	case EvFree:
-		d, err := c.svarint(limit, "free address delta")
-		if err != nil {
-			return Event{}, err
-		}
-		c.p.lastAlloc += uint64(d)
-		return Event{Kind: EvFree, Addr: c.p.lastAlloc}, nil
-	default:
-		return Event{}, &DecodeError{Off: c.pos - 1, Msg: fmt.Sprintf("unknown event tag %#x", uint8(tag))}
-	}
+	c.left--
+	ev := c.next
+	c.next.Addr += c.stride.Addr
+	c.next.Val += c.stride.Val
+	return ev, nil
 }

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // genEvent is one event fed to the writer and expected back from the
@@ -144,29 +147,39 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordSkipsUnconsumedEvents pins NextRecord's drain semantics:
-// advancing past a batch without consuming its events keeps predictor
-// state (and therefore later batches) intact.
+// TestRecordSkipsUnconsumedEvents pins NextRecord's skip semantics:
+// advancing past a batch without consuming its events, or in the middle
+// of a run, leaves later batches intact.
 func TestRecordSkipsUnconsumedEvents(t *testing.T) {
 	data, wantEvents, _ := genTrace(t, 4, 3)
 	tr, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := tr.Cursor()
-	if _, err := c.NextRecord(); err != nil { // batch 0, skip events
-		t.Fatal(err)
-	}
-	if _, err := c.NextRecord(); err != nil { // batch 1
-		t.Fatal(err)
-	}
-	for ei, we := range wantEvents[1] {
-		ev, err := c.Next()
-		if err != nil {
-			t.Fatalf("event %d: %v", ei, err)
+	// Read k events of batch 1, for every k, then check batch 2 whole.
+	for k := 0; k <= len(wantEvents[1]); k++ {
+		c := tr.Cursor()
+		for i := 0; i < 2; i++ { // batch 0 skipped, batch 1 partly read
+			if _, err := c.NextRecord(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if ev.Kind != we.kind || ev.Addr != we.a || ev.Val != we.v {
-			t.Fatalf("event %d after skip: got %+v, want %+v", ei, ev, we)
+		for i := 0; i < k; i++ {
+			if _, err := c.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.NextRecord(); err != nil {
+			t.Fatal(err)
+		}
+		for ei, we := range wantEvents[2] {
+			ev, err := c.Next()
+			if err != nil {
+				t.Fatalf("k=%d event %d: %v", k, ei, err)
+			}
+			if ev.Kind != we.kind || ev.Addr != we.a || ev.Val != we.v {
+				t.Fatalf("k=%d event %d after skip: got %+v, want %+v", k, ei, ev, we)
+			}
 		}
 	}
 }
@@ -263,8 +276,68 @@ func TestHugeLengthField(t *testing.T) {
 	}
 }
 
+// hugeRunTrace is a 33-byte trace whose only batch holds one repload
+// record claiming 2^40 loads.
+func hugeRunTrace() []byte {
+	var buf bytes.Buffer
+	NewWriter(&buf, 1, 1, 64)
+	data := append(buf.Bytes(), recBatch, 0 /*Δtid*/, 1 /*psteps*/, 0 /*thooks*/, 7 /*payload length*/, byte(evRepLoad))
+	data = binary.AppendUvarint(data, 1<<40)
+	return append(data, recEnd, 0)
+}
+
+// TestHugeRunCount pins O(1) run handling: a run-length record that
+// claims 2^40 loads decodes promptly into three entries, with no
+// allocation sized by the count, and NextRecord skips the batch without
+// expanding the run.
+func TestHugeRunCount(t *testing.T) {
+	data := hugeRunTrace()
+	if len(data) != 33 {
+		t.Fatalf("crafted trace is %d bytes, want 33", len(data))
+	}
+	var tr *Trace
+	var err error
+	var alloc uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err = Decode(data)
+		runtime.ReadMemStats(&after)
+		alloc = after.TotalAlloc - before.TotalAlloc
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Decode still running after 5s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc >= 64<<10 {
+		t.Fatalf("Decode allocated %d bytes, want < 64 KiB", alloc)
+	}
+	if s := tr.Stats(); s.Loads != 1<<40 || s.Events != 1<<40 || s.RepRuns != 1 {
+		t.Fatalf("stats: %+v", s)
+	}
+	c := tr.Cursor()
+	if rec, err := c.NextRecord(); err != nil || rec.Kind != RecBatch {
+		t.Fatalf("first record: %+v, %v", rec, err)
+	}
+	if ev, err := c.Next(); err != nil || ev.Kind != EvLoad {
+		t.Fatalf("first event: %+v, %v", ev, err)
+	}
+	if rec, err := c.NextRecord(); err != nil || rec.Kind != RecEnd {
+		t.Fatalf("record after the skipped batch: %+v, %v", rec, err)
+	}
+	if _, err := c.NextRecord(); !errors.Is(err, io.EOF) {
+		t.Fatalf("want EOF after the terminal, got %v", err)
+	}
+}
+
 // TestConcurrentCursors verifies a decoded Trace is safely shared: many
-// cursors walking the same bytes in parallel see identical streams.
+// cursors walking the same Trace in parallel see identical streams.
 // Run under -race this is the trace-layer half of the concurrent-replay
 // guarantee.
 func TestConcurrentCursors(t *testing.T) {
