@@ -103,7 +103,7 @@ experiments:
 # chrome://tracing.
 metrics:
 	go run ./cmd/aldabench -exp fig4 -size tiny -reps 1 -virtual -parallel 4 \
-		-metrics-json metrics.json -trace trace.json
+		-metrics-out metrics.json -trace trace.json
 	go run ./cmd/aldabench -attrib uaf -size tiny -reps 1 -virtual
 
 # End-to-end drill of the aldaserve job server: chaos burst via

@@ -111,6 +111,45 @@ func runBench(emitJSON bool, gate bool, baseline string, benchtime time.Duration
 	os.Exit(0)
 }
 
+// experiments are the -exp choices, in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(harness.Config) error
+}{
+	{"table4", func(c harness.Config) error { _, err := harness.Table4(c); return err }},
+	{"table3", func(c harness.Config) error { _, err := harness.Table3(c); return err }},
+	{"libsan", func(c harness.Config) error { _, err := harness.LibSan(c); return err }},
+	{"fig3", func(c harness.Config) error { _, err := harness.Fig3(c); return err }},
+	{"fig4", func(c harness.Config) error { _, err := harness.Fig4(c); return err }},
+	{"fig5", func(c harness.Config) error { _, err := harness.Fig5(c); return err }},
+	{"ablate", func(c harness.Config) error { _, err := harness.Ablate(c); return err }},
+	{"pgo", func(c harness.Config) error { _, err := harness.PGO(c); return err }},
+	{"adapt", func(c harness.Config) error { _, err := harness.Adapt(c); return err }},
+	{"mem", func(c harness.Config) error { _, err := harness.Mem(c); return err }},
+	{"gran", func(c harness.Config) error { _, err := harness.Granularity(c); return err }},
+	{"replay", func(c harness.Config) error {
+		if c.TraceDir == "" {
+			return nil // -exp all without a trace dir skips the replay grid
+		}
+		_, err := harness.Replay(c)
+		return err
+	}},
+}
+
+// knownExperiment reports whether name is a value -exp accepts: one
+// experiment's exact name, or "all".
+func knownExperiment(name string) bool {
+	if name == "all" {
+		return true
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig3|fig4|fig5|table3|table4|libsan|ablate|pgo|adapt|mem|gran|replay|all")
 	sizeFlag := flag.String("size", "small", "workload size: tiny|small|medium|large")
@@ -135,7 +174,6 @@ func main() {
 	benchBaseline := flag.String("bench-baseline", "BENCH_baseline.json", "baseline file for -benchgate")
 	benchTime := flag.Duration("benchtime", 100*time.Millisecond, "per-bench time budget for -bench-json/-benchgate (0 = single-batch smoke)")
 	benchThreshold := flag.Float64("bench-threshold", perf.GateThreshold, "geomean regression ratio failing -benchgate")
-	metricsJSON := flag.String("metrics-json", "", "write the sweep's observability counters to this JSON file (deterministic under -virtual)")
 	metricsOut := flag.String("metrics-out", "", "write the sweep's observability counters to this file; a .prom extension selects the Prometheus text exposition, anything else JSON (both deterministic under -virtual)")
 	promValidate := flag.String("prom-validate", "", "strictly validate a Prometheus text exposition file and exit (0 = valid)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto / chrome://tracing)")
@@ -150,6 +188,11 @@ func main() {
 	traceOut := flag.String("trace-out", "", "directory for recorded replay traces; missing workload traces are recorded there (enables -exp replay)")
 	traceIn := flag.String("trace-in", "", "directory of previously recorded replay traces; a missing trace is an error (enables -exp replay)")
 	flag.Parse()
+
+	if !knownExperiment(*exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 
 	if *promValidate != "" {
 		n, err := obs.ValidatePromFile(*promValidate)
@@ -251,12 +294,8 @@ func main() {
 		cfg.PGOProfile = p
 	}
 
-	// -metrics-out supersedes -metrics-json (kept as an alias); the file
-	// extension picks the format.
+	// The -metrics-out file extension picks the format.
 	metricsPath := *metricsOut
-	if metricsPath == "" {
-		metricsPath = *metricsJSON
-	}
 	var reg *obs.Registry
 	if metricsPath != "" {
 		reg = obs.NewRegistry()
@@ -296,7 +335,7 @@ func main() {
 			reg.AddVolatile("compiler.cache.evictions", evictions)
 			f, err := os.Create(metricsPath)
 			if err == nil {
-				// Volatile counters (hook ns, cache hits, retries) are
+				// Volatile counters (cell wall ns, cache hits, retries) are
 				// host-dependent; keep the -virtual export golden-pinnable.
 				if strings.HasSuffix(metricsPath, ".prom") {
 					err = reg.WriteProm(f, !*virtual)
@@ -346,38 +385,14 @@ func main() {
 		return
 	}
 
-	run := func(name string, fn func(harness.Config) error) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		if err := fn(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		if err := e.run(cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-	}
-
-	run("table4", func(c harness.Config) error { _, err := harness.Table4(c); return err })
-	run("table3", func(c harness.Config) error { _, err := harness.Table3(c); return err })
-	run("libsan", func(c harness.Config) error { _, err := harness.LibSan(c); return err })
-	run("fig3", func(c harness.Config) error { _, err := harness.Fig3(c); return err })
-	run("fig4", func(c harness.Config) error { _, err := harness.Fig4(c); return err })
-	run("fig5", func(c harness.Config) error { _, err := harness.Fig5(c); return err })
-	run("ablate", func(c harness.Config) error { _, err := harness.Ablate(c); return err })
-	run("pgo", func(c harness.Config) error { _, err := harness.PGO(c); return err })
-	run("adapt", func(c harness.Config) error { _, err := harness.Adapt(c); return err })
-	run("mem", func(c harness.Config) error { _, err := harness.Mem(c); return err })
-	run("gran", func(c harness.Config) error { _, err := harness.Granularity(c); return err })
-	run("replay", func(c harness.Config) error {
-		if c.TraceDir == "" {
-			return nil // -exp all without a trace dir skips the replay grid
-		}
-		_, err := harness.Replay(c)
-		return err
-	})
-
-	if !strings.Contains("fig3 fig4 fig5 table3 table4 libsan ablate pgo adapt mem gran replay all", *exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
 	}
 	finishObs()
 }

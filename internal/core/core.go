@@ -40,13 +40,11 @@ type RunOptions struct {
 
 	// Metrics, when non-nil, receives the run's observability counters
 	// after a successful run (VM op/hook/scheduler counts, container
-	// traffic, profile counts). Failed runs report nothing: their
-	// partial counters would differ between a run that trapped and one
-	// that was retried, breaking determinism of merged metrics.
+	// traffic, profile counts). They are counts the run keeps anyway,
+	// so collecting them reads no clock. Failed runs report nothing:
+	// their partial counters would differ between a run that trapped
+	// and one that was retried, breaking determinism of merged metrics.
 	Metrics *obs.Shard
-	// TimeHooks additionally records per-handler cumulative nanoseconds
-	// (volatile counters; leave off for deterministic -virtual runs).
-	TimeHooks bool
 	// Trace, when non-nil, receives VM quantum/fault trace events,
 	// tagged with TraceTID.
 	Trace    *obs.Trace
@@ -83,7 +81,6 @@ func (o RunOptions) vmConfig(track bool) vm.Config {
 		MaxHeapBytes: o.MaxHeapBytes,
 		Deadline:     o.Deadline,
 		Faults:       o.Faults,
-		TimeHooks:    o.TimeHooks,
 		Trace:        o.Trace,
 		TraceTID:     o.TraceTID,
 		TraceSink:    o.TraceSink,
@@ -108,8 +105,8 @@ func addNZ(s *obs.Shard, key string, v uint64) {
 
 // observe flattens a finished machine's counters (and, when available,
 // the runtime's container traffic and member-access profile) into the
-// options' metrics shard. Keys under vm.*, meta.* and profile.* are
-// deterministic for -virtual runs; vm.hook.*.ns is volatile.
+// options' metrics shard. Every key is deterministic for a given
+// program, seed and fault plan.
 func observe(o RunOptions, m *vm.Machine, names []string, rt *compiler.Runtime) {
 	s := o.Metrics
 	if s == nil {
@@ -131,11 +128,6 @@ func observe(o RunOptions, m *vm.Machine, names []string, rt *compiler.Runtime) 
 	for id, n := range mm.HookCalls {
 		if n != 0 {
 			s.Add("vm.hook."+hookName(names, id)+".calls", n)
-		}
-	}
-	for id, ns := range mm.HookNS {
-		if ns != 0 {
-			s.AddVolatile("vm.hook."+hookName(names, id)+".ns", ns)
 		}
 	}
 	if rt == nil {
@@ -320,9 +312,6 @@ func CollectProfile(a *compiler.Analysis, train *mir.Program, opt RunOptions) (*
 	if opt.Metrics != nil {
 		for k, v := range sh.Counts {
 			opt.Metrics.Add(k, v)
-		}
-		for k, v := range sh.Volatile {
-			opt.Metrics.AddVolatile(k, v)
 		}
 	}
 	return compiler.ProfileFromCounts(sh.Counts), nil

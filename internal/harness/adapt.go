@@ -38,6 +38,12 @@ var AdaptPrograms = []string{"libquantum", "bzip2", "mcf", "hmmer", "fft", "sort
 // allocation-size sidecar coalesce statically and split under profile.
 const adaptAnalysis = "msan"
 
+// adaptMaxSteps bounds each training run the swap recomputes from, in
+// VM steps: the quantum must stay a bounded fraction of the sweep
+// regardless of workload size. The checkpoint fingerprint names it, so
+// changing it invalidates adaptive checkpoints.
+const adaptMaxSteps = 1 << 20
+
 // adaptState resolves the adapted analysis exactly once per sweep;
 // concurrent cell workers share the resolution through the Once, and
 // the compile itself lands in the process-wide compile cache under the
@@ -51,7 +57,7 @@ type adaptState struct {
 
 // resolve trains (or adopts cfg.PGOProfile), adapts, and compiles the
 // swapped-in analysis. Training reruns the quantum programs at tiny
-// size under the AdaptMaxSteps budget — cheap, bounded, and a pure
+// size under the adaptMaxSteps budget — cheap, bounded, and a pure
 // function of the configuration, so a resumed or reordered sweep
 // resolves to the identical analysis.
 func (st *adaptState) resolve(c Config, static *compiler.Analysis, train []string) (*compiler.Analysis, compiler.AdaptResult, error) {
@@ -67,8 +73,8 @@ func (st *adaptState) resolve(c Config, static *compiler.Analysis, train []strin
 				}
 				opt := c.Opt
 				opt.Metrics = nil
-				if opt.MaxSteps == 0 || opt.MaxSteps > c.AdaptMaxSteps {
-					opt.MaxSteps = c.AdaptMaxSteps
+				if opt.MaxSteps == 0 || opt.MaxSteps > adaptMaxSteps {
+					opt.MaxSteps = adaptMaxSteps
 				}
 				tp, err := core.CollectProfile(static, p, opt)
 				if err != nil {

@@ -189,3 +189,15 @@ func TestAdaptiveStaleProfileDegrades(t *testing.T) {
 		t.Errorf("PGO degraded sweep differs from empty-profile run\n--- degraded ---\n%s--- empty ---\n%s", gotPGO, wantPGO)
 	}
 }
+
+// TestAdaptFingerprintPinned pins the adaptive checkpoint fingerprint
+// byte for byte, training budget included, so checkpoints written by
+// earlier builds still resume.
+func TestAdaptFingerprintPinned(t *testing.T) {
+	cfg := Config{Size: workloads.SizeTiny, Reps: 1, Virtual: true, Adapt: true}.withDefaults()
+	cfg.Opt.Seed = 1
+	want := "size=tiny reps=1 seed=1 virtual=true metrics=false engine=interp adapt=1/1048576"
+	if got := cfg.fingerprint(); got != want {
+		t.Errorf("fingerprint = %q, want %q", got, want)
+	}
+}

@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -15,11 +17,13 @@ import (
 // per workload (Figure 4's view), split each cell's instrumented-minus
 // -baseline time into where it went — hook dispatch by event category,
 // and residual dispatch/bookkeeping — plus the container traffic the
-// hooks generated. Under -virtual the split is exact: virtual time is
-// steps + 16·hookCalls by construction, so the hook portion is 16·calls
-// and the residual is precisely the extra instructions instrumentation
-// inserted. Under wall clock the hook portion comes from per-handler
-// timing (Config.Opt.TimeHooks) and is clamped to the measured delta.
+// hooks generated. The split is built from counters every run keeps,
+// so nothing inside a run reads the clock: the residual charges the
+// instructions instrumentation inserted at the plain run's cost per
+// instruction, and the hooks get the rest of the delta. Under -virtual
+// a plain instruction costs one unit (vm.Result.Virtual), so the
+// residual is exactly the inserted instructions and the hooks exactly
+// their fixed per-dispatch charge.
 
 // attribCategories are the fixed hook-cost columns; hooks categorized
 // "life" or "mixed" (and anything unknown) fold into "other".
@@ -81,9 +85,7 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 	}
 
 	n := len(programs) * 2 // (base, inst) per program
-	walls := make([]time.Duration, n)
-	runs := make([]int, n)
-	shards := make([]*obs.Shard, n)
+	cells := make([]attribCell, n)
 	cellErrs := make([]error, n)
 	err = cfg.forEachCell(n, func(i int) (err error) {
 		program := programs[i/2]
@@ -105,7 +107,6 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 		cc := cfg
 		sh := obs.NewShard()
 		cc.Opt.Metrics = sh
-		cc.Opt.TimeHooks = !cfg.Virtual
 		if cfg.Trace != nil {
 			cc.Opt.Trace = cfg.Trace
 			cc.Opt.TraceTID = int64(i)
@@ -127,7 +128,7 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 		if err != nil {
 			return err
 		}
-		walls[i], runs[i], shards[i] = w, nruns, sh
+		cells[i] = attribCell{wall: w, shard: sh, runs: uint64(nruns)}
 		cfg.noteCell(sh, nil, w, 0, nil)
 		return nil
 	})
@@ -153,80 +154,76 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 			t.Rows = append(t.Rows, AttribRow{Program: program, Err: errKindLabel(e)})
 			continue
 		}
-		row := attribRow(program, walls[bi], walls[ii], shards[ii], catOf, cfg.Virtual, uint64(runs[ii]))
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, attribRow(program, cells[bi], cells[ii], catOf))
 	}
 	t.Render(cfg.Out)
 	return t, nil
 }
 
-// attribRow splits one program's measured delta using the instrumented
-// cell's counters.
-func attribRow(program string, base, inst time.Duration, sh *obs.Shard, catOf map[string]string, virtual bool, runs uint64) AttribRow {
-	row := AttribRow{Program: program, Base: base, Inst: inst}
-	if base > 0 {
-		row.Overhead = float64(inst) / float64(base)
+// attribCell is one measured cell of an attribution: its measured time
+// (the minimum over timed runs, or virtual time), the counters its runs
+// accumulated, and how many runs that took, warm-up included.
+type attribCell struct {
+	wall  time.Duration
+	shard *obs.Shard
+	runs  uint64
+}
+
+// steps is the instructions one run of the cell retires. The VM is
+// deterministic, so every run retires the same count.
+func (c attribCell) steps() uint64 {
+	return c.shard.Counts["vm.steps"] / c.runs
+}
+
+// mulDiv returns a·b÷c rounded down, exact in 128-bit arithmetic and
+// saturating at the uint64 maximum. c must be non-zero.
+func mulDiv(a, b, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi >= c {
+		return math.MaxUint64
+	}
+	q, _ := bits.Div64(hi, lo, c)
+	return q
+}
+
+// attribRow splits one program's measured delta. The dispatch residual
+// is the instructions instrumentation inserted, each charged the plain
+// run's time per instruction; the hooks take the rest of the delta, and
+// their category shares are weighted by dispatch counts.
+func attribRow(program string, plain, inst attribCell, catOf map[string]string) AttribRow {
+	row := AttribRow{Program: program, Base: plain.wall, Inst: inst.wall}
+	if plain.wall > 0 {
+		row.Overhead = float64(inst.wall) / float64(plain.wall)
 	}
 
-	var callsByCat, nsByCat [len(attribCategories)]uint64
-	var totalCalls, totalNS uint64
-	for k, v := range sh.Counts {
+	var callsByCat [len(attribCategories)]uint64
+	var totalCalls uint64
+	for k, v := range inst.shard.Counts {
 		rest, ok := strings.CutPrefix(k, "vm.hook.")
 		if !ok {
 			continue
 		}
 		if name, ok := strings.CutSuffix(rest, ".calls"); ok {
-			ci := attribCatIndex(catOf[name])
-			callsByCat[ci] += v
+			callsByCat[attribCatIndex(catOf[name])] += v
 			totalCalls += v
 		}
 	}
-	for k, v := range sh.Volatile {
-		rest, ok := strings.CutPrefix(k, "vm.hook.")
-		if !ok {
-			continue
-		}
-		if name, ok := strings.CutSuffix(rest, ".ns"); ok {
-			ci := attribCatIndex(catOf[name])
-			nsByCat[ci] += v
-			totalNS += v
-		}
-	}
-
-	delta := inst - base
-	if delta < 0 {
-		delta = 0
-	}
-	switch {
-	case virtual:
-		// Exact: virtualWall charges 16 units per dispatched hook.
-		row.Hook = time.Duration(16 * totalCalls)
-		if totalCalls > 0 {
-			for i := range row.Shares {
-				row.Shares[i] = 100 * float64(callsByCat[i]) / float64(totalCalls)
-			}
-		}
-	case totalNS > 0:
-		row.Hook = time.Duration(totalNS / runs)
-		for i := range row.Shares {
-			row.Shares[i] = 100 * float64(nsByCat[i]) / float64(totalNS)
-		}
-	case totalCalls > 0:
-		// Hook timing unavailable: attribute the whole delta to hooks,
-		// split by call counts.
-		row.Hook = delta
+	if totalCalls > 0 {
 		for i := range row.Shares {
 			row.Shares[i] = 100 * float64(callsByCat[i]) / float64(totalCalls)
 		}
 	}
-	if row.Hook > delta {
-		row.Hook = delta // wall-clock noise can make timed hooks exceed the delta
-	}
-	row.Dispatch = delta - row.Hook
 
-	instSteps := sh.Counts["vm.steps"] / runs
+	delta := max(inst.wall-plain.wall, 0)
+	plainSteps, instSteps := plain.steps(), inst.steps()
+	if plainSteps > 0 && instSteps > plainSteps {
+		residual := mulDiv(instSteps-plainSteps, uint64(plain.wall), plainSteps)
+		row.Dispatch = time.Duration(min(residual, uint64(delta)))
+	}
+	row.Hook = delta - row.Dispatch
+
 	var gets, sets uint64
-	for k, v := range sh.Counts {
+	for k, v := range inst.shard.Counts {
 		rest, ok := strings.CutPrefix(k, "meta.")
 		if !ok {
 			continue
@@ -239,8 +236,8 @@ func attribRow(program string, base, inst time.Duration, sh *obs.Shard, catOf ma
 		}
 	}
 	if instSteps > 0 {
-		row.GetPerKStep = 1000 * float64(gets/runs) / float64(instSteps)
-		row.SetPerKStep = 1000 * float64(sets/runs) / float64(instSteps)
+		row.GetPerKStep = 1000 * float64(gets/inst.runs) / float64(instSteps)
+		row.SetPerKStep = 1000 * float64(sets/inst.runs) / float64(instSteps)
 	}
 	return row
 }

@@ -54,7 +54,7 @@ func (c Config) fingerprint() string {
 		// itself; a checkpoint from a different adaptation must not
 		// resume into this sweep. Gated on Adapt so every existing
 		// non-adaptive checkpoint stays valid.
-		fp += fmt.Sprintf(" adapt=%d/%d", c.AdaptAfter, c.AdaptMaxSteps)
+		fp += fmt.Sprintf(" adapt=%d/%d", c.AdaptAfter, adaptMaxSteps)
 		if c.PGOProfile != nil {
 			fp += fmt.Sprintf(" aprof=%016x", c.PGOProfile.Hash())
 		}

@@ -410,9 +410,6 @@ func Ablate(cfg Config) (*Table, error) {
 	})
 }
 
-// ensure vm import is used in signatures above
-var _ = vm.FormatReports
-
 // MemRow is one memory-footprint measurement (bytes of analysis
 // metadata after a run).
 type MemRow struct {

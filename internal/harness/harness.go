@@ -97,8 +97,9 @@ type Config struct {
 	// Metrics, when non-nil, collects per-cell observability counters
 	// into this registry: each cell runs with a private obs.Shard that
 	// merges in on completion, so serial, parallel and resumed sweeps
-	// accumulate identical deterministic counters. Wall-clock sweeps
-	// additionally record per-hook nanoseconds (volatile counters).
+	// accumulate identical deterministic counters. Collecting them
+	// reads no clock inside a run, so it leaves measured times as they
+	// are.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives Chrome trace_event spans: one per
 	// harness cell plus the VM quanta and fault instants inside it,
@@ -120,10 +121,6 @@ type Config struct {
 	Adapt bool
 	// AdaptAfter is the profiling-quantum length in programs (default 1).
 	AdaptAfter int
-	// AdaptMaxSteps bounds each training run the swap recomputes from
-	// (default 1<<20 VM steps) — the quantum must stay a bounded
-	// fraction of the sweep regardless of workload size.
-	AdaptMaxSteps uint64
 	// TraceDir is the directory of recorded plain-run traces
 	// (<workload>.trc) the replay experiment measures against. The
 	// checkpoint fingerprint hashes the trace contents, so -resume
@@ -160,25 +157,7 @@ func (c Config) withDefaults() Config {
 	if c.AdaptAfter <= 0 {
 		c.AdaptAfter = 1
 	}
-	if c.AdaptMaxSteps == 0 {
-		c.AdaptMaxSteps = 1 << 20
-	}
 	return c
-}
-
-// virtualWall converts a deterministic run summary into virtual time:
-// one unit per retired instruction plus a fixed charge per dispatched
-// analysis event (handler bodies run in Go, outside the step count).
-func virtualWall(res *vm.Result) time.Duration {
-	return time.Duration(res.Steps + 16*res.HookCalls)
-}
-
-// wallOf returns the duration measure() minimizes for one run.
-func (c Config) wallOf(res *vm.Result) time.Duration {
-	if c.Virtual {
-		return virtualWall(res)
-	}
-	return res.Wall
 }
 
 // geomean returns the geometric mean of xs (0 for empty).
@@ -196,7 +175,7 @@ func geomean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// minTimedVirtual is the least virtual time (see virtualWall) the timed
+// minTimedVirtual is the least virtual time (vm.Result.Virtual) the timed
 // runs of one wall-clock cell cover together. A tiny workload's run
 // lasts about a millisecond, so a single preemption by another process
 // can multiply it; a cell whose Reps runs would cover less than this
@@ -212,7 +191,7 @@ const maxTimedRuns = 20
 // count depends only on the deterministic warm-up, so the counters a
 // cell accumulates are the same on every sweep.
 func (c Config) timedRuns(warm *vm.Result) int {
-	v := virtualWall(warm)
+	v := time.Duration(warm.Virtual())
 	if v <= 0 {
 		return c.Reps
 	}
@@ -235,7 +214,7 @@ func (c Config) measure(fn func() (*vm.Result, error)) (time.Duration, *vm.Resul
 	if c.Virtual {
 		// Virtual time is a pure function of the deterministic run, so
 		// repetitions and warm-up would measure the same number again.
-		return virtualWall(res), res, 1, nil
+		return time.Duration(res.Virtual()), res, 1, nil
 	}
 	n := c.timedRuns(res)
 	best := time.Duration(0)

@@ -284,9 +284,6 @@ func (c Config) runGrid(g gridSpec) (*Table, error) {
 		if c.Metrics != nil {
 			shard = obs.NewShard()
 			cc.Opt.Metrics = shard
-			// Hook timing reads the clock per dispatch — useful for wall
-			// attribution, poison for deterministic virtual counters.
-			cc.Opt.TimeHooks = !c.Virtual
 		}
 		if c.Trace != nil {
 			cc.Opt.Trace = c.Trace

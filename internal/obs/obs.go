@@ -9,10 +9,10 @@
 //     fields (no branches, no atomics, no allocation — a Machine and a
 //     Container are single-goroutine by construction). Those fields are
 //     flattened into a Shard once, after the run.
-//   - Anything that reads the wall clock or writes bytes (per-hook
-//     timing, trace spans) hides behind a nil-guarded pointer or flag,
-//     so the disabled path stays allocation-free — the
-//     testing.AllocsPerRun proofs in internal/perf pin this.
+//   - Anything that writes bytes (trace spans) hides behind a
+//     nil-guarded pointer, so the disabled path stays allocation-free —
+//     the testing.AllocsPerRun proofs in internal/perf pin this. The
+//     dispatch loop never reads the wall clock around a handler.
 //
 // Counters are split into a deterministic section and a volatile one.
 // Deterministic counters are pure functions of (program, analysis,

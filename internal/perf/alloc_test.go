@@ -121,18 +121,16 @@ func TestQuantumAllocFree(t *testing.T) {
 }
 
 // TestQuantumAllocObservabilityEnabled bounds the other side of the
-// bargain: with the volatile collectors on — per-hook wall timing and a
-// live Chrome-trace sink — a quantum may allocate, but only O(1): the
-// span's kv slice and number formatting, independent of how many
-// instructions or hook dispatches the quantum retires. The trace line
-// itself is built in a reused buffer under the Trace lock.
+// bargain: with a live Chrome-trace sink a quantum may allocate, but
+// only O(1): the span's kv slice and number formatting, independent of
+// how many instructions or hook dispatches the quantum retires. The
+// trace line itself is built in a reused buffer under the Trace lock.
 func TestQuantumAllocObservabilityEnabled(t *testing.T) {
 	for _, eng := range []vm.Engine{vm.EngineInterp, vm.EngineThreaded} {
 		t.Run(eng.String(), func(t *testing.T) {
 			trace := obs.NewTrace(io.Discard)
 			defer trace.Close()
 			m := startUAFMachine(t, func(c *vm.Config) {
-				c.TimeHooks = true
 				c.Trace = trace
 				c.Engine = eng
 			})

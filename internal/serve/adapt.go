@@ -241,12 +241,7 @@ func (s *Server) scrapeAdapt() {
 	}
 	s.adaptMu.Unlock()
 	s.reg.ClearGauges("serve.profile.window.")
-	for k, v := range totals {
-		// k is "profile.member.<name>"; keep only the member name.
-		name := k
-		if len(name) > len(compiler.ProfileMetricPrefix) && name[:len(compiler.ProfileMetricPrefix)] == compiler.ProfileMetricPrefix {
-			name = name[len(compiler.ProfileMetricPrefix):]
-		}
+	for name, v := range totals {
 		s.reg.SetGauge("serve.profile.window."+name, int64(v))
 	}
 }

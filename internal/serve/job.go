@@ -87,9 +87,9 @@ type JobError struct {
 
 // JobResult is a successful run's deterministic summary. Wall-clock is
 // deliberately absent: results must be byte-identical across reruns and
-// crash recovery, so timing is virtual (steps + 16·hook dispatches,
-// the harness's -virtual formula) and volatile timings live in
-// /metrics instead.
+// crash recovery, so timing is virtual (vm.Result.Virtual, the
+// harness's -virtual time) and volatile timings live in /metrics
+// instead.
 type JobResult struct {
 	Exit      uint64   `json:"exit"`
 	Steps     uint64   `json:"steps"`

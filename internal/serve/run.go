@@ -151,13 +151,13 @@ func ExecuteObserved(req *JobRequest, lim Limits, shard *obs.Shard, opts *compil
 		return nil, jobError(err)
 	}
 	if onStage != nil {
-		onStage("executed", vres.Steps+16*vres.HookCalls)
+		onStage("executed", vres.Virtual())
 	}
 	out := &JobResult{
 		Exit:      vres.Exit,
 		Steps:     vres.Steps,
 		HookCalls: vres.HookCalls,
-		Virtual:   vres.Steps + 16*vres.HookCalls,
+		Virtual:   vres.Virtual(),
 	}
 	if canon := conformance.Canon(vres.Reports); canon != "" {
 		out.Reports = strings.Split(canon, "\n")

@@ -159,9 +159,6 @@ func (m *Machine) Start() error {
 	m.dlTick = 0
 	m.lastRun = -1
 	m.hookPer = make([]uint64, len(m.Handlers))
-	if m.cfg.TimeHooks {
-		m.hookNS = make([]uint64, len(m.Handlers))
-	}
 	if m.cfg.Engine == EngineThreaded {
 		// Handlers must be installed before Start: hook closures bind
 		// their handler function here, once, instead of per dispatch.
@@ -683,14 +680,7 @@ frameLoop:
 					m.cfg.Trace.Instant("vm", "fault.handler_panic", m.cfg.TraceTID)
 					panic(fmt.Sprintf("injected fault: handler panic at hook dispatch #%d (%s)", f, h.Name))
 				}
-				var r uint64
-				if m.hookNS != nil {
-					t0 := time.Now()
-					r = m.Handlers[h.HandlerID](m, tid, args)
-					m.hookNS[h.HandlerID] += uint64(time.Since(t0))
-				} else {
-					r = m.Handlers[h.HandlerID](m, tid, args)
-				}
+				r := m.Handlers[h.HandlerID](m, tid, args)
 				if h.MetaDst != mir.NoReg && track {
 					shadow[h.MetaDst] = r
 				}

@@ -20,7 +20,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Config controls a Machine.
+// Config controls a Machine. No setting makes the interpret loop read
+// the clock around an instruction or a handler: a run's wall time is
+// taken once around the loop (Result.Wall), Deadline samples the clock
+// once every 128 slices, and Trace times each slice.
 type Config struct {
 	// Engine selects the execution tier. The zero value is the
 	// switch-dispatch interpreter; EngineThreaded builds closure-threaded
@@ -60,11 +63,6 @@ type Config struct {
 	Faults FaultSpec
 	// Stdout receives modeled print output; nil discards it.
 	Stdout io.Writer
-	// TimeHooks accumulates per-handler cumulative wall-clock ns,
-	// surfaced by Metrics. Off (the default), the dispatch loop never
-	// reads the clock around handlers; virtual-timing runs leave it off
-	// so their metrics stay deterministic.
-	TimeHooks bool
 	// Trace, when non-nil, receives Chrome trace_event spans for
 	// scheduler quanta and instant events for injected faults. Nil
 	// emits nothing and costs one pointer test per quantum.
@@ -150,6 +148,14 @@ type Result struct {
 	Threads   int           // total threads ever spawned
 }
 
+// Virtual is the run's deterministic virtual time: one unit per retired
+// instruction plus a fixed charge of 16 per dispatched analysis event
+// (handler bodies run in Go, outside the step count). The harness's
+// -virtual timing and the job server's results both report it.
+func (r *Result) Virtual() uint64 {
+	return r.Steps + 16*r.HookCalls
+}
+
 type lockState struct {
 	held  bool
 	owner int
@@ -180,11 +186,9 @@ type Machine struct {
 	// paths the loop already executes, so the disabled-observability
 	// path stays branch- and allocation-free (internal/perf pins this
 	// with AllocsPerRun), and the counts are deterministic for a given
-	// program and seed. Only hookNS — the one clock-reading collector —
-	// is gated, behind Config.TimeHooks.
+	// program and seed. None of them reads the clock.
 	opCounts    [mir.NumOps]uint64
 	hookPer     []uint64 // per-HandlerID dispatch counts, sized at Start
-	hookNS      []uint64 // per-HandlerID cumulative handler ns (TimeHooks)
 	ctxSwitches uint64   // quantum grants that changed the running thread
 	quanta      uint64   // scheduler slices executed
 	faultsFired uint64   // injected fault-plan firings
@@ -426,19 +430,17 @@ func (m *Machine) ExtState(key string, init func() any) any {
 type MachineMetrics struct {
 	Ops         []uint64 // per-opcode retired counts, indexed by mir.Op
 	HookCalls   []uint64 // per-HandlerID dispatch counts
-	HookNS      []uint64 // per-HandlerID cumulative handler wall ns (nil unless Config.TimeHooks)
 	CtxSwitches uint64   // quantum grants that changed the running thread
 	Quanta      uint64   // scheduler slices executed
 	FaultsFired uint64   // injected fault-plan firings
 }
 
-// Metrics returns the run's observability counters. Everything except
-// HookNS is deterministic for a given program, seed and fault plan.
+// Metrics returns the run's observability counters, all deterministic
+// for a given program, seed and fault plan.
 func (m *Machine) Metrics() MachineMetrics {
 	return MachineMetrics{
 		Ops:         m.opCounts[:],
 		HookCalls:   m.hookPer,
-		HookNS:      m.hookNS,
 		CtxSwitches: m.ctxSwitches,
 		Quanta:      m.quanta,
 		FaultsFired: m.faultsFired,

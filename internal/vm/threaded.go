@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"time"
 	"unsafe"
 
 	"repro/internal/mir"
@@ -1145,14 +1144,7 @@ func (m *Machine) buildOp(ins *linkedInstr, track bool) topFn {
 				m.cfg.Trace.Instant("vm", "fault.handler_panic", m.cfg.TraceTID)
 				panic(fmt.Sprintf("injected fault: handler panic at hook dispatch #%d (%s)", f, name))
 			}
-			var r uint64
-			if m.hookNS != nil {
-				t0 := time.Now()
-				r = hfn(m, uint64(t.id), args)
-				m.hookNS[handlerID] += uint64(time.Since(t0))
-			} else {
-				r = hfn(m, uint64(t.id), args)
-			}
+			r := hfn(m, uint64(t.id), args)
 			if metaDst != mir.NoReg && track {
 				x.shadow[metaDst] = r
 			}
