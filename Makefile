@@ -61,12 +61,16 @@ replay-conform:
 adapt-conform:
 	go test ./internal/conformance -run 'TestAdaptConform|TestShrinkAdaptiveDivergence' -count=1 -conform-seeds 200
 
-# Short fuzz passes over the parser, the set containers, the
-# conformance harness, the trace decoder and the profile reader (all
-# five seed from checked-in testdata/fuzz corpora).
+# Short fuzz passes over the parser, the set containers, the map
+# containers, the conformance harness, the trace decoder and the
+# profile reader (FuzzContainers seeds from its test's shapes, the
+# rest from checked-in testdata/fuzz corpora). A FuzzContainers run
+# takes milliseconds, so minimizing each new input to the default 60 s
+# would fill the pass; 100 runs per input are enough.
 fuzz:
 	go test ./internal/lang/parser -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s
 	go test ./internal/meta -run=FuzzSetContainers -fuzz=FuzzSetContainers -fuzztime=30s
+	go test ./internal/meta -run=FuzzContainers -fuzz=FuzzContainers -fuzztime=30s -fuzzminimizetime=100x
 	go test ./internal/conformance -run=FuzzConformance -fuzz=FuzzConformance -fuzztime=30s
 	go test ./internal/trace -run=FuzzTraceDecoder -fuzz=FuzzTraceDecoder -fuzztime=30s
 	go test ./internal/compiler -run=FuzzReadProfile -fuzz=FuzzReadProfile -fuzztime=30s

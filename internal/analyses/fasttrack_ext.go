@@ -17,15 +17,12 @@ import (
 const ftMaxThreads = 256
 
 type ftState struct {
-	vc     map[uint64][]uint64 // thread -> vector clock
-	lockVC map[uint64][]uint64 // lock value -> release clock
+	vc     [ftMaxThreads][]uint64 // thread -> vector clock, nil until first use
+	lockVC map[uint64][]uint64    // lock value -> release clock
 }
 
 func newFTState() *ftState {
-	return &ftState{
-		vc:     make(map[uint64][]uint64),
-		lockVC: make(map[uint64][]uint64),
-	}
+	return &ftState{lockVC: make(map[uint64][]uint64)}
 }
 
 func (s *ftState) threadVC(t uint64) []uint64 {

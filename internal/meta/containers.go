@@ -70,6 +70,17 @@ func templateIsZero(t []uint64) bool {
 	return true
 }
 
+// fillTemplate sets every ew-word entry of dst, whose length is a
+// multiple of ew, to the ew-word tmpl. It writes the first entry and
+// then doubles the filled prefix, so a 4,096-entry page takes 13
+// copies instead of one per entry.
+func fillTemplate(dst []uint64, ew int, tmpl []uint64) {
+	copy(dst, tmpl)
+	for n := ew; n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
+	}
+}
+
 // ---------------------------------------------------------------------------
 // ArrayMap — direct-indexed storage for small bounded key domains
 // ("ALDAcc prefers an array for maps of limited domain size", §5.3).
@@ -97,10 +108,8 @@ func NewArrayMap(domain int64, entryWords int, template []uint64) *ArrayMap {
 		touched:  make([]bool, domain),
 		template: template,
 	}
-	if template != nil && !templateIsZero(template) {
-		for k := int64(0); k < domain; k++ {
-			copy(m.words[int(k)*entryWords:], template)
-		}
+	if !templateIsZero(template) {
+		fillTemplate(m.words, entryWords, template)
 	}
 	return m
 }
@@ -183,15 +192,22 @@ func (m *ArrayMap) Stats() Stats { return m.stats }
 func (m *ArrayMap) Bytes() uint64 { return uint64(len(m.words))*8 + uint64(len(m.touched)) }
 
 // ---------------------------------------------------------------------------
-// ShadowMap — offset-based shadow memory (§5.3). Chunked flat arrays with
-// pure array indexing on the fast path: chunk pointer + offset, no
-// hashing and no presence probes beyond a nil chunk check. Memory is
-// proportional to the touched address range.
+// ShadowMap — offset-based shadow memory (§5.3). A flat directory of
+// 4,096-entry chunks with pure array indexing on the fast path: chunk
+// pointer + offset, no hashing and no presence probes beyond a nil
+// chunk check. Chunks materialize on first touch, the page-at-a-time
+// laziness LLVM MSan's offset shadow gets from the OS, so memory tracks
+// the pages a program touches: a thread stack that uses a few KiB at
+// the top of its 512 KiB region costs one chunk. Chunks are as large as
+// PageTableMap's pages; the two differ only in the directory, flat here
+// and hashed there.
 
 const (
-	shadowChunkBits = 16 // 65536 entries per chunk
+	shadowChunkBits = 12 // 4096 entries per chunk
 	shadowChunkSize = 1 << shadowChunkBits
 	shadowChunkMask = shadowChunkSize - 1
+
+	sliceHeaderBytes = 24 // pointer, length and capacity of a directory slot
 )
 
 // ShadowMap maps a bounded granule-index space to entries.
@@ -239,9 +255,7 @@ func (m *ShadowMap) chunk(ci uint64) []uint64 {
 	if c == nil {
 		c = make([]uint64, shadowChunkSize*m.ew)
 		if !m.zeroTmpl {
-			for i := 0; i < shadowChunkSize; i++ {
-				copy(c[i*m.ew:], m.template)
-			}
+			fillTemplate(c, m.ew, m.template)
 		}
 		m.chunks[ci] = c
 	}
@@ -395,7 +409,8 @@ func (m *ShadowMap) Lookups() uint64 { return m.stats.lookups() }
 // Stats returns the operation counters.
 func (m *ShadowMap) Stats() Stats { return m.stats }
 
-// Bytes returns the size of materialized chunks.
+// Bytes returns the size of materialized chunks plus the directory,
+// one slice header per chunk slot.
 func (m *ShadowMap) Bytes() uint64 {
 	var n uint64
 	for _, c := range m.chunks {
@@ -403,7 +418,7 @@ func (m *ShadowMap) Bytes() uint64 {
 			n += uint64(len(c)) * 8
 		}
 	}
-	return n
+	return n + uint64(len(m.chunks))*sliceHeaderBytes
 }
 
 // ---------------------------------------------------------------------------
@@ -455,9 +470,7 @@ func (m *PageTableMap) page(pi uint64) []uint64 {
 	if !ok {
 		p = make([]uint64, pageSize*m.ew)
 		if !m.zeroTmpl {
-			for i := 0; i < pageSize; i++ {
-				copy(p[i*m.ew:], m.template)
-			}
+			fillTemplate(p, m.ew, m.template)
 		}
 		m.dir[pi] = p
 	}

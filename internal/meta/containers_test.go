@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -106,63 +107,221 @@ func containersUnderTest(ew int, tmpl []uint64, maxKey uint64) map[string]Contai
 	}
 }
 
+// containerShape is one container configuration the reference model is
+// checked against: entry width, template and key range [0, maxKey).
+type containerShape struct {
+	name   string
+	ew     int
+	tmpl   []uint64
+	maxKey uint64
+}
+
+// referenceShapes are TestContainersAgainstReference's configurations
+// and FuzzContainers' seeds. The -chunks shapes span six 4,096-entry
+// shadow chunks and page-table pages with non-zero templates, so long
+// Fill/RangeOr runs cross chunk boundaries and chunks never materialized.
+var referenceShapes = []containerShape{
+	{"1word-zero", 1, nil, 1 << 14},
+	{"2word-universe", 2, []uint64{^uint64(0), 0x00FF}, 1 << 14},
+	{"3word-zero", 3, []uint64{0, 0, 0}, 1 << 14},
+	{"2word-universe-chunks", 2, []uint64{^uint64(0), 0x00FF}, 6 << 12},
+	{"3word-mixed-chunks", 3, []uint64{0x0F, 0, 1 << 63}, 6 << 12},
+}
+
+// containerOp is one step of a container/reference-model run.
+type containerOp struct {
+	kind       byte // 0 Entry write, 1 Entry read, 2 Fill, 3 RangeOr, 4 Remove
+	key, n     uint64
+	off, width uint
+	v          uint64
+}
+
+const opBytes = 6
+
+// decodeOps reads one op from every opBytes bytes of stream. One range
+// op in sixteen is a long run of up to three 4,096-entry chunks; runs
+// are clipped to the key range.
+func decodeOps(stream []byte, sh containerShape) []containerOp {
+	var ops []containerOp
+	for ; len(stream) >= opBytes; stream = stream[opBytes:] {
+		b := stream
+		op := containerOp{
+			kind:  b[0] % 5,
+			key:   (uint64(b[1])<<8 | uint64(b[2])) * sh.maxKey >> 16,
+			off:   uint(int(b[4])%sh.ew) * 64,
+			width: 8 << (b[4] >> 4 & 3), // 8, 16, 32, 64
+			v:     uint64(b[5]) * hashMul,
+		}
+		if b[3] < 240 {
+			op.n = 1 + uint64(b[3])%80
+		} else {
+			op.n = 1 + uint64(b[3]-240)*768
+		}
+		if op.key+op.n > sh.maxKey {
+			op.n = sh.maxKey - op.key
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// applyOp runs op on c and on its reference model, failing on any
+// observable divergence.
+func (r *refContainer) applyOp(t *testing.T, name string, c Container, op containerOp) {
+	t.Helper()
+	switch op.kind {
+	case 0:
+		StoreField(c.Entry(op.key), op.off, op.width, op.v)
+		StoreField(r.entry(op.key), op.off, op.width, op.v)
+	case 1:
+		got := LoadField(c.Entry(op.key), op.off, op.width)
+		want := LoadField(r.entry(op.key), op.off, op.width)
+		if got != want {
+			t.Fatalf("%s: entry read at %d: got %#x want %#x", name, op.key, got, want)
+		}
+	case 2:
+		c.Fill(op.key, op.n, op.off, op.width, op.v)
+		r.fill(op.key, op.n, op.off, op.width, op.v)
+	case 3:
+		got := c.RangeOr(op.key, op.n, op.off, op.width)
+		want := r.rangeOr(op.key, op.n, op.off, op.width)
+		if got != want {
+			t.Fatalf("%s: rangeOr(%d,%d) off %d width %d: got %#x want %#x",
+				name, op.key, op.n, op.off, op.width, got, want)
+		}
+	case 4:
+		c.Remove(op.key)
+		if e, ok := r.m[op.key]; ok {
+			copy(e, r.tmpl)
+			for j := len(r.tmpl); j < r.ew; j++ {
+				e[j] = 0
+			}
+		}
+	}
+}
+
+// runContainerOps drives every container built for sh, each beside its
+// own reference model, through ops.
+func runContainerOps(t *testing.T, sh containerShape, ops []containerOp) {
+	t.Helper()
+	for name, c := range containersUnderTest(sh.ew, sh.tmpl, sh.maxKey) {
+		ref := newRef(sh.ew, sh.tmpl)
+		for _, op := range ops {
+			ref.applyOp(t, name, c, op)
+		}
+	}
+}
+
+// chunkGapOps writes the ends of chunks 0 and 2, reads ranges across the
+// never-materialized chunk 1 between them, then fills across it. The
+// writes store 0 into a field the template sets, so a range read that
+// drops chunk 1's template contribution reads 0.
+func chunkGapOps(sh containerShape) []containerOp {
+	const c = shadowChunkSize
+	off := uint(0)
+	for i, w := range sh.tmpl {
+		if w != 0 {
+			off = uint(i) * 64
+			break
+		}
+	}
+	op := func(kind byte, key, n, v uint64) containerOp {
+		return containerOp{kind: kind, key: key, n: n, off: off, width: 64, v: v}
+	}
+	return []containerOp{
+		op(2, c-8, 8, 0),
+		op(2, 2*c, 8, 0),
+		op(3, c-8, 8, 0),
+		op(3, 2*c, 8, 0),
+		op(3, c-8, c+16, 0),
+		op(3, c-1, 2, 0),
+		op(3, 2*c-1, 2, 0),
+		op(2, c-4, c+8, 7),
+		op(3, c-8, c+16, 0),
+		op(1, c-1, 1, 0),
+		op(1, c, 1, 0),
+		op(1, 2*c-1, 1, 0),
+		op(1, 2*c, 1, 0),
+	}
+}
+
 // Property: every container implementation agrees with the reference
 // model under random mixed operations, with both zero and non-zero
-// (universe-style) templates.
+// (universe-style) templates, and across shadow-chunk boundaries.
 func TestContainersAgainstReference(t *testing.T) {
-	const maxKey = 1 << 14
-	for _, tc := range []struct {
-		name string
-		ew   int
-		tmpl []uint64
-	}{
-		{"1word-zero", 1, nil},
-		{"2word-universe", 2, []uint64{^uint64(0), 0x00FF}},
-		{"3word-zero", 3, []uint64{0, 0, 0}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for name, c := range containersUnderTest(tc.ew, tc.tmpl, maxKey) {
-				rng := rand.New(rand.NewSource(42))
-				ref := newRef(tc.ew, tc.tmpl)
-				for i := 0; i < 3000; i++ {
-					key := uint64(rng.Intn(maxKey - 64))
-					off := uint(rng.Intn(tc.ew)) * 64
-					width := uint(8 << rng.Intn(4)) // 8,16,32,64
-					switch rng.Intn(5) {
-					case 0: // point write via Entry
-						v := rng.Uint64()
-						StoreField(c.Entry(key), off, width, v)
-						StoreField(ref.entry(key), off, width, v)
-					case 1: // point read
-						got := LoadField(c.Entry(key), off, width)
-						want := LoadField(ref.entry(key), off, width)
-						if got != want {
-							t.Fatalf("%s: entry read at %d: got %#x want %#x", name, key, got, want)
-						}
-					case 2: // range fill
-						n := uint64(rng.Intn(80) + 1)
-						v := rng.Uint64()
-						c.Fill(key, n, off, width, v)
-						ref.fill(key, n, off, width, v)
-					case 3: // range or
-						n := uint64(rng.Intn(80) + 1)
-						got := c.RangeOr(key, n, off, width)
-						want := ref.rangeOr(key, n, off, width)
-						if got != want {
-							t.Fatalf("%s: rangeOr(%d,%d): got %#x want %#x", name, key, n, got, want)
-						}
-					case 4: // remove
-						c.Remove(key)
-						if e, ok := ref.m[key]; ok {
-							copy(e, ref.tmpl)
-							for j := len(ref.tmpl); j < tc.ew; j++ {
-								e[j] = 0
-							}
-						}
-					}
-				}
+	for _, sh := range referenceShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var ops []containerOp
+			if sh.maxKey >= 3*shadowChunkSize {
+				ops = chunkGapOps(sh)
 			}
+			stream := make([]byte, 3000*opBytes)
+			rand.New(rand.NewSource(42)).Read(stream)
+			runContainerOps(t, sh, append(ops, decodeOps(stream, sh)...))
 		})
+	}
+}
+
+// FuzzContainers drives Entry/Fill/RangeOr/Remove sequences through all
+// four containers and the reference model. The first byte picks the
+// entry width (1–3 words) and a key range of 1–8 4,096-entry chunks,
+// the next 8 bytes per entry word the template, and every further
+// opBytes bytes one op (decodeOps).
+func FuzzContainers(f *testing.F) {
+	for _, sh := range referenceShapes {
+		seed := []byte{byte(sh.ew-1) + 3*byte(sh.maxKey>>12-1)}
+		for i := 0; i < sh.ew; i++ {
+			var w uint64
+			if sh.tmpl != nil {
+				w = sh.tmpl[i]
+			}
+			seed = binary.LittleEndian.AppendUint64(seed, w)
+		}
+		ops := make([]byte, 48*opBytes)
+		rand.New(rand.NewSource(42)).Read(ops)
+		f.Add(append(seed, ops...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sh := containerShape{ew: 1 + int(data[0]%3), maxKey: uint64(data[0]/3%8+1) << 12}
+		data = data[1:]
+		if len(data) < 8*sh.ew {
+			return
+		}
+		sh.tmpl = make([]uint64, sh.ew)
+		for i := range sh.tmpl {
+			sh.tmpl[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		data = data[8*sh.ew:]
+		if len(data) > 64*opBytes {
+			data = data[:64*opBytes]
+		}
+		runContainerOps(t, sh, decodeOps(data, sh))
+	})
+}
+
+// TestShadowMaterializesTouchedChunkOnly pins the shadow's footprint for
+// one store near the top of a thread-stack region (the VM's default
+// 256 MiB address space and 512 KiB stacks, word granularity, ALDA
+// MSan's 2-word entry): one 4,096-entry chunk plus the directory, not
+// the whole 512 KiB region's worth of entries.
+func TestShadowMaterializesTouchedChunkOnly(t *testing.T) {
+	const (
+		addrSpace = 1 << 28
+		stackSize = 1 << 19
+		ew        = 2
+	)
+	m := NewShadowMap(addrSpace>>3, ew, []uint64{^uint64(0), 0})
+	fresh := m.Bytes()
+	m.Fill((addrSpace-stackSize-64)>>3, 1, 0, 64, 0)
+	dir := uint64(addrSpace>>3/4096) * sliceHeaderBytes
+	if got, limit := m.Bytes(), dir+4096*ew*8; got > limit {
+		t.Errorf("one stack store: Bytes() = %d, want at most %d (one chunk plus the directory)", got, limit)
+	}
+	if fresh != dir {
+		t.Errorf("fresh map: Bytes() = %d, want its %d-byte directory", fresh, dir)
 	}
 }
 

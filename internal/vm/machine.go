@@ -229,8 +229,13 @@ type Machine struct {
 	// ext holds per-machine state for analysis external functions,
 	// keyed by analysis name. Compiled analyses are shared (and cached)
 	// across concurrently running Machines, so externals must not keep
-	// run state in closures; they park it here instead.
-	ext map[string]any
+	// run state in closures; they park it here instead. extKey/extVal
+	// cache the last slot ExtState returned: an analysis's externals
+	// run on every event, and all but the first find their own slot
+	// there without hashing the key.
+	ext    map[string]any
+	extKey string
+	extVal any
 
 	inputCursor uint64 // deterministic "stdin" for gets()
 
@@ -413,6 +418,9 @@ func (m *Machine) Backtrace() []string {
 // needed; the slot dies with the machine, so externals never leak state
 // across runs.
 func (m *Machine) ExtState(key string, init func() any) any {
+	if m.ext != nil && key == m.extKey {
+		return m.extVal
+	}
 	if m.ext == nil {
 		m.ext = make(map[string]any)
 	}
@@ -421,6 +429,7 @@ func (m *Machine) ExtState(key string, init func() any) any {
 		s = init()
 		m.ext[key] = s
 	}
+	m.extKey, m.extVal = key, s
 	return s
 }
 

@@ -777,3 +777,45 @@ func TestStraddlingSubWordLoadTraps(t *testing.T) {
 		t.Fatalf("aligned 2-byte store left %#x, want 0xaabb334455667788", res.Exit)
 	}
 }
+
+// TestExtStateCache pins ExtState's contract around its last-slot
+// cache: keys used alternately each keep their own slot, init runs once
+// per key per Machine, the empty key is a key like any other, and a new
+// Machine starts with no slots.
+func TestExtStateCache(t *testing.T) {
+	p := mir.NewProgram()
+	p.NewFunc("main", 0).Ret()
+	newMachine := func() *Machine {
+		m, err := New(p, Config{})
+		if err != nil {
+			t.Fatalf("new: %v", err)
+		}
+		return m
+	}
+	inits := map[string]int{}
+	get := func(m *Machine, key string) *int {
+		return m.ExtState(key, func() any { inits[key]++; return new(int) }).(*int)
+	}
+
+	m := newMachine()
+	a, b := get(m, "a"), get(m, "b")
+	if a == b {
+		t.Fatal("keys a and b share a slot")
+	}
+	for i := 0; i < 3; i++ {
+		if get(m, "a") != a || get(m, "b") != b {
+			t.Fatalf("round %d: alternating keys lost their slots", i)
+		}
+	}
+	if e := get(m, ""); e == a || e == b {
+		t.Fatal("empty key aliases an earlier slot")
+	}
+	if inits["a"] != 1 || inits["b"] != 1 || inits[""] != 1 {
+		t.Fatalf("init calls = %v, want one per key", inits)
+	}
+
+	m2 := newMachine()
+	if get(m2, "b") == b || inits["b"] != 2 {
+		t.Fatal("a new Machine reused the previous Machine's slot")
+	}
+}
