@@ -55,9 +55,9 @@ replay-conform:
 
 # Adaptive-PGO conformance sweep: every generated workload profiled,
 # adapted through AdaptOptions, and the adapted recompile checked
-# byte-identical to the static full configuration on both engines
-# (plus the profiling build itself), with the adapted-divergence
-# shrinker closing the debugging loop.
+# byte-identical to the static full configuration (plus the profiling
+# build itself), with the adapted-divergence shrinker closing the
+# debugging loop.
 adapt-conform:
 	go test ./internal/conformance -run 'TestAdaptConform|TestShrinkAdaptiveDivergence' -count=1 -conform-seeds 200
 

@@ -88,14 +88,6 @@ func runBench(emitJSON bool, gate bool, baseline string, benchtime time.Duration
 		if s, err := perf.SpeedupVsRef(f); err == nil {
 			fmt.Fprintf(os.Stderr, "bench: flat-arena vs map-backed hash Get/Set geomean speedup: %.2fx\n", s)
 		}
-		if per, g, err := perf.EngineSpeedups(f); err == nil {
-			for _, p := range []string{"dispatch/uaf", "dispatch/msan", "dispatch/eraser", "dispatch/uaf/arith"} {
-				if s, ok := per[p]; ok {
-					fmt.Fprintf(os.Stderr, "bench: threaded-tier speedup %-20s %.2fx\n", p, s)
-				}
-			}
-			fmt.Fprintf(os.Stderr, "bench: threaded-tier dispatch geomean speedup: %.2fx\n", g)
-		}
 	}
 	if gate {
 		base, err := perf.ReadFile(baseline)
@@ -155,7 +147,6 @@ func main() {
 	sizeFlag := flag.String("size", "small", "workload size: tiny|small|medium|large")
 	reps := flag.Int("reps", 3, "measured repetitions per configuration (one warm-up run is added; configurations too short to time run more)")
 	seed := flag.Int64("seed", 1, "deterministic scheduler seed")
-	engineFlag := flag.String("engine", "interp", "VM execution tier: interp|threaded (observably identical; threaded pays less per dispatch)")
 	parallel := flag.Int("parallel", 0, "measurement-cell worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	virtual := flag.Bool("virtual", false, "deterministic virtual timing (steps+hooks) instead of wall-clock")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
@@ -239,12 +230,6 @@ func main() {
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
-	eng, err := vm.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
-	}
-	cfg.Engine = eng
 	cfg.Opt.Seed = *seed
 	cfg.Opt.Deadline = *cellTimeout
 	cfg.Opt.MaxHeapBytes = *maxHeap

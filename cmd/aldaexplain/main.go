@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -41,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	compare := fs.Bool("compare", false, "also show the ds-only and naive plans")
 	stats := fs.Bool("stats", false, "run -workload (size tiny) under the analysis and print its observability counters")
 	workload := fs.String("workload", "fft", "workload for -stats")
-	engineFlag := fs.String("engine", "interp", "VM execution tier the plan targets: interp|threaded")
 	traceFile := fs.String("trace", "", "print the event and compression statistics of a recorded replay trace (.trc) and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -53,12 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	eng, err := vm.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "aldaexplain:", err)
-		return 2
-	}
-
 	var src string
 	switch {
 	case *file != "":
@@ -95,9 +87,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		title string
 		opts  compiler.Options
 	}{
-		{"ALDAcc-full", compiler.DefaultOptions().WithEngine(eng)},
-		{"ALDAcc-ds-only (no coalescing, no CSE)", compiler.DSOnlyOptions().WithEngine(eng)},
-		{"naive (hash maps and tree sets everywhere)", compiler.NaiveOptions().WithEngine(eng)},
+		{"ALDAcc-full", compiler.DefaultOptions()},
+		{"ALDAcc-ds-only (no coalescing, no CSE)", compiler.DSOnlyOptions()},
+		{"naive (hash maps and tree sets everywhere)", compiler.NaiveOptions()},
 	}
 	if !*compare {
 		titles = titles[:1]
@@ -109,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *stats {
-		if err := showStats(stdout, src, *workload, eng); err != nil {
+		if err := showStats(stdout, src, *workload); err != nil {
 			fmt.Fprintln(stderr, "aldaexplain:", err)
 			return 1
 		}
@@ -159,8 +151,8 @@ func showTraceStats(stdout io.Writer, path string) error {
 // collection on and prints the counters the obs registry would hold:
 // hook dispatch counts (with the event category the attribution report
 // uses), per-container traffic, and per-member access counts.
-func showStats(stdout io.Writer, src, workload string, eng vm.Engine) error {
-	opts := compiler.DefaultOptions().WithEngine(eng)
+func showStats(stdout io.Writer, src, workload string) error {
+	opts := compiler.DefaultOptions()
 	opts.ProfileCollect = true
 	a, err := compiler.Compile(src, opts)
 	if err != nil {

@@ -91,7 +91,6 @@ func main() {
 	workloadList := flag.String("workloads", "sort,fft,bzip2", "comma-separated workload mix")
 	analysisList := flag.String("analyses", "uaf,msan,eraser", "comma-separated analysis mix")
 	tenants := flag.Int("tenants", 4, "number of synthetic tenants")
-	engines := flag.String("engines", "interp,threaded", "comma-separated engine mix")
 	faultEvery := flag.Int("fault-seed-every", 0, "give every Nth job a deterministic fault seed (0 = none)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "initial backoff after a 429/503")
 	retryMax := flag.Duration("retry-max", 2*time.Second, "per-wait backoff cap")
@@ -102,7 +101,6 @@ func main() {
 
 	workloads := strings.Split(*workloadList, ",")
 	analyses := strings.Split(*analysisList, ",")
-	engs := strings.Split(*engines, ",")
 
 	var ok, failed, lost, retries atomic.Uint64
 	failKinds := struct {
@@ -127,10 +125,9 @@ func main() {
 					"tenant":   fmt.Sprintf("tenant%d", i%*tenants),
 					"workload": workloads[i%len(workloads)],
 					"analysis": analyses[i%len(analyses)],
-					"options":  map[string]any{"engine": engs[i%len(engs)]},
 				}
 				if *faultEvery > 0 && i%*faultEvery == *faultEvery-1 {
-					req["options"].(map[string]any)["fault_seed"] = i + 1
+					req["options"] = map[string]any{"fault_seed": i + 1}
 				}
 				body, _ := json.Marshal(req)
 

@@ -32,12 +32,17 @@ import (
 // Fingerprint returns a stable encoding of every compilation switch,
 // usable as a cache key component. Two Options values with equal
 // fingerprints compile identically.
+//
+// The ",enginterp" suffix is a constant: it once named the VM
+// execution tier, and it stays so that fingerprints recorded before the
+// second tier was removed, such as serve's journaled adaptation keys,
+// still match.
 func (o Options) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "co%t,cse%t,sel%t,fuse%t,pc%t,g%d,sft%g,bits%d,arr%d,as%d,eng%s",
+	fmt.Fprintf(&b, "co%t,cse%t,sel%t,fuse%t,pc%t,g%d,sft%g,bits%d,arr%d,as%d,enginterp",
 		o.Coalesce, o.CSE, o.SmartSelect, o.FuseHandlers, o.ProfileCollect,
 		o.Granularity, o.ShadowFactorThreshold, o.BitSetMaxBytes,
-		o.ArrayMapMaxKeys, o.AddrSpace, o.Engine)
+		o.ArrayMapMaxKeys, o.AddrSpace)
 	if o.Profile != nil {
 		// Canonical digest, not a dump: profiles are caller data of
 		// unbounded size, and the fingerprint is recomputed on every

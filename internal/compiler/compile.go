@@ -437,8 +437,8 @@ func CountLOC(src string) int {
 // layouts and per-handler CSE slots.
 func (a *Analysis) Plan() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ALDAcc plan (coalesce=%v cse=%v select=%v granularity=%dB engine=%s)\n",
-		a.Opts.Coalesce, a.Opts.CSE, a.Opts.SmartSelect, a.Opts.Granularity, a.Opts.Engine)
+	fmt.Fprintf(&b, "ALDAcc plan (coalesce=%v cse=%v select=%v granularity=%dB)\n",
+		a.Opts.Coalesce, a.Opts.CSE, a.Opts.SmartSelect, a.Opts.Granularity)
 	fmt.Fprintf(&b, "handlers: %s\n", a.HandlerBackend())
 	for _, g := range a.Layout.Groups {
 		key := "<none>"

@@ -8,8 +8,6 @@
 // insertion rules for package instrument.
 package compiler
 
-import "repro/internal/vm"
-
 // Options are ALDAcc's compilation switches. The zero value is not
 // useful; use DefaultOptions. The ablation configurations of Figure 4
 // and §6.2 are expressed by turning individual optimizations off.
@@ -56,13 +54,6 @@ type Options struct {
 	// AddrSpace sizes offset shadow memory; it must cover the VM's
 	// simulated address space.
 	AddrSpace uint64
-
-	// Engine selects the VM execution tier runs of this configuration
-	// use (switch-dispatch interpreter or closure-threaded code). The
-	// tier never changes analysis meaning — conformance sweeps both —
-	// but it participates in the options fingerprint so cached
-	// compilations stay keyed to the full configuration a run names.
-	Engine vm.Engine
 }
 
 // DefaultOptions returns the full-optimization configuration
@@ -118,12 +109,6 @@ func (o Options) WithGranularity(g int) Options {
 	return o
 }
 
-// WithEngine returns o targeting a different VM execution tier.
-func (o Options) WithEngine(e vm.Engine) Options {
-	o.Engine = e
-	return o
-}
-
 // NamedOptions pairs an ablation configuration with a stable name.
 // GranularityVariant marks the configurations that change only the
 // metadata granularity: analysis verdicts are granularity-invariant
@@ -137,14 +122,11 @@ type NamedOptions struct {
 
 // AblationMatrix returns every optimization configuration the paper's
 // Figure 4 ablates plus the granularity variants of §5.1, full-opt
-// first, each in both VM execution tiers ("-thr" suffixes the
-// closure-threaded legs). This is the option matrix the conformance
-// subsystem sweeps: every entry must produce identical analysis
-// verdicts on identical inputs — the configurations change layout and
-// speed, never meaning, and the engine axis proves the threaded tier
-// preserves every observable the interpreter defines.
+// first. This is the option matrix the conformance subsystem sweeps:
+// every entry must produce identical analysis verdicts on identical
+// inputs — the configurations change layout and speed, never meaning.
 func AblationMatrix() []NamedOptions {
-	base := []NamedOptions{
+	return []NamedOptions{
 		{Name: "full", Opts: DefaultOptions()},
 		{Name: "nofuse", Opts: NoFuseOptions()},
 		{Name: "dsonly", Opts: DSOnlyOptions()},
@@ -153,15 +135,6 @@ func AblationMatrix() []NamedOptions {
 		{Name: "gran2", Opts: DefaultOptions().WithGranularity(2), GranularityVariant: true},
 		{Name: "gran4", Opts: DefaultOptions().WithGranularity(4), GranularityVariant: true},
 	}
-	out := make([]NamedOptions, 0, 2*len(base))
-	for _, n := range base {
-		out = append(out, n, NamedOptions{
-			Name:               n.Name + "-thr",
-			Opts:               n.Opts.WithEngine(vm.EngineThreaded),
-			GranularityVariant: n.GranularityVariant,
-		})
-	}
-	return out
 }
 
 func (o Options) granShift() uint {

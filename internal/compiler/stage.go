@@ -45,7 +45,7 @@ const (
 // stageKey digests what the lowering consumes: the canonical printed
 // program (so source formatting and comments do not matter), the full
 // layout including entry templates, and the switches the walk reads
-// directly. The VM engine is not part of it.
+// directly.
 func stageKey(prog *ast.Program, lay *Layout, o Options) string {
 	b := append(make([]byte, 0, 4096), printer.Print(prog)...)
 	b = append(b, 0)

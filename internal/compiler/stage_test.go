@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analyses"
 	"repro/internal/compiler"
-	"repro/internal/vm"
 )
 
 func mustCompile(t *testing.T, src string, opts compiler.Options) *compiler.Analysis {
@@ -20,8 +19,8 @@ func mustCompile(t *testing.T, src string, opts compiler.Options) *compiler.Anal
 
 // TestStagedKeyHits: the staged entry is found from every spelling of a
 // staged configuration — the raw source (harness), the Combined text
-// with its trailing newline (figbench), reformatted source, and either
-// VM engine — and the backend line names the same key for all.
+// with its trailing newline (figbench) and reformatted source — and
+// the backend line names the same key for all.
 func TestStagedKeyHits(t *testing.T) {
 	raw := analyses.MustSource("eraser")
 	combined, err := analyses.Combined("eraser")
@@ -36,7 +35,6 @@ func TestStagedKeyHits(t *testing.T) {
 	for name, a := range map[string]*compiler.Analysis{
 		"combined":    mustCompile(t, combined, compiler.DefaultOptions()),
 		"reformatted": mustCompile(t, reformatted, compiler.DefaultOptions()),
-		"threaded":    mustCompile(t, raw, compiler.DefaultOptions().WithEngine(vm.EngineThreaded)),
 	} {
 		if got := a.HandlerBackend(); got != want {
 			t.Errorf("%s: %s, want %s", name, got, want)

@@ -16,19 +16,9 @@ import (
 // property: for any workload, profiling it, folding its own profile
 // through compiler.AdaptOptions, and running the adapted recompile
 // must reproduce the static full configuration's outcome byte for
-// byte — reports, exit value and error kind — on both execution
-// engines. The profiling build itself (access counters enabled) is a
-// third leg under the same identity, so neither half of the adaptive
-// loop can perturb verdicts.
-
-// adaptEngineConfigs are the static references the adaptive legs must
-// match, one per execution tier.
-func adaptEngineConfigs() []compiler.NamedOptions {
-	return []compiler.NamedOptions{
-		{Name: "full", Opts: compiler.DefaultOptions()},
-		{Name: "full-thr", Opts: compiler.DefaultOptions().WithEngine(vm.EngineThreaded)},
-	}
-}
+// byte — reports, exit value and error kind. The profiling build
+// itself (access counters enabled) is a second leg under the same
+// identity, so neither half of the adaptive loop can perturb verdicts.
 
 // profileOf collects w's per-member access profile for one analysis by
 // running the ProfileCollect build with a private metrics shard. The
@@ -81,55 +71,47 @@ func (r *Runner) runAdapted(p *mir.Program, name string, opts compiler.Options, 
 
 // CheckAdaptive runs the adaptive conformance axis for one workload and
 // one analysis: static reference vs profiling build vs profile-adapted
-// recompile, on both engines.
+// recompile.
 func (r *Runner) CheckAdaptive(w *Workload, name string) ([]Mismatch, error) {
-	var ms []Mismatch
 	seed := r.SchedSeeds[0]
 	prof, err := r.profileOf(w, name)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range adaptEngineConfigs() {
-		ref, err := r.runOne(w, name, c.Opts, seed)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			// The profiling build (counters on, layout static) must not
-			// perturb verdicts either — it runs real traffic during the
-			// harness's and server's quantum. Engine-independent, so one
-			// leg suffices.
-			collect := c.Opts
-			collect.ProfileCollect = true
-			got, err := r.runOne(w, name, collect, seed)
-			if err != nil {
-				return nil, err
-			}
-			if !got.equal(ref) {
-				ms = append(ms, Mismatch{
-					Workload: w.Name, Seed: w.Seed, Analysis: name,
-					Property: "adaptive", Ref: c.Name, Got: c.Name + "-collect",
-					Detail: diff(ref, got),
-				})
-			}
-		}
-		ares := c.Opts.AdaptOptions(prof)
-		if !ares.Changed {
-			// No cold member: the adapted options fingerprint-equal the
-			// static ones, so the leg is the reference by construction.
-			continue
-		}
-		got, err := r.runAdapted(w.Prog, name, ares.Opts, seed)
-		if err != nil {
-			return nil, err
-		}
+	full := compiler.DefaultOptions()
+	ref, err := r.runOne(w, name, full, seed)
+	if err != nil {
+		return nil, err
+	}
+	var ms []Mismatch
+	check := func(leg string, got outcome) {
 		if !got.equal(ref) {
 			ms = append(ms, Mismatch{
 				Workload: w.Name, Seed: w.Seed, Analysis: name,
-				Property: "adaptive", Ref: c.Name, Got: c.Name + "-adapted",
+				Property: "adaptive", Ref: "full", Got: leg,
 				Detail: diff(ref, got),
 			})
 		}
 	}
+	// The profiling build (counters on, layout static) must not perturb
+	// verdicts either — it runs real traffic during the harness's and
+	// server's quantum.
+	collect := full
+	collect.ProfileCollect = true
+	got, err := r.runOne(w, name, collect, seed)
+	if err != nil {
+		return nil, err
+	}
+	check("full-collect", got)
+	ares := full.AdaptOptions(prof)
+	if !ares.Changed {
+		// No cold member: the adapted options fingerprint-equal the
+		// static ones, so the leg is the reference by construction.
+		return ms, nil
+	}
+	if got, err = r.runAdapted(w.Prog, name, ares.Opts, seed); err != nil {
+		return nil, err
+	}
+	check("full-adapted", got)
 	return ms, nil
 }

@@ -21,8 +21,7 @@ var adaptConformAnalyses = []string{"msan", "uaf", "fasttrack"}
 // TestAdaptConform is the adaptive-PGO conformance sweep (`make
 // adapt-conform` runs it at 200 seeds): for every generated workload,
 // adapting to the workload's own profile must not change any verdict,
-// on either engine, and neither must the profiling build that collects
-// the profile.
+// and neither must the profiling build that collects the profile.
 func TestAdaptConform(t *testing.T) {
 	r := NewRunner()
 	for seed := uint64(0); seed < uint64(*conformSeeds); seed++ {

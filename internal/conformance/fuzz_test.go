@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/vm"
 )
 
 // fuzzRunner is shared across fuzz iterations: compilation is the
@@ -35,14 +34,11 @@ func fuzzStaged() ([]StagedPair, error) {
 }
 
 // fuzzConfigs is a trimmed ablation matrix for fuzzing throughput: the
-// two extremes, the layout-only middle, and the closure-threaded
-// execution tier of the full configuration (the engine differential —
-// same compiled analysis, different dispatch). The full matrix
-// (including granularity sweeps and fusion) runs in TestConform; the
-// fuzzer's job is to explore generator seeds, not configurations.
+// two extremes and the layout-only middle. The full matrix (including
+// granularity sweeps and fusion) runs in TestConform; the fuzzer's job
+// is to explore generator seeds, not configurations.
 var fuzzConfigs = []compiler.NamedOptions{
 	{Name: "full", Opts: compiler.DefaultOptions()},
-	{Name: "full-thr", Opts: compiler.DefaultOptions().WithEngine(vm.EngineThreaded)},
 	{Name: "dsonly", Opts: compiler.DSOnlyOptions()},
 	{Name: "naive", Opts: compiler.NaiveOptions()},
 }
@@ -63,13 +59,12 @@ func FuzzConformance(f *testing.F) {
 	f.Add(uint64(1))
 	f.Add(uint64(22))   // shape that exposed the fasttrack join bug
 	f.Add(uint64(1337)) // threaded + uniform
-	// Engine-differential shapes: the threaded tier fuses pure runs and
-	// superinstruction chains, so the corpus pins workloads that branch
-	// into fused blocks, report from a hook mid-chain, and expire the
-	// scheduler quantum inside a fused run.
-	f.Add(uint64(38))  // single-threaded, bug report mid-chain — chain replay must match exactly
-	f.Add(uint64(62))  // multi-threaded + uniform: branchy fused blocks under the granularity sweep
-	f.Add(uint64(179)) // largest multi-threaded reporter: quantum expiry inside chains at every switch
+	// Dispatch shapes: workloads that branch into long runs of pure
+	// arithmetic, report from a hook in the middle of one, and expire
+	// the scheduler quantum inside one.
+	f.Add(uint64(38))  // single-threaded, bug report amid pure arithmetic
+	f.Add(uint64(62))  // multi-threaded + uniform: branchy blocks under the granularity sweep
+	f.Add(uint64(179)) // largest multi-threaded reporter: quantum expiry at every switch
 	// Adaptive-leg shapes: msan profiles with a genuinely cold addr2size
 	// member, so AdaptOptions performs a real cold split and the adapted
 	// recompile is a different layout than the static reference.
@@ -119,28 +114,26 @@ func FuzzConformance(f *testing.F) {
 		// analysis keeps the adapted compiles, which are never memoized,
 		// from dominating fuzz throughput): the workload's own profile
 		// folds through AdaptOptions and the adapted recompile must
-		// reproduce the static verdict on both engines.
+		// reproduce the static verdict.
 		prof, err := r.profileOf(w, "msan")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range fuzzConfigs[:2] { // full, full-thr
-			ares := c.Opts.AdaptOptions(prof)
-			if !ares.Changed {
-				continue // fingerprint-identical to the static build
-			}
-			ref, err := r.runOne(w, "msan", c.Opts, vmSeed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.runAdapted(w.Prog, "msan", ares.Opts, vmSeed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.equal(ref) {
-				t.Errorf("%s/msan adaptive: %s vs %s-adapted:\n%s",
-					w.Name, c.Name, c.Name, diff(ref, got))
-			}
+		full := fuzzConfigs[0].Opts
+		ares := full.AdaptOptions(prof)
+		if !ares.Changed {
+			return // fingerprint-identical to the static build
+		}
+		ref, err := r.runOne(w, "msan", full, vmSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.runAdapted(w.Prog, "msan", ares.Opts, vmSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.equal(ref) {
+			t.Errorf("%s/msan adaptive: full vs full-adapted:\n%s", w.Name, diff(ref, got))
 		}
 	})
 }

@@ -72,7 +72,7 @@ func (r *Runner) backendRun(p *mir.Program, a *compiler.Analysis, seed int64) (s
 	if err != nil {
 		return "", err
 	}
-	m, err := vm.New(inst, vm.Config{Seed: seed, MaxSteps: r.MaxSteps, TrackShadow: a.NeedShadow, Engine: a.Opts.Engine})
+	m, err := vm.New(inst, vm.Config{Seed: seed, MaxSteps: r.MaxSteps, TrackShadow: a.NeedShadow})
 	if err != nil {
 		return "", err
 	}

@@ -32,11 +32,6 @@ type RunOptions struct {
 	Deadline     time.Duration
 	// Faults is forwarded to the VM for deterministic fault injection.
 	Faults vm.FaultSpec
-	// Engine selects the VM execution tier. The zero value defers to
-	// the analysis' compiled configuration (Options.Engine), so matrix
-	// sweeps carry the tier in their NamedOptions while explicit
-	// callers (CLI -engine flags) override per run.
-	Engine vm.Engine
 
 	// Metrics, when non-nil, receives the run's observability counters
 	// after a successful run (VM op/hook/scheduler counts, container
@@ -51,24 +46,13 @@ type RunOptions struct {
 	TraceTID int64
 
 	// TraceSink, when non-nil, records the run as a compressed replay
-	// trace (interpreter-only; see vm.Config.TraceSink). RecordTrace is
-	// the usual entry point.
+	// trace (see vm.Config.TraceSink). RecordTrace is the usual entry
+	// point.
 	TraceSink io.Writer
 	// ReplayTrace, when non-nil, re-executes a recorded trace instead of
-	// running live (the interpreter takes its inputs from the trace,
-	// whatever Engine says; see vm.Config.Replay). The same decoded trace
-	// may feed concurrent runs.
+	// running live (the interpreter takes its inputs from the trace; see
+	// vm.Config.Replay). The same decoded trace may feed concurrent runs.
 	ReplayTrace *trace.Trace
-}
-
-// resolveEngine picks the execution tier for a run: an explicit
-// RunOptions.Engine wins, otherwise the tier compiled into the
-// analysis configuration applies (EngineInterp for plain runs).
-func (o RunOptions) resolveEngine(a *compiler.Analysis) vm.Engine {
-	if o.Engine != vm.EngineInterp || a == nil {
-		return o.Engine
-	}
-	return a.Opts.Engine
 }
 
 func (o RunOptions) vmConfig(track bool) vm.Config {
@@ -77,7 +61,6 @@ func (o RunOptions) vmConfig(track bool) vm.Config {
 		MaxSteps:     o.MaxSteps,
 		Quantum:      o.Quantum,
 		TrackShadow:  track,
-		Engine:       o.Engine,
 		MaxHeapBytes: o.MaxHeapBytes,
 		Deadline:     o.Deadline,
 		Faults:       o.Faults,
@@ -191,7 +174,6 @@ func RecordTrace(p *mir.Program, opt RunOptions) ([]byte, *vm.Result, error) {
 	var buf bytes.Buffer
 	opt.TraceSink = &buf
 	opt.ReplayTrace = nil
-	opt.Engine = vm.EngineInterp
 	m, err := vm.New(p, opt.vmConfig(false))
 	if err != nil {
 		return nil, nil, err
@@ -229,7 +211,6 @@ func RunInstrumented(inst *mir.Program, a *compiler.Analysis, opt RunOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	opt.Engine = opt.resolveEngine(a)
 	m, err := vm.New(inst, opt.vmConfig(a.NeedShadow))
 	if err != nil {
 		return nil, err
@@ -292,7 +273,6 @@ func CollectProfile(a *compiler.Analysis, train *mir.Program, opt RunOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	popt.Engine = popt.resolveEngine(pa)
 	m, err := vm.New(inst, popt.vmConfig(pa.NeedShadow))
 	if err != nil {
 		return nil, err

@@ -201,3 +201,14 @@ func TestAdaptFingerprintPinned(t *testing.T) {
 		t.Errorf("fingerprint = %q, want %q", got, want)
 	}
 }
+
+// TestCompilerFingerprintPinned pins the default compiler options
+// fingerprint byte for byte, ",enginterp" included. Serve journals
+// adaptation epochs under keys that embed it, so a drifted string
+// would make recovery silently drop restored adaptations.
+func TestCompilerFingerprintPinned(t *testing.T) {
+	want := "cotrue,csetrue,seltrue,fusetrue,pcfalse,g8,sft3,bits512,arr1048576,as268435456,enginterp"
+	if got := compiler.DefaultOptions().Fingerprint(); got != want {
+		t.Errorf("fingerprint = %q, want %q", got, want)
+	}
+}

@@ -40,8 +40,10 @@ func (c Config) fingerprint() string {
 	// metrics participates because it changes what a record must carry:
 	// a checkpoint written without counters cannot resume a metrics
 	// sweep (the resumed cells would silently contribute nothing).
-	fp := fmt.Sprintf("size=%s reps=%d seed=%d virtual=%v metrics=%v engine=%s",
-		c.Size, c.Reps, c.Opt.Seed, c.Virtual, c.Metrics != nil, c.Opt.Engine)
+	// "engine=interp" is a constant that once named the VM execution
+	// tier; it stays so that existing checkpoints still resume.
+	fp := fmt.Sprintf("size=%s reps=%d seed=%d virtual=%v metrics=%v engine=interp",
+		c.Size, c.Reps, c.Opt.Seed, c.Virtual, c.Metrics != nil)
 	if c.TraceDir != "" {
 		// Replay cells measure whatever stream is on disk: bind the
 		// checkpoint to the trace bytes so a regenerated or mutated

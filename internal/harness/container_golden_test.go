@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -54,35 +53,4 @@ func TestVirtualGoldenGranularity(t *testing.T) {
 		t.Fatalf("gran: %v", err)
 	}
 	checkGolden(t, "virtual_gran_tiny", buf.String())
-}
-
-// TestVirtualGoldenThreadedEngine reruns the virtual grids under the
-// closure-threaded execution tier and pins them against the SAME golden
-// files the interpreter produced: virtual time is steps + 16·hooks and
-// both counters are part of the tiers' determinism contract, so
-// -engine=threaded must not move a byte of any rendered table. This is
-// the harness-level engine differential — never -update these from a
-// threaded run.
-func TestVirtualGoldenThreadedEngine(t *testing.T) {
-	grids := []struct {
-		name   string
-		golden string
-		run    func(Config) error
-	}{
-		{"fig4", "virtual_fig4_tiny", func(c Config) error { _, err := Fig4(c); return err }},
-		{"gran", "virtual_gran_tiny", func(c Config) error { _, err := Granularity(c); return err }},
-	}
-	for _, g := range grids {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			cfg := virtualGridConfig()
-			cfg.Engine = vm.EngineThreaded
-			var buf bytes.Buffer
-			cfg.Out = &buf
-			if err := g.run(cfg); err != nil {
-				t.Fatalf("%s: %v", g.name, err)
-			}
-			checkGolden(t, g.golden, buf.String())
-		})
-	}
 }

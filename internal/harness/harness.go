@@ -32,12 +32,6 @@ type Config struct {
 	Reps int
 	// Opt is the VM configuration.
 	Opt core.RunOptions
-	// Engine selects the VM execution tier every cell runs under
-	// (default the interpreter). withDefaults stamps it into Opt, and it
-	// participates in the checkpoint fingerprint: tiers are observably
-	// identical under -virtual, but a wall-clock checkpoint written by
-	// one tier must not resume into a sweep measuring the other.
-	Engine vm.Engine
 	// Out receives rendered tables (nil ⇒ io.Discard).
 	Out io.Writer
 	// Parallelism is the number of worker goroutines that independent
@@ -135,9 +129,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Reps <= 0 {
 		c.Reps = 3
-	}
-	if c.Engine != vm.EngineInterp {
-		c.Opt.Engine = c.Engine
 	}
 	if c.Out == nil {
 		c.Out = io.Discard

@@ -32,26 +32,23 @@ import (
 	"sync"
 )
 
-// Shard accumulates one run's (or one harness cell's) counters before
-// they are merged into a Registry. A Shard is single-goroutine — each
-// cell owns its own — which is what makes the merged totals
-// order-independent: merging is commutative addition, so serial and
-// parallel sweeps produce identical registries.
+// Shard accumulates one run's (or one harness cell's) deterministic
+// counters before they are merged into a Registry. A Shard is
+// single-goroutine — each cell owns its own — which is what makes the
+// merged totals order-independent: merging is commutative addition, so
+// serial and parallel sweeps produce identical registries. Volatile
+// counters go to the Registry directly.
 type Shard struct {
-	Counts   map[string]uint64
-	Volatile map[string]uint64
+	Counts map[string]uint64
 }
 
 // NewShard returns an empty shard.
 func NewShard() *Shard {
-	return &Shard{Counts: map[string]uint64{}, Volatile: map[string]uint64{}}
+	return &Shard{Counts: map[string]uint64{}}
 }
 
 // Add increments a deterministic counter.
 func (s *Shard) Add(name string, v uint64) { s.Counts[name] += v }
-
-// AddVolatile increments a volatile (timing-like) counter.
-func (s *Shard) AddVolatile(name string, v uint64) { s.Volatile[name] += v }
 
 // Reset clears the shard for a retry attempt, so a cell that fails and
 // re-runs contributes exactly one attempt's counters. Nil-safe.
@@ -60,7 +57,6 @@ func (s *Shard) Reset() {
 		return
 	}
 	clear(s.Counts)
-	clear(s.Volatile)
 }
 
 // hist is a power-of-two-bucket histogram: bucket i counts values v
@@ -240,9 +236,6 @@ func (r *Registry) MergeShard(s *Shard) {
 	r.mu.Lock()
 	for k, v := range s.Counts {
 		r.counts[k] += v
-	}
-	for k, v := range s.Volatile {
-		r.volatile[k] += v
 	}
 	r.mu.Unlock()
 }

@@ -74,16 +74,12 @@ func startUAFMachine(t *testing.T, tweak func(*vm.Config)) *vm.Machine {
 
 // TestQuantumAllocFree asserts a full instrumented vm.Machine quantum —
 // dispatch, hook argument marshalling and the compiled UAF handler
-// bodies — allocates nothing once warm, in both execution tiers (the
-// interpreter's switch loop and the closure-threaded tier's fused runs
-// and superinstruction chains, which pre-bind everything at Start and
-// must not allocate per quantum either) and when the interpreter
-// replays a recorded trace instead of running live. This is the
-// end-to-end version of the per-container guarantees in internal/meta,
-// and it is also the observability-disabled proof: the opcode,
-// per-hook and scheduler counters are unconditional plain fields that
-// increment on this path, so "compiled in but switched off" costs zero
-// allocations.
+// bodies — allocates nothing once warm, both live and when the
+// interpreter replays a recorded trace. This is the end-to-end version
+// of the per-container guarantees in internal/meta, and it is also the
+// observability-disabled proof: the opcode, per-hook and scheduler
+// counters are unconditional plain fields that increment on this path,
+// so "compiled in but switched off" costs zero allocations.
 func TestQuantumAllocFree(t *testing.T) {
 	tr, err := trace.Decode(recordTraceBytes(quickstartUAFProgram()))
 	if err != nil {
@@ -93,8 +89,7 @@ func TestQuantumAllocFree(t *testing.T) {
 		name  string
 		tweak func(*vm.Config)
 	}{
-		{vm.EngineInterp.String(), func(c *vm.Config) { c.Engine = vm.EngineInterp }},
-		{vm.EngineThreaded.String(), func(c *vm.Config) { c.Engine = vm.EngineThreaded }},
+		{"interp", func(c *vm.Config) {}},
 		{"replay", func(c *vm.Config) { c.Replay = tr }},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
@@ -126,22 +121,17 @@ func TestQuantumAllocFree(t *testing.T) {
 // how many instructions or hook dispatches the quantum retires. The
 // trace line itself is built in a reused buffer under the Trace lock.
 func TestQuantumAllocObservabilityEnabled(t *testing.T) {
-	for _, eng := range []vm.Engine{vm.EngineInterp, vm.EngineThreaded} {
-		t.Run(eng.String(), func(t *testing.T) {
-			trace := obs.NewTrace(io.Discard)
-			defer trace.Close()
-			m := startUAFMachine(t, func(c *vm.Config) {
-				c.Trace = trace
-				c.Engine = eng
-			})
-			avg := testing.AllocsPerRun(100, func() {
-				if !m.RunQuantum() {
-					t.Fatal("workload finished during measurement")
-				}
-			})
-			if avg > 8 {
-				t.Fatalf("%v allocs per quantum with observability enabled, want O(1) (<= 8)", avg)
+	t.Run("interp", func(t *testing.T) {
+		trace := obs.NewTrace(io.Discard)
+		defer trace.Close()
+		m := startUAFMachine(t, func(c *vm.Config) { c.Trace = trace })
+		avg := testing.AllocsPerRun(100, func() {
+			if !m.RunQuantum() {
+				t.Fatal("workload finished during measurement")
 			}
 		})
-	}
+		if avg > 8 {
+			t.Fatalf("%v allocs per quantum with observability enabled, want O(1) (<= 8)", avg)
+		}
+	})
 }

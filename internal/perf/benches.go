@@ -230,19 +230,16 @@ func dispatchProgram(withLocks bool) *mir.Program {
 	return p
 }
 
-// arithProgram builds the instrumented-quantum dispatch stress for the
-// execution-tier comparison: a loop whose body is dominated by pure
-// register arithmetic — eight independent xorshift-style mixer lanes,
-// interleaved so the hardware always has ready work — with one
-// store/load pair per iteration keeping the per-access analysis hooked
-// in. The lanes matter: a single serial mixer is latency-bound on its
-// own dependency chain and out-of-order execution hides any dispatch
-// cost inside the stalls, making every engine measure the same. With
-// eight parallel chains the per-instruction overhead (switch dispatch,
-// per-op step and opcode accounting) is the bottleneck, which is
-// precisely what a dispatch benchmark must expose — and same-kind
-// lanes emit adjacent same-opcode instructions, the run shape the
-// threaded tier's fused pure loops retire cheapest.
+// arithProgram builds the instrumented-quantum dispatch stress: a loop
+// whose body is dominated by pure register arithmetic — eight
+// independent xorshift-style mixer lanes, interleaved so the hardware
+// always has ready work — with one store/load pair per iteration
+// keeping the per-access analysis hooked in. The lanes matter: a
+// single serial mixer is latency-bound on its own dependency chain and
+// out-of-order execution hides any dispatch cost inside the stalls.
+// With eight parallel chains the per-instruction overhead (switch
+// dispatch, per-op step and opcode accounting) is the bottleneck,
+// which is precisely what a dispatch benchmark must expose.
 func arithProgram() *mir.Program {
 	p := mir.NewProgram()
 	b := p.NewFunc("main", 0)
@@ -301,10 +298,10 @@ func arithProgram() *mir.Program {
 }
 
 // dispatchBench compiles the named analysis, instruments the program
-// built by prog and measures RunQuantum throughput on the given
-// execution tier — dispatch plus compiled-handler bodies, end to end.
-func dispatchBench(name, analysis string, prog func() *mir.Program, eng vm.Engine) Bench {
-	return dispatchBenchOf(name, analysis, prog, eng, func() (*compiler.Analysis, error) {
+// built by prog and measures RunQuantum throughput — dispatch plus
+// compiled-handler bodies, end to end.
+func dispatchBench(name, analysis string, prog func() *mir.Program) Bench {
+	return dispatchBenchOf(name, analysis, prog, func() (*compiler.Analysis, error) {
 		return analyses.Compile(analysis, compiler.DefaultOptions())
 	})
 }
@@ -315,7 +312,7 @@ func dispatchBench(name, analysis string, prog func() *mir.Program, eng vm.Engin
 // options and layout. It gates the path ablations and runtime-supplied
 // analyses still take now that the shipped ones run staged handlers.
 func closureDispatchBench(name, analysis string, prog func() *mir.Program) Bench {
-	return dispatchBenchOf(name, analysis, prog, vm.EngineInterp, func() (*compiler.Analysis, error) {
+	return dispatchBenchOf(name, analysis, prog, func() (*compiler.Analysis, error) {
 		a, err := compiler.Compile(analyses.MustSource(analysis)+"\nconst RUNTIME_SUPPLIED = 1\n", compiler.DefaultOptions())
 		if err == nil && a.Staged() {
 			err = fmt.Errorf("closure twin compiled to %s", a.HandlerBackend())
@@ -324,7 +321,7 @@ func closureDispatchBench(name, analysis string, prog func() *mir.Program) Bench
 	})
 }
 
-func dispatchBenchOf(name, analysis string, prog func() *mir.Program, eng vm.Engine, compile func() (*compiler.Analysis, error)) Bench {
+func dispatchBenchOf(name, analysis string, prog func() *mir.Program, compile func() (*compiler.Analysis, error)) Bench {
 	return Bench{name, func() func(int) {
 		a, err := compile()
 		if err != nil {
@@ -339,7 +336,7 @@ func dispatchBenchOf(name, analysis string, prog func() *mir.Program, eng vm.Eng
 		if err != nil {
 			panic(fmt.Sprintf("perf: runtime %s: %v", analysis, err))
 		}
-		m, err := vm.New(inst, vm.Config{Engine: eng, TrackShadow: a.NeedShadow, MaxSteps: 1 << 62})
+		m, err := vm.New(inst, vm.Config{TrackShadow: a.NeedShadow, MaxSteps: 1 << 62})
 		if err != nil {
 			panic(fmt.Sprintf("perf: vm %s: %v", analysis, err))
 		}
@@ -357,30 +354,25 @@ func dispatchBenchOf(name, analysis string, prog func() *mir.Program, eng vm.Eng
 	}}
 }
 
-// dispatchBenches is the execution-tier half of the suite: every
-// analysis-dispatch workload on both engines, plus closure-emitter
-// twins of msan and eraser. The interp entries keep their historical
-// names so BENCH_baseline comparisons stay valid.
+// dispatchBenches is the analysis-dispatch half of the suite: every
+// dispatch workload on the staged handlers, plus closure-emitter twins
+// of msan and eraser.
 func dispatchBenches() []Bench {
 	accesses := func() *mir.Program { return dispatchProgram(false) }
 	withLocks := func() *mir.Program { return dispatchProgram(true) }
 	return []Bench{
-		dispatchBench("dispatch/uaf", "uaf", accesses, vm.EngineInterp),
-		dispatchBench("dispatch/uaf/threaded", "uaf", accesses, vm.EngineThreaded),
-		dispatchBench("dispatch/msan", "msan", accesses, vm.EngineInterp),
-		dispatchBench("dispatch/msan/threaded", "msan", accesses, vm.EngineThreaded),
-		dispatchBench("dispatch/eraser", "eraser", withLocks, vm.EngineInterp),
-		dispatchBench("dispatch/eraser/threaded", "eraser", withLocks, vm.EngineThreaded),
+		dispatchBench("dispatch/uaf", "uaf", accesses),
+		dispatchBench("dispatch/msan", "msan", accesses),
+		dispatchBench("dispatch/eraser", "eraser", withLocks),
 		closureDispatchBench("dispatch/msan/closures", "msan", accesses),
 		closureDispatchBench("dispatch/eraser/closures", "eraser", withLocks),
-		dispatchBench("dispatch/uaf/arith", "uaf", arithProgram, vm.EngineInterp),
-		dispatchBench("dispatch/uaf/arith/threaded", "uaf", arithProgram, vm.EngineThreaded),
+		dispatchBench("dispatch/uaf/arith", "uaf", arithProgram),
 	}
 }
 
 // HotPathBenches is the BenchHotPath suite: per-container Get/Set/
-// Iterate, per-analysis handler dispatch on both execution tiers,
-// trace record and replay, and the adaptive-PGO swap costs.
+// Iterate, per-analysis handler dispatch, trace record and replay, and
+// the adaptive-PGO swap costs.
 func HotPathBenches() []Bench {
 	out := append(containerBenches(), dispatchBenches()...)
 	out = append(out, traceBenches()...)

@@ -186,37 +186,3 @@ func SpeedupVsRef(f File) (float64, error) {
 	}
 	return math.Exp(logSum / float64(n)), nil
 }
-
-// enginePairs maps each interpreter dispatch bench to its threaded-tier
-// twin; EngineSpeedups aggregates over these.
-var enginePairs = [][2]string{
-	{"dispatch/uaf", "dispatch/uaf/threaded"},
-	{"dispatch/msan", "dispatch/msan/threaded"},
-	{"dispatch/eraser", "dispatch/eraser/threaded"},
-	{"dispatch/uaf/arith", "dispatch/uaf/arith/threaded"},
-}
-
-// EngineSpeedups returns the per-benchmark and geometric-mean dispatch
-// speedup of the threaded tier over the interpreter, as recorded in f
-// (interp ns / threaded ns). Benchmarks missing either leg are skipped;
-// it errors only when no pair is present at all.
-func EngineSpeedups(f File) (perBench map[string]float64, geomean float64, err error) {
-	perBench = make(map[string]float64)
-	var logSum float64
-	n := 0
-	for _, p := range enginePairs {
-		interp, ok1 := f.Benches[p[0]]
-		thr, ok2 := f.Benches[p[1]]
-		if !ok1 || !ok2 || interp.NsPerOp <= 0 || thr.NsPerOp <= 0 {
-			continue
-		}
-		s := interp.NsPerOp / thr.NsPerOp
-		perBench[p[0]] = s
-		logSum += math.Log(s)
-		n++
-	}
-	if n == 0 {
-		return nil, 0, fmt.Errorf("no engine bench pairs recorded")
-	}
-	return perBench, math.Exp(logSum / float64(n)), nil
-}

@@ -98,30 +98,3 @@ func TestBaselineRecordsSpeedup(t *testing.T) {
 	}
 	t.Logf("recorded flat-arena vs map-backed Get/Set geomean speedup: %.2fx", s)
 }
-
-// TestBaselineRecordsEngineSpeedup pins the execution-tier acceptance
-// criterion: the checked-in baseline must record a >=2x threaded-tier
-// win on at least one instrumented-quantum dispatch benchmark. The
-// arith workload is the dispatch-bound one; the store/load-loop benches
-// are hook-bound (one handler call per instruction) and sit near 1x by
-// design — the tier removes dispatch cost, not handler cost.
-func TestBaselineRecordsEngineSpeedup(t *testing.T) {
-	f, err := ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
-	if err != nil {
-		t.Fatalf("checked-in baseline unreadable: %v", err)
-	}
-	per, geo, err := EngineSpeedups(f)
-	if err != nil {
-		t.Fatalf("engine speedups: %v", err)
-	}
-	best := 0.0
-	for _, s := range per {
-		if s > best {
-			best = s
-		}
-	}
-	if best < 2.0 {
-		t.Fatalf("best recorded threaded-tier dispatch speedup %.2fx, want >= 2x on at least one benchmark (all: %v)", best, per)
-	}
-	t.Logf("recorded threaded-tier speedups: %v (geomean %.2fx)", per, geo)
-}

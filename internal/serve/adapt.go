@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/obs"
-	"repro/internal/vm"
 )
 
 // Adaptive PGO in the serving tier: with Config.AdaptAfter = N, each
@@ -155,13 +154,12 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 	}
 	s.adaptMu.Unlock()
 
-	eng, _ := vm.ParseEngine(j.req.Options.Engine)
 	if adapted != nil && !sampleThis {
 		return ExecuteObserved(&j.req, s.cfg.Limits, shard, adapted, onStage)
 	}
 
 	// Profiling run: either the quantum, or a post-swap sample.
-	popts := compileOptions(eng)
+	popts := compiler.DefaultOptions()
 	popts.ProfileCollect = true
 	if shard == nil {
 		shard = obs.NewShard() // the profile rides the metrics shard
@@ -196,8 +194,7 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 		return res, jerr
 	}
 
-	base := compileOptions(eng)
-	ares := base.AdaptOptions(&compiler.Profile{Counts: st.counts})
+	ares := compiler.DefaultOptions().AdaptOptions(&compiler.Profile{Counts: st.counts})
 	st.epoch++
 	st.adapted = &ares.Opts
 	if ares.Changed {
@@ -214,7 +211,7 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 	// Journal the swap before any job runs under it: recovery must
 	// land on the same analysis, not re-enter the quantum.
 	if s.journal != nil {
-		if err := s.journal.AppendAdapt(key, st.epoch, j.req.Options.Engine, st.counts); err != nil {
+		if err := s.journal.AppendAdapt(key, st.epoch, st.counts); err != nil {
 			s.reg.AddVolatile("serve.journal.errors", 1)
 			s.autoFlightSnapshot("journal-degraded")
 		} else {
@@ -256,12 +253,7 @@ func (s *Server) replayAdapt(records map[string]journalRecord) {
 	}
 	s.adaptMu.Lock()
 	for key, rec := range records {
-		eng, err := vm.ParseEngine(rec.Eng)
-		if err != nil {
-			continue // foreign record; jobs with this key re-profile
-		}
-		base := compileOptions(eng)
-		ares := base.AdaptOptions(&compiler.Profile{Counts: rec.Counts})
+		ares := compiler.DefaultOptions().AdaptOptions(&compiler.Profile{Counts: rec.Counts})
 		s.adaptStates[key] = &keyAdaptState{
 			profiled: s.cfg.AdaptAfter,
 			counts:   rec.Counts,

@@ -165,3 +165,53 @@ func TestServeAdaptiveJournalFingerprint(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverThreadedJobOnInterpreter recovers testdata/
+// two_tier_journal.jsonl, written with AdaptAfter 1 by a server that
+// still had the closure-threaded tier. Job j1 (engine "interp") is done
+// and swapped its compile-affinity key to an adapted layout; j2, the
+// same request with engine "threaded", was accepted but never finished.
+// The recovered server must restore the adaptation under the key j2
+// now maps to, keep j1's status, and run j2 on the interpreter to the
+// JobResult that the same request with engine "interp" yields — which
+// is also the result the two-tier server journaled for j1.
+func TestRecoverThreadedJobOnInterpreter(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "two_tier_journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := os.WriteFile(jp, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, ts := startServer(t, Config{Shards: 1, WorkersPerShard: 1, AdaptAfter: 1, JournalPath: jp, Metrics: reg})
+	if n := reg.Counter("serve.adapt.recovered"); n != 1 {
+		t.Fatalf("recovered %d adaptation epochs, want 1", n)
+	}
+	j1, j2 := s.lookup("j1"), s.lookup("j2")
+	if j1 == nil || j2 == nil || j2.req.Options.Engine != "threaded" {
+		t.Fatalf("fixture did not recover jobs j1 and threaded j2: %v %v", j1, j2)
+	}
+	select {
+	case <-j2.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("recovered threaded job never finished")
+	}
+	st := j2.snapshot()
+	if st.State != StateDone || st.Result == nil {
+		t.Fatalf("recovered threaded job: %+v, want done with a result", st)
+	}
+	if n := reg.Counter("serve.adapt.profiled"); n != 0 {
+		t.Errorf("recovered threaded job re-profiled (%d); it must find the restored adaptation", n)
+	}
+	got := resultJSON(t, st.Result)
+	req := j2.req
+	req.Options.Engine = "interp"
+	if want := resultJSON(t, submitWait(t, ts, req).Result); got != want {
+		t.Errorf("recovered threaded job diverged from engine interp\nthreaded: %s\ninterp:   %s", got, want)
+	}
+	if journaled := resultJSON(t, j1.snapshot().Result); got != journaled {
+		t.Errorf("recovered threaded job diverged from the journaled interp result\nthreaded:  %s\njournaled: %s", got, journaled)
+	}
+}

@@ -58,7 +58,7 @@ func TestChaosSoak(t *testing.T) {
 					},
 				}
 				if i%3 == 1 {
-					req.Options.Engine = "threaded"
+					req.Options.Engine = "interp"
 				}
 				body, _ := json.Marshal(req)
 				resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/analyses"
+	"repro/internal/compiler"
 	"repro/internal/mir"
 	"repro/internal/vm"
 	"repro/internal/vm/faults"
@@ -28,7 +29,11 @@ import (
 // budgets are clamped to the server's Limits; fault fields exist for
 // the chaos/soak layer and for tenants reproducing failures.
 type JobOptions struct {
-	// Engine is the VM execution tier: "", "interp" or "threaded".
+	// Engine names the VM execution tier: "" or "interp", the only
+	// tier. Admission rejects "threaded", the removed closure-threaded
+	// tier; a job journaled with it before the removal recovers on the
+	// interpreter, which the two tiers' conformance made observably
+	// identical.
 	Engine string `json:"engine,omitempty"`
 	// Seed is the deterministic scheduler seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -228,8 +233,12 @@ func (r *JobRequest) Validate() error {
 	if _, err := parseSize(r.Size); err != nil {
 		return err
 	}
-	if _, err := vm.ParseEngine(r.Options.Engine); err != nil {
-		return err
+	switch r.Options.Engine {
+	case "", "interp":
+	case "threaded":
+		return fmt.Errorf("engine %q was removed: the interpreter (\"interp\") is the only engine", r.Options.Engine)
+	default:
+		return fmt.Errorf("unknown engine %q (want interp)", r.Options.Engine)
 	}
 	if r.Workload != "" {
 		if _, err := workloads.Get(r.Workload); err != nil {
@@ -258,6 +267,5 @@ func (r *JobRequest) Validate() error {
 // on one shard keeps the LRU compile cache and the per-shard CPU
 // caches warm.
 func (r *JobRequest) fingerprintKey() string {
-	eng, _ := vm.ParseEngine(r.Options.Engine)
-	return r.Analysis + "|" + compileOptions(eng).Fingerprint()
+	return r.Analysis + "|" + compiler.DefaultOptions().Fingerprint()
 }

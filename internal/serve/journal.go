@@ -45,11 +45,11 @@ type journalRecord struct {
 	// Done fields.
 	Status *JobStatus `json:"status,omitempty"`
 	// Adapt fields (adaptive-PGO epoch, see adapt.go): the merged
-	// profile counts plus the engine needed to re-derive the adapted
-	// options deterministically on recovery.
+	// profile counts the adapted options re-derive from on recovery.
+	// Journals written while the VM had two execution tiers also carry
+	// an "eng" field; it named the tier and is ignored.
 	Key    string            `json:"key,omitempty"`
 	Epoch  int               `json:"epoch,omitempty"`
-	Eng    string            `json:"eng,omitempty"`
 	Counts map[string]uint64 `json:"counts,omitempty"`
 }
 
@@ -241,11 +241,11 @@ func (j *Journal) AppendDone(status *JobStatus) error {
 }
 
 // AppendAdapt journals an adaptation epoch: the compile-affinity key
-// that swapped, the merged profile that drove the swap, and the engine
-// the base options derive from. Recovery replays the record through
-// the same pure AdaptOptions pass and lands on the identical analysis.
-func (j *Journal) AppendAdapt(key string, epoch int, eng string, counts map[string]uint64) error {
-	return j.append(journalRecord{Type: "adapt", Key: key, Epoch: epoch, Eng: eng, Counts: counts})
+// that swapped and the merged profile that drove the swap. Recovery
+// replays the record through the same pure AdaptOptions pass and lands
+// on the identical analysis.
+func (j *Journal) AppendAdapt(key string, epoch int, counts map[string]uint64) error {
+	return j.append(journalRecord{Type: "adapt", Key: key, Epoch: epoch, Counts: counts})
 }
 
 // Degraded reports whether a journal write has failed; the server

@@ -93,7 +93,7 @@ func TestSpanStructureSerialVsParallel(t *testing.T) {
 		{Workload: "sort", Analysis: "uaf"},
 		{Workload: "memcached", Bug: "uaf", Analysis: "uaf"},
 		{MIR: trapMIR, Analysis: "uaf"},
-		{Workload: "sort", Analysis: "msan", Options: JobOptions{Engine: "threaded"}},
+		{Workload: "sort", Analysis: "msan", Options: JobOptions{Engine: "interp"}},
 	}
 	const perReq = 4 // 16 jobs total
 

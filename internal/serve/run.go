@@ -16,16 +16,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// compileOptions returns the compilation configuration jobs run under:
-// full optimization with the requested execution tier. The engine
-// participates in Options.Fingerprint, so interp and threaded jobs
-// cache — and shard — separately.
-func compileOptions(eng vm.Engine) compiler.Options {
-	o := compiler.DefaultOptions()
-	o.Engine = eng
-	return o
-}
-
 // compileAnalysis resolves "uaf" or "uaf+msan" through the bounded
 // process-wide compile cache.
 func compileAnalysis(spec string, opts compiler.Options) (*compiler.Analysis, error) {
@@ -91,8 +81,6 @@ func Execute(req *JobRequest, lim Limits, shard *obs.Shard) (*JobResult, *JobErr
 // the adaptive-PGO loop's entry point, which substitutes the
 // profile-collecting build during the quantum and the profile-adapted
 // build after the swap. A nil opts means the default static options.
-// The request's engine always wins: adapted options are shared per
-// compile-affinity key, and the key already pins the engine.
 func ExecuteWith(req *JobRequest, lim Limits, shard *obs.Shard, opts *compiler.Options) (*JobResult, *JobError) {
 	return ExecuteObserved(req, lim, shard, opts, nil)
 }
@@ -109,18 +97,13 @@ func ExecuteObserved(req *JobRequest, lim Limits, shard *obs.Shard, opts *compil
 		}
 	}()
 
-	eng, err := vm.ParseEngine(req.Options.Engine)
-	if err != nil {
-		return nil, &JobError{Kind: "fail", Message: err.Error()}
-	}
 	prog, err := buildProgram(req)
 	if err != nil {
 		return nil, jobError(err)
 	}
-	copts := compileOptions(eng)
+	copts := compiler.DefaultOptions()
 	if opts != nil {
 		copts = *opts
-		copts.Engine = eng
 	}
 	a, err := compileAnalysis(req.Analysis, copts)
 	if err != nil {
@@ -140,7 +123,6 @@ func ExecuteObserved(req *JobRequest, lim Limits, shard *obs.Shard, opts *compil
 		MaxHeapBytes: clamp(req.Options.MaxHeapBytes, lim.DefaultMaxHeap, lim.MaxMaxHeap),
 		Deadline:     clamp(millis(req.Options.DeadlineMS), lim.DefaultDeadline, lim.MaxDeadline),
 		Faults:       req.Options.faultSpec(),
-		Engine:       eng,
 		Metrics:      shard,
 	}
 	vres, err := core.RunAnalysis(prog, a, opt)

@@ -178,16 +178,19 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestReplayEngineRejectedAtAdmission: "replay" is not an engine (a
-// replayed run needs a recorded trace, which no job carries), so the
-// submit is a 400 at admission and never reaches the journal.
+// replayed run needs a recorded trace, which no job carries) and
+// "threaded" names the removed closure-threaded tier, so either submit
+// is a 400 at admission and never reaches the journal.
 func TestReplayEngineRejectedAtAdmission(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "j.jsonl")
 	_, ts := startServer(t, Config{JournalPath: jp})
-	code, b := postJob(t, ts, JobRequest{Workload: "sort", Analysis: "uaf",
-		Options: JobOptions{Engine: "replay"}}, "?wait=1")
-	var eb errorBody
-	if code != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil || eb.Error == nil || eb.Error.Kind != "BadRequest" {
-		t.Fatalf("code %d, body %s, want a typed 400 BadRequest", code, b)
+	for _, eng := range []string{"replay", "threaded"} {
+		code, b := postJob(t, ts, JobRequest{Workload: "sort", Analysis: "uaf",
+			Options: JobOptions{Engine: eng}}, "?wait=1")
+		var eb errorBody
+		if code != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil || eb.Error == nil || eb.Error.Kind != "BadRequest" {
+			t.Fatalf("engine %q: code %d, body %s, want a typed 400 BadRequest", eng, code, b)
+		}
 	}
 	lines, err := os.ReadFile(jp)
 	if err != nil {
@@ -276,11 +279,11 @@ func TestTenantInflightCap(t *testing.T) {
 	}
 }
 
-// TestErrorKindJSONPinned pins the degraded-response contract on both
-// engines: every vm.RunError kind plus the recovered-panic and
-// build-failure service kinds surfaces as state "failed" with exactly
-// {kind, message, retryable} — never a 500, and retryable only for
-// Deadline.
+// TestErrorKindJSONPinned pins the degraded-response contract: every
+// vm.RunError kind plus the recovered-panic and build-failure service
+// kinds surfaces as state "failed" with exactly {kind, message,
+// retryable} — never a 500, and retryable only for Deadline. Each job
+// names the engine explicitly, as "interp".
 func TestErrorKindJSONPinned(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	cases := []struct {
@@ -302,50 +305,48 @@ func TestErrorKindJSONPinned(t *testing.T) {
 		{"libfault", "LibFault", false,
 			JobRequest{Workload: "sort", Analysis: "uaf", Options: JobOptions{FaultMallocNth: 1}}},
 	}
-	for _, eng := range []string{"interp", "threaded"} {
-		for _, tc := range cases {
-			t.Run(eng+"/"+tc.name, func(t *testing.T) {
-				req := tc.req
-				req.Options.Engine = eng
-				code, b := postJob(t, ts, req, "?wait=1")
-				if code != http.StatusOK {
-					t.Fatalf("code %d, body %s", code, b)
+	for _, tc := range cases {
+		t.Run("interp/"+tc.name, func(t *testing.T) {
+			req := tc.req
+			req.Options.Engine = "interp"
+			code, b := postJob(t, ts, req, "?wait=1")
+			if code != http.StatusOK {
+				t.Fatalf("code %d, body %s", code, b)
+			}
+			var st JobStatus
+			if err := json.Unmarshal(b, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateFailed || st.Result != nil || st.Error == nil {
+				t.Fatalf("status %s, want failed with error only", b)
+			}
+			if st.Error.Kind != tc.kind {
+				t.Fatalf("kind %q (msg %q), want %q", st.Error.Kind, st.Error.Message, tc.kind)
+			}
+			if st.Error.Retryable != tc.retryable {
+				t.Fatalf("retryable = %v, want %v", st.Error.Retryable, tc.retryable)
+			}
+			if st.Error.Message == "" {
+				t.Fatal("empty error message")
+			}
+			// Pin the wire shape: exactly kind/message/retryable.
+			var raw map[string]json.RawMessage
+			if err := json.Unmarshal(b, &raw); err != nil {
+				t.Fatal(err)
+			}
+			var errObj map[string]json.RawMessage
+			if err := json.Unmarshal(raw["error"], &errObj); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []string{"kind", "message", "retryable"} {
+				if _, ok := errObj[k]; !ok {
+					t.Fatalf("error body %s missing %q", b, k)
 				}
-				var st JobStatus
-				if err := json.Unmarshal(b, &st); err != nil {
-					t.Fatal(err)
-				}
-				if st.State != StateFailed || st.Result != nil || st.Error == nil {
-					t.Fatalf("status %s, want failed with error only", b)
-				}
-				if st.Error.Kind != tc.kind {
-					t.Fatalf("kind %q (msg %q), want %q", st.Error.Kind, st.Error.Message, tc.kind)
-				}
-				if st.Error.Retryable != tc.retryable {
-					t.Fatalf("retryable = %v, want %v", st.Error.Retryable, tc.retryable)
-				}
-				if st.Error.Message == "" {
-					t.Fatal("empty error message")
-				}
-				// Pin the wire shape: exactly kind/message/retryable.
-				var raw map[string]json.RawMessage
-				if err := json.Unmarshal(b, &raw); err != nil {
-					t.Fatal(err)
-				}
-				var errObj map[string]json.RawMessage
-				if err := json.Unmarshal(raw["error"], &errObj); err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []string{"kind", "message", "retryable"} {
-					if _, ok := errObj[k]; !ok {
-						t.Fatalf("error body %s missing %q", b, k)
-					}
-				}
-				if len(errObj) != 3 {
-					t.Fatalf("error body %s has extra fields", b)
-				}
-			})
-		}
+			}
+			if len(errObj) != 3 {
+				t.Fatalf("error body %s has extra fields", b)
+			}
+		})
 	}
 }
 
@@ -411,7 +412,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 		{Tenant: "a", Workload: "sort", Analysis: "msan"},
 		{Tenant: "b", Workload: "sort", Analysis: "uaf", Options: JobOptions{MaxSteps: 100}},
 		{Tenant: "b", MIR: trapMIR, Analysis: "uaf"},
-		{Tenant: "c", Workload: "sort", Analysis: "uaf", Options: JobOptions{Engine: "threaded"}},
+		{Tenant: "c", Workload: "sort", Analysis: "uaf", Options: JobOptions{Engine: "interp"}},
 		{Tenant: "c", Workload: "sort", Analysis: "uaf", Options: JobOptions{FaultMallocNth: 1}},
 	}
 	want := map[string][]byte{} // id -> terminal status JSON
@@ -523,7 +524,7 @@ func TestConcurrentSubmitSoak(t *testing.T) {
 					Analysis: []string{"uaf", "msan", "uaf+msan"}[i%3],
 				}
 				if i%4 == 3 {
-					req.Options.Engine = "threaded"
+					req.Options.Engine = "interp"
 				}
 				if i%5 == 4 {
 					req.Analysis = "nope" // exercise the 400 path concurrently

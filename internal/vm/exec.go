@@ -159,12 +159,6 @@ func (m *Machine) Start() error {
 	m.dlTick = 0
 	m.lastRun = -1
 	m.hookPer = make([]uint64, len(m.Handlers))
-	if m.cfg.Engine == EngineThreaded {
-		// Handlers must be installed before Start: hook closures bind
-		// their handler function here, once, instead of per dispatch.
-		m.buildThreaded()
-		m.tx = &texec{m: m}
-	}
 	return nil
 }
 
@@ -233,11 +227,7 @@ func (m *Machine) RunQuantum() bool {
 		q0 = time.Now()
 	}
 	steps0 := m.steps
-	if t := m.threads[picked]; m.tx != nil {
-		m.runThreaded(t, q)
-	} else {
-		m.runThread(t, q)
-	}
+	m.runThread(m.threads[picked], q)
 	if tr != nil {
 		tr.Span("vm", "quantum", m.cfg.TraceTID, q0, time.Since(q0),
 			"tid", strconv.Itoa(picked),

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -9,81 +8,31 @@ import (
 	"repro/internal/mir"
 )
 
-// runEngines runs the same program under both execution tiers and
-// asserts that everything observable — result counters, exit value,
-// reports (including their step-of-first-occurrence and backtraces),
-// run-error kind/message/backtrace, per-opcode and scheduler metrics —
-// is identical. It returns the interpreter's outcome.
-func runEngines(t *testing.T, p *mir.Program, cfg Config, handlers func(m *Machine) []HandlerFn) (*Result, error) {
+// runWith verifies and runs p once with the handler table handlers
+// builds (nil installs none) and returns the run's outcome.
+//
+// The TestEngineDifferential* names date from when these tests compared
+// the interpreter with a second execution tier; each now checks the
+// interpreter alone.
+func runWith(t *testing.T, p *mir.Program, cfg Config, handlers func(m *Machine) []HandlerFn) (*Result, error) {
 	t.Helper()
 	if err := p.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	var results [2]*Result
-	var errs [2]error
-	var metrics [2]MachineMetrics
-	for i, eng := range []Engine{EngineInterp, EngineThreaded} {
-		c := cfg
-		c.Engine = eng
-		m, err := New(p, c)
-		if err != nil {
-			t.Fatalf("new (%s): %v", eng, err)
-		}
-		if handlers != nil {
-			m.Handlers = handlers(m)
-		}
-		results[i], errs[i] = m.Run()
-		metrics[i] = m.Metrics()
+	m, err := New(p, cfg)
+	if err != nil {
+		t.Fatalf("new: %v", err)
 	}
-	if (errs[0] == nil) != (errs[1] == nil) {
-		t.Fatalf("engine error divergence: interp=%v threaded=%v", errs[0], errs[1])
+	if handlers != nil {
+		m.Handlers = handlers(m)
 	}
-	if errs[0] != nil {
-		var re0, re1 *RunError
-		if !errors.As(errs[0], &re0) || !errors.As(errs[1], &re1) {
-			t.Fatalf("non-RunError failure: interp=%v threaded=%v", errs[0], errs[1])
-		}
-		if re0.Kind != re1.Kind || re0.Msg != re1.Msg {
-			t.Fatalf("RunError divergence:\n interp:   %s: %s\n threaded: %s: %s", re0.Kind, re0.Msg, re1.Kind, re1.Msg)
-		}
-		if !reflect.DeepEqual(re0.Backtrace, re1.Backtrace) {
-			t.Fatalf("backtrace divergence:\n interp:   %v\n threaded: %v", re0.Backtrace, re1.Backtrace)
-		}
-	} else {
-		r0, r1 := results[0], results[1]
-		if r0.Steps != r1.Steps || r0.HookCalls != r1.HookCalls || r0.Exit != r1.Exit || r0.Threads != r1.Threads {
-			t.Fatalf("result divergence:\n interp:   steps=%d hooks=%d exit=%d threads=%d\n threaded: steps=%d hooks=%d exit=%d threads=%d",
-				r0.Steps, r0.HookCalls, r0.Exit, r0.Threads, r1.Steps, r1.HookCalls, r1.Exit, r1.Threads)
-		}
-		if len(r0.Reports) != len(r1.Reports) {
-			t.Fatalf("report count divergence: interp=%d threaded=%d", len(r0.Reports), len(r1.Reports))
-		}
-		for i := range r0.Reports {
-			if !reflect.DeepEqual(*r0.Reports[i], *r1.Reports[i]) {
-				t.Fatalf("report %d divergence:\n interp:   %+v\n threaded: %+v", i, *r0.Reports[i], *r1.Reports[i])
-			}
-		}
-	}
-	m0, m1 := metrics[0], metrics[1]
-	if !reflect.DeepEqual(m0.Ops, m1.Ops) {
-		t.Fatalf("per-opcode count divergence:\n interp:   %v\n threaded: %v", m0.Ops, m1.Ops)
-	}
-	if !reflect.DeepEqual(m0.HookCalls, m1.HookCalls) {
-		t.Fatalf("per-hook count divergence: interp=%v threaded=%v", m0.HookCalls, m1.HookCalls)
-	}
-	if m0.CtxSwitches != m1.CtxSwitches || m0.Quanta != m1.Quanta || m0.FaultsFired != m1.FaultsFired {
-		t.Fatalf("scheduler metric divergence:\n interp:   ctx=%d quanta=%d faults=%d\n threaded: ctx=%d quanta=%d faults=%d",
-			m0.CtxSwitches, m0.Quanta, m0.FaultsFired, m1.CtxSwitches, m1.Quanta, m1.FaultsFired)
-	}
-	return results[0], errs[0]
+	return m.Run()
 }
 
 // mixProg builds a loop whose body is a long run of pure arithmetic in
-// every operand shape the micro-op decoder specializes — reg-reg,
-// reg-const, commuted const-reg, flipped const-reg compares, generic
-// const-reg, full const folds, division by a maybe-zero register —
-// feeding a store/load pair and a memory-carried accumulator. This is
-// the canonical superinstruction fodder.
+// every operand shape — reg-reg, reg-const, const-reg, const-const,
+// shifts, compares, division and remainder by a maybe-zero register —
+// feeding a store/load pair and a memory-carried accumulator.
 func mixProg(iters int64) *mir.Program {
 	p := mir.NewProgram()
 	b := p.NewFunc("main", 0)
@@ -91,16 +40,16 @@ func mixProg(iters int64) *mir.Program {
 	accAddr := b.Add(mir.R(buf), mir.C(256))
 	b.Store(mir.R(accAddr), mir.C(0), 8)
 	b.Loop(mir.C(iters), func(i mir.Reg) {
-		x := b.Mul(mir.R(i), mir.C(0x9E37))          // RI
-		y := b.Add(mir.C(7), mir.R(x))               // IR, commutes
-		z := b.Bin(mir.OpSub, mir.C(1000), mir.R(y)) // IR, generic
-		s := b.Bin(mir.OpShl, mir.R(x), mir.C(3))    // RI shift
-		q := b.Bin(mir.OpShr, mir.C(-1), mir.R(i))   // IR, generic shift
-		c1 := b.Bin(mir.OpLt, mir.C(5), mir.R(i))    // IR, flips to Gt
-		c2 := b.Bin(mir.OpGe, mir.R(i), mir.C(3))    // RI compare
-		d := b.Bin(mir.OpDiv, mir.R(z), mir.R(c2))   // RR div, divisor may be 0
-		r := b.Bin(mir.OpRem, mir.R(q), mir.C(0))    // RI rem by zero
-		f := b.Bin(mir.OpXor, mir.C(3), mir.C(5))    // const fold
+		x := b.Mul(mir.R(i), mir.C(0x9E37))          // reg-const
+		y := b.Add(mir.C(7), mir.R(x))               // const-reg
+		z := b.Bin(mir.OpSub, mir.C(1000), mir.R(y)) // const-reg, not commutative
+		s := b.Bin(mir.OpShl, mir.R(x), mir.C(3))    // reg-const shift
+		q := b.Bin(mir.OpShr, mir.C(-1), mir.R(i))   // const-reg shift
+		c1 := b.Bin(mir.OpLt, mir.C(5), mir.R(i))    // const-reg compare
+		c2 := b.Bin(mir.OpGe, mir.R(i), mir.C(3))    // reg-const compare
+		d := b.Bin(mir.OpDiv, mir.R(z), mir.R(c2))   // reg-reg div, divisor may be 0
+		r := b.Bin(mir.OpRem, mir.R(q), mir.C(0))    // rem by zero
+		f := b.Bin(mir.OpXor, mir.C(3), mir.C(5))    // const-const
 		sum := b.Add(mir.R(c1), mir.R(d))
 		sum = b.Add(mir.R(sum), mir.R(r))
 		sum = b.Add(mir.R(sum), mir.R(f))
@@ -120,6 +69,8 @@ func mixProg(iters int64) *mir.Program {
 	return p
 }
 
+// TestEngineDifferentialMix runs mixProg to completion under shadow
+// tracking, another seed and quanta from 3 to 1024 instructions.
 func TestEngineDifferentialMix(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -128,12 +79,12 @@ func TestEngineDifferentialMix(t *testing.T) {
 		{"default", Config{}},
 		{"shadow", Config{TrackShadow: true}},
 		{"seed7", Config{Seed: 7}},
-		{"quantum3", Config{Quantum: 3}}, // chains never fit: single-step fallback
+		{"quantum3", Config{Quantum: 3}},
 		{"quantum17", Config{Quantum: 17}},
 		{"quantum1024", Config{Quantum: 1024}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := runEngines(t, mixProg(20000), tc.cfg, nil)
+			res, err := runWith(t, mixProg(20000), tc.cfg, nil)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -144,9 +95,9 @@ func TestEngineDifferentialMix(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialBranchIntoChain drives a branch whose target
-// block starts with a fused chain, from both the fallthrough and the
-// taken edge, with data-dependent direction.
+// TestEngineDifferentialBranchIntoChain drives a data-dependent branch
+// into a block of pure arithmetic from both the fallthrough and the
+// taken edge.
 func TestEngineDifferentialBranchIntoChain(t *testing.T) {
 	p := mir.NewProgram()
 	b := p.NewFunc("main", 0)
@@ -154,7 +105,6 @@ func TestEngineDifferentialBranchIntoChain(t *testing.T) {
 	b.Loop(mir.C(5000), func(i mir.Reg) {
 		odd := b.Bin(mir.OpAnd, mir.R(i), mir.C(1))
 		b.If(mir.R(odd), func() {
-			// Long pure run: fuses into a chain entered by the taken edge.
 			v := b.Mul(mir.R(i), mir.C(3))
 			v = b.Add(mir.R(v), mir.C(11))
 			v = b.Bin(mir.OpXor, mir.R(v), mir.C(0x5555))
@@ -168,14 +118,14 @@ func TestEngineDifferentialBranchIntoChain(t *testing.T) {
 	})
 	r := b.Load(mir.R(buf), 8)
 	b.RetVal(mir.R(r))
-	if _, err := runEngines(t, p, Config{}, nil); err != nil {
+	if _, err := runWith(t, p, Config{}, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
-// TestEngineDifferentialTraps plants traps in the middle of would-be
-// superinstructions: the trap step, message, backtrace pc and every
-// counter up to the fault must match across tiers.
+// TestEngineDifferentialTraps plants one trap of each kind the
+// interpreter raises, most of them amid pure arithmetic: each must fail
+// the run with a KindTrap RunError.
 func TestEngineDifferentialTraps(t *testing.T) {
 	cases := []struct {
 		name string
@@ -188,7 +138,7 @@ func TestEngineDifferentialTraps(t *testing.T) {
 			x := b.Const(3)
 			y := b.Add(mir.R(x), mir.C(4))
 			z := b.Mul(mir.R(y), mir.C(5))
-			bad := b.Load(mir.C(1<<40), 8) // trap mid-chain
+			bad := b.Load(mir.C(1<<40), 8)
 			w := b.Add(mir.R(z), mir.R(bad))
 			b.RetVal(mir.R(w))
 			return p
@@ -251,15 +201,15 @@ func TestEngineDifferentialTraps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := runEngines(t, tc.prog(), Config{}, nil)
+			_, err := runWith(t, tc.prog(), Config{}, nil)
 			wantKind(t, err, tc.kind)
 		})
 	}
 }
 
-// TestEngineDifferentialThreads interleaves lock-stepping workers; the
-// shared scheduler stream must produce the identical interleaving (and
-// so identical ctx-switch/quanta counts) on both tiers.
+// TestEngineDifferentialThreads interleaves three lock-stepping workers
+// under three scheduler seeds: the lock must serialize every increment
+// whatever the interleaving.
 func TestEngineDifferentialThreads(t *testing.T) {
 	build := func() *mir.Program {
 		p := mir.NewProgram()
@@ -288,7 +238,7 @@ func TestEngineDifferentialThreads(t *testing.T) {
 		return p
 	}
 	for _, seed := range []int64{1, 7, 1337} {
-		res, err := runEngines(t, build(), Config{Seed: seed}, nil)
+		res, err := runWith(t, build(), Config{Seed: seed}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -298,6 +248,8 @@ func TestEngineDifferentialThreads(t *testing.T) {
 	}
 }
 
+// TestEngineDifferentialDeadlock blocks main on a lock a spinning
+// worker never releases: the run must fail instead of hanging.
 func TestEngineDifferentialDeadlock(t *testing.T) {
 	p := mir.NewProgram()
 	w := p.NewFunc("worker", 1)
@@ -311,15 +263,15 @@ func TestEngineDifferentialDeadlock(t *testing.T) {
 	b.Lock(mir.R(l)) // blocks forever: worker never unlocks
 	b.Ret()
 	p.Entry = "main"
-	_, err := runEngines(t, p, Config{MaxSteps: 1 << 22}, nil)
+	_, err := runWith(t, p, Config{MaxSteps: 1 << 22}, nil)
 	if err == nil {
 		t.Fatal("expected a failure")
 	}
 }
 
-// TestEngineDifferentialHooks plants hooks inside a fused block: arg
-// marshalling (reg, shadow, tid, const), MetaDst shadow writes and the
-// handler-visible Steps() clock must all match.
+// TestEngineDifferentialHooks plants two hooks amid pure arithmetic:
+// argument marshalling (reg, tid, const, shadow), the MetaDst shadow
+// write and the handler-visible Steps() clock.
 func TestEngineDifferentialHooks(t *testing.T) {
 	p := mir.NewProgram()
 	b := p.NewFunc("main", 0)
@@ -357,32 +309,30 @@ func TestEngineDifferentialHooks(t *testing.T) {
 		steps  []uint64
 		shadow uint64
 	}
-	var per [2]seen
-	idx := 0
+	var got seen
 	handlers := func(m *Machine) []HandlerFn {
-		s := &per[idx]
-		idx++
 		return []HandlerFn{
 			func(m *Machine, tid uint64, args []uint64) uint64 {
-				s.args = append(s.args, args...)
-				s.steps = append(s.steps, m.Steps())
+				got.args = append(got.args, args...)
+				got.steps = append(got.steps, m.Steps())
 				return 0xAB
 			},
 			func(m *Machine, tid uint64, args []uint64) uint64 {
-				s.shadow = args[0]
-				s.steps = append(s.steps, m.Steps())
+				got.shadow = args[0]
+				got.steps = append(got.steps, m.Steps())
 				return 0
 			},
 		}
 	}
-	if _, err := runEngines(t, p, Config{TrackShadow: true}, handlers); err != nil {
+	if _, err := runWith(t, p, Config{TrackShadow: true}, handlers); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !reflect.DeepEqual(per[0], per[1]) {
-		t.Fatalf("handler-visible state divergence:\n interp:   %+v\n threaded: %+v", per[0], per[1])
-	}
-	if per[0].shadow != 0xAB {
-		t.Fatalf("shadow did not propagate: %#x", per[0].shadow)
+	// The first hook sees sum=11, thread 0 and the constant 9 at step 4;
+	// its 0xAB return becomes sum's shadow, which z inherits and the
+	// second hook reads at step 6.
+	want := seen{args: []uint64{11, 0, 9}, steps: []uint64{4, 6}, shadow: 0xAB}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("handler-visible state %+v, want %+v", got, want)
 	}
 }
 
@@ -414,7 +364,7 @@ func TestEngineDifferentialFaults(t *testing.T) {
 	}
 	t.Run("handler-panic", func(t *testing.T) {
 		for _, nth := range []uint64{1, 20, 23} {
-			_, err := runEngines(t, hooked(), Config{Faults: FaultSpec{HandlerPanicNth: nth}}, countHandler)
+			_, err := runWith(t, hooked(), Config{Faults: FaultSpec{HandlerPanicNth: nth}}, countHandler)
 			wantKind(t, err, KindTrap)
 		}
 	})
@@ -427,22 +377,22 @@ func TestEngineDifferentialFaults(t *testing.T) {
 			b.CallVoid("free", mir.R(buf))
 		})
 		b.Ret()
-		_, err := runEngines(t, p, Config{Faults: FaultSpec{MallocFailNth: 3}}, nil)
+		_, err := runWith(t, p, Config{Faults: FaultSpec{MallocFailNth: 3}}, nil)
 		wantKind(t, err, KindLibFault)
 	})
 	t.Run("sched-perturb", func(t *testing.T) {
-		if _, err := runEngines(t, mixProg(3000), Config{Faults: FaultSpec{SchedPerturb: 0xDEADBEEF}}, nil); err != nil {
+		if _, err := runWith(t, mixProg(3000), Config{Faults: FaultSpec{SchedPerturb: 0xDEADBEEF}}, nil); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	})
 }
 
 // TestEngineDifferentialBudgets trips each resource budget: the step
-// limit, the heap budget and the (first-check) deadline — degraded
-// outcomes must carry the same kind, message and step count.
+// limit, the heap budget and the (first-check) deadline, each with its
+// own RunError kind.
 func TestEngineDifferentialBudgets(t *testing.T) {
 	t.Run("step-limit", func(t *testing.T) {
-		_, err := runEngines(t, mixProg(1<<30), Config{MaxSteps: 1 << 16}, nil)
+		_, err := runWith(t, mixProg(1<<30), Config{MaxSteps: 1 << 16}, nil)
 		wantKind(t, err, KindStepLimit)
 	})
 	t.Run("heap-budget", func(t *testing.T) {
@@ -453,20 +403,19 @@ func TestEngineDifferentialBudgets(t *testing.T) {
 			b.Store(mir.R(buf), mir.R(i), 8)
 		})
 		b.Ret()
-		_, err := runEngines(t, p, Config{MaxHeapBytes: 1 << 14}, nil)
+		_, err := runWith(t, p, Config{MaxHeapBytes: 1 << 14}, nil)
 		wantKind(t, err, KindHeapLimit)
 	})
 	t.Run("deadline-first-check", func(t *testing.T) {
 		// A 1ns deadline trips at the first wall-clock check (slice 128)
-		// on any machine, so the failing step count is deterministic and
-		// must agree across tiers.
-		_, err := runEngines(t, mixProg(1<<30), Config{Deadline: time.Nanosecond}, nil)
+		// on any machine.
+		_, err := runWith(t, mixProg(1<<30), Config{Deadline: time.Nanosecond}, nil)
 		wantKind(t, err, KindDeadline)
 	})
 }
 
-// TestEngineDifferentialCalls covers user calls and returns terminating
-// chains: deep call trees, return values, and argument shadow plumbing.
+// TestEngineDifferentialCalls covers user calls and returns: a deep
+// recursive call tree and its return values.
 func TestEngineDifferentialCalls(t *testing.T) {
 	p := mir.NewProgram()
 	fib := p.NewFunc("fib", 1)
@@ -488,7 +437,7 @@ func TestEngineDifferentialCalls(t *testing.T) {
 	r := b.Call("fib", mir.C(17))
 	b.RetVal(mir.R(r))
 	p.Entry = "main"
-	res, err := runEngines(t, p, Config{}, nil)
+	res, err := runWith(t, p, Config{}, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -497,74 +446,16 @@ func TestEngineDifferentialCalls(t *testing.T) {
 	}
 }
 
-// TestThreadedChainLayout sanity-checks the fuser itself: chains cover
-// fusable runs, never exceed maxChain, only end with control transfers,
-// and every mid-chain entry keeps a single-op fallback closure.
-func TestThreadedChainLayout(t *testing.T) {
-	p := mixProg(4)
-	if err := p.Verify(); err != nil {
-		t.Fatal(err)
+// TestNewRejectsThreadedEngine: the closure-threaded tier was removed,
+// and a machine that names it fails at construction instead of running
+// on the interpreter unnoticed.
+func TestNewRejectsThreadedEngine(t *testing.T) {
+	p := mir.NewProgram()
+	p.NewFunc("main", 0).Ret()
+	if _, err := New(p, Config{Engine: EngineThreaded}); err == nil {
+		t.Fatal("New accepted EngineThreaded")
 	}
-	m, err := New(p, Config{Engine: EngineThreaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatal(err)
-	}
-	chains, pureRuns := 0, 0
-	for _, fn := range m.funcs {
-		if fn.threaded == nil {
-			t.Fatalf("function %s has no threaded code", fn.name)
-		}
-		for bi, tb := range fn.threaded {
-			entries := tb.entries
-			if len(entries) != len(fn.blocks[bi]) {
-				t.Fatalf("%s block %d: %d entries for %d instructions", fn.name, bi, len(entries), len(fn.blocks[bi]))
-			}
-			for pc, e := range entries {
-				if e.fn == nil {
-					t.Fatalf("%s b%d:%d has no single-op closure", fn.name, bi, pc)
-				}
-				if pureIns(&fn.blocks[bi][pc]) {
-					if len(e.pure) == 0 {
-						t.Fatalf("%s b%d:%d pure instruction without a pure run", fn.name, bi, pc)
-					}
-					pureRuns++
-					for k := pc; k < pc+len(e.pure); k++ {
-						if !pureIns(&fn.blocks[bi][k]) {
-							t.Fatalf("%s b%d:%d impure instruction inside pure run", fn.name, bi, k)
-						}
-					}
-					// Prefix sums must account the full run exactly.
-					var got uint64
-					for oi := range tb.pureOps {
-						got += uint64(tb.cum[oi][pc+len(e.pure)] - tb.cum[oi][pc])
-					}
-					if got != uint64(len(e.pure)) {
-						t.Fatalf("%s b%d:%d prefix sums cover %d of %d run ops", fn.name, bi, pc, got, len(e.pure))
-					}
-					continue
-				}
-				if e.chain == nil {
-					continue
-				}
-				chains++
-				if e.n < 2 || e.n > maxChain {
-					t.Fatalf("%s b%d:%d chain length %d out of range", fn.name, bi, pc, e.n)
-				}
-				for k := pc; k < pc+int(e.n)-1; k++ {
-					if chainFinal(&fn.blocks[bi][k]) {
-						t.Fatalf("%s b%d:%d control transfer mid-chain", fn.name, bi, k)
-					}
-				}
-			}
-		}
-	}
-	if chains == 0 {
-		t.Fatal("fuser built no superinstruction chains")
-	}
-	if pureRuns == 0 {
-		t.Fatal("builder formed no inline pure runs")
+	if _, err := New(p, Config{Engine: EngineInterp}); err != nil {
+		t.Fatalf("New rejected EngineInterp: %v", err)
 	}
 }

@@ -25,11 +25,10 @@ import (
 // taken once around the loop (Result.Wall), Deadline samples the clock
 // once every 128 slices, and Trace times each slice.
 type Config struct {
-	// Engine selects the execution tier. The zero value is the
-	// switch-dispatch interpreter; EngineThreaded builds closure-threaded
-	// code at Start. Both tiers are observably identical — verdicts,
-	// exit codes, counters, schedules — which conformance enforces.
-	// Replay ignores it (see Replay).
+	// Engine must be EngineInterp, the zero value; New rejects any
+	// other tier.
+	//
+	// Deprecated: see Engine.
 	Engine Engine
 	// AddrSpace is the simulated byte address-space size (rounded up to a
 	// power of two). Default 1<<28 (256 MiB).
@@ -73,14 +72,13 @@ type Config struct {
 	// TraceSink, when non-nil, records the run as a compressed replay
 	// trace (package trace): load values, library results and scheduler
 	// quanta, batched per quantum and finalized with the run's terminal
-	// state. Record mode is interpreter-only and incompatible with
-	// Replay.
+	// state. Record mode is incompatible with Replay.
 	TraceSink io.Writer
 	// Replay, when non-nil, makes a recorded trace the interpreter
 	// loop's input source: the schedule, load values and library results
 	// come from the stream while hooks dispatch into the installed
-	// Handlers. The interpreter runs whatever Engine says. The Trace may
-	// be shared by concurrent machines — it is read-only during replay.
+	// Handlers. The Trace may be shared by concurrent machines — it is
+	// read-only during replay.
 	Replay *trace.Trace
 }
 
@@ -201,11 +199,6 @@ type Machine struct {
 	rr       int // round-robin cursor
 	dlTick   int // slices until the next wall-clock check
 
-	// tx is the threaded tier's reusable execution context; non-nil iff
-	// the machine started with EngineThreaded (it doubles as the engine
-	// dispatch flag on the quantum path).
-	tx *texec
-
 	// rec is the trace recorder (non-nil iff Config.TraceSink); rp is
 	// the replay state (non-nil iff Config.Replay). The interpreter loop
 	// tests them where it reads an input.
@@ -249,15 +242,17 @@ type linkedInstr struct {
 }
 
 type linkedFunc struct {
-	name     string
-	nparams  int
-	nregs    int
-	blocks   [][]linkedInstr
-	threaded []tBlock // closure-threaded code, built at Start for EngineThreaded
+	name    string
+	nparams int
+	nregs   int
+	blocks  [][]linkedInstr
 }
 
 // New links a program into a machine. The program must already Verify.
 func New(prog *mir.Program, cfg Config) (*Machine, error) {
+	if cfg.Engine != EngineInterp {
+		return nil, fmt.Errorf("vm: execution tier %s is not available: the interpreter is the only tier", cfg.Engine)
+	}
 	m := &Machine{
 		cfg:       cfg.withDefaults(),
 		prog:      prog,
@@ -278,13 +273,9 @@ func New(prog *mir.Program, cfg Config) (*Machine, error) {
 		if fp := TraceFingerprint(prog); fp != m.cfg.Replay.ProgFP {
 			return nil, fmt.Errorf("vm: replay trace was recorded against a different program (fingerprint %#x, trace has %#x)", fp, m.cfg.Replay.ProgFP)
 		}
-		m.cfg.Engine = EngineInterp
 		m.rp = &replayState{cur: m.cfg.Replay.Cursor()}
 	}
 	if m.cfg.TraceSink != nil {
-		if m.cfg.Engine == EngineThreaded {
-			return nil, fmt.Errorf("vm: trace recording is interpreter-only (EngineThreaded set)")
-		}
 		m.rec = &recorder{w: trace.NewWriter(m.cfg.TraceSink, TraceFingerprint(prog), m.cfg.Seed, m.cfg.Quantum)}
 	}
 	m.libs = stdlibTable()

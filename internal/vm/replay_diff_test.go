@@ -6,7 +6,7 @@
 // quanta and context switches all match, across fault injections and
 // resource-budget trips. Cross-analysis replay (the plain program's
 // trace driving an instrumented clone) preserves the verdict — exit
-// value, canonical reports, error kind — against both live tiers.
+// value, canonical reports, error kind — against the live run.
 package vm_test
 
 import (
@@ -184,7 +184,7 @@ func verdictOf(res *vm.Result, err error) (verdict, error) {
 
 // TestReplayCrossAnalysis: one plain trace recorded per workload, then
 // replayed into instrumented clones under several analyses. The replay
-// verdict must match the live verdict of both execution tiers.
+// verdict must match the live verdict.
 func TestReplayCrossAnalysis(t *testing.T) {
 	opt := core.RunOptions{Seed: 1, MaxSteps: 64 << 20}
 	for _, wl := range []struct {
@@ -211,17 +211,6 @@ func TestReplayCrossAnalysis(t *testing.T) {
 				liveV, ierr := verdictOf(core.RunAnalysis(prog, a, opt))
 				if ierr != nil {
 					t.Fatalf("%s live: %v", analysis, ierr)
-				}
-				for _, eng := range engines() {
-					o := opt
-					o.Engine = eng
-					v, ierr := verdictOf(core.RunAnalysis(prog, a, o))
-					if ierr != nil {
-						t.Fatalf("%s %s: %v", analysis, eng, ierr)
-					}
-					if v != liveV {
-						t.Fatalf("%s: live tiers disagree", analysis)
-					}
 				}
 				repOpt := opt
 				repOpt.ReplayTrace = tr

@@ -712,8 +712,8 @@ func TestStraddlingSubWordLoadTraps(t *testing.T) {
 	// A 4-byte access at offset 6 of an 8-aligned buffer crosses its
 	// containing 64-bit word. Memory shifts within one word only, so a
 	// load used to return bytes from the wrong locations and a store
-	// used to drop the bytes past the word; both must trap instead, on
-	// both tiers and on a replayed run.
+	// used to drop the bytes past the word; both must trap instead, live,
+	// recording and replayed.
 	for _, op := range []string{"load", "store"} {
 		p := mir.NewProgram()
 		b := p.NewFunc("main", 0)
@@ -729,11 +729,9 @@ func TestStraddlingSubWordLoadTraps(t *testing.T) {
 			t.Fatalf("verify: %v", err)
 		}
 		var rec bytes.Buffer
-		for _, name := range []string{"interp", "threaded", "record", "replay"} {
+		for _, name := range []string{"interp", "record", "replay"} {
 			var cfg Config
 			switch name {
-			case "threaded":
-				cfg.Engine = EngineThreaded
 			case "record":
 				cfg.TraceSink = &rec
 			case "replay":
