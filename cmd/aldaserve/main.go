@@ -17,7 +17,7 @@
 //	GET  /metrics        obs registry: JSON by default, Prometheus text
 //	                     exposition with Accept: text/plain or ?format=prom
 //	GET  /debug/flight   flight-recorder ring dump (recent per-shard events)
-//	GET  /debug/spans    per-job lifecycle span store
+//	GET  /debug/spans    the same events grouped into per-job span chains
 //
 // Jobs are deterministic in their request (virtual-time results), so the
 // write-ahead journal (-journal) makes the service crash-safe: kill -9,
@@ -73,8 +73,7 @@ func main() {
 	sampleEvery := flag.Int("profile-sample-every", 0, "re-profile every Nth post-swap job for the rolling profile window (0 = default 16, <0 = off)")
 	slo := flag.Duration("slo", 0, "per-job wall-latency objective; slower completions count into serve.slo.jobs_over_deadline_total (0 = default 1s, <0 = off)")
 	flightSnap := flag.String("flight-snapshot", "", "file the flight recorder auto-dumps to on journal degradation or SIGQUIT")
-	flightRing := flag.Int("flight-ring", 0, "flight-recorder events retained per worker shard (0 = default 256)")
-	spanCap := flag.Int("span-cap", 0, "lifecycle span store bound in traces (0 = default 1024)")
+	flightRing := flag.Int("flight-ring", 0, "events retained per flight-recorder ring, the bound on /debug/flight and /debug/spans; one ring per shard, and jobs shard by analysis (0 = default 1536, 256 six-stage job chains)")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -90,7 +89,6 @@ func main() {
 		SLOWall:            *slo,
 		FlightSnapshotPath: *flightSnap,
 		FlightRing:         *flightRing,
-		SpanCap:            *spanCap,
 		Metrics:            obs.NewRegistry(),
 	}
 	if *maxSteps > 0 {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/vm"
 )
 
 // Compile-once memoization. The evaluation harness compiles the same
@@ -33,16 +35,17 @@ import (
 // usable as a cache key component. Two Options values with equal
 // fingerprints compile identically.
 //
-// The ",enginterp" suffix is a constant: it once named the VM
-// execution tier, and it stays so that fingerprints recorded before the
-// second tier was removed, such as serve's journaled adaptation keys,
-// still match.
+// The encoding also carries the selection thresholds, the address
+// space and a constant ",enginterp" (it once named the VM execution
+// tier), although no Options field sets them, so that fingerprints
+// recorded earlier, such as serve's journaled adaptation keys, still
+// match.
 func (o Options) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "co%t,cse%t,sel%t,fuse%t,pc%t,g%d,sft%g,bits%d,arr%d,as%d,enginterp",
 		o.Coalesce, o.CSE, o.SmartSelect, o.FuseHandlers, o.ProfileCollect,
-		o.Granularity, o.ShadowFactorThreshold, o.BitSetMaxBytes,
-		o.ArrayMapMaxKeys, o.AddrSpace)
+		o.Granularity, shadowFactorThreshold, bitSetMaxBytes,
+		arrayMapMaxKeys, vm.AddrSpace)
 	if o.Profile != nil {
 		// Canonical digest, not a dump: profiles are caller data of
 		// unbounded size, and the fingerprint is recomputed on every

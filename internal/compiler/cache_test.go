@@ -27,10 +27,6 @@ func TestOptionsFingerprint(t *testing.T) {
 	mutate("no-fuse", func(o *Options) { o.FuseHandlers = false })
 	mutate("profile-collect", func(o *Options) { o.ProfileCollect = true })
 	mutate("gran-1", func(o *Options) { o.Granularity = 1 })
-	mutate("shadow-thresh", func(o *Options) { o.ShadowFactorThreshold = 7 })
-	mutate("bitset-max", func(o *Options) { o.BitSetMaxBytes = 64 })
-	mutate("arraymap-max", func(o *Options) { o.ArrayMapMaxKeys = 16 })
-	mutate("addrspace", func(o *Options) { o.AddrSpace = 1 << 20 })
 	mutate("with-profile", func(o *Options) {
 		o.Profile = &Profile{Counts: map[string]uint64{"m1": 5, "m2": 80}}
 	})

@@ -8,6 +8,7 @@ import (
 	"repro/internal/lang/ast"
 	"repro/internal/lang/sema"
 	"repro/internal/meta"
+	"repro/internal/vm"
 )
 
 // ImplKind is the container choice for a metadata group.
@@ -288,7 +289,7 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 			case sema.SetValue:
 				mem.IsSet = 1
 				dom := mo.Elem.Domain
-				useBits := opts.SmartSelect && dom > 0 && meta.BitWords(dom)*8 <= opts.BitSetMaxBytes
+				useBits := opts.SmartSelect && dom > 0 && meta.BitWords(dom)*8 <= bitSetMaxBytes
 				if useBits {
 					mem.Repr = SetBitVec
 					mem.SetWords = meta.BitWords(dom)
@@ -377,19 +378,19 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 				if kt.Prim == ast.Pointer {
 					g.AddrShift = opts.granShift()
 				}
-			case kt.Domain > 0 && kt.Domain <= opts.ArrayMapMaxKeys:
+			case kt.Domain > 0 && kt.Domain <= arrayMapMaxKeys:
 				g.Impl = ImplArray
 			case kt.Prim == ast.Pointer && queried[first.Name]:
 				g.Impl = ImplHash
 				g.AddrShift = opts.granShift()
 			case kt.Prim == ast.Pointer:
 				g.AddrShift = opts.granShift()
-				g.MaxKeys = opts.AddrSpace >> g.AddrShift
+				g.MaxKeys = vm.AddrSpace >> g.AddrShift
 				g.ShadowFactor = float64(g.EntryWords*8) / float64(opts.Granularity)
 				// Cold groups (profile-guided split) trade the offset
 				// shadow's speed for the page table's memory efficiency —
 				// §5.3's trade-off, decided with profile knowledge.
-				if g.ShadowFactor > opts.ShadowFactorThreshold || b.cold {
+				if g.ShadowFactor > shadowFactorThreshold || b.cold {
 					g.Impl = ImplPageTable
 				} else {
 					g.Impl = ImplShadow

@@ -938,7 +938,7 @@ func (hc *hcompiler) set(e ast.Expr) (lSet, error) {
 // temporaries.
 func (hc *hcompiler) reprForElem(elem *sema.Type) SetRepr {
 	if hc.a.Opts.SmartSelect && elem.Domain > 0 &&
-		meta.BitWords(elem.Domain)*8 <= hc.a.Opts.BitSetMaxBytes {
+		meta.BitWords(elem.Domain)*8 <= bitSetMaxBytes {
 		return SetBitVec
 	}
 	return SetTree

@@ -42,33 +42,32 @@ type Options struct {
 	// Granularity is the metadata granularity in bytes: 1, 2, 4 or 8
 	// (§5.1, default word = 8).
 	Granularity int
-	// ShadowFactorThreshold picks page table over offset shadow memory
-	// when metadata-bytes-per-program-byte exceeds it (§5.3, default 3).
-	ShadowFactorThreshold float64
-	// BitSetMaxBytes is the largest fixed set stored as an inline
-	// bit-vector (§5.3, default 512).
-	BitSetMaxBytes int
-	// ArrayMapMaxKeys is the largest bounded key domain stored as a
-	// direct-indexed array.
-	ArrayMapMaxKeys int64
-	// AddrSpace sizes offset shadow memory; it must cover the VM's
-	// simulated address space.
-	AddrSpace uint64
 }
+
+// Data-structure selection thresholds (§5.3). No evaluated
+// configuration varies them. Offset shadow memory covers the VM's
+// whole simulated address space, vm.AddrSpace.
+const (
+	// shadowFactorThreshold picks page table over offset shadow memory
+	// when metadata-bytes-per-program-byte exceeds it.
+	shadowFactorThreshold = 3.0
+	// bitSetMaxBytes is the largest fixed set stored as an inline
+	// bit-vector.
+	bitSetMaxBytes = 512
+	// arrayMapMaxKeys is the largest bounded key domain stored as a
+	// direct-indexed array.
+	arrayMapMaxKeys = 1 << 20
+)
 
 // DefaultOptions returns the full-optimization configuration
 // ("ALDAcc-full" in Figure 4).
 func DefaultOptions() Options {
 	return Options{
-		Coalesce:              true,
-		CSE:                   true,
-		SmartSelect:           true,
-		FuseHandlers:          true,
-		Granularity:           8,
-		ShadowFactorThreshold: 3,
-		BitSetMaxBytes:        512,
-		ArrayMapMaxKeys:       1 << 20,
-		AddrSpace:             1 << 28,
+		Coalesce:     true,
+		CSE:          true,
+		SmartSelect:  true,
+		FuseHandlers: true,
+		Granularity:  8,
 	}
 }
 

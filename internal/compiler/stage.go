@@ -52,7 +52,7 @@ func stageKey(prog *ast.Program, lay *Layout, o Options) string {
 	for _, f := range []bool{o.CSE, o.FuseHandlers, o.SmartSelect} {
 		b = strconv.AppendBool(b, f)
 	}
-	b = strconv.AppendInt(b, int64(o.BitSetMaxBytes), 10)
+	b = strconv.AppendInt(b, bitSetMaxBytes, 10)
 	num := func(vs ...uint64) {
 		for _, v := range vs {
 			b = strconv.AppendUint(append(b, ' '), v, 10)

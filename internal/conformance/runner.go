@@ -23,7 +23,7 @@ var CombinedNames = analyses.Fig5Combination
 // cross-check: ALDA compilation and hand implementation must agree.
 var oracles = map[string]func() baselines.Baseline{
 	"eraser": func() baselines.Baseline { return baselines.NewEraser() },
-	"msan":   func() baselines.Baseline { return baselines.NewMSan(1 << 28) },
+	"msan":   func() baselines.Baseline { return baselines.NewMSan(vm.AddrSpace) },
 	"uaf":    func() baselines.Baseline { return baselines.NewUAF() },
 }
 

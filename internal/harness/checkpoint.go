@@ -129,50 +129,6 @@ func (w *checkpointWriter) close() error {
 	return w.f.Close()
 }
 
-// WriteFileAtomic writes data to path via a temp file in the same
-// directory, fsyncs it, and renames it into place — a crash leaves
-// either the old file or the complete new one, never a torn prefix.
-// The harness uses it for whole-file artifacts (metrics exports,
-// journal headers) whose readers cannot tolerate partial contents the
-// way the JSONL record streams can.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := "."
-	if i := lastSlash(path); i >= 0 {
-		dir = path[:i+1]
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmpName, path)
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
-}
-
 // loadCheckpoint reads the records of path that match the grid and
 // fingerprint, keyed by cell. A missing file is an empty resume, not an
 // error (first run with -resume -checkpoint is legal); a torn trailing

@@ -51,7 +51,7 @@ func Fig3(cfg Config) (*Table, error) {
 			case -1:
 				return c.runnerPlain(w)
 			case 0:
-				return c.runnerBaseline(func() baselines.Baseline { return baselines.NewMSan(1 << 28) }, w)
+				return c.runnerBaseline(func() baselines.Baseline { return baselines.NewMSan(vm.AddrSpace) }, w)
 			default:
 				return c.runnerALDA(msan, w)
 			}
@@ -198,7 +198,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		hand, err := core.RunBaseline(p, func() baselines.Baseline { return baselines.NewMSan(1 << 28) }, cfg.Opt)
+		hand, err := core.RunBaseline(p, func() baselines.Baseline { return baselines.NewMSan(vm.AddrSpace) }, cfg.Opt)
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +493,7 @@ func Mem(cfg Config) ([]MemRow, error) {
 		return nil, err
 	}
 	for _, w := range []string{"bzip2", "libquantum", "memcached", "sort"} {
-		hb, err := measureHand(baselines.NewMSan(1<<28), w)
+		hb, err := measureHand(baselines.NewMSan(vm.AddrSpace), w)
 		if err != nil {
 			return nil, err
 		}

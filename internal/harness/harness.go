@@ -61,20 +61,11 @@ type Config struct {
 	KeepGoing bool
 	// Retries re-measures a cell up to this many extra times when its
 	// failure is retryable (vm.KindDeadline — the one load-dependent
-	// kind). The wait between attempts starts at RetryBackoff (default
-	// 100ms) and doubles, capped per-wait at RetryMaxBackoff (default
-	// 2s) with deterministic equal-jitter decorrelation, and capped in
-	// total at RetryBudget (default 30s) so a flapping cell cannot
-	// stall a sweep — or a server drain — indefinitely.
-	Retries         int
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
-	RetryBudget     time.Duration
-	// SweepDeadline, when non-zero, is the absolute instant the sweep
-	// must wind down by: a retry whose backoff wait would cross it is
-	// abandoned and the cell degrades with its last error. Set by
-	// drain paths that need the sweep to finish promptly.
-	SweepDeadline time.Time
+	// kind). The wait between attempts starts at 100ms and doubles,
+	// capped per-wait at 2s with deterministic equal-jitter
+	// decorrelation, and capped in total at 30s so a flapping cell
+	// cannot stall a sweep indefinitely (retry.go).
+	Retries int
 	// CheckpointPath appends one JSONL record per completed cell
 	// (degraded cells included) to this file. Empty disables
 	// checkpointing.
@@ -135,15 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.RetryMaxBackoff <= 0 {
-		c.RetryMaxBackoff = 2 * time.Second
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 30 * time.Second
 	}
 	if c.AdaptAfter <= 0 {
 		c.AdaptAfter = 1

@@ -151,9 +151,9 @@ func (c Config) measureCell(g *gridSpec, program string, col int, sh *obs.Shard)
 		return w, err
 	}
 	policy := retryPolicy{
-		Base:   c.RetryBackoff,
-		Max:    c.RetryMaxBackoff,
-		Budget: c.RetryBudget,
+		Base:   retryBackoff,
+		Max:    retryMaxBackoff,
+		Budget: retryBudget,
 		Seed:   cellRetrySeed(g.name, program+"/"+g.colName(col)),
 	}
 	var spent time.Duration
@@ -170,9 +170,6 @@ func (c Config) measureCell(g *gridSpec, program string, col int, sh *obs.Shard)
 		if !ok {
 			// Retry budget exhausted: degrade with the last error rather
 			// than wait out an unbounded schedule.
-			return 0, try, err
-		}
-		if !c.SweepDeadline.IsZero() && retryNow().Add(d).After(c.SweepDeadline) {
 			return 0, try, err
 		}
 		retrySleep(d)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/instrument"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -77,7 +78,7 @@ func (c Config) ensureTraces(programs []string) error {
 				return fmt.Errorf("harness: recording %s: %w", w, err)
 			}
 		}
-		if err := WriteFileAtomic(path, data, 0o644); err != nil {
+		if err := obs.WriteFileAtomic(path, data, 0o644); err != nil {
 			return fmt.Errorf("harness: writing %s: %w", path, err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -166,7 +167,7 @@ func TestTraceCacheOneEntryPerPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFileAtomic(path, data, 0o644); err != nil {
+		if err := obs.WriteFileAtomic(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Chtimes(path, mod, mod); err != nil {

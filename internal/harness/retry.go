@@ -4,13 +4,21 @@ import (
 	"time"
 )
 
-// Retry scheduling for retryable cell failures (vm.KindDeadline). The
-// PR 2 schedule was bare doubling; a fleet of cells retrying in
-// lockstep after a shared stall re-collides on every attempt, and an
-// uncapped schedule can hold a sweep (or a server drain) hostage to one
-// flapping cell. The policy here fixes both: exponential growth capped
-// per-wait, equal-jitter decorrelation drawn from a deterministic
-// per-cell seed, and a hard budget on total time spent waiting.
+// Retry scheduling for retryable cell failures (vm.KindDeadline). A
+// fleet of cells retrying in lockstep after a shared stall re-collides
+// on every attempt, and an uncapped schedule can hold a sweep hostage
+// to one flapping cell. The policy here prevents both: exponential
+// growth capped per-wait, equal-jitter decorrelation drawn from a
+// deterministic per-cell seed, and a hard budget on total time spent
+// waiting.
+
+// The sweep's retry schedule: the first wait, the cap on one wait, and
+// the cap on one cell's total waiting.
+const (
+	retryBackoff    = 100 * time.Millisecond
+	retryMaxBackoff = 2 * time.Second
+	retryBudget     = 30 * time.Second
+)
 
 // retryPolicy computes the wait schedule for one cell's retries. The
 // schedule is a pure function of the policy, so tests assert it without
@@ -84,9 +92,6 @@ func cellRetrySeed(grid, cell string) uint64 {
 	return retrySplitmix(h)
 }
 
-// retrySleep and retryNow are the clock seams for the deterministic
-// retry tests; production always uses the real clock.
-var (
-	retrySleep = time.Sleep
-	retryNow   = time.Now
-)
+// retrySleep is the clock seam for the deterministic retry tests;
+// production always sleeps for real.
+var retrySleep = time.Sleep

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -128,8 +127,7 @@ func TestMeasureCellRetriesUseJitteredSchedule(t *testing.T) {
 	defer func() { retrySleep = oldSleep }()
 
 	var attempts atomic.Int64
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 3,
-		RetryBackoff: 100 * time.Millisecond, Out: &bytes.Buffer{}, KeepGoing: true}
+	cfg := Config{Virtual: true, Parallelism: 1, Retries: 3, Out: &bytes.Buffer{}, KeepGoing: true}
 	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
 		attempts.Add(1)
 		return nil, &vm.RunError{Kind: vm.KindDeadline, Msg: "deadline exceeded"}
@@ -148,61 +146,6 @@ func TestMeasureCellRetriesUseJitteredSchedule(t *testing.T) {
 		if d < pre/2 || d > pre {
 			t.Fatalf("sleep %d = %v outside jitter window [%v, %v]", i, d, pre/2, pre)
 		}
-	}
-}
-
-// TestSweepDeadlineStopsRetries: a retry whose wait would cross the
-// sweep deadline is abandoned immediately — the drain contract.
-func TestSweepDeadlineStopsRetries(t *testing.T) {
-	oldSleep := retrySleep
-	retrySleep = func(d time.Duration) { t.Fatalf("slept %v past the sweep deadline", d) }
-	defer func() { retrySleep = oldSleep }()
-
-	var attempts atomic.Int64
-	var buf bytes.Buffer
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 5,
-		RetryBackoff:  time.Hour, // any wait crosses the deadline below
-		SweepDeadline: time.Now().Add(time.Millisecond),
-		Out:           &buf, KeepGoing: true}
-	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
-		attempts.Add(1)
-		return nil, &vm.RunError{Kind: vm.KindDeadline, Msg: "deadline exceeded"}
-	}))
-	if err != nil {
-		t.Fatalf("KeepGoing grid aborted: %v", err)
-	}
-	if attempts.Load() != 1 {
-		t.Fatalf("attempts = %d, want 1 (no retry past the sweep deadline)", attempts.Load())
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("ERR(Deadline)")) {
-		t.Fatalf("abandoned cell did not degrade:\n%s", buf.String())
-	}
-}
-
-// TestWriteFileAtomic: the atomic whole-file write lands complete
-// contents and replaces an existing file in one step.
-func TestWriteFileAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hdr.json")
-	if err := WriteFileAtomic(path, []byte("one"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("two"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "two" {
-		t.Fatalf("contents = %q, want %q", b, "two")
-	}
-	// No temp litter left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries, want 1 (no temp litter)", len(entries))
 	}
 }
 

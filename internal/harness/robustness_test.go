@@ -135,6 +135,14 @@ func TestKeepGoingRunsAllCells(t *testing.T) {
 	}
 }
 
+// stubRetrySleep makes retry waits take no wall time for the rest of
+// the test.
+func stubRetrySleep(t *testing.T) {
+	old := retrySleep
+	retrySleep = func(time.Duration) {}
+	t.Cleanup(func() { retrySleep = old })
+}
+
 // fakeGrid builds a minimal 1-program × 1-column grid whose measured
 // cell behaves as fn dictates; the base cell always succeeds.
 func fakeGrid(fn runnerFn) gridSpec {
@@ -157,7 +165,8 @@ func fakeGrid(fn runnerFn) gridSpec {
 // the bounded retry budget.
 func TestRetryableCellRecovers(t *testing.T) {
 	var attempts atomic.Int64
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 2, RetryBackoff: time.Millisecond, Out: &bytes.Buffer{}}
+	stubRetrySleep(t)
+	cfg := Config{Virtual: true, Parallelism: 1, Retries: 2, Out: &bytes.Buffer{}}
 	tbl, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
 		if attempts.Add(1) <= 2 {
 			return nil, &vm.RunError{Kind: vm.KindDeadline, Msg: "deadline 1ms exceeded"}
@@ -179,8 +188,8 @@ func TestRetryableCellRecovers(t *testing.T) {
 // — re-running a deterministic VM can only reproduce the failure.
 func TestNonRetryableKindsFailFast(t *testing.T) {
 	var attempts atomic.Int64
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 5, RetryBackoff: time.Millisecond,
-		KeepGoing: true, Out: &bytes.Buffer{}}
+	stubRetrySleep(t)
+	cfg := Config{Virtual: true, Parallelism: 1, Retries: 5, KeepGoing: true, Out: &bytes.Buffer{}}
 	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
 		attempts.Add(1)
 		return nil, &vm.RunError{Kind: vm.KindTrap, Msg: "bad store"}
@@ -198,8 +207,8 @@ func TestNonRetryableKindsFailFast(t *testing.T) {
 func TestRetryBudgetBounded(t *testing.T) {
 	var attempts atomic.Int64
 	var buf bytes.Buffer
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 2, RetryBackoff: time.Millisecond,
-		KeepGoing: true, Out: &buf}
+	stubRetrySleep(t)
+	cfg := Config{Virtual: true, Parallelism: 1, Retries: 2, KeepGoing: true, Out: &buf}
 	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
 		attempts.Add(1)
 		return nil, &vm.RunError{Kind: vm.KindDeadline, Msg: "deadline 1ms exceeded"}

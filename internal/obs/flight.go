@@ -1,20 +1,50 @@
 package obs
 
-// FlightRecorder is the post-mortem half of the observability layer: a
-// fixed-size ring of recent span/event records per worker shard, always
-// on, O(1) and allocation-free to record into. The rings are dumped on
-// demand (GET /debug/flight), and snapshotted to a file automatically
-// when the journal degrades, a chaos fault fires, or the process takes
-// SIGQUIT — so a failed chaos/soak run leaves behind the last few
-// hundred events per shard instead of nothing.
+// FlightRecorder is the serving tier's one in-memory event log: a
+// fixed-size ring of recent events per worker shard plus a control
+// ring, always on, O(1) and allocation-free to record into. Two views
+// read it. The flight dump (GET /debug/flight, and a file written
+// automatically when the journal degrades, a chaos fault fires, or the
+// process takes SIGQUIT) shows each ring as recorded, so a failed
+// chaos/soak run leaves behind the last events per shard instead of
+// nothing. The span view (Traces, GET /debug/spans) groups the same
+// events by trace: a trace is a job's identity across its whole life —
+// minted at admission, returned to the client, written into the
+// journal, preserved across crash recovery — and its chain is the
+// ordered pipeline stages the job passed through (accepted → queued →
+// compiled → executed → journaled → done/error).
+//
+// The span view follows the deterministic/volatile split: chain
+// structure (trace IDs, stage names, stage order, virtual costs) is a
+// pure function of the submitted work and therefore byte-identical
+// across serial, parallel and recovered runs; wall-clock stage timings
+// are volatile and appear only in the includeVolatile view.
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 )
+
+// MintTraceID derives a job's trace ID from its admission sequence
+// number. The mapping is the splitmix64 finalizer — bijective on
+// uint64, so distinct sequence numbers always yield distinct IDs — and
+// deterministic, so a recovered job re-admitted at the same sequence
+// number reclaims the same identity even from a journal predating the
+// tid field.
+func MintTraceID(seq uint64) string {
+	z := seq ^ 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return fmt.Sprintf("t-%016x", z)
+}
 
 // FlightEvent is one ring record. Seq is a per-shard monotonic
 // sequence number, so a dump shows how much history the ring dropped.
@@ -35,12 +65,23 @@ type flightRing struct {
 	next uint64 // total records ever written; buf index is next % len
 }
 
+// live copies the ring's events oldest to newest and returns them with
+// the number of records ever written.
+func (r *flightRing) live() (events []FlightEvent, total uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := min(r.next, uint64(len(r.buf)))
+	events = make([]FlightEvent, 0, n)
+	for s := r.next - n; s < r.next; s++ {
+		events = append(events, r.buf[s%uint64(len(r.buf))])
+	}
+	return events, r.next
+}
+
 // FlightRecorder holds one ring per worker shard plus one control ring
-// (index Shards()) for server-level events: recovery, degradation,
-// chaos faults, adapt epochs.
+// (the last index) for server-level events: degradation, adapt epochs.
 type FlightRecorder struct {
 	rings []flightRing
-	size  int
 }
 
 // FlightSnapshot is the dump shape: per-ring event lists in
@@ -68,7 +109,7 @@ func NewFlightRecorder(shards, ringSize int) *FlightRecorder {
 	if ringSize < 16 {
 		ringSize = 16
 	}
-	f := &FlightRecorder{rings: make([]flightRing, shards+1), size: ringSize}
+	f := &FlightRecorder{rings: make([]flightRing, shards+1)}
 	for i := range f.rings {
 		f.rings[i].buf = make([]FlightEvent, ringSize)
 	}
@@ -96,6 +137,54 @@ func (f *FlightRecorder) Record(shard int, ev FlightEvent) {
 	r.mu.Unlock()
 }
 
+// SpanStage is one pipeline stage within a trace. Wall microseconds are
+// volatile; everything else is deterministic structure.
+type SpanStage struct {
+	Stage   string `json:"stage"`
+	Virtual uint64 `json:"virtual,omitempty"`
+	WallUS  int64  `json:"wall_us,omitempty"`
+}
+
+// TraceExport is one trace's exported span chain.
+type TraceExport struct {
+	Trace  string      `json:"trace"`
+	Stages []SpanStage `json:"stages"`
+}
+
+// Traces is the span view: the rings' events grouped by trace, each
+// chain in recording order, traces sorted by ID. Events without a
+// trace are left out. With includeVolatile false the wall-clock fields
+// are zeroed, leaving only the deterministic structure — the form the
+// determinism tests compare across serial and parallel runs. A caller
+// that records each trace into one ring gets its chains whole until
+// the ring wraps past them; a trace whose oldest events were
+// overwritten shows the events that remain.
+func (f *FlightRecorder) Traces(includeVolatile bool) []TraceExport {
+	out := []TraceExport{}
+	index := map[string]int{}
+	for i := range f.rings {
+		events, _ := f.rings[i].live()
+		for _, ev := range events {
+			if ev.Trace == "" {
+				continue
+			}
+			k, ok := index[ev.Trace]
+			if !ok {
+				k = len(out)
+				index[ev.Trace] = k
+				out = append(out, TraceExport{Trace: ev.Trace})
+			}
+			st := SpanStage{Stage: ev.Stage, Virtual: ev.Virtual}
+			if includeVolatile {
+				st.WallUS = ev.WallUS
+			}
+			out[k].Stages = append(out[k].Stages, st)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Trace < out[j].Trace })
+	return out
+}
+
 // Snapshot copies every ring in oldest-to-newest order.
 func (f *FlightRecorder) Snapshot(reason string) FlightSnapshot {
 	snap := FlightSnapshot{
@@ -104,20 +193,8 @@ func (f *FlightRecorder) Snapshot(reason string) FlightSnapshot {
 		Shards:  make([]FlightShard, len(f.rings)),
 	}
 	for i := range f.rings {
-		r := &f.rings[i]
-		r.mu.Lock()
-		total := r.next
-		n := total
-		if n > uint64(len(r.buf)) {
-			n = uint64(len(r.buf))
-		}
-		events := make([]FlightEvent, 0, n)
-		start := total - n
-		for s := start; s < total; s++ {
-			events = append(events, r.buf[s%uint64(len(r.buf))])
-		}
-		r.mu.Unlock()
-		snap.Shards[i] = FlightShard{Shard: i, Total: total, Dropped: start, Events: events}
+		events, total := f.rings[i].live()
+		snap.Shards[i] = FlightShard{Shard: i, Total: total, Dropped: total - uint64(len(events)), Events: events}
 	}
 	return snap
 }
@@ -133,33 +210,43 @@ func (f *FlightRecorder) WriteSnapshot(w io.Writer, reason string) error {
 	return err
 }
 
-// SnapshotToFile dumps the rings to path (atomically via a temp file in
-// the same directory, so a crash mid-dump never leaves a torn file).
+// SnapshotToFile dumps the rings to path with WriteFileAtomic, so a
+// crash mid-dump never leaves a torn file.
 func (f *FlightRecorder) SnapshotToFile(path, reason string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".flight-*")
+	var buf bytes.Buffer
+	if err := f.WriteSnapshot(&buf, reason); err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, buf.Bytes(), 0o644)
+}
+
+// WriteFileAtomic writes data to path via a temp file in the same
+// directory, fsyncs it, and renames it into place — a crash leaves
+// either the old file or the complete new one, never a torn prefix.
+// It serves whole-file artifacts (flight snapshots, recorded replay
+// traces, journal headers) whose readers cannot tolerate partial
+// contents the way the JSONL record streams can.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := f.WriteSnapshot(tmp, reason); err != nil {
+	tmpName := tmp.Name()
+	defer os.Remove(tmpName) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Chmod(perm); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// dirOf is filepath.Dir without pulling the import for one call site.
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			if i == 0 {
-				return "/"
-			}
-			return path[:i]
-		}
-	}
-	return "."
+	return os.Rename(tmpName, path)
 }

@@ -1,7 +1,8 @@
 // Package obs is the runtime observability layer: a metrics registry
 // of counters and histograms fed by the VM dispatch loop, the metadata
-// containers, the compiler and the benchmark harness, plus a Chrome
-// trace_event emitter (trace.go).
+// containers, the compiler and the benchmark harness, plus a streaming
+// Chrome trace_event writer (trace.go) and the serving tier's bounded
+// in-memory event log (flight.go).
 //
 // Two collection disciplines keep the hot path honest:
 //

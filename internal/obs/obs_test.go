@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -117,27 +120,55 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceCapReportsDrops: the cap bounds quantum spans alone. Past
+// it, quanta are counted, not written, while the harness cells, compile
+// stages and fault instants interleaved with them are all written, and
+// the closing trace.dropped instant counts only the dropped quanta.
 func TestTraceCapReportsDrops(t *testing.T) {
+	const capQuanta, extra = 4, 3
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	tr.max = 2
-	for i := 0; i < 5; i++ {
-		tr.Instant("t", "e", 0)
+	tr.max = capQuanta
+	start := time.Now()
+	for i := 0; i < capQuanta+extra; i++ {
+		tr.Quantum(1, start, time.Microsecond, "steps", "64")
+		tr.Span("harness", fmt.Sprintf("fig4/cell%d", i), int64(i), start, time.Millisecond)
+		tr.Span("compiler", "layout", 0, start, time.Microsecond)
 	}
+	tr.Instant("vm", "fault.malloc_null", 1)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var events []struct {
+		Cat  string            `json:"cat"`
+		Name string            `json:"name"`
+		Args map[string]string `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("capped trace does not parse: %v", err)
 	}
-	if n != 3 { // 2 events + the dropped-count instant
-		t.Fatalf("got %d events, want 3", n)
+	byCat := map[string]int{}
+	dropped := ""
+	for _, e := range events {
+		byCat[e.Cat]++
+		if e.Name == "trace.dropped" {
+			dropped = e.Args["dropped"]
+		}
 	}
-	if !strings.Contains(buf.String(), `"dropped":"3"`) {
-		t.Fatalf("dropped summary missing:\n%s", buf.String())
+	want := map[string]int{"vm": capQuanta + 1, "harness": capQuanta + extra, "compiler": capQuanta + extra, "trace": 1}
+	for cat, n := range want {
+		if byCat[cat] != n {
+			t.Errorf("%s events = %d, want %d (all: %v)", cat, byCat[cat], n, byCat)
+		}
+	}
+	if dropped != strconv.Itoa(extra) {
+		t.Fatalf("trace.dropped = %q, want %d", dropped, extra)
 	}
 }
+
+// SetQuantumCap lowers a trace's quantum cap for the tests outside the
+// package (vm_cap_test.go).
+func (t *Trace) SetQuantumCap(n int) { t.max = n }
 
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace

@@ -18,24 +18,28 @@ import (
 // use; the event line is built in a reused buffer under the lock, so a
 // span costs O(1) amortized allocation on the emitting path.
 //
-// Traces are bounded: past MaxEvents further events are counted, not
-// written, and Close appends a trace.dropped instant carrying the
-// count — a truncated trace says so instead of looking complete.
+// Only the VM's per-quantum spans are bounded. They are the one stream
+// that grows with run length (a traced fig4 sweep at size small emits
+// 2.4M of them), while harness cells, compile stages and fault instants
+// number in the hundreds and are always written. Past DefaultMaxEvents
+// quanta further quanta are counted, not written, and Close appends a
+// trace.dropped instant carrying the count — a truncated trace says so
+// instead of looking complete, and keeps every span that explains it.
 type Trace struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
 	f       *os.File // owned file when created via CreateTrace
 	start   time.Time
-	n       int
-	max     int
+	n       int // events written
+	quanta  int // quantum spans written
+	max     int // quantum spans allowed
 	dropped uint64
 	buf     []byte
 	err     error
 	closed  bool
 }
 
-// DefaultMaxEvents bounds a trace's event count (~150 MB of JSON at
-// typical span sizes).
+// DefaultMaxEvents bounds a trace's quantum spans (~120 MB of JSON).
 const DefaultMaxEvents = 1 << 20
 
 // NewTrace starts a trace writing to w.
@@ -62,15 +66,19 @@ func (t *Trace) appendMicros(d time.Duration) {
 }
 
 // event writes one line. kv pairs land under "args" as quoted strings.
-func (t *Trace) event(ph byte, cat, name string, tid int64, start time.Time, dur time.Duration, kv []string) {
+// A quantum span past the cap is counted instead.
+func (t *Trace) event(ph byte, cat, name string, tid int64, start time.Time, dur time.Duration, kv []string, quantum bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed || t.err != nil {
 		return
 	}
-	if t.n >= t.max {
-		t.dropped++
-		return
+	if quantum {
+		if t.quanta >= t.max {
+			t.dropped++
+			return
+		}
+		t.quanta++
 	}
 	t.writeEventLocked(ph, cat, name, tid, start, dur, kv)
 }
@@ -132,7 +140,16 @@ func (t *Trace) Span(cat, name string, tid int64, start time.Time, dur time.Dura
 	if t == nil {
 		return
 	}
-	t.event('X', cat, name, tid, start, dur, kv)
+	t.event('X', cat, name, tid, start, dur, kv, false)
+}
+
+// Quantum emits the "vm"/"quantum" span of one scheduler quantum, the
+// one event kind the cap applies to.
+func (t *Trace) Quantum(tid int64, start time.Time, dur time.Duration, kv ...string) {
+	if t == nil {
+		return
+	}
+	t.event('X', "vm", "quantum", tid, start, dur, kv, true)
 }
 
 // Instant emits a thread-scoped instant ("i") event at now.
@@ -140,18 +157,11 @@ func (t *Trace) Instant(cat, name string, tid int64, kv ...string) {
 	if t == nil {
 		return
 	}
-	t.event('i', cat, name, tid, time.Now(), 0, kv)
-}
-
-// Events returns the number of events written so far.
-func (t *Trace) Events() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
+	t.event('i', cat, name, tid, time.Now(), 0, kv, false)
 }
 
 // Close terminates the JSON array (appending a trace.dropped instant
-// first if the event cap was hit) and flushes/closes the destination.
+// first if the quantum cap was hit) and flushes/closes the destination.
 func (t *Trace) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

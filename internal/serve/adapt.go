@@ -39,7 +39,7 @@ type keyAdaptState struct {
 	epoch    int               // 0 = still profiling; >0 = swapped
 	adapted  *compiler.Options // options every post-swap job compiles under
 
-	// Rolling profile window: the last ProfileWindow per-job profiles
+	// Rolling profile window: the last profileWindow per-job profiles
 	// (quantum jobs plus every sampled post-swap job), summed for the
 	// /metrics rolling-profile export and compared against the profile
 	// that drove the swap for the drift gauge.
@@ -57,16 +57,20 @@ func keyLabel(key string) string {
 	return fmt.Sprintf("k%08x", h.Sum32())
 }
 
+// profileWindow is how many recent per-job profiles the rolling window
+// holds per compile-affinity key.
+const profileWindow = 8
+
 // pushWindow folds one job's profile into the key's rolling window,
-// evicting the oldest entry beyond the bound. Caller holds adaptMu.
-func (st *keyAdaptState) pushWindow(prof map[string]uint64, bound int) {
+// evicting the oldest entry beyond profileWindow. Caller holds adaptMu.
+func (st *keyAdaptState) pushWindow(prof map[string]uint64) {
 	if len(prof) == 0 {
 		return
 	}
 	if st.windowSum == nil {
 		st.windowSum = map[string]uint64{}
 	}
-	if len(st.window) >= bound {
+	if len(st.window) >= profileWindow {
 		old := st.window[0]
 		st.window = st.window[1:]
 		for k, v := range old {
@@ -176,7 +180,7 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 		// Post-swap sample, or a quantum run that lost the swap race to
 		// a concurrent worker (harmless either way — the result is
 		// identical). Feed the rolling window and refresh drift.
-		st.pushWindow(prof.Counts, s.cfg.ProfileWindow)
+		st.pushWindow(prof.Counts)
 		if adapted != nil {
 			s.reg.AddVolatile("serve.adapt.sampled", 1)
 			drift := driftPermille(st.counts, st.windowSum)
@@ -187,7 +191,7 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 	for k, v := range prof.Counts {
 		st.counts[k] += v
 	}
-	st.pushWindow(prof.Counts, s.cfg.ProfileWindow)
+	st.pushWindow(prof.Counts)
 	st.profiled++
 	s.reg.Add("serve.adapt.profiled", 1)
 	if st.profiled < s.cfg.AdaptAfter {
@@ -202,12 +206,11 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 	} else {
 		s.reg.Add("serve.adapt.static_kept", 1)
 	}
-	// The swap epoch is itself a trace: its span chain and flight event
-	// make adaptation decisions first-class citizens of a post-mortem.
+	// The swap epoch is itself a trace in the control ring, so
+	// adaptation decisions are first-class citizens of a post-mortem.
 	atid := fmt.Sprintf("adapt-%s-e%d", keyLabel(key), st.epoch)
-	s.spans.Append(atid, "swap-decided", uint64(st.profiled), 0)
-	s.flight.Record(s.flight.ControlShard(),
-		obs.FlightEvent{Trace: atid, Stage: "adapt-swap", Detail: key})
+	ctl := s.flight.ControlShard()
+	s.flight.Record(ctl, obs.FlightEvent{Trace: atid, Stage: "swap-decided", Detail: key, Virtual: uint64(st.profiled)})
 	// Journal the swap before any job runs under it: recovery must
 	// land on the same analysis, not re-enter the quantum.
 	if s.journal != nil {
@@ -215,7 +218,7 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 			s.reg.AddVolatile("serve.journal.errors", 1)
 			s.autoFlightSnapshot("journal-degraded")
 		} else {
-			s.spans.Append(atid, "journaled", 0, 0)
+			s.flight.Record(ctl, obs.FlightEvent{Trace: atid, Stage: "journaled"})
 		}
 	}
 	return res, jerr

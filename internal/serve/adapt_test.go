@@ -215,3 +215,23 @@ func TestRecoverThreadedJobOnInterpreter(t *testing.T) {
 		t.Errorf("recovered threaded job diverged from the journaled interp result\nthreaded:  %s\njournaled: %s", got, journaled)
 	}
 }
+
+// TestProfileWindowEvicts: one push past profileWindow drops the oldest
+// profile, subtracts its counts from windowSum, and deletes a member
+// only that profile carried instead of leaving it at zero.
+func TestProfileWindowEvicts(t *testing.T) {
+	var st keyAdaptState
+	st.pushWindow(map[string]uint64{"evicted": 5, "shared": 100})
+	for i := 1; i <= profileWindow; i++ {
+		st.pushWindow(map[string]uint64{"shared": uint64(i)})
+	}
+	if len(st.window) != profileWindow {
+		t.Fatalf("window holds %d profiles, want %d", len(st.window), profileWindow)
+	}
+	if got, want := st.windowSum["shared"], uint64(profileWindow*(profileWindow+1)/2); got != want {
+		t.Fatalf("windowSum[shared] = %d, want %d (the sum of the last %d pushes)", got, want, profileWindow)
+	}
+	if n, ok := st.windowSum["evicted"]; ok {
+		t.Fatalf("member of the evicted profile still in windowSum (%d)", n)
+	}
+}

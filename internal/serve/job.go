@@ -119,8 +119,8 @@ type JobStatus struct {
 	// TraceID is the job's observability identity, minted at admission
 	// (obs.MintTraceID of the admission sequence number — deterministic,
 	// so crash recovery reclaims the same ID) and echoed in the
-	// X-Alda-Trace-Id response header. It indexes the span store and the
-	// flight recorder.
+	// X-Alda-Trace-Id response header. It tags the job's events in the
+	// flight recorder and keys its chain in the span view.
 	TraceID string     `json:"trace_id,omitempty"`
 	Tenant  string     `json:"tenant,omitempty"`
 	State   string     `json:"state"`

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
 // The job journal is a JSONL write-ahead log, the server's durability
@@ -111,7 +111,7 @@ func OpenJournal(path, fp string, syncEvery int, faults JournalFaults) (*Journal
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := harness.WriteFileAtomic(path, append(hdr, '\n'), 0o644); err != nil {
+		if err := obs.WriteFileAtomic(path, append(hdr, '\n'), 0o644); err != nil {
 			return nil, nil, err
 		}
 	}

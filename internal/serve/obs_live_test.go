@@ -480,7 +480,7 @@ func TestSLOAndLatencyHistograms(t *testing.T) {
 func TestAdaptiveRollingProfile(t *testing.T) {
 	s, ts := startServer(t, Config{
 		Shards: 1, WorkersPerShard: 1,
-		AdaptAfter: 2, ProfileSampleEvery: 2, ProfileWindow: 4,
+		AdaptAfter: 2, ProfileSampleEvery: 2,
 	})
 	req := JobRequest{Workload: "memcached", Bug: "uaf", Analysis: "uaf"}
 	var first []byte

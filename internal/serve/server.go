@@ -51,14 +51,12 @@ type Config struct {
 	// rolling profile window and the drift gauge. 0 takes the default
 	// (16) when adaptation is on; negative disables post-swap sampling.
 	ProfileSampleEvery int
-	// ProfileWindow is how many recent per-job profiles the rolling
-	// window holds per compile-affinity key. Default 8.
-	ProfileWindow int
-	// SpanCap bounds the lifecycle span store (oldest trace evicted
-	// whole beyond it). Default 1024.
-	SpanCap int
-	// FlightRing is the per-worker-shard flight-recorder ring size.
-	// Default 256.
+	// FlightRing is the event capacity of each flight-recorder ring
+	// (one per worker shard plus the control ring), the one bound on the
+	// server's event log. Default 1536: 256 six-stage job chains per
+	// ring. Jobs shard by analysis, so one analysis keeps 256 chains,
+	// and a mix keeps 256 per shard it reaches (EXPERIMENTS.md, "Live
+	// observability").
 	FlightRing int
 	// FlightSnapshotPath, when set, is where the flight recorder
 	// auto-dumps (once) when the journal degrades — chaos faults
@@ -95,14 +93,8 @@ func (c Config) withDefaults() Config {
 	if c.ProfileSampleEvery == 0 {
 		c.ProfileSampleEvery = 16
 	}
-	if c.ProfileWindow <= 0 {
-		c.ProfileWindow = 8
-	}
-	if c.SpanCap <= 0 {
-		c.SpanCap = 1024
-	}
 	if c.FlightRing <= 0 {
-		c.FlightRing = 256
+		c.FlightRing = 1536
 	}
 	if c.SLOWall == 0 {
 		c.SLOWall = time.Second
@@ -206,8 +198,7 @@ type Server struct {
 	cfg     Config
 	reg     *obs.Registry
 	journal *Journal
-	spans   *obs.SpanStore
-	flight  *obs.FlightRecorder
+	flight  *obs.FlightRecorder // the event log: flight dump and span view
 
 	snapOnce sync.Once // one auto flight snapshot per process life
 
@@ -239,7 +230,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		reg:         cfg.Metrics,
-		spans:       obs.NewSpanStore(cfg.SpanCap),
 		flight:      obs.NewFlightRecorder(cfg.Shards, cfg.FlightRing),
 		jobs:        map[string]*job{},
 		tenants:     map[string]int{},
@@ -315,10 +305,9 @@ func (s *Server) replay(rec *Recovered) {
 			// A recovered job keeps its identity: its chain restarts with
 			// a "recovered" span instead of "accepted", which is how a
 			// post-mortem tells a re-run from a first run.
-			s.spans.Append(j.trace, "recovered", 0, 0)
-			s.flight.Record(s.flight.ControlShard(),
-				obs.FlightEvent{Trace: j.trace, Stage: "recovered", Detail: j.id})
-			sh := s.shards[s.shardOf(&j.req)]
+			shIdx := s.shardOf(&j.req)
+			s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "recovered", Detail: j.id})
+			sh := s.shards[shIdx]
 			select {
 			case sh.tokens <- struct{}{}:
 			case <-s.drainCh:
@@ -329,7 +318,7 @@ func (s *Server) replay(rec *Recovered) {
 				s.sendMu.RUnlock()
 				return
 			}
-			s.spans.Append(j.trace, "queued", 0, 0)
+			s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "queued"})
 			sh.queue <- j
 			s.sendMu.RUnlock()
 		}
@@ -363,16 +352,15 @@ func (s *Server) runJob(shIdx int, j *job) {
 		shard = obs.NewShard()
 	}
 	start := time.Now()
-	// onStage records one pipeline stage three ways: the span store
-	// (structure deterministic, wall volatile), the shard's flight ring,
-	// and the per-stage wall-latency histogram. Stage *sequence* is a
-	// pure function of the request; only the wall numbers vary.
+	// onStage records one pipeline stage in the shard's flight ring
+	// (structure deterministic, wall volatile) and in the per-stage
+	// wall-latency histogram. Stage *sequence* is a pure function of the
+	// request; only the wall numbers vary.
 	prev := start
 	onStage := func(stage string, virtual uint64) {
 		now := time.Now()
 		stageUS := now.Sub(prev).Microseconds()
 		prev = now
-		s.spans.Append(j.trace, stage, virtual, stageUS)
 		s.flight.Record(shIdx, obs.FlightEvent{
 			Trace: j.trace, Stage: stage, Virtual: virtual, WallUS: stageUS,
 		})
@@ -487,7 +475,7 @@ func (s *Server) accept(req *JobRequest) (*job, int, *JobError) {
 	s.jobs[j.id] = j
 	s.tenants[req.Tenant]++
 	s.mu.Unlock()
-	s.spans.Append(j.trace, "accepted", 0, 0)
+	s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "accepted"})
 
 	// Write-ahead: the accept record reaches the journal (fsynced)
 	// before the client sees 202. A journal failure degrades
@@ -517,7 +505,7 @@ func (s *Server) accept(req *JobRequest) (*job, int, *JobError) {
 	// The "queued" span lands before the enqueue: once the job is in the
 	// channel a worker may already be running it, and stage order within
 	// a trace must stay deterministic.
-	s.spans.Append(j.trace, "queued", 0, 0)
+	s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "queued"})
 	sh.queue <- j // token held ⇒ never blocks
 	s.sendMu.RUnlock()
 
@@ -596,7 +584,7 @@ type errorBody struct {
 //	GET  /metrics        obs registry: JSON by default, Prometheus text
 //	                     exposition with Accept: text/plain or ?format=prom
 //	GET  /debug/flight   flight-recorder ring dump (JSON)
-//	GET  /debug/spans    lifecycle span store dump (JSON)
+//	GET  /debug/spans    the same events grouped by trace (JSON)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.timed("submit", s.handleSubmit))
@@ -739,7 +727,7 @@ func (s *Server) scrapeGauges() {
 		s.reg.SetGauge("serve.tenant.inflight."+name, int64(n))
 	}
 	s.mu.Unlock()
-	s.reg.SetGauge("serve.spans.live", int64(s.spans.Len()))
+	s.reg.SetGauge("serve.spans.live", int64(len(s.Spans(false))))
 }
 
 // promRules maps the registry's dotted families onto labeled Prometheus
@@ -787,16 +775,16 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	s.flight.WriteSnapshot(w, "debug")
 }
 
-// handleSpans dumps the lifecycle span store (volatile wall times
-// included; pass ?volatile=0 for the deterministic structure only).
+// handleSpans dumps the span view (volatile wall times included; pass
+// ?volatile=0 for the deterministic structure only).
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	s.spans.WriteJSON(w, r.URL.Query().Get("volatile") != "0")
+	writeJSON(w, http.StatusOK, s.Spans(r.URL.Query().Get("volatile") != "0"))
 }
 
-// Spans exposes the span store's snapshot (for tests and tooling).
+// Spans is the span view of the flight recorder: each job's and adapt
+// epoch's stage chain, sorted by trace ID.
 func (s *Server) Spans(includeVolatile bool) []obs.TraceExport {
-	return s.spans.Snapshot(includeVolatile)
+	return s.flight.Traces(includeVolatile)
 }
 
 // FlightSnapshot exposes the flight recorder's current rings.

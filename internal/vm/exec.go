@@ -67,15 +67,15 @@ func opSh(shadow []uint64, o mir.Operand) uint64 {
 
 func (m *Machine) newThread(fnIdx int, args, shadows []uint64) *thread {
 	id := len(m.threads)
-	if id >= m.cfg.MaxThreads {
-		m.failf(KindTrap, "thread limit %d exceeded", m.cfg.MaxThreads)
+	if id >= maxThreads {
+		m.failf(KindTrap, "thread limit %d exceeded", maxThreads)
 		return nil
 	}
-	top := m.cfg.AddrSpace - uint64(id)*m.cfg.StackSize
+	top := AddrSpace - uint64(id)*stackSize
 	t := &thread{
 		id:       id,
 		sp:       top,
-		stackLow: top - m.cfg.StackSize,
+		stackLow: top - stackSize,
 		hookArgs: make([]uint64, 16),
 		libArgs:  make([]uint64, 16),
 		libShs:   make([]uint64, 16),
@@ -229,7 +229,7 @@ func (m *Machine) RunQuantum() bool {
 	steps0 := m.steps
 	m.runThread(m.threads[picked], q)
 	if tr != nil {
-		tr.Span("vm", "quantum", m.cfg.TraceTID, q0, time.Since(q0),
+		tr.Quantum(m.cfg.TraceTID, q0, time.Since(q0),
 			"tid", strconv.Itoa(picked),
 			"steps", strconv.FormatUint(m.steps-steps0, 10))
 	}

@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // LibFn models an external library function (§5.6.2). Library bodies
 // execute atomically — the paper's analogue is code in non-instrumented
@@ -102,10 +99,8 @@ func buildStdlibTable() map[string]LibFn {
 		"rand": func(m *Machine, t *thread, args []uint64) uint64 {
 			return m.Rand() & 0x7fffffff
 		},
+		// Modeled program output is discarded.
 		"print_i64": func(m *Machine, t *thread, args []uint64) uint64 {
-			if m.cfg.Stdout != nil {
-				fmt.Fprintf(m.cfg.Stdout, "%d\n", int64(arg(args, 0)))
-			}
 			return 0
 		},
 		"abs64": func(m *Machine, t *thread, args []uint64) uint64 {
@@ -147,6 +142,3 @@ func (m *Machine) StoreMem(addr uint64, v uint64, size uint8) { m.mem.store(addr
 // HeapSizeOf returns the live allocation size containing exactly addr,
 // or 0 — the allocator metadata a native runtime would expose.
 func (m *Machine) HeapSizeOf(addr uint64) uint64 { return m.heap.sizeOf(addr) }
-
-// AddrSpace returns the simulated address-space size in bytes.
-func (m *Machine) AddrSpace() uint64 { return m.cfg.AddrSpace }

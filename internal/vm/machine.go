@@ -30,9 +30,6 @@ type Config struct {
 	//
 	// Deprecated: see Engine.
 	Engine Engine
-	// AddrSpace is the simulated byte address-space size (rounded up to a
-	// power of two). Default 1<<28 (256 MiB).
-	AddrSpace uint64
 	// Quantum is the scheduler slice in instructions. Default 64.
 	Quantum int
 	// Seed drives scheduler jitter and the modeled rand(). Default 1.
@@ -43,10 +40,6 @@ type Config struct {
 	// §5.5). The instrumenter sets this when an analysis uses $X.m or
 	// handler return values.
 	TrackShadow bool
-	// StackSize is the per-thread stack region in bytes. Default 1<<19.
-	StackSize uint64
-	// MaxThreads bounds total threads over the run. Default 128.
-	MaxThreads int
 	// MaxHeapBytes bounds live simulated-heap bytes (size-class rounded).
 	// 0 means no budget beyond the address space itself. Exceeding it
 	// fails the run with KindHeapLimit instead of letting one runaway
@@ -60,8 +53,6 @@ type Config struct {
 	// Faults requests deterministic fault injection (see the faults
 	// sub-package for seed-derived plans). Zero value injects nothing.
 	Faults FaultSpec
-	// Stdout receives modeled print output; nil discards it.
-	Stdout io.Writer
 	// Trace, when non-nil, receives Chrome trace_event spans for
 	// scheduler quanta and instant events for injected faults. Nil
 	// emits nothing and costs one pointer test per quantum.
@@ -103,16 +94,18 @@ type FaultSpec struct {
 // Zero reports whether the spec injects nothing.
 func (f FaultSpec) Zero() bool { return f == FaultSpec{} }
 
+// The simulated machine's fixed geometry.
+const (
+	// AddrSpace is the simulated byte address-space size (256 MiB).
+	// Offset shadow memory is sized to cover it.
+	AddrSpace uint64 = 1 << 28
+	// stackSize is the per-thread stack region in bytes.
+	stackSize uint64 = 1 << 19
+	// maxThreads bounds total threads over a run.
+	maxThreads = 128
+)
+
 func (c Config) withDefaults() Config {
-	if c.AddrSpace == 0 {
-		c.AddrSpace = 1 << 28
-	}
-	// Round up to power of two.
-	s := uint64(1)
-	for s < c.AddrSpace {
-		s <<= 1
-	}
-	c.AddrSpace = s
 	if c.Quantum <= 0 {
 		c.Quantum = 64
 	}
@@ -121,12 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 4e9
-	}
-	if c.StackSize == 0 {
-		c.StackSize = 1 << 19
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 128
 	}
 	return c
 }
@@ -281,8 +268,8 @@ func New(prog *mir.Program, cfg Config) (*Machine, error) {
 	m.libs = stdlibTable()
 	m.ssl.init()
 	m.zlib.init()
-	m.mem.init(m.cfg.AddrSpace)
-	m.heap.init(heapBase, m.cfg.AddrSpace-uint64(m.cfg.MaxThreads)*m.cfg.StackSize)
+	m.mem.init(AddrSpace)
+	m.heap.init(heapBase, AddrSpace-maxThreads*stackSize)
 
 	// Stable function indexing: entry first, then sorted later arrivals
 	// is unnecessary — map iteration order doesn't matter because calls
