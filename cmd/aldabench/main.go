@@ -170,8 +170,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto / chrome://tracing)")
 	attrib := flag.String("attrib", "", "run the overhead-attribution report for this analysis (e.g. uaf, msan) instead of -exp")
 	attribPrograms := flag.String("attrib-programs", "", "comma-separated workloads for -attrib (default: a representative set)")
-	adapt := flag.Bool("adapt", false, "enable the adaptive hot swap in -exp adapt (off = no-swap control: the adaptive column stays static)")
-	adaptAfter := flag.Int("adapt-after", 1, "profiling-quantum length for -exp adapt, in programs")
 	profileOut := flag.String("profile-out", "", "collect a per-member access profile (train run) and write it to this file, then exit")
 	profileIn := flag.String("profile-in", "", "load a profile written by -profile-out; the pgo experiment uses it instead of training inline")
 	profileAnalysis := flag.String("profile-analysis", "msan", "analysis -profile-out trains")
@@ -224,8 +222,6 @@ func main() {
 		Retries:        *retries,
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
-		Adapt:          *adapt,
-		AdaptAfter:     *adaptAfter,
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

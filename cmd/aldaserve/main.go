@@ -4,7 +4,7 @@
 // Usage:
 //
 //	aldaserve -addr :8080 -journal jobs.jsonl
-//	aldaserve -addr :8080 -shards 4 -workers 2 -queue-depth 64
+//	aldaserve -addr :8080 -workers 4 -queue-depth 256
 //	aldaserve -addr :8080 -journal jobs.jsonl -chaos-journal-write-nth 50
 //
 // API:
@@ -16,7 +16,7 @@
 //	GET  /readyz         readiness (503 while draining; notes journal degradation)
 //	GET  /metrics        obs registry: JSON by default, Prometheus text
 //	                     exposition with Accept: text/plain or ?format=prom
-//	GET  /debug/flight   flight-recorder ring dump (recent per-shard events)
+//	GET  /debug/flight   flight-recorder dump (recent job and control events)
 //	GET  /debug/spans    the same events grouped into per-job span chains
 //
 // Jobs are deterministic in their request (virtual-time results), so the
@@ -30,9 +30,10 @@
 // via options.fault_seed.
 //
 // -adapt-after N turns on the serving-tier adaptive-PGO loop: the first
-// N jobs per compile fingerprint run a profiling build, then the shard
-// hot-swaps to a profile-adapted recompile. Swaps are journaled, so a
-// restart replays to the same adapted analysis without re-profiling.
+// N jobs per analysis run a profiling build, then every later job of
+// that analysis runs a profile-adapted recompile. Swaps are journaled,
+// so a restart replays to the same adapted analysis without
+// re-profiling.
 // After a swap, every -profile-sample-every'th job re-runs the
 // (verdict-identical) profiling build so the rolling profile window and
 // drift gauge on /metrics keep tracking live traffic.
@@ -59,9 +60,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 4, "worker-pool shards (jobs colocate by compile fingerprint)")
-	workers := flag.Int("workers", 1, "workers per shard")
-	queueDepth := flag.Int("queue-depth", 64, "bounded queue depth per shard (overflow is 429)")
+	workers := flag.Int("workers", 4, "worker goroutines draining the one admission queue")
+	queueDepth := flag.Int("queue-depth", 256, "admission-queue depth beyond the running jobs (overflow is 429)")
 	tenantCap := flag.Int("tenant-inflight", 16, "per-tenant in-flight job cap (<0 disables)")
 	journal := flag.String("journal", "", "write-ahead job journal path (empty = no durability)")
 	syncEvery := flag.Int("journal-sync-every", 1, "fsync the journal every N records")
@@ -69,16 +69,15 @@ func main() {
 	chaosSync := flag.Uint64("chaos-journal-sync-nth", 0, "inject a failure on the Nth journal fsync")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max time to finish in-flight jobs on SIGTERM")
 	maxSteps := flag.Uint64("max-steps", 0, "per-job step-budget cap (0 = default limits)")
-	adaptAfter := flag.Int("adapt-after", 0, "profile the first N jobs per compile fingerprint, then hot-swap to a profile-adapted recompile (0 = off)")
+	adaptAfter := flag.Int("adapt-after", 0, "profile the first N jobs per analysis, then hot-swap to a profile-adapted recompile (0 = off)")
 	sampleEvery := flag.Int("profile-sample-every", 0, "re-profile every Nth post-swap job for the rolling profile window (0 = default 16, <0 = off)")
 	slo := flag.Duration("slo", 0, "per-job wall-latency objective; slower completions count into serve.slo.jobs_over_deadline_total (0 = default 1s, <0 = off)")
 	flightSnap := flag.String("flight-snapshot", "", "file the flight recorder auto-dumps to on journal degradation or SIGQUIT")
-	flightRing := flag.Int("flight-ring", 0, "events retained per flight-recorder ring, the bound on /debug/flight and /debug/spans; one ring per shard, and jobs shard by analysis (0 = default 1536, 256 six-stage job chains)")
+	flightRing := flag.Int("flight-ring", 0, "events retained in the flight recorder's job ring, the bound on /debug/flight and /debug/spans; the control ring holds a quarter as many (0 = default 6144, 1,024 six-stage job chains)")
 	flag.Parse()
 
 	cfg := serve.Config{
-		Shards:             *shards,
-		WorkersPerShard:    *workers,
+		Workers:            *workers,
 		QueueDepth:         *queueDepth,
 		TenantInflight:     *tenantCap,
 		JournalPath:        *journal,
@@ -104,8 +103,8 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "aldaserve: listening on %s (shards=%d workers/shard=%d queue=%d journal=%q)\n",
-		*addr, *shards, *workers, *queueDepth, *journal)
+	fmt.Fprintf(os.Stderr, "aldaserve: listening on %s (workers=%d queue=%d journal=%q)\n",
+		*addr, *workers, *queueDepth, *journal)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT, syscall.SIGQUIT)

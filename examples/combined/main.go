@@ -67,10 +67,12 @@ func main() {
 	fmt.Printf("fft baseline: %v\n\n", plain.Wall)
 
 	var sum time.Duration
+	partFindings := 0
 	for _, name := range parts {
 		an := compile(name)
 		wall, nrep := timeRun(an, prog)
 		sum += wall
+		partFindings += nrep
 		fmt.Printf("%-11s alone:    %10v (%.1fx, %d findings)\n",
 			name, wall, float64(wall)/float64(plain.Wall), nrep)
 	}
@@ -81,4 +83,7 @@ func main() {
 	fmt.Printf("combined (one run):     %10v (%.1fx, %d findings)\n",
 		wall, float64(wall)/float64(plain.Wall), nrep)
 	fmt.Printf("speedup from combining: %.1f%%\n", (1-float64(wall)/float64(sum))*100)
+	if nrep != partFindings {
+		log.Fatalf("combined run reported %d findings, the four parts %d together", nrep, partFindings)
+	}
 }

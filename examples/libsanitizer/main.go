@@ -32,7 +32,8 @@ func offender() *alda.Program {
 	return p
 }
 
-func check(an *alda.Analysis, name string, prog *alda.Program) {
+// check runs HeapSan on prog and fails unless it reports want findings.
+func check(an *alda.Analysis, name string, prog *alda.Program, want int) {
 	inst, err := an.Instrument(prog)
 	if err != nil {
 		log.Fatal(err)
@@ -45,6 +46,9 @@ func check(an *alda.Analysis, name string, prog *alda.Program) {
 	for _, r := range res.Reports {
 		fmt.Printf("  %v\n", r)
 	}
+	if len(res.Reports) != want {
+		log.Fatalf("%s: %d finding(s), want %d", name, len(res.Reports), want)
+	}
 }
 
 func main() {
@@ -54,14 +58,14 @@ func main() {
 	}
 	fmt.Printf("HeapSan is %d lines of ALDA\n\n", an.LOC())
 
-	check(an, "offender", offender())
+	check(an, "offender", offender(), 2)
 
 	// A disciplined real program stays clean.
 	mc, err := workloads.Build("memcached", workloads.SizeTiny)
 	if err != nil {
 		log.Fatal(err)
 	}
-	check(an, "memcached (clean)", mc)
+	check(an, "memcached (clean)", mc, 0)
 
 	// The same program with its use-after-free bug keeps HeapSan quiet
 	// (freed properly!) — different sanitizers catch different contracts.
@@ -69,5 +73,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	check(an, "memcached (uaf variant)", mcUAF)
+	check(an, "memcached (uaf variant)", mcUAF, 0)
 }

@@ -56,6 +56,6 @@ func main() {
 		fmt.Println("finding:", r)
 	}
 	if len(res.Reports) == 0 {
-		fmt.Println("no findings (unexpected — this program has a use-after-free!)")
+		log.Fatal("no findings, but this program has a use-after-free")
 	}
 }

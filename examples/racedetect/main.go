@@ -48,5 +48,8 @@ func main() {
 		fmt.Printf("== %s on radiosity (unprotected total — injected race) ==\n", analysis)
 		buggy := run(analysis, workloads.BugRace)
 		fmt.Printf("%s: %d findings clean, %d findings with the race injected\n\n", analysis, clean, buggy)
+		if buggy <= clean {
+			log.Fatalf("%s: the injected race added no findings", analysis)
+		}
 	}
 }

@@ -51,10 +51,11 @@ func main() {
 	for _, tc := range []struct {
 		name string
 		prog *alda.Program
+		want int // findings
 	}{
-		{"hand-rolled source->arith->index flow", handRolled()},
-		{"ffmpeg with injected input-controlled index", mustBuild("ffmpeg", workloads.BugTaint)},
-		{"ffmpeg clean", mustBuild("ffmpeg", workloads.BugNone)},
+		{"hand-rolled source->arith->index flow", handRolled(), 1},
+		{"ffmpeg with injected input-controlled index", mustBuild("ffmpeg", workloads.BugTaint), 1},
+		{"ffmpeg clean", mustBuild("ffmpeg", workloads.BugNone), 0},
 	} {
 		inst, err := an.Instrument(tc.prog)
 		if err != nil {
@@ -67,6 +68,9 @@ func main() {
 		fmt.Printf("%s: %d finding(s)\n", tc.name, len(res.Reports))
 		for _, r := range res.Reports {
 			fmt.Printf("  %v\n", r)
+		}
+		if len(res.Reports) != tc.want {
+			log.Fatalf("%s: %d finding(s), want %d", tc.name, len(res.Reports), tc.want)
 		}
 	}
 }

@@ -15,11 +15,11 @@ import (
 // Adaptive PGO — the closed loop over the §3.2.1 profile machinery. The
 // PGO experiment measures a hand-wired train-then-recompile pipeline;
 // this experiment closes the loop the way a deployment would run it:
-// the adaptive column spends its first AdaptAfter programs as a
-// profiling quantum (static layout plus access counters, the counter
-// overhead measured honestly), then the collected profile is folded
-// through AdaptOptions into a cached recompile and the adapted analysis
-// is hot-swapped in for every remaining cell.
+// the adaptive column spends its first program as a profiling quantum
+// (static layout plus access counters, the counter overhead measured
+// honestly), then the collected profile is folded through AdaptOptions
+// into a cached recompile and the adapted analysis is hot-swapped in
+// for every remaining cell.
 //
 // The swap is deterministic and resume-safe by construction: the
 // adapted analysis is a pure function of the training workloads and the
@@ -29,9 +29,14 @@ import (
 
 // AdaptPrograms is the adaptive experiment's workload family: the
 // MSan-shaped programs of the PGO study, training program first so the
-// default one-program quantum trains on the same workload the PGO
-// experiment does.
+// one-program quantum trains on the same workload the PGO experiment
+// does.
 var AdaptPrograms = []string{"libquantum", "bzip2", "mcf", "hmmer", "fft", "sort", "memcached"}
+
+// adaptQuantum is the profiling quantum in programs: the adaptive
+// column profiles AdaptPrograms' first program, then swaps. The
+// checkpoint fingerprint names it.
+const adaptQuantum = 1
 
 // adaptAnalysis names the analysis the adaptive loop tunes. MSan is the
 // paper's profile-guided showcase: its hot shadow map and cold
@@ -99,8 +104,7 @@ func (st *adaptState) resolve(c Config, static *compiler.Analysis, train []strin
 
 // Adapt measures the closed adaptive-PGO loop against the full static
 // configuration and every fixed ablation point on the MSan workload
-// family. With cfg.Adapt off the adaptive column is the no-swap control
-// (static analysis throughout).
+// family.
 func Adapt(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	static, err := analyses.Compile(adaptAnalysis, compiler.DefaultOptions())
@@ -140,11 +144,7 @@ func Adapt(cfg Config) (*Table, error) {
 		return nil, err
 	}
 
-	quantum := cfg.AdaptAfter
-	if quantum > len(AdaptPrograms) {
-		quantum = len(AdaptPrograms)
-	}
-	train := AdaptPrograms[:quantum]
+	train := AdaptPrograms[:adaptQuantum]
 	programIdx := make(map[string]int, len(AdaptPrograms))
 	for i, w := range AdaptPrograms {
 		programIdx[w] = i
@@ -153,8 +153,8 @@ func Adapt(cfg Config) (*Table, error) {
 
 	t, err := cfg.runGrid(gridSpec{
 		name: "adapt",
-		title: fmt.Sprintf("Adaptive PGO: profiling quantum + hot-swap vs static ablation points, ALDA MSan (size=%s, reps=%d, quantum=%d, swap=%v)",
-			cfg.Size, cfg.Reps, quantum, cfg.Adapt),
+		title: fmt.Sprintf("Adaptive PGO: profiling quantum + hot-swap vs static ablation points, ALDA MSan (size=%s, reps=%d, quantum=%d)",
+			cfg.Size, cfg.Reps, adaptQuantum),
 		measured: names,
 		programs: AdaptPrograms,
 		runner: func(c Config, w string, col int) (runnerFn, error) {
@@ -164,10 +164,7 @@ func Adapt(cfg Config) (*Table, error) {
 			case col < len(fixed):
 				return c.runnerALDA(fixed[col], w)
 			default: // adaptive column
-				if !c.Adapt {
-					return c.runnerALDA(static, w)
-				}
-				if programIdx[w] < quantum {
+				if programIdx[w] < adaptQuantum {
 					return c.runnerALDA(profiling, w)
 				}
 				a, _, err := st.resolve(c, static, train)
@@ -185,20 +182,16 @@ func Adapt(cfg Config) (*Table, error) {
 	// Deterministic post-table adaptation report. On a fully resumed
 	// sweep no adapted cell forced the resolution, so force it here:
 	// the decision log is part of the sweep's byte-identical output.
-	if !cfg.Adapt {
-		fmt.Fprintf(cfg.Out, "adaptive PGO: swap disabled (-adapt off); the adaptive column ran the static analysis\n\n")
-		return t, nil
-	}
 	_, res, err := st.resolve(cfg, static, train)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(cfg.Out, "adaptive PGO: quantum=%d program(s) [%s], then hot-swap for the remaining %d\n",
-		quantum, strings.Join(train, " "), len(AdaptPrograms)-quantum)
+		adaptQuantum, strings.Join(train, " "), len(AdaptPrograms)-adaptQuantum)
 	io.WriteString(cfg.Out, res.DecisionLog())
 	fmt.Fprintln(cfg.Out)
 	if cfg.Metrics != nil {
-		cfg.Metrics.Add("harness.adapt.quantum_cells", uint64(quantum))
+		cfg.Metrics.Add("harness.adapt.quantum_cells", adaptQuantum)
 		if res.Changed {
 			cfg.Metrics.Add("harness.adapt.swaps", 1)
 		} else {

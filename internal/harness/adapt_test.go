@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -32,7 +33,6 @@ func TestAdaptiveTableGolden(t *testing.T) {
 			Virtual:     true,
 			Parallelism: parallelism,
 			Out:         &buf,
-			Adapt:       true,
 			PGOProfile:  fixedAdaptProfile(),
 		}
 		if _, err := Adapt(cfg); err != nil {
@@ -62,7 +62,7 @@ func TestAdaptiveResumeMidSwap(t *testing.T) {
 		cfg := Config{
 			Size: workloads.SizeTiny, Reps: 1, Virtual: true, Parallelism: parallelism,
 			Out: &buf, KeepGoing: true, CheckpointPath: path, Resume: resume,
-			Adapt: true, Progress: progress,
+			Progress: progress,
 		}
 		if _, err := Adapt(cfg); err != nil {
 			t.Fatalf("Adapt (resume=%v): %v", resume, err)
@@ -116,7 +116,7 @@ func TestAdaptiveConcurrentSwap(t *testing.T) {
 		var buf bytes.Buffer
 		cfg := Config{
 			Size: workloads.SizeTiny, Reps: 1, Virtual: true, Parallelism: 8,
-			Out: &buf, Adapt: true,
+			Out: &buf,
 		}
 		if _, err := Adapt(cfg); err != nil {
 			t.Fatal(err)
@@ -147,7 +147,7 @@ func TestAdaptiveStaleProfileDegrades(t *testing.T) {
 		var buf bytes.Buffer
 		cfg := Config{
 			Size: workloads.SizeTiny, Reps: 1, Virtual: true, Parallelism: 4,
-			Out: &buf, Adapt: true, PGOProfile: p,
+			Out: &buf, PGOProfile: p,
 		}
 		if _, err := Adapt(cfg); err != nil {
 			t.Fatal(err)
@@ -194,11 +194,30 @@ func TestAdaptiveStaleProfileDegrades(t *testing.T) {
 // byte for byte, training budget included, so checkpoints written by
 // earlier builds still resume.
 func TestAdaptFingerprintPinned(t *testing.T) {
-	cfg := Config{Size: workloads.SizeTiny, Reps: 1, Virtual: true, Adapt: true}.withDefaults()
+	cfg := Config{Size: workloads.SizeTiny, Reps: 1, Virtual: true}.withDefaults()
 	cfg.Opt.Seed = 1
 	want := "size=tiny reps=1 seed=1 virtual=true metrics=false engine=interp adapt=1/1048576"
-	if got := cfg.fingerprint(); got != want {
+	if got := cfg.fingerprint("adapt"); got != want {
 		t.Errorf("fingerprint = %q, want %q", got, want)
+	}
+}
+
+// TestProfileFingerprintPerGrid: a -profile-in profile binds the adapt
+// and pgo checkpoints, whose cells it steers, and leaves every other
+// grid's fingerprint plain.
+func TestProfileFingerprintPerGrid(t *testing.T) {
+	cfg := Config{Size: workloads.SizeTiny, Reps: 1, Virtual: true}.withDefaults()
+	plain := cfg.fingerprint("fig4")
+	cfg.PGOProfile = fixedAdaptProfile()
+	aprof := fmt.Sprintf(" aprof=%016x", cfg.PGOProfile.Hash())
+	if got := cfg.fingerprint("pgo"); got != plain+aprof {
+		t.Errorf("pgo fingerprint = %q, want %q", got, plain+aprof)
+	}
+	if got, want := cfg.fingerprint("adapt"), plain+" adapt=1/1048576"+aprof; got != want {
+		t.Errorf("adapt fingerprint = %q, want %q", got, want)
+	}
+	if got := cfg.fingerprint("fig4"); got != plain {
+		t.Errorf("fig4 fingerprint = %q, want %q", got, plain)
 	}
 }
 

@@ -33,10 +33,11 @@ type checkpointRecord struct {
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 }
 
-// fingerprint ties checkpoint records to the measurement parameters
-// that determine a cell's value; a stale checkpoint from a different
-// configuration is ignored rather than poisoning the resumed table.
-func (c Config) fingerprint() string {
+// fingerprint ties one grid's checkpoint records to the measurement
+// parameters that determine its cells' values; a stale checkpoint from
+// a different configuration is ignored rather than poisoning the
+// resumed table.
+func (c Config) fingerprint(grid string) string {
 	// metrics participates because it changes what a record must carry:
 	// a checkpoint written without counters cannot resume a metrics
 	// sweep (the resumed cells would silently contribute nothing).
@@ -50,16 +51,16 @@ func (c Config) fingerprint() string {
 		// trace invalidates cells recorded against the old one.
 		fp += fmt.Sprintf(" trace=%016x", c.traceHash())
 	}
-	if c.Adapt {
-		// Adaptive cells depend on the quantum configuration and, when
-		// a -profile-in file replaces the training run, on the profile
-		// itself; a checkpoint from a different adaptation must not
-		// resume into this sweep. Gated on Adapt so every existing
-		// non-adaptive checkpoint stays valid.
-		fp += fmt.Sprintf(" adapt=%d/%d", c.AdaptAfter, adaptMaxSteps)
-		if c.PGOProfile != nil {
-			fp += fmt.Sprintf(" aprof=%016x", c.PGOProfile.Hash())
-		}
+	if grid == "adapt" {
+		// Adaptive cells depend on the quantum and the training budget.
+		// The string is the one the adapt grid always wrote, so its
+		// existing checkpoints still resume.
+		fp += fmt.Sprintf(" adapt=%d/%d", adaptQuantum, adaptMaxSteps)
+	}
+	if c.PGOProfile != nil && (grid == "adapt" || grid == "pgo") {
+		// A -profile-in file replaces both grids' training runs, so a
+		// checkpoint measured under another profile must not resume.
+		fp += fmt.Sprintf(" aprof=%016x", c.PGOProfile.Hash())
 	}
 	return fp
 }

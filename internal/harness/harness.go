@@ -92,20 +92,11 @@ type Config struct {
 	Trace *obs.Trace
 	// PGOProfile, when non-nil, replaces the PGO and Adapt experiments'
 	// inline training runs with a previously collected profile
-	// (-profile-in). A profile that does not match the measured analysis
-	// degrades to static selection with a warning instead of silently
-	// perturbing layout with stale counts.
+	// (-profile-in), and those two grids' checkpoint fingerprints hash
+	// it. A profile that does not match the measured analysis degrades
+	// to static selection with a warning instead of silently perturbing
+	// layout with stale counts.
 	PGOProfile *compiler.Profile
-	// Adapt enables the adaptive-PGO hot swap (-adapt): the Adapt
-	// experiment's adaptive column runs its first AdaptAfter programs as
-	// a profiling quantum (static layout plus access counters, measured
-	// honestly), then recompiles through the compile cache with the
-	// collected profile folded into the fingerprint and swaps the
-	// adapted analysis in for every remaining cell. Off, the adaptive
-	// column is the no-swap control (static analysis throughout).
-	Adapt bool
-	// AdaptAfter is the profiling-quantum length in programs (default 1).
-	AdaptAfter int
 	// TraceDir is the directory of recorded plain-run traces
 	// (<workload>.trc) the replay experiment measures against. The
 	// checkpoint fingerprint hashes the trace contents, so -resume
@@ -126,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.AdaptAfter <= 0 {
-		c.AdaptAfter = 1
 	}
 	return c
 }

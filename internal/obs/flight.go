@@ -1,18 +1,18 @@
 package obs
 
-// FlightRecorder is the serving tier's one in-memory event log: a
-// fixed-size ring of recent events per worker shard plus a control
-// ring, always on, O(1) and allocation-free to record into. Two views
-// read it. The flight dump (GET /debug/flight, and a file written
-// automatically when the journal degrades, a chaos fault fires, or the
-// process takes SIGQUIT) shows each ring as recorded, so a failed
-// chaos/soak run leaves behind the last events per shard instead of
-// nothing. The span view (Traces, GET /debug/spans) groups the same
-// events by trace: a trace is a job's identity across its whole life —
-// minted at admission, returned to the client, written into the
-// journal, preserved across crash recovery — and its chain is the
-// ordered pipeline stages the job passed through (accepted → queued →
-// compiled → executed → journaled → done/error).
+// FlightRecorder is the serving tier's one in-memory event log: two
+// fixed-size rings of recent events, one for jobs and one for the
+// server's control events, always on, O(1) and allocation-free to
+// record into. Two views read it. The flight dump (GET /debug/flight,
+// and a file written automatically when the journal degrades, a chaos
+// fault fires, or the process takes SIGQUIT) shows each ring as
+// recorded, so a failed chaos/soak run leaves behind the last events
+// instead of nothing. The span view (Traces, GET /debug/spans) groups
+// the same events by trace: a trace is a job's identity across its
+// whole life — minted at admission, returned to the client, written
+// into the journal, preserved across crash recovery — and its chain is
+// the ordered pipeline stages the job passed through (accepted →
+// queued → compiled → executed → journaled → done/error).
 //
 // The span view follows the deterministic/volatile split: chain
 // structure (trace IDs, stage names, stage order, virtual costs) is a
@@ -46,7 +46,7 @@ func MintTraceID(seq uint64) string {
 	return fmt.Sprintf("t-%016x", z)
 }
 
-// FlightEvent is one ring record. Seq is a per-shard monotonic
+// FlightEvent is one ring record. Seq is a per-ring monotonic
 // sequence number, so a dump shows how much history the ring dropped.
 type FlightEvent struct {
 	Seq     uint64 `json:"seq"`
@@ -57,8 +57,8 @@ type FlightEvent struct {
 	WallUS  int64  `json:"wall_us,omitempty"`
 }
 
-// flightRing is one shard's fixed ring. Each ring has its own lock so
-// worker shards never contend with each other.
+// flightRing is one fixed ring with its own lock, so control events
+// never wait on the job ring.
 type flightRing struct {
 	mu   sync.Mutex
 	buf  []FlightEvent
@@ -78,58 +78,58 @@ func (r *flightRing) live() (events []FlightEvent, total uint64) {
 	return events, r.next
 }
 
-// FlightRecorder holds one ring per worker shard plus one control ring
-// (the last index) for server-level events: degradation, adapt epochs.
+// Ring selects one of the recorder's two rings: JobRing holds every
+// job's admission, recovery and pipeline stages, ControlRing the
+// server-level events (journal degradation, adapt epochs).
+type Ring int
+
+const (
+	JobRing Ring = iota
+	ControlRing
+)
+
+// ringNames label the rings in a dump.
+var ringNames = [...]string{JobRing: "jobs", ControlRing: "control"}
+
+// DefaultFlightRing is the default job-ring capacity: 1,024 six-stage
+// job chains. The two rings then preallocate 552,960 bytes.
+const DefaultFlightRing = 6144
+
+// FlightRecorder holds the job ring and the control ring.
 type FlightRecorder struct {
-	rings []flightRing
+	rings [2]flightRing
 }
 
 // FlightSnapshot is the dump shape: per-ring event lists in
 // oldest-to-newest order, plus how many records each ring dropped.
 type FlightSnapshot struct {
-	TakenAt string        `json:"taken_at,omitempty"`
-	Reason  string        `json:"reason,omitempty"`
-	Shards  []FlightShard `json:"shards"`
+	TakenAt string           `json:"taken_at,omitempty"`
+	Reason  string           `json:"reason,omitempty"`
+	Rings   []FlightRingDump `json:"rings"`
 }
 
-// FlightShard is one ring's dump.
-type FlightShard struct {
-	Shard   int           `json:"shard"`
+// FlightRingDump is one ring's dump.
+type FlightRingDump struct {
+	Ring    string        `json:"ring"`
 	Total   uint64        `json:"total"`
 	Dropped uint64        `json:"dropped"`
 	Events  []FlightEvent `json:"events"`
 }
 
-// NewFlightRecorder builds a recorder with shards worker rings plus one
-// control ring, each holding ringSize events (minimum 16).
-func NewFlightRecorder(shards, ringSize int) *FlightRecorder {
-	if shards < 1 {
-		shards = 1
-	}
-	if ringSize < 16 {
-		ringSize = 16
-	}
-	f := &FlightRecorder{rings: make([]flightRing, shards+1)}
-	for i := range f.rings {
-		f.rings[i].buf = make([]FlightEvent, ringSize)
-	}
+// NewFlightRecorder builds a recorder whose job ring holds jobEvents
+// events and whose control ring holds a quarter as many (minimum 16
+// each).
+func NewFlightRecorder(jobEvents int) *FlightRecorder {
+	f := &FlightRecorder{}
+	f.rings[JobRing].buf = make([]FlightEvent, max(jobEvents, 16))
+	f.rings[ControlRing].buf = make([]FlightEvent, max(jobEvents/4, 16))
 	return f
 }
 
-// ControlShard is the ring index for server-level (non-worker) events.
-func (f *FlightRecorder) ControlShard() int { return len(f.rings) - 1 }
-
-// Record appends one event to a shard's ring — O(1), no allocation
-// beyond the strings the caller already holds. Out-of-range shards are
-// folded into the control ring rather than dropped.
-func (f *FlightRecorder) Record(shard int, ev FlightEvent) {
-	if f == nil {
-		return
-	}
-	if shard < 0 || shard >= len(f.rings) {
-		shard = f.ControlShard()
-	}
-	r := &f.rings[shard]
+// Record appends one event to a ring — O(1), no allocation beyond the
+// strings the caller already holds.
+func (f *FlightRecorder) Record(ring Ring, ev FlightEvent) {
+	r := &f.rings[ring]
 	r.mu.Lock()
 	ev.Seq = r.next
 	r.buf[r.next%uint64(len(r.buf))] = ev
@@ -155,10 +155,10 @@ type TraceExport struct {
 // chain in recording order, traces sorted by ID. Events without a
 // trace are left out. With includeVolatile false the wall-clock fields
 // are zeroed, leaving only the deterministic structure — the form the
-// determinism tests compare across serial and parallel runs. A caller
-// that records each trace into one ring gets its chains whole until
-// the ring wraps past them; a trace whose oldest events were
-// overwritten shows the events that remain.
+// determinism tests compare across serial and parallel runs. A trace
+// recorded into one ring keeps its chain whole until the ring wraps
+// past it; a trace whose oldest events were overwritten shows the
+// events that remain.
 func (f *FlightRecorder) Traces(includeVolatile bool) []TraceExport {
 	out := []TraceExport{}
 	index := map[string]int{}
@@ -185,16 +185,16 @@ func (f *FlightRecorder) Traces(includeVolatile bool) []TraceExport {
 	return out
 }
 
-// Snapshot copies every ring in oldest-to-newest order.
+// Snapshot copies both rings in oldest-to-newest order.
 func (f *FlightRecorder) Snapshot(reason string) FlightSnapshot {
 	snap := FlightSnapshot{
 		TakenAt: time.Now().UTC().Format(time.RFC3339Nano),
 		Reason:  reason,
-		Shards:  make([]FlightShard, len(f.rings)),
+		Rings:   make([]FlightRingDump, len(f.rings)),
 	}
 	for i := range f.rings {
 		events, total := f.rings[i].live()
-		snap.Shards[i] = FlightShard{Shard: i, Total: total, Dropped: total - uint64(len(events)), Events: events}
+		snap.Rings[i] = FlightRingDump{Ring: ringNames[i], Total: total, Dropped: total - uint64(len(events)), Events: events}
 	}
 	return snap
 }

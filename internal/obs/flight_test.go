@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestMintTraceIDDeterministicAndUnique(t *testing.T) {
@@ -29,21 +30,21 @@ func TestMintTraceIDDeterministicAndUnique(t *testing.T) {
 }
 
 // recordChain records one job's three-stage chain into a ring, the way
-// aldaserve records a job into its shard's ring.
-func recordChain(f *FlightRecorder, shard, job int) {
+// aldaserve records a job into the job ring.
+func recordChain(f *FlightRecorder, ring Ring, job int) {
 	tid := MintTraceID(uint64(job))
-	f.Record(shard, FlightEvent{Trace: tid, Stage: "accepted", WallUS: int64(job) * 3})
-	f.Record(shard, FlightEvent{Trace: tid, Stage: "executed", Virtual: uint64(100 + job), WallUS: int64(job) * 7})
-	f.Record(shard, FlightEvent{Trace: tid, Stage: "done", WallUS: 1})
+	f.Record(ring, FlightEvent{Trace: tid, Stage: "accepted", WallUS: int64(job) * 3})
+	f.Record(ring, FlightEvent{Trace: tid, Stage: "executed", Virtual: uint64(100 + job), WallUS: int64(job) * 7})
+	f.Record(ring, FlightEvent{Trace: tid, Stage: "done", WallUS: 1})
 }
 
 func TestTraceViewDeterministicAcrossOrder(t *testing.T) {
 	view := func(order []int) []byte {
-		f := NewFlightRecorder(2, 64)
+		f := NewFlightRecorder(64)
 		for _, job := range order {
-			recordChain(f, job%2, job)
+			recordChain(f, Ring(job%2), job)
 		}
-		f.Record(f.ControlShard(), FlightEvent{Stage: "journal-degraded"}) // no trace
+		f.Record(ControlRing, FlightEvent{Stage: "journal-degraded"}) // no trace
 		b, err := json.Marshal(f.Traces(false))
 		if err != nil {
 			t.Fatal(err)
@@ -70,8 +71,8 @@ func TestTraceViewDeterministicAcrossOrder(t *testing.T) {
 }
 
 func TestTraceViewVolatileKeepsWallTimes(t *testing.T) {
-	f := NewFlightRecorder(1, 16)
-	recordChain(f, 0, 14)
+	f := NewFlightRecorder(16)
+	recordChain(f, JobRing, 14)
 	if det := f.Traces(false); det[0].Stages[0].WallUS != 0 || det[0].Stages[1].WallUS != 0 {
 		t.Fatalf("deterministic view leaked wall time: %+v", det)
 	}
@@ -83,9 +84,9 @@ func TestTraceViewVolatileKeepsWallTimes(t *testing.T) {
 
 func TestTraceViewAfterWrap(t *testing.T) {
 	const ring, jobs = 16, 100
-	f := NewFlightRecorder(1, ring)
+	f := NewFlightRecorder(ring)
 	for job := 0; job < jobs; job++ {
-		recordChain(f, 0, job)
+		recordChain(f, JobRing, job)
 	}
 	view := map[string][]SpanStage{}
 	for _, te := range f.Traces(false) {
@@ -112,14 +113,14 @@ func TestTraceViewAfterWrap(t *testing.T) {
 }
 
 func TestTraceViewConcurrent(t *testing.T) {
-	f := NewFlightRecorder(4, 32)
+	f := NewFlightRecorder(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				recordChain(f, g%4, g*1000+i)
+				recordChain(f, Ring(g%2), g*1000+i)
 				_ = f.Traces(g%2 == 0)
 			}
 		}(g)
@@ -162,21 +163,20 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 func TestFlightRecorderRingAndDrop(t *testing.T) {
-	f := NewFlightRecorder(2, 16)
+	f := NewFlightRecorder(16)
 	for i := 0; i < 50; i++ {
-		f.Record(0, FlightEvent{Stage: "executed", Detail: fmt.Sprintf("job%d", i)})
+		f.Record(JobRing, FlightEvent{Stage: "executed", Detail: fmt.Sprintf("job%d", i)})
 	}
-	f.Record(1, FlightEvent{Stage: "accepted"})
-	f.Record(f.ControlShard(), FlightEvent{Stage: "recovery"})
-	f.Record(99, FlightEvent{Stage: "overflowed-shard"}) // folds into control
+	f.Record(ControlRing, FlightEvent{Stage: "recovery"})
+	f.Record(ControlRing, FlightEvent{Stage: "journal-degraded"})
 
 	snap := f.Snapshot("test")
-	if len(snap.Shards) != 3 {
-		t.Fatalf("want 3 rings (2 workers + control), got %d", len(snap.Shards))
+	if len(snap.Rings) != 2 || snap.Rings[0].Ring != "jobs" || snap.Rings[1].Ring != "control" {
+		t.Fatalf("want the jobs and control rings, got %+v", snap.Rings)
 	}
-	s0 := snap.Shards[0]
+	s0 := snap.Rings[JobRing]
 	if s0.Total != 50 || s0.Dropped != 34 || len(s0.Events) != 16 {
-		t.Fatalf("ring 0: total=%d dropped=%d events=%d", s0.Total, s0.Dropped, len(s0.Events))
+		t.Fatalf("job ring: total=%d dropped=%d events=%d", s0.Total, s0.Dropped, len(s0.Events))
 	}
 	// Oldest-to-newest order, and the newest event is job49.
 	if s0.Events[0].Detail != "job34" || s0.Events[15].Detail != "job49" {
@@ -187,15 +187,28 @@ func TestFlightRecorderRingAndDrop(t *testing.T) {
 			t.Fatal("ring seq not monotone")
 		}
 	}
-	ctl := snap.Shards[f.ControlShard()]
-	if len(ctl.Events) != 2 || ctl.Events[1].Stage != "overflowed-shard" {
+	ctl := snap.Rings[ControlRing]
+	if len(ctl.Events) != 2 || ctl.Events[1].Stage != "journal-degraded" {
 		t.Fatalf("control ring wrong: %+v", ctl.Events)
 	}
 }
 
+// TestFlightRecorderDefaultPrealloc: the control ring is a quarter of
+// the job ring, and the default rings preallocate 552,960 bytes.
+func TestFlightRecorderDefaultPrealloc(t *testing.T) {
+	f := NewFlightRecorder(DefaultFlightRing)
+	jobs, ctl := len(f.rings[JobRing].buf), len(f.rings[ControlRing].buf)
+	if jobs != DefaultFlightRing || ctl != DefaultFlightRing/4 {
+		t.Fatalf("rings hold %d and %d events, want %d and %d", jobs, ctl, DefaultFlightRing, DefaultFlightRing/4)
+	}
+	if b := uintptr(jobs+ctl) * unsafe.Sizeof(FlightEvent{}); b > 552960 {
+		t.Fatalf("default rings preallocate %d bytes, want at most 552,960", b)
+	}
+}
+
 func TestFlightRecorderSnapshotToFile(t *testing.T) {
-	f := NewFlightRecorder(1, 16)
-	f.Record(0, FlightEvent{Trace: "t-1", Stage: "done"})
+	f := NewFlightRecorder(16)
+	f.Record(JobRing, FlightEvent{Trace: "t-1", Stage: "done"})
 	path := t.TempDir() + "/flight.json"
 	if err := f.SnapshotToFile(path, "unit"); err != nil {
 		t.Fatal(err)
@@ -211,16 +224,16 @@ func TestFlightRecorderSnapshotToFile(t *testing.T) {
 	if b, err := os.ReadFile(path); err != nil || json.Unmarshal(b, &snap) != nil {
 		t.Fatalf("snapshot file unreadable: %v\n%s", err, b)
 	}
-	if snap.Reason != "unit" || snap.Shards[0].Events[0].Trace != "t-1" {
+	if snap.Reason != "unit" || snap.Rings[JobRing].Events[0].Trace != "t-1" {
 		t.Fatalf("snapshot file content wrong: %+v", snap)
 	}
 }
 
 func TestFlightRecordZeroAlloc(t *testing.T) {
-	f := NewFlightRecorder(1, 64)
+	f := NewFlightRecorder(64)
 	ev := FlightEvent{Trace: "t-0000000000000000", Stage: "executed", Virtual: 123}
 	allocs := testing.AllocsPerRun(1000, func() {
-		f.Record(0, ev)
+		f.Record(JobRing, ev)
 	})
 	if allocs != 0 {
 		t.Fatalf("FlightRecorder.Record allocates %v times per call, want 0", allocs)
@@ -228,14 +241,14 @@ func TestFlightRecordZeroAlloc(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder(4, 32)
+	f := NewFlightRecorder(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				f.Record(g%5, FlightEvent{Stage: "executed", Virtual: uint64(i)})
+				f.Record(Ring(g%2), FlightEvent{Stage: "executed", Virtual: uint64(i)})
 			}
 			_ = f.Snapshot("race")
 		}(g)

@@ -9,8 +9,8 @@ import (
 )
 
 // Adaptive PGO in the serving tier: with Config.AdaptAfter = N, each
-// compile-affinity key (analysis × options — the same key jobs shard
-// by) spends its first N completed jobs as a profiling quantum. Those
+// analysis key (analysis × default options, JobRequest.fingerprintKey)
+// spends its first N completed jobs as a profiling quantum. Those
 // jobs run the ProfileCollect build of the analysis, their per-member
 // access counters are harvested from the job's metrics shard, and once
 // N profiles have merged the key hot-swaps: the profile folds through
@@ -31,8 +31,8 @@ import (
 // the quantum — profiles steer performance, never verdicts, so nothing
 // observable is lost.
 
-// keyAdaptState is one compile-affinity key's position in the adaptive
-// loop. Guarded by Server.adaptMu.
+// keyAdaptState is one analysis key's position in the adaptive loop.
+// Guarded by Server.adaptMu.
 type keyAdaptState struct {
 	profiled int               // completed profiling jobs so far
 	counts   map[string]uint64 // merged per-member access counts
@@ -48,9 +48,9 @@ type keyAdaptState struct {
 	sampled   int // post-swap completions, for the sampling cadence
 }
 
-// keyLabel is the short stable label a compile-affinity key exports
-// under (the raw key embeds the full options fingerprint — too long for
-// a metric label, stable enough to hash).
+// keyLabel is the short stable label an analysis key exports under
+// (the raw key embeds the full options fingerprint — too long for a
+// metric label, stable enough to hash).
 func keyLabel(key string) string {
 	h := fnv.New32a()
 	h.Write([]byte(key))
@@ -58,7 +58,7 @@ func keyLabel(key string) string {
 }
 
 // profileWindow is how many recent per-job profiles the rolling window
-// holds per compile-affinity key.
+// holds per analysis key.
 const profileWindow = 8
 
 // pushWindow folds one job's profile into the key's rolling window,
@@ -178,8 +178,9 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 	defer s.adaptMu.Unlock()
 	if adapted != nil || st.adapted != nil {
 		// Post-swap sample, or a quantum run that lost the swap race to
-		// a concurrent worker (harmless either way — the result is
-		// identical). Feed the rolling window and refresh drift.
+		// a concurrent worker: quantum jobs of one key may overlap on the
+		// worker pool (harmless either way — the result is identical).
+		// Feed the rolling window and refresh drift.
 		st.pushWindow(prof.Counts)
 		if adapted != nil {
 			s.reg.AddVolatile("serve.adapt.sampled", 1)
@@ -209,8 +210,7 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 	// The swap epoch is itself a trace in the control ring, so
 	// adaptation decisions are first-class citizens of a post-mortem.
 	atid := fmt.Sprintf("adapt-%s-e%d", keyLabel(key), st.epoch)
-	ctl := s.flight.ControlShard()
-	s.flight.Record(ctl, obs.FlightEvent{Trace: atid, Stage: "swap-decided", Detail: key, Virtual: uint64(st.profiled)})
+	s.flight.Record(obs.ControlRing, obs.FlightEvent{Trace: atid, Stage: "swap-decided", Detail: key, Virtual: uint64(st.profiled)})
 	// Journal the swap before any job runs under it: recovery must
 	// land on the same analysis, not re-enter the quantum.
 	if s.journal != nil {
@@ -218,7 +218,7 @@ func (s *Server) runAdaptive(j *job, shard *obs.Shard, onStage StageObserver) (*
 			s.reg.AddVolatile("serve.journal.errors", 1)
 			s.autoFlightSnapshot("journal-degraded")
 		} else {
-			s.flight.Record(ctl, obs.FlightEvent{Trace: atid, Stage: "journaled"})
+			s.flight.Record(obs.ControlRing, obs.FlightEvent{Trace: atid, Stage: "journaled"})
 		}
 	}
 	return res, jerr

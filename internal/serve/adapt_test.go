@@ -55,14 +55,14 @@ func resultJSON(t *testing.T, r *JobResult) string {
 // (non-adaptive) server's result for the same request. Adaptation
 // re-selects containers; it never touches verdicts.
 func TestServeAdaptiveVerdictIdentity(t *testing.T) {
-	_, refTS := startServer(t, Config{Shards: 1})
+	_, refTS := startServer(t, Config{Workers: 1, QueueDepth: 64})
 	ref := resultJSON(t, submitWait(t, refTS, adaptJob()).Result)
 	if !strings.Contains(ref, "uninitialized") && !strings.Contains(ref, "reports") {
 		t.Fatalf("reference job produced no reports: %s", ref)
 	}
 
 	reg := obs.NewRegistry()
-	_, ts := startServer(t, Config{Shards: 1, WorkersPerShard: 1, AdaptAfter: 2, Metrics: reg})
+	_, ts := startServer(t, Config{Workers: 1, QueueDepth: 64, AdaptAfter: 2, Metrics: reg})
 	for i := 0; i < 5; i++ {
 		got := resultJSON(t, submitWait(t, ts, adaptJob()).Result)
 		if got != ref {
@@ -91,7 +91,7 @@ func adaptPhase(i, quantum int) string {
 // byte-identical to the pre-crash server's.
 func TestServeAdaptiveRecovery(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "adapt.jsonl")
-	cfg := Config{Shards: 1, WorkersPerShard: 1, AdaptAfter: 2, JournalPath: jp}
+	cfg := Config{Workers: 1, QueueDepth: 64, AdaptAfter: 2, JournalPath: jp}
 
 	cfg1 := cfg
 	cfg1.Metrics = obs.NewRegistry()
@@ -147,7 +147,7 @@ func TestServeAdaptiveRecovery(t *testing.T) {
 // non-adaptive server would silently ignore them.
 func TestServeAdaptiveJournalFingerprint(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "adapt.jsonl")
-	base := Config{Shards: 1, AdaptAfter: 2, JournalPath: jp}
+	base := Config{Workers: 1, QueueDepth: 64, AdaptAfter: 2, JournalPath: jp}
 	s, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestRecoverThreadedJobOnInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	s, ts := startServer(t, Config{Shards: 1, WorkersPerShard: 1, AdaptAfter: 1, JournalPath: jp, Metrics: reg})
+	s, ts := startServer(t, Config{Workers: 1, QueueDepth: 64, AdaptAfter: 1, JournalPath: jp, Metrics: reg})
 	if n := reg.Counter("serve.adapt.recovered"); n != 1 {
 		t.Fatalf("recovered %d adaptation epochs, want 1", n)
 	}

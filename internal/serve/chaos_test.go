@@ -23,7 +23,7 @@ import (
 func TestChaosSoak(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chaos.jsonl")
 	s, err := New(Config{
-		Shards: 2, WorkersPerShard: 2, QueueDepth: 8,
+		Workers: 4, QueueDepth: 16,
 		JournalPath:   path,
 		JournalFaults: JournalFaults{FailWriteNth: 5, FailSyncNth: 9},
 	})
@@ -154,7 +154,7 @@ func TestChaosSoak(t *testing.T) {
 // not random.
 func TestChaosDeterministicOutcomes(t *testing.T) {
 	run := func() []byte {
-		s, err := New(Config{Shards: 1})
+		s, err := New(Config{Workers: 1, QueueDepth: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

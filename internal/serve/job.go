@@ -1,10 +1,16 @@
 // Package serve turns the one-shot evaluation machinery into
 // long-running analysis-as-a-service infrastructure: an HTTP/JSON job
-// API scheduled onto a sharded worker pool, with the robustness layers
-// the ROADMAP's server item names as load-bearing — per-job tenant
-// isolation via the VM's recover()+budget sandbox, admission control
-// with bounded queues and per-tenant in-flight caps, a fingerprinted
-// JSONL write-ahead journal for crash recovery, and graceful drain.
+// API whose jobs wait in one bounded admission queue for a pool of
+// workers, with the robustness layers the ROADMAP's server item names
+// as load-bearing — per-job tenant isolation via the VM's
+// recover()+budget sandbox, admission control with the bounded queue
+// and per-tenant in-flight caps, a fingerprinted JSONL write-ahead
+// journal for crash recovery, and graceful drain.
+//
+// Jobs are not placed by analysis: each compiles through the
+// process-wide compile cache and runs on a private VM, so any worker
+// serves any job, and the flight recorder keeps every job's events in
+// one job ring.
 //
 // Every job is deterministic in its request (the VM is deterministic,
 // results use virtual time), so the same journal replayed after a
@@ -262,10 +268,9 @@ func (r *JobRequest) Validate() error {
 	return nil
 }
 
-// fingerprintKey is the compile-affinity key jobs shard by: jobs that
-// share it hit the same cached compiled analysis, so colocating them
-// on one shard keeps the LRU compile cache and the per-shard CPU
-// caches warm.
+// fingerprintKey is the analysis key the adaptive loop keys its state
+// and its journaled epochs by: the analysis plus the default options'
+// fingerprint. The string is journaled, so it must not drift.
 func (r *JobRequest) fingerprintKey() string {
 	return r.Analysis + "|" + compiler.DefaultOptions().Fingerprint()
 }

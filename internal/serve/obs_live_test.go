@@ -84,10 +84,9 @@ func TestTraceIDEndToEnd(t *testing.T) {
 }
 
 // TestSpanStructureSerialVsParallel is the span determinism soak: the
-// same job mix run on a serial server (1 shard × 1 worker, sequential
-// submits) and a parallel one (4 shards × 2 workers, 8 submitter
-// goroutines) must yield the identical multiset of stage chains, with
-// unique trace IDs throughout.
+// same job mix run on a serial server (1 worker, sequential submits)
+// and a parallel one (8 workers, 8 submitter goroutines) must yield the
+// identical multiset of stage chains, with unique trace IDs throughout.
 func TestSpanStructureSerialVsParallel(t *testing.T) {
 	mix := []JobRequest{
 		{Workload: "sort", Analysis: "uaf"},
@@ -149,8 +148,8 @@ func TestSpanStructureSerialVsParallel(t *testing.T) {
 		return spanChains(spans)
 	}
 
-	serial := run(Config{Shards: 1, WorkersPerShard: 1}, 1)
-	parallel := run(Config{Shards: 4, WorkersPerShard: 2}, 8)
+	serial := run(Config{Workers: 1, QueueDepth: 64}, 1)
+	parallel := run(Config{Workers: 8, QueueDepth: 256}, 8)
 	if len(serial) != len(mix)*perReq {
 		t.Fatalf("serial run recorded %d traces, want %d", len(serial), len(mix)*perReq)
 	}
@@ -309,7 +308,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		`alda_serve_tenant_wall_us_count{tenant="alice"}`,
 		`alda_serve_stage_wall_us_bucket{stage="executed",le="+Inf"}`,
 		`alda_serve_endpoint_wall_us_count{endpoint="submit"}`,
-		`alda_serve_queue_depth{shard="0"}`,
+		"serve_queue_depth 0",
 		"serve_jobs_accepted 2",
 	} {
 		if !strings.Contains(out, want) {
@@ -335,10 +334,10 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestDebugFlightEndpoint: the ring dump is live JSON holding recent
-// per-shard stage events with the jobs' trace IDs.
+// TestDebugFlightEndpoint: the ring dump is live JSON holding the job
+// and control rings, with the job's stage events in the job ring.
 func TestDebugFlightEndpoint(t *testing.T) {
-	_, ts := startServer(t, Config{Shards: 2})
+	_, ts := startServer(t, Config{Workers: 2, QueueDepth: 128})
 	code, b := postJob(t, ts, JobRequest{Workload: "sort", Analysis: "uaf"}, "?wait=1")
 	if code != http.StatusOK {
 		t.Fatalf("submit: %d", code)
@@ -354,12 +353,12 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	if err := json.Unmarshal(b, &snap); err != nil {
 		t.Fatalf("flight dump is not JSON: %v", err)
 	}
-	if len(snap.Shards) != 3 { // 2 workers + control
-		t.Fatalf("flight rings = %d, want 3", len(snap.Shards))
+	if len(snap.Rings) != 2 { // jobs + control
+		t.Fatalf("flight rings = %d, want 2", len(snap.Rings))
 	}
 	found := false
-	for _, sh := range snap.Shards {
-		for _, ev := range sh.Events {
+	for _, r := range snap.Rings {
+		for _, ev := range r.Events {
 			if ev.Trace == st.TraceID && ev.Stage == "executed" {
 				found = true
 			}
@@ -373,6 +372,64 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	code, b = getBody(t, ts, "/debug/spans")
 	if code != http.StatusOK || !strings.Contains(string(b), st.TraceID) {
 		t.Fatalf("/debug/spans missing trace: %d %s", code, b)
+	}
+}
+
+// TestSpanRetentionIndependentOfMix: with one FlightRing value, 60
+// sequential jobs of one analysis and 60 spread over four analyses keep
+// the same number of whole chains in the span view, because every job
+// records into the one job ring whatever its analysis.
+func TestSpanRetentionIndependentOfMix(t *testing.T) {
+	const ring, jobs, stages = 100, 60, 5 // no journal: five stages per chain
+	whole := func(analyses ...string) int {
+		s, ts := startServer(t, Config{FlightRing: ring})
+		for i := 0; i < jobs; i++ {
+			req := JobRequest{Workload: "sort", Analysis: analyses[i%len(analyses)]}
+			if code, b := postJob(t, ts, req, "?wait=1"); code != http.StatusOK {
+				t.Fatalf("%s: code %d, body %s", req.Analysis, code, b)
+			}
+		}
+		n := 0
+		for _, te := range s.Spans(false) {
+			if len(te.Stages) == stages && te.Stages[0].Stage == "accepted" && te.Stages[stages-1].Stage == "done" {
+				n++
+			}
+		}
+		return n
+	}
+	one := whole("msan")
+	mix := whole("uaf", "msan", "eraser", "strictalias")
+	if one != ring/stages || mix != one {
+		t.Fatalf("whole chains kept: %d for one analysis, %d for four, want %d for both", one, mix, ring/stages)
+	}
+}
+
+// TestSameAnalysisJobsOverlap: two jobs of one analysis run at once on a
+// two-worker server. The first spins until its deadline, and the second
+// compiles while it runs, so the second job's "compiled" event lands in
+// the job ring before the first job's terminal event.
+func TestSameAnalysisJobsOverlap(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 2, Limits: spinLimits})
+	code, b := postJob(t, ts, JobRequest{MIR: spinMIR, Analysis: "uaf", Options: JobOptions{DeadlineMS: 500}}, "")
+	var first, second JobStatus
+	if code != http.StatusAccepted || json.Unmarshal(b, &first) != nil {
+		t.Fatalf("spinning job: code %d, body %s", code, b)
+	}
+	code, b = postJob(t, ts, JobRequest{Workload: "sort", Analysis: "uaf"}, "?wait=1")
+	if code != http.StatusOK || json.Unmarshal(b, &second) != nil || second.State != StateDone {
+		t.Fatalf("second job: code %d, body %s", code, b)
+	}
+	if code, b = getBody(t, ts, "/v1/jobs/"+first.ID+"?wait=1"); code != http.StatusOK || json.Unmarshal(b, &first) != nil || first.State != StateFailed {
+		t.Fatalf("spinning job: code %d, body %s, want failed at its deadline", code, b)
+	}
+	seq := map[string]uint64{}
+	for _, ev := range s.FlightSnapshot("test").Rings[obs.JobRing].Events {
+		seq[ev.Trace+"/"+ev.Stage] = ev.Seq
+	}
+	compiled, ok1 := seq[second.TraceID+"/compiled"]
+	ended, ok2 := seq[first.TraceID+"/error"]
+	if !ok1 || !ok2 || compiled > ended {
+		t.Fatalf("second job compiled at seq %d (%v), first job ended at seq %d (%v): the jobs did not overlap", compiled, ok1, ended, ok2)
 	}
 }
 
@@ -479,7 +536,7 @@ func TestSLOAndLatencyHistograms(t *testing.T) {
 // epoch appears as a span.
 func TestAdaptiveRollingProfile(t *testing.T) {
 	s, ts := startServer(t, Config{
-		Shards: 1, WorkersPerShard: 1,
+		Workers: 1, QueueDepth: 64,
 		AdaptAfter: 2, ProfileSampleEvery: 2,
 	})
 	req := JobRequest{Workload: "memcached", Bug: "uaf", Analysis: "uaf"}

@@ -66,30 +66,20 @@ func jobError(err error) *JobError {
 // record lifecycle spans; nil disables observation at zero cost.
 type StageObserver func(stage string, virtual uint64)
 
-// Execute runs one job to completion under the server's limits,
-// returning either a deterministic result or a typed error — never
-// both, and never a panic: workload builders, the compiler, the
+// ExecuteObserved runs one job to completion under the server's
+// limits, returning either a deterministic result or a typed error —
+// never both, and never a panic: workload builders, the compiler, the
 // instrumenter and analysis handlers all run behind recover(), so a
 // hostile tenant degrades to a JobError{Kind:"panic"} response while
-// the worker survives. The shard, when non-nil, receives the run's
-// deterministic observability counters.
-func Execute(req *JobRequest, lim Limits, shard *obs.Shard) (*JobResult, *JobError) {
-	return ExecuteObserved(req, lim, shard, nil, nil)
-}
-
-// ExecuteWith is Execute with an explicit compilation configuration —
-// the adaptive-PGO loop's entry point, which substitutes the
+// the worker survives. The metrics shard, when non-nil, receives the
+// run's deterministic observability counters. A nil opts means the
+// default static options; the adaptive-PGO loop passes the
 // profile-collecting build during the quantum and the profile-adapted
-// build after the swap. A nil opts means the default static options.
-func ExecuteWith(req *JobRequest, lim Limits, shard *obs.Shard, opts *compiler.Options) (*JobResult, *JobError) {
-	return ExecuteObserved(req, lim, shard, opts, nil)
-}
-
-// ExecuteObserved is ExecuteWith plus a stage observer: onStage fires
-// after compilation succeeds ("compiled") and after the VM run returns
-// ("executed", with the run's virtual cost when it succeeded). Stage
-// emission is a deterministic function of the request — the span
-// determinism tests rely on that.
+// build after the swap. onStage, when non-nil, fires after compilation
+// succeeds ("compiled") and after the VM run returns ("executed", with
+// the run's virtual cost when it succeeded). Stage emission is a
+// deterministic function of the request — the span determinism tests
+// rely on that.
 func ExecuteObserved(req *JobRequest, lim Limits, shard *obs.Shard, opts *compiler.Options, onStage StageObserver) (res *JobResult, jerr *JobError) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"strings"
 	"sync"
@@ -16,16 +15,14 @@ import (
 
 // Config sizes the server. Zero fields take the documented defaults.
 type Config struct {
-	// Shards is the number of worker-pool shards. Jobs are placed by
-	// compile fingerprint (analysis × options), so jobs sharing a
-	// cached compiled analysis colocate on one shard and keep its
-	// caches warm. Default 4.
-	Shards int
-	// WorkersPerShard is the goroutine count per shard. Default 1.
-	WorkersPerShard int
-	// QueueDepth bounds each shard's admission queue: a burst beyond
-	// workers+queue is rejected with 429 + Retry-After instead of
-	// growing an unbounded backlog. Default 64.
+	// Workers is the number of goroutines draining the one admission
+	// queue. Every job compiles through the process-wide compile cache
+	// and runs on a private VM, so any worker serves any job equally
+	// well. Default 4.
+	Workers int
+	// QueueDepth bounds the admission queue: a burst beyond
+	// Workers+QueueDepth jobs is rejected with 429 + Retry-After instead
+	// of growing an unbounded backlog. Default 256.
 	QueueDepth int
 	// TenantInflight caps one tenant's queued+running jobs; excess is
 	// 429'd so a single hot tenant cannot starve the rest. 0 means the
@@ -40,9 +37,9 @@ type Config struct {
 	// JournalFaults injects deterministic journal I/O failures (chaos
 	// testing).
 	JournalFaults JournalFaults
-	// AdaptAfter enables the adaptive-PGO loop: each compile-affinity
-	// key profiles its first AdaptAfter completed jobs, then hot-swaps
-	// to a profile-adapted recompile for every later job (see adapt.go).
+	// AdaptAfter enables the adaptive-PGO loop: each analysis key
+	// profiles its first AdaptAfter completed jobs, then hot-swaps to a
+	// profile-adapted recompile for every later job (see adapt.go).
 	// 0 disables adaptation (every job runs the static build).
 	AdaptAfter int
 	// ProfileSampleEvery keeps the profile stream alive after a key's
@@ -51,12 +48,10 @@ type Config struct {
 	// rolling profile window and the drift gauge. 0 takes the default
 	// (16) when adaptation is on; negative disables post-swap sampling.
 	ProfileSampleEvery int
-	// FlightRing is the event capacity of each flight-recorder ring
-	// (one per worker shard plus the control ring), the one bound on the
-	// server's event log. Default 1536: 256 six-stage job chains per
-	// ring. Jobs shard by analysis, so one analysis keeps 256 chains,
-	// and a mix keeps 256 per shard it reaches (EXPERIMENTS.md, "Live
-	// observability").
+	// FlightRing is the event capacity of the flight recorder's job
+	// ring, the one bound on the server's event log; the control ring
+	// holds a quarter as many. Default obs.DefaultFlightRing (6,144):
+	// 1,024 six-stage job chains, whatever the traffic mix.
 	FlightRing int
 	// FlightSnapshotPath, when set, is where the flight recorder
 	// auto-dumps (once) when the journal degrades — chaos faults
@@ -75,14 +70,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 1
+	if c.Workers <= 0 {
+		c.Workers = 4
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
+		c.QueueDepth = 256
 	}
 	if c.TenantInflight == 0 {
 		c.TenantInflight = 16
@@ -94,7 +86,7 @@ func (c Config) withDefaults() Config {
 		c.ProfileSampleEvery = 16
 	}
 	if c.FlightRing <= 0 {
-		c.FlightRing = 1536
+		c.FlightRing = obs.DefaultFlightRing
 	}
 	if c.SLOWall == 0 {
 		c.SLOWall = time.Second
@@ -182,16 +174,7 @@ func (j *job) finish(res *JobResult, jerr *JobError) JobStatus {
 	return out
 }
 
-// shard is one slice of the worker pool: a bounded queue plus a
-// semaphore bounding queued+running occupancy, sized so that a job
-// holding a token always has a queue slot — admission that wins a
-// token never blocks on the send.
-type shard struct {
-	queue  chan *job
-	tokens chan struct{}
-}
-
-// Server is the aldaserve core: admission, sharded execution,
+// Server is the aldaserve core: admission, execution on a worker pool,
 // journaling, drain. Construct with New, mount Handler, stop with
 // Shutdown.
 type Server struct {
@@ -212,7 +195,12 @@ type Server struct {
 	drainCh  chan struct{}
 	drainOne sync.Once
 
-	shards []*shard
+	// queue is the one admission queue, drained by cfg.Workers
+	// goroutines. tokens bounds queued+running occupancy and is sized
+	// like queue, so a job holding a token always has a queue slot:
+	// admission that wins a token never blocks on the send.
+	queue  chan *job
+	tokens chan struct{}
 	wg     sync.WaitGroup
 
 	adaptMu     sync.Mutex // adaptive-PGO loop state (adapt.go)
@@ -230,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		reg:         cfg.Metrics,
-		flight:      obs.NewFlightRecorder(cfg.Shards, cfg.FlightRing),
+		flight:      obs.NewFlightRecorder(cfg.FlightRing),
 		jobs:        map[string]*job{},
 		tenants:     map[string]int{},
 		adaptStates: map[string]*keyAdaptState{},
@@ -244,14 +232,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	cap := cfg.QueueDepth + cfg.WorkersPerShard
-	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{queue: make(chan *job, cap), tokens: make(chan struct{}, cap)}
-		s.shards = append(s.shards, sh)
-		for w := 0; w < cfg.WorkersPerShard; w++ {
-			s.wg.Add(1)
-			go s.worker(i, sh)
-		}
+	slots := cfg.QueueDepth + cfg.Workers
+	s.queue = make(chan *job, slots)
+	s.tokens = make(chan struct{}, slots)
+	for w := 0; w < cfg.Workers; w++ {
+		s.wg.Add(1)
+		go s.worker()
 	}
 	if recovered != nil {
 		s.replay(recovered)
@@ -305,11 +291,9 @@ func (s *Server) replay(rec *Recovered) {
 			// A recovered job keeps its identity: its chain restarts with
 			// a "recovered" span instead of "accepted", which is how a
 			// post-mortem tells a re-run from a first run.
-			shIdx := s.shardOf(&j.req)
-			s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "recovered", Detail: j.id})
-			sh := s.shards[shIdx]
+			s.flight.Record(obs.JobRing, obs.FlightEvent{Trace: j.trace, Stage: "recovered", Detail: j.id})
 			select {
-			case sh.tokens <- struct{}{}:
+			case s.tokens <- struct{}{}:
 			case <-s.drainCh:
 				return // still journaled as unfinished; the next restart gets it
 			}
@@ -318,42 +302,34 @@ func (s *Server) replay(rec *Recovered) {
 				s.sendMu.RUnlock()
 				return
 			}
-			s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "queued"})
-			sh.queue <- j
+			s.flight.Record(obs.JobRing, obs.FlightEvent{Trace: j.trace, Stage: "queued"})
+			s.queue <- j
 			s.sendMu.RUnlock()
 		}
 	}()
 }
 
-// shardOf places a job by compile fingerprint so cache-affine jobs
-// colocate.
-func (s *Server) shardOf(req *JobRequest) int {
-	h := fnv.New32a()
-	h.Write([]byte(req.fingerprintKey()))
-	return int(h.Sum32() % uint32(len(s.shards)))
-}
-
-// worker drains one shard's queue until Shutdown closes it.
-func (s *Server) worker(shIdx int, sh *shard) {
+// worker drains the admission queue until Shutdown closes it.
+func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range sh.queue {
-		s.runJob(shIdx, j)
-		<-sh.tokens
+	for j := range s.queue {
+		s.runJob(j)
+		<-s.tokens
 	}
 }
 
 // runJob executes one job, journals the terminal status, records its
 // lifecycle spans and latency histograms, folds the run's counters into
 // the registry, and only then wakes the job's waiters.
-func (s *Server) runJob(shIdx int, j *job) {
+func (s *Server) runJob(j *job) {
 	j.setState(StateRunning)
 	var shard *obs.Shard
 	if s.reg != nil {
 		shard = obs.NewShard()
 	}
 	start := time.Now()
-	// onStage records one pipeline stage in the shard's flight ring
-	// (structure deterministic, wall volatile) and in the per-stage
+	// onStage records one pipeline stage in the job ring (structure
+	// deterministic, wall volatile) and in the per-stage
 	// wall-latency histogram. Stage *sequence* is a pure function of the
 	// request; only the wall numbers vary.
 	prev := start
@@ -361,7 +337,7 @@ func (s *Server) runJob(shIdx int, j *job) {
 		now := time.Now()
 		stageUS := now.Sub(prev).Microseconds()
 		prev = now
-		s.flight.Record(shIdx, obs.FlightEvent{
+		s.flight.Record(obs.JobRing, obs.FlightEvent{
 			Trace: j.trace, Stage: stage, Virtual: virtual, WallUS: stageUS,
 		})
 		s.reg.ObserveVolatile("serve.latency.wall_us.stage."+stage, uint64(stageUS))
@@ -384,12 +360,7 @@ func (s *Server) runJob(shIdx int, j *job) {
 			onStage("journaled", 0)
 		}
 	}
-	s.mu.Lock()
-	s.tenants[j.req.Tenant]--
-	if s.tenants[j.req.Tenant] <= 0 {
-		delete(s.tenants, j.req.Tenant)
-	}
-	s.mu.Unlock()
+	s.releaseTenant(j.req.Tenant)
 
 	if jerr != nil {
 		onStage("error", 0)
@@ -424,7 +395,7 @@ func (s *Server) runJob(shIdx int, j *job) {
 // (chaos-injected faults included) so the post-mortem captures the ring
 // state nearest the failure.
 func (s *Server) autoFlightSnapshot(reason string) {
-	s.flight.Record(s.flight.ControlShard(), obs.FlightEvent{Stage: reason})
+	s.flight.Record(obs.ControlRing, obs.FlightEvent{Stage: reason})
 	if s.cfg.FlightSnapshotPath == "" {
 		return
 	}
@@ -437,31 +408,30 @@ func (s *Server) autoFlightSnapshot(reason string) {
 	})
 }
 
-// accept admits one validated request: tenant cap, shard token,
-// journal, enqueue. Returns the queued job or a typed rejection.
+// accept admits one validated request: tenant reservation, queue
+// token, journal, enqueue. Returns the queued job or a typed rejection.
 func (s *Server) accept(req *JobRequest) (*job, int, *JobError) {
-	shIdx := s.shardOf(req)
-	sh := s.shards[shIdx]
-
-	// Per-tenant in-flight cap first: a busy tenant must not consume
-	// queue tokens other tenants could use.
-	if s.cfg.TenantInflight > 0 {
-		s.mu.Lock()
-		busy := s.tenants[req.Tenant] >= s.cfg.TenantInflight
+	// Per-tenant in-flight cap first, checked and reserved in one
+	// critical section so concurrent submits from one tenant cannot all
+	// pass the check; a busy tenant must not consume queue tokens other
+	// tenants could use.
+	s.mu.Lock()
+	if s.cfg.TenantInflight > 0 && s.tenants[req.Tenant] >= s.cfg.TenantInflight {
 		s.mu.Unlock()
-		if busy {
-			s.reg.AddVolatile("serve.rejected.tenant_cap", 1)
-			return nil, http.StatusTooManyRequests,
-				&JobError{Kind: "TenantBusy", Message: fmt.Sprintf("tenant %q at in-flight cap %d", req.Tenant, s.cfg.TenantInflight), Retryable: true}
-		}
+		s.reg.AddVolatile("serve.rejected.tenant_cap", 1)
+		return nil, http.StatusTooManyRequests,
+			&JobError{Kind: "TenantBusy", Message: fmt.Sprintf("tenant %q at in-flight cap %d", req.Tenant, s.cfg.TenantInflight), Retryable: true}
 	}
-	// Bounded queue: win a shard token or be backpressured.
+	s.tenants[req.Tenant]++
+	s.mu.Unlock()
+	// Bounded queue: win a token or be backpressured.
 	select {
-	case sh.tokens <- struct{}{}:
+	case s.tokens <- struct{}{}:
 	default:
+		s.releaseTenant(req.Tenant)
 		s.reg.AddVolatile("serve.rejected.queue_full", 1)
 		return nil, http.StatusTooManyRequests,
-			&JobError{Kind: "QueueFull", Message: fmt.Sprintf("shard %d queue full", shIdx), Retryable: true}
+			&JobError{Kind: "QueueFull", Message: "admission queue full", Retryable: true}
 	}
 
 	s.mu.Lock()
@@ -473,9 +443,8 @@ func (s *Server) accept(req *JobRequest) (*job, int, *JobError) {
 	}
 	j.stat = JobStatus{ID: j.id, TraceID: j.trace, Tenant: req.Tenant, State: StateQueued}
 	s.jobs[j.id] = j
-	s.tenants[req.Tenant]++
 	s.mu.Unlock()
-	s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "accepted"})
+	s.flight.Record(obs.JobRing, obs.FlightEvent{Trace: j.trace, Stage: "accepted"})
 
 	// Write-ahead: the accept record reaches the journal (fsynced)
 	// before the client sees 202. A journal failure degrades
@@ -491,26 +460,33 @@ func (s *Server) accept(req *JobRequest) (*job, int, *JobError) {
 	if s.draining {
 		// Lost the race with Shutdown: undo the admission.
 		s.sendMu.RUnlock()
-		<-sh.tokens
+		<-s.tokens
 		s.mu.Lock()
 		delete(s.jobs, j.id)
-		s.tenants[req.Tenant]--
-		if s.tenants[req.Tenant] <= 0 {
-			delete(s.tenants, req.Tenant)
-		}
 		s.mu.Unlock()
+		s.releaseTenant(req.Tenant)
 		return nil, http.StatusServiceUnavailable,
 			&JobError{Kind: "Draining", Message: "server is draining", Retryable: true}
 	}
 	// The "queued" span lands before the enqueue: once the job is in the
 	// channel a worker may already be running it, and stage order within
 	// a trace must stay deterministic.
-	s.flight.Record(shIdx, obs.FlightEvent{Trace: j.trace, Stage: "queued"})
-	sh.queue <- j // token held ⇒ never blocks
+	s.flight.Record(obs.JobRing, obs.FlightEvent{Trace: j.trace, Stage: "queued"})
+	s.queue <- j // token held ⇒ never blocks
 	s.sendMu.RUnlock()
 
 	s.reg.Add("serve.jobs.accepted", 1)
 	return j, http.StatusAccepted, nil
+}
+
+// releaseTenant returns one of the tenant's in-flight reservations.
+func (s *Server) releaseTenant(tenant string) {
+	s.mu.Lock()
+	s.tenants[tenant]--
+	if s.tenants[tenant] <= 0 {
+		delete(s.tenants, tenant)
+	}
+	s.mu.Unlock()
 }
 
 // lookup returns a job by ID.
@@ -537,9 +513,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.sendMu.Lock()
 		s.draining = true
 		close(s.drainCh)
-		for _, sh := range s.shards {
-			close(sh.queue)
-		}
+		close(s.queue)
 		s.sendMu.Unlock()
 	})
 	done := make(chan struct{})
@@ -708,15 +682,13 @@ func (s *Server) scrapeCaches() {
 	s.cacheMu.Unlock()
 }
 
-// scrapeGauges refreshes the point-in-time levels: per-shard queue
-// depth and in-flight occupancy, per-tenant in-flight counts, and the
-// live span count. Tenant gauges are cleared first so departed tenants
-// don't linger as stale series.
+// scrapeGauges refreshes the point-in-time levels: queue depth and
+// queued+running occupancy, per-tenant in-flight counts, and the live
+// span count. Tenant gauges are cleared first so departed tenants don't
+// linger as stale series.
 func (s *Server) scrapeGauges() {
-	for i, sh := range s.shards {
-		s.reg.SetGauge(fmt.Sprintf("serve.queue.depth.%d", i), int64(len(sh.queue)))
-		s.reg.SetGauge(fmt.Sprintf("serve.inflight.%d", i), int64(len(sh.tokens)))
-	}
+	s.reg.SetGauge("serve.queue.depth", int64(len(s.queue)))
+	s.reg.SetGauge("serve.inflight", int64(len(s.tokens)))
 	s.reg.ClearGauges("serve.tenant.inflight.")
 	s.mu.Lock()
 	for t, n := range s.tenants {
@@ -731,15 +703,13 @@ func (s *Server) scrapeGauges() {
 }
 
 // promRules maps the registry's dotted families onto labeled Prometheus
-// metrics: error kinds, analysis names, shards, tenants and pipeline
-// stages become labels without the hot path ever recording a label pair.
+// metrics: error kinds, analysis names, tenants and pipeline stages
+// become labels without the hot path ever recording a label pair.
 func promRules() []obs.PromRule {
 	return []obs.PromRule{
 		{Prefix: "serve.jobs.failed.", Metric: "alda_serve_jobs_failed_total", Label: "kind"},
 		{Prefix: "serve.jobs.by_analysis.", Metric: "alda_serve_jobs_by_analysis_total", Label: "analysis"},
 		{Prefix: "serve.rejected.", Metric: "alda_serve_rejected_total", Label: "reason"},
-		{Prefix: "serve.queue.depth.", Metric: "alda_serve_queue_depth", Label: "shard"},
-		{Prefix: "serve.inflight.", Metric: "alda_serve_inflight", Label: "shard"},
 		{Prefix: "serve.tenant.inflight.", Metric: "alda_serve_tenant_inflight", Label: "tenant"},
 		{Prefix: "serve.latency.wall_us.stage.", Metric: "alda_serve_stage_wall_us", Label: "stage"},
 		{Prefix: "serve.latency.wall_us.endpoint.", Metric: "alda_serve_endpoint_wall_us", Label: "endpoint"},
@@ -769,7 +739,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WriteJSON(w, true)
 }
 
-// handleFlight dumps the flight-recorder rings.
+// handleFlight dumps the flight recorder's two rings.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	s.flight.WriteSnapshot(w, "debug")

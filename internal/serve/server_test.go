@@ -33,6 +33,25 @@ b2:
 }
 `
 
+// spinMIR never returns: a job running it stays in flight until its
+// deadline, given a server whose step budget outlasts the deadline
+// (spinLimits).
+const spinMIR = `
+func main(nparams=0, nregs=1) {
+b0:
+  r0 = const 1
+  br b1
+b1:
+  condbr r0 ? b1 : b2
+b2:
+  ret r0
+}
+`
+
+// spinLimits lifts the step budget so that only a job's deadline ends
+// a spinMIR run.
+var spinLimits = Limits{DefaultMaxSteps: 1 << 40, MaxMaxSteps: 1 << 40}
+
 // trapMIR stores far outside any mapped region.
 const trapMIR = `
 func main(nparams=0, nregs=1) {
@@ -213,16 +232,16 @@ func TestGetUnknownJob(t *testing.T) {
 	}
 }
 
-// TestQueueFullBackpressure: with every shard token held, admission is
+// TestQueueFullBackpressure: with every queue token held, admission is
 // an immediate 429 QueueFull with Retry-After — the queue is bounded
-// and overload never blocks or 500s.
+// and overload never blocks or 500s — and the rejected job's tenant
+// reservation is released.
 func TestQueueFullBackpressure(t *testing.T) {
-	s, ts := startServer(t, Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 1})
-	sh := s.shards[0]
+	s, ts := startServer(t, Config{Workers: 1, QueueDepth: 1})
 	n := 0
 	for { // hold every token so admission cannot win one
 		select {
-		case sh.tokens <- struct{}{}:
+		case s.tokens <- struct{}{}:
 			n++
 			continue
 		default:
@@ -231,7 +250,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	defer func() {
 		for ; n > 0; n-- {
-			<-sh.tokens
+			<-s.tokens
 		}
 	}()
 
@@ -251,6 +270,11 @@ func TestQueueFullBackpressure(t *testing.T) {
 	var eb errorBody
 	if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Kind != "QueueFull" || !eb.Error.Retryable {
 		t.Fatalf("body %s, want retryable QueueFull", b)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n, ok := s.tenants[""]; ok {
+		t.Fatalf("rejected job left %d in-flight reservations for its tenant", n)
 	}
 }
 
@@ -276,6 +300,72 @@ func TestTenantInflightCap(t *testing.T) {
 	code, _ = postJob(t, ts, JobRequest{Tenant: "modest", Workload: "sort", Analysis: "uaf"}, "?wait=1")
 	if code != http.StatusOK {
 		t.Fatalf("modest tenant blocked by greedy's cap: code %d", code)
+	}
+}
+
+// TestTenantInflightCapConcurrent: concurrent submits from one tenant
+// never put more of its jobs in flight than its cap — the cap is
+// checked and reserved in one critical section. Eight tenants each
+// burst 32 submits at once. Each job spins until its deadline, so the
+// accepted jobs are still queued or running when the burst ends; every
+// reservation is returned once they finish.
+func TestTenantInflightCapConcurrent(t *testing.T) {
+	const limit, tenants, submits = 2, 8, 32
+	s, _ := startServer(t, Config{Workers: 4, TenantInflight: limit, Limits: spinLimits})
+	var mu sync.Mutex
+	accepted := map[string][]*job{}
+	busy := 0
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < tenants*submits; i++ {
+		wg.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			req := JobRequest{Tenant: tenant, MIR: spinMIR, Analysis: "uaf", Options: JobOptions{DeadlineMS: 200}}
+			<-start
+			j, _, jerr := s.accept(&req)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case jerr == nil:
+				accepted[tenant] = append(accepted[tenant], j)
+			case jerr.Kind == "TenantBusy":
+				busy++
+			default:
+				t.Errorf("unexpected rejection %+v", jerr)
+			}
+		}(fmt.Sprintf("hot%d", i%tenants))
+	}
+	close(start)
+	wg.Wait()
+
+	// Every accepted job that is not terminal now is in flight now.
+	for tenant, jobs := range accepted {
+		inflight := 0
+		for _, j := range jobs {
+			if st := j.snapshot(); !st.Terminal() {
+				inflight++
+			}
+		}
+		s.mu.Lock()
+		reserved := s.tenants[tenant]
+		s.mu.Unlock()
+		if inflight > limit || reserved > limit {
+			t.Errorf("tenant %s has %d jobs in flight and %d reservations, cap %d", tenant, inflight, reserved, limit)
+		}
+	}
+	if len(accepted) != tenants || busy == 0 {
+		t.Fatalf("%d tenants admitted, %d TenantBusy: every tenant should get in and hit its cap", len(accepted), busy)
+	}
+	for _, jobs := range accepted {
+		for _, j := range jobs {
+			<-j.done
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.tenants) != 0 {
+		t.Fatalf("reservations left after every job finished: %v", s.tenants)
 	}
 }
 
@@ -353,7 +443,7 @@ func TestErrorKindJSONPinned(t *testing.T) {
 // TestGracefulDrain: Shutdown finishes queued jobs, flips /readyz to
 // 503, and post-drain submissions are 503 Draining.
 func TestGracefulDrain(t *testing.T) {
-	s, err := New(Config{Shards: 2})
+	s, err := New(Config{Workers: 2, QueueDepth: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +479,14 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("second drain not idempotent: %v", err)
+	}
+	// An admission that loses the race with Shutdown is undone, tenant
+	// reservation included.
+	if _, code, jerr := s.accept(&JobRequest{Tenant: "late", Workload: "sort", Analysis: "uaf"}); code != http.StatusServiceUnavailable || jerr.Kind != "Draining" {
+		t.Fatalf("accept after drain: %d %+v, want 503 Draining", code, jerr)
+	}
+	if n, ok := s.tenants["late"]; ok {
+		t.Fatalf("undone admission left %d reservations", n)
 	}
 }
 
@@ -505,7 +603,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 // 500), every accepted job reaches a terminal state, and the books
 // balance. Run with -race this doubles as the concurrency soak.
 func TestConcurrentSubmitSoak(t *testing.T) {
-	s, ts := startServer(t, Config{Shards: 2, WorkersPerShard: 2, QueueDepth: 4, TenantInflight: 8})
+	s, ts := startServer(t, Config{Workers: 4, QueueDepth: 8, TenantInflight: 8})
 	const goroutines = 8
 	const perG = 12
 	var mu sync.Mutex

@@ -61,7 +61,7 @@ go build -o "$DIR/aldaload" ./cmd/aldaload || fail "build aldaload"
 go build -o "$DIR/aldabench" ./cmd/aldabench || fail "build aldabench"
 
 # --- 1. start: journal + flight snapshot + adaptive loop + primed fault
-"$DIR/aldaserve" -addr "$ADDR" -journal "$JOURNAL" -shards 2 -workers 2 \
+"$DIR/aldaserve" -addr "$ADDR" -journal "$JOURNAL" -workers 4 -queue-depth 128 \
   -flight-snapshot "$SNAP" -adapt-after 2 -profile-sample-every 2 \
   -chaos-journal-write-nth 40 >"$LOG" 2>&1 &
 SERVER_PID=$!
@@ -89,7 +89,7 @@ curl -fsS -H 'Accept: text/plain' "$URL/metrics" >"$DIR/metrics.prom" || fail "s
 head -1 "$DIR/metrics.prom" | grep -q '^# TYPE' || fail "Accept: text/plain did not negotiate the exposition"
 "$DIR/aldabench" -prom-validate "$DIR/metrics.prom" || fail "exposition fails the strict parser"
 for family in alda_serve_stage_wall_us_bucket alda_serve_endpoint_wall_us_count \
-  alda_serve_tenant_wall_us_count alda_serve_queue_depth alda_serve_jobs_by_analysis_total \
+  alda_serve_tenant_wall_us_count serve_queue_depth alda_serve_jobs_by_analysis_total \
   alda_serve_profile_window; do
   grep -q "^$family" "$DIR/metrics.prom" || fail "exposition missing family $family"
 done
@@ -98,7 +98,7 @@ head -1 "$DIR/metrics2.prom" | grep -q '^# TYPE' || fail "?format=prom ignored"
 
 # --- 5. debug endpoints ---------------------------------------------
 curl -fsS "$URL/debug/flight" >"$DIR/flight-live.json" || fail "scrape /debug/flight"
-grep -q '"shards"' "$DIR/flight-live.json" || fail "/debug/flight has no ring dump"
+grep -q '"rings"' "$DIR/flight-live.json" || fail "/debug/flight has no ring dump"
 curl -fsS "$URL/debug/spans" >"$DIR/spans.json" || fail "scrape /debug/spans"
 grep -q '"stages"' "$DIR/spans.json" || fail "/debug/spans has no spans"
 

@@ -52,7 +52,7 @@ go build -o "$DIR/aldaserve" ./cmd/aldaserve || fail "build aldaserve"
 go build -o "$DIR/aldaload" ./cmd/aldaload || fail "build aldaload"
 
 # --- 1. start + ready ------------------------------------------------
-"$DIR/aldaserve" -addr "$ADDR" -journal "$JOURNAL" -shards 2 -workers 2 -queue-depth 16 >"$LOG" 2>&1 &
+"$DIR/aldaserve" -addr "$ADDR" -journal "$JOURNAL" -workers 4 -queue-depth 32 >"$LOG" 2>&1 &
 SERVER_PID=$!
 wait_ready || fail "server never became ready"
 [[ "$(curl -fsS "$URL/readyz")" == "ok" ]] || fail "readyz not ok at startup"
