@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/lang/ast"
+	"repro/internal/meta"
 	"repro/internal/vm"
 )
 
@@ -14,9 +15,9 @@ import (
 //
 //   - Lock identifiers are interned through a hash table into dense ids
 //     so locksets are 4-word bit-vectors (256 locks).
-//   - Per-address metadata is one cache-aligned struct (status byte,
-//     64-thread bit-vector, 4-word candidate lockset) in a hand-written
-//     two-level page table — one lookup per access.
+//   - Per-address metadata is one 6-word entry (4-word candidate
+//     lockset, 64-thread bit-vector, status) in the page table ALDA's
+//     Eraser also runs on (meta.NewPageTableMap) — one lookup per access.
 //   - The Virgin/Exclusive/Shared/Shared-Modified transitions come from
 //     static tables indexed by the current status.
 type Eraser struct {
@@ -27,10 +28,7 @@ type Eraser struct {
 	threadLock  [64][4]uint64
 	threadWLock [64][4]uint64
 
-	pages map[uint64]*eraserPage
-	// one-entry page cache
-	lastPI   uint64
-	lastPage *eraserPage
+	shadow *meta.ChunkMap // per 8-byte granule: eLocks, eThreads, eStatus
 }
 
 const (
@@ -48,25 +46,20 @@ var (
 	eraserStoreKnown     = [4]uint8{eVirgin, eExclusive, eSharedModified, eSharedModified}
 )
 
-type eraserEntry struct {
-	status  uint8
-	threads uint64
-	locks   [4]uint64
-}
+// Entry word offsets: the candidate lockset in words 0–3.
+const (
+	eLocks   = 0
+	eThreads = 4
+	eStatus  = 5
+)
 
-const eraserPageSize = 4096
-
-type eraserPage struct {
-	entries [eraserPageSize]eraserEntry
-	present [eraserPageSize / 64]uint64
-}
-
-// NewEraser returns a fresh hand-tuned Eraser for one run.
+// NewEraser returns a fresh hand-tuned Eraser for one run. An address's
+// candidate lockset starts as the universe.
 func NewEraser() *Eraser {
+	tmpl := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), 0, eVirgin}
 	return &Eraser{
 		lockIDs: make(map[uint64]uint64),
-		pages:   make(map[uint64]*eraserPage),
-		lastPI:  ^uint64(0),
+		shadow:  meta.NewPageTableMap(vm.AddrSpace>>3, 6, tmpl),
 	}
 }
 
@@ -79,10 +72,7 @@ func (e *Eraser) NeedShadow() bool { return false }
 // Footprint returns the page-table storage plus the lock-interning and
 // per-thread tables.
 func (e *Eraser) Footprint() uint64 {
-	var n uint64
-	for range e.pages {
-		n += eraserPageSize*48 + eraserPageSize/8 + 16
-	}
+	n := e.shadow.Bytes()
 	n += uint64(len(e.lockIDs)) * 48
 	n += uint64(len(e.threadLock)+len(e.threadWLock)) * 32
 	return n
@@ -95,31 +85,6 @@ func (e *Eraser) internLock(l uint64) uint64 {
 	id := uint64(len(e.lockIDs)) & 255
 	e.lockIDs[l] = id
 	return id
-}
-
-// entry returns the metadata entry for an address granule, initializing
-// the candidate lockset to the universe on first touch.
-func (e *Eraser) entry(addr uint64) *eraserEntry {
-	g := addr >> 3
-	pi := g / eraserPageSize
-	var pg *eraserPage
-	if pi == e.lastPI {
-		pg = e.lastPage
-	} else {
-		pg = e.pages[pi]
-		if pg == nil {
-			pg = &eraserPage{}
-			e.pages[pi] = pg
-		}
-		e.lastPI, e.lastPage = pi, pg
-	}
-	idx := g % eraserPageSize
-	if pg.present[idx/64]&(1<<(idx%64)) == 0 {
-		pg.present[idx/64] |= 1 << (idx % 64)
-		ent := &pg.entries[idx]
-		ent.locks = [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)} // universe
-	}
-	return &pg.entries[idx]
 }
 
 func lsEmpty(ls *[4]uint64) bool {
@@ -165,16 +130,17 @@ func (e *Eraser) Handlers() []vm.HandlerFn {
 	}
 	h[eraserLoad] = func(m *vm.Machine, tid uint64, a []uint64) uint64 {
 		e.mu.Lock()
-		ent := e.entry(a[0])
+		ent := e.shadow.Entry(a[0] >> 3)
 		t := a[1] & 63
 		bit := uint64(1) << (t % 64)
-		if ent.threads&bit == 0 && ent.status != eVirgin {
-			ent.status = eraserLoadNewThread[ent.status]
-			ent.threads |= bit
+		if ent[eThreads]&bit == 0 && ent[eStatus] != eVirgin {
+			ent[eStatus] = uint64(eraserLoadNewThread[ent[eStatus]])
+			ent[eThreads] |= bit
 		}
-		if ent.status > eExclusive {
-			lsAnd(&ent.locks, &e.threadLock[t])
-			if ent.status == eSharedModified && lsEmpty(&ent.locks) {
+		if ent[eStatus] > eExclusive {
+			locks := (*[4]uint64)(ent[eLocks:])
+			lsAnd(locks, &e.threadLock[t])
+			if ent[eStatus] == eSharedModified && lsEmpty(locks) {
 				m.Report("eraser-hand", "data race: unprotected read", 1, 0)
 			}
 		}
@@ -183,18 +149,19 @@ func (e *Eraser) Handlers() []vm.HandlerFn {
 	}
 	h[eraserStore] = func(m *vm.Machine, tid uint64, a []uint64) uint64 {
 		e.mu.Lock()
-		ent := e.entry(a[0])
+		ent := e.shadow.Entry(a[0] >> 3)
 		t := a[1] & 63
 		bit := uint64(1) << (t % 64)
-		if ent.threads&bit == 0 {
-			ent.threads |= bit
-			ent.status = eraserStoreNewThread[ent.status]
+		if ent[eThreads]&bit == 0 {
+			ent[eThreads] |= bit
+			ent[eStatus] = uint64(eraserStoreNewThread[ent[eStatus]])
 		} else {
-			ent.status = eraserStoreKnown[ent.status]
+			ent[eStatus] = uint64(eraserStoreKnown[ent[eStatus]])
 		}
-		if ent.status > eExclusive {
-			lsAnd(&ent.locks, &e.threadWLock[t])
-			if ent.status == eSharedModified && lsEmpty(&ent.locks) {
+		if ent[eStatus] > eExclusive {
+			locks := (*[4]uint64)(ent[eLocks:])
+			lsAnd(locks, &e.threadWLock[t])
+			if ent[eStatus] == eSharedModified && lsEmpty(locks) {
 				m.Report("eraser-hand", "data race: unprotected write", 1, 0)
 			}
 		}

@@ -51,7 +51,7 @@ func tidArg() ast.CallArg      { return ast.CallArg{Kind: ast.ArgThread} }
 // the layout LLVM MSan uses — and allocation sizes ride in a sidecar
 // map. Deliberately (Table 3) it has no gets() interceptor.
 type MSan struct {
-	shadow *meta.ShadowMap // 1 word per granule, template poisoned
+	shadow *meta.ChunkMap // 1 word per granule, template poisoned
 	sizes  map[uint64]uint64
 }
 

@@ -98,7 +98,7 @@ func (g *gogen) bind(name, init string) string {
 }
 
 var implTypes = map[ImplKind]string{
-	ImplArray: "ArrayMap", ImplShadow: "ShadowMap", ImplPageTable: "PageTableMap", ImplHash: "HashMap",
+	ImplArray: "ArrayMap", ImplShadow: "ChunkMap", ImplPageTable: "ChunkMap", ImplHash: "HashMap",
 }
 
 func (g *gogen) container(group int, impl ImplKind) string {

@@ -13,7 +13,7 @@ import (
 // sites on fft wherever the map was shadow- or array-backed and none
 // where it was hash-backed (naive).
 var presenceRegressions = map[string]string{
-	// ShadowMap/PageTableMap.Peek answered "the chunk exists".
+	// The shadow and page-table Peek answered "the chunk exists".
 	"has-on-shadow": `
 address := pointer
 val := int64

@@ -18,8 +18,8 @@ type ImplKind int
 const (
 	ImplGlobal    ImplKind = iota // unkeyed globals, one entry
 	ImplArray                     // bounded key domain
-	ImplShadow                    // offset-based shadow memory
-	ImplPageTable                 // hashed page directory
+	ImplShadow                    // offset shadow memory: a ChunkMap with a flat directory
+	ImplPageTable                 // page table: a ChunkMap with leaves made on first touch
 	ImplHash                      // generic fallback
 	ImplHash2                     // two unbounded key dimensions
 )

@@ -70,7 +70,7 @@ func (a *Analysis) NewRuntime() (*Runtime, error) {
 		case ImplShadow:
 			gs.c = meta.NewShadowMap(g.MaxKeys, g.EntryWords, g.Template)
 		case ImplPageTable:
-			gs.c = meta.NewPageTableMap(g.EntryWords, g.Template)
+			gs.c = meta.NewPageTableMap(g.MaxKeys, g.EntryWords, g.Template)
 		case ImplHash:
 			gs.c = meta.NewHashMap(g.EntryWords, g.Template)
 		case ImplHash2:

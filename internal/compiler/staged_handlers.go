@@ -27,7 +27,7 @@ func stagedEraser(rt *Runtime) []vm.HandlerFn {
 	inlid := rt.internTable("lid")
 	c0 := rt.groups[0].c.(*meta.ArrayMap)
 	mu1 := &rt.groups[1].mu
-	c1 := rt.groups[1].c.(*meta.PageTableMap)
+	c1 := rt.groups[1].c.(*meta.ChunkMap)
 	return []vm.HandlerFn{
 		// eraserOnLock
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
@@ -315,7 +315,7 @@ func stagedFasttrack(rt *Runtime) []vm.HandlerFn {
 	buf3_0 := make([]uint64, 2)
 	ext3 := rt.externals[3]
 	mu0 := &rt.groups[0].mu
-	c0 := rt.groups[0].c.(*meta.ShadowMap)
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
 	buf4_0 := make([]uint64, 1)
 	ext4 := rt.externals[4]
 	buf4_1 := make([]uint64, 2)
@@ -492,7 +492,7 @@ func stagedFasttrack(rt *Runtime) []vm.HandlerFn {
 
 // stagedMsan stages msan (full).
 func stagedMsan(rt *Runtime) []vm.HandlerFn {
-	c0 := rt.groups[0].c.(*meta.ShadowMap)
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
 	return []vm.HandlerFn{
 		// onMalloc
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
@@ -658,7 +658,7 @@ func stagedMsan(rt *Runtime) []vm.HandlerFn {
 
 // stagedSslsan stages sslsan (full).
 func stagedSslsan(rt *Runtime) []vm.HandlerFn {
-	c0 := rt.groups[0].c.(*meta.ShadowMap)
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
 	g1 := rt.groups[1].global
 	return []vm.HandlerFn{
 		// sslOnCtxNew
@@ -965,7 +965,7 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 
 // stagedStrictalias stages strictalias (full).
 func stagedStrictalias(rt *Runtime) []vm.HandlerFn {
-	c0 := rt.groups[0].c.(*meta.ShadowMap)
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
 	return []vm.HandlerFn{
 		// aliasOnAccess
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
@@ -1013,7 +1013,7 @@ func stagedStrictalias(rt *Runtime) []vm.HandlerFn {
 
 // stagedTainttrack stages tainttrack (full).
 func stagedTainttrack(rt *Runtime) []vm.HandlerFn {
-	c0 := rt.groups[0].c.(*meta.ShadowMap)
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
 	return []vm.HandlerFn{
 		// ttOnGets
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
@@ -1061,7 +1061,7 @@ func stagedTainttrack(rt *Runtime) []vm.HandlerFn {
 
 // stagedUaf stages uaf (full).
 func stagedUaf(rt *Runtime) []vm.HandlerFn {
-	c0 := rt.groups[0].c.(*meta.ShadowMap)
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
 	return []vm.HandlerFn{
 		// uafOnMalloc
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
@@ -1186,7 +1186,7 @@ func stagedUaf(rt *Runtime) []vm.HandlerFn {
 
 // stagedZlibsan stages zlibsan (full).
 func stagedZlibsan(rt *Runtime) []vm.HandlerFn {
-	c0 := rt.groups[0].c.(*meta.ShadowMap)
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
 	return []vm.HandlerFn{
 		// zOnDeflateInit
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
@@ -1301,9 +1301,9 @@ func stagedEraserDsonly(rt *Runtime) []vm.HandlerFn {
 	mu2 := &rt.groups[2].mu
 	mu3 := &rt.groups[3].mu
 	mu4 := &rt.groups[4].mu
-	c3 := rt.groups[3].c.(*meta.ShadowMap)
-	c4 := rt.groups[4].c.(*meta.ShadowMap)
-	c2 := rt.groups[2].c.(*meta.PageTableMap)
+	c3 := rt.groups[3].c.(*meta.ChunkMap)
+	c4 := rt.groups[4].c.(*meta.ChunkMap)
+	c2 := rt.groups[2].c.(*meta.ChunkMap)
 	scratch2_0 := make([]uint64, 4)
 	scratch3_0 := make([]uint64, 4)
 	return []vm.HandlerFn{
@@ -1452,7 +1452,7 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 	inlid := rt.internTable("lid")
 	c0 := rt.groups[0].c.(*meta.ArrayMap)
 	mu1 := &rt.groups[1].mu
-	c1 := rt.groups[1].c.(*meta.PageTableMap)
+	c1 := rt.groups[1].c.(*meta.ChunkMap)
 	buf4_0 := make([]uint64, 2)
 	ext0 := rt.externals[0]
 	buf5_0 := make([]uint64, 2)
@@ -2527,7 +2527,7 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 	inlid := rt.internTable("lid")
 	c0 := rt.groups[0].c.(*meta.ArrayMap)
 	mu1 := &rt.groups[1].mu
-	c1 := rt.groups[1].c.(*meta.PageTableMap)
+	c1 := rt.groups[1].c.(*meta.ChunkMap)
 	buf4_0 := make([]uint64, 2)
 	ext0 := rt.externals[0]
 	buf5_0 := make([]uint64, 2)

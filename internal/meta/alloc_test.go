@@ -33,7 +33,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	am := NewArrayMap(1<<20, 2, tmpl)
 	sm := NewShadowMap(1<<20, 2, tmpl)
-	pt := NewPageTableMap(2, tmpl)
+	pt := NewPageTableMap(1<<20, 2, tmpl)
 	hm := NewHashMap(2, tmpl)
 	cases := []tc{
 		{"ArrayMap", am.Entry, am.Peek},

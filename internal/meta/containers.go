@@ -1,18 +1,19 @@
 package meta
 
-// Container is the uniform interface over the four map structures the
-// compiler selects among. Keys are pre-normalized by the caller: for
-// address-keyed maps the key is the granule index (address >> granule
-// shift); for small-domain maps it is the raw value.
+// Container is the uniform interface over the map containers the
+// compiler selects among: ArrayMap, offset shadow memory and the page
+// table (both a ChunkMap, NewShadowMap and NewPageTableMap), and
+// HashMap. Keys are pre-normalized by the caller: for address-keyed maps
+// the key is the granule index (address >> granule shift); for
+// small-domain maps it is the raw value.
 //
 // Entry returns the value words for a key, materializing the entry from
 // the group's init template if needed. Peek returns nil instead of
 // materializing; only the hash maps and ArrayMap answer it per key —
-// ShadowMap and PageTableMap answer for a whole chunk or page, so the
-// compiler keeps maps queried with `has` off them. Fill and RangeOr are
-// the range operations behind ALDA's map.set(k, v, n) and map.get(k, n)
-// builtins, specialized per container so offset shadow memory gets its
-// fast path.
+// ChunkMap answers for a whole 4,096-entry chunk, so the compiler keeps
+// maps queried with `has` off it. Fill and RangeOr are the range
+// operations behind ALDA's map.set(k, v, n) and map.get(k, n) builtins,
+// specialized per container so offset shadow memory gets its fast path.
 type Container interface {
 	Entry(key uint64) []uint64
 	Peek(key uint64) []uint64
@@ -45,7 +46,7 @@ type Stats struct {
 	Removes     uint64 // Remove calls
 	Iters       uint64 // ForEach traversals
 	Rehashes    uint64 // hash-arena growths that moved live entries
-	CacheHits   uint64 // last-chunk/last-page inline-cache hits
+	CacheHits   uint64 // last-chunk inline-cache hits
 	CacheMisses uint64 // inline-cache misses (directory walks)
 }
 
@@ -192,85 +193,131 @@ func (m *ArrayMap) Stats() Stats { return m.stats }
 func (m *ArrayMap) Bytes() uint64 { return uint64(len(m.words))*8 + uint64(len(m.touched)) }
 
 // ---------------------------------------------------------------------------
-// ShadowMap — offset-based shadow memory (§5.3). A flat directory of
-// 4,096-entry chunks with pure array indexing on the fast path: chunk
-// pointer + offset, no hashing and no presence probes beyond a nil
-// chunk check. Chunks materialize on first touch, the page-at-a-time
-// laziness LLVM MSan's offset shadow gets from the OS, so memory tracks
-// the pages a program touches: a thread stack that uses a few KiB at
-// the top of its 512 KiB region costs one chunk. Chunks are as large as
-// PageTableMap's pages; the two differ only in the directory, flat here
-// and hashed there.
+// ChunkMap — offset shadow memory and the page table of §5.3 as one
+// chunk store. Entries live in 4,096-entry chunks that materialize on
+// first touch, the page-at-a-time laziness LLVM MSan's offset shadow
+// gets from the OS, so memory tracks the pages a program touches: a
+// thread stack that uses a few KiB at the top of its 512 KiB region
+// costs one chunk. A two-level radix directory finds a key's chunk with
+// two array loads: the root holds leaves, and each leaf holds a run of
+// chunk slots. The two constructors differ only in the leaves.
+// NewShadowMap makes one leaf spanning every chunk up front, offset
+// shadow memory's flat directory; NewPageTableMap makes small leaves on
+// first touch, so the page table's directory also follows the pages a
+// program touches.
 
 const (
-	shadowChunkBits = 12 // 4096 entries per chunk
-	shadowChunkSize = 1 << shadowChunkBits
-	shadowChunkMask = shadowChunkSize - 1
+	chunkBits = 12 // 4096 entries per chunk
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
 
 	sliceHeaderBytes = 24 // pointer, length and capacity of a directory slot
 )
 
-// ShadowMap maps a bounded granule-index space to entries.
-type ShadowMap struct {
-	chunks   [][]uint64
+// ChunkMap maps a bounded key space to entries; keys are masked into
+// range.
+type ChunkMap struct {
+	root     [][][]uint64 // leaves of leafMask+1 chunk slots, nil until touched
+	leafBits uint
+	leafMask uint64
 	ew       int
 	keyMask  uint64
 	template []uint64
 	zeroTmpl bool
 
 	// one-entry software TLB: program accesses streak within a page, so
-	// the common case skips the chunk-directory load entirely. Chunks
-	// never move once materialized, so the cache never goes stale.
+	// the common case skips the directory walk entirely. Chunks never
+	// move once materialized, so the cache never goes stale.
 	lastCI    uint64
 	lastChunk []uint64
 
 	stats Stats // cold relative to the fields above; keep it last
 }
 
-// NewShadowMap returns a shadow map covering maxKeys granule indices
-// (rounded up to a power of two); keys are masked into range.
-func NewShadowMap(maxKeys uint64, entryWords int, template []uint64) *ShadowMap {
+// NewShadowMap returns offset shadow memory over maxKeys keys (rounded
+// up to a power of two): one directory leaf spanning every chunk.
+func NewShadowMap(maxKeys uint64, entryWords int, template []uint64) *ChunkMap {
+	return newChunkMap(maxKeys, entryWords, template, true)
+}
+
+// NewPageTableMap returns a page table over maxKeys keys (rounded up to
+// a power of two). The chunk index splits evenly between the root and
+// leaves made on first touch: at word granularity over the VM's 256 MiB,
+// 128 root slots and leaves of 64 chunks.
+func NewPageTableMap(maxKeys uint64, entryWords int, template []uint64) *ChunkMap {
+	return newChunkMap(maxKeys, entryWords, template, false)
+}
+
+func newChunkMap(maxKeys uint64, ew int, template []uint64, flat bool) *ChunkMap {
 	size := uint64(1)
 	for size < maxKeys {
 		size <<= 1
 	}
-	nchunks := (size + shadowChunkSize - 1) >> shadowChunkBits
-	return &ShadowMap{
-		chunks:   make([][]uint64, nchunks),
-		ew:       entryWords,
+	var idxBits uint // log2 of the number of chunks
+	for chunkSize<<idxBits < size {
+		idxBits++
+	}
+	leafBits := idxBits / 2
+	if flat {
+		leafBits = idxBits
+	}
+	m := &ChunkMap{
+		root:     make([][][]uint64, 1<<(idxBits-leafBits)),
+		leafBits: leafBits,
+		leafMask: 1<<leafBits - 1,
+		ew:       ew,
 		keyMask:  size - 1,
 		template: template,
 		zeroTmpl: template == nil || templateIsZero(template),
 		lastCI:   ^uint64(0),
 	}
+	if flat {
+		m.root[0] = make([][]uint64, 1<<leafBits)
+	}
+	return m
 }
 
-func (m *ShadowMap) chunk(ci uint64) []uint64 {
+// chunk returns chunk ci, materializing it and its leaf on first touch.
+func (m *ChunkMap) chunk(ci uint64) []uint64 {
 	if ci == m.lastCI {
 		m.stats.CacheHits++
 		return m.lastChunk
 	}
 	m.stats.CacheMisses++
-	c := m.chunks[ci]
+	leaf := m.root[ci>>m.leafBits]
+	if leaf == nil {
+		leaf = make([][]uint64, m.leafMask+1)
+		m.root[ci>>m.leafBits] = leaf
+	}
+	c := leaf[ci&m.leafMask]
 	if c == nil {
-		c = make([]uint64, shadowChunkSize*m.ew)
+		c = make([]uint64, chunkSize*m.ew)
 		if !m.zeroTmpl {
 			fillTemplate(c, m.ew, m.template)
 		}
-		m.chunks[ci] = c
+		leaf[ci&m.leafMask] = c
 	}
 	m.lastCI, m.lastChunk = ci, c
 	return c
 }
 
+// find returns chunk ci, or nil if it was never materialized, leaving
+// the cache and the counters alone.
+func (m *ChunkMap) find(ci uint64) []uint64 {
+	if leaf := m.root[ci>>m.leafBits]; leaf != nil {
+		return leaf[ci&m.leafMask]
+	}
+	return nil
+}
+
 // peekChunk is chunk() without materialization (nil when absent).
-func (m *ShadowMap) peekChunk(ci uint64) []uint64 {
+func (m *ChunkMap) peekChunk(ci uint64) []uint64 {
 	if ci == m.lastCI {
 		m.stats.CacheHits++
 		return m.lastChunk
 	}
 	m.stats.CacheMisses++
-	c := m.chunks[ci]
+	c := m.find(ci)
 	if c != nil {
 		m.lastCI, m.lastChunk = ci, c
 	}
@@ -278,46 +325,43 @@ func (m *ShadowMap) peekChunk(ci uint64) []uint64 {
 }
 
 // Entry returns the entry words for key.
-func (m *ShadowMap) Entry(key uint64) []uint64 {
+func (m *ChunkMap) Entry(key uint64) []uint64 {
 	m.stats.Entries++
 	key &= m.keyMask
-	c := m.chunk(key >> shadowChunkBits)
-	i := int(key&shadowChunkMask) * m.ew
+	c := m.chunk(key >> chunkBits)
+	i := int(key&chunkMask) * m.ew
 	return c[i : i+m.ew : i+m.ew]
 }
 
 // Peek returns the entry words if the chunk is materialized.
-func (m *ShadowMap) Peek(key uint64) []uint64 {
+func (m *ChunkMap) Peek(key uint64) []uint64 {
 	m.stats.Peeks++
 	key &= m.keyMask
-	c := m.peekChunk(key >> shadowChunkBits)
+	c := m.peekChunk(key >> chunkBits)
 	if c == nil {
 		return nil
 	}
-	i := int(key&shadowChunkMask) * m.ew
+	i := int(key&chunkMask) * m.ew
 	return c[i : i+m.ew : i+m.ew]
 }
 
 // Fill sets the field on n consecutive keys starting at key, walking
 // chunks directly. The single-key case — a word-or-smaller program
 // access at default granularity — takes a fast path.
-func (m *ShadowMap) Fill(key, n uint64, off, width uint, v uint64) {
+func (m *ChunkMap) Fill(key, n uint64, off, width uint, v uint64) {
 	m.stats.Fills++
 	if n == 1 {
 		key &= m.keyMask
-		c := m.chunk(key >> shadowChunkBits)
-		i := int(key&shadowChunkMask) * m.ew
+		c := m.chunk(key >> chunkBits)
+		i := int(key&chunkMask) * m.ew
 		StoreField(c[i:i+m.ew], off, width, v)
 		return
 	}
 	for n > 0 {
 		k := key & m.keyMask
-		c := m.chunk(k >> shadowChunkBits)
-		in := k & shadowChunkMask
-		run := shadowChunkSize - in
-		if run > n {
-			run = n
-		}
+		c := m.chunk(k >> chunkBits)
+		in := k & chunkMask
+		run := min(chunkSize-in, n)
 		base := int(in) * m.ew
 		for i := uint64(0); i < run; i++ {
 			StoreField(c[base:base+m.ew], off, width, v)
@@ -328,41 +372,35 @@ func (m *ShadowMap) Fill(key, n uint64, off, width uint, v uint64) {
 	}
 }
 
-// RangeOr ORs the field over n consecutive keys.
-func (m *ShadowMap) RangeOr(key, n uint64, off, width uint) uint64 {
+// RangeOr ORs the field over n consecutive keys. A chunk never
+// materialized reads as the template.
+func (m *ChunkMap) RangeOr(key, n uint64, off, width uint) uint64 {
 	m.stats.Ranges++
 	if n == 1 {
 		key &= m.keyMask
-		c := m.peekChunk(key >> shadowChunkBits)
+		c := m.peekChunk(key >> chunkBits)
 		if c == nil {
 			if m.zeroTmpl {
 				return 0
 			}
 			return LoadField(m.template, off, width)
 		}
-		i := int(key&shadowChunkMask) * m.ew
+		i := int(key&chunkMask) * m.ew
 		return LoadField(c[i:i+m.ew], off, width)
 	}
 	var acc uint64
 	for n > 0 {
 		k := key & m.keyMask
-		ci := k >> shadowChunkBits
-		in := k & shadowChunkMask
-		run := shadowChunkSize - in
-		if run > n {
-			run = n
-		}
-		c := m.chunks[ci]
-		if c == nil {
-			if !m.zeroTmpl {
-				acc |= LoadField(m.template, off, width)
-			}
-		} else {
+		in := k & chunkMask
+		run := min(chunkSize-in, n)
+		if c := m.find(k >> chunkBits); c != nil {
 			base := int(in) * m.ew
 			for i := uint64(0); i < run; i++ {
 				acc |= LoadField(c[base:base+m.ew], off, width)
 				base += m.ew
 			}
+		} else if !m.zeroTmpl {
+			acc |= LoadField(m.template, off, width)
 		}
 		key += run
 		n -= run
@@ -371,262 +409,61 @@ func (m *ShadowMap) RangeOr(key, n uint64, off, width uint) uint64 {
 }
 
 // Remove resets the entry to the template.
-func (m *ShadowMap) Remove(key uint64) {
+func (m *ChunkMap) Remove(key uint64) {
 	m.stats.Removes++
 	key &= m.keyMask
-	c := m.chunks[key>>shadowChunkBits]
+	c := m.find(key >> chunkBits)
 	if c == nil {
 		return
 	}
-	i := int(key&shadowChunkMask) * m.ew
+	i := int(key&chunkMask) * m.ew
 	e := c[i : i+m.ew]
 	if m.template != nil {
 		copy(e, m.template)
 	} else {
-		for j := range e {
-			e[j] = 0
-		}
+		clear(e)
 	}
 }
 
-// ForEach visits every entry in materialized chunks.
-func (m *ShadowMap) ForEach(fn func(key uint64, entry []uint64)) {
+// ForEach visits every entry in materialized chunks, in key order.
+func (m *ChunkMap) ForEach(fn func(key uint64, entry []uint64)) {
 	m.stats.Iters++
-	for ci, c := range m.chunks {
-		if c == nil {
-			continue
-		}
-		for i := 0; i < shadowChunkSize; i++ {
-			base := i * m.ew
-			fn(uint64(ci)<<shadowChunkBits|uint64(i), c[base:base+m.ew])
+	for li, leaf := range m.root {
+		for si, c := range leaf {
+			if c == nil {
+				continue
+			}
+			ci := uint64(li)<<m.leafBits | uint64(si)
+			for i := 0; i < chunkSize; i++ {
+				base := i * m.ew
+				fn(ci<<chunkBits|uint64(i), c[base:base+m.ew])
+			}
 		}
 	}
 }
 
 // Lookups returns the lookup counter.
-func (m *ShadowMap) Lookups() uint64 { return m.stats.lookups() }
+func (m *ChunkMap) Lookups() uint64 { return m.stats.lookups() }
 
 // Stats returns the operation counters.
-func (m *ShadowMap) Stats() Stats { return m.stats }
+func (m *ChunkMap) Stats() Stats { return m.stats }
 
-// Bytes returns the size of materialized chunks plus the directory,
-// one slice header per chunk slot.
-func (m *ShadowMap) Bytes() uint64 {
+// Bytes returns the size of materialized chunks plus the directory, one
+// slice header per slot: every leaf's slots, and the root's when it has
+// more than one. A flat map's single root slot stands for the directory
+// field itself, so NewShadowMap's footprint is its flat directory's.
+func (m *ChunkMap) Bytes() uint64 {
 	var n uint64
-	for _, c := range m.chunks {
-		if c != nil {
+	if len(m.root) > 1 {
+		n = uint64(len(m.root)) * sliceHeaderBytes
+	}
+	for _, leaf := range m.root {
+		n += uint64(len(leaf)) * sliceHeaderBytes
+		for _, c := range leaf {
 			n += uint64(len(c)) * 8
 		}
 	}
-	return n + uint64(len(m.chunks))*sliceHeaderBytes
-}
-
-// ---------------------------------------------------------------------------
-// PageTableMap — two-level structure with a hashed directory (§5.3's
-// memory-efficient choice for high shadow factors). Each lookup pays a
-// hash probe into the directory plus an index into the page.
-
-const (
-	pageBits = 12 // 4096 entries per page
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
-)
-
-// PageTableMap maps arbitrary uint64 keys to entries via a directory of
-// lazily-allocated pages.
-type PageTableMap struct {
-	dir      map[uint64][]uint64
-	ew       int
-	template []uint64
-	zeroTmpl bool
-
-	// one-entry inline cache: page-table walks in real shadow-memory
-	// systems cache the last directory hit, and it is what makes the
-	// page table competitive on sequential access.
-	lastPI   uint64
-	lastPage []uint64
-
-	stats Stats // cold relative to the fields above; keep it last
-}
-
-// NewPageTableMap returns an empty page-table map.
-func NewPageTableMap(entryWords int, template []uint64) *PageTableMap {
-	return &PageTableMap{
-		dir:      make(map[uint64][]uint64),
-		ew:       entryWords,
-		template: template,
-		zeroTmpl: template == nil || templateIsZero(template),
-		lastPI:   ^uint64(0),
-	}
-}
-
-func (m *PageTableMap) page(pi uint64) []uint64 {
-	if pi == m.lastPI {
-		m.stats.CacheHits++
-		return m.lastPage
-	}
-	m.stats.CacheMisses++
-	p, ok := m.dir[pi]
-	if !ok {
-		p = make([]uint64, pageSize*m.ew)
-		if !m.zeroTmpl {
-			fillTemplate(p, m.ew, m.template)
-		}
-		m.dir[pi] = p
-	}
-	m.lastPI, m.lastPage = pi, p
-	return p
-}
-
-// Entry returns the entry words for key.
-func (m *PageTableMap) Entry(key uint64) []uint64 {
-	m.stats.Entries++
-	p := m.page(key >> pageBits)
-	i := int(key&pageMask) * m.ew
-	return p[i : i+m.ew : i+m.ew]
-}
-
-// Peek returns the entry words if the page exists.
-func (m *PageTableMap) Peek(key uint64) []uint64 {
-	m.stats.Peeks++
-	pi := key >> pageBits
-	var p []uint64
-	if pi == m.lastPI {
-		m.stats.CacheHits++
-		p = m.lastPage
-	} else {
-		m.stats.CacheMisses++
-		p = m.dir[pi]
-	}
-	if p == nil {
-		return nil
-	}
-	i := int(key&pageMask) * m.ew
-	return p[i : i+m.ew : i+m.ew]
-}
-
-// Fill sets the field on n consecutive keys starting at key.
-func (m *PageTableMap) Fill(key, n uint64, off, width uint, v uint64) {
-	m.stats.Fills++
-	if n == 1 {
-		p := m.page(key >> pageBits)
-		i := int(key&pageMask) * m.ew
-		StoreField(p[i:i+m.ew], off, width, v)
-		return
-	}
-	for n > 0 {
-		p := m.page(key >> pageBits)
-		in := key & pageMask
-		run := uint64(pageSize) - in
-		if run > n {
-			run = n
-		}
-		base := int(in) * m.ew
-		for i := uint64(0); i < run; i++ {
-			StoreField(p[base:base+m.ew], off, width, v)
-			base += m.ew
-		}
-		key += run
-		n -= run
-	}
-}
-
-// RangeOr ORs the field over n consecutive keys.
-func (m *PageTableMap) RangeOr(key, n uint64, off, width uint) uint64 {
-	m.stats.Ranges++
-	if n == 1 {
-		pi := key >> pageBits
-		var p []uint64
-		if pi == m.lastPI {
-			m.stats.CacheHits++
-			p = m.lastPage
-		} else {
-			m.stats.CacheMisses++
-			p = m.dir[pi]
-		}
-		if p == nil {
-			if m.zeroTmpl {
-				return 0
-			}
-			return LoadField(m.template, off, width)
-		}
-		i := int(key&pageMask) * m.ew
-		return LoadField(p[i:i+m.ew], off, width)
-	}
-	var acc uint64
-	for n > 0 {
-		pi := key >> pageBits
-		in := key & pageMask
-		run := uint64(pageSize) - in
-		if run > n {
-			run = n
-		}
-		var p []uint64
-		if pi == m.lastPI {
-			p = m.lastPage
-		} else {
-			p = m.dir[pi]
-		}
-		if p == nil {
-			if !m.zeroTmpl {
-				acc |= LoadField(m.template, off, width)
-			}
-		} else {
-			base := int(in) * m.ew
-			for i := uint64(0); i < run; i++ {
-				acc |= LoadField(p[base:base+m.ew], off, width)
-				base += m.ew
-			}
-		}
-		key += run
-		n -= run
-	}
-	return acc
-}
-
-// Remove resets the entry to the template.
-func (m *PageTableMap) Remove(key uint64) {
-	m.stats.Removes++
-	pi := key >> pageBits
-	p := m.dir[pi]
-	if p == nil {
-		return
-	}
-	i := int(key&pageMask) * m.ew
-	e := p[i : i+m.ew]
-	if m.template != nil {
-		copy(e, m.template)
-	} else {
-		for j := range e {
-			e[j] = 0
-		}
-	}
-}
-
-// ForEach visits every entry in materialized pages.
-func (m *PageTableMap) ForEach(fn func(key uint64, entry []uint64)) {
-	m.stats.Iters++
-	for pi, p := range m.dir {
-		for i := 0; i < pageSize; i++ {
-			base := i * m.ew
-			fn(pi<<pageBits|uint64(i), p[base:base+m.ew])
-		}
-	}
-}
-
-// Lookups returns the lookup counter.
-func (m *PageTableMap) Lookups() uint64 { return m.stats.lookups() }
-
-// Stats returns the operation counters.
-func (m *PageTableMap) Stats() Stats { return m.stats }
-
-// Bytes returns the size of materialized pages plus directory overhead.
-func (m *PageTableMap) Bytes() uint64 {
-	var n uint64
-	for _, p := range m.dir {
-		n += uint64(len(p)) * 8
-	}
-	return n + uint64(len(m.dir))*16
+	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -1028,7 +865,6 @@ func (m *HashMap2) Bytes() uint64 {
 // Compile-time interface checks.
 var (
 	_ Container = (*ArrayMap)(nil)
-	_ Container = (*ShadowMap)(nil)
-	_ Container = (*PageTableMap)(nil)
+	_ Container = (*ChunkMap)(nil)
 	_ Container = (*HashMap)(nil)
 )

@@ -102,7 +102,7 @@ func containersUnderTest(ew int, tmpl []uint64, maxKey uint64) map[string]Contai
 	return map[string]Container{
 		"array":     NewArrayMap(int64(maxKey), ew, tmpl),
 		"shadow":    NewShadowMap(maxKey, ew, tmpl),
-		"pagetable": NewPageTableMap(ew, tmpl),
+		"pagetable": NewPageTableMap(maxKey, ew, tmpl),
 		"hash":      NewHashMap(ew, tmpl),
 	}
 }
@@ -118,14 +118,17 @@ type containerShape struct {
 
 // referenceShapes are TestContainersAgainstReference's configurations
 // and FuzzContainers' seeds. The -chunks shapes span six 4,096-entry
-// shadow chunks and page-table pages with non-zero templates, so long
-// Fill/RangeOr runs cross chunk boundaries and chunks never materialized.
+// chunks with non-zero templates, so long Fill/RangeOr runs cross chunk
+// boundaries and chunks never materialized. The -leaves shape spans
+// four page-table leaves of four chunks each, so they also cross leaves
+// never made.
 var referenceShapes = []containerShape{
 	{"1word-zero", 1, nil, 1 << 14},
 	{"2word-universe", 2, []uint64{^uint64(0), 0x00FF}, 1 << 14},
 	{"3word-zero", 3, []uint64{0, 0, 0}, 1 << 14},
 	{"2word-universe-chunks", 2, []uint64{^uint64(0), 0x00FF}, 6 << 12},
 	{"3word-mixed-chunks", 3, []uint64{0x0F, 0, 1 << 63}, 6 << 12},
+	{"1word-mixed-leaves", 1, []uint64{0xF0F0}, 16 << 12},
 }
 
 // containerOp is one step of a container/reference-model run.
@@ -212,12 +215,12 @@ func runContainerOps(t *testing.T, sh containerShape, ops []containerOp) {
 	}
 }
 
-// chunkGapOps writes the ends of chunks 0 and 2, reads ranges across the
-// never-materialized chunk 1 between them, then fills across it. The
-// writes store 0 into a field the template sets, so a range read that
-// drops chunk 1's template contribution reads 0.
-func chunkGapOps(sh containerShape) []containerOp {
-	const c = shadowChunkSize
+// chunkGapOps writes the ends of units 0 and 2, reads ranges across the
+// never-materialized unit 1 between them, then fills across it. A unit
+// is c keys: a chunk, or a page-table leaf. The writes store 0 into a
+// field the template sets, so a range read that drops unit 1's template
+// contribution reads 0.
+func chunkGapOps(sh containerShape, c uint64) []containerOp {
 	off := uint(0)
 	for i, w := range sh.tmpl {
 		if w != 0 {
@@ -245,19 +248,30 @@ func chunkGapOps(sh containerShape) []containerOp {
 	}
 }
 
+// pageTableLeafKeys is the number of keys one leaf of a page table over
+// maxKey keys covers.
+func pageTableLeafKeys(maxKey uint64) uint64 {
+	return (NewPageTableMap(maxKey, 1, nil).leafMask + 1) << chunkBits
+}
+
 // Property: every container implementation agrees with the reference
 // model under random mixed operations, with both zero and non-zero
-// (universe-style) templates, and across shadow-chunk boundaries.
+// (universe-style) templates, and across chunk and page-table leaf
+// boundaries. The leaf-gap ops run on fresh containers, so the leaf
+// they cross was never made.
 func TestContainersAgainstReference(t *testing.T) {
 	for _, sh := range referenceShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			var ops []containerOp
-			if sh.maxKey >= 3*shadowChunkSize {
-				ops = chunkGapOps(sh)
+			if sh.maxKey >= 3*chunkSize {
+				ops = chunkGapOps(sh, chunkSize)
 			}
 			stream := make([]byte, 3000*opBytes)
 			rand.New(rand.NewSource(42)).Read(stream)
 			runContainerOps(t, sh, append(ops, decodeOps(stream, sh)...))
+			if leaf := pageTableLeafKeys(sh.maxKey); sh.maxKey >= 3*leaf {
+				runContainerOps(t, sh, chunkGapOps(sh, leaf))
+			}
 		})
 	}
 }
@@ -266,10 +280,11 @@ func TestContainersAgainstReference(t *testing.T) {
 // four containers and the reference model. The first byte picks the
 // entry width (1–3 words) and a key range of 1–8 4,096-entry chunks,
 // the next 8 bytes per entry word the template, and every further
-// opBytes bytes one op (decodeOps).
+// opBytes bytes one op (decodeOps). A shape wider than eight chunks
+// seeds the eight-chunk range.
 func FuzzContainers(f *testing.F) {
 	for _, sh := range referenceShapes {
-		seed := []byte{byte(sh.ew-1) + 3*byte(sh.maxKey>>12-1)}
+		seed := []byte{byte(sh.ew-1) + 3*byte(min(sh.maxKey>>12, 8)-1)}
 		for i := 0; i < sh.ew; i++ {
 			var w uint64
 			if sh.tmpl != nil {
@@ -306,7 +321,9 @@ func FuzzContainers(f *testing.F) {
 // one store near the top of a thread-stack region (the VM's default
 // 256 MiB address space and 512 KiB stacks, word granularity, ALDA
 // MSan's 2-word entry): one 4,096-entry chunk plus the directory, not
-// the whole 512 KiB region's worth of entries.
+// the whole 512 KiB region's worth of entries. A page table over the
+// same space starts with a root of at most 4 KiB, and the store adds
+// exactly one chunk and one leaf.
 func TestShadowMaterializesTouchedChunkOnly(t *testing.T) {
 	const (
 		addrSpace = 1 << 28
@@ -322,6 +339,17 @@ func TestShadowMaterializesTouchedChunkOnly(t *testing.T) {
 	}
 	if fresh != dir {
 		t.Errorf("fresh map: Bytes() = %d, want its %d-byte directory", fresh, dir)
+	}
+
+	pt := NewPageTableMap(addrSpace>>3, ew, []uint64{^uint64(0), 0})
+	fresh = pt.Bytes()
+	if fresh > 4096 {
+		t.Errorf("fresh page table: Bytes() = %d, want at most 4096", fresh)
+	}
+	pt.Fill((addrSpace-stackSize-64)>>3, 1, 0, 64, 0)
+	leaf := (pt.leafMask + 1) * sliceHeaderBytes
+	if got, want := pt.Bytes()-fresh, uint64(4096*ew*8)+leaf; got != want {
+		t.Errorf("page table, one stack store: Bytes() grew by %d, want %d (one chunk plus one %d-byte leaf)", got, want, leaf)
 	}
 }
 
@@ -386,11 +414,15 @@ func TestHashMap2(t *testing.T) {
 }
 
 func TestShadowMapKeyMasking(t *testing.T) {
-	m := NewShadowMap(1<<10, 1, nil)
-	// Keys beyond the range wrap rather than panic.
-	e := m.Entry(1 << 40)
-	e[0] = 5
-	if m.Entry((1 << 40) & (1<<10 - 1))[0] != 5 {
-		t.Fatal("masked key does not alias")
+	for name, m := range map[string]*ChunkMap{
+		"shadow":    NewShadowMap(1<<10, 1, nil),
+		"pagetable": NewPageTableMap(1<<10, 1, nil),
+	} {
+		// Keys beyond the range wrap rather than panic.
+		e := m.Entry(1 << 40)
+		e[0] = 5
+		if m.Entry((1 << 40) & (1<<10 - 1))[0] != 5 {
+			t.Fatalf("%s: masked key does not alias", name)
+		}
 	}
 }

@@ -60,9 +60,18 @@ type FlightEvent struct {
 // flightRing is one fixed ring with its own lock, so control events
 // never wait on the job ring.
 type flightRing struct {
-	mu   sync.Mutex
-	buf  []FlightEvent
-	next uint64 // total records ever written; buf index is next % len
+	mu     sync.Mutex
+	buf    []FlightEvent
+	next   uint64            // total records ever written; buf index is next % len
+	traces map[string]uint32 // events in buf per trace; no zero counts
+}
+
+// init sizes the ring to n events. The trace counts are pre-sized too:
+// a ring never holds more traces than events, so Record's inserts and
+// deletes never grow the map.
+func (r *flightRing) init(n int) {
+	r.buf = make([]FlightEvent, n)
+	r.traces = make(map[string]uint32, n)
 }
 
 // live copies the ring's events oldest to newest and returns them with
@@ -92,7 +101,8 @@ const (
 var ringNames = [...]string{JobRing: "jobs", ControlRing: "control"}
 
 // DefaultFlightRing is the default job-ring capacity: 1,024 six-stage
-// job chains. The two rings then preallocate 552,960 bytes.
+// job chains. The two rings' events then preallocate 552,960 bytes, and
+// their pre-sized trace counts about 270 KB more.
 const DefaultFlightRing = 6144
 
 // FlightRecorder holds the job ring and the control ring.
@@ -121,20 +131,48 @@ type FlightRingDump struct {
 // each).
 func NewFlightRecorder(jobEvents int) *FlightRecorder {
 	f := &FlightRecorder{}
-	f.rings[JobRing].buf = make([]FlightEvent, max(jobEvents, 16))
-	f.rings[ControlRing].buf = make([]FlightEvent, max(jobEvents/4, 16))
+	f.rings[JobRing].init(max(jobEvents, 16))
+	f.rings[ControlRing].init(max(jobEvents/4, 16))
 	return f
 }
 
 // Record appends one event to a ring — O(1), no allocation beyond the
-// strings the caller already holds.
+// strings the caller already holds. It keeps the ring's per-trace event
+// counts: the new event's trace gains one, the overwritten event's
+// trace loses one and leaves the map at zero.
 func (f *FlightRecorder) Record(ring Ring, ev FlightEvent) {
 	r := &f.rings[ring]
 	r.mu.Lock()
 	ev.Seq = r.next
-	r.buf[r.next%uint64(len(r.buf))] = ev
+	slot := &r.buf[r.next%uint64(len(r.buf))]
+	if old := slot.Trace; old != "" {
+		if n := r.traces[old]; n > 1 {
+			r.traces[old] = n - 1
+		} else {
+			delete(r.traces, old)
+		}
+	}
+	if ev.Trace != "" {
+		r.traces[ev.Trace]++
+	}
+	*slot = ev
 	r.next++
 	r.mu.Unlock()
+}
+
+// LiveTraces is the number of traces in the span view, len(Traces(…)),
+// read from the counts Record keeps instead of building the view. A
+// trace's events sit in one ring (jobs in the job ring, adapt epochs in
+// the control ring), so the rings' counts add up.
+func (f *FlightRecorder) LiveTraces() int {
+	n := 0
+	for i := range f.rings {
+		r := &f.rings[i]
+		r.mu.Lock()
+		n += len(r.traces)
+		r.mu.Unlock()
+	}
+	return n
 }
 
 // SpanStage is one pipeline stage within a trace. Wall microseconds are

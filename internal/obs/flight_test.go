@@ -122,16 +122,21 @@ func TestTraceViewConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				recordChain(f, Ring(g%2), g*1000+i)
 				_ = f.Traces(g%2 == 0)
+				_ = f.LiveTraces()
 			}
 		}(g)
 	}
 	wg.Wait()
 	// Quiesced, every chain in the view is a suffix of its three events:
 	// whole, or cut at its ring's oldest end by the wrap.
-	for _, te := range f.Traces(false) {
+	view := f.Traces(false)
+	for _, te := range view {
 		if n := len(te.Stages); n == 0 || n > 3 || te.Stages[n-1].Stage != "done" {
 			t.Fatalf("chain torn or out of order: %+v", te)
 		}
+	}
+	if n := f.LiveTraces(); n != len(view) {
+		t.Fatalf("LiveTraces = %d after concurrent records, span view holds %d", n, len(view))
 	}
 }
 
@@ -237,6 +242,53 @@ func TestFlightRecordZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("FlightRecorder.Record allocates %v times per call, want 0", allocs)
+	}
+
+	// Churn: distinct traces through the wrapped ring insert and delete
+	// a trace count on every record. Each run records 8,192 events, so
+	// even one allocation in the whole run fails.
+	ids := make([]string, 1000)
+	for i := range ids {
+		ids[i] = MintTraceID(uint64(i))
+	}
+	i := 0
+	allocs = testing.AllocsPerRun(20, func() {
+		for range 8192 {
+			f.Record(JobRing, FlightEvent{Trace: ids[i%len(ids)], Stage: "accepted"})
+			i++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FlightRecorder.Record under trace churn allocates %v times per 8,192 calls, want 0", allocs)
+	}
+}
+
+// TestLiveTracesMatchesView: the counts Record keeps give the span
+// view's length after every record, as wraps cut chains in both rings
+// and events without a trace pass through.
+func TestLiveTracesMatchesView(t *testing.T) {
+	f := NewFlightRecorder(16)
+	for job := 0; job < 60; job++ {
+		tid := MintTraceID(uint64(job))
+		ring := Ring(job % 3 / 2) // two jobs in the job ring, one in the control ring
+		for _, stage := range []string{"accepted", "queued", "executed", "done"}[:1+job%4] {
+			f.Record(ring, FlightEvent{Trace: tid, Stage: stage})
+			if job%5 == 0 {
+				f.Record(ring, FlightEvent{Stage: "journal-degraded"})
+			}
+			if got, want := f.LiveTraces(), len(f.Traces(false)); got != want {
+				t.Fatalf("job %d %s: LiveTraces = %d, span view holds %d", job, stage, got, want)
+			}
+		}
+	}
+	partial := 0
+	for _, te := range f.Traces(false) {
+		if te.Stages[0].Stage != "accepted" {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no chain was cut by a wrap; the test does not cover partial chains")
 	}
 }
 

@@ -120,20 +120,25 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceCapReportsDrops: the cap bounds quantum spans alone. Past
-// it, quanta are counted, not written, while the harness cells, compile
-// stages and fault instants interleaved with them are all written, and
-// the closing trace.dropped instant counts only the dropped quanta.
+// TestTraceCapReportsDrops: the caps bound quantum spans alone. Past
+// them, quanta are counted, not written, while the harness cells,
+// compile stages and fault instants interleaved with them are all
+// written, and the closing trace.dropped instant counts only the
+// dropped quanta. Tid 1 runs first and stops at the per-tid cap, so
+// tid 2, which runs after it, still gets quanta until the trace's cap.
 func TestTraceCapReportsDrops(t *testing.T) {
-	const capQuanta, extra = 4, 3
+	const capQuanta, perTID, extra = 4, 3, 3
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	tr.max = capQuanta
+	tr.max, tr.maxPerTID = capQuanta, perTID
 	start := time.Now()
 	for i := 0; i < capQuanta+extra; i++ {
 		tr.Quantum(1, start, time.Microsecond, "steps", "64")
 		tr.Span("harness", fmt.Sprintf("fig4/cell%d", i), int64(i), start, time.Millisecond)
 		tr.Span("compiler", "layout", 0, start, time.Microsecond)
+	}
+	for i := 0; i < capQuanta+extra; i++ {
+		tr.Quantum(2, start, time.Microsecond, "steps", "64")
 	}
 	tr.Instant("vm", "fault.malloc_null", 1)
 	if err := tr.Close(); err != nil {
@@ -142,16 +147,21 @@ func TestTraceCapReportsDrops(t *testing.T) {
 	var events []struct {
 		Cat  string            `json:"cat"`
 		Name string            `json:"name"`
+		Tid  int64             `json:"tid"`
 		Args map[string]string `json:"args"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("capped trace does not parse: %v", err)
 	}
 	byCat := map[string]int{}
+	quantaByTID := map[int64]int{}
 	dropped := ""
 	for _, e := range events {
 		byCat[e.Cat]++
-		if e.Name == "trace.dropped" {
+		switch e.Name {
+		case "quantum":
+			quantaByTID[e.Tid]++
+		case "trace.dropped":
 			dropped = e.Args["dropped"]
 		}
 	}
@@ -161,8 +171,11 @@ func TestTraceCapReportsDrops(t *testing.T) {
 			t.Errorf("%s events = %d, want %d (all: %v)", cat, byCat[cat], n, byCat)
 		}
 	}
-	if dropped != strconv.Itoa(extra) {
-		t.Fatalf("trace.dropped = %q, want %d", dropped, extra)
+	if quantaByTID[1] != perTID || quantaByTID[2] != capQuanta-perTID {
+		t.Errorf("quanta per tid = %v, want %d on tid 1 and %d on tid 2", quantaByTID, perTID, capQuanta-perTID)
+	}
+	if dropped != strconv.Itoa(2*(capQuanta+extra)-capQuanta) {
+		t.Fatalf("trace.dropped = %q, want %d", dropped, 2*(capQuanta+extra)-capQuanta)
 	}
 }
 

@@ -21,30 +21,40 @@ import (
 // Only the VM's per-quantum spans are bounded. They are the one stream
 // that grows with run length (a traced fig4 sweep at size small emits
 // 2.4M of them), while harness cells, compile stages and fault instants
-// number in the hundreds and are always written. Past DefaultMaxEvents
-// quanta further quanta are counted, not written, and Close appends a
-// trace.dropped instant carrying the count — a truncated trace says so
-// instead of looking complete, and keeps every span that explains it.
+// number in the hundreds and are always written. A trace writes at most
+// DefaultMaxEvents quanta in all and quantaPerTID on any one tid, so
+// the first cells of a sweep (the harness gives each cell its own tid)
+// cannot use up the whole budget. Quanta past either cap are counted,
+// not written, and Close appends a trace.dropped instant carrying the
+// count — a truncated trace says so instead of looking complete, and
+// keeps every span that explains it.
 type Trace struct {
-	mu      sync.Mutex
-	w       *bufio.Writer
-	f       *os.File // owned file when created via CreateTrace
-	start   time.Time
-	n       int // events written
-	quanta  int // quantum spans written
-	max     int // quantum spans allowed
-	dropped uint64
-	buf     []byte
-	err     error
-	closed  bool
+	mu        sync.Mutex
+	w         *bufio.Writer
+	f         *os.File // owned file when created via CreateTrace
+	start     time.Time
+	n         int           // events written
+	quanta    int           // quantum spans written
+	max       int           // quantum spans allowed
+	maxPerTID int           // quantum spans allowed per tid
+	perTID    map[int64]int // quantum spans written per tid
+	dropped   uint64
+	buf       []byte
+	err       error
+	closed    bool
 }
 
 // DefaultMaxEvents bounds a trace's quantum spans (~120 MB of JSON).
 const DefaultMaxEvents = 1 << 20
 
+// quantaPerTID bounds one tid's quantum spans: 1/64 of the trace's, so
+// a sweep of up to 64 cells keeps quanta for every cell.
+const quantaPerTID = DefaultMaxEvents / 64
+
 // NewTrace starts a trace writing to w.
 func NewTrace(w io.Writer) *Trace {
-	t := &Trace{w: bufio.NewWriterSize(w, 1<<16), start: time.Now(), max: DefaultMaxEvents}
+	t := &Trace{w: bufio.NewWriterSize(w, 1<<16), start: time.Now(),
+		max: DefaultMaxEvents, maxPerTID: quantaPerTID, perTID: map[int64]int{}}
 	_, t.err = t.w.WriteString("[")
 	return t
 }
@@ -74,11 +84,12 @@ func (t *Trace) event(ph byte, cat, name string, tid int64, start time.Time, dur
 		return
 	}
 	if quantum {
-		if t.quanta >= t.max {
+		if t.quanta >= t.max || t.perTID[tid] >= t.maxPerTID {
 			t.dropped++
 			return
 		}
 		t.quanta++
+		t.perTID[tid]++
 	}
 	t.writeEventLocked(ph, cat, name, tid, start, dur, kv)
 }
@@ -144,7 +155,7 @@ func (t *Trace) Span(cat, name string, tid int64, start time.Time, dur time.Dura
 }
 
 // Quantum emits the "vm"/"quantum" span of one scheduler quantum, the
-// one event kind the cap applies to.
+// one event kind the caps apply to.
 func (t *Trace) Quantum(tid int64, start time.Time, dur time.Duration, kv ...string) {
 	if t == nil {
 		return

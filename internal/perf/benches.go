@@ -100,15 +100,15 @@ func containerBenches() []Bench {
 		new  func() singleKeyed
 		keys []uint64
 	}
-	// ArrayMap needs a bounded domain; ShadowMap a key ceiling;
-	// PageTableMap and HashMap take raw 64-bit keys. Address-shaped keys
-	// (clustered, 8-byte granules) exercise the page/chunk TLBs the way
-	// instrumented loads do.
+	// ArrayMap needs a bounded domain, shadow memory and the page table
+	// (one ChunkMap type) a key ceiling, and HashMap takes raw 64-bit
+	// keys. Address-shaped keys (clustered, 8-byte granules) exercise the
+	// chunk TLB and the page table's leaves the way instrumented loads do.
 	addrKeys := benchKeySet(benchKeys, 1<<24)
 	makers := []mk{
 		{"array", func() singleKeyed { return meta.NewArrayMap(benchKeys, benchEW, tmpl) }, benchKeySet(benchKeys, benchKeys)},
 		{"shadow", func() singleKeyed { return meta.NewShadowMap(1<<24, benchEW, tmpl) }, addrKeys},
-		{"pagetable", func() singleKeyed { return meta.NewPageTableMap(benchEW, tmpl) }, addrKeys},
+		{"pagetable", func() singleKeyed { return meta.NewPageTableMap(1<<24, benchEW, tmpl) }, addrKeys},
 		{"hash", func() singleKeyed { return meta.NewHashMap(benchEW, tmpl) }, benchKeySet(benchKeys, 0)},
 		{"refmap/hash", func() singleKeyed { return newMapHashMap(benchEW, tmpl) }, benchKeySet(benchKeys, 0)},
 	}

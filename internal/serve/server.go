@@ -683,9 +683,10 @@ func (s *Server) scrapeCaches() {
 }
 
 // scrapeGauges refreshes the point-in-time levels: queue depth and
-// queued+running occupancy, per-tenant in-flight counts, and the live
-// span count. Tenant gauges are cleared first so departed tenants don't
-// linger as stale series.
+// queued+running occupancy, per-tenant in-flight counts, and the
+// number of live traces, which the flight recorder keeps at record time
+// so a scrape never copies the job ring. Tenant gauges are cleared first
+// so departed tenants don't linger as stale series.
 func (s *Server) scrapeGauges() {
 	s.reg.SetGauge("serve.queue.depth", int64(len(s.queue)))
 	s.reg.SetGauge("serve.inflight", int64(len(s.tokens)))
@@ -699,7 +700,7 @@ func (s *Server) scrapeGauges() {
 		s.reg.SetGauge("serve.tenant.inflight."+name, int64(n))
 	}
 	s.mu.Unlock()
-	s.reg.SetGauge("serve.spans.live", int64(len(s.Spans(false))))
+	s.reg.SetGauge("serve.spans.live", int64(s.flight.LiveTraces()))
 }
 
 // promRules maps the registry's dotted families onto labeled Prometheus

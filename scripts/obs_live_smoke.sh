@@ -13,7 +13,9 @@
 #     (Prometheus text exposition), and ?format=prom; the exposition is
 #     validated with the strict in-repo parser (aldabench
 #     -prom-validate) and probed for the labeled families
-#  5. /debug/flight and /debug/spans must serve ring and span dumps
+#  5. /debug/flight and /debug/spans must serve ring and span dumps,
+#     and the serve.spans.live gauge, which the flight recorder keeps at
+#     record time, must equal the number of traces in the span view
 #  6. the journal fault must have auto-dumped a flight snapshot with
 #     reason "journal-degraded"; SIGQUIT must overwrite it with a
 #     "sigquit" snapshot while the server keeps serving
@@ -101,6 +103,21 @@ curl -fsS "$URL/debug/flight" >"$DIR/flight-live.json" || fail "scrape /debug/fl
 grep -q '"rings"' "$DIR/flight-live.json" || fail "/debug/flight has no ring dump"
 curl -fsS "$URL/debug/spans" >"$DIR/spans.json" || fail "scrape /debug/spans"
 grep -q '"stages"' "$DIR/spans.json" || fail "/debug/spans has no spans"
+# The burst has drained, so the gauge and the view it counts must agree.
+# They are scraped back to back; a mismatch is retried briefly in case
+# the burst's last adapt epoch lands between the two scrapes.
+live= traces=
+for _ in $(seq 1 10); do
+  curl -fsS "$URL/metrics" >"$DIR/metrics-live.json" || fail "scrape /metrics"
+  curl -fsS "$URL/debug/spans?volatile=0" >"$DIR/spans-live.json" || fail "scrape /debug/spans?volatile=0"
+  live=$(grep -o '"serve.spans.live": *[0-9]*' "$DIR/metrics-live.json" | grep -o '[0-9]*$')
+  traces=$(grep -o '"trace":"' "$DIR/spans-live.json" | wc -l | tr -d ' ')
+  [[ -n "$live" && "$live" == "$traces" ]] && break
+  sleep 0.2
+done
+[[ -n "$live" && "$live" == "$traces" ]] \
+  || fail "serve.spans.live is '$live' but /debug/spans?volatile=0 holds $traces traces"
+echo "obs-live-smoke: serve.spans.live = $live traces in the span view"
 
 # --- 6. flight snapshots: journal fault, then SIGQUIT ---------------
 # The snapshot fires from the worker that hits the failing journal
