@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only,
 # no external dependencies).
 
-.PHONY: all build test race vet bench benchgate benchbaseline experiments examples fmt cover fuzz faults conform replay-conform adapt-conform metrics serve-smoke obs-live-smoke staged
+.PHONY: all build test race vet bench benchgate benchbaseline experiments examples fmt cover fuzz faults conform replay-conform metrics serve-smoke obs-live-smoke staged
 
 all: build vet test
 
@@ -53,18 +53,10 @@ conform:
 replay-conform:
 	go test ./internal/conformance -run 'TestReplayConform|TestConcurrentReplay|TestShrinkReplayDivergence' -count=1 -conform-seeds 200
 
-# Adaptive-PGO conformance sweep: every generated workload profiled,
-# adapted through AdaptOptions, and the adapted recompile checked
-# byte-identical to the static full configuration (plus the profiling
-# build itself), with the adapted-divergence shrinker closing the
-# debugging loop.
-adapt-conform:
-	go test ./internal/conformance -run 'TestAdaptConform|TestShrinkAdaptiveDivergence' -count=1 -conform-seeds 200
-
 # Short fuzz passes over the parser, the set containers, the map
-# containers, the conformance harness, the trace decoder and the
-# profile reader (FuzzContainers seeds from its test's shapes, the
-# rest from checked-in testdata/fuzz corpora). A FuzzContainers run
+# containers, the conformance harness and the trace decoder
+# (FuzzContainers seeds from its test's shapes, the rest from
+# checked-in testdata/fuzz corpora). A FuzzContainers run
 # takes milliseconds, so minimizing each new input to the default 60 s
 # would fill the pass; 100 runs per input are enough.
 fuzz:
@@ -73,7 +65,6 @@ fuzz:
 	go test ./internal/meta -run=FuzzContainers -fuzz=FuzzContainers -fuzztime=30s -fuzzminimizetime=100x
 	go test ./internal/conformance -run=FuzzConformance -fuzz=FuzzConformance -fuzztime=30s
 	go test ./internal/trace -run=FuzzTraceDecoder -fuzz=FuzzTraceDecoder -fuzztime=30s
-	go test ./internal/compiler -run=FuzzReadProfile -fuzz=FuzzReadProfile -fuzztime=30s
 
 # One measured shot of every figure/table benchmark.
 bench:

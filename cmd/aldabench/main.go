@@ -49,11 +49,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analyses"
 	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/mir"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/vm"
@@ -116,7 +113,6 @@ var experiments = []struct {
 	{"fig5", func(c harness.Config) error { _, err := harness.Fig5(c); return err }},
 	{"ablate", func(c harness.Config) error { _, err := harness.Ablate(c); return err }},
 	{"pgo", func(c harness.Config) error { _, err := harness.PGO(c); return err }},
-	{"adapt", func(c harness.Config) error { _, err := harness.Adapt(c); return err }},
 	{"mem", func(c harness.Config) error { _, err := harness.Mem(c); return err }},
 	{"gran", func(c harness.Config) error { _, err := harness.Granularity(c); return err }},
 	{"replay", func(c harness.Config) error {
@@ -143,7 +139,7 @@ func knownExperiment(name string) bool {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3|fig4|fig5|table3|table4|libsan|ablate|pgo|adapt|mem|gran|replay|all")
+	exp := flag.String("exp", "all", "experiment: fig3|fig4|fig5|table3|table4|libsan|ablate|pgo|mem|gran|replay|all")
 	sizeFlag := flag.String("size", "small", "workload size: tiny|small|medium|large")
 	reps := flag.Int("reps", 3, "measured repetitions per configuration (one warm-up run is added; configurations too short to time run more)")
 	seed := flag.Int64("seed", 1, "deterministic scheduler seed")
@@ -170,10 +166,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto / chrome://tracing)")
 	attrib := flag.String("attrib", "", "run the overhead-attribution report for this analysis (e.g. uaf, msan) instead of -exp")
 	attribPrograms := flag.String("attrib-programs", "", "comma-separated workloads for -attrib (default: a representative set)")
-	profileOut := flag.String("profile-out", "", "collect a per-member access profile (train run) and write it to this file, then exit")
-	profileIn := flag.String("profile-in", "", "load a profile written by -profile-out; the pgo experiment uses it instead of training inline")
-	profileAnalysis := flag.String("profile-analysis", "msan", "analysis -profile-out trains")
-	profileTrain := flag.String("profile-train", "libquantum", "workload -profile-out trains on (at size tiny, matching the pgo experiment)")
 	traceOut := flag.String("trace-out", "", "directory for recorded replay traces; missing workload traces are recorded there (enables -exp replay)")
 	traceIn := flag.String("trace-in", "", "directory of previously recorded replay traces; a missing trace is an error (enables -exp replay)")
 	flag.Parse()
@@ -246,33 +238,6 @@ func main() {
 	if *exp == "replay" && cfg.TraceDir == "" {
 		fmt.Fprintln(os.Stderr, "-exp replay needs -trace-out (record) or -trace-in (reuse)")
 		os.Exit(2)
-	}
-
-	if *profileOut != "" {
-		a, err := analyses.Compile(*profileAnalysis, compiler.DefaultOptions())
-		if err == nil {
-			var prog *mir.Program
-			if prog, err = workloads.Build(*profileTrain, workloads.SizeTiny); err == nil {
-				var p *compiler.Profile
-				if p, err = core.CollectProfile(a, prog, cfg.Opt); err == nil {
-					err = p.WriteFile(*profileOut)
-				}
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "profile-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "profile-out: wrote %s (%s trained on %s/tiny)\n", *profileOut, *profileAnalysis, *profileTrain)
-		os.Exit(0)
-	}
-	if *profileIn != "" {
-		p, err := compiler.ReadProfileFile(*profileIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "profile-in: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.PGOProfile = p
 	}
 
 	// The -metrics-out file extension picks the format.

@@ -36,7 +36,6 @@ func main() {
 	dsOnly := flag.Bool("ds-only", false, "disable coalescing and CSE (Figure 4 ablation)")
 	naive := flag.Bool("naive", false, "disable all layout optimizations")
 	baseline := flag.Bool("baseline", false, "also run uninstrumented and report overhead")
-	pgo := flag.Bool("pgo", false, "run a tiny profiling pass first and recompile with profile-guided coalescing")
 	optimize := flag.Bool("O", false, "run the MIR optimizer on the program before instrumenting")
 	flag.Parse()
 
@@ -114,25 +113,6 @@ func main() {
 		fmt.Printf("optimizer removed %d instructions\n", removed)
 	}
 
-	if *pgo {
-		train := p
-		if *mirFile == "" {
-			train, err = workloads.Build(*workload, workloads.SizeTiny)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		prof, err := core.CollectProfile(a, train, opt)
-		if err != nil {
-			fatal(err)
-		}
-		a, err = core.RecompileWithProfile(a, prof)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("profile-guided coalescing applied; profile:")
-		fmt.Print(prof.String())
-	}
 	res, err := core.RunAnalysis(p, a, opt)
 	if err != nil {
 		fatal(err)

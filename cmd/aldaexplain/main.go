@@ -1,8 +1,9 @@
 // Command aldaexplain dumps ALDAcc's compilation plan for an analysis:
 // coalescing groups, chosen containers with shadow factors, entry
 // layouts, and per-handler lookup-savings — the "why is my analysis
-// fast (or not)" tool. It can diff two optimization configurations side
-// by side.
+// fast (or not)" tool. Where the cold split (compiler.SplitOptions)
+// changes the layout, it prints that plan after the full one; -compare
+// adds the ds-only and naive plans.
 //
 // Usage:
 //
@@ -72,33 +73,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	show := func(title string, opts compiler.Options) error {
-		a, err := compiler.Compile(src, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "=== %s ===\n", title)
-		fmt.Fprint(stdout, a.Plan())
-		fmt.Fprintf(stdout, "analysis source: %d LOC\n\n", a.SourceLOC)
-		return nil
-	}
-
 	titles := []struct {
 		title string
 		opts  compiler.Options
 	}{
 		{"ALDAcc-full", compiler.DefaultOptions()},
+		{"ALDAcc-split (per-event members split out of per-access groups)", compiler.SplitOptions()},
 		{"ALDAcc-ds-only (no coalescing, no CSE)", compiler.DSOnlyOptions()},
 		{"naive (hash maps and tree sets everywhere)", compiler.NaiveOptions()},
 	}
 	if !*compare {
-		titles = titles[:1]
+		titles = titles[:2]
 	}
+	var full string
 	for _, t := range titles {
-		if err := show(t.title, t.opts); err != nil {
+		a, err := compiler.Compile(src, t.opts)
+		if err != nil {
 			fmt.Fprintln(stderr, "aldaexplain:", err)
 			return 1
 		}
+		plan := a.Plan()
+		if full == "" {
+			full = plan
+		} else if t.opts.SplitCold && plan == full {
+			continue
+		}
+		fmt.Fprintf(stdout, "=== %s ===\n%s", t.title, plan)
+		fmt.Fprintf(stdout, "analysis source: %d LOC\n\n", a.SourceLOC)
 	}
 	if *stats {
 		if err := showStats(stdout, src, *workload); err != nil {
@@ -147,14 +148,12 @@ func showTraceStats(stdout io.Writer, path string) error {
 	return nil
 }
 
-// showStats runs one tiny workload under the analysis with metrics
-// collection on and prints the counters the obs registry would hold:
-// hook dispatch counts (with the event category the attribution report
-// uses), per-container traffic, and per-member access counts.
+// showStats runs one tiny workload under the analysis's DefaultOptions
+// build with metrics collection on and prints the counters the obs
+// registry would hold: hook dispatch counts (with the event category
+// the attribution report uses) and per-container traffic.
 func showStats(stdout io.Writer, src, workload string) error {
-	opts := compiler.DefaultOptions()
-	opts.ProfileCollect = true
-	a, err := compiler.Compile(src, opts)
+	a, err := compiler.Compile(src, compiler.DefaultOptions())
 	if err != nil {
 		return err
 	}
@@ -229,7 +228,5 @@ func showStats(stdout io.Writer, src, workload string) error {
 		}
 		fmt.Fprintln(stdout)
 	}
-	fmt.Fprintln(stdout, "members:")
-	fmt.Fprint(stdout, compiler.ProfileFromCounts(sh.Counts).String())
 	return nil
 }

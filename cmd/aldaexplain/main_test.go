@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/analyses"
-	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -138,52 +136,5 @@ func TestErrors(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"-file", filepath.Join(t.TempDir(), "missing.alda")}, &stdout, &stderr); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
-	}
-}
-
-// TestStatsMatchStagedRuntime: -stats runs the profiling build (member
-// counters need it, so it runs closures), and the hook and container
-// counts it prints must equal those of the staged runtime the plan
-// names.
-func TestStatsMatchStagedRuntime(t *testing.T) {
-	src := analyses.MustSource("eraser")
-	prog, err := workloads.Build("fft", workloads.SizeTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := func(opts compiler.Options) map[string]uint64 {
-		a, err := compiler.Compile(src, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := obs.NewShard()
-		if _, err := core.RunAnalysis(prog, a, core.RunOptions{Seed: 1, Metrics: sh}); err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]uint64{}
-		for k, v := range sh.Counts {
-			if strings.HasPrefix(k, "meta.") || strings.HasPrefix(k, "vm.") {
-				out[k] = v
-			}
-		}
-		return out
-	}
-	staged := compiler.DefaultOptions()
-	if a, _ := compiler.Compile(src, staged); !a.Staged() {
-		t.Fatalf("eraser at DefaultOptions: %s", a.HandlerBackend())
-	}
-	profiling := staged
-	profiling.ProfileCollect = true
-	got, want := counts(profiling), counts(staged)
-	if len(want) == 0 {
-		t.Fatal("no counters recorded")
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("%s: -stats build %d, staged runtime %d", k, got[k], v)
-		}
-	}
-	if len(got) != len(want) {
-		t.Errorf("-stats build records %d counters, staged runtime %d", len(got), len(want))
 	}
 }

@@ -29,15 +29,6 @@
 // half of the fault-injection testbed); VM-level chaos arrives per job
 // via options.fault_seed.
 //
-// -adapt-after N turns on the serving-tier adaptive-PGO loop: the first
-// N jobs per analysis run a profiling build, then every later job of
-// that analysis runs a profile-adapted recompile. Swaps are journaled,
-// so a restart replays to the same adapted analysis without
-// re-profiling.
-// After a swap, every -profile-sample-every'th job re-runs the
-// (verdict-identical) profiling build so the rolling profile window and
-// drift gauge on /metrics keep tracking live traffic.
-//
 // SIGQUIT dumps the flight recorder to -flight-snapshot (or stderr when
 // unset) and keeps serving — the live post-mortem hook. The same
 // snapshot fires automatically on the first journal degradation.
@@ -69,8 +60,6 @@ func main() {
 	chaosSync := flag.Uint64("chaos-journal-sync-nth", 0, "inject a failure on the Nth journal fsync")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max time to finish in-flight jobs on SIGTERM")
 	maxSteps := flag.Uint64("max-steps", 0, "per-job step-budget cap (0 = default limits)")
-	adaptAfter := flag.Int("adapt-after", 0, "profile the first N jobs per analysis, then hot-swap to a profile-adapted recompile (0 = off)")
-	sampleEvery := flag.Int("profile-sample-every", 0, "re-profile every Nth post-swap job for the rolling profile window (0 = default 16, <0 = off)")
 	slo := flag.Duration("slo", 0, "per-job wall-latency objective; slower completions count into serve.slo.jobs_over_deadline_total (0 = default 1s, <0 = off)")
 	flightSnap := flag.String("flight-snapshot", "", "file the flight recorder auto-dumps to on journal degradation or SIGQUIT")
 	flightRing := flag.Int("flight-ring", 0, "events retained in the flight recorder's job ring, the bound on /debug/flight and /debug/spans; the control ring holds a quarter as many (0 = default 6144, 1,024 six-stage job chains)")
@@ -83,8 +72,6 @@ func main() {
 		JournalPath:        *journal,
 		JournalSyncEvery:   *syncEvery,
 		JournalFaults:      serve.JournalFaults{FailWriteNth: *chaosWrite, FailSyncNth: *chaosSync},
-		AdaptAfter:         *adaptAfter,
-		ProfileSampleEvery: *sampleEvery,
 		SLOWall:            *slo,
 		FlightSnapshotPath: *flightSnap,
 		FlightRing:         *flightRing,

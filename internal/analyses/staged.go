@@ -21,7 +21,8 @@ type StagedVariant struct {
 // StagedVariants lists the configurations the figures and the
 // repository benchmark run: the eight shipped analyses at
 // DefaultOptions, Eraser at DSOnlyOptions (Figure 4's ablation column),
-// and the Figure 5 combination fused and unfused.
+// the Figure 5 combination fused and unfused, and MSan with its cold
+// member split out (the pgo and mem experiments).
 func StagedVariants() []StagedVariant {
 	full := compiler.NamedOptions{Name: "full", Opts: compiler.DefaultOptions()}
 	var out []StagedVariant
@@ -32,6 +33,7 @@ func StagedVariants() []StagedVariant {
 		StagedVariant{Name: "eraser/dsonly", Analyses: []string{"eraser"}, Opts: compiler.NamedOptions{Name: "dsonly", Opts: compiler.DSOnlyOptions()}},
 		StagedVariant{Name: "combined", Analyses: Fig5Combination, Opts: full},
 		StagedVariant{Name: "combined/nofuse", Analyses: Fig5Combination, Opts: compiler.NamedOptions{Name: "nofuse", Opts: compiler.NoFuseOptions()}},
+		StagedVariant{Name: "msan/split", Analyses: []string{"msan"}, Opts: compiler.NamedOptions{Name: "split", Opts: compiler.SplitOptions()}},
 	)
 }
 

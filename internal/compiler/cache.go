@@ -3,7 +3,6 @@ package compiler
 import (
 	"container/list"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -36,24 +35,19 @@ import (
 // fingerprints compile identically.
 //
 // The encoding also carries the selection thresholds, the address
-// space and a constant ",enginterp" (it once named the VM execution
-// tier), although no Options field sets them, so that fingerprints
-// recorded earlier, such as serve's journaled adaptation keys, still
-// match.
+// space and the constants "pcfalse" (it once named profile counters)
+// and ",enginterp" (it once named the VM execution tier), although no
+// Options field sets them, so that fingerprints recorded earlier still
+// match. SplitCold appends ",split" only when set, for the same reason.
 func (o Options) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "co%t,cse%t,sel%t,fuse%t,pc%t,g%d,sft%g,bits%d,arr%d,as%d,enginterp",
-		o.Coalesce, o.CSE, o.SmartSelect, o.FuseHandlers, o.ProfileCollect,
+	fp := fmt.Sprintf("co%t,cse%t,sel%t,fuse%t,pcfalse,g%d,sft%g,bits%d,arr%d,as%d,enginterp",
+		o.Coalesce, o.CSE, o.SmartSelect, o.FuseHandlers,
 		o.Granularity, shadowFactorThreshold, bitSetMaxBytes,
 		arrayMapMaxKeys, vm.AddrSpace)
-	if o.Profile != nil {
-		// Canonical digest, not a dump: profiles are caller data of
-		// unbounded size, and the fingerprint is recomputed on every
-		// cache probe. Zero counts are skipped inside hash(), so
-		// equivalent profiles fingerprint identically.
-		fmt.Fprintf(&b, ",prof{%016x}", o.Profile.Hash())
+	if o.SplitCold {
+		fp += ",split"
 	}
-	return b.String()
+	return fp
 }
 
 type cacheKey struct {
@@ -111,15 +105,7 @@ func lookupOrInsert(key cacheKey) *cacheEntry {
 
 // CachedCompile memoizes build under (name, opts.Fingerprint()).
 // Concurrent callers with the same key share one compilation.
-// Profile-carrying compiles are cached too — the profile is
-// canonicalized and hashed into the fingerprint, so the adaptive loop's
-// hot-swap recompiles hit the LRU when N cells (or N served jobs) adapt
-// to the same profile. Only unhashable profiles (pathologically many
-// members) bypass the cache and compile fresh.
 func CachedCompile(name string, opts Options, build func() (*Analysis, error)) (*Analysis, error) {
-	if !opts.Profile.Hashable() {
-		return build()
-	}
 	entry := lookupOrInsert(cacheKey{name: name, fp: opts.Fingerprint()})
 	built := false
 	entry.once.Do(func() {

@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,11 +24,8 @@ func TestOptionsFingerprint(t *testing.T) {
 	mutate("no-coalesce", func(o *Options) { o.Coalesce = false })
 	mutate("no-cse", func(o *Options) { o.CSE = false })
 	mutate("no-fuse", func(o *Options) { o.FuseHandlers = false })
-	mutate("profile-collect", func(o *Options) { o.ProfileCollect = true })
 	mutate("gran-1", func(o *Options) { o.Granularity = 1 })
-	mutate("with-profile", func(o *Options) {
-		o.Profile = &Profile{Counts: map[string]uint64{"m1": 5, "m2": 80}}
-	})
+	mutate("split", func(o *Options) { o.SplitCold = true })
 	for name, o := range variants {
 		fp := o.Fingerprint()
 		if prev, dup := seen[fp]; dup {
@@ -84,67 +80,6 @@ func TestCachedCompileSingleflight(t *testing.T) {
 	}
 	if n := builds.Load(); n != 3 {
 		t.Errorf("build ran %d times after distinct keys, want 3", n)
-	}
-}
-
-// TestCachedCompileProfileCaching pins the adaptive-loop cache
-// contract: profile-carrying compiles are cached under the profile's
-// canonical hash — a recompile with the same profile hits and returns
-// the shared pointer, different counts miss, and only unhashable
-// profiles bypass the cache entirely.
-func TestCachedCompileProfileCaching(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
-	var builds atomic.Int32
-	build := func() (*Analysis, error) {
-		builds.Add(1)
-		return &Analysis{}, nil
-	}
-	opts := DefaultOptions()
-	opts.Profile = &Profile{Counts: map[string]uint64{"m": 1}}
-	a1, _ := CachedCompile("x", opts, build)
-	a2, _ := CachedCompile("x", opts, build)
-	if builds.Load() != 1 {
-		t.Errorf("same-profile recompile must hit the cache (builds=%d)", builds.Load())
-	}
-	if a1 != a2 {
-		t.Error("same-profile recompile must return the shared Analysis")
-	}
-
-	// An equivalent profile (zero counts dropped, different map order)
-	// canonicalizes to the same fingerprint: still a hit.
-	equiv := DefaultOptions()
-	equiv.Profile = &Profile{Counts: map[string]uint64{"m": 1, "zero": 0}}
-	if a3, _ := CachedCompile("x", equiv, build); a3 != a1 {
-		t.Error("equivalent profile (explicit zero count) must hit the same entry")
-	}
-	if builds.Load() != 1 {
-		t.Errorf("equivalent profile recompiled (builds=%d)", builds.Load())
-	}
-
-	// Different counts select a different layout: miss.
-	changed := DefaultOptions()
-	changed.Profile = &Profile{Counts: map[string]uint64{"m": 2}}
-	if a4, _ := CachedCompile("x", changed, build); a4 == a1 {
-		t.Error("different profile counts must compile separately")
-	}
-	if builds.Load() != 2 {
-		t.Errorf("different profile must miss (builds=%d)", builds.Load())
-	}
-
-	// Unhashable profiles (pathologically many members) still bypass.
-	huge := DefaultOptions()
-	huge.Profile = &Profile{Counts: make(map[string]uint64, MaxHashableProfileMembers+1)}
-	for i := 0; i <= MaxHashableProfileMembers; i++ {
-		huge.Profile.Counts[fmt.Sprintf("m%d", i)] = 1
-	}
-	b1, _ := CachedCompile("x", huge, build)
-	b2, _ := CachedCompile("x", huge, build)
-	if b1 == b2 {
-		t.Error("unhashable profile compiles must return fresh analyses")
-	}
-	if builds.Load() != 4 {
-		t.Errorf("unhashable profile must bypass the cache (builds=%d)", builds.Load())
 	}
 }
 

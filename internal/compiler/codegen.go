@@ -9,7 +9,7 @@ import (
 // The closure emitter: lowered handlers (lower.go) become closure trees
 // at Runtime construction time. This is the backend for every analysis
 // the staged table (stage.go) does not cover — runtime-supplied
-// sources, ablation points, profiling builds and adapted layouts. Every
+// sources and unstaged ablation points. Every
 // closure shares one mutable hstate per handler (the VM is
 // single-goroutine and handlers never nest), so dispatch allocates
 // nothing on the hot path.
@@ -222,7 +222,7 @@ func (c *cgen) stmt(s lStmt) stmtFn {
 // Locations
 
 // entry emits an entry fetch: the container lookup, wrapped in its CSE
-// slot and profile counter when the lowering assigned them.
+// slot when the lowering assigned one.
 func (c *cgen) entry(en *lEntry) entryFn {
 	gs := c.rt.groups[en.group]
 	var ef entryFn
@@ -284,13 +284,6 @@ func (c *cgen) entry(en *lEntry) entryFn {
 		}
 	}
 
-	if en.counter >= 0 {
-		counts, idx, inner := c.rt.memberCounts, en.counter, ef
-		ef = func(h *hstate) []uint64 {
-			counts[idx]++
-			return inner(h)
-		}
-	}
 	return ef
 }
 
@@ -703,16 +696,10 @@ func (c *cgen) rangeOp(x *lRange) evalFn {
 	cont := c.rt.groups[x.group].c
 	key, n := c.expr(x.key), c.expr(x.n)
 	sh, off, width, signed := x.shift, x.off, x.width, x.signed
-	tick := func() {}
-	if x.counter >= 0 {
-		counts, idx := c.rt.memberCounts, x.counter
-		tick = func() { counts[idx]++ }
-	}
 	if x.store {
 		val := c.expr(x.val)
 		inval := invalidator(x.inval, -1)
 		return func(h *hstate) uint64 {
-			tick()
 			k := key(h)
 			start, cnt := granules(k, n(h), sh)
 			if cnt > 0 {
@@ -724,7 +711,6 @@ func (c *cgen) rangeOp(x *lRange) evalFn {
 	}
 	if signed && width < 64 {
 		return func(h *hstate) uint64 {
-			tick()
 			k := key(h)
 			start, cnt := granules(k, n(h), sh)
 			if cnt == 0 {
@@ -734,7 +720,6 @@ func (c *cgen) rangeOp(x *lRange) evalFn {
 		}
 	}
 	return func(h *hstate) uint64 {
-		tick()
 		k := key(h)
 		start, cnt := granules(k, n(h), sh)
 		if cnt == 0 {

@@ -103,10 +103,6 @@ type Analysis struct {
 	// are volatile; counts are deterministic per (source, Options).
 	Stats CompileStats
 
-	// memberCounterIdx assigns profile-counter slots when
-	// Options.ProfileCollect is set.
-	memberCounterIdx map[string]int
-
 	// The handler backend (stage.go): the staged table for this
 	// configuration, or the reason NewRuntime builds closures instead.
 	stageKey      string
@@ -148,7 +144,7 @@ func CompileProgram(prog *ast.Program, opts Options) (*Analysis, error) {
 	traceStage("access", t)
 
 	t = time.Now()
-	lay, err := buildLayout(info, opts)
+	lay, err := buildLayout(info, acc, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -164,12 +160,6 @@ func CompileProgram(prog *ast.Program, opts Options) (*Analysis, error) {
 	}
 	for i, h := range info.HandlerOrder {
 		a.HandlerIDs[h.Name] = i
-	}
-	if opts.ProfileCollect {
-		a.memberCounterIdx = make(map[string]int, len(info.MetaOrder))
-		for i, m := range info.MetaOrder {
-			a.memberCounterIdx[m.Name] = i
-		}
 	}
 	t = time.Now()
 	if err := a.lowerRules(); err != nil {
@@ -453,7 +443,7 @@ func (a *Analysis) Plan() string {
 			fmt.Fprintf(&b, " shadow-factor=%.2f", g.ShadowFactor)
 		}
 		if g.Cold {
-			b.WriteString(" cold=profile-split")
+			b.WriteString(" cold=per-event")
 		}
 		b.WriteString("\n")
 		for _, m := range g.Members {

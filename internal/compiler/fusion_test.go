@@ -117,6 +117,25 @@ func TestFusionSharedLookupsReduceContainerTraffic(t *testing.T) {
 	}
 }
 
+// msanLike has a per-access shadow map and a per-event allocation-size
+// sidecar with the same key type — the §3.2.1 false-grouping case.
+const msanLike = `
+address := pointer
+size := int64
+v := int8
+label = universe::map(address, v)
+sizes = map(address, size)
+onMalloc(address p, size n) {
+    label.set(p, 0, n);
+    sizes[p] = n;
+}
+onLoad(address p) {
+    alda_assert(label[p], 0, "uninit");
+}
+insert after func malloc call onMalloc($r, $1)
+insert after LoadInst call onLoad($1)
+`
+
 // Robustness: the compiler must fail cleanly — never panic — on
 // arbitrary corruptions of real analysis sources.
 func TestCompilerNeverPanicsOnMutatedSources(t *testing.T) {

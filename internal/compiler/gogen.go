@@ -491,9 +491,6 @@ func (g *gogen) groupContainer(group int) string {
 // A CSE slot lives in a local: nil until fetched, and for the hash
 // kinds re-fetched when the container's rehash generation moved.
 func (g *gogen) entry(en *lEntry) string {
-	if en.counter >= 0 {
-		g.err = fmt.Errorf("profile counters are not staged")
-	}
 	if en.impl == ImplGlobal {
 		return g.bind(fmt.Sprintf("g%d", en.group), fmt.Sprintf("rt.groups[%d].global", en.group))
 	}
@@ -691,9 +688,6 @@ func (g *gogen) setMethod(x *lSetMethod) string {
 }
 
 func (g *gogen) rangeOp(x *lRange) string {
-	if x.counter >= 0 {
-		g.err = fmt.Errorf("profile counters are not staged")
-	}
 	c := g.groupContainer(x.group)
 	k := g.expr(x.key)
 	n := g.expr(x.n)

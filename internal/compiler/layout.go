@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/access"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/sema"
 	"repro/internal/meta"
@@ -85,9 +86,9 @@ type Group struct {
 	AddrShift    uint // address-keyed groups pre-shift keys by this
 	MaxKeys      uint64
 	ShadowFactor float64
-	// Cold marks a group split out by profile-guided coalescing: the
-	// profile showed its members rarely accessed, so container
-	// selection trades speed for memory (page table over shadow).
+	// Cold marks a group split out by Options.SplitCold: only
+	// per-event handlers touch its members, so container selection
+	// trades speed for memory (page table over shadow).
 	Cold    bool
 	Members []*Member
 
@@ -175,24 +176,16 @@ func keySig(m *sema.MetaObj) string {
 // Never set outside tests.
 var TestPerturbCoalescedTemplates bool
 
-// TestPerturbAdaptedTemplates is the adaptive counterpart: when set,
-// every keyed group of a profile-carrying compile gets its template low
-// bit flipped, so an adapted analysis deterministically disagrees with
-// its static reference wherever the default metadata state matters.
-// The adaptive conformance axis and its shrinker leg must catch it.
-// Never set outside tests.
-var TestPerturbAdaptedTemplates bool
-
 // buildLayout runs metadata coalescing (§5.2) and data-structure
 // selection (§5.3).
-func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
+func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, error) {
 	lay := &Layout{ByMeta: make(map[string]*Member)}
 
 	// 1. Partition metadata objects into groups.
 	type bucket struct {
 		sig   string
 		metas []*sema.MetaObj
-		cold  bool // profile-guided: rarely accessed members
+		cold  bool // split out of a per-access group
 	}
 	var buckets []*bucket
 	bySig := make(map[string]*bucket)
@@ -213,38 +206,30 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 		b.metas = append(b.metas, m)
 	}
 
-	// 1b. Profile-guided coalescing (§3.2.1 future work): split members
-	// the profiling run showed are cold out of hot groups, so hot
-	// accesses stop paying for metadata they rarely touch.
-	if opts.Profile != nil && opts.Coalesce {
+	// 1b. Cold split (Options.SplitCold): the access analysis assumes
+	// every branch occurs, so coalescing groups members by key type
+	// alone. In a group that per-access handlers touch, the members only
+	// per-event handlers touch move to a cold group right after it.
+	if opts.SplitCold && opts.Coalesce {
+		hot := perAccessMembers(info, acc)
 		var split []*bucket
 		for _, b := range buckets {
+			split = append(split, b)
 			if len(b.metas) < 2 || b.sig == "<global>" {
-				split = append(split, b)
 				continue
 			}
-			names := make([]string, len(b.metas))
-			byName := make(map[string]*sema.MetaObj, len(b.metas))
-			for i, m := range b.metas {
-				names[i] = m.Name
-				byName[m.Name] = m
+			var keep, cold []*sema.MetaObj
+			for _, m := range b.metas {
+				if hot[m.Name] {
+					keep = append(keep, m)
+				} else {
+					cold = append(cold, m)
+				}
 			}
-			hot, cold := partitionByProfile(opts.Profile, names, func(n string) uint64 {
-				return opts.Profile.Counts[n]
-			})
-			if len(hot) == 0 || len(cold) == 0 {
-				split = append(split, b)
-				continue
+			if len(keep) > 0 && len(cold) > 0 {
+				b.metas = keep
+				split = append(split, &bucket{sig: b.sig + "#cold", metas: cold, cold: true})
 			}
-			hb := &bucket{sig: b.sig}
-			for _, n := range hot {
-				hb.metas = append(hb.metas, byName[n])
-			}
-			cb := &bucket{sig: b.sig + "#cold", cold: true}
-			for _, n := range cold {
-				cb.metas = append(cb.metas, byName[n])
-			}
-			split = append(split, hb, cb)
 		}
 		buckets = split
 	}
@@ -387,9 +372,9 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 				g.AddrShift = opts.granShift()
 				g.MaxKeys = vm.AddrSpace >> g.AddrShift
 				g.ShadowFactor = float64(g.EntryWords*8) / float64(opts.Granularity)
-				// Cold groups (profile-guided split) trade the offset
-				// shadow's speed for the page table's memory efficiency —
-				// §5.3's trade-off, decided with profile knowledge.
+				// Cold groups trade the offset shadow's speed for the
+				// page table's memory efficiency — §5.3's trade-off,
+				// decided by where the members are touched.
 				if g.ShadowFactor > shadowFactorThreshold || b.cold {
 					g.Impl = ImplPageTable
 				} else {
@@ -402,14 +387,28 @@ func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 		if TestPerturbCoalescedTemplates && g.KeyType != nil && len(g.Members) >= 2 {
 			g.Template[0] ^= 1
 		}
-		if TestPerturbAdaptedTemplates && opts.Profile != nil && g.KeyType != nil {
-			g.Template[0] ^= 1
-		}
 		lay.Groups = append(lay.Groups, g)
 	}
 
 	sort.SliceStable(lay.Groups, func(i, j int) bool { return lay.Groups[i].ID < lay.Groups[j].ID })
 	return lay, nil
+}
+
+// perAccessMembers returns the metadata objects that some handler
+// inserted at a load or store touches: the per-access members. Every
+// other insertion point (allocation, lock, library call, spawn, ...)
+// counts as a per-event point.
+func perAccessMembers(info *sema.Info, acc *access.Result) map[string]bool {
+	out := make(map[string]bool)
+	for _, d := range info.Inserts {
+		if d.PointKind == ast.FuncPoint || (d.Point != "LoadInst" && d.Point != "StoreInst") {
+			continue
+		}
+		for _, s := range acc.PerHandler[d.Handler].Sites {
+			out[s.Meta.Name] = true
+		}
+	}
+	return out
 }
 
 // hasQueried returns the maps some handler queries with map.has. Their

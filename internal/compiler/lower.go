@@ -117,7 +117,6 @@ type (
 		shift       uint
 		off, width  uint
 		signed      bool
-		counter     int // profile counter index, -1 none
 		inval       *slotList
 	}
 	// lRemove resets a key's entry and drops the group's value slots.
@@ -182,7 +181,6 @@ type lEntry struct {
 	impl      ImplKind
 	key, key2 lExpr // keys after interning and address shifting
 	slot      int   // entry CSE slot, -1 none
-	counter   int   // profile counter index, -1 none
 }
 
 // slotList is a member's value slots; stores hold the pointer, so slots
@@ -406,18 +404,6 @@ func (hc *hcompiler) assign(as *ast.AssignExpr) (lExpr, error) {
 	return &lSetAssign{op: token.ASSIGN, loc: l, rhs: rhs}, nil
 }
 
-// counterIdx returns the member's profile counter when the analysis was
-// compiled with ProfileCollect, or -1.
-func (hc *hcompiler) counterIdx(mem *Member) int {
-	if !hc.a.Opts.ProfileCollect {
-		return -1
-	}
-	if idx, ok := hc.a.memberCounterIdx[mem.Meta.Name]; ok {
-		return idx
-	}
-	return -1
-}
-
 // setOperandLoc resolves a set expression to its storage location if it
 // is a direct member view (Ident/IndexExpr); used by the in-place
 // peephole to recognize self-updates.
@@ -463,7 +449,7 @@ func (hc *hcompiler) memberLocation(mem *Member, keys []ast.Expr) (*lLoc, error)
 	if g.Sync {
 		hc.syncGroups[g.ID] = true
 	}
-	en := &lEntry{group: g.ID, impl: g.Impl, slot: -1, counter: hc.counterIdx(mem)}
+	en := &lEntry{group: g.ID, impl: g.Impl, slot: -1}
 
 	if g.Impl == ImplGlobal {
 		return &lLoc{mem: mem, entry: en, class: fmt.Sprintf("g%d", g.ID)}, nil
@@ -775,7 +761,6 @@ func (hc *hcompiler) mapMethod(x *ast.MethodExpr, recvT sema.VType) (lExpr, erro
 		r := &lRange{
 			store: x.Name == "set", group: g.ID, shift: g.AddrShift,
 			off: mem.BitOff, width: mem.Width, signed: mem.Signed,
-			counter: hc.counterIdx(mem),
 		}
 		var err error
 		if r.key, err = hc.scalar(allKeys[0]); err != nil {

@@ -23,14 +23,12 @@ type Options struct {
 	// the naive implementation the paper says runs out of memory or
 	// time on non-trivial benchmarks.
 	SmartSelect bool
-	// ProfileCollect compiles per-member access counters into the
-	// handlers; Runtime.Profile() reads them after a run.
-	ProfileCollect bool
-	// Profile, when set, drives profile-guided coalescing (§3.2.1's
-	// future work): members that the profiling run shows are cold
-	// relative to their group split into a separate group so hot
-	// accesses stop dragging them through the cache.
-	Profile *Profile
+	// SplitCold decides hot and cold metadata at compile time (§3.2.1
+	// leaves profile guidance as future work): in a coalesced group
+	// that a load or store handler touches, the members that only
+	// allocation, lock or library-call handlers touch move to a cold
+	// group of their own, so per-access entries stop carrying them.
+	SplitCold bool
 
 	// FuseHandlers merges handlers attached to the same insertion point
 	// into one hook whose bodies compile together: one dispatch, one
@@ -101,6 +99,14 @@ func NoFuseOptions() Options {
 	return o
 }
 
+// SplitOptions returns DefaultOptions with cold members split out of
+// per-access groups (Options.SplitCold).
+func SplitOptions() Options {
+	o := DefaultOptions()
+	o.SplitCold = true
+	return o
+}
+
 // WithGranularity returns o at a different metadata granularity
 // (1, 2, 4 or 8 bytes).
 func (o Options) WithGranularity(g int) Options {
@@ -120,16 +126,18 @@ type NamedOptions struct {
 }
 
 // AblationMatrix returns every optimization configuration the paper's
-// Figure 4 ablates plus the granularity variants of §5.1, full-opt
-// first. This is the option matrix the conformance subsystem sweeps:
-// every entry must produce identical analysis verdicts on identical
-// inputs — the configurations change layout and speed, never meaning.
+// Figure 4 ablates plus the cold split and the granularity variants of
+// §5.1, full-opt first. This is the option matrix the conformance
+// subsystem sweeps: every entry must produce identical analysis
+// verdicts on identical inputs — the configurations change layout and
+// speed, never meaning.
 func AblationMatrix() []NamedOptions {
 	return []NamedOptions{
 		{Name: "full", Opts: DefaultOptions()},
 		{Name: "nofuse", Opts: NoFuseOptions()},
 		{Name: "dsonly", Opts: DSOnlyOptions()},
 		{Name: "naive", Opts: NaiveOptions()},
+		{Name: "split", Opts: SplitOptions()},
 		{Name: "gran1", Opts: DefaultOptions().WithGranularity(1), GranularityVariant: true},
 		{Name: "gran2", Opts: DefaultOptions().WithGranularity(2), GranularityVariant: true},
 		{Name: "gran4", Opts: DefaultOptions().WithGranularity(4), GranularityVariant: true},

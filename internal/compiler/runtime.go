@@ -31,10 +31,6 @@ type Runtime struct {
 	// interns.
 	interns map[string]map[uint64]uint64
 
-	// memberCounts holds per-member access counters when the analysis
-	// was compiled with ProfileCollect.
-	memberCounts []uint64
-
 	stats RuntimeStats
 }
 
@@ -77,10 +73,6 @@ func (a *Analysis) NewRuntime() (*Runtime, error) {
 			gs.c2 = meta.NewHashMap2(g.EntryWords, g.Template)
 		}
 		rt.groups = append(rt.groups, gs)
-	}
-
-	if a.Opts.ProfileCollect {
-		rt.memberCounts = make([]uint64, len(a.Info.MetaOrder))
 	}
 
 	rt.externals = make([]ExternalFn, len(a.Info.Externals))

@@ -21,8 +21,8 @@ import (
 // regenerated by `make staged`). Compile computes a key from everything
 // the lowering consumes and looks it up; NewRuntime then instantiates
 // the staged table instead of building closures. Everything without an
-// entry — runtime-supplied sources, other ablation points, profiling
-// builds, adapted layouts — keeps the closure emitter.
+// entry — runtime-supplied sources, other ablation points — keeps the
+// closure emitter.
 
 // stagedFactory instantiates a staged handler table on a runtime whose
 // containers NewRuntime has already built.
@@ -36,10 +36,8 @@ var TestForceClosures bool
 
 // Closure-backend reasons reported by HandlerBackend.
 const (
-	reasonNoEntry   = "no staged entry"
-	reasonProfiling = "profiling build"
-	reasonAdapted   = "adapted layout"
-	reasonForced    = "forced by test"
+	reasonNoEntry = "no staged entry"
+	reasonForced  = "forced by test"
 )
 
 // stageKey digests what the lowering consumes: the canonical printed
@@ -84,14 +82,6 @@ func stageKey(prog *ast.Program, lay *Layout, o Options) string {
 // attachStaged decides the handler backend of a freshly compiled
 // analysis.
 func (a *Analysis) attachStaged(prog *ast.Program) {
-	switch {
-	case a.Opts.ProfileCollect:
-		a.closureReason = reasonProfiling
-		return
-	case a.Opts.Profile != nil:
-		a.closureReason = reasonAdapted
-		return
-	}
 	a.stageKey = stageKey(prog, a.Layout, a.Opts)
 	switch f := stagedTable[a.stageKey]; {
 	case TestForceClosures:

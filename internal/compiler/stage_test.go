@@ -1,6 +1,8 @@
 package compiler_test
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -43,19 +45,11 @@ func TestStagedKeyHits(t *testing.T) {
 }
 
 // TestClosureReasons: everything outside the staged set builds
-// closures, and says why.
+// closures, and says why; the MSan cold split is staged.
 func TestClosureReasons(t *testing.T) {
 	eraser := analyses.MustSource("eraser")
 	noCSE := compiler.DefaultOptions()
 	noCSE.CSE = false
-	profiling := compiler.DefaultOptions()
-	profiling.ProfileCollect = true
-	adapted := compiler.DefaultOptions().AdaptOptions(&compiler.Profile{Counts: map[string]uint64{
-		"addr2Lock": 1000, "addr2Thread": 1000, "addr2Status": 1, "thread2Lock": 1000, "thread2WLock": 1000,
-	}})
-	if !adapted.Changed {
-		t.Fatal("profile did not adapt the layout")
-	}
 	for _, c := range []struct {
 		name, src string
 		opts      compiler.Options
@@ -65,11 +59,72 @@ func TestClosureReasons(t *testing.T) {
 		{"no-cse", eraser, noCSE, "closures (no staged entry)"},
 		{"gran4", eraser, compiler.DefaultOptions().WithGranularity(4), "closures (no staged entry)"},
 		{"runtime-supplied", eraser + "\nconst EXTRA = 1\n", compiler.DefaultOptions(), "closures (no staged entry)"},
-		{"profiling", eraser, profiling, "closures (profiling build)"},
-		{"adapted", eraser, adapted.Opts, "closures (adapted layout)"},
 	} {
 		if got := mustCompile(t, c.src, c.opts).HandlerBackend(); got != c.want {
 			t.Errorf("%s: %s, want %s", c.name, got, c.want)
+		}
+	}
+	if got := mustCompile(t, analyses.MustSource("msan"), compiler.SplitOptions()).HandlerBackend(); !strings.HasPrefix(got, "staged (") {
+		t.Errorf("msan-split: %s, want staged (…)", got)
+	}
+}
+
+// TestSplitColdLayouts: SplitOptions moves exactly the members that
+// only per-event handlers touch out of per-access groups — MSan's
+// addr2size, and UAF's allocSize alone, in the quickstart and in the
+// Figure 5 combination — into a cold page-table group right after the
+// group they left. Every other analysis keeps its DefaultOptions plan.
+func TestSplitColdLayouts(t *testing.T) {
+	quickstart, err := os.ReadFile("../../examples/quickstart/uaf.alda")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig5, err := analyses.Combined(analyses.Fig5Combination...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]string{"quickstart_uaf": string(quickstart), "combined": fig5}
+	for _, n := range analyses.Names() {
+		sources[n] = analyses.MustSource(n)
+	}
+	cold := map[string]string{"msan": "addr2size", "uaf": "allocSize", "quickstart_uaf": "allocSize", "combined": "allocSize"}
+	describe := func(lay *compiler.Layout) string {
+		var b strings.Builder
+		for _, g := range lay.Groups {
+			fmt.Fprintf(&b, "%v", g.MemberNames())
+			if g.Cold {
+				fmt.Fprintf(&b, " cold %s", g.Impl)
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for name, src := range sources {
+		full := mustCompile(t, src, compiler.DefaultOptions())
+		split := mustCompile(t, src, compiler.SplitOptions())
+		member, ok := cold[name]
+		if !ok {
+			if got, want := split.Plan(), full.Plan(); got != want {
+				t.Errorf("%s: split plan differs from full:\n--- split ---\n%s--- full ---\n%s", name, got, want)
+			}
+			continue
+		}
+		var want strings.Builder
+		for _, g := range full.Layout.Groups {
+			if g.Member(member) == nil {
+				fmt.Fprintf(&want, "%v\n", g.MemberNames())
+				continue
+			}
+			var rest []string
+			for _, n := range g.MemberNames() {
+				if n != member {
+					rest = append(rest, n)
+				}
+			}
+			fmt.Fprintf(&want, "%v\n[%s] cold pagetable\n", rest, member)
+		}
+		if got := describe(split.Layout); got != want.String() {
+			t.Errorf("%s: split layout\n%swant\n%s", name, got, want.String())
 		}
 	}
 }

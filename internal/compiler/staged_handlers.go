@@ -20,6 +20,7 @@ var stagedTable = map[string]stagedFactory{
 	"c25bdcafdc228f2c4d55168a": stagedEraserDsonly,   // eraser (dsonly)
 	"a889462d98180bdaf69b1ebf": stagedCombined,       // eraser+fasttrack+uaf+tainttrack (full)
 	"278d6023924129f957e2013e": stagedCombinedNofuse, // eraser+fasttrack+uaf+tainttrack (nofuse)
+	"8bd6dff790f5b2a51ef7f57b": stagedMsanSplit,      // msan (split)
 }
 
 // stagedEraser stages eraser (full).
@@ -3156,6 +3157,173 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 				}
 			}
 			mu1.Unlock()
+			return 0
+		},
+	}
+}
+
+// stagedMsanSplit stages msan (split).
+func stagedMsanSplit(rt *Runtime) []vm.HandlerFn {
+	c0 := rt.groups[0].c.(*meta.ChunkMap)
+	c1 := rt.groups[1].c.(*meta.ChunkMap)
+	return []vm.HandlerFn{
+		// onMalloc
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			var e0 []uint64
+			{
+				t1, t2 := granules(args[0], args[1], 3)
+				if t2 > 0 {
+					c0.Fill(t1, t2, 0, 8, 18446744073709551615)
+				}
+				if e0 == nil {
+					e0 = c1.Entry((args[0] >> 3))
+				}
+				t3 := e0
+				meta.StoreField(t3, 0, 64, args[1])
+			}
+			return 0
+		},
+		// onCalloc
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			var e0 []uint64
+			{
+				t1, t2 := granules(args[0], (args[1] * args[2]), 3)
+				if t2 > 0 {
+					c0.Fill(t1, t2, 0, 8, 0)
+				}
+				if e0 == nil {
+					e0 = c1.Entry((args[0] >> 3))
+				}
+				t3 := e0
+				meta.StoreField(t3, 0, 64, (args[1] * args[2]))
+			}
+			return 0
+		},
+		// onFree
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			var e0 []uint64
+			var v0 uint64
+			var v0ok bool
+			{
+				if !v0ok {
+					if e0 == nil {
+						e0 = c1.Entry((args[0] >> 3))
+					}
+					t2 := e0
+					v0 = meta.LoadField(t2, 0, 64)
+					v0ok = true
+				}
+				t1 := v0
+				if t1 != 0 {
+					if !v0ok {
+						if e0 == nil {
+							e0 = c1.Entry((args[0] >> 3))
+						}
+						t4 := e0
+						v0 = meta.LoadField(t4, 0, 64)
+						v0ok = true
+					}
+					t3 := v0
+					t5, t6 := granules(args[0], t3, 3)
+					if t6 > 0 {
+						c0.Fill(t5, t6, 0, 8, 18446744073709551615)
+					}
+					if e0 == nil {
+						e0 = c1.Entry((args[0] >> 3))
+					}
+					t7 := e0
+					meta.StoreField(t7, 0, 64, 0)
+					v0 = cachedStore(0, 64, true)
+					v0ok = true
+				}
+			}
+			return 0
+		},
+		// onAlloca
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				t1, t2 := granules(args[0], args[1], 3)
+				if t2 > 0 {
+					c0.Fill(t1, t2, 0, 8, 18446744073709551615)
+				}
+			}
+			return 0
+		},
+		// onStore
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				t1, t2 := granules(args[0], args[2], 3)
+				if t2 > 0 {
+					c0.Fill(t1, t2, 0, 8, args[1])
+				}
+			}
+			return 0
+		},
+		// onLoad
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				t1, t2 := granules(args[0], args[1], 3)
+				var t3 uint64
+				if t2 != 0 {
+					t3 = meta.SignExtend(c0.RangeOr(t1, t2, 0, 8), 8)
+				}
+				return t3
+			}
+		},
+		// onBranch
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				rt.stats.Asserts++
+				if args[0] != 0 {
+					rt.stats.AssertFailures++
+					m.Report("onBranch", "use of uninitialized value", args[0], 0)
+				}
+			}
+			return 0
+		},
+		// onMemset
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				t1, t2 := granules(args[0], args[2], 3)
+				if t2 > 0 {
+					c0.Fill(t1, t2, 0, 8, 0)
+				}
+			}
+			return 0
+		},
+		// onMemcpy
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				t1, t2 := granules(args[0], args[2], 3)
+				if t2 > 0 {
+					t3, t4 := granules(args[1], args[2], 3)
+					var t5 uint64
+					if t4 != 0 {
+						t5 = meta.SignExtend(c0.RangeOr(t3, t4, 0, 8), 8)
+					}
+					c0.Fill(t1, t2, 0, 8, t5)
+				}
+			}
+			return 0
+		},
+		// onGets
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				t1, t2 := granules(args[0], 17, 3)
+				if t2 > 0 {
+					c0.Fill(t1, t2, 0, 8, 0)
+				}
+			}
+			return 0
+		},
+		// onSSLRead
+		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+			{
+				t1, t2 := granules(args[0], args[1], 3)
+				if t2 > 0 {
+					c0.Fill(t1, t2, 0, 8, 0)
+				}
+			}
 			return 0
 		},
 	}

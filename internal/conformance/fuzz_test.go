@@ -65,10 +65,9 @@ func FuzzConformance(f *testing.F) {
 	f.Add(uint64(38))  // single-threaded, bug report amid pure arithmetic
 	f.Add(uint64(62))  // multi-threaded + uniform: branchy blocks under the granularity sweep
 	f.Add(uint64(179)) // largest multi-threaded reporter: quantum expiry at every switch
-	// Adaptive-leg shapes: msan profiles with a genuinely cold addr2size
-	// member, so AdaptOptions performs a real cold split and the adapted
-	// recompile is a different layout than the static reference.
-	f.Add(uint64(3))  // single-threaded + zlib-uninit bug: adapted layout must reproduce the reports
+	// Split-leg shapes: msan workloads whose allocations fill the cold
+	// addr2size group while loads and stores read the split shadow.
+	f.Add(uint64(3))  // single-threaded + zlib-uninit bug: the split layout must reproduce the reports
 	f.Add(uint64(4))  // multi-threaded, sub-word accesses, ssl-misuse bug
 	f.Add(uint64(21)) // multi-threaded with two planted bugs (uaf + zlib-uninit)
 	// Staged-leg shapes: workloads on which staged variants report, so
@@ -110,30 +109,18 @@ func FuzzConformance(f *testing.F) {
 		for _, m := range ms {
 			t.Errorf("%s", m)
 		}
-		// Adaptive leg (msan only — the profile-guided showcase; one
-		// analysis keeps the adapted compiles, which are never memoized,
-		// from dominating fuzz throughput): the workload's own profile
-		// folds through AdaptOptions and the adapted recompile must
-		// reproduce the static verdict.
-		prof, err := r.profileOf(w, "msan")
+		// Split leg (msan, whose cold split the pgo and mem experiments
+		// measure): the split layout must reproduce the full verdict.
+		ref, err := r.runOne(w, "msan", fuzzConfigs[0].Opts, vmSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := fuzzConfigs[0].Opts
-		ares := full.AdaptOptions(prof)
-		if !ares.Changed {
-			return // fingerprint-identical to the static build
-		}
-		ref, err := r.runOne(w, "msan", full, vmSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.runAdapted(w.Prog, "msan", ares.Opts, vmSeed)
+		got, err := r.runOne(w, "msan", compiler.SplitOptions(), vmSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.equal(ref) {
-			t.Errorf("%s/msan adaptive: full vs full-adapted:\n%s", w.Name, diff(ref, got))
+			t.Errorf("%s/msan split: full vs split:\n%s", w.Name, diff(ref, got))
 		}
 	})
 }

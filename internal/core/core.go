@@ -35,8 +35,8 @@ type RunOptions struct {
 
 	// Metrics, when non-nil, receives the run's observability counters
 	// after a successful run (VM op/hook/scheduler counts, container
-	// traffic, profile counts). They are counts the run keeps anyway,
-	// so collecting them reads no clock. Failed runs report nothing:
+	// traffic). They are counts the run keeps anyway, so collecting
+	// them reads no clock. Failed runs report nothing:
 	// their partial counters would differ between a run that trapped
 	// and one that was retried, breaking determinism of merged metrics.
 	Metrics *obs.Shard
@@ -87,9 +87,8 @@ func addNZ(s *obs.Shard, key string, v uint64) {
 }
 
 // observe flattens a finished machine's counters (and, when available,
-// the runtime's container traffic and member-access profile) into the
-// options' metrics shard. Every key is deterministic for a given
-// program, seed and fault plan.
+// the runtime's container traffic) into the options' metrics shard.
+// Every key is deterministic for a given program, seed and fault plan.
 func observe(o RunOptions, m *vm.Machine, names []string, rt *compiler.Runtime) {
 	s := o.Metrics
 	if s == nil {
@@ -124,9 +123,6 @@ func observe(o RunOptions, m *vm.Machine, names []string, rt *compiler.Runtime) 
 		addNZ(s, pre+"rehash", gt.Stats.Rehashes)
 		addNZ(s, pre+"cache_hit", gt.Stats.CacheHits)
 		addNZ(s, pre+"cache_miss", gt.Stats.CacheMisses)
-	}
-	for name, c := range rt.Profile().Counts {
-		addNZ(s, compiler.ProfileMetricPrefix+name, c)
 	}
 }
 
@@ -243,78 +239,6 @@ func RunBaseline(p *mir.Program, factory func() baselines.Baseline, opt RunOptio
 	}
 	observe(opt, m, nil, nil)
 	return res, nil
-}
-
-// CollectProfile recompiles the analysis with access counters, runs it
-// over a training program, and returns the per-member access profile —
-// the input to profile-guided coalescing (§3.2.1's future work).
-func CollectProfile(a *compiler.Analysis, train *mir.Program, opt RunOptions) (*compiler.Profile, error) {
-	popts := a.Opts
-	popts.ProfileCollect = true
-	pa, err := compiler.CompileProgram(a.Info.Program, popts)
-	if err != nil {
-		return nil, err
-	}
-	for k, v := range a.Externals {
-		pa.Externals[k] = v
-	}
-	inst, err := instrument.Apply(train, pa)
-	if err != nil {
-		return nil, err
-	}
-	// The profile rides the ordinary metrics pathway: the training run
-	// exports profile.member.* counters into a private shard, and the
-	// shard flattens back into a Profile — the same counters an external
-	// -profile-out file round-trips through.
-	popt := opt
-	sh := obs.NewShard()
-	popt.Metrics = sh
-	rt, err := pa.NewRuntime()
-	if err != nil {
-		return nil, err
-	}
-	m, err := vm.New(inst, popt.vmConfig(pa.NeedShadow))
-	if err != nil {
-		return nil, err
-	}
-	m.Handlers = rt.Handlers()
-	if _, err := m.Run(); err != nil {
-		// A MaxSteps budget ending the run is the normal way a BOUNDED
-		// profiling quantum finishes (the adaptive loop caps training
-		// with exactly this budget): the counters accumulated up to the
-		// cutoff are the profile. Every other failure aborts.
-		var re *vm.RunError
-		if !errors.As(err, &re) || re.Kind != vm.KindStepLimit {
-			return nil, err
-		}
-	}
-	observe(popt, m, pa.HandlerNames(), rt)
-	if opt.Metrics != nil {
-		for k, v := range sh.Counts {
-			opt.Metrics.Add(k, v)
-		}
-	}
-	return compiler.ProfileFromCounts(sh.Counts), nil
-}
-
-// RecompileWithProfile rebuilds an analysis under profile-guided
-// coalescing. The options come from AdaptOptions, the one path by
-// which a profile reaches the compiler; when the profile splits
-// nothing, the input analysis is returned unchanged.
-func RecompileWithProfile(a *compiler.Analysis, p *compiler.Profile) (*compiler.Analysis, error) {
-	res := a.Opts.AdaptOptions(p)
-	if !res.Changed {
-		return a, nil
-	}
-	na, err := compiler.CompileProgram(a.Info.Program, res.Opts)
-	if err != nil {
-		return nil, err
-	}
-	na.SourceLOC = a.SourceLOC
-	for k, v := range a.Externals {
-		na.Externals[k] = v
-	}
-	return na, nil
 }
 
 // Overhead returns instrumented wall time normalized to the baseline

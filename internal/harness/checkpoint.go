@@ -33,11 +33,11 @@ type checkpointRecord struct {
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 }
 
-// fingerprint ties one grid's checkpoint records to the measurement
-// parameters that determine its cells' values; a stale checkpoint from
-// a different configuration is ignored rather than poisoning the
-// resumed table.
-func (c Config) fingerprint(grid string) string {
+// fingerprint ties checkpoint records to the measurement parameters
+// that determine their cells' values; a stale checkpoint from a
+// different configuration is ignored rather than poisoning the resumed
+// table.
+func (c Config) fingerprint() string {
 	// metrics participates because it changes what a record must carry:
 	// a checkpoint written without counters cannot resume a metrics
 	// sweep (the resumed cells would silently contribute nothing).
@@ -50,17 +50,6 @@ func (c Config) fingerprint(grid string) string {
 		// checkpoint to the trace bytes so a regenerated or mutated
 		// trace invalidates cells recorded against the old one.
 		fp += fmt.Sprintf(" trace=%016x", c.traceHash())
-	}
-	if grid == "adapt" {
-		// Adaptive cells depend on the quantum and the training budget.
-		// The string is the one the adapt grid always wrote, so its
-		// existing checkpoints still resume.
-		fp += fmt.Sprintf(" adapt=%d/%d", adaptQuantum, adaptMaxSteps)
-	}
-	if c.PGOProfile != nil && (grid == "adapt" || grid == "pgo") {
-		// A -profile-in file replaces both grids' training runs, so a
-		// checkpoint measured under another profile must not resume.
-		fp += fmt.Sprintf(" aprof=%016x", c.PGOProfile.Hash())
 	}
 	return fp
 }

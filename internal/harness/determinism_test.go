@@ -225,7 +225,7 @@ func TestCheckpointFingerprintMismatchIgnored(t *testing.T) {
 	}
 	w.close()
 	cfg := Config{Size: workloads.SizeTiny, Reps: 1, Virtual: true}
-	got, err := loadCheckpoint(ckpt, "fig4", cfg.fingerprint("fig4"))
+	got, err := loadCheckpoint(ckpt, "fig4", cfg.fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,59 +309,33 @@ func LibSan(cfg Config) ([]LibSanResult, error) {
 	return out, nil
 }
 
-// PGO measures profile-guided coalescing (§3.2.1's future work) on
-// MSan: statically, addr2label and addr2size share the address key and
-// coalesce; a profiling run shows addr2size is cold (touched only at
-// malloc/free), so the recompile splits it out, halving the hot shadow
-// entry.
+// PGO measures the cold split (Options.SplitCold, the compile-time
+// answer to §3.2.1's profile-guided future work) on MSan: by key type,
+// addr2label and addr2size coalesce, but only the allocation handlers
+// touch addr2size, so the split moves it to a cold page-table group and
+// halves the per-access shadow entry. Both columns run staged handlers.
+// The grid keeps the name pgo, under which older checkpoints were
+// written.
 func PGO(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	static, err := analyses.Compile("msan", compiler.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	// Train on one representative workload, apply everywhere — the
-	// usual PGO deployment shape. A profile loaded from disk
-	// (-profile-in) replaces the inline training run; the deterministic
-	// VM makes the two routes produce the same profile. A stale profile
-	// (collected against a different analysis) degrades to static
-	// selection with a warning — its counts name members this compile
-	// does not have, so applying it would be layout roulette.
-	prof := cfg.PGOProfile
-	if prof != nil {
-		if err := prof.MatchesAnalysis(static); err != nil {
-			fmt.Fprintf(cfg.Out, "warning: -profile-in %v: degrading to static selection\n", err)
-			prof = &compiler.Profile{}
-		}
-	}
-	if prof == nil {
-		train, err := workloads.Build("libquantum", workloads.SizeTiny)
+	var compiled []*compiler.Analysis
+	for _, opts := range []compiler.Options{compiler.DefaultOptions(), compiler.SplitOptions()} {
+		a, err := analyses.Compile("msan", opts)
 		if err != nil {
 			return nil, err
 		}
-		prof, err = core.CollectProfile(static, train, cfg.Opt)
-		if err != nil {
-			return nil, err
-		}
-	}
-	pgo, err := core.RecompileWithProfile(static, prof)
-	if err != nil {
-		return nil, err
+		compiled = append(compiled, a)
 	}
 	return cfg.runGrid(gridSpec{
 		name:     "pgo",
-		title:    fmt.Sprintf("PGO: static vs profile-guided coalescing, ALDA MSan (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: []string{"static", "pgo"},
+		title:    fmt.Sprintf("Cold split: full vs split coalescing, ALDA MSan (size=%s, reps=%d)", cfg.Size, cfg.Reps),
+		measured: []string{"full", "split"},
 		programs: []string{"bzip2", "libquantum", "mcf", "hmmer", "fft", "sort", "memcached"},
 		runner: func(c Config, w string, col int) (runnerFn, error) {
-			switch col {
-			case -1:
+			if col < 0 {
 				return c.runnerPlain(w)
-			case 0:
-				return c.runnerALDA(static, w)
-			default:
-				return c.runnerALDA(pgo, w)
 			}
+			return c.runnerALDA(compiled[col], w)
 		},
 	})
 }
@@ -416,9 +390,9 @@ type MemRow struct {
 	Workload  string
 	HandBytes uint64
 	ALDABytes uint64
-	// PGOBytes is set for the MSan rows: footprint after profile-guided
-	// coalescing splits the cold sidecar back out.
-	PGOBytes uint64
+	// SplitBytes is set for the MSan rows: footprint after the cold
+	// split moves the allocation-size sidecar out of the shadow entry.
+	SplitBytes uint64
 }
 
 // Mem reruns §6.2's memory comparison: metadata footprint of the
@@ -477,18 +451,10 @@ func Mem(cfg Config) ([]MemRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Static coalescing folds the cold addr2size sidecar into the hot
-	// shadow entry (2 words); the PGO recompile splits it back out, so
+	// Coalescing by key type folds the addr2size sidecar into the
+	// shadow entry (2 words); the cold split moves it back out, so
 	// measure both.
-	train, err := workloads.Build("libquantum", workloads.SizeTiny)
-	if err != nil {
-		return nil, err
-	}
-	prof, err := core.CollectProfile(msan, train, cfg.Opt)
-	if err != nil {
-		return nil, err
-	}
-	msanPGO, err := core.RecompileWithProfile(msan, prof)
+	msanSplit, err := analyses.Compile("msan", compiler.SplitOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -501,11 +467,11 @@ func Mem(cfg Config) ([]MemRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		pb, err := measureALDA(msanPGO, w)
+		sb, err := measureALDA(msanSplit, w)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, MemRow{Workload: "msan/" + w, HandBytes: hb, ALDABytes: ab, PGOBytes: pb})
+		out = append(out, MemRow{Workload: "msan/" + w, HandBytes: hb, ALDABytes: ab, SplitBytes: sb})
 	}
 	eraser, err := analyses.Compile("eraser", compiler.DefaultOptions())
 	if err != nil {
@@ -524,9 +490,9 @@ func Mem(cfg Config) ([]MemRow, error) {
 	}
 	for _, r := range out {
 		ratio := float64(r.ALDABytes) / float64(r.HandBytes)
-		if r.PGOBytes > 0 {
-			fmt.Fprintf(cfg.Out, "%-18s hand=%10d B  alda=%10d B  ratio=%.2f  alda+pgo=%10d B  ratio=%.2f\n",
-				r.Workload, r.HandBytes, r.ALDABytes, ratio, r.PGOBytes, float64(r.PGOBytes)/float64(r.HandBytes))
+		if r.SplitBytes > 0 {
+			fmt.Fprintf(cfg.Out, "%-18s hand=%10d B  alda=%10d B  ratio=%.2f  split=%10d B  ratio=%.2f\n",
+				r.Workload, r.HandBytes, r.ALDABytes, ratio, r.SplitBytes, float64(r.SplitBytes)/float64(r.HandBytes))
 			continue
 		}
 		fmt.Fprintf(cfg.Out, "%-18s hand=%10d B  alda=%10d B  ratio=%.2f\n",

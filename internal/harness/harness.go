@@ -90,13 +90,6 @@ type Config struct {
 	// harness cell plus the VM quanta and fault instants inside it,
 	// tagged with the cell index as the trace tid.
 	Trace *obs.Trace
-	// PGOProfile, when non-nil, replaces the PGO and Adapt experiments'
-	// inline training runs with a previously collected profile
-	// (-profile-in), and those two grids' checkpoint fingerprints hash
-	// it. A profile that does not match the measured analysis degrades
-	// to static selection with a warning instead of silently perturbing
-	// layout with stale counts.
-	PGOProfile *compiler.Profile
 	// TraceDir is the directory of recorded plain-run traces
 	// (<workload>.trc) the replay experiment measures against. The
 	// checkpoint fingerprint hashes the trace contents, so -resume

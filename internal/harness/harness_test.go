@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compiler"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -168,8 +169,8 @@ func TestMemSmoke(t *testing.T) {
 			t.Errorf("%s: zero footprint", r.Workload)
 		}
 		ratio := float64(r.ALDABytes) / float64(r.HandBytes)
-		if r.PGOBytes > 0 {
-			ratio = float64(r.PGOBytes) / float64(r.HandBytes)
+		if r.SplitBytes > 0 {
+			ratio = float64(r.SplitBytes) / float64(r.HandBytes)
 		}
 		if ratio > 2.5 {
 			t.Errorf("%s: footprint ratio %.2f too far from parity", r.Workload, ratio)
@@ -228,5 +229,16 @@ func TestFig3Smoke(t *testing.T) {
 				t.Errorf("%s col %d: overhead %.2f <= 1 (instrumentation cannot be free)", r.Workload, i, o)
 			}
 		}
+	}
+}
+
+// TestCompilerFingerprintPinned pins the default compiler options
+// fingerprint byte for byte, "pcfalse" and ",enginterp" included, so
+// that fingerprints recorded by earlier builds, such as the keys of
+// journaled adapt records, still compare equal.
+func TestCompilerFingerprintPinned(t *testing.T) {
+	want := "cotrue,csetrue,seltrue,fusetrue,pcfalse,g8,sft3,bits512,arr1048576,as268435456,enginterp"
+	if got := compiler.DefaultOptions().Fingerprint(); got != want {
+		t.Errorf("fingerprint = %q, want %q", got, want)
 	}
 }

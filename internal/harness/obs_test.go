@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
-	"repro/internal/analyses"
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/workloads"
@@ -133,61 +130,5 @@ func TestMetricsDeterministicAcrossModes(t *testing.T) {
 	}
 	if resumed := fig4Metrics(t, 4, ckpt, true); resumed != serial {
 		t.Errorf("resumed sweep metrics differ from serial:\n--- serial ---\n%s--- resumed ---\n%s", serial, resumed)
-	}
-}
-
-// TestProfileRoundTripPGO is the -profile-out/-profile-in E2E: collect
-// a profile, write it to disk, read it back, and check the PGO
-// experiment renders the identical table whether it trains inline or
-// consumes the file.
-func TestProfileRoundTripPGO(t *testing.T) {
-	static, err := analyses.Compile("msan", compiler.DefaultOptions())
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	train, err := workloads.Build("libquantum", workloads.SizeTiny)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	prof, err := core.CollectProfile(static, train, core.RunOptions{Seed: 1})
-	if err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	if len(prof.Counts) == 0 {
-		t.Fatal("collected profile is empty")
-	}
-
-	path := filepath.Join(t.TempDir(), "msan.profile.json")
-	if err := prof.WriteFile(path); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	loaded, err := compiler.ReadProfileFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !reflect.DeepEqual(prof.Counts, loaded.Counts) {
-		t.Fatalf("profile round trip mismatch:\nwrote %v\nread  %v", prof.Counts, loaded.Counts)
-	}
-
-	render := func(p *compiler.Profile) string {
-		var buf bytes.Buffer
-		cfg := Config{
-			Size:        workloads.SizeTiny,
-			Reps:        1,
-			Out:         &buf,
-			Parallelism: 4,
-			Virtual:     true,
-			Opt:         core.RunOptions{Seed: 1},
-			PGOProfile:  p,
-		}
-		if _, err := PGO(cfg); err != nil {
-			t.Fatalf("pgo (profile=%v): %v", p != nil, err)
-		}
-		return buf.String()
-	}
-	inline := render(nil)
-	fromFile := render(loaded)
-	if inline != fromFile {
-		t.Errorf("PGO table differs between inline training and -profile-in:\n--- inline ---\n%s--- from file ---\n%s", inline, fromFile)
 	}
 }

@@ -232,7 +232,7 @@ func (c Config) runGrid(g gridSpec) (*Table, error) {
 	n := len(g.programs) * stride
 	walls := make([]time.Duration, n)
 	cellErrs := make([]error, n)
-	fp := c.fingerprint(g.name)
+	fp := c.fingerprint()
 
 	var resumed map[string]checkpointRecord
 	if c.Resume && c.CheckpointPath != "" {

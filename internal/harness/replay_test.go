@@ -95,7 +95,7 @@ func TestResumeRejectsStaleTrace(t *testing.T) {
 	if _, err := Replay(cfg); err != nil {
 		t.Fatal(err)
 	}
-	fpBefore := cfg.withDefaults().fingerprint("replay")
+	fpBefore := cfg.withDefaults().fingerprint()
 	recs, err := loadCheckpoint(ckpt, "replay", fpBefore)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestResumeRejectsStaleTrace(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fpAfter := cfg.withDefaults().fingerprint("replay")
+	fpAfter := cfg.withDefaults().fingerprint()
 	if fpAfter == fpBefore {
 		t.Fatal("fingerprint ignores trace contents")
 	}

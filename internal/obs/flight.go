@@ -89,7 +89,7 @@ func (r *flightRing) live() (events []FlightEvent, total uint64) {
 
 // Ring selects one of the recorder's two rings: JobRing holds every
 // job's admission, recovery and pipeline stages, ControlRing the
-// server-level events (journal degradation, adapt epochs).
+// server-level events (journal degradation).
 type Ring int
 
 const (
@@ -162,8 +162,8 @@ func (f *FlightRecorder) Record(ring Ring, ev FlightEvent) {
 
 // LiveTraces is the number of traces in the span view, len(Traces(…)),
 // read from the counts Record keeps instead of building the view. A
-// trace's events sit in one ring (jobs in the job ring, adapt epochs in
-// the control ring), so the rings' counts add up.
+// trace's events sit in one ring (jobs in the job ring, server events
+// in the control ring), so the rings' counts add up.
 func (f *FlightRecorder) LiveTraces() int {
 	n := 0
 	for i := range f.rings {

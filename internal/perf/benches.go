@@ -371,10 +371,8 @@ func dispatchBenches() []Bench {
 }
 
 // HotPathBenches is the BenchHotPath suite: per-container Get/Set/
-// Iterate, per-analysis handler dispatch, trace record and replay, and
-// the adaptive-PGO swap costs.
+// Iterate, per-analysis handler dispatch, and trace record and replay.
 func HotPathBenches() []Bench {
 	out := append(containerBenches(), dispatchBenches()...)
-	out = append(out, traceBenches()...)
-	return append(out, adaptBenches()...)
+	return append(out, traceBenches()...)
 }

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/analyses"
-	"repro/internal/compiler"
 	"repro/internal/mir"
 	"repro/internal/vm"
 	"repro/internal/vm/faults"
@@ -266,11 +265,4 @@ func (r *JobRequest) Validate() error {
 		}
 	}
 	return nil
-}
-
-// fingerprintKey is the analysis key the adaptive loop keys its state
-// and its journaled epochs by: the analysis plus the default options'
-// fingerprint. The string is journaled, so it must not drift.
-func (r *JobRequest) fingerprintKey() string {
-	return r.Analysis + "|" + compiler.DefaultOptions().Fingerprint()
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,7 +32,7 @@ const journalVersion = 1
 
 // journalRecord is one JSONL line.
 type journalRecord struct {
-	Type string `json:"type"` // "hdr" | "accept" | "done" | "adapt"
+	Type string `json:"type"` // "hdr" | "accept" | "done"
 	// Header fields.
 	V  int    `json:"v,omitempty"`
 	Fp string `json:"fp,omitempty"`
@@ -44,13 +46,10 @@ type journalRecord struct {
 	Req *JobRequest `json:"req,omitempty"`
 	// Done fields.
 	Status *JobStatus `json:"status,omitempty"`
-	// Adapt fields (adaptive-PGO epoch, see adapt.go): the merged
-	// profile counts the adapted options re-derive from on recovery.
-	// Journals written while the VM had two execution tiers also carry
-	// an "eng" field; it named the tier and is ignored.
-	Key    string            `json:"key,omitempty"`
-	Epoch  int               `json:"epoch,omitempty"`
-	Counts map[string]uint64 `json:"counts,omitempty"`
+	// Journals written by servers that ran the adaptive profile loop
+	// also hold "adapt" records (key, epoch, counts) and, under two VM
+	// execution tiers, an "eng" field. Adaptation re-selected layouts
+	// and never changed a result, so recovery skips those records.
 }
 
 // JournalFaults injects deterministic I/O failures for the chaos
@@ -88,8 +87,7 @@ type Journal struct {
 // ones).
 type Recovered struct {
 	Done       map[string]*JobStatus
-	Unfinished []journalRecord          // accept records lacking a done, in seq order
-	Adapt      map[string]journalRecord // last adaptation epoch per compile-affinity key
+	Unfinished []journalRecord // accept records lacking a done, in seq order
 	MaxSeq     uint64
 }
 
@@ -133,7 +131,7 @@ func readJournal(path, fp string) (*Recovered, error) {
 		return nil, err
 	}
 	defer f.Close()
-	out := &Recovered{Done: map[string]*JobStatus{}, Adapt: map[string]journalRecord{}}
+	out := &Recovered{Done: map[string]*JobStatus{}}
 	var accepts []journalRecord
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
@@ -148,7 +146,7 @@ func readJournal(path, fp string) (*Recovered, error) {
 			if rec.Type != "hdr" {
 				return nil, fmt.Errorf("journal %s: missing header", path)
 			}
-			if rec.Fp != fp {
+			if !fingerprintMatches(rec.Fp, fp) {
 				return nil, fmt.Errorf("journal %s: fingerprint mismatch: journal %q, server %q", path, rec.Fp, fp)
 			}
 			if rec.V != journalVersion {
@@ -168,12 +166,6 @@ func readJournal(path, fp string) (*Recovered, error) {
 			if rec.Status != nil && rec.Status.ID != "" {
 				out.Done[rec.Status.ID] = rec.Status
 			}
-		case "adapt":
-			// Last epoch per key wins: appended in epoch order, so a
-			// plain overwrite replays to the final pre-crash state.
-			if rec.Key != "" {
-				out.Adapt[rec.Key] = rec
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -185,6 +177,19 @@ func readJournal(path, fp string) (*Recovered, error) {
 		}
 	}
 	return out, nil
+}
+
+// fingerprintMatches reports whether a journal header fingerprint
+// recovers under the server's. A journal written with the adaptive
+// loop on ends its fingerprint with " adapt=N"; its jobs' results did
+// not depend on N, so it recovers under the static server too.
+func fingerprintMatches(journal, server string) bool {
+	n, ok := strings.CutPrefix(journal, server+" adapt=")
+	if !ok {
+		return journal == server
+	}
+	_, err := strconv.ParseUint(n, 10, 64)
+	return err == nil
 }
 
 // append writes one record, honoring the batched-sync discipline and
@@ -238,14 +243,6 @@ func (j *Journal) AppendAccept(seq uint64, id, tid string, req *JobRequest) erro
 // AppendDone journals a job's terminal status.
 func (j *Journal) AppendDone(status *JobStatus) error {
 	return j.append(journalRecord{Type: "done", Status: status})
-}
-
-// AppendAdapt journals an adaptation epoch: the compile-affinity key
-// that swapped and the merged profile that drove the swap. Recovery
-// replays the record through the same pure AdaptOptions pass and lands
-// on the identical analysis.
-func (j *Journal) AppendAdapt(key string, epoch int, counts map[string]uint64) error {
-	return j.append(journalRecord{Type: "adapt", Key: key, Epoch: epoch, Counts: counts})
 }
 
 // Degraded reports whether a journal write has failed; the server

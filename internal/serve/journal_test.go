@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testReq(workload string) *JobRequest {
@@ -98,6 +102,27 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFingerprintMatchesAdaptSuffix: a journal whose fingerprint is
+// the server's plus " adapt=N" (written with the adaptive profile loop
+// on) recovers; any other difference is still a mismatch.
+func TestFingerprintMatchesAdaptSuffix(t *testing.T) {
+	for _, c := range []struct {
+		journal string
+		want    bool
+	}{
+		{"fp1", true},
+		{"fp1 adapt=2", true},
+		{"fp1 adapt=", false},
+		{"fp1 adapt=x", false},
+		{"fp2 adapt=2", false},
+		{"fp1 adapt=2 x", false},
+	} {
+		if got := fingerprintMatches(c.journal, "fp1"); got != c.want {
+			t.Errorf("fingerprintMatches(%q, fp1) = %v, want %v", c.journal, got, c.want)
+		}
+	}
+}
+
 // TestJournalInjectedFaultsDegrade: the Nth write / Nth sync failing
 // flips the journal to degraded and counts an error, but later appends
 // keep working — availability over durability.
@@ -164,5 +189,74 @@ func TestJournalBatchedSync(t *testing.T) {
 	}
 	if len(rec.Unfinished) != 5 {
 		t.Fatalf("recovered %d unfinished, want 5", len(rec.Unfinished))
+	}
+}
+
+func submitWait(t *testing.T, ts *httptest.Server, req JobRequest) *JobStatus {
+	t.Helper()
+	code, b := postJob(t, ts, req, "?wait=1")
+	if code != http.StatusOK {
+		t.Fatalf("submit: code %d, body %s", code, b)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(b, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Result == nil {
+		t.Fatalf("job did not complete: %+v", st)
+	}
+	return &st
+}
+
+func resultJSON(t *testing.T, r *JobResult) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestRecoverThreadedJobOnInterpreter recovers testdata/
+// two_tier_journal.jsonl, written by a server that still had the
+// closure-threaded tier and ran the adaptive profile loop after one job:
+// its header fingerprint ends " adapt=1" and it holds an adapt record.
+// Job j1 (engine "interp") is done; j2, the same request with engine
+// "threaded", was accepted but never finished. The recovered server
+// must accept the header, skip the adapt record, keep j1's status, and
+// run j2 on the interpreter to the JobResult that the same request
+// with engine "interp" yields — which is also the result the two-tier
+// server journaled for j1.
+func TestRecoverThreadedJobOnInterpreter(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "two_tier_journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := os.WriteFile(jp, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := startServer(t, Config{Workers: 1, QueueDepth: 64, JournalPath: jp})
+	j1, j2 := s.lookup("j1"), s.lookup("j2")
+	if j1 == nil || j2 == nil || j2.req.Options.Engine != "threaded" {
+		t.Fatalf("fixture did not recover jobs j1 and threaded j2: %v %v", j1, j2)
+	}
+	select {
+	case <-j2.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("recovered threaded job never finished")
+	}
+	st := j2.snapshot()
+	if st.State != StateDone || st.Result == nil {
+		t.Fatalf("recovered threaded job: %+v, want done with a result", st)
+	}
+	got := resultJSON(t, st.Result)
+	req := j2.req
+	req.Options.Engine = "interp"
+	if want := resultJSON(t, submitWait(t, ts, req).Result); got != want {
+		t.Errorf("recovered threaded job diverged from engine interp\nthreaded: %s\ninterp:   %s", got, want)
+	}
+	if journaled := resultJSON(t, j1.snapshot().Result); got != journaled {
+		t.Errorf("recovered threaded job diverged from the journaled interp result\nthreaded:  %s\njournaled: %s", got, journaled)
 	}
 }

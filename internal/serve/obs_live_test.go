@@ -1,8 +1,8 @@
 package serve
 
 // Tests for the live observability layer: trace identity, span
-// determinism, Prometheus exposition, the flight recorder, SLO
-// accounting, and the rolling post-swap profile stream.
+// determinism, Prometheus exposition, the flight recorder and SLO
+// accounting.
 
 import (
 	"bytes"
@@ -527,85 +527,5 @@ func TestSLOAndLatencyHistograms(t *testing.T) {
 	}
 	if _, ok := s.reg.Quantile("serve.latency.wall_us.job", 0.95); !ok {
 		t.Fatal("p95 unavailable")
-	}
-}
-
-// TestAdaptiveRollingProfile: with post-swap sampling on, results stay
-// byte-identical across the quantum, the swap, and sampled jobs, while
-// the rolling window and drift gauge surface on /metrics and the swap
-// epoch appears as a span.
-func TestAdaptiveRollingProfile(t *testing.T) {
-	s, ts := startServer(t, Config{
-		Workers: 1, QueueDepth: 64,
-		AdaptAfter: 2, ProfileSampleEvery: 2,
-	})
-	req := JobRequest{Workload: "memcached", Bug: "uaf", Analysis: "uaf"}
-	var first []byte
-	for i := 0; i < 8; i++ {
-		code, b := postJob(t, ts, req, "?wait=1")
-		if code != http.StatusOK {
-			t.Fatalf("job %d: code %d", i, code)
-		}
-		var st JobStatus
-		json.Unmarshal(b, &st)
-		res, _ := json.Marshal(st.Result)
-		if i == 0 {
-			first = res
-		} else if !bytes.Equal(first, res) {
-			t.Fatalf("job %d result diverged across swap/sampling:\n%s\n%s", i, first, res)
-		}
-	}
-	if got := s.reg.Counter("serve.adapt.profiled"); got != 2 {
-		t.Fatalf("profiled = %d, want 2", got)
-	}
-
-	_, b := getBody(t, ts, "/metrics")
-	var exp obs.Export
-	json.Unmarshal(b, &exp)
-	if exp.Volatile["serve.adapt.sampled"] == 0 {
-		t.Fatal("post-swap sampling never fired")
-	}
-	foundWindow, foundDrift := false, false
-	for k := range exp.Gauges {
-		if strings.HasPrefix(k, "serve.profile.window.") {
-			foundWindow = true
-		}
-		if strings.HasPrefix(k, "serve.adapt.drift_permille.") {
-			foundDrift = true
-		}
-	}
-	if !foundWindow || !foundDrift {
-		t.Fatalf("rolling profile/drift gauges missing (window=%v drift=%v): %v", foundWindow, foundDrift, exp.Gauges)
-	}
-
-	// The swap epoch is a span.
-	swapSeen := false
-	for _, te := range s.Spans(false) {
-		if strings.HasPrefix(te.Trace, "adapt-") {
-			swapSeen = true
-			if te.Stages[0].Stage != "swap-decided" {
-				t.Fatalf("adapt span shape wrong: %+v", te)
-			}
-		}
-	}
-	if !swapSeen {
-		t.Fatal("swap epoch produced no span")
-	}
-
-	// And the rolling profile shows up in the Prometheus exposition.
-	reqP, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
-	reqP.Header.Set("Accept", "text/plain")
-	resp, err := http.DefaultClient.Do(reqP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := new(bytes.Buffer)
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if _, err := obs.ValidatePromText(buf.Bytes()); err != nil {
-		t.Fatalf("adaptive exposition invalid: %v", err)
-	}
-	if !strings.Contains(buf.String(), "alda_serve_profile_window{member=") {
-		t.Fatal("rolling profile absent from exposition")
 	}
 }

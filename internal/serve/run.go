@@ -16,14 +16,14 @@ import (
 	"repro/internal/workloads"
 )
 
-// compileAnalysis resolves "uaf" or "uaf+msan" through the bounded
-// process-wide compile cache.
-func compileAnalysis(spec string, opts compiler.Options) (*compiler.Analysis, error) {
+// compileAnalysis resolves "uaf" or "uaf+msan" at DefaultOptions
+// through the bounded process-wide compile cache.
+func compileAnalysis(spec string) (*compiler.Analysis, error) {
 	names := strings.Split(spec, "+")
 	if len(names) == 1 {
-		return analyses.Compile(names[0], opts)
+		return analyses.Compile(names[0], compiler.DefaultOptions())
 	}
-	return analyses.CompileCombined(opts, names...)
+	return analyses.CompileCombined(compiler.DefaultOptions(), names...)
 }
 
 // buildProgram materializes the job's program: a named workload (with
@@ -72,15 +72,12 @@ type StageObserver func(stage string, virtual uint64)
 // instrumenter and analysis handlers all run behind recover(), so a
 // hostile tenant degrades to a JobError{Kind:"panic"} response while
 // the worker survives. The metrics shard, when non-nil, receives the
-// run's deterministic observability counters. A nil opts means the
-// default static options; the adaptive-PGO loop passes the
-// profile-collecting build during the quantum and the profile-adapted
-// build after the swap. onStage, when non-nil, fires after compilation
+// run's deterministic observability counters. onStage, when non-nil, fires after compilation
 // succeeds ("compiled") and after the VM run returns ("executed", with
 // the run's virtual cost when it succeeded). Stage emission is a
 // deterministic function of the request — the span determinism tests
 // rely on that.
-func ExecuteObserved(req *JobRequest, lim Limits, shard *obs.Shard, opts *compiler.Options, onStage StageObserver) (res *JobResult, jerr *JobError) {
+func ExecuteObserved(req *JobRequest, lim Limits, shard *obs.Shard, onStage StageObserver) (res *JobResult, jerr *JobError) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, jerr = nil, &JobError{Kind: "panic", Message: fmt.Sprintf("panic: %v", r)}
@@ -91,11 +88,7 @@ func ExecuteObserved(req *JobRequest, lim Limits, shard *obs.Shard, opts *compil
 	if err != nil {
 		return nil, jobError(err)
 	}
-	copts := compiler.DefaultOptions()
-	if opts != nil {
-		copts = *opts
-	}
-	a, err := compileAnalysis(req.Analysis, copts)
+	a, err := compileAnalysis(req.Analysis)
 	if err != nil {
 		return nil, jobError(err)
 	}

@@ -37,17 +37,6 @@ type Config struct {
 	// JournalFaults injects deterministic journal I/O failures (chaos
 	// testing).
 	JournalFaults JournalFaults
-	// AdaptAfter enables the adaptive-PGO loop: each analysis key
-	// profiles its first AdaptAfter completed jobs, then hot-swaps to a
-	// profile-adapted recompile for every later job (see adapt.go).
-	// 0 disables adaptation (every job runs the static build).
-	AdaptAfter int
-	// ProfileSampleEvery keeps the profile stream alive after a key's
-	// swap: every Nth post-swap job re-runs the profile-collecting build
-	// (verdict-identical by the adaptive conformance axis), feeding the
-	// rolling profile window and the drift gauge. 0 takes the default
-	// (16) when adaptation is on; negative disables post-swap sampling.
-	ProfileSampleEvery int
 	// FlightRing is the event capacity of the flight recorder's job
 	// ring, the one bound on the server's event log; the control ring
 	// holds a quarter as many. Default obs.DefaultFlightRing (6,144):
@@ -81,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JournalSyncEvery <= 0 {
 		c.JournalSyncEvery = 1
-	}
-	if c.ProfileSampleEvery == 0 {
-		c.ProfileSampleEvery = 16
 	}
 	if c.FlightRing <= 0 {
 		c.FlightRing = obs.DefaultFlightRing
@@ -122,17 +108,9 @@ func (c Config) withDefaults() Config {
 // under different limits must not be replayed.
 func (c Config) fingerprint() string {
 	l := c.Limits
-	fp := fmt.Sprintf("serve-v%d steps=%d/%d heap=%d/%d deadline=%s/%s",
+	return fmt.Sprintf("serve-v%d steps=%d/%d heap=%d/%d deadline=%s/%s",
 		journalVersion, l.DefaultMaxSteps, l.MaxMaxSteps,
 		l.DefaultMaxHeap, l.MaxMaxHeap, l.DefaultDeadline, l.MaxDeadline)
-	// Adaptation epochs are journaled, so a journal written with the
-	// adaptive loop enabled must not replay into a server that would
-	// ignore (or differently schedule) those records. Appending only
-	// when enabled keeps existing non-adaptive journals valid.
-	if c.AdaptAfter > 0 {
-		fp += fmt.Sprintf(" adapt=%d", c.AdaptAfter)
-	}
-	return fp
 }
 
 // job is one accepted job's server-side state.
@@ -203,9 +181,6 @@ type Server struct {
 	tokens chan struct{}
 	wg     sync.WaitGroup
 
-	adaptMu     sync.Mutex // adaptive-PGO loop state (adapt.go)
-	adaptStates map[string]*keyAdaptState
-
 	cacheMu                             sync.Mutex // counter delta export for /metrics
 	lastHits, lastMisses, lastEvictions uint64
 	lastJournalAppends, lastJournalErrs uint64
@@ -216,13 +191,12 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		reg:         cfg.Metrics,
-		flight:      obs.NewFlightRecorder(cfg.FlightRing),
-		jobs:        map[string]*job{},
-		tenants:     map[string]int{},
-		adaptStates: map[string]*keyAdaptState{},
-		drainCh:     make(chan struct{}),
+		cfg:     cfg,
+		reg:     cfg.Metrics,
+		flight:  obs.NewFlightRecorder(cfg.FlightRing),
+		jobs:    map[string]*job{},
+		tenants: map[string]int{},
+		drainCh: make(chan struct{}),
 	}
 	var recovered *Recovered
 	if cfg.JournalPath != "" {
@@ -250,12 +224,6 @@ func New(cfg Config) (*Server, error) {
 // bypass admission control (blocking token acquisition in a background
 // goroutine) — a restart must never 429 work it already promised.
 func (s *Server) replay(rec *Recovered) {
-	// Adaptation epochs first: a re-enqueued job whose key swapped
-	// before the crash must run the adapted analysis, exactly as it
-	// would have.
-	if s.cfg.AdaptAfter > 0 {
-		s.replayAdapt(rec.Adapt)
-	}
 	s.mu.Lock()
 	s.seq = rec.MaxSeq
 	for id, st := range rec.Done {
@@ -342,13 +310,7 @@ func (s *Server) runJob(j *job) {
 		})
 		s.reg.ObserveVolatile("serve.latency.wall_us.stage."+stage, uint64(stageUS))
 	}
-	var res *JobResult
-	var jerr *JobError
-	if s.cfg.AdaptAfter > 0 {
-		res, jerr = s.runAdaptive(j, shard, onStage)
-	} else {
-		res, jerr = ExecuteObserved(&j.req, s.cfg.Limits, shard, nil, onStage)
-	}
+	res, jerr := ExecuteObserved(&j.req, s.cfg.Limits, shard, onStage)
 	wall := time.Since(start)
 
 	status := j.finish(res, jerr)
@@ -715,9 +677,6 @@ func promRules() []obs.PromRule {
 		{Prefix: "serve.latency.wall_us.stage.", Metric: "alda_serve_stage_wall_us", Label: "stage"},
 		{Prefix: "serve.latency.wall_us.endpoint.", Metric: "alda_serve_endpoint_wall_us", Label: "endpoint"},
 		{Prefix: "serve.latency.wall_us.tenant.", Metric: "alda_serve_tenant_wall_us", Label: "tenant"},
-		{Prefix: "serve.profile.window.", Metric: "alda_serve_profile_window", Label: "member"},
-		{Prefix: "serve.adapt.drift_permille.", Metric: "alda_serve_profile_drift_permille", Label: "key"},
-		{Prefix: "profile.member.", Metric: "alda_profile_member_total", Label: "member"},
 	}
 }
 
@@ -728,7 +687,6 @@ func promRules() []obs.PromRule {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.scrapeCaches()
 	s.scrapeGauges()
-	s.scrapeAdapt()
 	format := r.URL.Query().Get("format")
 	wantProm := format == "prom" ||
 		(format == "" && strings.Contains(r.Header.Get("Accept"), "text/plain"))
@@ -752,8 +710,8 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Spans(r.URL.Query().Get("volatile") != "0"))
 }
 
-// Spans is the span view of the flight recorder: each job's and adapt
-// epoch's stage chain, sorted by trace ID.
+// Spans is the span view of the flight recorder: each job's stage
+// chain, sorted by trace ID.
 func (s *Server) Spans(includeVolatile bool) []obs.TraceExport {
 	return s.flight.Traces(includeVolatile)
 }

@@ -3,8 +3,7 @@
 # observability surface.
 #
 #  1. start aldaserve with a journal, a flight-recorder snapshot path,
-#     the adaptive loop, and an injected journal-write fault primed to
-#     fire mid-burst
+#     and an injected journal-write fault primed to fire mid-burst
 #  2. submit one job and check the trace ID contract: the
 #     X-Alda-Trace-Id response header matches the trace_id in the body
 #  3. aldaload burst — the summary must report zero lost jobs and carry
@@ -62,10 +61,9 @@ go build -o "$DIR/aldaserve" ./cmd/aldaserve || fail "build aldaserve"
 go build -o "$DIR/aldaload" ./cmd/aldaload || fail "build aldaload"
 go build -o "$DIR/aldabench" ./cmd/aldabench || fail "build aldabench"
 
-# --- 1. start: journal + flight snapshot + adaptive loop + primed fault
+# --- 1. start: journal + flight snapshot + primed fault --------------
 "$DIR/aldaserve" -addr "$ADDR" -journal "$JOURNAL" -workers 4 -queue-depth 128 \
-  -flight-snapshot "$SNAP" -adapt-after 2 -profile-sample-every 2 \
-  -chaos-journal-write-nth 40 >"$LOG" 2>&1 &
+  -flight-snapshot "$SNAP" -chaos-journal-write-nth 40 >"$LOG" 2>&1 &
 SERVER_PID=$!
 wait_ready || fail "server never became ready"
 
@@ -91,8 +89,7 @@ curl -fsS -H 'Accept: text/plain' "$URL/metrics" >"$DIR/metrics.prom" || fail "s
 head -1 "$DIR/metrics.prom" | grep -q '^# TYPE' || fail "Accept: text/plain did not negotiate the exposition"
 "$DIR/aldabench" -prom-validate "$DIR/metrics.prom" || fail "exposition fails the strict parser"
 for family in alda_serve_stage_wall_us_bucket alda_serve_endpoint_wall_us_count \
-  alda_serve_tenant_wall_us_count serve_queue_depth alda_serve_jobs_by_analysis_total \
-  alda_serve_profile_window; do
+  alda_serve_tenant_wall_us_count serve_queue_depth alda_serve_jobs_by_analysis_total; do
   grep -q "^$family" "$DIR/metrics.prom" || fail "exposition missing family $family"
 done
 curl -fsS "$URL/metrics?format=prom" >"$DIR/metrics2.prom" || fail "scrape ?format=prom"
@@ -105,7 +102,7 @@ curl -fsS "$URL/debug/spans" >"$DIR/spans.json" || fail "scrape /debug/spans"
 grep -q '"stages"' "$DIR/spans.json" || fail "/debug/spans has no spans"
 # The burst has drained, so the gauge and the view it counts must agree.
 # They are scraped back to back; a mismatch is retried briefly in case
-# the burst's last adapt epoch lands between the two scrapes.
+# a flight event lands between the two scrapes.
 live= traces=
 for _ in $(seq 1 10); do
   curl -fsS "$URL/metrics" >"$DIR/metrics-live.json" || fail "scrape /metrics"
