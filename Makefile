@@ -54,7 +54,8 @@ replay-conform:
 	go test ./internal/conformance -run 'TestReplayConform|TestConcurrentReplay|TestShrinkReplayDivergence' -count=1 -conform-seeds 200
 
 # Short fuzz passes over the parser, the set containers, the map
-# containers, the conformance harness and the trace decoder
+# containers (the pair-keyed hash table included), the conformance
+# harness and the trace decoder
 # (FuzzContainers seeds from its test's shapes, the rest from
 # checked-in testdata/fuzz corpora). A FuzzContainers run
 # takes milliseconds, so minimizing each new input to the default 60 s

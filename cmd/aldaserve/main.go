@@ -55,14 +55,13 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 256, "admission-queue depth beyond the running jobs (overflow is 429)")
 	tenantCap := flag.Int("tenant-inflight", 16, "per-tenant in-flight job cap (<0 disables)")
 	journal := flag.String("journal", "", "write-ahead job journal path (empty = no durability)")
-	syncEvery := flag.Int("journal-sync-every", 1, "fsync the journal every N records")
 	chaosWrite := flag.Uint64("chaos-journal-write-nth", 0, "inject a failure on the Nth journal write")
 	chaosSync := flag.Uint64("chaos-journal-sync-nth", 0, "inject a failure on the Nth journal fsync")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "max time to finish in-flight jobs on SIGTERM")
 	maxSteps := flag.Uint64("max-steps", 0, "per-job step-budget cap (0 = default limits)")
 	slo := flag.Duration("slo", 0, "per-job wall-latency objective; slower completions count into serve.slo.jobs_over_deadline_total (0 = default 1s, <0 = off)")
 	flightSnap := flag.String("flight-snapshot", "", "file the flight recorder auto-dumps to on journal degradation or SIGQUIT")
-	flightRing := flag.Int("flight-ring", 0, "events retained in the flight recorder's job ring, the bound on /debug/flight and /debug/spans; the control ring holds a quarter as many (0 = default 6144, 1,024 six-stage job chains)")
+	flightRing := flag.Int("flight-ring", 0, "events retained in the flight recorder's job ring, the bound on /debug/flight and /debug/spans; the control ring holds 16 (0 = default 6144, 1,024 six-stage job chains)")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -70,7 +69,6 @@ func main() {
 		QueueDepth:         *queueDepth,
 		TenantInflight:     *tenantCap,
 		JournalPath:        *journal,
-		JournalSyncEvery:   *syncEvery,
 		JournalFaults:      serve.JournalFaults{FailWriteNth: *chaosWrite, FailSyncNth: *chaosSync},
 		SLOWall:            *slo,
 		FlightSnapshotPath: *flightSnap,

@@ -68,6 +68,30 @@ func TestCombinedSourcesCompile(t *testing.T) {
 	}
 }
 
+// TestPlanSavesNothingWithoutCSE: with CSE off every access does its
+// own lookup, so the plan of the ds-only and naive builds reports no
+// lookup saved by any handler, for the eight analyses and the Figure 5
+// combination alike.
+func TestPlanSavesNothingWithoutCSE(t *testing.T) {
+	subjects := [][]string{Fig5Combination}
+	for _, n := range Names() {
+		subjects = append(subjects, []string{n})
+	}
+	for _, names := range subjects {
+		for _, opts := range []compiler.Options{compiler.DSOnlyOptions(), compiler.NaiveOptions()} {
+			a, err := CompileCombined(opts, names...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(a.Plan(), "\n") {
+				if strings.HasPrefix(line, "handler ") && !strings.HasSuffix(line, " 0 lookups saved by CSE+coalescing") {
+					t.Errorf("%s, cse=%v: %s", strings.Join(names, "+"), opts.CSE, line)
+				}
+			}
+		}
+	}
+}
+
 func TestCombinedUnknownName(t *testing.T) {
 	if _, err := Combined("eraser", "nope"); err == nil {
 		t.Fatal("expected error")

@@ -226,13 +226,13 @@ func (c *cgen) stmt(s lStmt) stmtFn {
 func (c *cgen) entry(en *lEntry) entryFn {
 	gs := c.rt.groups[en.group]
 	var ef entryFn
-	switch en.impl {
-	case ImplGlobal:
+	switch {
+	case en.impl == ImplGlobal:
 		ef = func(h *hstate) []uint64 { return gs.global }
-	case ImplHash2:
-		c2 := gs.c2
+	case en.key2 != nil:
+		hm := gs.c.(*meta.HashMap)
 		k1, k2 := c.expr(en.key), c.expr(en.key2)
-		ef = func(h *hstate) []uint64 { return c2.Entry(k1(h), k2(h)) }
+		ef = func(h *hstate) []uint64 { return hm.Entry2(k1(h), k2(h)) }
 	default:
 		cont := gs.c
 		key := c.expr(en.key)
@@ -241,9 +241,9 @@ func (c *cgen) entry(en *lEntry) entryFn {
 
 	if slot := en.slot; slot >= 0 {
 		inner := ef
-		// The flat-arena hash tables rehash on growth and on
+		// The flat-arena hash table rehashes on growth and on
 		// back-shifting removal, detaching previously returned entry
-		// views from the live arena; their cache slots validate the
+		// views from the live arena; its cache slots validate the
 		// container generation as well as the invocation epoch. The
 		// other containers never move a materialized entry.
 		switch en.impl {
@@ -257,18 +257,6 @@ func (c *cgen) entry(en *lEntry) entryFn {
 				h.entries[slot] = e
 				h.evalid[slot] = h.epoch
 				h.egen[slot] = hm.Gen()
-				return e
-			}
-		case ImplHash2:
-			hm2 := gs.c2
-			ef = func(h *hstate) []uint64 {
-				if h.evalid[slot] == h.epoch && h.egen[slot] == hm2.Gen() {
-					return h.entries[slot]
-				}
-				e := inner(h)
-				h.entries[slot] = e
-				h.evalid[slot] = h.epoch
-				h.egen[slot] = hm2.Gen()
 				return e
 			}
 		default:

@@ -476,11 +476,10 @@ func (a *Analysis) Plan() string {
 	for _, n := range names {
 		ha := a.Access.PerHandler[n]
 		classes := make(map[string]int)
-		sites := 0
 		for _, s := range ha.Sites {
-			sites++
 			gid := a.Layout.ByMeta[s.Meta.Name].GroupID
-			if len(s.KeyClasses) > 0 && !strings.HasPrefix(s.KeyClasses[0], "!") {
+			// Without CSE every access does its own lookup: none is saved.
+			if a.Opts.CSE && len(s.KeyClasses) > 0 && !strings.HasPrefix(s.KeyClasses[0], "!") {
 				classes[fmt.Sprintf("g%d|%s", gid, s.KeyClasses[0])]++
 			}
 		}
@@ -490,7 +489,7 @@ func (a *Analysis) Plan() string {
 				saved += c - 1
 			}
 		}
-		fmt.Fprintf(&b, "handler %s: %d access sites, %d lookups saved by CSE+coalescing\n", n, sites, saved)
+		fmt.Fprintf(&b, "handler %s: %d access sites, %d lookups saved by CSE+coalescing\n", n, len(ha.Sites), saved)
 	}
 	return b.String()
 }

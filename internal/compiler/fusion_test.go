@@ -108,7 +108,11 @@ func TestFusionSharedLookupsReduceContainerTraffic(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return rt.ContainerLookups()
+		var lookups uint64
+		for _, gt := range rt.GroupTraffic() {
+			lookups += gt.Stats.Gets() + gt.Stats.Fills
+		}
+		return lookups
 	}
 	fused := run(true)
 	unfused := run(false)

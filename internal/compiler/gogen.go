@@ -102,11 +102,7 @@ var implTypes = map[ImplKind]string{
 }
 
 func (g *gogen) container(group int, impl ImplKind) string {
-	name := "c" + strconv.Itoa(group)
-	if impl == ImplHash2 {
-		return g.bind(name, fmt.Sprintf("rt.groups[%d].c2", group))
-	}
-	return g.bind(name, fmt.Sprintf("rt.groups[%d].c.(*meta.%s)", group, implTypes[impl]))
+	return g.bind("c"+strconv.Itoa(group), fmt.Sprintf("rt.groups[%d].c.(*meta.%s)", group, implTypes[impl]))
 }
 
 // handler emits one handler literal. The body is emitted twice: the
@@ -129,7 +125,7 @@ func (g *gogen) handler(hid int, lh *lHandler) (string, error) {
 			continue
 		}
 		fmt.Fprintf(&b, "var e%d []uint64\n", s)
-		if impl == ImplHash || impl == ImplHash2 {
+		if impl == ImplHash {
 			fmt.Fprintf(&b, "var e%dg uint64\n", s)
 		}
 	}
@@ -497,9 +493,9 @@ func (g *gogen) entry(en *lEntry) string {
 	c := g.container(en.group, en.impl)
 	fetch := func() string {
 		k := g.expr(en.key)
-		if en.impl == ImplHash2 {
+		if en.key2 != nil {
 			k2 := g.expr(en.key2)
-			return c + ".Entry(" + k + ", " + k2 + ")"
+			return c + ".Entry2(" + k + ", " + k2 + ")"
 		}
 		return c + ".Entry(" + k + ")"
 	}
@@ -510,7 +506,7 @@ func (g *gogen) entry(en *lEntry) string {
 	}
 	e := "e" + strconv.Itoa(en.slot)
 	g.usedE[en.slot] = true
-	hash := en.impl == ImplHash || en.impl == ImplHash2
+	hash := en.impl == ImplHash
 	miss := e + " == nil"
 	if hash {
 		miss += " || " + e + "g != " + c + ".Gen()"

@@ -21,11 +21,10 @@ const (
 	ImplArray                     // bounded key domain
 	ImplShadow                    // offset shadow memory: a ChunkMap with a flat directory
 	ImplPageTable                 // page table: a ChunkMap with leaves made on first touch
-	ImplHash                      // generic fallback
-	ImplHash2                     // two unbounded key dimensions
+	ImplHash                      // generic fallback; keyed by a pair when Key2Type is set
 )
 
-var implNames = [...]string{"global", "array", "shadow", "pagetable", "hash", "hash2"}
+var implNames = [...]string{"global", "array", "shadow", "pagetable", "hash"}
 
 func (k ImplKind) String() string { return implNames[k] }
 
@@ -77,7 +76,8 @@ type Group struct {
 	ID      int
 	Impl    ImplKind
 	KeyType *sema.Type // nil for ImplGlobal
-	// Key2Type is set for ImplHash2.
+	// Key2Type is set for an ImplHash group keyed by two unbounded
+	// dimensions: a pair table (meta.NewHashMap2).
 	Key2Type *sema.Type
 
 	EntryWords   int
@@ -352,7 +352,7 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 		case !first.IsMap():
 			g.Impl = ImplGlobal
 		case g.Key2Type != nil:
-			g.Impl = ImplHash2
+			g.Impl = ImplHash
 			g.KeyType = first.Keys[0]
 		default:
 			g.KeyType = first.Keys[0]

@@ -177,8 +177,35 @@ h(address a, address b) { m[a][b] = 1; }
 insert after LoadInst call h($1, $1)
 `
 	a := compileT(t, src, DefaultOptions())
-	if a.Layout.Groups[0].Impl != ImplHash2 {
-		t.Fatalf("impl = %s, want hash2", a.Layout.Groups[0].Impl)
+	if g := a.Layout.Groups[0]; g.Impl != ImplHash || g.Key2Type == nil {
+		t.Fatalf("impl = %s, key2 = %v; want a pair-keyed hash", g.Impl, g.Key2Type)
+	}
+}
+
+// TestPairKeyedMapPointAccessOnly: a pair table answers point reads and
+// writes only, so lowering the handlers rejects has, remove and the
+// ranged forms on a map with two unbounded keys, with or without
+// container selection.
+func TestPairKeyedMapPointAccessOnly(t *testing.T) {
+	for _, body := range []string{
+		`alda_assert(m[a].has(b), 1, "has");`,
+		`m[a].remove(b);`,
+		`m[a].set(b, 1, 8);`,
+		`alda_assert(m[a].get(b, 8), 0, "range");`,
+	} {
+		src := `
+address := pointer
+v := int64
+m = map(address, map(address, v))
+h(address a, address b) { ` + body + ` }
+insert after LoadInst call h($1, $1)
+`
+		for _, opts := range []Options{DefaultOptions(), NaiveOptions()} {
+			a := compileT(t, src, opts)
+			if _, err := a.NewRuntime(); err == nil {
+				t.Errorf("%s lowered under %s", body, opts.Fingerprint())
+			}
+		}
 	}
 }
 

@@ -553,7 +553,7 @@ func (hc *hcompiler) entryClass(g *Group, keys []ast.Expr) string {
 		return ""
 	}
 	out += "|" + c0
-	if g.Impl == ImplHash2 {
+	if g.Key2Type != nil {
 		mem := g.Members[0]
 		for i, kt := range mem.Meta.Keys[1:] {
 			if kt.Domain <= 0 && i+1 < len(keys) {
@@ -752,7 +752,7 @@ func (hc *hcompiler) mapMethod(x *ast.MethodExpr, recvT sema.VType) (lExpr, erro
 
 	isRange := (x.Name == "set" && len(x.Args) == 3) || (x.Name == "get" && len(x.Args) == 2)
 	if isRange {
-		if len(mem.InnerDomains) > 0 || g.Impl == ImplGlobal || g.Impl == ImplHash2 {
+		if len(mem.InnerDomains) > 0 || g.Impl == ImplGlobal || g.Key2Type != nil {
 			return nil, fmt.Errorf("range %s on %s requires a single-dimension container-backed map", x.Name, mo.Name)
 		}
 		if mem.IsSet == 1 {
@@ -800,7 +800,7 @@ func (hc *hcompiler) mapMethod(x *ast.MethodExpr, recvT sema.VType) (lExpr, erro
 		}
 		return hc.loadScalar(l), nil
 	case "remove", "has":
-		if g.Impl == ImplGlobal || g.Impl == ImplHash2 {
+		if g.Impl == ImplGlobal || g.Key2Type != nil {
 			return nil, fmt.Errorf("%s unsupported on %s", x.Name, mo.Name)
 		}
 		key, err := hc.keyValue(allKeys[0], g.KeyType, g.AddrShift)

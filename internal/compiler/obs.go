@@ -121,15 +121,9 @@ func (rt *Runtime) GroupTraffic() []GroupTraffic {
 		if gs.g.Impl == ImplGlobal {
 			continue
 		}
-		var s meta.Stats
-		if gs.c != nil {
-			s = gs.c.Stats()
-		} else if gs.c2 != nil {
-			s = gs.c2.Stats()
-		}
 		out = append(out, GroupTraffic{
 			Label: fmt.Sprintf("g%d.%s.%s", gs.g.ID, gs.g.Impl, strings.Join(gs.g.MemberNames(), "+")),
-			Stats: s,
+			Stats: gs.c.Stats(),
 		})
 	}
 	return out

@@ -44,7 +44,6 @@ type RuntimeStats struct {
 type groupState struct {
 	g      *Group
 	c      meta.Container
-	c2     *meta.HashMap2
 	global []uint64
 	mu     sync.Mutex
 }
@@ -68,9 +67,11 @@ func (a *Analysis) NewRuntime() (*Runtime, error) {
 		case ImplPageTable:
 			gs.c = meta.NewPageTableMap(g.MaxKeys, g.EntryWords, g.Template)
 		case ImplHash:
-			gs.c = meta.NewHashMap(g.EntryWords, g.Template)
-		case ImplHash2:
-			gs.c2 = meta.NewHashMap2(g.EntryWords, g.Template)
+			if g.Key2Type != nil {
+				gs.c = meta.NewHashMap2(g.EntryWords, g.Template)
+			} else {
+				gs.c = meta.NewHashMap(g.EntryWords, g.Template)
+			}
 		}
 		rt.groups = append(rt.groups, gs)
 	}
@@ -109,9 +110,6 @@ func (rt *Runtime) MetadataBytes() uint64 {
 		if gs.c != nil {
 			n += gs.c.Bytes()
 		}
-		if gs.c2 != nil {
-			n += gs.c2.Bytes()
-		}
 		n += uint64(len(gs.global)) * 8
 	}
 	for _, t := range rt.trees {
@@ -120,21 +118,6 @@ func (rt *Runtime) MetadataBytes() uint64 {
 			if t.Complement {
 				n += uint64(len(t.Elems())) * 40
 			}
-		}
-	}
-	return n
-}
-
-// ContainerLookups sums per-container lookup counters (explain tool,
-// ablation tests).
-func (rt *Runtime) ContainerLookups() uint64 {
-	var n uint64
-	for _, gs := range rt.groups {
-		if gs.c != nil {
-			n += gs.c.Lookups()
-		}
-		if gs.c2 != nil {
-			n += gs.c2.Lookups()
 		}
 	}
 	return n

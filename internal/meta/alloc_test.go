@@ -66,16 +66,16 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	t.Run("HashMap2", func(t *testing.T) {
 		h2 := NewHashMap2(2, tmpl)
 		for i, k := range keys {
-			h2.Entry(k, uint64(i%64))
+			h2.Entry2(k, uint64(i%64))
 		}
 		i := 0
 		assertZeroAllocs(t, "HashMap2/set", func() {
-			StoreField(h2.Entry(keys[i%len(keys)], uint64(i%64)), 0, 64, uint64(i))
+			StoreField(h2.Entry2(keys[i%len(keys)], uint64(i%64)), 0, 64, uint64(i))
 			i++
 		})
 		var acc uint64
 		assertZeroAllocs(t, "HashMap2/get", func() {
-			if e := h2.Peek(keys[i%len(keys)], uint64(i%64)); e != nil {
+			if e := h2.Peek2(keys[i%len(keys)], uint64(i%64)); e != nil {
 				acc += LoadField(e, 0, 64)
 			}
 			i++

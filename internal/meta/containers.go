@@ -2,14 +2,15 @@ package meta
 
 // Container is the uniform interface over the map containers the
 // compiler selects among: ArrayMap, offset shadow memory and the page
-// table (both a ChunkMap, NewShadowMap and NewPageTableMap), and
-// HashMap. Keys are pre-normalized by the caller: for address-keyed maps
+// table (both a ChunkMap, NewShadowMap and NewPageTableMap), and a
+// one-word HashMap (a pair table has its own Entry2, Peek2 and
+// ForEach2). Keys are pre-normalized by the caller: for address-keyed maps
 // the key is the granule index (address >> granule shift); for
 // small-domain maps it is the raw value.
 //
 // Entry returns the value words for a key, materializing the entry from
 // the group's init template if needed. Peek returns nil instead of
-// materializing; only the hash maps and ArrayMap answer it per key —
+// materializing; only HashMap and ArrayMap answer it per key —
 // ChunkMap answers for a whole 4,096-entry chunk, so the compiler keeps
 // maps queried with `has` off it. Fill and RangeOr are the range
 // operations behind ALDA's map.set(k, v, n) and map.get(k, n) builtins,
@@ -21,9 +22,6 @@ type Container interface {
 	RangeOr(key, n uint64, off, width uint) uint64
 	Remove(key uint64)
 	ForEach(fn func(key uint64, entry []uint64))
-	// Lookups returns the number of Entry/Peek/Fill/RangeOr calls served,
-	// for the aldaexplain tool and tests.
-	Lookups() uint64
 	// Bytes returns the container's current metadata storage in bytes
 	// (backing arrays, materialized chunks/pages, hash entries) — the
 	// quantity behind the paper's §6.2 memory-footprint comparison.
@@ -37,7 +35,7 @@ type Container interface {
 // container already executes — allocation-free, always on, and
 // deterministic for a deterministic access sequence. Nested calls
 // count at every level (ArrayMap.Fill calls Entry per key, so a Fill
-// over n keys also adds n to Entries), matching Lookups' accounting.
+// over n keys also adds n to Entries).
 type Stats struct {
 	Entries     uint64 // Entry calls (get-or-materialize)
 	Peeks       uint64 // Peek calls (presence-preserving reads)
@@ -55,12 +53,6 @@ func (s Stats) Gets() uint64 { return s.Entries + s.Peeks + s.Ranges }
 
 // Sets sums write-side traffic.
 func (s Stats) Sets() uint64 { return s.Fills + s.Removes }
-
-// lookups is the legacy Lookups() value — one per Entry/Peek/Fill/
-// RangeOr call. Every such call increments exactly one of these four
-// counters, so Lookups is derived rather than maintained as a fifth
-// field: the hot paths pay one increment, not two.
-func (s Stats) lookups() uint64 { return s.Entries + s.Peeks + s.Fills + s.Ranges }
 
 func templateIsZero(t []uint64) bool {
 	for _, w := range t {
@@ -182,9 +174,6 @@ func (m *ArrayMap) ForEach(fn func(key uint64, entry []uint64)) {
 		}
 	}
 }
-
-// Lookups returns the lookup counter.
-func (m *ArrayMap) Lookups() uint64 { return m.stats.lookups() }
 
 // Stats returns the operation counters.
 func (m *ArrayMap) Stats() Stats { return m.stats }
@@ -442,9 +431,6 @@ func (m *ChunkMap) ForEach(fn func(key uint64, entry []uint64)) {
 	}
 }
 
-// Lookups returns the lookup counter.
-func (m *ChunkMap) Lookups() uint64 { return m.stats.lookups() }
-
 // Stats returns the operation counters.
 func (m *ChunkMap) Stats() Stats { return m.stats }
 
@@ -470,8 +456,12 @@ func (m *ChunkMap) Bytes() uint64 {
 // HashMap — the generic fallback for sparse, unbounded key spaces.
 //
 // Open-addressing table with the entries inline in a single flat
-// []uint64 arena: slot i occupies stride = 1+entryWords words, key
-// first. Linear probing is tombstone-free — Remove back-shifts the
+// []uint64 arena: slot i occupies stride = keyWords+entryWords words,
+// key first. NewHashMap keys a slot by one word. NewHashMap2 keys it by
+// a pair, for a nested map with two unbounded key dimensions (e.g.
+// map(pointer, map(pointer, v))); a pair table is read through Entry2,
+// Peek2 and ForEach2, and the Container methods serve one-word tables
+// only. Linear probing is tombstone-free — Remove back-shifts the
 // probe chain — and growth doubles the arena and rehashes in place-ish,
 // so steady-state Entry/Peek allocate nothing and touch one or two
 // cache lines instead of a Go-map bucket walk plus a per-entry slice.
@@ -486,16 +476,17 @@ func (m *ChunkMap) Bytes() uint64 {
 
 const hashMul = 0x9E3779B97F4A7C15 // 2^64 / phi (Fibonacci hashing)
 
-// HashMap maps arbitrary uint64 keys to entries.
+// HashMap maps uint64 keys, or key pairs, to entries.
 type HashMap struct {
-	arena    []uint64 // nslots * stride words: key, entry...
+	arena    []uint64 // nslots * stride words: key word(s), entry...
 	used     []uint64 // occupancy bitmap, one bit per slot
 	mask     uint64   // nslots - 1
 	shift    uint     // 64 - log2(nslots)
 	count    uint64
-	growAt   uint64 // rehash threshold (7/8 load)
+	growAt   uint64 // rehash threshold (3/4 load)
 	ew       int
 	stride   int
+	kw       int // key words per slot: 1, or 2 for a pair table
 	gen      uint64
 	template []uint64
 	zeroTmpl bool
@@ -504,16 +495,50 @@ type HashMap struct {
 
 const hashMinSlots = 8
 
-// NewHashMap returns an empty hash map.
+// NewHashMap returns an empty hash map keyed by one word.
 func NewHashMap(entryWords int, template []uint64) *HashMap {
+	return newHashMap(1, entryWords, template)
+}
+
+// NewHashMap2 returns an empty hash map keyed by a pair of words.
+func NewHashMap2(entryWords int, template []uint64) *HashMap {
+	return newHashMap(2, entryWords, template)
+}
+
+func newHashMap(keyWords, entryWords int, template []uint64) *HashMap {
 	m := &HashMap{
 		ew:       entryWords,
-		stride:   1 + entryWords,
+		stride:   keyWords + entryWords,
+		kw:       keyWords,
 		template: template,
 		zeroTmpl: template == nil || templateIsZero(template),
 	}
 	m.resize(hashMinSlots)
 	return m
+}
+
+// hash2 mixes a key pair (splitmix64-style finalizer over the
+// Fibonacci-spread first key).
+func hash2(k1, k2 uint64) uint64 {
+	h := k1*hashMul ^ (k2+hashMul)*0xBF58476D1CE4E5B9
+	h ^= h >> 30
+	h *= 0x94D049BB133111EB
+	h ^= h >> 31
+	return h
+}
+
+// home returns a key's first probe slot; a one-word table ignores k2.
+// find and find2 inline the same hashes.
+func (m *HashMap) home(k1, k2 uint64) uint64 {
+	if m.kw == 1 {
+		return (k1 * hashMul) >> m.shift
+	}
+	return hash2(k1, k2) >> m.shift
+}
+
+// slotHome returns the home of the key stored at word b of arena.
+func (m *HashMap) slotHome(arena []uint64, b uint64) uint64 {
+	return m.home(arena[b], arena[b+uint64(m.kw)-1])
 }
 
 func (m *HashMap) resize(nslots uint64) {
@@ -537,13 +562,12 @@ func (m *HashMap) resize(nslots uint64) {
 		if oldUsed[i>>6]&(1<<(i&63)) == 0 {
 			continue
 		}
-		src := old[i*stride : i*stride+stride]
-		j := (src[0] * hashMul) >> m.shift
-		for m.used[j>>6]&(1<<(j&63)) != 0 {
+		j := m.slotHome(old, i*stride)
+		for m.isUsed(j) {
 			j = (j + 1) & m.mask
 		}
 		m.used[j>>6] |= 1 << (j & 63)
-		copy(m.arena[j*stride:], src)
+		copy(m.arena[j*stride:], old[i*stride:i*stride+stride])
 	}
 }
 
@@ -558,8 +582,8 @@ func log2u(n uint64) uint {
 
 func (m *HashMap) isUsed(i uint64) bool { return m.used[i>>6]&(1<<(i&63)) != 0 }
 
-// find probes for key: (slot, true) when present, else the insertion
-// slot and false.
+// find probes a one-word table for key: (slot, true) when present, else
+// the insertion slot and false.
 func (m *HashMap) find(key uint64) (uint64, bool) {
 	i := (key * hashMul) >> m.shift
 	for {
@@ -573,23 +597,43 @@ func (m *HashMap) find(key uint64) (uint64, bool) {
 	}
 }
 
-// insert claims slot i for key with a template-filled entry. The caller
-// has already verified key is absent and i is its probe-derived free
-// slot.
-func (m *HashMap) insert(i, key uint64) []uint64 {
+// find2 is find for a pair table.
+func (m *HashMap) find2(k1, k2 uint64) (uint64, bool) {
+	i := hash2(k1, k2) >> m.shift
+	stride := uint64(m.stride)
+	for {
+		if !m.isUsed(i) {
+			return i, false
+		}
+		if m.arena[i*stride] == k1 && m.arena[i*stride+1] == k2 {
+			return i, true
+		}
+		i = (i + 1) & m.mask
+	}
+}
+
+// insert claims slot i for the key (k1, k2; a one-word table ignores
+// k2) with a template-filled entry. The caller has already verified the
+// key is absent and i is its probe-derived free slot.
+func (m *HashMap) insert(i, k1, k2 uint64) []uint64 {
 	if m.count >= m.growAt {
 		m.resize((m.mask + 1) * 2)
-		i, _ = m.find(key)
+		i = m.home(k1, k2)
+		for m.isUsed(i) {
+			i = (i + 1) & m.mask
+		}
 	}
 	m.used[i>>6] |= 1 << (i & 63)
 	m.count++
 	base := i * uint64(m.stride)
-	m.arena[base] = key
-	e := m.arena[base+1 : base+1+uint64(m.ew) : base+1+uint64(m.ew)]
+	m.arena[base] = k1
+	if m.kw == 2 {
+		m.arena[base+1] = k2
+	}
+	base += uint64(m.kw)
+	e := m.arena[base : base+uint64(m.ew) : base+uint64(m.ew)]
 	if m.zeroTmpl {
-		for j := range e {
-			e[j] = 0
-		}
+		clear(e)
 	} else {
 		copy(e, m.template)
 	}
@@ -601,9 +645,21 @@ func (m *HashMap) Entry(key uint64) []uint64 {
 	m.stats.Entries++
 	i, ok := m.find(key)
 	if !ok {
-		return m.insert(i, key)
+		return m.insert(i, key, 0)
 	}
 	base := i*uint64(m.stride) + 1
+	return m.arena[base : base+uint64(m.ew) : base+uint64(m.ew)]
+}
+
+// Entry2 returns the entry words for (k1, k2) in a pair table, creating
+// from template.
+func (m *HashMap) Entry2(k1, k2 uint64) []uint64 {
+	m.stats.Entries++
+	i, ok := m.find2(k1, k2)
+	if !ok {
+		return m.insert(i, k1, k2)
+	}
+	base := i*uint64(m.stride) + 2
 	return m.arena[base : base+uint64(m.ew) : base+uint64(m.ew)]
 }
 
@@ -615,6 +671,17 @@ func (m *HashMap) Peek(key uint64) []uint64 {
 		return nil
 	}
 	base := i*uint64(m.stride) + 1
+	return m.arena[base : base+uint64(m.ew) : base+uint64(m.ew)]
+}
+
+// Peek2 is Peek for a pair table.
+func (m *HashMap) Peek2(k1, k2 uint64) []uint64 {
+	m.stats.Peeks++
+	i, ok := m.find2(k1, k2)
+	if !ok {
+		return nil
+	}
+	base := i*uint64(m.stride) + 2
 	return m.arena[base : base+uint64(m.ew) : base+uint64(m.ew)]
 }
 
@@ -662,7 +729,7 @@ func (m *HashMap) Remove(key uint64) {
 		if !m.isUsed(j) {
 			break
 		}
-		home := (m.arena[j*stride] * hashMul) >> m.shift
+		home := m.slotHome(m.arena, j*stride)
 		// Slot j may fill the hole at i only if i lies on j's probe path,
 		// i.e. cyclically within [home, j).
 		if (j-home)&m.mask >= (j-i)&m.mask {
@@ -686,8 +753,17 @@ func (m *HashMap) ForEach(fn func(key uint64, entry []uint64)) {
 	}
 }
 
-// Lookups returns the lookup counter.
-func (m *HashMap) Lookups() uint64 { return m.stats.lookups() }
+// ForEach2 is ForEach for a pair table.
+func (m *HashMap) ForEach2(fn func(k1, k2 uint64, entry []uint64)) {
+	m.stats.Iters++
+	stride := uint64(m.stride)
+	for i := uint64(0); i <= m.mask; i++ {
+		if m.isUsed(i) {
+			base := i * stride
+			fn(m.arena[base], m.arena[base+1], m.arena[base+2:base+stride])
+		}
+	}
+}
 
 // Stats returns the operation counters.
 func (m *HashMap) Stats() Stats { return m.stats }
@@ -701,164 +777,6 @@ func (m *HashMap) Gen() uint64 { return m.gen }
 
 // Bytes returns the arena plus occupancy bitmap.
 func (m *HashMap) Bytes() uint64 {
-	return uint64(len(m.arena))*8 + uint64(len(m.used))*8
-}
-
-// ---------------------------------------------------------------------------
-// HashMap2 — composite two-key fallback used when a nested map has two
-// unbounded key dimensions (e.g. map(pointer, map(pointer, v))). Same
-// flat-arena open addressing as HashMap with stride = 2+entryWords.
-
-// HashMap2 maps key pairs to entries.
-type HashMap2 struct {
-	arena    []uint64 // nslots * stride words: key1, key2, entry...
-	used     []uint64
-	mask     uint64
-	shift    uint
-	count    uint64
-	growAt   uint64
-	ew       int
-	stride   int
-	gen      uint64
-	template []uint64
-	zeroTmpl bool
-	stats    Stats // cold relative to the fields above; keep it last
-}
-
-// NewHashMap2 returns an empty two-key hash map.
-func NewHashMap2(entryWords int, template []uint64) *HashMap2 {
-	m := &HashMap2{
-		ew:       entryWords,
-		stride:   2 + entryWords,
-		template: template,
-		zeroTmpl: template == nil || templateIsZero(template),
-	}
-	m.resize(hashMinSlots)
-	return m
-}
-
-// hash2 mixes a key pair (splitmix64-style finalizer over the
-// Fibonacci-spread first key).
-func hash2(k1, k2 uint64) uint64 {
-	h := k1*hashMul ^ (k2+hashMul)*0xBF58476D1CE4E5B9
-	h ^= h >> 30
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return h
-}
-
-func (m *HashMap2) resize(nslots uint64) {
-	old := m.arena
-	if old != nil {
-		m.stats.Rehashes++
-	}
-	oldUsed := m.used
-	oldMask := m.mask
-	m.arena = make([]uint64, nslots*uint64(m.stride))
-	m.used = make([]uint64, (nslots+63)/64)
-	m.mask = nslots - 1
-	m.shift = 64 - log2u(nslots)
-	m.growAt = nslots - nslots/4
-	m.gen++
-	if old == nil {
-		return
-	}
-	stride := uint64(m.stride)
-	for i := uint64(0); i <= oldMask; i++ {
-		if oldUsed[i>>6]&(1<<(i&63)) == 0 {
-			continue
-		}
-		src := old[i*stride : i*stride+stride]
-		j := hash2(src[0], src[1]) >> m.shift
-		for m.used[j>>6]&(1<<(j&63)) != 0 {
-			j = (j + 1) & m.mask
-		}
-		m.used[j>>6] |= 1 << (j & 63)
-		copy(m.arena[j*stride:], src)
-	}
-}
-
-func (m *HashMap2) isUsed(i uint64) bool { return m.used[i>>6]&(1<<(i&63)) != 0 }
-
-func (m *HashMap2) find(k1, k2 uint64) (uint64, bool) {
-	i := hash2(k1, k2) >> m.shift
-	stride := uint64(m.stride)
-	for {
-		if !m.isUsed(i) {
-			return i, false
-		}
-		if m.arena[i*stride] == k1 && m.arena[i*stride+1] == k2 {
-			return i, true
-		}
-		i = (i + 1) & m.mask
-	}
-}
-
-// Entry returns the entry words for (k1, k2), creating from template.
-func (m *HashMap2) Entry(k1, k2 uint64) []uint64 {
-	m.stats.Entries++
-	i, ok := m.find(k1, k2)
-	if !ok {
-		if m.count >= m.growAt {
-			m.resize((m.mask + 1) * 2)
-			i, _ = m.find(k1, k2)
-		}
-		m.used[i>>6] |= 1 << (i & 63)
-		m.count++
-		base := i * uint64(m.stride)
-		m.arena[base] = k1
-		m.arena[base+1] = k2
-		e := m.arena[base+2 : base+2+uint64(m.ew) : base+2+uint64(m.ew)]
-		if m.zeroTmpl {
-			for j := range e {
-				e[j] = 0
-			}
-		} else {
-			copy(e, m.template)
-		}
-		return e
-	}
-	base := i*uint64(m.stride) + 2
-	return m.arena[base : base+uint64(m.ew) : base+uint64(m.ew)]
-}
-
-// Peek returns the entry words or nil, never materializing.
-func (m *HashMap2) Peek(k1, k2 uint64) []uint64 {
-	m.stats.Peeks++
-	i, ok := m.find(k1, k2)
-	if !ok {
-		return nil
-	}
-	base := i*uint64(m.stride) + 2
-	return m.arena[base : base+uint64(m.ew) : base+uint64(m.ew)]
-}
-
-// ForEach visits every entry in slot order.
-func (m *HashMap2) ForEach(fn func(k1, k2 uint64, entry []uint64)) {
-	m.stats.Iters++
-	stride := uint64(m.stride)
-	for i := uint64(0); i <= m.mask; i++ {
-		if m.isUsed(i) {
-			base := i * stride
-			fn(m.arena[base], m.arena[base+1], m.arena[base+2:base+stride])
-		}
-	}
-}
-
-// Lookups returns the lookup counter.
-func (m *HashMap2) Lookups() uint64 { return m.stats.lookups() }
-
-// Stats returns the operation counters.
-func (m *HashMap2) Stats() Stats { return m.stats }
-
-// Len returns the number of live entries.
-func (m *HashMap2) Len() int { return int(m.count) }
-
-// Gen returns the rehash generation (see HashMap.Gen).
-func (m *HashMap2) Gen() uint64 { return m.gen }
-
-// Bytes returns the arena plus occupancy bitmap.
-func (m *HashMap2) Bytes() uint64 {
 	return uint64(len(m.arena))*8 + uint64(len(m.used))*8
 }
 

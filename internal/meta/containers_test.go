@@ -3,6 +3,7 @@ package meta
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -203,9 +204,67 @@ func (r *refContainer) applyOp(t *testing.T, name string, c Container, op contai
 	}
 }
 
-// runContainerOps drives every container built for sh, each beside its
-// own reference model, through ops.
-func runContainerOps(t *testing.T, sh containerShape, ops []containerOp) {
+// pairKeys splits a reference-model key into a pair-table key. Eight
+// consecutive keys share the first word and every eighth key shares the
+// second, so pairs collide in either word, and (a, b) and (b, a) both
+// occur.
+func pairKeys(key uint64) (uint64, uint64) { return key >> 3, key & 7 }
+
+// applyPairOp runs op on a pair table (NewHashMap2) and its reference
+// model, the key split by pairKeys. Entry ops go through Entry2, Fill
+// writes key by key through Entry2, and RangeOr reads key by key through
+// Peek2, which must report exactly the pairs the model holds. A pair
+// table has no Remove, so op 4 is a Peek2 of its key.
+func (r *refContainer) applyPairOp(t *testing.T, m *HashMap, op containerOp) {
+	t.Helper()
+	switch op.kind {
+	case 0:
+		StoreField(m.Entry2(pairKeys(op.key)), op.off, op.width, op.v)
+		StoreField(r.entry(op.key), op.off, op.width, op.v)
+	case 1:
+		got := LoadField(m.Entry2(pairKeys(op.key)), op.off, op.width)
+		want := LoadField(r.entry(op.key), op.off, op.width)
+		if got != want {
+			t.Fatalf("pair: entry read at %d: got %#x want %#x", op.key, got, want)
+		}
+	case 2:
+		for k := op.key; k < op.key+op.n; k++ {
+			StoreField(m.Entry2(pairKeys(k)), op.off, op.width, op.v)
+		}
+		r.fill(op.key, op.n, op.off, op.width, op.v)
+	case 3, 4:
+		n := op.n
+		if op.kind == 4 {
+			n = 1
+		}
+		for k := op.key; k < op.key+n; k++ {
+			if e, want := m.Peek2(pairKeys(k)), r.m[k]; !slices.Equal(e, want) {
+				t.Fatalf("pair: peek at %d: got %v want %v", k, e, want)
+			}
+		}
+	}
+}
+
+// checkPairs checks that ForEach2 visits exactly the model's pairs.
+func (r *refContainer) checkPairs(t *testing.T, m *HashMap) {
+	t.Helper()
+	seen := 0
+	m.ForEach2(func(k1, k2 uint64, e []uint64) {
+		if want := r.m[k1<<3|k2]; !slices.Equal(e, want) {
+			t.Fatalf("pair: ForEach2 at (%d, %d): got %v want %v", k1, k2, e, want)
+		}
+		seen++
+	})
+	if seen != len(r.m) || m.Len() != len(r.m) {
+		t.Fatalf("pair: ForEach2 visited %d and Len is %d, model holds %d", seen, m.Len(), len(r.m))
+	}
+}
+
+// runContainerOps drives every container built for sh, and a pair
+// table, each beside its own reference model, through ops. The pair
+// table's iteration is checked after every doubling and at the end, and
+// the table is returned.
+func runContainerOps(t *testing.T, sh containerShape, ops []containerOp) *HashMap {
 	t.Helper()
 	for name, c := range containersUnderTest(sh.ew, sh.tmpl, sh.maxKey) {
 		ref := newRef(sh.ew, sh.tmpl)
@@ -213,6 +272,16 @@ func runContainerOps(t *testing.T, sh containerShape, ops []containerOp) {
 			ref.applyOp(t, name, c, op)
 		}
 	}
+	pair, ref := NewHashMap2(sh.ew, sh.tmpl), newRef(sh.ew, sh.tmpl)
+	for _, op := range ops {
+		grown := pair.Stats().Rehashes
+		ref.applyPairOp(t, pair, op)
+		if pair.Stats().Rehashes != grown {
+			ref.checkPairs(t, pair)
+		}
+	}
+	ref.checkPairs(t, pair)
+	return pair
 }
 
 // chunkGapOps writes the ends of units 0 and 2, reads ranges across the
@@ -258,7 +327,8 @@ func pageTableLeafKeys(maxKey uint64) uint64 {
 // model under random mixed operations, with both zero and non-zero
 // (universe-style) templates, and across chunk and page-table leaf
 // boundaries. The leaf-gap ops run on fresh containers, so the leaf
-// they cross was never made.
+// they cross was never made. The pair table grows through several
+// doublings on the way.
 func TestContainersAgainstReference(t *testing.T) {
 	for _, sh := range referenceShapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -268,7 +338,10 @@ func TestContainersAgainstReference(t *testing.T) {
 			}
 			stream := make([]byte, 3000*opBytes)
 			rand.New(rand.NewSource(42)).Read(stream)
-			runContainerOps(t, sh, append(ops, decodeOps(stream, sh)...))
+			pair := runContainerOps(t, sh, append(ops, decodeOps(stream, sh)...))
+			if r := pair.Stats().Rehashes; r < 3 {
+				t.Errorf("pair table doubled %d times, want at least 3", r)
+			}
 			if leaf := pageTableLeafKeys(sh.maxKey); sh.maxKey >= 3*leaf {
 				runContainerOps(t, sh, chunkGapOps(sh, leaf))
 			}
@@ -277,11 +350,12 @@ func TestContainersAgainstReference(t *testing.T) {
 }
 
 // FuzzContainers drives Entry/Fill/RangeOr/Remove sequences through all
-// four containers and the reference model. The first byte picks the
-// entry width (1–3 words) and a key range of 1–8 4,096-entry chunks,
-// the next 8 bytes per entry word the template, and every further
-// opBytes bytes one op (decodeOps). A shape wider than eight chunks
-// seeds the eight-chunk range.
+// four containers and the reference model, and the same ops through a
+// pair table (applyPairOp). The first byte picks the entry width (1–3
+// words) and a key range of 1–8 4,096-entry chunks, the next 8 bytes
+// per entry word the template, and every further opBytes bytes one op
+// (decodeOps). A shape wider than eight chunks seeds the eight-chunk
+// range.
 func FuzzContainers(f *testing.F) {
 	for _, sh := range referenceShapes {
 		seed := []byte{byte(sh.ew-1) + 3*byte(min(sh.maxKey>>12, 8)-1)}
@@ -390,27 +464,66 @@ func TestContainerLookupCounters(t *testing.T) {
 	c.Entry(1)
 	c.Fill(2, 4, 0, 64, 9)
 	c.RangeOr(2, 4, 0, 64)
-	if c.Lookups() != 3 {
-		t.Errorf("lookups = %d, want 3", c.Lookups())
+	if s := c.Stats(); s.Entries != 1 || s.Fills != 1 || s.Ranges != 1 {
+		t.Errorf("stats = %+v, want one Entry, one Fill and one RangeOr", s)
 	}
 }
 
 func TestHashMap2(t *testing.T) {
 	m := NewHashMap2(2, []uint64{7, 0})
-	e := m.Entry(1, 2)
+	e := m.Entry2(1, 2)
 	if e[0] != 7 {
 		t.Fatalf("template not applied: %v", e)
 	}
 	e[1] = 99
-	if m.Entry(1, 2)[1] != 99 {
+	if m.Entry2(1, 2)[1] != 99 {
 		t.Fatal("entry not stable")
 	}
-	if m.Entry(2, 1)[1] == 99 {
+	if m.Entry2(2, 1)[1] == 99 {
 		t.Fatal("key order ignored")
 	}
-	if m.Lookups() != 3 {
-		t.Fatalf("lookups = %d", m.Lookups())
+	if s := m.Stats(); s.Entries != 3 {
+		t.Fatalf("entries = %d, want 3", s.Entries)
 	}
+}
+
+// TestHashMapSlotOrderPinned pins both tables' visit order, growth and
+// footprint on a fixed key sequence: twenty keys double the 8-slot
+// arena twice, and five removals then back-shift probe chains. Entry
+// values record the insertion index, so the orders below list indices.
+func TestHashMapSlotOrderPinned(t *testing.T) {
+	check := func(name string, m *HashMap, order []uint64, gen uint64) {
+		t.Helper()
+		var got []uint64
+		visit := func(e []uint64) { got = append(got, e[len(e)-1]) }
+		if m.kw == 1 {
+			m.ForEach(func(_ uint64, e []uint64) { visit(e) })
+		} else {
+			m.ForEach2(func(_, _ uint64, e []uint64) { visit(e) })
+		}
+		if !slices.Equal(got, order) {
+			t.Errorf("%s: visit order %v, want %v", name, got, order)
+		}
+		if m.Bytes() != 776 || m.Stats().Rehashes != 2 || m.Gen() != gen {
+			t.Errorf("%s: Bytes %d, Rehashes %d, Gen %d; want 776, 2, %d", name, m.Bytes(), m.Stats().Rehashes, m.Gen(), gen)
+		}
+	}
+
+	one := NewHashMap(2, []uint64{7, 0})
+	for i := uint64(0); i < 20; i++ {
+		one.Entry(i*i*7919 + 3)[1] = i
+	}
+	check("one-word", one, []uint64{1, 19, 5, 7, 4, 12, 14, 18, 8, 11, 15, 6, 13, 2, 3, 0, 17, 16, 9, 10}, 3)
+	for i := uint64(0); i < 20; i += 4 {
+		one.Remove(i*i*7919 + 3)
+	}
+	check("one-word after removals", one, []uint64{1, 19, 5, 7, 14, 18, 15, 11, 6, 13, 2, 3, 17, 9, 10}, 8)
+
+	pair := NewHashMap2(1, nil)
+	for i := uint64(0); i < 20; i++ {
+		pair.Entry2(i%5, i/5)[0] = i
+	}
+	check("pair", pair, []uint64{7, 4, 2, 13, 1, 5, 12, 6, 11, 15, 17, 3, 18, 19, 0, 10, 16, 9, 8, 14}, 3)
 }
 
 func TestShadowMapKeyMasking(t *testing.T) {

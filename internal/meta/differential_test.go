@@ -73,10 +73,10 @@ func applyOp(t *testing.T, step int, op, raw uint64, bits []uint64, tree *TreeSe
 	}
 }
 
-// applyHashOps drives the same (op, key) byte stream through the
-// open-addressing HashMap/HashMap2 and plain-map oracles: insert,
-// overwrite, delete (backward-shift), growth well past the initial
-// capacity, and order-insensitive iteration. Entry views are used
+// applyHashOps drives the same (op, key) byte stream through a one-word
+// and a pair HashMap and plain-map oracles: insert, overwrite, delete
+// (backward-shift), growth well past the initial capacity, and
+// order-insensitive iteration. Entry views are used
 // immediately and never retained across operations — the container
 // contract after the flat-arena rewrite (rehashes detach old views).
 func applyHashOps(t *testing.T, ops []byte) {
@@ -101,7 +101,7 @@ func applyHashOps(t *testing.T, ops []byte) {
 			}
 			StoreField(e, 0, 64, val)
 			oracle[key] = val
-			StoreField(h2.Entry(key, k2), 0, 64, val)
+			StoreField(h2.Entry2(key, k2), 0, 64, val)
 			oracle2[[2]uint64{key, k2}] = val
 		case 1: // delete
 			hm.Remove(key)
@@ -115,10 +115,10 @@ func applyHashOps(t *testing.T, ops []byte) {
 			if ok && LoadField(e, 0, 64) != want {
 				t.Fatalf("step %d: Peek(%#x) = %d, oracle %d", i/2, key, LoadField(e, 0, 64), want)
 			}
-			e2 := h2.Peek(key, k2)
+			e2 := h2.Peek2(key, k2)
 			want2, ok2 := oracle2[[2]uint64{key, k2}]
 			if ok2 != (e2 != nil) || (ok2 && e2[0] != want2) {
-				t.Fatalf("step %d: HashMap2 Peek diverges from oracle", i/2)
+				t.Fatalf("step %d: pair Peek2 diverges from oracle", i/2)
 			}
 		default: // iterate, order-insensitive
 			if hm.Len() != len(oracle) {
@@ -135,7 +135,7 @@ func applyHashOps(t *testing.T, ops []byte) {
 				}
 			}
 			if h2.Len() != len(oracle2) {
-				t.Fatalf("step %d: HashMap2 Len %d, oracle %d", i/2, h2.Len(), len(oracle2))
+				t.Fatalf("step %d: pair Len %d, oracle %d", i/2, h2.Len(), len(oracle2))
 			}
 		}
 	}
@@ -147,13 +147,13 @@ func applyHashOps(t *testing.T, ops []byte) {
 		}
 	}
 	seen2 := map[[2]uint64]uint64{}
-	h2.ForEach(func(a, b uint64, e []uint64) { seen2[[2]uint64{a, b}] = e[0] })
+	h2.ForEach2(func(a, b uint64, e []uint64) { seen2[[2]uint64{a, b}] = e[0] })
 	if len(seen2) != len(oracle2) {
-		t.Fatalf("final: HashMap2 ForEach visited %d, oracle %d", len(seen2), len(oracle2))
+		t.Fatalf("final: pair ForEach2 visited %d, oracle %d", len(seen2), len(oracle2))
 	}
 	for k, v := range oracle2 {
 		if seen2[k] != v {
-			t.Fatalf("final: HashMap2 pair %v lost or corrupted", k)
+			t.Fatalf("final: pair %v lost or corrupted", k)
 		}
 	}
 }
@@ -236,7 +236,7 @@ func TestDifferentialSetContainers(t *testing.T) {
 // FuzzSetContainers feeds arbitrary byte strings as op sequences: each
 // pair of bytes is one (op, element) instruction. The same stream
 // drives both the set representations (bitset/treeset/map-oracle) and
-// the open-addressing hash tables (HashMap/HashMap2 vs map oracles).
+// the open-addressing hash tables (one-word and pair vs map oracles).
 func FuzzSetContainers(f *testing.F) {
 	f.Add([]byte{0, 5, 2, 5, 1, 5, 2, 5, 3, 0})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 3, 0, 1, 2, 3, 0})

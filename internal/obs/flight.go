@@ -101,8 +101,8 @@ const (
 var ringNames = [...]string{JobRing: "jobs", ControlRing: "control"}
 
 // DefaultFlightRing is the default job-ring capacity: 1,024 six-stage
-// job chains. The two rings' events then preallocate 552,960 bytes, and
-// their pre-sized trace counts about 270 KB more.
+// job chains. The two rings' events then preallocate 443,520 bytes, and
+// their pre-sized trace counts about 220 KB more.
 const DefaultFlightRing = 6144
 
 // FlightRecorder holds the job ring and the control ring.
@@ -127,12 +127,12 @@ type FlightRingDump struct {
 }
 
 // NewFlightRecorder builds a recorder whose job ring holds jobEvents
-// events and whose control ring holds a quarter as many (minimum 16
-// each).
+// events (minimum 16) and whose control ring holds 16: its one writer
+// records an event per journal error.
 func NewFlightRecorder(jobEvents int) *FlightRecorder {
 	f := &FlightRecorder{}
 	f.rings[JobRing].init(max(jobEvents, 16))
-	f.rings[ControlRing].init(max(jobEvents/4, 16))
+	f.rings[ControlRing].init(16)
 	return f
 }
 

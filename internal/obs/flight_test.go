@@ -198,16 +198,17 @@ func TestFlightRecorderRingAndDrop(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDefaultPrealloc: the control ring is a quarter of
-// the job ring, and the default rings preallocate 552,960 bytes.
+// TestFlightRecorderDefaultPrealloc: the control ring holds 16 events,
+// and the default rings preallocate 443,520 bytes (6,160 events of 72
+// bytes).
 func TestFlightRecorderDefaultPrealloc(t *testing.T) {
 	f := NewFlightRecorder(DefaultFlightRing)
 	jobs, ctl := len(f.rings[JobRing].buf), len(f.rings[ControlRing].buf)
-	if jobs != DefaultFlightRing || ctl != DefaultFlightRing/4 {
-		t.Fatalf("rings hold %d and %d events, want %d and %d", jobs, ctl, DefaultFlightRing, DefaultFlightRing/4)
+	if jobs != DefaultFlightRing || ctl != 16 {
+		t.Fatalf("rings hold %d and %d events, want %d and 16", jobs, ctl, DefaultFlightRing)
 	}
-	if b := uintptr(jobs+ctl) * unsafe.Sizeof(FlightEvent{}); b > 552960 {
-		t.Fatalf("default rings preallocate %d bytes, want at most 552,960", b)
+	if b := uintptr(jobs+ctl) * unsafe.Sizeof(FlightEvent{}); b > 443520 {
+		t.Fatalf("default rings preallocate %d bytes, want at most 443,520", b)
 	}
 }
 

@@ -92,7 +92,8 @@ func iterateBench(c singleKeyed, keys []uint64) func(n int) {
 }
 
 // containerBenches builds Get/Set/Iterate for every single-key
-// container plus the two-key HashMap2 and the map-backed references.
+// container, the pair-keyed hash table (meta.NewHashMap2) and the
+// map-backed references.
 func containerBenches() []Bench {
 	tmpl := []uint64{0, 0}
 	type mk struct {
@@ -126,20 +127,20 @@ func containerBenches() []Bench {
 		)
 	}
 
-	// Two-key tables have their own API shape.
+	// Pair tables have their own API shape.
 	k1 := benchKeySet(benchKeys, 0)
 	k2 := benchKeySet(benchKeys, 64)
 	out = append(out,
 		Bench{"container/hash2/get", func() func(int) {
 			c := meta.NewHashMap2(benchEW, tmpl)
 			for i := range k1 {
-				meta.StoreField(c.Entry(k1[i], k2[i]), 0, 64, k1[i])
+				meta.StoreField(c.Entry2(k1[i], k2[i]), 0, 64, k1[i])
 			}
 			return func(n int) {
 				var acc uint64
 				for i := 0; i < n; i++ {
 					j := i % len(k1)
-					if e := c.Peek(k1[j], k2[j]); e != nil {
+					if e := c.Peek2(k1[j], k2[j]); e != nil {
 						acc += meta.LoadField(e, 0, 64)
 					}
 				}
@@ -149,19 +150,19 @@ func containerBenches() []Bench {
 		Bench{"container/hash2/set", func() func(int) {
 			c := meta.NewHashMap2(benchEW, tmpl)
 			for i := range k1 {
-				c.Entry(k1[i], k2[i])
+				c.Entry2(k1[i], k2[i])
 			}
 			return func(n int) {
 				for i := 0; i < n; i++ {
 					j := i % len(k1)
-					meta.StoreField(c.Entry(k1[j], k2[j]), 0, 64, uint64(i))
+					meta.StoreField(c.Entry2(k1[j], k2[j]), 0, 64, uint64(i))
 				}
 			}
 		}},
 		Bench{"container/hash2/iterate", func() func(int) {
 			c := meta.NewHashMap2(benchEW, tmpl)
 			for i := range k1 {
-				meta.StoreField(c.Entry(k1[i], k2[i]), 0, 64, k1[i])
+				meta.StoreField(c.Entry2(k1[i], k2[i]), 0, 64, k1[i])
 			}
 			return func(n int) {
 				var acc uint64
@@ -170,7 +171,7 @@ func containerBenches() []Bench {
 					sweeps = 1
 				}
 				for s := 0; s < sweeps; s++ {
-					c.ForEach(func(_, _ uint64, e []uint64) { acc += e[0] })
+					c.ForEach2(func(_, _ uint64, e []uint64) { acc += e[0] })
 				}
 				sink += acc
 			}

@@ -1,9 +1,9 @@
 package perf
 
-// Map-backed reference containers: the pre-flat-arena HashMap/HashMap2
-// (a Go map of per-entry slices), retained verbatim so the benchmark
-// suite keeps measuring the open-addressing tables against the design
-// they replaced. Not used by the runtime.
+// Map-backed reference containers: the pre-flat-arena one-word and
+// pair hash tables (a Go map of per-entry slices), retained verbatim so
+// the benchmark suite keeps measuring the open-addressing table against
+// the design it replaced. Not used by the runtime.
 
 type mapHashMap struct {
 	m        map[uint64][]uint64

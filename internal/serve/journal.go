@@ -64,21 +64,19 @@ type JournalFaults struct {
 var errInjected = errors.New("injected journal fault")
 
 // Journal is the append side of the WAL; safe for concurrent workers.
-// Appends are fsynced per record by default (SyncEvery 1): an accept
-// must be on stable storage before the client sees its 202, or "zero
-// lost accepted jobs" after kill -9 would be a lie.
+// Every append is fsynced: an accept must be on stable storage before
+// the client sees its 202, or "zero lost accepted jobs" after kill -9
+// would be a lie.
 type Journal struct {
-	mu        sync.Mutex
-	f         *os.File
-	path      string
-	syncEvery int
-	pending   int
-	writes    uint64 // appends attempted, for fault ordinals
-	syncs     uint64
-	faults    JournalFaults
-	degraded  atomic.Bool
-	appends   atomic.Uint64
-	errs      atomic.Uint64
+	mu       sync.Mutex
+	f        *os.File
+	path     string
+	writes   uint64 // appends attempted, for fault ordinals
+	syncs    uint64
+	faults   JournalFaults
+	degraded atomic.Bool
+	appends  atomic.Uint64
+	errs     atomic.Uint64
 }
 
 // Recovered is what reading a journal back yields: terminal statuses
@@ -97,10 +95,7 @@ type Recovered struct {
 // not silent corruption. A torn trailing line — the crash arrived
 // mid-write — is tolerated exactly like the harness checkpoints
 // tolerate it.
-func OpenJournal(path, fp string, syncEvery int, faults JournalFaults) (*Journal, *Recovered, error) {
-	if syncEvery <= 0 {
-		syncEvery = 1
-	}
+func OpenJournal(path, fp string, faults JournalFaults) (*Journal, *Recovered, error) {
 	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
 		// Atomic header write: the journal either exists with a complete
 		// header line or not at all — a crash during creation cannot
@@ -121,7 +116,7 @@ func OpenJournal(path, fp string, syncEvery int, faults JournalFaults) (*Journal
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Journal{f: f, path: path, syncEvery: syncEvery, faults: faults}, rec, nil
+	return &Journal{f: f, path: path, faults: faults}, rec, nil
 }
 
 // readJournal parses the journal, verifying the header fingerprint.
@@ -192,11 +187,11 @@ func fingerprintMatches(journal, server string) bool {
 	return err == nil
 }
 
-// append writes one record, honoring the batched-sync discipline and
-// the injected fault schedule. On failure the journal flips to
-// degraded: the server keeps serving (availability over durability —
-// accepted work still completes, results just stop being crash-safe)
-// and /readyz reports the degradation.
+// append writes and fsyncs one record, honoring the injected fault
+// schedule. On failure the journal flips to degraded: the server keeps
+// serving (availability over durability — accepted work still
+// completes, results just stop being crash-safe) and /readyz reports
+// the degradation.
 func (j *Journal) append(rec journalRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -217,20 +212,16 @@ func (j *Journal) append(rec journalRecord) error {
 		return err
 	}
 	j.appends.Add(1)
-	j.pending++
-	if j.pending >= j.syncEvery {
-		j.pending = 0
-		j.syncs++
-		if j.faults.FailSyncNth != 0 && j.syncs == j.faults.FailSyncNth {
-			j.degraded.Store(true)
-			j.errs.Add(1)
-			return fmt.Errorf("sync %d: %w", j.syncs, errInjected)
-		}
-		if err := j.f.Sync(); err != nil {
-			j.degraded.Store(true)
-			j.errs.Add(1)
-			return err
-		}
+	j.syncs++
+	if j.faults.FailSyncNth != 0 && j.syncs == j.faults.FailSyncNth {
+		j.degraded.Store(true)
+		j.errs.Add(1)
+		return fmt.Errorf("sync %d: %w", j.syncs, errInjected)
+	}
+	if err := j.f.Sync(); err != nil {
+		j.degraded.Store(true)
+		j.errs.Add(1)
+		return err
 	}
 	return nil
 }
@@ -253,13 +244,10 @@ func (j *Journal) Degraded() bool { return j.degraded.Load() }
 // (injected or real).
 func (j *Journal) Stats() (appends, errs uint64) { return j.appends.Load(), j.errs.Load() }
 
-// Close flushes and closes the journal (part of graceful drain).
+// Close closes the journal (part of graceful drain); every record is
+// already fsynced.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.pending > 0 {
-		j.pending = 0
-		j.f.Sync()
-	}
 	return j.f.Close()
 }

@@ -21,7 +21,7 @@ func testReq(workload string) *JobRequest {
 // high-water mark new IDs must clear.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, rec, err := OpenJournal(path, "fp1", 1, JournalFaults{})
+	j, rec, err := OpenJournal(path, "fp1", JournalFaults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err = OpenJournal(path, "fp1", 1, JournalFaults{})
+	_, rec, err = OpenJournal(path, "fp1", JournalFaults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func jobID(seq uint64) string { return "j" + string(rune('0'+seq)) }
 // before it.
 func TestJournalTornTrailingLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path, "fp1", 1, JournalFaults{})
+	j, _, err := OpenJournal(path, "fp1", JournalFaults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestJournalTornTrailingLine(t *testing.T) {
 	f.WriteString(`{"type":"done","status":{"id":"j1","sta`) // torn
 	f.Close()
 
-	_, rec, err := OpenJournal(path, "fp1", 1, JournalFaults{})
+	_, rec, err := OpenJournal(path, "fp1", JournalFaults{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestJournalTornTrailingLine(t *testing.T) {
 // comparable.
 func TestJournalFingerprintMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path, "fp1", 1, JournalFaults{})
+	j, _, err := OpenJournal(path, "fp1", JournalFaults{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, _, err := OpenJournal(path, "fp2", 1, JournalFaults{}); err == nil ||
+	if _, _, err := OpenJournal(path, "fp2", JournalFaults{}); err == nil ||
 		!strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("err = %v, want fingerprint mismatch", err)
 	}
@@ -136,7 +136,7 @@ func TestJournalInjectedFaultsDegrade(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "jobs.jsonl")
-			j, _, err := OpenJournal(path, "fp1", 1, tc.faults)
+			j, _, err := OpenJournal(path, "fp1", tc.faults)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,34 +161,6 @@ func TestJournalInjectedFaultsDegrade(t *testing.T) {
 			}
 			j.Close()
 		})
-	}
-}
-
-// TestJournalBatchedSync: SyncEvery > 1 batches fsyncs but records are
-// still recoverable after Close (which flushes the tail).
-func TestJournalBatchedSync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path, "fp1", 8, JournalFaults{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 5; seq++ {
-		if err := j.AppendAccept(seq, jobID(seq), "", testReq("sort")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if j.syncs != 0 {
-		t.Fatalf("syncs = %d before the batch filled, want 0", j.syncs)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec, err := OpenJournal(path, "fp1", 8, JournalFaults{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Unfinished) != 5 {
-		t.Fatalf("recovered %d unfinished, want 5", len(rec.Unfinished))
 	}
 }
 

@@ -31,16 +31,13 @@ type Config struct {
 	// JournalPath enables the write-ahead job journal (empty = no
 	// durability).
 	JournalPath string
-	// JournalSyncEvery batches journal fsyncs (default 1 = every
-	// record, the full-durability setting).
-	JournalSyncEvery int
 	// JournalFaults injects deterministic journal I/O failures (chaos
 	// testing).
 	JournalFaults JournalFaults
 	// FlightRing is the event capacity of the flight recorder's job
 	// ring, the one bound on the server's event log; the control ring
-	// holds a quarter as many. Default obs.DefaultFlightRing (6,144):
-	// 1,024 six-stage job chains, whatever the traffic mix.
+	// holds 16 events. Default obs.DefaultFlightRing (6,144): 1,024
+	// six-stage job chains, whatever the traffic mix.
 	FlightRing int
 	// FlightSnapshotPath, when set, is where the flight recorder
 	// auto-dumps (once) when the journal degrades — chaos faults
@@ -67,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantInflight == 0 {
 		c.TenantInflight = 16
-	}
-	if c.JournalSyncEvery <= 0 {
-		c.JournalSyncEvery = 1
 	}
 	if c.FlightRing <= 0 {
 		c.FlightRing = obs.DefaultFlightRing
@@ -201,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 	var recovered *Recovered
 	if cfg.JournalPath != "" {
 		var err error
-		s.journal, recovered, err = OpenJournal(cfg.JournalPath, cfg.fingerprint(), cfg.JournalSyncEvery, cfg.JournalFaults)
+		s.journal, recovered, err = OpenJournal(cfg.JournalPath, cfg.fingerprint(), cfg.JournalFaults)
 		if err != nil {
 			return nil, err
 		}
