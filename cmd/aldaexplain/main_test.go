@@ -137,4 +137,16 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-file", filepath.Join(t.TempDir(), "missing.alda")}, &stdout, &stderr); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
+	// An analysis the compiler cannot run: has on a pair-keyed map.
+	pair := filepath.Join(t.TempDir(), "pair.alda")
+	src := "address := pointer\nv := int64\nm = map(address, map(address, v))\n" +
+		"h(address a, address b) { alda_assert(m[a].has(b), 1, \"has\"); }\ninsert after LoadInst call h($1, $1)\n"
+	if err := os.WriteFile(pair, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-file", pair}, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "has unsupported on m") {
+		t.Errorf("pair-keyed has: exit %d, stderr %q; want 1 and the compile error", code, stderr.String())
+	}
 }

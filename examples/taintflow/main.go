@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	alda "repro"
 	"repro/internal/analyses"
@@ -57,22 +58,57 @@ func main() {
 		{"ffmpeg with injected input-controlled index", mustBuild("ffmpeg", workloads.BugTaint), 1},
 		{"ffmpeg clean", mustBuild("ffmpeg", workloads.BugNone), 0},
 	} {
-		inst, err := an.Instrument(tc.prog)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := alda.Run(inst, an, alda.RunConfig{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: %d finding(s)\n", tc.name, len(res.Reports))
-		for _, r := range res.Reports {
+		reports := findings(an, tc.prog)
+		fmt.Printf("%s: %d finding(s)\n", tc.name, len(reports))
+		for _, r := range reports {
 			fmt.Printf("  %v\n", r)
 		}
-		if len(res.Reports) != tc.want {
-			log.Fatalf("%s: %d finding(s), want %d", tc.name, len(res.Reports), tc.want)
+		if len(reports) != tc.want {
+			log.Fatalf("%s: %d finding(s), want %d", tc.name, len(reports), tc.want)
 		}
 	}
+
+	// The same flow under the Figure 5 combination, where the load
+	// handler fuses with Eraser's and FastTrack's into one hook that
+	// returns the loaded value's taint.
+	src, err := analyses.Combined(analyses.Fig5Combination...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	comb, err := alda.Compile(src, alda.DefaultOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for name, fn := range analyses.FastTrackExternals() {
+		comb.RegisterExternal(name, fn)
+	}
+	want, got := sites(findings(an, handRolled())), sites(findings(comb, handRolled()))
+	fmt.Printf("hand-rolled flow under %v: %s\n", analyses.Fig5Combination, got)
+	if got != want {
+		log.Fatalf("the combination reports %q, tainttrack alone %q", got, want)
+	}
+}
+
+func findings(an *alda.Analysis, prog *alda.Program) []*alda.Report {
+	inst, err := an.Instrument(prog)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := alda.Run(inst, an, alda.RunConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Reports
+}
+
+// sites lists the findings by message and block: the pc within a block
+// shifts with the number of hooks instrumentation inserts.
+func sites(reports []*alda.Report) string {
+	var out []string
+	for _, r := range reports {
+		out = append(out, fmt.Sprintf("%s at %s block %d", r.Message, r.Fn, r.Block))
+	}
+	return strings.Join(out, "; ")
 }
 
 func mustBuild(name string, bug workloads.Bug) *alda.Program {

@@ -62,7 +62,9 @@ func (rt *Runtime) buildClosures() error {
 	}
 	rt.handlers = make([]vm.HandlerFn, len(lhs))
 	for i, lh := range lhs {
-		rt.handlers[i] = (&cgen{rt: rt, h: lh}).handler()
+		if lh != nil {
+			rt.handlers[i] = (&cgen{rt: rt, h: lh}).handler()
+		}
 	}
 	return nil
 }
@@ -105,7 +107,7 @@ func (c *cgen) handler() vm.HandlerFn {
 			for i := len(mus) - 1; i >= 0; i-- {
 				mus[i].mu.Unlock()
 			}
-			return 0
+			return st.ret
 		}
 	}
 	body := bodies[0]

@@ -479,15 +479,6 @@ check(label l) { alda_assert(l, 7, "shadow lost"); }
 insert after LoadInst call mark($1)
 insert before BranchInst call check($1.m)
 `
-	p := mir.NewProgram()
-	b := p.NewFunc("main", 0)
-	buf := b.Call("malloc", mir.C(8))
-	b.Store(mir.R(buf), mir.C(3), 8)
-	v := b.Load(mir.R(buf), 8)
-	t1 := b.NewBlock()
-	b.CondBr(mir.R(v), t1, t1)
-	b.SetBlock(t1)
-	b.RetVal(mir.C(0))
-	res := runSrc(t, src, compiler.DefaultOptions(), p, nil)
+	res := runSrc(t, src, compiler.DefaultOptions(), loadThenBranch(), nil)
 	assertReports(t, res)
 }

@@ -69,6 +69,9 @@ type FusedPart struct {
 type FusedSpec struct {
 	Name  string
 	Parts []FusedPart
+	// Result names the part whose value the hook returns; "" when no
+	// part has a result.
+	Result string
 }
 
 // Analysis is a compiled ALDA analysis: the immutable compilation plan.
@@ -239,30 +242,40 @@ func keyOf(a ast.CallArg) argKey {
 }
 
 // fuseRules merges rules attached to the same insertion point into one
-// fused rule per point. Rules with results (their return value feeds a
-// shadow register) and rules using $p (site-dependent expansion) stay
-// standalone.
+// fused rule per point. checkShadowConflicts leaves at most one result
+// rule per point, and the fused hook returns that part's value. Rules
+// using $p (site-dependent expansion) stay standalone. So does a result
+// rule whose point has a later rule reading $X.m, together with those
+// readers: a fused hook marshals its arguments before its first part
+// runs, and a reader must see the shadow register after the result has
+// been written to it.
 func (a *Analysis) fuseRules() {
 	type pointKey struct {
 		kind   MatchKind
 		callee string
 		after  bool
 	}
-	groups := make(map[pointKey][]int)
-	var order []pointKey
-	fusable := func(r *Rule) bool {
+	resultAt := make(map[pointKey]int)
+	standalone := make(map[int]bool)
+	for i := range a.Rules {
+		r := &a.Rules[i]
+		k := pointKey{r.Kind, r.Callee, r.After}
+		if ri, ok := resultAt[k]; ok && r.UsesMeta {
+			standalone[ri], standalone[i] = true, true
+		}
 		if r.HasResult {
-			return false
+			resultAt[k] = i
 		}
 		for _, arg := range r.Args {
 			if arg.Kind == ast.ArgAll {
-				return false
+				standalone[i] = true
 			}
 		}
-		return true
 	}
+	groups := make(map[pointKey][]int)
+	var order []pointKey
 	for i := range a.Rules {
-		if !fusable(&a.Rules[i]) {
+		if standalone[i] {
 			continue
 		}
 		k := pointKey{a.Rules[i].Kind, a.Rules[i].Callee, a.Rules[i].After}
@@ -300,6 +313,9 @@ func (a *Analysis) fuseRules() {
 			if r.UsesMeta {
 				usesMeta = true
 			}
+			if r.HasResult {
+				spec.Result = r.HandlerName
+			}
 			spec.Parts = append(spec.Parts, part)
 			names = append(names, r.HandlerName)
 			replaced[ri] = true
@@ -310,7 +326,7 @@ func (a *Analysis) fuseRules() {
 		fusedByFirst[idxs[0]] = Rule{
 			Kind: k.kind, Callee: k.callee, After: k.after,
 			HandlerID: fusedID, HandlerName: spec.Name,
-			Args: args, UsesMeta: usesMeta,
+			Args: args, HasResult: spec.Result != "", UsesMeta: usesMeta,
 		}
 	}
 
@@ -464,8 +480,11 @@ func (a *Analysis) Plan() string {
 		for i, p := range f.Parts {
 			names[i] = p.HandlerName
 		}
-		fmt.Fprintf(&b, "fused hook: %s (one dispatch, shared lookups and locks)\n",
-			strings.Join(names, " + "))
+		fmt.Fprintf(&b, "fused hook: %s (one dispatch, shared lookups and locks", strings.Join(names, " + "))
+		if f.Result != "" {
+			fmt.Fprintf(&b, "; returns %s's value", f.Result)
+		}
+		b.WriteString(")\n")
 	}
 	// Handler access/CSE summary.
 	names := make([]string, 0, len(a.Access.PerHandler))

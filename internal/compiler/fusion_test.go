@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/mir"
+	"repro/internal/vm"
 )
 
 const twoAnalyses = `
@@ -66,27 +68,120 @@ func TestFusionPreservesOrderAndSemantics(t *testing.T) {
 	}
 }
 
-func TestFusionSkipsResultHandlers(t *testing.T) {
+// markCountAlso has three handlers after every load; mark returns a
+// label for the load's shadow register.
+const markCountAlso = `
+address := pointer
+label := int64
+label mark(address p) { return 7; }
+count(address p) { }
+also(address p) { }
+check(label l) { alda_assert(l, 0, "shadow"); }
+insert after LoadInst call mark($1)
+insert after LoadInst call count($1)
+insert after LoadInst call also($1)
+insert before BranchInst call check($1.m)
+`
+
+// loadThenBranch loads a value and branches on it, so a BranchInst
+// hook reading $1.m sees the shadow register the load's hooks left.
+func loadThenBranch() *mir.Program {
+	p := mir.NewProgram()
+	b := p.NewFunc("main", 0)
+	buf := b.Call("malloc", mir.C(8))
+	b.Store(mir.R(buf), mir.C(3), 8)
+	v := b.Load(mir.R(buf), 8)
+	t1 := b.NewBlock()
+	b.CondBr(mir.R(v), t1, t1)
+	b.SetBlock(t1)
+	b.RetVal(mir.C(0))
+	return p
+}
+
+func TestFusionCarriesResult(t *testing.T) {
+	a, err := compiler.Compile(markCountAlso, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mark, count and also fuse into one hook that returns mark's value.
+	if len(a.Fused) != 1 || len(a.Fused[0].Parts) != 3 || a.Fused[0].Result != "mark" {
+		t.Fatalf("fused: %+v", a.Fused)
+	}
+	if len(a.Rules) != 2 || !a.Rules[0].HasResult || a.Rules[0].HandlerName != a.Fused[0].Name {
+		t.Fatalf("rules: %+v", a.Rules)
+	}
+	if !strings.Contains(a.Plan(), "returns mark's value") {
+		t.Errorf("plan does not name the result part:\n%s", a.Plan())
+	}
+	if a.Staged() {
+		t.Fatal("test source unexpectedly staged; this test covers the closure emitter")
+	}
+	// mark's 7 lands in the load's shadow register, fused or not: check
+	// reports it as the branch condition's label.
+	for _, opts := range []compiler.Options{compiler.DefaultOptions(), compiler.NoFuseOptions()} {
+		res := runSrc(t, markCountAlso, opts, loadThenBranch(), nil)
+		if len(res.Reports) != 1 || res.Reports[0].Got != 7 {
+			t.Errorf("%s: branch shadow is not mark's 7:\n%s", opts.Fingerprint(), vm.FormatReports(res.Reports))
+		}
+	}
+}
+
+func TestFusionKeepsResultBeforeShadowReader(t *testing.T) {
+	// seen reads the load's shadow register after mark writes it. A
+	// fused hook marshals $r.m before its first part runs, so mark and
+	// seen stay standalone, and count+also still fuse.
 	src := `
 address := pointer
 label := int64
 label mark(address p) { return 7; }
 count(address p) { }
 also(address p) { }
-insert after LoadInst call mark($1)
+seen(label l) { alda_assert(l, 0, "shadow"); }
 insert after LoadInst call count($1)
+insert after LoadInst call mark($1)
 insert after LoadInst call also($1)
+insert after LoadInst call seen($r.m)
 `
 	a, err := compiler.Compile(src, compiler.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// count+also fuse; mark (has a result) stays standalone.
-	if len(a.Fused) != 1 || len(a.Fused[0].Parts) != 2 {
+	if len(a.Fused) != 1 || a.Fused[0].Name != "fused(count+also)" || a.Fused[0].Result != "" {
 		t.Fatalf("fused: %+v", a.Fused)
 	}
-	if len(a.Rules) != 2 {
-		t.Fatalf("rules = %d, want 2 (mark + fused)", len(a.Rules))
+	var names []string
+	for _, r := range a.Rules {
+		names = append(names, r.HandlerName)
+	}
+	if got := strings.Join(names, " "); got != "fused(count+also) mark seen" {
+		t.Fatalf("rules = %s, want fused(count+also) mark seen", got)
+	}
+	p := mir.NewProgram()
+	b := p.NewFunc("main", 0)
+	buf := b.Call("malloc", mir.C(8))
+	b.Load(mir.R(buf), 8)
+	b.RetVal(mir.C(0))
+	for _, opts := range []compiler.Options{compiler.DefaultOptions(), compiler.NoFuseOptions()} {
+		res := runSrc(t, src, opts, p, nil)
+		if len(res.Reports) != 1 || res.Reports[0].Got != 7 {
+			t.Errorf("%s: seen did not read mark's 7:\n%s", opts.Fingerprint(), vm.FormatReports(res.Reports))
+		}
+	}
+}
+
+func TestTwoResultsAtOnePointRejected(t *testing.T) {
+	src := `
+address := pointer
+label := int64
+label mark(address p) { return 7; }
+label other(address p) { return 8; }
+insert after LoadInst call mark($1)
+insert after LoadInst call other($1)
+`
+	for _, opts := range []compiler.Options{compiler.DefaultOptions(), compiler.NoFuseOptions()} {
+		if _, err := compiler.Compile(src, opts); err == nil || !strings.Contains(err.Error(), "single shadow register") {
+			t.Errorf("%s: two results at one point: err = %v", opts.Fingerprint(), err)
+		}
 	}
 }
 

@@ -47,6 +47,10 @@ func (a *Analysis) goSource(fn string) (string, error) {
 	g := &gogen{lay: a.Layout, binds: make(map[string]string)}
 	lits := make([]string, len(lhs))
 	for i, lh := range lhs {
+		if lh == nil {
+			lits[i] = "nil"
+			continue
+		}
 		if lits[i], err = g.handler(i, lh); err != nil {
 			return "", fmt.Errorf("compiler: staging %s: %w", lh.name, err)
 		}
@@ -57,8 +61,8 @@ func (a *Analysis) goSource(fn string) (string, error) {
 		fmt.Fprintf(&b, "%s := %s\n", name, g.binds[name])
 	}
 	b.WriteString("return []vm.HandlerFn{\n")
-	for i, lit := range lits {
-		fmt.Fprintf(&b, "// %s\n%s,\n", lhs[i].name, lit)
+	for i, name := range a.HandlerNames() {
+		fmt.Fprintf(&b, "// %s\n%s,\n", name, lits[i])
 	}
 	b.WriteString("}\n}\n")
 	return b.String(), nil
@@ -226,8 +230,6 @@ func (g *gogen) stmt(s lStmt) {
 			}
 			g.line("return %s", v)
 			return
-		case g.h.fused && v != "":
-			g.line("_ = %s", v) // a fused hook's result is always 0
 		case v != "":
 			g.retVar = true
 			g.line("ret = %s", v)

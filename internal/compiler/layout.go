@@ -189,7 +189,7 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 	}
 	var buckets []*bucket
 	bySig := make(map[string]*bucket)
-	queried := hasQueried(info)
+	calls, queried := mapCalls(info)
 	for _, m := range info.MetaOrder {
 		sig := keySig(m)
 		if (!opts.Coalesce || queried[m.Name]) && sig != "<global>" {
@@ -390,6 +390,21 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 		lay.Groups = append(lay.Groups, g)
 	}
 
+	// A pair table answers point reads and writes only. Reject here what
+	// the lowering cannot emit for one, so Compile fails rather than
+	// NewRuntime.
+	for _, c := range calls {
+		if lay.Groups[lay.ByMeta[c.meta].GroupID].Key2Type == nil {
+			continue
+		}
+		switch {
+		case c.ranged:
+			return nil, fmt.Errorf("compiler: handler %s: range %s on %s requires a single-dimension container-backed map", c.handler, c.method, c.meta)
+		case c.method == "has" || c.method == "remove":
+			return nil, fmt.Errorf("compiler: handler %s: %s unsupported on %s", c.handler, c.method, c.meta)
+		}
+	}
+
 	sort.SliceStable(lay.Groups, func(i, j int) bool { return lay.Groups[i].ID < lay.Groups[j].ID })
 	return lay, nil
 }
@@ -411,20 +426,33 @@ func perAccessMembers(info *sema.Info, acc *access.Result) map[string]bool {
 	return out
 }
 
-// hasQueried returns the maps some handler queries with map.has. Their
+// mapCall is one map method call in a handler body.
+type mapCall struct {
+	handler, method, meta string
+	ranged                bool // set(k, v, n) or get(k, n)
+}
+
+// mapCalls lists the map method calls of every handler, in declaration
+// order, and returns the maps some handler queries with map.has. Their
 // answer is per-key presence, which the hash map and the array map
 // track exactly but shadow memory and the page table do not (they
 // materialize whole chunks or pages), and which a coalesced entry would
 // blur (any member's access materializes it). Such maps therefore get a
 // group of their own and never an address-space container.
-func hasQueried(info *sema.Info) map[string]bool {
-	out := make(map[string]bool)
+func mapCalls(info *sema.Info) ([]mapCall, map[string]bool) {
+	var calls []mapCall
+	queried := make(map[string]bool)
+	var handler string
 	var expr func(e ast.Expr)
 	expr = func(e ast.Expr) {
 		switch x := e.(type) {
 		case *ast.MethodExpr:
-			if vt := info.ExprTypes[x.Recv]; x.Name == "has" && vt.Meta != nil {
-				out[vt.Meta.Name] = true
+			if vt := info.ExprTypes[x.Recv]; vt.Kind == sema.KMapRef {
+				calls = append(calls, mapCall{handler: handler, method: x.Name, meta: vt.Meta.Name,
+					ranged: (x.Name == "set" && len(x.Args) == 3) || (x.Name == "get" && len(x.Args) == 2)})
+				if x.Name == "has" {
+					queried[vt.Meta.Name] = true
+				}
 			}
 			expr(x.Recv)
 			for _, a := range x.Args {
@@ -465,9 +493,10 @@ func hasQueried(info *sema.Info) map[string]bool {
 		}
 	}
 	for _, h := range info.HandlerOrder {
+		handler = h.Name
 		stmts(h.Decl.Body)
 	}
-	return out
+	return calls, queried
 }
 
 // fillTemplate writes a member's initial state into the group template.

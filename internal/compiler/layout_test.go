@@ -183,27 +183,27 @@ insert after LoadInst call h($1, $1)
 }
 
 // TestPairKeyedMapPointAccessOnly: a pair table answers point reads and
-// writes only, so lowering the handlers rejects has, remove and the
-// ranged forms on a map with two unbounded keys, with or without
-// container selection.
+// writes only, so Compile rejects has, remove and the ranged forms on a
+// map with two unbounded keys, with or without container selection,
+// with the message the lowering would give.
 func TestPairKeyedMapPointAccessOnly(t *testing.T) {
-	for _, body := range []string{
-		`alda_assert(m[a].has(b), 1, "has");`,
-		`m[a].remove(b);`,
-		`m[a].set(b, 1, 8);`,
-		`alda_assert(m[a].get(b, 8), 0, "range");`,
+	for _, c := range []struct{ body, err string }{
+		{`alda_assert(m[a].has(b), 1, "has");`, "has unsupported on m"},
+		{`m[a].remove(b);`, "remove unsupported on m"},
+		{`m[a].set(b, 1, 8);`, "range set on m requires a single-dimension container-backed map"},
+		{`alda_assert(m[a].get(b, 8), 0, "range");`, "range get on m requires a single-dimension container-backed map"},
 	} {
 		src := `
 address := pointer
 v := int64
 m = map(address, map(address, v))
-h(address a, address b) { ` + body + ` }
+h(address a, address b) { ` + c.body + ` }
 insert after LoadInst call h($1, $1)
 `
 		for _, opts := range []Options{DefaultOptions(), NaiveOptions()} {
-			a := compileT(t, src, opts)
-			if _, err := a.NewRuntime(); err == nil {
-				t.Errorf("%s lowered under %s", body, opts.Fingerprint())
+			_, err := Compile(src, opts)
+			if want := "compiler: handler h: " + c.err; err == nil || err.Error() != want {
+				t.Errorf("%s under %s: Compile err = %v, want %q", c.body, opts.Fingerprint(), err, want)
 			}
 		}
 	}

@@ -32,7 +32,7 @@ import (
 type lHandler struct {
 	name  string
 	parts [][]lStmt // bodies: one per fused sub-handler; unfused handlers have one
-	fused bool      // a return ends its part only; the hook returns 0
+	fused bool      // a return ends its part only
 	locks []int     // sync group ids, ascending: the canonical lock order
 
 	slots   []ImplKind // entry CSE slots: container kind of each (hash kinds check Gen)
@@ -50,7 +50,7 @@ type (
 		then, els []lStmt
 	}
 	// lReturn ends the body; val (nil for a bare return) is the
-	// handler's result unless the hook is fused.
+	// handler's result.
 	lReturn struct{ val lExpr }
 	// lDo evaluates a scalar expression for its effect.
 	lDo struct{ x lExpr }
@@ -211,10 +211,20 @@ type hcompiler struct {
 }
 
 // lowerHandlers lowers the whole handler table: the analysis's handlers
-// in declaration order, then the fused hooks.
+// in declaration order, then the fused hooks. A handler no rule
+// dispatches (it has no insertion, or every rule naming it was fused)
+// lowers to nil, so table indices stay HandlerIDs.
 func lowerHandlers(a *Analysis) ([]*lHandler, error) {
+	dispatched := make(map[int]bool, len(a.Rules))
+	for _, r := range a.Rules {
+		dispatched[r.HandlerID] = true
+	}
 	out := make([]*lHandler, 0, len(a.Info.HandlerOrder)+len(a.Fused))
-	for _, h := range a.Info.HandlerOrder {
+	for i, h := range a.Info.HandlerOrder {
+		if !dispatched[i] {
+			out = append(out, nil)
+			continue
+		}
 		hc := newHCompiler(a, h.Name)
 		hc.bindParams(h, nil)
 		body, err := hc.stmts(h.Decl.Body)

@@ -1450,31 +1450,22 @@ func stagedEraserDsonly(rt *Runtime) []vm.HandlerFn {
 
 // stagedCombined stages eraser+fasttrack+uaf+tainttrack (full).
 func stagedCombined(rt *Runtime) []vm.HandlerFn {
-	inlid := rt.internTable("lid")
-	c0 := rt.groups[0].c.(*meta.ArrayMap)
-	mu1 := &rt.groups[1].mu
-	c1 := rt.groups[1].c.(*meta.ChunkMap)
-	buf4_0 := make([]uint64, 2)
-	ext0 := rt.externals[0]
-	buf5_0 := make([]uint64, 2)
-	ext1 := rt.externals[1]
 	buf6_0 := make([]uint64, 2)
 	ext2 := rt.externals[2]
 	buf7_0 := make([]uint64, 2)
 	ext3 := rt.externals[3]
-	buf8_0 := make([]uint64, 1)
-	ext4 := rt.externals[4]
-	buf8_1 := make([]uint64, 2)
-	ext5 := rt.externals[5]
-	buf8_2 := make([]uint64, 1)
-	buf9_0 := make([]uint64, 1)
-	buf9_1 := make([]uint64, 2)
-	buf9_2 := make([]uint64, 2)
-	buf9_3 := make([]uint64, 1)
+	mu1 := &rt.groups[1].mu
+	c1 := rt.groups[1].c.(*meta.ChunkMap)
+	inlid := rt.internTable("lid")
+	c0 := rt.groups[0].c.(*meta.ArrayMap)
 	buf18_0 := make([]uint64, 2)
+	ext0 := rt.externals[0]
 	buf19_0 := make([]uint64, 2)
+	ext1 := rt.externals[1]
 	buf20_0 := make([]uint64, 1)
+	ext4 := rt.externals[4]
 	buf20_1 := make([]uint64, 2)
+	ext5 := rt.externals[5]
 	buf20_2 := make([]uint64, 1)
 	buf21_0 := make([]uint64, 1)
 	buf21_1 := make([]uint64, 2)
@@ -1482,297 +1473,17 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 	buf21_3 := make([]uint64, 1)
 	return []vm.HandlerFn{
 		// eraserOnLock
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var e0 []uint64
-			{
-				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitAdd(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitAdd(t5[0:4], t4%256)
-			}
-			return 0
-		},
+		nil,
 		// eraserOnUnlock
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var e0 []uint64
-			{
-				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitRemove(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitRemove(t5[0:4], t4%256)
-			}
-			return 0
-		},
+		nil,
 		// eraserOnLoad
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var e0 []uint64
-			var e1 []uint64
-			var v0 uint64
-			var v0ok bool
-			mu1.Lock()
-			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				t5 := false
-				if !(t2 != 0) {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t4 := e0
-						v0 = meta.SignExtend(meta.LoadField(t4, 320, 8), 8)
-						v0ok = true
-					}
-					t3 := v0
-					t5 = int64(t3) != 0
-				}
-				if t5 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						v0 = meta.SignExtend(meta.LoadField(t7, 320, 8), 8)
-						v0ok = true
-					}
-					t6 := v0
-					if int64(t6) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t8 := e0
-						meta.StoreField(t8, 320, 8, 2)
-						v0 = cachedStore(2, 8, true)
-						v0ok = true
-					}
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t9 := e0
-					meta.BitAdd(t9[4:5], args[1]%64)
-				}
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t12 := e0
-					v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
-					v0ok = true
-				}
-				t11 := v0
-				if int64(t11) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t13 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t14 := e0
-					meta.BitAnd(t14[0:4], t14[0:4], t13[4:8])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						v0 = meta.SignExtend(meta.LoadField(t16, 320, 8), 8)
-						v0ok = true
-					}
-					t15 := v0
-					if int64(t15) == 3 {
-						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t17 := e0
-						t18 := b2u(meta.BitEmpty(t17[0:4]))
-						if t18 != 0 {
-							rt.stats.AssertFailures++
-							m.Report("eraserOnLoad", "data race: unprotected read", t18, 0)
-						}
-					}
-				}
-			}
-			mu1.Unlock()
-			return 0
-		},
+		nil,
 		// eraserOnStore
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var e0 []uint64
-			var e1 []uint64
-			var v0 uint64
-			var v0ok bool
-			mu1.Lock()
-			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				if !(t2 != 0) {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t3 := e0
-					meta.BitAdd(t3[4:5], args[1]%64)
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t6 := e0
-						v0 = meta.SignExtend(meta.LoadField(t6, 320, 8), 8)
-						v0ok = true
-					}
-					t5 := v0
-					if int64(t5) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						meta.StoreField(t7, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t9 := e0
-						v0 = meta.SignExtend(meta.LoadField(t9, 320, 8), 8)
-						v0ok = true
-					}
-					t8 := v0
-					if int64(t8) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t10 := e0
-						meta.StoreField(t10, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t12 := e0
-						v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
-						v0ok = true
-					}
-					t11 := v0
-					if int64(t11) == 0 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t13 := e0
-						meta.StoreField(t13, 320, 8, 1)
-						v0 = cachedStore(1, 8, true)
-						v0ok = true
-					}
-				} else {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t15 := e0
-						v0 = meta.SignExtend(meta.LoadField(t15, 320, 8), 8)
-						v0ok = true
-					}
-					t14 := v0
-					if int64(t14) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						meta.StoreField(t16, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-				}
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t18 := e0
-					v0 = meta.SignExtend(meta.LoadField(t18, 320, 8), 8)
-					v0ok = true
-				}
-				t17 := v0
-				if int64(t17) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t19 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t20 := e0
-					meta.BitAnd(t20[0:4], t20[0:4], t19[0:4])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t22 := e0
-						v0 = meta.SignExtend(meta.LoadField(t22, 320, 8), 8)
-						v0ok = true
-					}
-					t21 := v0
-					if int64(t21) == 3 {
-						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t23 := e0
-						t24 := b2u(meta.BitEmpty(t23[0:4]))
-						if t24 != 0 {
-							rt.stats.AssertFailures++
-							m.Report("eraserOnStore", "data race: unprotected write", t24, 0)
-						}
-					}
-				}
-			}
-			mu1.Unlock()
-			return 0
-		},
+		nil,
 		// ftOnLock
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			{
-				buf4_0[0] = args[0]
-				buf4_0[1] = args[1]
-				t1 := ext0(m, buf4_0)
-				_ = t1
-			}
-			return 0
-		},
+		nil,
 		// ftOnUnlock
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			{
-				buf5_0[0] = args[0]
-				buf5_0[1] = args[1]
-				t1 := ext1(m, buf5_0)
-				_ = t1
-			}
-			return 0
-		},
+		nil,
 		// ftOnSpawn
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			{
@@ -1794,126 +1505,9 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			return 0
 		},
 		// ftOnLoad
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var e0 []uint64
-			var v0 uint64
-			var v0ok bool
-			var v1 uint64
-			var v1ok bool
-			mu1.Lock()
-			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 448, 64)
-					v0ok = true
-				}
-				t1 := v0
-				buf8_0[0] = args[1]
-				t3 := ext4(m, buf8_0)
-				if int64(t1) != int64(t3) {
-					rt.stats.Asserts++
-					if !v1ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t5 := e0
-						v1 = meta.LoadField(t5, 384, 64)
-						v1ok = true
-					}
-					t4 := v1
-					buf8_1[0] = t4
-					buf8_1[1] = args[1]
-					t6 := ext5(m, buf8_1)
-					if t6 != 1 {
-						rt.stats.AssertFailures++
-						m.Report("ftOnLoad", "write-read race", t6, 1)
-					}
-					buf8_2[0] = args[1]
-					t7 := ext4(m, buf8_2)
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t8 := e0
-					meta.StoreField(t8, 448, 64, t7)
-					v0 = cachedStore(t7, 64, true)
-					v0ok = true
-				}
-			}
-			mu1.Unlock()
-			return 0
-		},
+		nil,
 		// ftOnStore
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var e0 []uint64
-			var v0 uint64
-			var v0ok bool
-			var v1 uint64
-			var v1ok bool
-			mu1.Lock()
-			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 384, 64)
-					v0ok = true
-				}
-				t1 := v0
-				buf9_0[0] = args[1]
-				t3 := ext4(m, buf9_0)
-				if int64(t1) != int64(t3) {
-					rt.stats.Asserts++
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t5 := e0
-						v0 = meta.LoadField(t5, 384, 64)
-						v0ok = true
-					}
-					t4 := v0
-					buf9_1[0] = t4
-					buf9_1[1] = args[1]
-					t6 := ext5(m, buf9_1)
-					if t6 != 1 {
-						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "write-write race", t6, 1)
-					}
-					rt.stats.Asserts++
-					if !v1ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t8 := e0
-						v1 = meta.LoadField(t8, 448, 64)
-						v1ok = true
-					}
-					t7 := v1
-					buf9_2[0] = t7
-					buf9_2[1] = args[1]
-					t9 := ext5(m, buf9_2)
-					if t9 != 1 {
-						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "read-write race", t9, 1)
-					}
-					buf9_3[0] = args[1]
-					t10 := ext4(m, buf9_3)
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t11 := e0
-					meta.StoreField(t11, 384, 64, t10)
-					v0 = cachedStore(t10, 64, true)
-					v0ok = true
-				}
-			}
-			mu1.Unlock()
-			return 0
-		},
+		nil,
 		// uafOnMalloc
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
@@ -2018,30 +1612,7 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			return 0
 		},
 		// uafOnStore
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var e0 []uint64
-			var v0 uint64
-			var v0ok bool
-			mu1.Lock()
-			{
-				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 512, 8), 8)
-					v0ok = true
-				}
-				t1 := v0
-				if t1 != 0 {
-					rt.stats.AssertFailures++
-					m.Report("uafOnStore", "use after free (write)", t1, 0)
-				}
-			}
-			mu1.Unlock()
-			return 0
-		},
+		nil,
 		// ttOnGets
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			mu1.Lock()
@@ -2055,44 +1626,9 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			return 0
 		},
 		// ttOnLoad
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			var ret uint64
-			mu1.Lock()
-			{
-				rt.stats.Asserts++
-				if args[2] != 0 {
-					rt.stats.AssertFailures++
-					m.Report("ttOnLoad", "tainted value used as load address", args[2], 0)
-				}
-				t1, t2 := granules(args[0], args[1], 3)
-				var t3 uint64
-				if t2 != 0 {
-					t3 = c1.RangeOr(t1, t2, 640, 64)
-				}
-				ret = t3
-				goto done
-			}
-		done:
-			mu1.Unlock()
-			return ret
-		},
+		nil,
 		// ttOnStore
-		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
-			mu1.Lock()
-			{
-				rt.stats.Asserts++
-				if args[3] != 0 {
-					rt.stats.AssertFailures++
-					m.Report("ttOnStore", "tainted value used as store address", args[3], 0)
-				}
-				t1, t2 := granules(args[0], args[2], 3)
-				if t2 > 0 {
-					c1.Fill(t1, t2, 640, 64, args[1])
-				}
-			}
-			mu1.Unlock()
-			return 0
-		},
+		nil,
 		// fused(eraserOnLock+ftOnLock)
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
@@ -2143,7 +1679,7 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			}
 			return 0
 		},
-		// fused(eraserOnLoad+ftOnLoad)
+		// fused(eraserOnLoad+ftOnLoad+ttOnLoad)
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var e1 []uint64
@@ -2153,6 +1689,7 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			var v1ok bool
 			var v2 uint64
 			var v2ok bool
+			var ret uint64
 			mu1.Lock()
 			{
 				if e0 == nil {
@@ -2281,8 +1818,23 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 					v1ok = true
 				}
 			}
+			{
+				rt.stats.Asserts++
+				if args[3] != 0 {
+					rt.stats.AssertFailures++
+					m.Report("ttOnLoad", "tainted value used as load address", args[3], 0)
+				}
+				t27, t28 := granules(args[0], args[2], 3)
+				var t29 uint64
+				if t28 != 0 {
+					t29 = c1.RangeOr(t27, t28, 640, 64)
+				}
+				ret = t29
+				goto part2
+			}
+		part2:
 			mu1.Unlock()
-			return 0
+			return ret
 		},
 		// fused(eraserOnStore+ftOnStore)
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {

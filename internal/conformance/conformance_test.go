@@ -32,15 +32,11 @@ func TestConform(t *testing.T) {
 }
 
 // TestConformCombined covers the fusion and union metamorphic
-// properties on a slice of the corpus (the combined analysis compiles
-// once; per-workload cost is instrumentation + runs).
+// properties on the whole corpus (the combined analysis compiles once;
+// per-workload cost is instrumentation + runs).
 func TestConformCombined(t *testing.T) {
 	r := NewRunner()
-	n := uint64(*conformSeeds) / 2
-	if n == 0 {
-		n = 1
-	}
-	for seed := uint64(0); seed < n; seed++ {
+	for seed := uint64(0); seed < uint64(*conformSeeds); seed++ {
 		seed := seed
 		w := Generate(seed)
 		t.Run(w.Name, func(t *testing.T) {

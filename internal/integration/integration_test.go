@@ -14,6 +14,8 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/mir"
+	"repro/internal/obs"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -198,6 +200,40 @@ func TestRaceDetectionOnInjectedRace(t *testing.T) {
 	}
 }
 
+// FastTrack records the fork edge in the hook after the spawn, so the
+// child must not run before that hook in any schedule: main's write
+// before the spawn happens before the child's accesses. A small quantum
+// puts a slice boundary right after the spawn on some seeds.
+func TestFastTrackForkEdgeEverySchedule(t *testing.T) {
+	p := mir.NewProgram()
+	b := p.NewFunc("main", 0)
+	w := p.NewFunc("worker", 1)
+	buf := w.Param(0)
+	v := w.Load(mir.R(buf), 8)
+	v2 := w.Add(mir.R(v), mir.C(5))
+	w.Store(mir.R(buf), mir.R(v2), 8)
+	w.Ret()
+	m := b.Call("malloc", mir.C(8))
+	b.Store(mir.R(m), mir.C(1), 8)
+	h := b.Spawn("worker", mir.R(m))
+	b.Join(mir.R(h))
+	b.RetVal(mir.C(0))
+
+	a, err := analyses.Compile("fasttrack", compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 64; seed++ {
+		res, err := core.RunAnalysis(p, a, core.RunOptions{Seed: seed, Quantum: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Reports) != 0 {
+			t.Fatalf("seed %d: the child ran before the fork hook:\n%s", seed, vm.FormatReports(res.Reports))
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // UAF / taint
 
@@ -295,6 +331,47 @@ func TestCombinedAnalysisConcatenates(t *testing.T) {
 	}
 	if res.HookCalls == 0 {
 		t.Fatal("combined analysis dispatched no hooks")
+	}
+}
+
+// Figure 5's saving rests on the dispatch count. Fused, a load
+// dispatches uafOnLoad before it and one hook after it, and a store one
+// hook before it and one after it; unfused, each access dispatches one
+// hook per analysis.
+func TestFig5MemoryDispatchesPerAccess(t *testing.T) {
+	p, err := workloads.Build("fft", workloads.SizeTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts compiler.Options
+		want uint64
+	}{
+		{"fused", compiler.DefaultOptions(), 2},
+		{"nofuse", compiler.NoFuseOptions(), 4},
+	} {
+		a, err := analyses.CompileCombined(c.opts, analyses.Fig5Combination...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opt
+		o.Metrics = obs.NewShard()
+		if _, err := core.RunAnalysis(p, a, o); err != nil {
+			t.Fatal(err)
+		}
+		accesses := o.Metrics.Counts["vm.op.load"] + o.Metrics.Counts["vm.op.store"]
+		var mem uint64
+		names := a.HandlerNames()
+		for id, cat := range a.HookCategories() {
+			if cat == "mem" {
+				mem += o.Metrics.Counts["vm.hook."+names[id]+".calls"]
+			}
+		}
+		if accesses == 0 || mem != c.want*accesses {
+			t.Errorf("%s: %d memory dispatches for %d loads and stores, want %d per access",
+				c.name, mem, accesses, c.want)
+		}
 	}
 }
 

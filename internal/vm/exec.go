@@ -274,6 +274,8 @@ func (m *Machine) Finish() (*Result, error) {
 // quantum is the slice's instruction budget. Replaying, it is the
 // recorded quantum's non-hook step count, and replayExtend refunds the
 // hooks when it runs out, so the slice ends where the recorded one did.
+// A live slice that runs out between a spawn and its hooks runs the
+// hooks first (extendSlice); a recording counts them as trailing hooks.
 func (m *Machine) runThread(t *thread, quantum int) {
 	m.cur = t
 	tid := uint64(t.id)
@@ -292,7 +294,7 @@ frameLoop:
 		for {
 			ins := &code[fr.block][fr.pc]
 			if quantum <= 0 {
-				if quantum = m.replayExtend(ins); quantum <= 0 {
+				if quantum = m.extendSlice(code[fr.block], fr.pc); quantum <= 0 {
 					return
 				}
 			}
@@ -684,6 +686,31 @@ frameLoop:
 			fr.pc++
 		}
 	}
+}
+
+// extendSlice returns more budget for a slice that has spent its
+// quantum, or 0 to end it. Replaying, replayExtend decides. A live slice
+// ends unless the instruction at pc is a hook that follows a spawn with
+// only hooks in between: the new thread would otherwise run before the
+// hooks after its spawn, and an analysis that records the fork there
+// (FastTrack joins the parent's clock into the child's) would miss the
+// edge.
+func (m *Machine) extendSlice(block []linkedInstr, pc int) int {
+	if m.rp != nil {
+		return m.replayExtend(&block[pc])
+	}
+	if block[pc].Op != mir.OpHook {
+		return 0
+	}
+	for i := pc - 1; i >= 0; i-- {
+		if op := block[i].Op; op != mir.OpHook {
+			if op == mir.OpSpawn {
+				return 1
+			}
+			return 0
+		}
+	}
+	return 0
 }
 
 func (m *Machine) wakeLockWaiters(lock uint64) {

@@ -92,17 +92,13 @@ func (m *Machine) replayGrant() (tid, psteps int) {
 	return rec.Tid, int(min(rec.PSteps, math.MaxInt)) // a corrupt count must not wrap negative
 }
 
-// replayExtend returns more budget for a slice that has spent its
-// quantum, or 0 to end it; a live slice always ends. A replayed slice
-// budgets non-hook steps only, so the hooks retired since the last
-// extension are refunded first. Once none are left to refund, the
-// non-hook budget is spent and only the recorded trailing hooks may
-// still retire, one at a time.
+// replayExtend returns more budget for a replayed slice that has spent
+// its quantum, or 0 to end it. A replayed slice budgets non-hook steps
+// only, so the hooks retired since the last extension are refunded
+// first. Once none are left to refund, the non-hook budget is spent and
+// only the recorded trailing hooks may still retire, one at a time.
 func (m *Machine) replayExtend(ins *linkedInstr) int {
 	p := m.rp
-	if p == nil {
-		return 0
-	}
 	if n := m.hookCalls - p.hooks; n != 0 {
 		p.hooks = m.hookCalls
 		return int(n)
