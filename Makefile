@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only,
 # no external dependencies).
 
-.PHONY: all build test race vet bench benchgate benchbaseline experiments examples fmt cover fuzz faults conform replay-conform metrics serve-smoke obs-live-smoke staged
+.PHONY: all build test race vet bench benchgate experiments examples fmt cover fuzz faults conform replay-conform metrics serve-smoke obs-live-smoke staged
 
 all: build vet test
 
@@ -67,26 +67,22 @@ fuzz:
 	go test ./internal/conformance -run=FuzzConformance -fuzz=FuzzConformance -fuzztime=30s
 	go test ./internal/trace -run=FuzzTraceDecoder -fuzz=FuzzTraceDecoder -fuzztime=30s
 
-# One measured shot of every figure/table benchmark.
+# One measured shot of each benchmark left in bench_test.go:
+# BenchmarkTable4 (compiling the eight analyses), BenchmarkHarness (the
+# Fig 4 grid serial and parallel) and BenchmarkCompileCache. The
+# figures themselves are timed by aldabench and figbench.
 bench:
 	go test -bench=. -benchmem -benchtime=1x .
 
-# Hot-path benchmark regression gate: re-measure the BenchHotPath
-# micro-suite and fail on a >15% geometric-mean regression against the
-# checked-in BENCH_baseline.json. Override BENCHTIME for a faster or
-# slower sweep (0 = single-batch smoke, exercises the gate machinery
-# only). The 15% threshold is meaningful on hardware comparable to the
-# machine that recorded the baseline; see EXPERIMENTS.md for how to
-# refresh it.
+# Hot-path benchmark regression gate: scripts/ab.sh runs the
+# BenchHotPath micro-suite in 10 alternating rounds of HEAD and the
+# working tree (each bench twice per build and round, the faster run
+# kept), and fails when one bench, or the geomean, is slower in at
+# least 9 of 10 rounds with a median paired ratio above 1.15.
+# BENCHTIME is each bench's time budget per run.
 BENCHTIME ?= 100ms
 benchgate:
-	go run ./cmd/aldabench -benchgate -bench-baseline BENCH_baseline.json -benchtime $(BENCHTIME)
-
-# Refresh the gate baseline on this machine: measure and write
-# BENCH_<rev>.json, then copy it over BENCH_baseline.json.
-benchbaseline:
-	go run ./cmd/aldabench -bench-json -benchtime 250ms
-	cp BENCH_$$(git rev-parse --short HEAD).json BENCH_baseline.json
+	BENCHTIME=$(BENCHTIME) bash scripts/ab.sh HEAD micro
 
 # Regenerate the paper's evaluation tables (EXPERIMENTS.md's source).
 experiments:

@@ -1,12 +1,9 @@
-// Benchmarks regenerating the paper's evaluation (§6) as testing.B
-// targets — one benchmark family per figure/table. Each sub-benchmark
-// executes one full instrumented run per iteration and reports the
-// normalized overhead (instrumented wall ÷ uninstrumented wall) as the
-// "overhead" metric, which is the quantity every figure in the paper
-// plots. The cmd/aldabench tool renders the same experiments as the
-// paper-style tables; EXPERIMENTS.md records both.
+// Benchmarks of the tooling around the evaluation: compiling the
+// analyses, the harness's measurement grid and the compile cache. The
+// figures themselves are timed as paired rounds by cmd/aldabench and
+// by figbench, which EXPERIMENTS.md records.
 //
-// Suggested invocation (full sweep, bounded time):
+// Suggested invocation:
 //
 //	go test -bench=. -benchmem -benchtime=1x .
 package alda_test
@@ -19,183 +16,10 @@ import (
 	"time"
 
 	"repro/internal/analyses"
-	"repro/internal/baselines"
 	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/instrument"
-	"repro/internal/mir"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
-
-const benchSize = workloads.SizeTiny
-
-// baseWall measures the uninstrumented runtime once (median of three).
-func baseWall(b *testing.B, p *mir.Program) float64 {
-	b.Helper()
-	var walls []float64
-	for i := 0; i < 3; i++ {
-		res, err := core.RunPlain(p, core.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		walls = append(walls, float64(res.Wall))
-	}
-	// median
-	if walls[0] > walls[1] {
-		walls[0], walls[1] = walls[1], walls[0]
-	}
-	if walls[1] > walls[2] {
-		walls[1], walls[2] = walls[2], walls[1]
-	}
-	if walls[0] > walls[1] {
-		walls[0], walls[1] = walls[1], walls[0]
-	}
-	return walls[1]
-}
-
-// benchRuns runs fn b.N times and reports overhead vs base.
-func benchRuns(b *testing.B, base float64, fn func() (*vm.Result, error)) {
-	b.Helper()
-	var total float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fn()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += float64(res.Wall)
-	}
-	b.StopTimer()
-	if base > 0 && b.N > 0 {
-		b.ReportMetric(total/float64(b.N)/base, "overhead")
-	}
-}
-
-func aldaRunner(b *testing.B, a *compiler.Analysis, p *mir.Program) func() (*vm.Result, error) {
-	b.Helper()
-	inst, err := instrument.Apply(p, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return func() (*vm.Result, error) { return core.RunInstrumented(inst, a, core.RunOptions{}) }
-}
-
-// BenchmarkFig3 regenerates Figure 3: hand-tuned MSan vs ALDA MSan over
-// the 20-program suite.
-func BenchmarkFig3(b *testing.B) {
-	msan, err := analyses.Compile("msan", compiler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range harness.Fig3Programs {
-		p := workloads.MustBuild(w, benchSize)
-		base := baseWall(b, p)
-		b.Run(w+"/hand", func(b *testing.B) {
-			benchRuns(b, base, func() (*vm.Result, error) {
-				return core.RunBaseline(p, func() baselines.Baseline { return baselines.NewMSan(1 << 28) }, core.RunOptions{})
-			})
-		})
-		b.Run(w+"/alda", func(b *testing.B) {
-			benchRuns(b, base, aldaRunner(b, msan, p))
-		})
-	}
-}
-
-// BenchmarkFig4 regenerates Figure 4: hand-tuned Eraser vs ALDAcc-full
-// vs ALDAcc-ds-only on Splash2.
-func BenchmarkFig4(b *testing.B) {
-	full, err := analyses.Compile("eraser", compiler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dsOnly, err := analyses.Compile("eraser", compiler.DSOnlyOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range harness.Fig4Programs {
-		p := workloads.MustBuild(w, benchSize)
-		base := baseWall(b, p)
-		b.Run(w+"/hand", func(b *testing.B) {
-			benchRuns(b, base, func() (*vm.Result, error) {
-				return core.RunBaseline(p, func() baselines.Baseline { return baselines.NewEraser() }, core.RunOptions{})
-			})
-		})
-		b.Run(w+"/full", func(b *testing.B) {
-			benchRuns(b, base, aldaRunner(b, full, p))
-		})
-		b.Run(w+"/ds-only", func(b *testing.B) {
-			benchRuns(b, base, aldaRunner(b, dsOnly, p))
-		})
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5: the four analyses individually
-// plus combined; the combined/<w> overhead metric should undercut the
-// sum of the four individual metrics.
-func BenchmarkFig5(b *testing.B) {
-	parts := []string{"eraser", "fasttrack", "uaf", "tainttrack"}
-	var compiled []*compiler.Analysis
-	for _, n := range parts {
-		a, err := analyses.Compile(n, compiler.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		compiled = append(compiled, a)
-	}
-	combined, err := analyses.CompileCombined(compiler.DefaultOptions(), parts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range harness.Fig5Programs {
-		p := workloads.MustBuild(w, benchSize)
-		base := baseWall(b, p)
-		for i, n := range parts {
-			a := compiled[i]
-			b.Run(w+"/"+n, func(b *testing.B) {
-				benchRuns(b, base, aldaRunner(b, a, p))
-			})
-		}
-		b.Run(w+"/combined", func(b *testing.B) {
-			benchRuns(b, base, aldaRunner(b, combined, p))
-		})
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3's validation runs (detection
-// latency of the planted bugs under both MSan implementations).
-func BenchmarkTable3(b *testing.B) {
-	msan, err := analyses.Compile("msan", compiler.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		w   string
-		bug workloads.Bug
-	}{
-		{"fmm", workloads.BugNone},
-		{"barnes", workloads.BugNone},
-		{"ocean", workloads.BugUninit},
-		{"volrend", workloads.BugUninit},
-		{"gcc", workloads.BugUninit},
-	}
-	for _, c := range cases {
-		p, err := workloads.BuildBug(c.w, benchSize, c.bug)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := baseWall(b, p)
-		b.Run(c.w+"/alda", func(b *testing.B) {
-			benchRuns(b, base, aldaRunner(b, msan, p))
-		})
-		b.Run(c.w+"/hand", func(b *testing.B) {
-			benchRuns(b, base, func() (*vm.Result, error) {
-				return core.RunBaseline(p, func() baselines.Baseline { return baselines.NewMSan(1 << 28) }, core.RunOptions{})
-			})
-		})
-	}
-}
 
 // BenchmarkTable4 measures ALDAcc compilation itself over the eight
 // analyses (Table 4 is about analysis authoring cost; this is the
@@ -209,32 +33,6 @@ func BenchmarkTable4(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkLibSan regenerates the §6.4.1 sanitizer runs.
-func BenchmarkLibSan(b *testing.B) {
-	cases := []struct {
-		san, w string
-		bug    workloads.Bug
-	}{
-		{"sslsan", "memcached", workloads.BugSSLLeak},
-		{"sslsan", "nginx", workloads.BugSSLShutdown},
-		{"zlibsan", "ffmpeg", workloads.BugZlibUninit},
-	}
-	for _, c := range cases {
-		a, err := analyses.Compile(c.san, compiler.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := workloads.BuildBug(c.w, benchSize, c.bug)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := baseWall(b, p)
-		b.Run(c.san+"/"+c.w, func(b *testing.B) {
-			benchRuns(b, base, aldaRunner(b, a, p))
 		})
 	}
 }
@@ -312,35 +110,4 @@ func BenchmarkCompileCache(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation regenerates the §6.2 metadata-layout ablation at a
-// finer grain than Figure 4: each optimization toggled separately.
-func BenchmarkAblation(b *testing.B) {
-	mk := func(coalesce, cse, smart bool) compiler.Options {
-		o := compiler.DefaultOptions()
-		o.Coalesce, o.CSE, o.SmartSelect = coalesce, cse, smart
-		return o
-	}
-	configs := []struct {
-		name string
-		opts compiler.Options
-	}{
-		{"full", mk(true, true, true)},
-		{"no-cse", mk(true, false, true)},
-		{"no-coalesce", mk(false, true, true)},
-		{"ds-only", mk(false, false, true)},
-		{"naive", mk(false, false, false)},
-	}
-	p := workloads.MustBuild("lu_c", benchSize)
-	base := baseWall(b, p)
-	for _, c := range configs {
-		a, err := analyses.Compile("eraser", c.opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name, func(b *testing.B) {
-			benchRuns(b, base, aldaRunner(b, a, p))
-		})
-	}
 }

@@ -18,12 +18,15 @@
 //	aldabench -exp fig4 -virtual -metrics-out m.prom     # Prometheus text exposition
 //	aldabench -prom-validate m.prom                      # strict exposition check
 //
-// Measurement cells (one workload × one configuration) are independent;
-// -parallel N fans them out over N worker goroutines (0 = GOMAXPROCS).
-// Tables are assembled in a fixed cell order, so output layout does not
-// depend on parallelism; with -virtual the numbers are deterministic
-// too and the tables are byte-identical at any -parallel value.
-// Per-cell progress/timing lines go to stderr; suppress with -quiet.
+// Each workload's row of cells is measured as paired rounds: a cell's
+// overhead is the median of its per-round ratios to the plain run.
+// Rows are independent; -parallel N fans them out over N worker
+// goroutines (0 = GOMAXPROCS). Tables are assembled in a fixed cell
+// order, so output layout does not depend on parallelism; with
+// -virtual the numbers are deterministic too and the tables are
+// byte-identical at any -parallel value. Per-cell progress/timing
+// lines go to stderr; suppress with -quiet. scripts/ab.sh drives
+// -bench-json and -compare.
 //
 // Fault tolerance: each cell runs crash-isolated — a VM trap, resource
 // budget overrun (-cell-timeout, -max-heap) or injected fault degrades
@@ -68,34 +71,31 @@ func gitRev() string {
 	return strings.TrimSpace(string(out))
 }
 
-// runBench handles the -bench-json / -benchgate modes: measure the
-// BenchHotPath suite, then emit BENCH_<rev>.json and/or gate against a
-// baseline file. Exits the process.
-func runBench(emitJSON bool, gate bool, baseline string, benchtime time.Duration, threshold float64) {
-	fmt.Fprintf(os.Stderr, "bench: running hot-path suite (benchtime %v)\n", benchtime)
-	f := perf.RunSuite(benchtime)
-	f.Rev = gitRev()
-	if emitJSON {
-		path := fmt.Sprintf("BENCH_%s.json", f.Rev)
-		if err := perf.WriteFile(path, f); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
+// runBench handles -bench-json, measuring the hot-path suite (or the
+// benches named) into BENCH_<rev>.json, and -compare BASE,CHANGE,
+// which pairs two directories of rounds and gates them. It exits the
+// process.
+func runBench(benchtime time.Duration, names []string, compare string) {
+	err := func() error {
+		if compare != "" {
+			base, change, ok := strings.Cut(compare, ",")
+			if !ok {
+				return fmt.Errorf("-compare wants BASE,CHANGE")
+			}
+			return perf.CompareDirs(os.Stdout, base, change)
 		}
-		fmt.Fprintf(os.Stderr, "bench: wrote %s (%d benches)\n", path, len(f.Benches))
-		if s, err := perf.SpeedupVsRef(f); err == nil {
-			fmt.Fprintf(os.Stderr, "bench: flat-arena vs map-backed hash Get/Set geomean speedup: %.2fx\n", s)
-		}
-	}
-	if gate {
-		base, err := perf.ReadFile(baseline)
+		f, err := perf.RunSuite(benchtime, names...)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		if err := perf.Gate(base, f, threshold); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL: %v\n", err)
-			os.Exit(1)
-		}
+		f.Rev = gitRev()
+		path := fmt.Sprintf("BENCH_%s.json", f.Rev)
+		fmt.Fprintf(os.Stderr, "bench: writing %s (%d benches, benchtime %v)\n", path, len(f.Benches), benchtime)
+		return perf.WriteFile(path, f)
+	}()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: FAIL: %v\n", err)
+		os.Exit(1)
 	}
 	os.Exit(0)
 }
@@ -141,9 +141,9 @@ func knownExperiment(name string) bool {
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig3|fig4|fig5|table3|table4|libsan|ablate|pgo|mem|gran|replay|all")
 	sizeFlag := flag.String("size", "small", "workload size: tiny|small|medium|large")
-	reps := flag.Int("reps", 3, "measured repetitions per configuration (one warm-up run is added; configurations too short to time run more)")
+	reps := flag.Int("reps", 3, "paired rounds per workload; a cell's overhead is the median of its per-round ratios (one warm-up run is added; workloads too short to time run more rounds)")
 	seed := flag.Int64("seed", 1, "deterministic scheduler seed")
-	parallel := flag.Int("parallel", 0, "measurement-cell worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "workload-row worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	virtual := flag.Bool("virtual", false, "deterministic virtual timing (steps+hooks) instead of wall-clock")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
 	keepGoing := flag.Bool("keep-going", true, "degrade failed cells to ERR(<kind>) entries instead of aborting the sweep")
@@ -156,11 +156,9 @@ func main() {
 	faultMallocNth := flag.Uint64("fault-malloc-nth", 0, "make the nth simulated allocation return NULL (0 = off)")
 	faultPanicNth := flag.Uint64("fault-panic-nth", 0, "panic at the nth analysis hook dispatch (0 = off)")
 	faultSchedPerturb := flag.Uint64("fault-sched-perturb", 0, "perturb the deterministic scheduler seed (0 = off)")
-	benchJSON := flag.Bool("bench-json", false, "run the BenchHotPath micro-suite and write BENCH_<rev>.json")
-	benchGate := flag.Bool("benchgate", false, "run the BenchHotPath micro-suite and fail on geomean regression vs -bench-baseline")
-	benchBaseline := flag.String("bench-baseline", "BENCH_baseline.json", "baseline file for -benchgate")
-	benchTime := flag.Duration("benchtime", 100*time.Millisecond, "per-bench time budget for -bench-json/-benchgate (0 = single-batch smoke)")
-	benchThreshold := flag.Float64("bench-threshold", perf.GateThreshold, "geomean regression ratio failing -benchgate")
+	benchJSON := flag.Bool("bench-json", false, "run the BenchHotPath micro-suite, or the benches named as arguments, and write BENCH_<rev>.json")
+	benchTime := flag.Duration("benchtime", 100*time.Millisecond, "per-bench time budget for -bench-json (0 = single-batch smoke)")
+	compare := flag.String("compare", "", "BASE,CHANGE: pair two directories of rounds, one subdirectory per round (scripts/ab.sh writes them), print each metric's medians, quartiles, win count and median paired ratio, and fail when a micro bench or their geomean is slower in 9 of 10 rounds by more than 15%")
 	metricsOut := flag.String("metrics-out", "", "write the sweep's observability counters to this file; a .prom extension selects the Prometheus text exposition, anything else JSON (both deterministic under -virtual)")
 	promValidate := flag.String("prom-validate", "", "strictly validate a Prometheus text exposition file and exit (0 = valid)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto / chrome://tracing)")
@@ -185,8 +183,8 @@ func main() {
 		os.Exit(0)
 	}
 
-	if *benchJSON || *benchGate {
-		runBench(*benchJSON, *benchGate, *benchBaseline, *benchTime, *benchThreshold)
+	if *benchJSON || *compare != "" {
+		runBench(*benchTime, flag.Args(), *compare)
 	}
 
 	var size workloads.Size

@@ -32,15 +32,11 @@ import (
 
 // Fingerprint returns a stable encoding of every compilation switch,
 // usable as a cache key component. Two Options values with equal
-// fingerprints compile identically.
-//
-// The encoding also carries the selection thresholds, the address
-// space and the constants "pcfalse" (it once named profile counters)
-// and ",enginterp" (it once named the VM execution tier), although no
-// Options field sets them, so that fingerprints recorded earlier still
-// match. SplitCold appends ",split" only when set, for the same reason.
+// fingerprints compile identically. The encoding also carries the
+// selection thresholds and the address space. SplitCold appends
+// ",split" only when set.
 func (o Options) Fingerprint() string {
-	fp := fmt.Sprintf("co%t,cse%t,sel%t,fuse%t,pcfalse,g%d,sft%g,bits%d,arr%d,as%d,enginterp",
+	fp := fmt.Sprintf("co%t,cse%t,sel%t,fuse%t,g%d,sft%g,bits%d,arr%d,as%d",
 		o.Coalesce, o.CSE, o.SmartSelect, o.FuseHandlers,
 		o.Granularity, shadowFactorThreshold, bitSetMaxBytes,
 		arrayMapMaxKeys, vm.AddrSpace)

@@ -241,14 +241,16 @@ func keyOf(a ast.CallArg) argKey {
 	return argKey{kind: a.Kind, index: a.Index, meta: a.Meta, sizeof: a.Sizeof}
 }
 
-// fuseRules merges rules attached to the same insertion point into one
-// fused rule per point. checkShadowConflicts leaves at most one result
-// rule per point, and the fused hook returns that part's value. Rules
-// using $p (site-dependent expansion) stay standalone. So does a result
-// rule whose point has a later rule reading $X.m, together with those
+// fuseRules merges each maximal run of consecutive fusable rules at
+// one insertion point into one fused rule, placed at the run's first
+// rule. checkShadowConflicts leaves at most one result rule per point,
+// and the fused hook returns that part's value. Rules using $p
+// (site-dependent expansion) stay standalone. So does a result rule
+// whose point has a later rule reading $X.m, together with those
 // readers: a fused hook marshals its arguments before its first part
 // runs, and a reader must see the shadow register after the result has
-// been written to it.
+// been written to it. A standalone rule ends its point's run, so every
+// rule at a point still runs in declaration order.
 func (a *Analysis) fuseRules() {
 	type pointKey struct {
 		kind   MatchKind
@@ -272,23 +274,25 @@ func (a *Analysis) fuseRules() {
 			}
 		}
 	}
-	groups := make(map[pointKey][]int)
-	var order []pointKey
+	var runs [][]int // in order of their first rule
+	open := make(map[pointKey]int)
 	for i := range a.Rules {
+		k := pointKey{a.Rules[i].Kind, a.Rules[i].Callee, a.Rules[i].After}
 		if standalone[i] {
+			delete(open, k)
 			continue
 		}
-		k := pointKey{a.Rules[i].Kind, a.Rules[i].Callee, a.Rules[i].After}
-		if len(groups[k]) == 0 {
-			order = append(order, k)
+		if ri, ok := open[k]; ok {
+			runs[ri] = append(runs[ri], i)
+			continue
 		}
-		groups[k] = append(groups[k], i)
+		open[k] = len(runs)
+		runs = append(runs, []int{i})
 	}
 
 	replaced := make(map[int]bool)
 	fusedByFirst := make(map[int]Rule)
-	for _, k := range order {
-		idxs := groups[k]
+	for _, idxs := range runs {
 		if len(idxs) < 2 {
 			continue
 		}
@@ -324,7 +328,7 @@ func (a *Analysis) fuseRules() {
 		fusedID := len(a.Info.HandlerOrder) + len(a.Fused)
 		a.Fused = append(a.Fused, spec)
 		fusedByFirst[idxs[0]] = Rule{
-			Kind: k.kind, Callee: k.callee, After: k.after,
+			Kind: a.Rules[idxs[0]].Kind, Callee: a.Rules[idxs[0]].Callee, After: a.Rules[idxs[0]].After,
 			HandlerID: fusedID, HandlerName: spec.Name,
 			Args: args, HasResult: spec.Result != "", UsesMeta: usesMeta,
 		}

@@ -138,8 +138,8 @@ count(address p) { }
 also(address p) { }
 seen(label l) { alda_assert(l, 0, "shadow"); }
 insert after LoadInst call count($1)
-insert after LoadInst call mark($1)
 insert after LoadInst call also($1)
+insert after LoadInst call mark($1)
 insert after LoadInst call seen($r.m)
 `
 	a, err := compiler.Compile(src, compiler.DefaultOptions())
@@ -165,6 +165,40 @@ insert after LoadInst call seen($r.m)
 		res := runSrc(t, src, opts, p, nil)
 		if len(res.Reports) != 1 || res.Reports[0].Got != 7 {
 			t.Errorf("%s: seen did not read mark's 7:\n%s", opts.Fingerprint(), vm.FormatReports(res.Reports))
+		}
+	}
+}
+
+func TestFusionKeepsStandaloneRuleBetweenParts(t *testing.T) {
+	// b uses $p, so it stays standalone between a and c. Fusing a with
+	// c would run c's write before b's check; only the runs on either
+	// side of b may fuse, and each holds one rule.
+	src := `
+address := pointer
+v := int64
+seen = map(address, v)
+a(address p) { }
+b(address p) { alda_assert(seen[p], 0, "order"); }
+c(address p) { seen[p] = 1; }
+insert after LoadInst call a($1)
+insert after LoadInst call b($p)
+insert after LoadInst call c($1)
+`
+	a, err := compiler.Compile(src, compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range a.Rules {
+		names = append(names, r.HandlerName)
+	}
+	if got := strings.Join(names, " "); got != "a b c" {
+		t.Fatalf("rules = %s, want a b c", got)
+	}
+	for _, opts := range []compiler.Options{compiler.DefaultOptions(), compiler.NoFuseOptions()} {
+		res := runSrc(t, src, opts, loadsProg(3), nil)
+		if len(res.Reports) != 0 {
+			t.Errorf("%s: c ran before b:\n%s", opts.Fingerprint(), vm.FormatReports(res.Reports))
 		}
 	}
 }

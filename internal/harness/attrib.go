@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/analyses"
 	"repro/internal/compiler"
-	"repro/internal/obs"
 )
 
 // Overhead attribution: instead of reporting one opaque overhead factor
@@ -66,9 +66,10 @@ func DefaultAttribPrograms() []string {
 }
 
 // Attrib measures baseline and instrumented cells for each program and
-// attributes the overhead. Cells fan out across Config.Parallelism like
-// any grid; with Config.Metrics set the per-cell counters also merge
-// into the registry, and virtual-mode tables are deterministic.
+// attributes the overhead. Rows fan out across Config.Parallelism like
+// any grid's, and each row's two cells run as paired rounds; with
+// Config.Metrics set the per-cell counters also merge into the
+// registry, and virtual-mode tables are deterministic.
 func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error) {
 	cfg = cfg.withDefaults()
 	if len(programs) == 0 {
@@ -84,53 +85,19 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 		catOf[names[i]] = c
 	}
 
-	n := len(programs) * 2 // (base, inst) per program
-	cells := make([]attribCell, n)
-	cellErrs := make([]error, n)
-	err = cfg.forEachCell(n, func(i int) (err error) {
-		program := programs[i/2]
-		inst := i%2 == 1
-		kind := "base"
-		if inst {
-			kind = "inst"
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				err = &cellFailure{kind: "panic", msg: fmt.Sprintf("panic: %v", r)}
+	// The split reads every cell's counters, which a checkpoint keeps
+	// only for metrics sweeps, so attribution always measures afresh.
+	cfg.CheckpointPath, cfg.Resume = "", false
+	cells, err := cfg.sweep(&gridSpec{
+		name:     "attrib",
+		measured: []string{"inst"},
+		programs: programs,
+		runner: func(c Config, w string, col int) (runnerFn, error) {
+			if col < 0 {
+				return c.runnerPlain(w)
 			}
-			if err != nil {
-				cellErrs[i] = err
-				cfg.noteCell(nil, nil, 0, 0, err)
-				err = fmt.Errorf("attrib %s/%s: %w", program, kind, err)
-			}
-		}()
-		cc := cfg
-		sh := obs.NewShard()
-		cc.Opt.Metrics = sh
-		if cfg.Trace != nil {
-			cc.Opt.Trace = cfg.Trace
-			cc.Opt.TraceTID = int64(i)
-		}
-		var fn runnerFn
-		if inst {
-			fn, err = cc.runnerALDA(a, program)
-		} else {
-			fn, err = cc.runnerPlain(program)
-		}
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		w, _, nruns, err := cc.measure(fn)
-		if cfg.Trace != nil {
-			cfg.Trace.Span("harness", "attrib/"+program+"/"+kind, int64(i), start, time.Since(start))
-		}
-		if err != nil {
-			return err
-		}
-		cells[i] = attribCell{wall: w, shard: sh, runs: uint64(nruns)}
-		cfg.noteCell(sh, nil, w, 0, nil)
-		return nil
+			return c.runnerALDA(a, w)
+		},
 	})
 	if err != nil && !cfg.KeepGoing {
 		return nil, err
@@ -145,34 +112,15 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 		Virtual: cfg.Virtual,
 	}
 	for pi, program := range programs {
-		bi, ii := pi*2, pi*2+1
-		if e := cellErrs[bi]; e != nil {
+		plain, inst := cells[pi*2], cells[pi*2+1]
+		if e := cmp.Or(plain.err, inst.err); e != nil {
 			t.Rows = append(t.Rows, AttribRow{Program: program, Err: errKindLabel(e)})
 			continue
 		}
-		if e := cellErrs[ii]; e != nil {
-			t.Rows = append(t.Rows, AttribRow{Program: program, Err: errKindLabel(e)})
-			continue
-		}
-		t.Rows = append(t.Rows, attribRow(program, cells[bi], cells[ii], catOf))
+		t.Rows = append(t.Rows, attribRow(program, plain, inst, catOf))
 	}
 	t.Render(cfg.Out)
 	return t, nil
-}
-
-// attribCell is one measured cell of an attribution: its measured time
-// (the minimum over timed runs, or virtual time), the counters its runs
-// accumulated, and how many runs that took, warm-up included.
-type attribCell struct {
-	wall  time.Duration
-	shard *obs.Shard
-	runs  uint64
-}
-
-// steps is the instructions one run of the cell retires. The VM is
-// deterministic, so every run retires the same count.
-func (c attribCell) steps() uint64 {
-	return c.shard.Counts["vm.steps"] / c.runs
 }
 
 // mulDiv returns a·b÷c rounded down, exact in 128-bit arithmetic and
@@ -190,11 +138,8 @@ func mulDiv(a, b, c uint64) uint64 {
 // is the instructions instrumentation inserted, each charged the plain
 // run's time per instruction; the hooks take the rest of the delta, and
 // their category shares are weighted by dispatch counts.
-func attribRow(program string, plain, inst attribCell, catOf map[string]string) AttribRow {
-	row := AttribRow{Program: program, Base: plain.wall, Inst: inst.wall}
-	if plain.wall > 0 {
-		row.Overhead = float64(inst.wall) / float64(plain.wall)
-	}
+func attribRow(program string, plain, inst cellResult, catOf map[string]string) AttribRow {
+	row := AttribRow{Program: program, Base: plain.wall, Inst: inst.wall, Overhead: inst.overhead}
 
 	var callsByCat [len(attribCategories)]uint64
 	var totalCalls uint64

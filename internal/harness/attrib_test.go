@@ -12,7 +12,7 @@ import (
 // harness accumulates them.
 func TestAttribRowSplit(t *testing.T) {
 	catOf := map[string]string{"on_load": "mem", "on_malloc": "alloc"}
-	cell := func(wall time.Duration, runs, steps, loads, mallocs uint64) attribCell {
+	cell := func(wall time.Duration, runs, steps, loads, mallocs uint64) cellResult {
 		sh := obs.NewShard()
 		sh.Add("vm.steps", steps*runs)
 		if loads != 0 {
@@ -21,11 +21,11 @@ func TestAttribRowSplit(t *testing.T) {
 		if mallocs != 0 {
 			sh.Add("vm.hook.on_malloc.calls", mallocs*runs)
 		}
-		return attribCell{wall: wall, shard: sh, runs: runs}
+		return cellResult{wall: wall, shard: sh, runs: runs}
 	}
 	for _, tc := range []struct {
 		name           string
-		plain, inst    attribCell
+		plain, inst    cellResult
 		hook, dispatch time.Duration
 		mem, alloc     float64
 	}{

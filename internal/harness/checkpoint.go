@@ -15,18 +15,21 @@ import (
 // JSONL record, so a killed sweep loses at most the cells in flight.
 // Records carry a config fingerprint; -resume replays only records
 // whose grid, cell and fingerprint match, restoring the measured wall
-// (or the degraded error) verbatim. Under -virtual the restored values
-// equal what a re-measurement would produce, so a resumed sweep renders
-// byte-identical to an uninterrupted one.
+// and overhead (or the degraded error) verbatim. Under -virtual the
+// restored values equal what a re-measurement would produce, so a
+// resumed sweep renders byte-identical to an uninterrupted one.
 
 // checkpointRecord is one completed cell.
 type checkpointRecord struct {
-	Grid    string `json:"grid"`
-	Cell    string `json:"cell"` // "<program>/<column>"
-	Fp      string `json:"fp"`
-	WallNS  int64  `json:"wall_ns"`
-	ErrKind string `json:"err_kind,omitempty"`
-	ErrMsg  string `json:"err_msg,omitempty"`
+	Grid   string `json:"grid"`
+	Cell   string `json:"cell"` // "<program>/<column>"
+	Fp     string `json:"fp"`
+	WallNS int64  `json:"wall_ns"`
+	// Overhead is the cell's ratio to its row's plain cell, as the
+	// table renders it; the plain cell's is 0.
+	Overhead float64 `json:"overhead,omitempty"`
+	ErrKind  string  `json:"err_kind,omitempty"`
+	ErrMsg   string  `json:"err_msg,omitempty"`
 	// Metrics carries the cell's deterministic observability counters
 	// when the sweep ran with Config.Metrics, so a resumed sweep merges
 	// the identical counts a re-measurement would have produced.
@@ -40,10 +43,10 @@ type checkpointRecord struct {
 func (c Config) fingerprint() string {
 	// metrics participates because it changes what a record must carry:
 	// a checkpoint written without counters cannot resume a metrics
-	// sweep (the resumed cells would silently contribute nothing).
-	// "engine=interp" is a constant that once named the VM execution
-	// tier; it stays so that existing checkpoints still resume.
-	fp := fmt.Sprintf("size=%s reps=%d seed=%d virtual=%v metrics=%v engine=interp",
+	// sweep (the resumed cells would silently contribute nothing). The
+	// estimator is named so that cells measured another way (such as
+	// the minimum of repeated runs) never resume into a paired table.
+	fp := fmt.Sprintf("size=%s reps=%d seed=%d virtual=%v metrics=%v estimator=paired-median",
 		c.Size, c.Reps, c.Opt.Seed, c.Virtual, c.Metrics != nil)
 	if c.TraceDir != "" {
 		// Replay cells measure whatever stream is on disk: bind the

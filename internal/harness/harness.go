@@ -1,13 +1,13 @@
 // Package harness reruns the paper's evaluation (§6): it measures
-// normalized overheads the way the paper does (repeated runs, first
-// discarded as warm-up, geometric mean of the rest) and renders each
+// normalized overheads as paired ratios (each workload's
+// configurations run back to back in rotating order, a warm-up run
+// discarded, the median of the per-round ratios kept) and renders each
 // table and figure of the evaluation section as text.
 package harness
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"time"
 
@@ -24,19 +24,22 @@ import (
 type Config struct {
 	// Size scales the workloads (default SizeSmall).
 	Size workloads.Size
-	// Reps is the number of measured repetitions per configuration
-	// (default 3). One extra warm-up run is discarded, matching the
-	// paper's "six runs, geomean of the later five" protocol scaled
-	// down. A configuration whose Reps runs are too short to time
-	// reliably runs more (see timedRuns).
+	// Reps is the number of paired rounds per row (default 3): each
+	// round runs every configuration of one workload back to back, and
+	// a cell's overhead is the median of its per-round ratios to the
+	// plain run. One extra warm-up run per configuration is discarded,
+	// as in the paper's "six runs, the later five" protocol. A row whose
+	// plain run is too short to time reliably runs more rounds, and in
+	// each round such a configuration runs several times and keeps its
+	// fastest run (see rounds and runsToCover).
 	Reps int
 	// Opt is the VM configuration.
 	Opt core.RunOptions
 	// Out receives rendered tables (nil ⇒ io.Discard).
 	Out io.Writer
 	// Parallelism is the number of worker goroutines that independent
-	// measurement cells (one workload × one configuration, baseline
-	// included) fan out across: 1 serializes, 0 or negative means
+	// rows (one workload's cells: the plain run and every
+	// configuration) fan out across: 1 serializes, 0 or negative means
 	// GOMAXPROCS. Each cell builds its own program and vm.Machine, and
 	// results are aggregated by cell key in a fixed order, so the
 	// rendered tables have the same shape and row/column order at any
@@ -46,8 +49,8 @@ type Config struct {
 	// time derived from retired instructions and dispatched hooks. The
 	// VM is deterministic, so a cell then reports the identical duration
 	// on every run regardless of machine load or parallelism; the
-	// determinism regression tests rely on this. One rep suffices in
-	// virtual mode, so Reps is ignored.
+	// determinism regression tests rely on this. The warm-up run is
+	// the measurement in virtual mode, so Reps is ignored.
 	Virtual bool
 	// Progress receives one line per completed measurement cell (nil ⇒
 	// no progress output). Cells complete in nondeterministic order
@@ -73,7 +76,9 @@ type Config struct {
 	// Resume loads CheckpointPath before the sweep and skips every cell
 	// already recorded under the same grid and config fingerprint,
 	// restoring its measurement (or degraded error) verbatim — an
-	// interrupted -virtual sweep resumes byte-identical.
+	// interrupted -virtual sweep resumes byte-identical. In wall-clock
+	// mode a row with cells left to measure measures its plain cell
+	// again, since every round times it.
 	Resume bool
 	// CellFaults selects the fault-injection spec for a cell (nil ⇒
 	// none). column is the rendered column name, "base" for the
@@ -114,73 +119,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// geomean returns the geometric mean of xs (0 for empty).
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
+// minCellVirtual is the least virtual time (vm.Result.Virtual) the
+// runs of one wall-clock cell cover together. On a loaded machine a run
+// of a millisecond either runs through or waits out another process's
+// time slice, which dwarfs it, so a round runs a leg that short several
+// times and keeps its fastest run; and a row whose plain run is that
+// short runs at least shortRounds rounds, so that the median outvotes
+// a round a burst of load disturbed. maxRepeats caps the runs per
+// round of a near-empty workload.
+const (
+	minCellVirtual = 3 * time.Millisecond
+	shortRounds    = 3
+	maxRepeats     = 20
+)
+
+// rounds returns how many rounds follow a row's warm-up, given its
+// plain leg's warm-up run: Reps, or up to shortRounds when that run
+// falls short of minCellVirtual.
+func (c Config) rounds(plain *vm.Result) int {
+	return max(c.Reps, min(runsToCover(plain, 1), shortRounds))
 }
 
-// minTimedVirtual is the least virtual time (vm.Result.Virtual) the timed
-// runs of one wall-clock cell cover together. A tiny workload's run
-// lasts about a millisecond, so a single preemption by another process
-// can multiply it; a cell whose Reps runs would cover less than this
-// takes more runs, giving the minimum an undisturbed one to find.
-const minTimedVirtual = 3 * time.Millisecond
-
-// maxTimedRuns caps the runs minTimedVirtual asks of a near-empty
-// workload.
-const maxTimedRuns = 20
-
-// timedRuns returns how many timed runs follow the warm-up run warm:
-// Reps, or as many as cover minTimedVirtual when that is more. The
-// count depends only on the deterministic warm-up, so the counters a
-// cell accumulates are the same on every sweep.
-func (c Config) timedRuns(warm *vm.Result) int {
-	v := time.Duration(warm.Virtual())
+// runsToCover returns how many runs like warm cover minCellVirtual over
+// n rounds, per round. It depends only on the deterministic warm-up, so
+// the counters a cell accumulates are the same on every sweep.
+func runsToCover(warm *vm.Result, n int) int {
+	v := time.Duration(warm.Virtual()) * time.Duration(n)
 	if v <= 0 {
-		return c.Reps
+		return 1
 	}
-	need := int((minTimedVirtual + v - 1) / v)
-	return max(c.Reps, min(need, maxTimedRuns))
-}
-
-// measure runs fn once as warm-up and then timedRuns more times, and
-// returns the minimum wall time of the timed runs, the last result and
-// the number of runs made, warm-up included. The paper geomeans five
-// native runs; on a shared, contended machine the minimum is the robust
-// estimator of the workload's intrinsic cost (OS noise only ever adds
-// time), and since both the baseline and the instrumented run use it,
-// normalized overheads stay comparable.
-func (c Config) measure(fn func() (*vm.Result, error)) (time.Duration, *vm.Result, int, error) {
-	res, err := fn()
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	if c.Virtual {
-		// Virtual time is a pure function of the deterministic run, so
-		// repetitions and warm-up would measure the same number again.
-		return time.Duration(res.Virtual()), res, 1, nil
-	}
-	n := c.timedRuns(res)
-	best := time.Duration(0)
-	for i := 0; i < n; i++ {
-		if res, err = fn(); err != nil {
-			return 0, nil, 0, err
-		}
-		if best == 0 || res.Wall < best {
-			best = res.Wall
-		}
-	}
-	return best, res, n + 1, nil
+	return max(1, min(int((minCellVirtual+v-1)/v), maxRepeats))
 }
 
 // runnerPlain builds the uninstrumented runner for a workload.

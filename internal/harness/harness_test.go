@@ -2,7 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"math"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,21 +15,6 @@ import (
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
-
-func TestGeomean(t *testing.T) {
-	if g := geomean(nil); g != 0 {
-		t.Fatalf("geomean(nil) = %v", g)
-	}
-	if g := geomean([]float64{4, 9}); math.Abs(g-6) > 1e-9 {
-		t.Fatalf("geomean(4,9) = %v", g)
-	}
-	if g := geomean([]float64{5}); math.Abs(g-5) > 1e-9 {
-		t.Fatalf("geomean(5) = %v", g)
-	}
-	if g := geomean([]float64{1, 0}); g != 0 {
-		t.Fatalf("geomean with zero = %v", g)
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tbl := &Table{
@@ -191,24 +180,159 @@ func TestGranularitySmoke(t *testing.T) {
 	}
 }
 
-// TestTimedRuns pins how many timed runs a wall-clock cell takes: Reps
-// when they already cover minTimedVirtual, enough to cover it when they
-// do not, and never more than maxTimedRuns.
-func TestTimedRuns(t *testing.T) {
-	c := Config{Reps: 3}
-	for _, tc := range []struct {
-		steps, hooks uint64
-		want         int
+// TestPairedRounds pins the wall-clock estimator on a fake grid whose
+// runners return scripted walls: each leg warms up once in column
+// order; the plain leg's warm-up virtual time sets the row's rounds,
+// and each leg's how often it runs per round; the legs' order rotates
+// from pass to pass and by row; a leg's round time is its fastest run
+// of the round; and an overhead is the median of per-round ratios. The
+// scripted walls make the minimum of a cell's walls over all rounds
+// read differently.
+func TestPairedRounds(t *testing.T) {
+	// walls[program][col+1] lists one cell's walls, warm-up first, and
+	// steps its warm-up's virtual time. p0's 600,000-step plain run
+	// makes three rounds, in which 600,000 steps run twice and
+	// 3,000,000 once; p1's 2,000,000-step plain run makes two rounds of
+	// one run each.
+	walls := map[string][3][]time.Duration{
+		"p0": {
+			{1000, 10, 14, 20, 18, 12, 30}, // fastest per round 10, 18, 12
+			{1000, 30, 24, 50, 45, 40, 33}, // 24, 45, 33: ratios 2.4, 2.5, 2.75
+			{1000, 40, 36, 33},             // ratios 4, 2, 2.75
+		},
+		"p1": {
+			{1000, 100, 120},
+			{1000, 250, 360}, // ratios 2.5, 3
+			{1000, 150, 360}, // ratios 1.5, 3
+		},
+	}
+	steps := map[string][3]uint64{
+		"p0": {600_000, 600_000, 3_000_000},
+		"p1": {2_000_000, 2_000_000, 2_000_000},
+	}
+	var order []string
+	g := gridSpec{
+		name:     "paired",
+		measured: []string{"m1", "m2"},
+		programs: []string{"p0", "p1"},
+		runner: func(c Config, program string, col int) (runnerFn, error) {
+			n := 0
+			return func() (*vm.Result, error) {
+				order = append(order, fmt.Sprintf("%s/%d", program, col))
+				w := walls[program][col+1][n]
+				n++
+				return &vm.Result{Steps: steps[program][col+1], Wall: w}, nil
+			}, nil
+		},
+	}
+	cfg := Config{Reps: 1, Parallelism: 1, Out: &bytes.Buffer{}}
+	tbl, err := cfg.withDefaults().runGrid(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"p0/-1", "p0/0", "p0/1", // warm-up
+		"p0/-1", "p0/0", "p0/1", "p0/0", "p0/-1", // round 1
+		"p0/1", "p0/-1", "p0/0", "p0/-1", "p0/0", // round 2
+		"p0/0", "p0/1", "p0/-1", "p0/-1", "p0/0", // round 3
+		"p1/-1", "p1/0", "p1/1", // warm-up
+		"p1/0", "p1/1", "p1/-1", // round 1
+		"p1/1", "p1/-1", "p1/0", // round 2
+	}
+	if got := strings.Join(order, " "); got != strings.Join(want, " ") {
+		t.Errorf("leg order\n got %s\nwant %s", got, strings.Join(want, " "))
+	}
+	for i, w := range []struct {
+		base      time.Duration
+		overheads []float64
 	}{
-		{steps: 10_000_000, want: 3},
-		{steps: 300_000, want: 10},
-		{steps: 100_000, hooks: 10_000, want: 12}, // 260k virtual
-		{steps: 30_000, want: maxTimedRuns},
-		{want: 3},
+		{12, []float64{2.5, 2.75}},
+		{110, []float64{2.75, 2.25}},
 	} {
-		if got := c.timedRuns(&vm.Result{Steps: tc.steps, HookCalls: tc.hooks}); got != tc.want {
-			t.Errorf("steps=%d hooks=%d: %d timed runs, want %d", tc.steps, tc.hooks, got, tc.want)
+		r := tbl.Rows[i]
+		if r.BaseWall != w.base || !slices.Equal(r.Overheads, w.overheads) {
+			t.Errorf("%s: base %v overheads %v, want %v and %v", r.Workload, r.BaseWall, r.Overheads, w.base, w.overheads)
 		}
+	}
+}
+
+// TestRoundsAndRepeats pins how many rounds follow a row's warm-up and
+// how often a leg runs per round, both from warm-up virtual times
+// (steps plus 16 per hook call).
+func TestRoundsAndRepeats(t *testing.T) {
+	for _, tc := range []struct {
+		reps            int
+		steps, hooks    uint64
+		rounds, repeats int
+	}{
+		{reps: 3, steps: 10_000_000, rounds: 3, repeats: 1},
+		{reps: 1, steps: 300_000, rounds: shortRounds, repeats: 4}, // 900µs over the rounds
+		{reps: 5, steps: 300_000, rounds: 5, repeats: 2},
+		{reps: 1, steps: 100_000, rounds: shortRounds, repeats: 10},
+		{reps: 1, steps: 100_000, hooks: 10_000, rounds: shortRounds, repeats: 4}, // 260µs
+		{reps: 1, steps: 30_000, rounds: shortRounds, repeats: maxRepeats},
+		{reps: 2, rounds: 2, repeats: 1}, // no virtual time
+	} {
+		warm := &vm.Result{Steps: tc.steps, HookCalls: tc.hooks}
+		rounds := Config{Reps: tc.reps}.rounds(warm)
+		if repeats := runsToCover(warm, rounds); rounds != tc.rounds || repeats != tc.repeats {
+			t.Errorf("reps=%d steps=%d hooks=%d: %d rounds of %d runs, want %d of %d",
+				tc.reps, tc.steps, tc.hooks, rounds, repeats, tc.rounds, tc.repeats)
+		}
+	}
+}
+
+// TestWallClockResumeRemeasuresPlain resumes a wall-clock sweep whose
+// checkpoint ends mid-row: the recorded plain cell is measured and
+// recorded again, since every round times it, while the recorded
+// instrumented cell is restored.
+func TestWallClockResumeRemeasuresPlain(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "sweep.jsonl")
+	runs := map[int]int{}
+	walls := []time.Duration{10, 20, 30} // by column, plain first
+	g := gridSpec{
+		name:     "resume",
+		measured: []string{"m1", "m2"},
+		programs: []string{"p0"},
+		runner: func(c Config, program string, col int) (runnerFn, error) {
+			return func() (*vm.Result, error) {
+				runs[col]++
+				return &vm.Result{Steps: 10_000_000, Wall: walls[col+1]}, nil
+			}, nil
+		},
+	}
+	sweep := func(resume bool) (*Table, string) {
+		var progress bytes.Buffer
+		cfg := Config{Reps: 1, Parallelism: 1, CheckpointPath: ckpt, Resume: resume, Progress: &progress}
+		tbl, err := cfg.withDefaults().runGrid(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl, progress.String()
+	}
+	sweep(false)
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(ckpt, []byte(lines[0]+lines[1]), 0o644); err != nil { // p0/base, p0/m1
+		t.Fatal(err)
+	}
+	clear(runs)
+	walls[0] = 20 // the restored m1 keeps its recorded 2x
+	tbl, progress := sweep(true)
+	if want := map[int]int{-1: 2, 1: 2}; !maps.Equal(runs, want) {
+		t.Errorf("runs by column %v, want %v", runs, want)
+	}
+	if !strings.Contains(progress, "p0/m1 resumed") || strings.Count(progress, "resumed") != 1 {
+		t.Errorf("progress:\n%s", progress)
+	}
+	if r := tbl.Rows[0]; r.BaseWall != 20 || !slices.Equal(r.Overheads, []float64{2, 1.5}) {
+		t.Errorf("base %v overheads %v, want 20ns and [2 1.5]", r.BaseWall, r.Overheads)
+	}
+	if data, _ = os.ReadFile(ckpt); strings.Count(string(data), `"cell":"p0/base"`) != 2 {
+		t.Errorf("checkpoint lacks the re-measured plain cell:\n%s", data)
 	}
 }
 
@@ -233,11 +357,10 @@ func TestFig3Smoke(t *testing.T) {
 }
 
 // TestCompilerFingerprintPinned pins the default compiler options
-// fingerprint byte for byte, "pcfalse" and ",enginterp" included, so
-// that fingerprints recorded by earlier builds, such as the keys of
-// journaled adapt records, still compare equal.
+// fingerprint byte for byte: it keys the compile cache and the
+// conformance runner's compiled analyses.
 func TestCompilerFingerprintPinned(t *testing.T) {
-	want := "cotrue,csetrue,seltrue,fusetrue,pcfalse,g8,sft3,bits512,arr1048576,as268435456,enginterp"
+	want := "cotrue,csetrue,seltrue,fusetrue,g8,sft3,bits512,arr1048576,as268435456"
 	if got := compiler.DefaultOptions().Fingerprint(); got != want {
 		t.Errorf("fingerprint = %q, want %q", got, want)
 	}

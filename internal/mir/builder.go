@@ -66,13 +66,6 @@ func (b *FuncBuilder) Const(v int64) Reg {
 	return r
 }
 
-// Mov emits dst = a.
-func (b *FuncBuilder) Mov(a Operand) Reg {
-	r := b.NewReg()
-	b.emit(Instr{Op: OpMov, Dst: r, A: a})
-	return r
-}
-
 // Bin emits dst = a op b for an arithmetic or comparison opcode.
 func (b *FuncBuilder) Bin(op Op, a, c Operand) Reg {
 	if !op.IsBinOp() && !op.IsCmp() {
@@ -91,11 +84,6 @@ func (b *FuncBuilder) BinTo(dst Reg, op Op, a, c Operand) {
 		panic(fmt.Sprintf("mir: BinTo with non-binary op %s", op))
 	}
 	b.emit(Instr{Op: op, Dst: dst, A: a, B: c})
-}
-
-// MovTo emits dst = a into an existing register.
-func (b *FuncBuilder) MovTo(dst Reg, a Operand) {
-	b.emit(Instr{Op: OpMov, Dst: dst, A: a})
 }
 
 // Add emits dst = a + b.

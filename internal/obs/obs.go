@@ -149,13 +149,6 @@ func (r *Registry) SetGauge(name string, v int64) {
 	r.mu.Unlock()
 }
 
-// Gauge returns a gauge's current value.
-func (r *Registry) Gauge(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // ClearGauges drops every gauge whose name starts with prefix — the
 // scrape-time reset for label-like gauge families (per-tenant in-flight)
 // whose members come and go.
@@ -236,16 +229,6 @@ func (r *Registry) MergeShard(s *Shard) {
 	}
 	r.mu.Lock()
 	for k, v := range s.Counts {
-		r.counts[k] += v
-	}
-	r.mu.Unlock()
-}
-
-// MergeCounts folds a checkpointed deterministic-counter map into the
-// registry — the resume path's replacement for re-running the cell.
-func (r *Registry) MergeCounts(m map[string]uint64) {
-	r.mu.Lock()
-	for k, v := range m {
 		r.counts[k] += v
 	}
 	r.mu.Unlock()

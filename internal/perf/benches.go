@@ -92,8 +92,7 @@ func iterateBench(c singleKeyed, keys []uint64) func(n int) {
 }
 
 // containerBenches builds Get/Set/Iterate for every single-key
-// container, the pair-keyed hash table (meta.NewHashMap2) and the
-// map-backed references.
+// container and the pair-keyed hash table (meta.NewHashMap2).
 func containerBenches() []Bench {
 	tmpl := []uint64{0, 0}
 	type mk struct {
@@ -111,15 +110,11 @@ func containerBenches() []Bench {
 		{"shadow", func() singleKeyed { return meta.NewShadowMap(1<<24, benchEW, tmpl) }, addrKeys},
 		{"pagetable", func() singleKeyed { return meta.NewPageTableMap(1<<24, benchEW, tmpl) }, addrKeys},
 		{"hash", func() singleKeyed { return meta.NewHashMap(benchEW, tmpl) }, benchKeySet(benchKeys, 0)},
-		{"refmap/hash", func() singleKeyed { return newMapHashMap(benchEW, tmpl) }, benchKeySet(benchKeys, 0)},
 	}
 	var out []Bench
 	for _, m := range makers {
 		m := m
 		prefix := "container/" + m.name
-		if m.name == "refmap/hash" {
-			prefix = "refmap/hash"
-		}
 		out = append(out,
 			Bench{prefix + "/get", func() func(int) { return getBench(m.new(), m.keys) }},
 			Bench{prefix + "/set", func() func(int) { return setBench(m.new(), m.keys) }},
@@ -174,34 +169,6 @@ func containerBenches() []Bench {
 					c.ForEach2(func(_, _ uint64, e []uint64) { acc += e[0] })
 				}
 				sink += acc
-			}
-		}},
-		Bench{"refmap/hash2/get", func() func(int) {
-			c := newMapHashMap2(benchEW, tmpl)
-			for i := range k1 {
-				meta.StoreField(c.Entry(k1[i], k2[i]), 0, 64, k1[i])
-			}
-			return func(n int) {
-				var acc uint64
-				for i := 0; i < n; i++ {
-					j := i % len(k1)
-					if e := c.Peek(k1[j], k2[j]); e != nil {
-						acc += meta.LoadField(e, 0, 64)
-					}
-				}
-				sink += acc
-			}
-		}},
-		Bench{"refmap/hash2/set", func() func(int) {
-			c := newMapHashMap2(benchEW, tmpl)
-			for i := range k1 {
-				c.Entry(k1[i], k2[i])
-			}
-			return func(n int) {
-				for i := 0; i < n; i++ {
-					j := i % len(k1)
-					meta.StoreField(c.Entry(k1[j], k2[j]), 0, 64, uint64(i))
-				}
 			}
 		}},
 	)

@@ -1,19 +1,18 @@
-// Package perf is the hot-path micro-benchmark suite and the
-// benchmark-regression gate around it. BenchHotPath covers the two
-// places every overhead figure in the paper flows through: per-access
-// container operations (internal/meta) and per-event handler dispatch
+// Package perf is the hot-path micro-benchmark suite and the paired
+// comparator that gates it. BenchHotPath covers the two places every
+// overhead figure in the paper flows through: per-access container
+// operations (internal/meta) and per-event handler dispatch
 // (internal/vm + compiler-generated closures). Results serialize to
-// BENCH_<rev>.json; Compare implements `make benchgate`, failing on a
-// >15% geometric-mean regression against the checked-in baseline.
+// BENCH_<rev>.json. CompareDirs pairs two builds' rounds, as
+// scripts/ab.sh runs them, and fails a regression of one bench or of
+// their geometric mean (`make benchgate`).
 package perf
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -25,7 +24,6 @@ type Entry struct {
 // File is the on-disk BENCH_<rev>.json schema.
 type File struct {
 	Rev     string           `json:"rev"`
-	Go      string           `json:"go"`
 	Benches map[string]Entry `json:"benches"`
 }
 
@@ -36,8 +34,9 @@ type Bench struct {
 	Setup func() func(n int)
 }
 
-// GateThreshold is the geomean regression ratio above which the bench
-// gate fails: cur/base geomean > 1+GateThreshold.
+// GateThreshold is the regression the bench gate tolerates: a bench,
+// or the geomean, fails when its median paired ratio change ÷ base
+// exceeds 1+GateThreshold (see gateStats).
 const GateThreshold = 0.15
 
 // sink defeats dead-code elimination in read benchmarks.
@@ -77,17 +76,24 @@ func Measure(b Bench, budget time.Duration) Entry {
 	}
 }
 
-// RunSuite measures every bench in BenchHotPath.
-func RunSuite(budget time.Duration) File {
+// RunSuite measures the benches of BenchHotPath that names lists, or
+// every bench when names is empty. An unknown name is an error.
+func RunSuite(budget time.Duration, names ...string) (File, error) {
 	f := File{
 		Rev:     "dev",
-		Go:      runtime.Version(),
 		Benches: make(map[string]Entry),
 	}
 	for _, b := range HotPathBenches() {
-		f.Benches[b.Name] = Measure(b, budget)
+		if len(names) == 0 || slices.Contains(names, b.Name) {
+			f.Benches[b.Name] = Measure(b, budget)
+		}
 	}
-	return f
+	for _, n := range names {
+		if _, ok := f.Benches[n]; !ok {
+			return f, fmt.Errorf("perf: no bench %q", n)
+		}
+	}
+	return f, nil
 }
 
 // WriteFile writes f as deterministic, human-diffable JSON.
@@ -97,92 +103,4 @@ func WriteFile(path string, f File) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadFile loads a BENCH_*.json.
-func ReadFile(path string) (File, error) {
-	var f File
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(f.Benches) == 0 {
-		return f, fmt.Errorf("%s: no benches recorded", path)
-	}
-	return f, nil
-}
-
-// Compare computes the geometric-mean ratio cur/base over the benches
-// present in both files, plus the sorted list of individual benches that
-// regressed by more than threshold. It errors when the files share no
-// benches (a renamed suite would otherwise pass vacuously).
-func Compare(base, cur File, threshold float64) (geomean float64, regressed []string, err error) {
-	var logSum float64
-	n := 0
-	for name, b := range base.Benches {
-		c, ok := cur.Benches[name]
-		if !ok || b.NsPerOp <= 0 || c.NsPerOp <= 0 {
-			continue
-		}
-		ratio := c.NsPerOp / b.NsPerOp
-		logSum += math.Log(ratio)
-		n++
-		if ratio > 1+threshold {
-			regressed = append(regressed, fmt.Sprintf("%s: %.1fns -> %.1fns (%.2fx)", name, b.NsPerOp, c.NsPerOp, ratio))
-		}
-	}
-	if n == 0 {
-		return 0, nil, fmt.Errorf("no common benches between baseline and current run")
-	}
-	sort.Strings(regressed)
-	return math.Exp(logSum / float64(n)), regressed, nil
-}
-
-// Gate runs Compare and turns the result into pass/fail: the gate fails
-// when the geomean ratio exceeds 1+threshold. Individual regressions are
-// reported but only the geomean gates, so one noisy micro-bench cannot
-// fail CI by itself.
-func Gate(base, cur File, threshold float64) error {
-	geomean, regressed, err := Compare(base, cur, threshold)
-	if err != nil {
-		return err
-	}
-	for _, r := range regressed {
-		fmt.Fprintf(os.Stderr, "benchgate: slower: %s\n", r)
-	}
-	if geomean > 1+threshold {
-		return fmt.Errorf("geomean regression %.2fx exceeds the %.0f%% gate", geomean, threshold*100)
-	}
-	fmt.Fprintf(os.Stderr, "benchgate: geomean ratio %.3fx (gate at %.2fx), %d benches\n", geomean, 1+threshold, len(cur.Benches))
-	return nil
-}
-
-// speedupPairs maps each flat-arena container bench to its map-backed
-// reference bench; SpeedupVsRef aggregates over these.
-var speedupPairs = [][2]string{
-	{"refmap/hash/get", "container/hash/get"},
-	{"refmap/hash/set", "container/hash/set"},
-	{"refmap/hash2/get", "container/hash2/get"},
-	{"refmap/hash2/set", "container/hash2/set"},
-}
-
-// SpeedupVsRef returns the geometric-mean Get/Set speedup of the
-// flat-arena hash containers over the retained map-backed reference
-// implementations, as recorded in f (reference ns / container ns).
-func SpeedupVsRef(f File) (float64, error) {
-	var logSum float64
-	n := 0
-	for _, p := range speedupPairs {
-		ref, ok1 := f.Benches[p[0]]
-		cur, ok2 := f.Benches[p[1]]
-		if !ok1 || !ok2 || ref.NsPerOp <= 0 || cur.NsPerOp <= 0 {
-			return 0, fmt.Errorf("bench pair %s/%s missing from file", p[0], p[1])
-		}
-		logSum += math.Log(ref.NsPerOp / cur.NsPerOp)
-		n++
-	}
-	return math.Exp(logSum / float64(n)), nil
 }

@@ -1,7 +1,10 @@
 package perf
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -9,7 +12,10 @@ import (
 // succeed (containers, compiled analyses, instrumented machines) and
 // every measurement must come back positive.
 func TestSuiteSmoke(t *testing.T) {
-	f := RunSuite(0)
+	f, err := RunSuite(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(f.Benches) < 20 {
 		t.Fatalf("suite has %d benches, expected the full hot-path matrix", len(f.Benches))
 	}
@@ -18,83 +24,117 @@ func TestSuiteSmoke(t *testing.T) {
 			t.Errorf("%s: ns/op = %v, want > 0", name, e.NsPerOp)
 		}
 	}
-	for _, p := range speedupPairs {
-		for _, name := range p {
-			if _, ok := f.Benches[name]; !ok {
-				t.Errorf("speedup pair bench %s missing from suite", name)
-			}
-		}
-	}
 }
 
 func synthFile(scale float64) File {
-	f := File{Rev: "synth", Go: "go", Benches: map[string]Entry{}}
+	f := File{Rev: "synth", Benches: map[string]Entry{}}
 	for i, name := range []string{"a", "b", "c", "d"} {
 		f.Benches[name] = Entry{NsPerOp: float64(10+i) * scale}
 	}
 	return f
 }
 
-// TestGateSelfTest is the deliberate-slowdown check from the issue: a
-// uniform 2x slowdown must fail the 15% gate, an identical run must
-// pass, and a uniform 2x speedup must pass.
+// synthRounds returns ten rounds of the synthetic suite with a little
+// deterministic jitter, each bench scaled by scale(round, bench).
+func synthRounds(scale func(r int, name string) float64) []Round {
+	var rounds []Round
+	for r := 0; r < 10; r++ {
+		f := synthFile(1 + 0.01*float64(r%3))
+		round := Round{}
+		for name, e := range f.Benches {
+			round[name] = Sample{Value: e.NsPerOp * scale(r, name), Unit: "ns/op"}
+		}
+		rounds = append(rounds, round)
+	}
+	return rounds
+}
+
+// TestGateSelfTest pins the paired gate: a uniform 2x slowdown fails,
+// identical rounds and a uniform 2x speedup pass, a spike in one round
+// on one bench passes, one bench 20% slower in every round fails, and
+// disjoint bench sets are an error rather than a vacuous pass.
 func TestGateSelfTest(t *testing.T) {
-	base := synthFile(1)
-	if err := Gate(base, synthFile(2), GateThreshold); err == nil {
-		t.Fatal("gate passed a 2x slowdown")
+	base := synthRounds(func(int, string) float64 { return 1 })
+	for _, tc := range []struct {
+		name  string
+		scale func(r int, name string) float64
+		fail  bool
+	}{
+		{"2x slower", func(int, string) float64 { return 2 }, true},
+		{"identical", func(int, string) float64 { return 1 }, false},
+		{"2x faster", func(int, string) float64 { return 0.5 }, false},
+		{"one spike", func(r int, name string) float64 {
+			if r == 4 && name == "b" {
+				return 3
+			}
+			return 1
+		}, false},
+		{"one bench 20% slower", func(_ int, name string) float64 {
+			if name == "c" {
+				return 1.2
+			}
+			return 1
+		}, true},
+	} {
+		stats, err := compareRounds(base, synthRounds(tc.scale))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := gateStats(stats, GateThreshold); (err != nil) != tc.fail {
+			var out strings.Builder
+			writeStats(&out, stats)
+			t.Errorf("%s: gate error %v, want failure %v\n%s", tc.name, err, tc.fail, out.String())
+		}
 	}
-	if err := Gate(base, synthFile(1), GateThreshold); err != nil {
-		t.Fatalf("gate failed an identical run: %v", err)
+	disjoint := synthRounds(func(int, string) float64 { return 1 })
+	for _, r := range disjoint {
+		r["zzz"] = r["a"]
+		delete(r, "a")
+		delete(r, "b")
+		delete(r, "c")
+		delete(r, "d")
 	}
-	if err := Gate(base, synthFile(0.5), GateThreshold); err != nil {
-		t.Fatalf("gate failed a 2x speedup: %v", err)
-	}
-	// A single outlier bench must not fail the gate while the geomean
-	// holds — and disjoint bench sets must error, not pass vacuously.
-	outlier := synthFile(1)
-	outlier.Benches["a"] = Entry{NsPerOp: outlier.Benches["a"].NsPerOp * 1.5}
-	if err := Gate(base, outlier, GateThreshold); err != nil {
-		t.Fatalf("gate failed on a single outlier with a passing geomean: %v", err)
-	}
-	if _, _, err := Compare(base, File{Benches: map[string]Entry{"zzz": {NsPerOp: 1}}}, GateThreshold); err == nil {
+	if _, err := compareRounds(base, disjoint); err == nil {
 		t.Fatal("compare of disjoint bench sets did not error")
 	}
 }
 
+// TestJSONRoundTrip writes bench files with WriteFile and reads them
+// back as scripts/ab.sh lays them out: one directory per round, whose
+// bench files (-bench-json's, one per bench or one for the suite, a
+// bench's fastest run kept) and figbench result lines merge.
 func TestJSONRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	want := synthFile(1)
-	if err := WriteFile(path, want); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if got.Rev != want.Rev || len(got.Benches) != len(want.Benches) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, want)
-	}
-	for k, e := range want.Benches {
-		if got.Benches[k] != e {
-			t.Fatalf("bench %s: %v != %v", k, got.Benches[k], e)
+	dir := t.TempDir()
+	for r := 1; r <= 2; r++ {
+		round := filepath.Join(dir, fmt.Sprintf("r%02d", r))
+		if err := os.Mkdir(round, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		f := synthFile(float64(r))
+		for name, e := range f.Benches {
+			one := File{Rev: "synth", Benches: map[string]Entry{name: e}}
+			if err := WriteFile(filepath.Join(round, name+".json"), one); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-}
-
-// TestBaselineRecordsSpeedup pins the acceptance criterion: the
-// checked-in baseline must record a >=1.3x geomean Get/Set speedup of
-// the flat-arena hash containers over the map-backed references.
-func TestBaselineRecordsSpeedup(t *testing.T) {
-	f, err := ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	fig := filepath.Join(dir, "r03")
+	if err := os.Mkdir(fig, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fig, "0.json"), []byte(`{"correct":true,"metrics":{"overhead":{"value":2.5,"unit":"x"}}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A second, slower run of b in round 1, read last, leaves the faster.
+	if err := WriteFile(filepath.Join(dir, "r01", "z.json"), File{Benches: map[string]Entry{"b": {NsPerOp: 30}}}); err != nil {
+		t.Fatal(err)
+	}
+	rounds, err := readRounds(dir)
 	if err != nil {
-		t.Fatalf("checked-in baseline unreadable: %v", err)
+		t.Fatal(err)
 	}
-	s, err := SpeedupVsRef(f)
-	if err != nil {
-		t.Fatalf("speedup: %v", err)
+	if len(rounds) != 3 || len(rounds[0]) != 4 || rounds[0]["b"] != (Sample{11, "ns/op"}) ||
+		rounds[1]["b"] != (Sample{22, "ns/op"}) || rounds[2]["overhead"] != (Sample{2.5, "x"}) {
+		t.Fatalf("rounds = %v", rounds)
 	}
-	if s < 1.3 {
-		t.Fatalf("recorded hash Get/Set speedup %.2fx, want >= 1.3x", s)
-	}
-	t.Logf("recorded flat-arena vs map-backed Get/Set geomean speedup: %.2fx", s)
 }
