@@ -112,6 +112,12 @@ func observe(o RunOptions, m *vm.Machine, names []string, rt *compiler.Runtime) 
 			s.Add("vm.hook."+hookName(names, id)+".calls", n)
 		}
 	}
+	var filed uint64
+	for _, r := range m.Reports() {
+		filed += uint64(r.Count)
+	}
+	s.Add("vm.reports.filed", filed)
+	s.Add("vm.reports.distinct", uint64(len(m.Reports())))
 	if rt == nil {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/instrument"
 	"repro/internal/mir"
+	"repro/internal/obs"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -72,6 +73,35 @@ func TestRunBaseline(t *testing.T) {
 	}
 	if res.HookCalls == 0 {
 		t.Fatal("baseline dispatched no hooks")
+	}
+}
+
+// TestObserveReports: the metrics shard carries the run's report
+// traffic, computed from the finished run's reports. Eraser on fft
+// re-files a few distinct findings many times.
+func TestObserveReports(t *testing.T) {
+	a, err := analyses.Compile("eraser", compiler.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := obs.NewShard()
+	res, err := RunAnalysis(workloads.MustBuild("fft", workloads.SizeTiny), a, RunOptions{Metrics: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var filed uint64
+	for _, r := range res.Reports {
+		filed += uint64(r.Count)
+	}
+	distinct := uint64(len(res.Reports))
+	if distinct == 0 || filed <= distinct {
+		t.Fatalf("fft under eraser filed %d reports, %d distinct: want repeats", filed, distinct)
+	}
+	if got := s.Counts["vm.reports.filed"]; got != filed {
+		t.Errorf("vm.reports.filed = %d, want %d", got, filed)
+	}
+	if got := s.Counts["vm.reports.distinct"]; got != distinct {
+		t.Errorf("vm.reports.distinct = %d, want %d", got, distinct)
 	}
 }
 

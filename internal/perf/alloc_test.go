@@ -135,3 +135,40 @@ func TestQuantumAllocObservabilityEnabled(t *testing.T) {
 		}
 	})
 }
+
+// TestRepeatReportAllocFree pins the promise of vm.Machine.Report's doc
+// comment: once a finding is filed, filing it again allocates nothing,
+// both from a hook site (the dispatch/report bench's workload, one
+// repeat per loop iteration) and outside any dispatch (the AtExit path).
+func TestRepeatReportAllocFree(t *testing.T) {
+	m, err := startReportMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // the first filing allocates its Report
+		if !m.RunQuantum() {
+			t.Fatal("workload finished during warmup")
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if !m.RunQuantum() {
+			t.Fatal("workload finished during measurement")
+		}
+	}); avg != 0 {
+		t.Fatalf("%v allocs per quantum of repeat filings, want 0", avg)
+	}
+	rs := m.Reports()
+	if len(rs) != 1 || rs[0].Count < 100 {
+		t.Fatalf("reports = %v, want one finding filed on every dispatch", rs)
+	}
+
+	m.Report("bench", "outside a dispatch", 0, 0)
+	if avg := testing.AllocsPerRun(100, func() {
+		m.Report("bench", "outside a dispatch", 0, 0)
+	}); avg != 0 {
+		t.Fatalf("%v allocs per repeat filing outside a dispatch, want 0", avg)
+	}
+	if rs := m.Reports(); len(rs) != 2 || rs[1].Count != 102 {
+		t.Fatalf("reports = %v, want the outside finding counted 102 times", rs)
+	}
+}

@@ -178,8 +178,9 @@ func containerBenches() []Bench {
 // dispatchProgram builds an effectively endless store/load loop over a
 // small buffer — the steady-state access stream every per-access
 // analysis hooks. withLocks adds a lock/unlock pair per iteration for
-// lock-discipline analyses.
-func dispatchProgram(withLocks bool) *mir.Program {
+// lock-discipline analyses; a non-nil hook is planted after the load,
+// passed the loaded address.
+func dispatchProgram(withLocks bool, hook *mir.HookRef) *mir.Program {
 	p := mir.NewProgram()
 	b := p.NewFunc("main", 0)
 	buf := b.Call("malloc", mir.C(512))
@@ -189,6 +190,12 @@ func dispatchProgram(withLocks bool) *mir.Program {
 		addr := b.Add(mir.R(buf), mir.R(off))
 		b.Store(mir.R(addr), mir.R(i), 8)
 		b.Load(mir.R(addr), 8)
+		if hook != nil {
+			h := *hook
+			h.Args = []mir.HookArg{{Kind: mir.HookReg, Reg: addr}}
+			blk := &b.Func().Blocks[b.CurBlock()]
+			blk.Instrs = append(blk.Instrs, mir.Instr{Op: mir.OpHook, Dst: mir.NoReg, Hook: &h})
+		}
 		if withLocks {
 			b.Lock(mir.C(0x4000))
 			b.Unlock(mir.C(0x4000))
@@ -322,12 +329,46 @@ func dispatchBenchOf(name, analysis string, prog func() *mir.Program, compile fu
 	}}
 }
 
+// startReportMachine starts the dispatchProgram loop with one hook
+// whose handler files the same report on every call: after the first
+// call, every dispatch takes the repeat-filing path.
+func startReportMachine() (*vm.Machine, error) {
+	prog := dispatchProgram(false, &mir.HookRef{HandlerID: 0, MetaDst: mir.NoReg, Name: "repeat"})
+	m, err := vm.New(prog, vm.Config{MaxSteps: 1 << 62})
+	if err != nil {
+		return nil, err
+	}
+	m.Handlers = []vm.HandlerFn{func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+		m.Report("bench", "repeat finding", args[0], 0)
+		return 0
+	}}
+	return m, m.Start()
+}
+
+// reportBench measures RunQuantum throughput on startReportMachine: hook
+// dispatch plus a repeat filing per iteration.
+func reportBench() Bench {
+	return Bench{"dispatch/report", func() func(int) {
+		m, err := startReportMachine()
+		if err != nil {
+			panic(fmt.Sprintf("perf: report bench: %v", err))
+		}
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				if !m.RunQuantum() {
+					panic("perf: report workload terminated mid-bench")
+				}
+			}
+		}
+	}}
+}
+
 // dispatchBenches is the analysis-dispatch half of the suite: every
-// dispatch workload on the staged handlers, plus closure-emitter twins
-// of msan and eraser.
+// dispatch workload on the staged handlers, closure-emitter twins of
+// msan and eraser, and the repeat-filing path.
 func dispatchBenches() []Bench {
-	accesses := func() *mir.Program { return dispatchProgram(false) }
-	withLocks := func() *mir.Program { return dispatchProgram(true) }
+	accesses := func() *mir.Program { return dispatchProgram(false, nil) }
+	withLocks := func() *mir.Program { return dispatchProgram(true, nil) }
 	return []Bench{
 		dispatchBench("dispatch/uaf", "uaf", accesses),
 		dispatchBench("dispatch/msan", "msan", accesses),
@@ -335,6 +376,7 @@ func dispatchBenches() []Bench {
 		closureDispatchBench("dispatch/msan/closures", "msan", accesses),
 		closureDispatchBench("dispatch/eraser/closures", "eraser", withLocks),
 		dispatchBench("dispatch/uaf/arith", "uaf", arithProgram),
+		reportBench(),
 	}
 }
 

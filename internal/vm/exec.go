@@ -43,9 +43,8 @@ type thread struct {
 	retVal    uint64
 	retShadow uint64
 
-	hookArgs []uint64
-	libArgs  []uint64
-	libShs   []uint64
+	libArgs []uint64
+	libShs  []uint64
 }
 
 // opVal and opSh resolve instruction operands against a frame's register
@@ -76,7 +75,6 @@ func (m *Machine) newThread(fnIdx int, args, shadows []uint64) *thread {
 		id:       id,
 		sp:       top,
 		stackLow: top - stackSize,
-		hookArgs: make([]uint64, 16),
 		libArgs:  make([]uint64, 16),
 		libShs:   make([]uint64, 16),
 	}
@@ -158,7 +156,11 @@ func (m *Machine) Start() error {
 	m.rr = 0
 	m.dlTick = 0
 	m.lastRun = -1
-	m.hookPer = make([]uint64, len(m.Handlers))
+	for i := range m.sites {
+		if s := &m.sites[i]; s.id >= 0 && int(s.id) < len(m.Handlers) {
+			s.fn = m.Handlers[s.id]
+		}
+	}
 	return nil
 }
 
@@ -491,7 +493,7 @@ frameLoop:
 						}
 					}
 					fr.pc++ // resume after the call
-					m.pushFrame(t, ins.UserFn, args, shs, ins.Dst)
+					m.pushFrame(t, int(ins.UserFn), args, shs, ins.Dst)
 					continue frameLoop
 				}
 				var r uint64
@@ -611,7 +613,7 @@ frameLoop:
 						shs = append(shs, opSh(shadow, a))
 					}
 				}
-				nt := m.newThread(ins.UserFn, args, shs)
+				nt := m.newThread(int(ins.UserFn), args, shs)
 				if m.err != nil {
 					return
 				}
@@ -647,34 +649,31 @@ frameLoop:
 				}
 
 			case mir.OpHook:
-				h := ins.Hook
-				args := t.hookArgs[:0]
-				for _, a := range h.Args {
-					switch a.Kind {
-					case mir.HookConst:
-						args = append(args, uint64(a.Const))
-					case mir.HookReg:
-						args = append(args, regs[a.Reg])
-					case mir.HookRegMeta:
-						if track {
-							args = append(args, shadow[a.Reg])
-						} else {
-							args = append(args, 0)
-						}
-					case mir.HookThread:
-						args = append(args, tid)
-					}
+				s := &m.sites[ins.Site]
+				args := m.hookArgs[:s.nargs]
+				sl, i := s.slots, 0
+				for n := int(s.nregs); i < n; i++ {
+					args[sl[i].at] = regs[sl[i].reg]
+				}
+				for n := i + int(s.ntids); i < n; i++ {
+					args[sl[i].at] = tid
+				}
+				for n := i + int(s.nmetas); i < n; i++ {
+					args[sl[i].at] = shadow[sl[i].reg]
+				}
+				for ; i < len(sl); i++ {
+					args[sl[i].at] = sl[i].v
 				}
 				m.hookCalls++
-				m.hookPer[h.HandlerID]++
+				s.calls++
 				if f := m.cfg.Faults.HandlerPanicNth; f != 0 && m.hookCalls == f {
 					m.faultsFired++
 					m.cfg.Trace.Instant("vm", "fault.handler_panic", m.cfg.TraceTID)
-					panic(fmt.Sprintf("injected fault: handler panic at hook dispatch #%d (%s)", f, h.Name))
+					panic(fmt.Sprintf("injected fault: handler panic at hook dispatch #%d (%s)", f, m.notes[ins.Site].name))
 				}
-				r := m.Handlers[h.HandlerID](m, tid, args)
-				if h.MetaDst != mir.NoReg && track {
-					shadow[h.MetaDst] = r
+				r := s.fn(m, tid, args)
+				if s.metaDst != mir.NoReg {
+					shadow[s.metaDst] = r
 				}
 
 			case mir.OpNop:

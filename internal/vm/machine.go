@@ -173,11 +173,10 @@ type Machine struct {
 	// with AllocsPerRun), and the counts are deterministic for a given
 	// program and seed. None of them reads the clock.
 	opCounts    [mir.NumOps]uint64
-	hookPer     []uint64 // per-HandlerID dispatch counts, sized at Start
-	ctxSwitches uint64   // quantum grants that changed the running thread
-	quanta      uint64   // scheduler slices executed
-	faultsFired uint64   // injected fault-plan firings
-	lastRun     int      // last thread granted a quantum
+	ctxSwitches uint64 // quantum grants that changed the running thread
+	quanta      uint64 // scheduler slices executed
+	faultsFired uint64 // injected fault-plan firings
+	lastRun     int    // last thread granted a quantum
 
 	// Interpret-loop scheduler state, split out of Run so that
 	// Start/RunQuantum/Finish can drive the loop one slice at a time.
@@ -194,12 +193,18 @@ type Machine struct {
 	traceStats trace.Stats
 
 	// Handlers is the analysis handler table indexed by HookRef.HandlerID.
+	// Start binds every hook site to its entry, so set it before Start.
 	Handlers []HandlerFn
 	// AtExit callbacks run after main returns (analysis finalization).
 	AtExit []func(m *Machine)
 
-	reports   []*Report
-	reportIdx map[reportKey]*Report
+	reports []*Report
+	// sites and notes hold one record per OpHook, linked by New, with
+	// the same index; hookArgs is the argument buffer every dispatch
+	// fills, sized for the widest hook.
+	sites    []hookSite
+	notes    []siteNotes
+	hookArgs []uint64
 
 	libs      map[string]LibFn
 	libsOwned bool // libs is a private clone, not the shared stdlib table
@@ -224,8 +229,85 @@ type Machine struct {
 
 type linkedInstr struct {
 	mir.Instr
-	UserFn int   // resolved user function index, or -1
+	UserFn int32 // resolved user function index, or -1
+	Site   int32 // OpHook: index of its record in Machine.sites
 	Lib    LibFn // resolved library model, or nil
+}
+
+// hookSite is an OpHook linked once, the way a call gets UserFn or Lib:
+// dispatch reads only this record, never the instruction's HookRef. It
+// fits one 64-byte line; what only report filings and diagnostics read
+// is in siteNotes. Every argument is written on each dispatch, so a
+// handler that overwrites its args cannot change the next dispatch's.
+type hookSite struct {
+	fn HandlerFn // Handlers[id], bound by Start; nil if the table has none
+	// slots fill the argument buffer, grouped by source: nregs
+	// registers, then ntids thread ids, then nmetas shadow registers,
+	// then constants.
+	slots                       []hookSlot
+	calls                       uint64  // dispatches so far
+	id                          int32   // HandlerID
+	metaDst                     mir.Reg // shadow register taking fn's result; NoReg when shadows are off
+	nargs, nregs, ntids, nmetas uint8
+	_                           [8]byte // to 64 bytes, so no record in sites straddles two lines
+}
+
+// hookSlot fills args[at] from register reg or its shadow, with the
+// thread id, or with the constant v.
+type hookSlot struct {
+	v   uint64
+	at  int32
+	reg mir.Reg
+}
+
+// siteNotes is what a hook site holds for report filings and
+// diagnostics.
+type siteNotes struct {
+	name string // handler name
+	// reports are the findings filed at the site, first-seen order. A
+	// site's location is fixed, so (analysis, message) identifies a
+	// finding within it and a repeat only bumps Count.
+	reports []*Report
+}
+
+// linkSite appends one hook's site record and notes. A HookRegMeta
+// argument becomes the constant 0 when shadows are not tracked, and
+// MetaDst is dropped.
+func (m *Machine) linkSite(h *mir.HookRef) error {
+	if len(h.Args) > 255 {
+		return fmt.Errorf("vm: hook %s has %d arguments, more than 255", h.Name, len(h.Args))
+	}
+	track := m.cfg.TrackShadow
+	s := hookSite{id: int32(h.HandlerID), metaDst: mir.NoReg, nargs: uint8(len(h.Args))}
+	if track {
+		s.metaDst = h.MetaDst
+	}
+	var tids, metas, consts []hookSlot
+	for i, a := range h.Args {
+		at := int32(i)
+		switch {
+		case a.Kind == mir.HookReg:
+			s.slots = append(s.slots, hookSlot{at: at, reg: a.Reg})
+		case a.Kind == mir.HookThread:
+			tids = append(tids, hookSlot{at: at})
+		case a.Kind == mir.HookRegMeta && track:
+			metas = append(metas, hookSlot{at: at, reg: a.Reg})
+		case a.Kind == mir.HookRegMeta:
+			consts = append(consts, hookSlot{at: at})
+		case a.Kind == mir.HookConst:
+			consts = append(consts, hookSlot{v: uint64(a.Const), at: at})
+		default:
+			return fmt.Errorf("vm: hook %s: argument %d has unknown kind %d", h.Name, i, a.Kind)
+		}
+	}
+	s.nregs, s.ntids, s.nmetas = uint8(len(s.slots)), uint8(len(tids)), uint8(len(metas))
+	s.slots = append(append(append(s.slots, tids...), metas...), consts...)
+	m.sites = append(m.sites, s)
+	m.notes = append(m.notes, siteNotes{name: h.Name})
+	if len(h.Args) > len(m.hookArgs) {
+		m.hookArgs = make([]uint64, len(h.Args))
+	}
+	return nil
 }
 
 type linkedFunc struct {
@@ -241,11 +323,10 @@ func New(prog *mir.Program, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("vm: execution tier %s is not available: the interpreter is the only tier", cfg.Engine)
 	}
 	m := &Machine{
-		cfg:       cfg.withDefaults(),
-		prog:      prog,
-		idx:       make(map[string]int, len(prog.Funcs)),
-		locks:     make(map[uint64]*lockState),
-		reportIdx: make(map[reportKey]*Report),
+		cfg:   cfg.withDefaults(),
+		prog:  prog,
+		idx:   make(map[string]int, len(prog.Funcs)),
+		locks: make(map[uint64]*lockState),
 	}
 	m.rng = uint64(m.cfg.Seed)*0x9E3779B97F4A7C15 | 1
 	if p := m.cfg.Faults.SchedPerturb; p != 0 {
@@ -295,9 +376,15 @@ func New(prog *mir.Program, cfg Config) (*Machine, error) {
 			dst := make([]linkedInstr, len(src))
 			for ii := range src {
 				dst[ii] = linkedInstr{Instr: src[ii], UserFn: -1}
+				if src[ii].Op == mir.OpHook {
+					dst[ii].Site = int32(len(m.sites))
+					if err := m.linkSite(src[ii].Hook); err != nil {
+						return nil, err
+					}
+				}
 				if src[ii].Op == mir.OpCall || src[ii].Op == mir.OpSpawn {
 					if _, ok := prog.Funcs[src[ii].Callee]; ok {
-						dst[ii].UserFn = m.idx[src[ii].Callee]
+						dst[ii].UserFn = int32(m.idx[src[ii].Callee])
 					} else if lib, ok := m.libs[src[ii].Callee]; ok {
 						dst[ii].Lib = lib
 					} else {
@@ -412,11 +499,11 @@ func (m *Machine) ExtState(key string, init func() any) any {
 }
 
 // MachineMetrics is the observability snapshot of one run: the
-// dispatch loop's always-on counters. The slices alias the machine's
-// internal state — read them after the run, don't hold them across one.
+// dispatch loop's always-on counters. Ops aliases the machine's
+// internal state — read it after the run, don't hold it across one.
 type MachineMetrics struct {
 	Ops         []uint64 // per-opcode retired counts, indexed by mir.Op
-	HookCalls   []uint64 // per-HandlerID dispatch counts
+	HookCalls   []uint64 // per-HandlerID dispatch counts, summed over sites
 	CtxSwitches uint64   // quantum grants that changed the running thread
 	Quanta      uint64   // scheduler slices executed
 	FaultsFired uint64   // injected fault-plan firings
@@ -425,9 +512,15 @@ type MachineMetrics struct {
 // Metrics returns the run's observability counters, all deterministic
 // for a given program, seed and fault plan.
 func (m *Machine) Metrics() MachineMetrics {
+	per := make([]uint64, len(m.Handlers))
+	for i := range m.sites {
+		if s := &m.sites[i]; s.id >= 0 && int(s.id) < len(per) {
+			per[s.id] += s.calls
+		}
+	}
 	return MachineMetrics{
 		Ops:         m.opCounts[:],
-		HookCalls:   m.hookPer,
+		HookCalls:   per,
 		CtxSwitches: m.ctxSwitches,
 		Quanta:      m.quanta,
 		FaultsFired: m.faultsFired,

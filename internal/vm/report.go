@@ -3,6 +3,8 @@ package vm
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/mir"
 )
 
 // Report is an analysis finding (an alda_assert failure or a
@@ -25,14 +27,7 @@ type Report struct {
 	// across compilation configurations.
 	Fn    string
 	Block int
-}
-
-// reportKey identifies a finding site for deduplication without
-// allocating.
-type reportKey struct {
-	analysis, message string
-	fn                string
-	block, pc         int
+	pc    int // with Fn and Block, the location a repeat must match
 }
 
 func (r *Report) String() string {
@@ -41,40 +36,59 @@ func (r *Report) String() string {
 }
 
 // Report files an analysis finding against the current execution point.
-// The duplicate fast path is allocation-free: analyses like Eraser can
-// fire the same report millions of times.
+// A repeat of a finding only bumps its Count and allocates nothing:
+// analyses like Eraser file the same report millions of times. While a
+// hook dispatches, the current instruction is its site, whose location
+// is fixed, so the repeat is found in the site's short list by
+// (analysis, message); elsewhere (AtExit) by a scan of the run's
+// reports for the same location.
 func (m *Machine) Report(analysis, message string, got, expected uint64) {
-	var key reportKey
-	key.analysis, key.message = analysis, message
+	fn, block, pc := "<exit>", 0, 0
 	if m.cur != nil && len(m.cur.frames) > 0 {
 		fr := &m.cur.frames[len(m.cur.frames)-1]
-		key.fn, key.block, key.pc = fr.fn.name, fr.block, fr.pc
-	} else {
-		key.fn = "<exit>"
+		if ins := &fr.fn.blocks[fr.block][fr.pc]; ins.Op == mir.OpHook {
+			s := &m.notes[ins.Site]
+			for _, r := range s.reports {
+				if r.Message == message && r.Analysis == analysis {
+					r.Count++
+					return
+				}
+			}
+			s.reports = append(s.reports, m.fileReport(analysis, message, got, expected))
+			return
+		}
+		fn, block, pc = fr.fn.name, fr.block, fr.pc
 	}
-	if r, ok := m.reportIdx[key]; ok {
-		r.Count++
-		return
+	for _, r := range m.reports {
+		if r.pc == pc && r.Block == block && r.Fn == fn && r.Message == message && r.Analysis == analysis {
+			r.Count++
+			return
+		}
 	}
+	m.fileReport(analysis, message, got, expected)
+}
+
+// fileReport appends a first filing, located at the current thread's
+// innermost frame, to the run's reports.
+func (m *Machine) fileReport(analysis, message string, got, expected uint64) *Report {
 	trace := m.Backtrace()
-	where := "<exit>"
-	if len(trace) > 0 {
-		where = trace[0]
-	}
 	r := &Report{
 		Analysis: analysis,
 		Message:  message,
 		Got:      got,
 		Expected: expected,
-		Where:    where,
+		Where:    "<exit>",
 		Trace:    trace,
 		Count:    1,
 		Step:     m.steps,
-		Fn:       key.fn,
-		Block:    key.block,
+		Fn:       "<exit>",
 	}
-	m.reportIdx[key] = r
+	if len(trace) > 0 {
+		fr := &m.cur.frames[len(m.cur.frames)-1]
+		r.Where, r.Fn, r.Block, r.pc = trace[0], fr.fn.name, fr.block, fr.pc
+	}
 	m.reports = append(m.reports, r)
+	return r
 }
 
 // Reports returns findings filed so far (also available on Result).
