@@ -36,7 +36,6 @@ func main() {
 	dsOnly := flag.Bool("ds-only", false, "disable coalescing and CSE (Figure 4 ablation)")
 	naive := flag.Bool("naive", false, "disable all layout optimizations")
 	baseline := flag.Bool("baseline", false, "also run uninstrumented and report overhead")
-	optimize := flag.Bool("O", false, "run the MIR optimizer on the program before instrumenting")
 	flag.Parse()
 
 	opts := compiler.DefaultOptions()
@@ -107,11 +106,6 @@ func main() {
 	}
 
 	opt := core.RunOptions{Seed: *seed}
-
-	if *optimize {
-		removed := mir.Optimize(p)
-		fmt.Printf("optimizer removed %d instructions\n", removed)
-	}
 
 	res, err := core.RunAnalysis(p, a, opt)
 	if err != nil {

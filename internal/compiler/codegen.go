@@ -15,7 +15,9 @@ import (
 // nothing on the hot path.
 //
 // Entry and value CSE slots validate against a per-invocation epoch, so
-// handler entry costs one increment instead of clearing slot arrays.
+// handler entry costs one increment instead of clearing slot arrays. A
+// use the lowering tagged as filled on every path, or on none, skips
+// the check.
 
 type hstate struct {
 	m        *vm.Machine
@@ -83,8 +85,8 @@ func (c *cgen) handler() vm.HandlerFn {
 		entries: make([][]uint64, len(lh.slots)),
 		evalid:  make([]uint64, len(lh.slots)),
 		egen:    make([]uint64, len(lh.slots)),
-		vcache:  make([]uint64, lh.nvals),
-		vvalid:  make([]uint64, lh.nvals),
+		vcache:  make([]uint64, len(lh.vals)),
+		vvalid:  make([]uint64, len(lh.vals)),
 	}
 
 	if lh.fused {
@@ -241,40 +243,46 @@ func (c *cgen) entry(en *lEntry) entryFn {
 		ef = func(h *hstate) []uint64 { return cont.Entry(key(h)) }
 	}
 
-	if slot := en.slot; slot >= 0 {
-		inner := ef
-		// The flat-arena hash table rehashes on growth and on
-		// back-shifting removal, detaching previously returned entry
-		// views from the live arena; its cache slots validate the
-		// container generation as well as the invocation epoch. The
-		// other containers never move a materialized entry.
-		switch en.impl {
-		case ImplHash:
-			hm := gs.c.(*meta.HashMap)
-			ef = func(h *hstate) []uint64 {
-				if h.evalid[slot] == h.epoch && h.egen[slot] == hm.Gen() {
-					return h.entries[slot]
-				}
-				e := inner(h)
-				h.entries[slot] = e
-				h.evalid[slot] = h.epoch
-				h.egen[slot] = hm.Gen()
-				return e
+	slot := en.slot
+	if slot < 0 {
+		return ef
+	}
+	// The flat-arena hash table rehashes on growth and on back-shifting
+	// removal, detaching previously returned entry views from the live
+	// arena; its cache slots validate the container generation as well
+	// as the invocation epoch. The other containers never move a
+	// materialized entry.
+	if en.impl == ImplHash {
+		hm := gs.c.(*meta.HashMap)
+		return func(h *hstate) []uint64 {
+			if h.evalid[slot] == h.epoch && h.egen[slot] == hm.Gen() {
+				return h.entries[slot]
 			}
-		default:
-			ef = func(h *hstate) []uint64 {
-				if h.evalid[slot] == h.epoch {
-					return h.entries[slot]
-				}
-				e := inner(h)
-				h.entries[slot] = e
-				h.evalid[slot] = h.epoch
-				return e
-			}
+			e := ef(h)
+			h.entries[slot] = e
+			h.evalid[slot] = h.epoch
+			h.egen[slot] = hm.Gen()
+			return e
 		}
 	}
-
-	return ef
+	fill := func(h *hstate) []uint64 {
+		e := ef(h)
+		h.entries[slot] = e
+		h.evalid[slot] = h.epoch
+		return e
+	}
+	switch en.fetch {
+	case fetchAll:
+		return func(h *hstate) []uint64 { return h.entries[slot] }
+	case fetchNone:
+		return fill
+	}
+	return func(h *hstate) []uint64 {
+		if h.evalid[slot] == h.epoch {
+			return h.entries[slot]
+		}
+		return fill(h)
+	}
 }
 
 // offset emits a location's bit offset (a cheap constant closure when
@@ -327,14 +335,23 @@ func (c *cgen) load(x *lLoad) evalFn {
 	if slot < 0 {
 		return raw
 	}
-	return func(h *hstate) uint64 {
-		if h.vvalid[slot] == h.epoch {
-			return h.vcache[slot]
-		}
+	fill := func(h *hstate) uint64 {
 		v := raw(h)
 		h.vcache[slot] = v
 		h.vvalid[slot] = h.epoch
 		return v
+	}
+	switch x.fetch {
+	case fetchAll:
+		return func(h *hstate) uint64 { return h.vcache[slot] }
+	case fetchNone:
+		return fill
+	}
+	return func(h *hstate) uint64 {
+		if h.vvalid[slot] == h.epoch {
+			return h.vcache[slot]
+		}
+		return fill(h)
 	}
 }
 
@@ -682,10 +699,12 @@ func (c *cgen) setMethod(x *lSetMethod) evalFn {
 	}
 }
 
+// rangeOp: a range with an entry slot reads or writes a one granule
+// range through the slot, and calls the container otherwise.
 func (c *cgen) rangeOp(x *lRange) evalFn {
 	cont := c.rt.groups[x.group].c
 	key, n := c.expr(x.key), c.expr(x.n)
-	sh, off, width, signed := x.shift, x.off, x.width, x.signed
+	sh, off, width, signed, slot := x.shift, x.off, x.width, x.signed, x.slot
 	if x.store {
 		val := c.expr(x.val)
 		inval := invalidator(x.inval, -1)
@@ -693,29 +712,33 @@ func (c *cgen) rangeOp(x *lRange) evalFn {
 			k := key(h)
 			start, cnt := granules(k, n(h), sh)
 			if cnt > 0 {
-				cont.Fill(start, cnt, off, width, val(h))
+				v := val(h)
+				if cnt == 1 && slot >= 0 {
+					meta.StoreField(h.entries[slot], off, width, v)
+				} else {
+					cont.Fill(start, cnt, off, width, v)
+				}
 				inval(h)
 			}
 			return 0
 		}
 	}
-	if signed && width < 64 {
-		return func(h *hstate) uint64 {
-			k := key(h)
-			start, cnt := granules(k, n(h), sh)
-			if cnt == 0 {
-				return 0
-			}
-			return meta.SignExtend(cont.RangeOr(start, cnt, off, width), width)
-		}
-	}
 	return func(h *hstate) uint64 {
 		k := key(h)
 		start, cnt := granules(k, n(h), sh)
-		if cnt == 0 {
+		var v uint64
+		switch {
+		case cnt == 1 && slot >= 0:
+			v = meta.LoadField(h.entries[slot], off, width)
+		case cnt != 0:
+			v = cont.RangeOr(start, cnt, off, width)
+		default:
 			return 0
 		}
-		return cont.RangeOr(start, cnt, off, width)
+		if signed && width < 64 {
+			v = meta.SignExtend(v, width)
+		}
+		return v
 	}
 }
 

@@ -15,8 +15,10 @@ import (
 // emitter does not: both walk the same lowered tree and issue the same
 // container operations in the same order, so metadata contents,
 // container Stats and reports are identical (the staged conformance leg
-// proves it). The output is the body of one staged-table factory; see
-// stage.go.
+// proves it). The lowering's fetch tags (tagFetches) assume the order in
+// which both emitters evaluate a node's parts; changing it in either
+// means changing the pass. The output is the body of one staged-table
+// factory; see stage.go.
 
 type gogen struct {
 	lay   *Layout
@@ -27,8 +29,6 @@ type gogen struct {
 	ntmp  int
 	hid   int // handler index, for per-handler buffer names
 	h     *lHandler
-	readV map[int]bool // value slots some load reads; nil while collecting
-	seenV map[int]bool
 	usedE map[int]bool
 
 	exit     string // goto target of a return; "" ⇒ return directly
@@ -91,9 +91,6 @@ func (g *gogen) capture(fn func() string) (stmts, x string) {
 
 // bind names a factory-level value (container, mutex, table, buffer).
 func (g *gogen) bind(name, init string) string {
-	if g.readV == nil {
-		return name // collecting: emit nothing the factory must declare
-	}
 	if _, ok := g.binds[name]; !ok {
 		g.binds[name] = init
 		g.order = append(g.order, name)
@@ -109,14 +106,9 @@ func (g *gogen) container(group int, impl ImplKind) string {
 	return g.bind("c"+strconv.Itoa(group), fmt.Sprintf("rt.groups[%d].c.(*meta.%s)", group, implTypes[impl]))
 }
 
-// handler emits one handler literal. The body is emitted twice: the
-// first pass only records which value slots are ever read, so the
-// second declares and writes through exactly those.
+// handler emits one handler literal.
 func (g *gogen) handler(hid int, lh *lHandler) (string, error) {
 	g.hid, g.h = hid, lh
-	g.readV, g.seenV = nil, make(map[int]bool)
-	g.body()
-	g.readV = g.seenV
 	body := g.body()
 	if g.err != nil {
 		return "", g.err
@@ -133,9 +125,12 @@ func (g *gogen) handler(hid int, lh *lHandler) (string, error) {
 			fmt.Fprintf(&b, "var e%dg uint64\n", s)
 		}
 	}
-	for s := 0; s < lh.nvals; s++ {
-		if g.readV[s] {
-			fmt.Fprintf(&b, "var v%d uint64\nvar v%dok bool\n", s, s)
+	for s, u := range lh.vals {
+		if u.read {
+			fmt.Fprintf(&b, "var v%d uint64\n", s)
+		}
+		if u.guarded {
+			fmt.Fprintf(&b, "var v%dok bool\n", s)
 		}
 	}
 	if g.retVar {
@@ -485,9 +480,11 @@ func (g *gogen) groupContainer(group int) string {
 	return g.container(group, g.lay.Groups[group].Impl)
 }
 
-// entry emits an entry fetch and returns a temporary holding the view.
-// A CSE slot lives in a local: nil until fetched, and for the hash
-// kinds re-fetched when the container's rehash generation moved.
+// entry emits an entry fetch and returns the view. A CSE slot lives in
+// a local: nil until fetched, and for the hash kinds re-fetched when
+// the container's rehash generation moved. The other kinds never move a
+// view, so their slot local is the view; its fetch tag says whether the
+// fetch needs the nil guard, or no fetch at all.
 func (g *gogen) entry(en *lEntry) string {
 	if en.impl == ImplGlobal {
 		return g.bind(fmt.Sprintf("g%d", en.group), fmt.Sprintf("rt.groups[%d].global", en.group))
@@ -501,26 +498,30 @@ func (g *gogen) entry(en *lEntry) string {
 		}
 		return c + ".Entry(" + k + ")"
 	}
-	t := g.tmp()
 	if en.slot < 0 {
+		t := g.tmp()
 		g.line("%s := %s", t, fetch())
 		return t
 	}
 	e := "e" + strconv.Itoa(en.slot)
 	g.usedE[en.slot] = true
-	hash := en.impl == ImplHash
-	miss := e + " == nil"
-	if hash {
-		miss += " || " + e + "g != " + c + ".Gen()"
-	}
-	g.line("if %s {", miss)
-	g.line("%s = %s", e, fetch())
-	if hash {
+	switch {
+	case en.impl == ImplHash:
+		g.line("if %s == nil || %sg != %s.Gen() {", e, e, c)
+		g.line("%s = %s", e, fetch())
 		g.line("%sg = %s.Gen()", e, c)
+		g.line("}")
+		t := g.tmp()
+		g.line("%s := %s", t, e)
+		return t
+	case en.fetch == fetchNone:
+		g.line("%s = %s", e, fetch())
+	case en.fetch == fetchSome:
+		g.line("if %s == nil {", e)
+		g.line("%s = %s", e, fetch())
+		g.line("}")
 	}
-	g.line("}")
-	g.line("%s := %s", t, e)
-	return t
+	return e
 }
 
 // offset returns a location's bit offset: a literal, or a temporary
@@ -555,10 +556,10 @@ func (g *gogen) wordOff(off string) string {
 	return "int(" + off + "/64)"
 }
 
-func fieldLoad(e, off string, mem *Member) string {
-	v := fmt.Sprintf("meta.LoadField(%s, %s, %d)", e, off, mem.Width)
-	if mem.Signed && mem.Width < 64 {
-		v = fmt.Sprintf("meta.SignExtend(%s, %d)", v, mem.Width)
+func fieldLoad(e, off string, width uint, signed bool) string {
+	v := fmt.Sprintf("meta.LoadField(%s, %s, %d)", e, off, width)
+	if signed && width < 64 {
+		v = fmt.Sprintf("meta.SignExtend(%s, %d)", v, width)
 	}
 	return v
 }
@@ -566,23 +567,34 @@ func fieldLoad(e, off string, mem *Member) string {
 // ---------------------------------------------------------------------------
 // Scalar load/store with value CSE
 
+// load reads a field; a value slot keeps the validity flag vNok only
+// where some read of it needs the guard.
 func (g *gogen) load(x *lLoad) string {
 	mem := x.loc.mem
 	t := g.tmp()
 	if x.vslot >= 0 {
-		g.seenV[x.vslot] = true
 		v := "v" + strconv.Itoa(x.vslot)
-		g.line("if !%sok {", v)
-		e := g.entry(x.loc.entry)
-		g.line("%s = %s", v, fieldLoad(e, g.offset(x.loc), mem))
-		g.line("%sok = true", v)
-		g.line("}")
+		fill := func() {
+			e := g.entry(x.loc.entry)
+			g.line("%s = %s", v, fieldLoad(e, g.offset(x.loc), mem.Width, mem.Signed))
+			if g.h.vals[x.vslot].guarded {
+				g.line("%sok = true", v)
+			}
+		}
+		switch x.fetch {
+		case fetchNone:
+			fill()
+		case fetchSome:
+			g.line("if !%sok {", v)
+			fill()
+			g.line("}")
+		}
 		g.line("%s := %s", t, v)
 		return t
 	}
 	e := g.entry(x.loc.entry)
 	off := g.offset(x.loc)
-	g.line("%s := %s", t, fieldLoad(e, off, mem))
+	g.line("%s := %s", t, fieldLoad(e, off, mem.Width, mem.Signed))
 	return t
 }
 
@@ -595,16 +607,20 @@ func (g *gogen) store(x *lStore) {
 	e := g.entry(x.loc.entry)
 	g.line("meta.StoreField(%s, %s, %d, %s)", e, off, mem.Width, v)
 	g.inval(x.inval, x.vslot)
-	if x.vslot >= 0 && g.readV[x.vslot] {
+	if x.vslot >= 0 && g.h.vals[x.vslot].read {
 		g.line("v%d = cachedStore(%s, %d, %t)", x.vslot, v, mem.Width, mem.Signed)
-		g.line("v%dok = true", x.vslot)
+		if g.h.vals[x.vslot].guarded {
+			g.line("v%dok = true", x.vslot)
+		}
 	}
 }
 
-// inval drops the read value slots of a member except exclude.
+// inval clears the validity flags of a member's value slots except
+// exclude. Slots without a flag need nothing: the pass tagged their
+// next reads to load again.
 func (g *gogen) inval(lst *slotList, exclude int) {
 	for _, s := range lst.slots {
-		if s != exclude && g.readV[s] {
+		if s != exclude && g.h.vals[s].guarded {
 			g.line("v%dok = false", s)
 		}
 	}
@@ -685,16 +701,28 @@ func (g *gogen) setMethod(x *lSetMethod) string {
 	return t
 }
 
+// rangeOp: a range with an entry slot reads or writes a one granule
+// range through the slot, and calls the container otherwise.
 func (g *gogen) rangeOp(x *lRange) string {
 	c := g.groupContainer(x.group)
 	k := g.expr(x.key)
 	n := g.expr(x.n)
 	start, cnt := g.tmp(), g.tmp()
 	g.line("%s, %s := granules(%s, %s, %d)", start, cnt, k, n, x.shift)
+	e := "e" + strconv.Itoa(x.slot)
 	if x.store {
 		g.line("if %s > 0 {", cnt)
 		v := g.expr(x.val)
-		g.line("%s.Fill(%s, %s, %d, %d, %s)", c, start, cnt, x.off, x.width, v)
+		fill := fmt.Sprintf("%s.Fill(%s, %s, %d, %d, %s)", c, start, cnt, x.off, x.width, v)
+		if x.slot >= 0 {
+			g.line("if %s == 1 {", cnt)
+			g.line("meta.StoreField(%s, %d, %d, %s)", e, x.off, x.width, v)
+			g.line("} else {")
+			g.line("%s", fill)
+			g.line("}")
+		} else {
+			g.line("%s", fill)
+		}
 		g.inval(x.inval, -1)
 		g.line("}")
 		return "0"
@@ -705,7 +733,13 @@ func (g *gogen) rangeOp(x *lRange) string {
 	}
 	t := g.tmp()
 	g.line("var %s uint64", t)
-	g.line("if %s != 0 {", cnt)
+	if x.slot >= 0 {
+		g.line("if %s == 1 {", cnt)
+		g.line("%s = %s", t, fieldLoad(e, lit(uint64(x.off)), x.width, x.signed))
+		g.line("} else if %s != 0 {", cnt)
+	} else {
+		g.line("if %s != 0 {", cnt)
+	}
 	g.line("%s = %s", t, get)
 	g.line("}")
 	return t

@@ -26,7 +26,12 @@ import (
 //   - view-fetch order: an entry view is fetched after anything that
 //     may grow a hash container and detach it;
 //   - `return` scoping in fused hooks (a return ends its own body);
-//   - the sync groups a handler locks, in ascending-id lock order.
+//   - the sync groups a handler locks, in ascending-id lock order;
+//   - must-fetched tags (tagFetches): whether each entry-slot use and
+//     value-slot read finds its slot filled on every path, on none or
+//     on some, so only the last keeps a run-time guard;
+//   - which ranged builtins read or write a one-granule range through
+//     their group's entry slot instead of the container.
 
 // lHandler is one lowered entry of the handler table.
 type lHandler struct {
@@ -36,10 +41,28 @@ type lHandler struct {
 	locks []int     // sync group ids, ascending: the canonical lock order
 
 	slots   []ImplKind // entry CSE slots: container kind of each (hash kinds check Gen)
-	nvals   int        // value CSE slots
+	vals    []vslotUse // value CSE slots
 	scratch []int      // words of each bit-vector set-operation scratch buffer
 	extBufs []int      // argument count of each external call site
 }
+
+// vslotUse is what tagFetches learned about one value slot.
+type vslotUse struct {
+	read    bool // some load reads it, so stores write through
+	guarded bool // some read finds it filled on some paths only: it keeps a validity flag
+}
+
+// fetchTag says whether a CSE slot is filled where a lowered node uses
+// it: on some paths reaching the node, on none, or on every one. Only
+// fetchSome needs a run-time guard; it is the zero value, so a node the
+// pass never reaches keeps the guard.
+type fetchTag uint8
+
+const (
+	fetchSome fetchTag = iota // check the slot, fetch if empty
+	fetchNone                 // fetch without checking
+	fetchAll                  // use the slot as it is
+)
 
 // Statements.
 type (
@@ -64,10 +87,12 @@ type (
 	lExpr  interface{}
 	lConst struct{ v uint64 }
 	lArg   struct{ i int } // hook argument position
-	// lLoad reads a scalar field; vslot ≥ 0 names its value CSE slot.
+	// lLoad reads a scalar field; vslot ≥ 0 names its value CSE slot,
+	// and fetch whether that slot is filled.
 	lLoad struct {
 		loc   *lLoc
 		vslot int
+		fetch fetchTag
 	}
 	lUnary struct {
 		op token.Kind // NOT or SUB
@@ -109,7 +134,10 @@ type (
 		loc  *lLoc
 		elem lExpr // add/remove/find
 	}
-	// lRange is map.set(k, v, n) (store) or map.get(k, n).
+	// lRange is map.set(k, v, n) (store) or map.get(k, n). class is
+	// the entry class of its first granule ("" if it has none); slot ≥ 0
+	// is that class's entry slot where it is filled on every path, and a
+	// one-granule range then reads or writes the slot's entry.
 	lRange struct {
 		store       bool
 		group       int
@@ -118,6 +146,8 @@ type (
 		off, width  uint
 		signed      bool
 		inval       *slotList
+		class       string
+		slot        int
 	}
 	// lRemove resets a key's entry and drops the group's value slots.
 	lRemove struct {
@@ -179,8 +209,9 @@ type lDim struct {
 type lEntry struct {
 	group     int
 	impl      ImplKind
-	key, key2 lExpr // keys after interning and address shifting
-	slot      int   // entry CSE slot, -1 none
+	key, key2 lExpr    // keys after interning and address shifting
+	slot      int      // entry CSE slot, -1 none
+	fetch     fetchTag // whether the slot is filled here (hash slots: always fetchSome)
 }
 
 // slotList is a member's value slots; stores hold the pointer, so slots
@@ -281,7 +312,8 @@ func (hc *hcompiler) finish() *lHandler {
 			locks[j-1], locks[j] = locks[j], locks[j-1]
 		}
 	}
-	hc.out.nvals = len(hc.vslots)
+	hc.out.vals = make([]vslotUse, len(hc.vslots))
+	tagFetches(hc.out, hc.slots)
 	return hc.out
 }
 
@@ -770,7 +802,12 @@ func (hc *hcompiler) mapMethod(x *ast.MethodExpr, recvT sema.VType) (lExpr, erro
 		}
 		r := &lRange{
 			store: x.Name == "set", group: g.ID, shift: g.AddrShift,
-			off: mem.BitOff, width: mem.Width, signed: mem.Signed,
+			off: mem.BitOff, width: mem.Width, signed: mem.Signed, slot: -1,
+		}
+		// The range's first granule is the entry a fetch of the same key
+		// class selects, unless that fetch interns its key.
+		if hc.useCSE && !interned(g.KeyType) {
+			r.class = hc.entryClass(g, allKeys[:1])
 		}
 		var err error
 		if r.key, err = hc.scalar(allKeys[0]); err != nil {
@@ -937,6 +974,246 @@ func (hc *hcompiler) reprForElem(elem *sema.Type) SetRepr {
 		return SetBitVec
 	}
 	return SetTree
+}
+
+// ---------------------------------------------------------------------------
+// Must-fetched tags
+
+// fetchFlow is tagFetches' state at one point of a handler: the tag
+// each entry slot, then each value slot, would get there. dead marks a
+// point no path reaches (after a return).
+type fetchFlow struct {
+	tags []fetchTag
+	dead bool
+}
+
+func (f fetchFlow) clone() fetchFlow {
+	return fetchFlow{append([]fetchTag(nil), f.tags...), f.dead}
+}
+
+// merge joins the paths of o into f: a slot keeps its tag where both
+// agree and is filled on some paths otherwise.
+func (f *fetchFlow) merge(o fetchFlow) {
+	switch {
+	case o.dead:
+	case f.dead:
+		*f = o.clone()
+	default:
+		for i, t := range o.tags {
+			if f.tags[i] != t {
+				f.tags[i] = fetchSome
+			}
+		}
+	}
+}
+
+// fetchPass walks one lowered handler in the emitters' evaluation order.
+type fetchPass struct {
+	lh    *lHandler
+	slots map[string]int // entry class → entry slot
+	cur   fetchFlow
+	ret   fetchFlow // the paths that left the current part by a return
+}
+
+// tagFetches tags every entry-slot use, value-slot read and ranged
+// builtin of lh, and fills lh.vals. Both emitters follow the tags alone,
+// so they still issue the same container operations. A value slot is
+// filled only where its entry slot is (a load or store of it fetched
+// the entry), and nothing empties an entry slot; stores and removes
+// empty the value slots they may alias. A hash slot's entry may detach
+// on a rehash, so its uses keep the generation check and never count as
+// filled.
+func tagFetches(lh *lHandler, slots map[string]int) {
+	p := &fetchPass{lh: lh, slots: slots}
+	p.cur.tags = make([]fetchTag, len(lh.slots)+len(lh.vals))
+	for i := range p.cur.tags {
+		p.cur.tags[i] = fetchNone
+	}
+	for _, body := range lh.parts {
+		p.ret = fetchFlow{dead: true}
+		p.stmts(body)
+		p.cur.merge(p.ret) // a fused part's return resumes at its label
+	}
+}
+
+// val is value slot s's tag in the current state.
+func (p *fetchPass) val(s int) *fetchTag { return &p.cur.tags[len(p.lh.slots)+s] }
+
+// maybe walks fn on the paths that run it and merges the paths that
+// skip it.
+func (p *fetchPass) maybe(fn func()) {
+	skip := p.cur.clone()
+	fn()
+	p.cur.merge(skip)
+}
+
+func (p *fetchPass) stmts(list []lStmt) {
+	for _, s := range list {
+		switch st := s.(type) {
+		case *lIf:
+			p.expr(st.cond)
+			els := p.cur.clone()
+			p.stmts(st.then)
+			then := p.cur
+			p.cur = els
+			p.stmts(st.els)
+			p.cur.merge(then)
+		case *lReturn:
+			p.expr(st.val)
+			p.ret.merge(p.cur)
+			p.cur.dead = true
+		case *lDo:
+			p.expr(st.x)
+		case *lDoSet:
+			p.set(st.x)
+		}
+	}
+}
+
+// entry tags an entry fetch. A slotted entry's keys are pure, so
+// skipping them changes nothing.
+func (p *fetchPass) entry(en *lEntry) {
+	switch {
+	case en.slot < 0:
+		p.expr(en.key)
+		p.expr(en.key2)
+	case en.impl == ImplHash:
+		en.fetch = fetchSome
+	default:
+		en.fetch = p.cur.tags[en.slot]
+		p.cur.tags[en.slot] = fetchAll
+	}
+}
+
+func (p *fetchPass) offset(l *lLoc) {
+	for _, d := range l.dims {
+		p.expr(d.x)
+	}
+}
+
+// empty marks a member's value slots, except keep, empty on every path.
+func (p *fetchPass) empty(lst *slotList, keep int) {
+	for _, s := range lst.slots {
+		if s != keep {
+			*p.val(s) = fetchNone
+		}
+	}
+}
+
+func (p *fetchPass) expr(e lExpr) {
+	switch x := e.(type) {
+	case *lLoad:
+		if s := x.vslot; s >= 0 {
+			x.fetch = *p.val(s)
+			p.lh.vals[s].read = true
+			if x.fetch == fetchSome {
+				p.lh.vals[s].guarded = true
+			}
+			if x.fetch != fetchAll {
+				p.entry(x.loc.entry)
+			}
+			*p.val(s) = fetchAll
+			return
+		}
+		p.entry(x.loc.entry)
+		p.offset(x.loc)
+	case *lStore:
+		p.offset(x.loc)
+		p.expr(x.rhs)
+		p.entry(x.loc.entry)
+		p.empty(x.inval, x.vslot)
+		if x.vslot >= 0 {
+			*p.val(x.vslot) = fetchAll
+		}
+	case *lUnary:
+		p.expr(x.x)
+	case *lBinary:
+		switch x.op {
+		case token.LAND, token.LOR:
+			p.expr(x.x)
+			p.maybe(func() { p.expr(x.y) })
+		case token.QUO, token.REM: // the divisor first
+			p.expr(x.y)
+			p.maybe(func() { p.expr(x.x) })
+		default:
+			p.expr(x.x)
+			p.expr(x.y)
+		}
+	case *lIntern:
+		p.expr(x.x)
+	case *lSetAssign:
+		if x.op == token.ASSIGN {
+			p.offset(x.loc)
+		}
+		p.set(x.rhs)
+		p.entry(x.loc.entry)
+	case *lSetMethod:
+		switch {
+		case x.loc.mem.Repr != SetBitVec:
+			p.offset(x.loc)
+			p.entry(x.loc.entry)
+			p.expr(x.elem)
+		case x.name == "add" || x.name == "remove" || x.name == "clear":
+			p.offset(x.loc)
+			p.expr(x.elem)
+			p.entry(x.loc.entry)
+		default:
+			p.entry(x.loc.entry)
+			p.offset(x.loc)
+			p.expr(x.elem)
+		}
+	case *lRange:
+		p.expr(x.key)
+		p.expr(x.n)
+		if !x.store {
+			p.through(x)
+			return
+		}
+		p.maybe(func() { // a non-empty range
+			p.expr(x.val)
+			p.through(x)
+			p.empty(x.inval, -1)
+		})
+	case *lRemove:
+		p.expr(x.key)
+		for _, lst := range x.inval {
+			p.empty(lst, -1)
+		}
+	case *lHas:
+		p.expr(x.key)
+	case *lAssert:
+		p.expr(x.got)
+		p.expr(x.want)
+	case *lExtern:
+		for _, a := range x.args {
+			p.expr(a)
+		}
+	}
+}
+
+// through gives a range its entry slot where the slot is filled on
+// every path. Hash slots never are.
+func (p *fetchPass) through(x *lRange) {
+	x.slot = -1
+	if s, ok := p.slots[x.class]; ok && p.cur.tags[s] == fetchAll {
+		x.slot = s
+	}
+}
+
+func (p *fetchPass) set(s lSet) {
+	switch x := s.(type) {
+	case *lView:
+		if x.loc.mem.Repr == SetBitVec {
+			p.entry(x.loc.entry)
+			p.offset(x.loc)
+		} else {
+			p.offset(x.loc)
+			p.entry(x.loc.entry)
+		}
+	case *lSetBin:
+		p.set(x.x)
+		p.set(x.y)
+	}
 }
 
 // granules converts a range operation's byte key and length into its

@@ -35,17 +35,10 @@ func stagedEraser(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			{
 				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitAdd(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitAdd(t5[0:4], t4%256)
+				e0 = c0.Entry(args[1])
+				meta.BitAdd(e0[4:8], t1%256)
+				t3 := internValue(inlid, 256, args[0])
+				meta.BitAdd(e0[0:4], t3%256)
 			}
 			return 0
 		},
@@ -54,17 +47,10 @@ func stagedEraser(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			{
 				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitRemove(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitRemove(t5[0:4], t4%256)
+				e0 = c0.Entry(args[1])
+				meta.BitRemove(e0[4:8], t1%256)
+				t3 := internValue(inlid, 256, args[0])
+				meta.BitRemove(e0[0:4], t3%256)
 			}
 			return 0
 		},
@@ -76,87 +62,43 @@ func stagedEraser(rt *Runtime) []vm.HandlerFn {
 			var v0ok bool
 			mu1.Lock()
 			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
+				e0 = c1.Entry((args[0] >> 3))
+				t1 := b2u(meta.BitFind(e0[4:5], args[1]%64))
+				t3 := false
+				if !(t1 != 0) {
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					v0ok = true
+					t2 := v0
+					t3 = int64(t2) != 0
 				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				t5 := false
-				if !(t2 != 0) {
+				if t3 {
 					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t4 := e0
-						v0 = meta.SignExtend(meta.LoadField(t4, 320, 8), 8)
+						v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
 						v0ok = true
 					}
-					t3 := v0
-					t5 = int64(t3) != 0
-				}
-				if t5 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						v0 = meta.SignExtend(meta.LoadField(t7, 320, 8), 8)
-						v0ok = true
-					}
-					t6 := v0
-					if int64(t6) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t8 := e0
-						meta.StoreField(t8, 320, 8, 2)
+					t4 := v0
+					if int64(t4) == 1 {
+						meta.StoreField(e0, 320, 8, 2)
 						v0 = cachedStore(2, 8, true)
 						v0ok = true
 					}
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t9 := e0
-					meta.BitAdd(t9[4:5], args[1]%64)
+					meta.BitAdd(e0[4:5], args[1]%64)
 				}
 				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t12 := e0
-					v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
 					v0ok = true
 				}
-				t11 := v0
-				if int64(t11) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t13 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t14 := e0
-					meta.BitAnd(t14[0:4], t14[0:4], t13[4:8])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						v0 = meta.SignExtend(meta.LoadField(t16, 320, 8), 8)
-						v0ok = true
-					}
-					t15 := v0
-					if int64(t15) == 3 {
+				t6 := v0
+				if int64(t6) > 1 {
+					e1 = c0.Entry(args[1])
+					meta.BitAnd(e0[0:4], e0[0:4], e1[4:8])
+					t7 := v0
+					if int64(t7) == 3 {
 						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t17 := e0
-						t18 := b2u(meta.BitEmpty(t17[0:4]))
-						if t18 != 0 {
+						t8 := b2u(meta.BitEmpty(e0[0:4]))
+						if t8 != 0 {
 							rt.stats.AssertFailures++
-							m.Report("eraserOnLoad", "data race: unprotected read", t18, 0)
+							m.Report("eraserOnLoad", "data race: unprotected read", t8, 0)
 						}
 					}
 				}
@@ -169,132 +111,47 @@ func stagedEraser(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			var e1 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				if !(t2 != 0) {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
+				e0 = c1.Entry((args[0] >> 3))
+				t1 := b2u(meta.BitFind(e0[4:5], args[1]%64))
+				if !(t1 != 0) {
+					meta.BitAdd(e0[4:5], args[1]%64)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					t3 := v0
+					if int64(t3) == 2 {
+						meta.StoreField(e0, 320, 8, 3)
+						v0 = cachedStore(3, 8, true)
 					}
-					t3 := e0
-					meta.BitAdd(t3[4:5], args[1]%64)
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t6 := e0
-						v0 = meta.SignExtend(meta.LoadField(t6, 320, 8), 8)
-						v0ok = true
+					t4 := v0
+					if int64(t4) == 1 {
+						meta.StoreField(e0, 320, 8, 3)
+						v0 = cachedStore(3, 8, true)
 					}
 					t5 := v0
-					if int64(t5) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						meta.StoreField(t7, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t9 := e0
-						v0 = meta.SignExtend(meta.LoadField(t9, 320, 8), 8)
-						v0ok = true
-					}
-					t8 := v0
-					if int64(t8) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t10 := e0
-						meta.StoreField(t10, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t12 := e0
-						v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
-						v0ok = true
-					}
-					t11 := v0
-					if int64(t11) == 0 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t13 := e0
-						meta.StoreField(t13, 320, 8, 1)
+					if int64(t5) == 0 {
+						meta.StoreField(e0, 320, 8, 1)
 						v0 = cachedStore(1, 8, true)
-						v0ok = true
 					}
 				} else {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t15 := e0
-						v0 = meta.SignExtend(meta.LoadField(t15, 320, 8), 8)
-						v0ok = true
-					}
-					t14 := v0
-					if int64(t14) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						meta.StoreField(t16, 320, 8, 3)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					t6 := v0
+					if int64(t6) == 2 {
+						meta.StoreField(e0, 320, 8, 3)
 						v0 = cachedStore(3, 8, true)
-						v0ok = true
 					}
 				}
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t18 := e0
-					v0 = meta.SignExtend(meta.LoadField(t18, 320, 8), 8)
-					v0ok = true
-				}
-				t17 := v0
-				if int64(t17) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t19 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t20 := e0
-					meta.BitAnd(t20[0:4], t20[0:4], t19[0:4])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t22 := e0
-						v0 = meta.SignExtend(meta.LoadField(t22, 320, 8), 8)
-						v0ok = true
-					}
-					t21 := v0
-					if int64(t21) == 3 {
+				t7 := v0
+				if int64(t7) > 1 {
+					e1 = c0.Entry(args[1])
+					meta.BitAnd(e0[0:4], e0[0:4], e1[0:4])
+					t8 := v0
+					if int64(t8) == 3 {
 						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t23 := e0
-						t24 := b2u(meta.BitEmpty(t23[0:4]))
-						if t24 != 0 {
+						t9 := b2u(meta.BitEmpty(e0[0:4]))
+						if t9 != 0 {
 							rt.stats.AssertFailures++
-							m.Report("eraserOnStore", "data race: unprotected write", t24, 0)
+							m.Report("eraserOnStore", "data race: unprotected write", t9, 0)
 						}
 					}
 				}
@@ -371,49 +228,29 @@ func stagedFasttrack(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			mu0.Lock()
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 64, 64)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 64, 64)
 				t1 := v0
 				buf4_0[0] = args[1]
-				t3 := ext4(m, buf4_0)
-				if int64(t1) != int64(t3) {
+				t2 := ext4(m, buf4_0)
+				if int64(t1) != int64(t2) {
 					rt.stats.Asserts++
-					if !v1ok {
-						if e0 == nil {
-							e0 = c0.Entry((args[0] >> 3))
-						}
-						t5 := e0
-						v1 = meta.LoadField(t5, 0, 64)
-						v1ok = true
-					}
-					t4 := v1
-					buf4_1[0] = t4
+					v1 = meta.LoadField(e0, 0, 64)
+					t3 := v1
+					buf4_1[0] = t3
 					buf4_1[1] = args[1]
-					t6 := ext5(m, buf4_1)
-					if t6 != 1 {
+					t4 := ext5(m, buf4_1)
+					if t4 != 1 {
 						rt.stats.AssertFailures++
-						m.Report("ftOnLoad", "write-read race", t6, 1)
+						m.Report("ftOnLoad", "write-read race", t4, 1)
 					}
 					buf4_2[0] = args[1]
-					t7 := ext4(m, buf4_2)
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t8 := e0
-					meta.StoreField(t8, 64, 64, t7)
-					v0 = cachedStore(t7, 64, true)
-					v0ok = true
+					t5 := ext4(m, buf4_2)
+					meta.StoreField(e0, 64, 64, t5)
+					v0 = cachedStore(t5, 64, true)
 				}
 			}
 			mu0.Unlock()
@@ -423,66 +260,38 @@ func stagedFasttrack(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			mu0.Lock()
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 0, 64)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 0, 64)
 				t1 := v0
 				buf5_0[0] = args[1]
-				t3 := ext4(m, buf5_0)
-				if int64(t1) != int64(t3) {
+				t2 := ext4(m, buf5_0)
+				if int64(t1) != int64(t2) {
 					rt.stats.Asserts++
-					if !v0ok {
-						if e0 == nil {
-							e0 = c0.Entry((args[0] >> 3))
-						}
-						t5 := e0
-						v0 = meta.LoadField(t5, 0, 64)
-						v0ok = true
-					}
-					t4 := v0
-					buf5_1[0] = t4
+					t3 := v0
+					buf5_1[0] = t3
 					buf5_1[1] = args[1]
-					t6 := ext5(m, buf5_1)
+					t4 := ext5(m, buf5_1)
+					if t4 != 1 {
+						rt.stats.AssertFailures++
+						m.Report("ftOnStore", "write-write race", t4, 1)
+					}
+					rt.stats.Asserts++
+					v1 = meta.LoadField(e0, 64, 64)
+					t5 := v1
+					buf5_2[0] = t5
+					buf5_2[1] = args[1]
+					t6 := ext5(m, buf5_2)
 					if t6 != 1 {
 						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "write-write race", t6, 1)
-					}
-					rt.stats.Asserts++
-					if !v1ok {
-						if e0 == nil {
-							e0 = c0.Entry((args[0] >> 3))
-						}
-						t8 := e0
-						v1 = meta.LoadField(t8, 64, 64)
-						v1ok = true
-					}
-					t7 := v1
-					buf5_2[0] = t7
-					buf5_2[1] = args[1]
-					t9 := ext5(m, buf5_2)
-					if t9 != 1 {
-						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "read-write race", t9, 1)
+						m.Report("ftOnStore", "read-write race", t6, 1)
 					}
 					buf5_3[0] = args[1]
-					t10 := ext4(m, buf5_3)
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t11 := e0
-					meta.StoreField(t11, 0, 64, t10)
-					v0 = cachedStore(t10, 64, true)
-					v0ok = true
+					t7 := ext4(m, buf5_3)
+					meta.StoreField(e0, 0, 64, t7)
+					v0 = cachedStore(t7, 64, true)
 				}
 			}
 			mu0.Unlock()
@@ -503,11 +312,8 @@ func stagedMsan(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c0.Fill(t1, t2, 0, 8, 18446744073709551615)
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 64, 64, args[1])
+				e0 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e0, 64, 64, args[1])
 			}
 			return 0
 		},
@@ -519,11 +325,8 @@ func stagedMsan(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c0.Fill(t1, t2, 0, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 64, 64, (args[1] * args[2]))
+				e0 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e0, 64, 64, (args[1] * args[2]))
 			}
 			return 0
 		},
@@ -531,38 +334,22 @@ func stagedMsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 64, 64)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 64, 64)
 				t1 := v0
 				if t1 != 0 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c0.Entry((args[0] >> 3))
+					t2 := v0
+					t3, t4 := granules(args[0], t2, 3)
+					if t4 > 0 {
+						if t4 == 1 {
+							meta.StoreField(e0, 0, 8, 18446744073709551615)
+						} else {
+							c0.Fill(t3, t4, 0, 8, 18446744073709551615)
 						}
-						t4 := e0
-						v0 = meta.LoadField(t4, 64, 64)
-						v0ok = true
 					}
-					t3 := v0
-					t5, t6 := granules(args[0], t3, 3)
-					if t6 > 0 {
-						c0.Fill(t5, t6, 0, 8, 18446744073709551615)
-					}
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t7 := e0
-					meta.StoreField(t7, 64, 64, 0)
+					meta.StoreField(e0, 64, 64, 0)
 					v0 = cachedStore(0, 64, true)
-					v0ok = true
 				}
 			}
 			return 0
@@ -666,21 +453,13 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v1 uint64
-			var v1ok bool
 			{
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				meta.StoreField(t1, 8, 8, 1)
-				if !v1ok {
-					v1 = meta.LoadField(g1, 64, 64)
-					v1ok = true
-				}
-				t2 := v1
-				meta.StoreField(g1, 64, 64, (t2 + 1))
-				v1 = cachedStore((t2 + 1), 64, true)
-				v1ok = true
+				e0 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e0, 8, 8, 1)
+				v1 = meta.LoadField(g1, 64, 64)
+				t1 := v1
+				meta.StoreField(g1, 64, 64, (t1 + 1))
+				v1 = cachedStore((t1 + 1), 64, true)
 			}
 			return 0
 		},
@@ -688,39 +467,22 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 8, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 8, 8), 8)
 				t1 := v0
 				if t1 != 1 {
 					rt.stats.AssertFailures++
 					m.Report("sslOnCtxFree", "SSL_CTX_free on dead context", t1, 1)
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 8, 8, 0)
+				meta.StoreField(e0, 8, 8, 0)
 				v0 = cachedStore(0, 8, true)
-				v0ok = true
-				if !v1ok {
-					v1 = meta.LoadField(g1, 64, 64)
-					v1ok = true
-				}
-				t4 := v1
-				meta.StoreField(g1, 64, 64, (t4 - 1))
-				v1 = cachedStore((t4 - 1), 64, true)
-				v1ok = true
+				v1 = meta.LoadField(g1, 64, 64)
+				t2 := v1
+				meta.StoreField(g1, 64, 64, (t2 - 1))
+				v1 = cachedStore((t2 - 1), 64, true)
 			}
 			return 0
 		},
@@ -729,37 +491,22 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			var e1 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v2 uint64
-			var v2ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[1] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 8, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[1] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 8, 8), 8)
 				t1 := v0
 				if t1 != 1 {
 					rt.stats.AssertFailures++
 					m.Report("sslOnNew", "SSL_new on dead context", t1, 1)
 				}
-				if e1 == nil {
-					e1 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e1
-				meta.StoreField(t3, 0, 8, 1)
-				if !v2ok {
-					v2 = meta.LoadField(g1, 0, 64)
-					v2ok = true
-				}
-				t4 := v2
-				meta.StoreField(g1, 0, 64, (t4 + 1))
-				v2 = cachedStore((t4 + 1), 64, true)
-				v2ok = true
+				e1 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e1, 0, 8, 1)
+				v2 = meta.LoadField(g1, 0, 64)
+				t2 := v2
+				meta.StoreField(g1, 0, 64, (t2 + 1))
+				v2 = cachedStore((t2 + 1), 64, true)
 			}
 			return 0
 		},
@@ -767,16 +514,9 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if int64(t1) == 0 {
 					rt.stats.Asserts++
@@ -785,13 +525,8 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 						m.Report("sslOnConnect", "SSL_connect/accept on dead handle", 0, 1)
 					}
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 0, 8, 2)
+				meta.StoreField(e0, 0, 8, 2)
 				v0 = cachedStore(2, 8, true)
-				v0ok = true
 			}
 			return 0
 		},
@@ -799,17 +534,10 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if t1 != 2 {
 					rt.stats.AssertFailures++
@@ -822,17 +550,10 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if t1 != 2 {
 					rt.stats.AssertFailures++
@@ -845,16 +566,9 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if int64(t1) == 0 {
 					rt.stats.Asserts++
@@ -863,13 +577,8 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 						m.Report("sslOnShutdown", "SSL_shutdown on dead handle", 0, 1)
 					}
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 0, 8, 3)
+				meta.StoreField(e0, 0, 8, 3)
 				v0 = cachedStore(3, 8, true)
-				v0ok = true
 			}
 			return 0
 		},
@@ -877,18 +586,10 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if int64(t1) == 0 {
 					rt.stats.Asserts++
@@ -897,62 +598,37 @@ func stagedSslsan(rt *Runtime) []vm.HandlerFn {
 						m.Report("sslOnFree", "SSL_free on dead handle (double free)", 0, 1)
 					}
 				}
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t4 := e0
-					v0 = meta.SignExtend(meta.LoadField(t4, 0, 8), 8)
-					v0ok = true
-				}
-				t3 := v0
-				if int64(t3) == 2 {
+				t2 := v0
+				if int64(t2) == 2 {
 					rt.stats.Asserts++
 					if 0 != 1 {
 						rt.stats.AssertFailures++
 						m.Report("sslOnFree", "SSL_free without SSL_shutdown", 0, 1)
 					}
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t5 := e0
-				meta.StoreField(t5, 0, 8, 0)
+				meta.StoreField(e0, 0, 8, 0)
 				v0 = cachedStore(0, 8, true)
-				v0ok = true
-				if !v1ok {
-					v1 = meta.LoadField(g1, 0, 64)
-					v1ok = true
-				}
-				t6 := v1
-				meta.StoreField(g1, 0, 64, (t6 - 1))
-				v1 = cachedStore((t6 - 1), 64, true)
-				v1ok = true
+				v1 = meta.LoadField(g1, 0, 64)
+				t3 := v1
+				meta.StoreField(g1, 0, 64, (t3 - 1))
+				v1 = cachedStore((t3 - 1), 64, true)
 			}
 			return 0
 		},
 		// sslAtExit
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					v0 = meta.LoadField(g1, 0, 64)
-					v0ok = true
-				}
+				v0 = meta.LoadField(g1, 0, 64)
 				t1 := v0
 				if t1 != 0 {
 					rt.stats.AssertFailures++
 					m.Report("sslAtExit", "SSL handle leak: handles not freed before exit", t1, 0)
 				}
 				rt.stats.Asserts++
-				if !v1ok {
-					v1 = meta.LoadField(g1, 64, 64)
-					v1ok = true
-				}
+				v1 = meta.LoadField(g1, 64, 64)
 				t2 := v1
 				if t2 != 0 {
 					rt.stats.AssertFailures++
@@ -972,40 +648,20 @@ func stagedStrictalias(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if int64(t1) != 0 {
 					rt.stats.Asserts++
-					if !v0ok {
-						if e0 == nil {
-							e0 = c0.Entry((args[0] >> 3))
-						}
-						t4 := e0
-						v0 = meta.SignExtend(meta.LoadField(t4, 0, 8), 8)
-						v0ok = true
-					}
-					t3 := v0
-					if t3 != args[1] {
+					t2 := v0
+					if t2 != args[1] {
 						rt.stats.AssertFailures++
-						m.Report("aliasOnAccess", "mixed-width access to same location", t3, args[1])
+						m.Report("aliasOnAccess", "mixed-width access to same location", t2, args[1])
 					}
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t5 := e0
-				meta.StoreField(t5, 0, 8, args[1])
+				meta.StoreField(e0, 0, 8, args[1])
 				v0 = cachedStore(args[1], 8, true)
-				v0ok = true
 			}
 			return 0
 		},
@@ -1072,11 +728,8 @@ func stagedUaf(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c0.Fill(t1, t2, 0, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 64, 64, args[1])
+				e0 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e0, 64, 64, args[1])
 			}
 			return 0
 		},
@@ -1088,11 +741,8 @@ func stagedUaf(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c0.Fill(t1, t2, 0, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 64, 64, (args[1] * args[2]))
+				e0 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e0, 64, 64, (args[1] * args[2]))
 			}
 			return 0
 		},
@@ -1100,38 +750,22 @@ func stagedUaf(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 64, 64)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 64, 64)
 				t1 := v0
 				if t1 != 0 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c0.Entry((args[0] >> 3))
+					t2 := v0
+					t3, t4 := granules(args[0], t2, 3)
+					if t4 > 0 {
+						if t4 == 1 {
+							meta.StoreField(e0, 0, 8, 1)
+						} else {
+							c0.Fill(t3, t4, 0, 8, 1)
 						}
-						t4 := e0
-						v0 = meta.LoadField(t4, 64, 64)
-						v0ok = true
 					}
-					t3 := v0
-					t5, t6 := granules(args[0], t3, 3)
-					if t6 > 0 {
-						c0.Fill(t5, t6, 0, 8, 1)
-					}
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t7 := e0
-					meta.StoreField(t7, 64, 64, 0)
+					meta.StoreField(e0, 64, 64, 0)
 					v0 = cachedStore(0, 64, true)
-					v0ok = true
 				}
 			}
 			return 0
@@ -1140,17 +774,10 @@ func stagedUaf(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if t1 != 0 {
 					rt.stats.AssertFailures++
@@ -1163,17 +790,10 @@ func stagedUaf(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if t1 != 0 {
 					rt.stats.AssertFailures++
@@ -1193,11 +813,8 @@ func stagedZlibsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			{
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				meta.StoreField(t1, 0, 8, 1)
+				e0 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e0, 0, 8, 1)
 			}
 			return 0
 		},
@@ -1205,11 +822,8 @@ func stagedZlibsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			{
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				meta.StoreField(t1, 0, 8, 2)
+				e0 = c0.Entry((args[0] >> 3))
+				meta.StoreField(e0, 0, 8, 2)
 			}
 			return 0
 		},
@@ -1217,17 +831,10 @@ func stagedZlibsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if t1 != 1 {
 					rt.stats.AssertFailures++
@@ -1240,17 +847,10 @@ func stagedZlibsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if t1 != 2 {
 					rt.stats.AssertFailures++
@@ -1263,16 +863,9 @@ func stagedZlibsan(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c0.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 0, 8), 8)
-					v0ok = true
-				}
+				e0 = c0.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 0, 8), 8)
 				t1 := v0
 				if int64(t1) == 0 {
 					rt.stats.Asserts++
@@ -1281,13 +874,8 @@ func stagedZlibsan(rt *Runtime) []vm.HandlerFn {
 						m.Report("zOnEnd", "deflateEnd/inflateEnd on uninitialized z_stream", 0, 1)
 					}
 				}
-				if e0 == nil {
-					e0 = c0.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 0, 8, 0)
+				meta.StoreField(e0, 0, 8, 0)
 				v0 = cachedStore(0, 8, true)
-				v0ok = true
 			}
 			return 0
 		},
@@ -1517,11 +1105,8 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c1.Fill(t1, t2, 512, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 576, 64, args[1])
+				e0 = c1.Entry((args[0] >> 3))
+				meta.StoreField(e0, 576, 64, args[1])
 			}
 			mu1.Unlock()
 			return 0
@@ -1535,11 +1120,8 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c1.Fill(t1, t2, 512, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 576, 64, (args[1] * args[2]))
+				e0 = c1.Entry((args[0] >> 3))
+				meta.StoreField(e0, 576, 64, (args[1] * args[2]))
 			}
 			mu1.Unlock()
 			return 0
@@ -1548,39 +1130,23 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 576, 64)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 576, 64)
 				t1 := v0
 				if t1 != 0 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
+					t2 := v0
+					t3, t4 := granules(args[0], t2, 3)
+					if t4 > 0 {
+						if t4 == 1 {
+							meta.StoreField(e0, 512, 8, 1)
+						} else {
+							c1.Fill(t3, t4, 512, 8, 1)
 						}
-						t4 := e0
-						v0 = meta.LoadField(t4, 576, 64)
-						v0ok = true
 					}
-					t3 := v0
-					t5, t6 := granules(args[0], t3, 3)
-					if t6 > 0 {
-						c1.Fill(t5, t6, 512, 8, 1)
-					}
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t7 := e0
-					meta.StoreField(t7, 576, 64, 0)
+					meta.StoreField(e0, 576, 64, 0)
 					v0 = cachedStore(0, 64, true)
-					v0ok = true
 				}
 			}
 			mu1.Unlock()
@@ -1590,18 +1156,11 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 512, 8), 8)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 512, 8), 8)
 				t1 := v0
 				if t1 != 0 {
 					rt.stats.AssertFailures++
@@ -1634,23 +1193,16 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			{
 				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitAdd(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitAdd(t5[0:4], t4%256)
+				e0 = c0.Entry(args[1])
+				meta.BitAdd(e0[4:8], t1%256)
+				t3 := internValue(inlid, 256, args[0])
+				meta.BitAdd(e0[0:4], t3%256)
 			}
 			{
 				buf18_0[0] = args[0]
 				buf18_0[1] = args[1]
-				t7 := ext0(m, buf18_0)
-				_ = t7
+				t5 := ext0(m, buf18_0)
+				_ = t5
 			}
 			return 0
 		},
@@ -1659,23 +1211,16 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			{
 				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitRemove(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitRemove(t5[0:4], t4%256)
+				e0 = c0.Entry(args[1])
+				meta.BitRemove(e0[4:8], t1%256)
+				t3 := internValue(inlid, 256, args[0])
+				meta.BitRemove(e0[0:4], t3%256)
 			}
 			{
 				buf19_0[0] = args[0]
 				buf19_0[1] = args[1]
-				t7 := ext1(m, buf19_0)
-				_ = t7
+				t5 := ext1(m, buf19_0)
+				_ = t5
 			}
 			return 0
 		},
@@ -1686,136 +1231,71 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			var v0 uint64
 			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			var v2 uint64
-			var v2ok bool
 			var ret uint64
 			mu1.Lock()
 			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
+				e0 = c1.Entry((args[0] >> 3))
+				t1 := b2u(meta.BitFind(e0[4:5], args[1]%64))
+				t3 := false
+				if !(t1 != 0) {
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					v0ok = true
+					t2 := v0
+					t3 = int64(t2) != 0
 				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				t5 := false
-				if !(t2 != 0) {
+				if t3 {
 					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t4 := e0
-						v0 = meta.SignExtend(meta.LoadField(t4, 320, 8), 8)
+						v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
 						v0ok = true
 					}
-					t3 := v0
-					t5 = int64(t3) != 0
-				}
-				if t5 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						v0 = meta.SignExtend(meta.LoadField(t7, 320, 8), 8)
-						v0ok = true
-					}
-					t6 := v0
-					if int64(t6) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t8 := e0
-						meta.StoreField(t8, 320, 8, 2)
+					t4 := v0
+					if int64(t4) == 1 {
+						meta.StoreField(e0, 320, 8, 2)
 						v0 = cachedStore(2, 8, true)
 						v0ok = true
 					}
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t9 := e0
-					meta.BitAdd(t9[4:5], args[1]%64)
+					meta.BitAdd(e0[4:5], args[1]%64)
 				}
 				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t12 := e0
-					v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
 					v0ok = true
 				}
-				t11 := v0
-				if int64(t11) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t13 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t14 := e0
-					meta.BitAnd(t14[0:4], t14[0:4], t13[4:8])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						v0 = meta.SignExtend(meta.LoadField(t16, 320, 8), 8)
-						v0ok = true
-					}
-					t15 := v0
-					if int64(t15) == 3 {
+				t6 := v0
+				if int64(t6) > 1 {
+					e1 = c0.Entry(args[1])
+					meta.BitAnd(e0[0:4], e0[0:4], e1[4:8])
+					t7 := v0
+					if int64(t7) == 3 {
 						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t17 := e0
-						t18 := b2u(meta.BitEmpty(t17[0:4]))
-						if t18 != 0 {
+						t8 := b2u(meta.BitEmpty(e0[0:4]))
+						if t8 != 0 {
 							rt.stats.AssertFailures++
-							m.Report("eraserOnLoad", "data race: unprotected read", t18, 0)
+							m.Report("eraserOnLoad", "data race: unprotected read", t8, 0)
 						}
 					}
 				}
 			}
 			{
-				if !v1ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t20 := e0
-					v1 = meta.LoadField(t20, 448, 64)
-					v1ok = true
-				}
-				t19 := v1
+				v1 = meta.LoadField(e0, 448, 64)
+				t9 := v1
 				buf20_0[0] = args[1]
-				t21 := ext4(m, buf20_0)
-				if int64(t19) != int64(t21) {
+				t10 := ext4(m, buf20_0)
+				if int64(t9) != int64(t10) {
 					rt.stats.Asserts++
-					if !v2ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t23 := e0
-						v2 = meta.LoadField(t23, 384, 64)
-						v2ok = true
-					}
-					t22 := v2
-					buf20_1[0] = t22
+					v2 = meta.LoadField(e0, 384, 64)
+					t11 := v2
+					buf20_1[0] = t11
 					buf20_1[1] = args[1]
-					t24 := ext5(m, buf20_1)
-					if t24 != 1 {
+					t12 := ext5(m, buf20_1)
+					if t12 != 1 {
 						rt.stats.AssertFailures++
-						m.Report("ftOnLoad", "write-read race", t24, 1)
+						m.Report("ftOnLoad", "write-read race", t12, 1)
 					}
 					buf20_2[0] = args[1]
-					t25 := ext4(m, buf20_2)
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t26 := e0
-					meta.StoreField(t26, 448, 64, t25)
-					v1 = cachedStore(t25, 64, true)
-					v1ok = true
+					t13 := ext4(m, buf20_2)
+					meta.StoreField(e0, 448, 64, t13)
+					v1 = cachedStore(t13, 64, true)
 				}
 			}
 			{
@@ -1824,12 +1304,14 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 					rt.stats.AssertFailures++
 					m.Report("ttOnLoad", "tainted value used as load address", args[3], 0)
 				}
-				t27, t28 := granules(args[0], args[2], 3)
-				var t29 uint64
-				if t28 != 0 {
-					t29 = c1.RangeOr(t27, t28, 640, 64)
+				t14, t15 := granules(args[0], args[2], 3)
+				var t16 uint64
+				if t15 == 1 {
+					t16 = meta.LoadField(e0, 640, 64)
+				} else if t15 != 0 {
+					t16 = c1.RangeOr(t14, t15, 640, 64)
 				}
-				ret = t29
+				ret = t16
 				goto part2
 			}
 		part2:
@@ -1841,196 +1323,82 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			var e1 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			var v2 uint64
-			var v2ok bool
 			mu1.Lock()
 			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				if !(t2 != 0) {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
+				e0 = c1.Entry((args[0] >> 3))
+				t1 := b2u(meta.BitFind(e0[4:5], args[1]%64))
+				if !(t1 != 0) {
+					meta.BitAdd(e0[4:5], args[1]%64)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					t3 := v0
+					if int64(t3) == 2 {
+						meta.StoreField(e0, 320, 8, 3)
+						v0 = cachedStore(3, 8, true)
 					}
-					t3 := e0
-					meta.BitAdd(t3[4:5], args[1]%64)
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t6 := e0
-						v0 = meta.SignExtend(meta.LoadField(t6, 320, 8), 8)
-						v0ok = true
+					t4 := v0
+					if int64(t4) == 1 {
+						meta.StoreField(e0, 320, 8, 3)
+						v0 = cachedStore(3, 8, true)
 					}
 					t5 := v0
-					if int64(t5) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						meta.StoreField(t7, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t9 := e0
-						v0 = meta.SignExtend(meta.LoadField(t9, 320, 8), 8)
-						v0ok = true
-					}
-					t8 := v0
-					if int64(t8) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t10 := e0
-						meta.StoreField(t10, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t12 := e0
-						v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
-						v0ok = true
-					}
-					t11 := v0
-					if int64(t11) == 0 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t13 := e0
-						meta.StoreField(t13, 320, 8, 1)
+					if int64(t5) == 0 {
+						meta.StoreField(e0, 320, 8, 1)
 						v0 = cachedStore(1, 8, true)
-						v0ok = true
 					}
 				} else {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t15 := e0
-						v0 = meta.SignExtend(meta.LoadField(t15, 320, 8), 8)
-						v0ok = true
-					}
-					t14 := v0
-					if int64(t14) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						meta.StoreField(t16, 320, 8, 3)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					t6 := v0
+					if int64(t6) == 2 {
+						meta.StoreField(e0, 320, 8, 3)
 						v0 = cachedStore(3, 8, true)
-						v0ok = true
 					}
 				}
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t18 := e0
-					v0 = meta.SignExtend(meta.LoadField(t18, 320, 8), 8)
-					v0ok = true
-				}
-				t17 := v0
-				if int64(t17) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t19 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t20 := e0
-					meta.BitAnd(t20[0:4], t20[0:4], t19[0:4])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t22 := e0
-						v0 = meta.SignExtend(meta.LoadField(t22, 320, 8), 8)
-						v0ok = true
-					}
-					t21 := v0
-					if int64(t21) == 3 {
+				t7 := v0
+				if int64(t7) > 1 {
+					e1 = c0.Entry(args[1])
+					meta.BitAnd(e0[0:4], e0[0:4], e1[0:4])
+					t8 := v0
+					if int64(t8) == 3 {
 						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t23 := e0
-						t24 := b2u(meta.BitEmpty(t23[0:4]))
-						if t24 != 0 {
+						t9 := b2u(meta.BitEmpty(e0[0:4]))
+						if t9 != 0 {
 							rt.stats.AssertFailures++
-							m.Report("eraserOnStore", "data race: unprotected write", t24, 0)
+							m.Report("eraserOnStore", "data race: unprotected write", t9, 0)
 						}
 					}
 				}
 			}
 			{
-				if !v1ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t26 := e0
-					v1 = meta.LoadField(t26, 384, 64)
-					v1ok = true
-				}
-				t25 := v1
+				v1 = meta.LoadField(e0, 384, 64)
+				t10 := v1
 				buf21_0[0] = args[1]
-				t27 := ext4(m, buf21_0)
-				if int64(t25) != int64(t27) {
+				t11 := ext4(m, buf21_0)
+				if int64(t10) != int64(t11) {
 					rt.stats.Asserts++
-					if !v1ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t29 := e0
-						v1 = meta.LoadField(t29, 384, 64)
-						v1ok = true
-					}
-					t28 := v1
-					buf21_1[0] = t28
+					t12 := v1
+					buf21_1[0] = t12
 					buf21_1[1] = args[1]
-					t30 := ext5(m, buf21_1)
-					if t30 != 1 {
+					t13 := ext5(m, buf21_1)
+					if t13 != 1 {
 						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "write-write race", t30, 1)
+						m.Report("ftOnStore", "write-write race", t13, 1)
 					}
 					rt.stats.Asserts++
-					if !v2ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t32 := e0
-						v2 = meta.LoadField(t32, 448, 64)
-						v2ok = true
-					}
-					t31 := v2
-					buf21_2[0] = t31
+					v2 = meta.LoadField(e0, 448, 64)
+					t14 := v2
+					buf21_2[0] = t14
 					buf21_2[1] = args[1]
-					t33 := ext5(m, buf21_2)
-					if t33 != 1 {
+					t15 := ext5(m, buf21_2)
+					if t15 != 1 {
 						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "read-write race", t33, 1)
+						m.Report("ftOnStore", "read-write race", t15, 1)
 					}
 					buf21_3[0] = args[1]
-					t34 := ext4(m, buf21_3)
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t35 := e0
-					meta.StoreField(t35, 384, 64, t34)
-					v1 = cachedStore(t34, 64, true)
-					v1ok = true
+					t16 := ext4(m, buf21_3)
+					meta.StoreField(e0, 384, 64, t16)
+					v1 = cachedStore(t16, 64, true)
 				}
 			}
 			mu1.Unlock()
@@ -2040,18 +1408,11 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 512, 8), 8)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 512, 8), 8)
 				t1 := v0
 				if t1 != 0 {
 					rt.stats.AssertFailures++
@@ -2064,9 +1425,13 @@ func stagedCombined(rt *Runtime) []vm.HandlerFn {
 					rt.stats.AssertFailures++
 					m.Report("ttOnStore", "tainted value used as store address", args[3], 0)
 				}
-				t3, t4 := granules(args[0], args[2], 3)
-				if t4 > 0 {
-					c1.Fill(t3, t4, 640, 64, args[1])
+				t2, t3 := granules(args[0], args[2], 3)
+				if t3 > 0 {
+					if t3 == 1 {
+						meta.StoreField(e0, 640, 64, args[1])
+					} else {
+						c1.Fill(t2, t3, 640, 64, args[1])
+					}
 				}
 			}
 			mu1.Unlock()
@@ -2104,17 +1469,10 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			{
 				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitAdd(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitAdd(t5[0:4], t4%256)
+				e0 = c0.Entry(args[1])
+				meta.BitAdd(e0[4:8], t1%256)
+				t3 := internValue(inlid, 256, args[0])
+				meta.BitAdd(e0[0:4], t3%256)
 			}
 			return 0
 		},
@@ -2123,17 +1481,10 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			{
 				t1 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t2 := e0
-				meta.BitRemove(t2[4:8], t1%256)
-				t4 := internValue(inlid, 256, args[0])
-				if e0 == nil {
-					e0 = c0.Entry(args[1])
-				}
-				t5 := e0
-				meta.BitRemove(t5[0:4], t4%256)
+				e0 = c0.Entry(args[1])
+				meta.BitRemove(e0[4:8], t1%256)
+				t3 := internValue(inlid, 256, args[0])
+				meta.BitRemove(e0[0:4], t3%256)
 			}
 			return 0
 		},
@@ -2145,87 +1496,43 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 			var v0ok bool
 			mu1.Lock()
 			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
+				e0 = c1.Entry((args[0] >> 3))
+				t1 := b2u(meta.BitFind(e0[4:5], args[1]%64))
+				t3 := false
+				if !(t1 != 0) {
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					v0ok = true
+					t2 := v0
+					t3 = int64(t2) != 0
 				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				t5 := false
-				if !(t2 != 0) {
+				if t3 {
 					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t4 := e0
-						v0 = meta.SignExtend(meta.LoadField(t4, 320, 8), 8)
+						v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
 						v0ok = true
 					}
-					t3 := v0
-					t5 = int64(t3) != 0
-				}
-				if t5 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						v0 = meta.SignExtend(meta.LoadField(t7, 320, 8), 8)
-						v0ok = true
-					}
-					t6 := v0
-					if int64(t6) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t8 := e0
-						meta.StoreField(t8, 320, 8, 2)
+					t4 := v0
+					if int64(t4) == 1 {
+						meta.StoreField(e0, 320, 8, 2)
 						v0 = cachedStore(2, 8, true)
 						v0ok = true
 					}
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t9 := e0
-					meta.BitAdd(t9[4:5], args[1]%64)
+					meta.BitAdd(e0[4:5], args[1]%64)
 				}
 				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t12 := e0
-					v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
 					v0ok = true
 				}
-				t11 := v0
-				if int64(t11) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t13 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t14 := e0
-					meta.BitAnd(t14[0:4], t14[0:4], t13[4:8])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						v0 = meta.SignExtend(meta.LoadField(t16, 320, 8), 8)
-						v0ok = true
-					}
-					t15 := v0
-					if int64(t15) == 3 {
+				t6 := v0
+				if int64(t6) > 1 {
+					e1 = c0.Entry(args[1])
+					meta.BitAnd(e0[0:4], e0[0:4], e1[4:8])
+					t7 := v0
+					if int64(t7) == 3 {
 						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t17 := e0
-						t18 := b2u(meta.BitEmpty(t17[0:4]))
-						if t18 != 0 {
+						t8 := b2u(meta.BitEmpty(e0[0:4]))
+						if t8 != 0 {
 							rt.stats.AssertFailures++
-							m.Report("eraserOnLoad", "data race: unprotected read", t18, 0)
+							m.Report("eraserOnLoad", "data race: unprotected read", t8, 0)
 						}
 					}
 				}
@@ -2238,132 +1545,47 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 			var e0 []uint64
 			var e1 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t1 := e0
-				t2 := b2u(meta.BitFind(t1[4:5], args[1]%64))
-				if !(t2 != 0) {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
+				e0 = c1.Entry((args[0] >> 3))
+				t1 := b2u(meta.BitFind(e0[4:5], args[1]%64))
+				if !(t1 != 0) {
+					meta.BitAdd(e0[4:5], args[1]%64)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					t3 := v0
+					if int64(t3) == 2 {
+						meta.StoreField(e0, 320, 8, 3)
+						v0 = cachedStore(3, 8, true)
 					}
-					t3 := e0
-					meta.BitAdd(t3[4:5], args[1]%64)
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t6 := e0
-						v0 = meta.SignExtend(meta.LoadField(t6, 320, 8), 8)
-						v0ok = true
+					t4 := v0
+					if int64(t4) == 1 {
+						meta.StoreField(e0, 320, 8, 3)
+						v0 = cachedStore(3, 8, true)
 					}
 					t5 := v0
-					if int64(t5) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t7 := e0
-						meta.StoreField(t7, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t9 := e0
-						v0 = meta.SignExtend(meta.LoadField(t9, 320, 8), 8)
-						v0ok = true
-					}
-					t8 := v0
-					if int64(t8) == 1 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t10 := e0
-						meta.StoreField(t10, 320, 8, 3)
-						v0 = cachedStore(3, 8, true)
-						v0ok = true
-					}
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t12 := e0
-						v0 = meta.SignExtend(meta.LoadField(t12, 320, 8), 8)
-						v0ok = true
-					}
-					t11 := v0
-					if int64(t11) == 0 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t13 := e0
-						meta.StoreField(t13, 320, 8, 1)
+					if int64(t5) == 0 {
+						meta.StoreField(e0, 320, 8, 1)
 						v0 = cachedStore(1, 8, true)
-						v0ok = true
 					}
 				} else {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t15 := e0
-						v0 = meta.SignExtend(meta.LoadField(t15, 320, 8), 8)
-						v0ok = true
-					}
-					t14 := v0
-					if int64(t14) == 2 {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t16 := e0
-						meta.StoreField(t16, 320, 8, 3)
+					v0 = meta.SignExtend(meta.LoadField(e0, 320, 8), 8)
+					t6 := v0
+					if int64(t6) == 2 {
+						meta.StoreField(e0, 320, 8, 3)
 						v0 = cachedStore(3, 8, true)
-						v0ok = true
 					}
 				}
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t18 := e0
-					v0 = meta.SignExtend(meta.LoadField(t18, 320, 8), 8)
-					v0ok = true
-				}
-				t17 := v0
-				if int64(t17) > 1 {
-					if e1 == nil {
-						e1 = c0.Entry(args[1])
-					}
-					t19 := e1
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t20 := e0
-					meta.BitAnd(t20[0:4], t20[0:4], t19[0:4])
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t22 := e0
-						v0 = meta.SignExtend(meta.LoadField(t22, 320, 8), 8)
-						v0ok = true
-					}
-					t21 := v0
-					if int64(t21) == 3 {
+				t7 := v0
+				if int64(t7) > 1 {
+					e1 = c0.Entry(args[1])
+					meta.BitAnd(e0[0:4], e0[0:4], e1[0:4])
+					t8 := v0
+					if int64(t8) == 3 {
 						rt.stats.Asserts++
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t23 := e0
-						t24 := b2u(meta.BitEmpty(t23[0:4]))
-						if t24 != 0 {
+						t9 := b2u(meta.BitEmpty(e0[0:4]))
+						if t9 != 0 {
 							rt.stats.AssertFailures++
-							m.Report("eraserOnStore", "data race: unprotected write", t24, 0)
+							m.Report("eraserOnStore", "data race: unprotected write", t9, 0)
 						}
 					}
 				}
@@ -2415,49 +1637,29 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			mu1.Lock()
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 448, 64)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 448, 64)
 				t1 := v0
 				buf8_0[0] = args[1]
-				t3 := ext4(m, buf8_0)
-				if int64(t1) != int64(t3) {
+				t2 := ext4(m, buf8_0)
+				if int64(t1) != int64(t2) {
 					rt.stats.Asserts++
-					if !v1ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t5 := e0
-						v1 = meta.LoadField(t5, 384, 64)
-						v1ok = true
-					}
-					t4 := v1
-					buf8_1[0] = t4
+					v1 = meta.LoadField(e0, 384, 64)
+					t3 := v1
+					buf8_1[0] = t3
 					buf8_1[1] = args[1]
-					t6 := ext5(m, buf8_1)
-					if t6 != 1 {
+					t4 := ext5(m, buf8_1)
+					if t4 != 1 {
 						rt.stats.AssertFailures++
-						m.Report("ftOnLoad", "write-read race", t6, 1)
+						m.Report("ftOnLoad", "write-read race", t4, 1)
 					}
 					buf8_2[0] = args[1]
-					t7 := ext4(m, buf8_2)
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t8 := e0
-					meta.StoreField(t8, 448, 64, t7)
-					v0 = cachedStore(t7, 64, true)
-					v0ok = true
+					t5 := ext4(m, buf8_2)
+					meta.StoreField(e0, 448, 64, t5)
+					v0 = cachedStore(t5, 64, true)
 				}
 			}
 			mu1.Unlock()
@@ -2467,66 +1669,38 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			var v1 uint64
-			var v1ok bool
 			mu1.Lock()
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 384, 64)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 384, 64)
 				t1 := v0
 				buf9_0[0] = args[1]
-				t3 := ext4(m, buf9_0)
-				if int64(t1) != int64(t3) {
+				t2 := ext4(m, buf9_0)
+				if int64(t1) != int64(t2) {
 					rt.stats.Asserts++
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t5 := e0
-						v0 = meta.LoadField(t5, 384, 64)
-						v0ok = true
-					}
-					t4 := v0
-					buf9_1[0] = t4
+					t3 := v0
+					buf9_1[0] = t3
 					buf9_1[1] = args[1]
-					t6 := ext5(m, buf9_1)
+					t4 := ext5(m, buf9_1)
+					if t4 != 1 {
+						rt.stats.AssertFailures++
+						m.Report("ftOnStore", "write-write race", t4, 1)
+					}
+					rt.stats.Asserts++
+					v1 = meta.LoadField(e0, 448, 64)
+					t5 := v1
+					buf9_2[0] = t5
+					buf9_2[1] = args[1]
+					t6 := ext5(m, buf9_2)
 					if t6 != 1 {
 						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "write-write race", t6, 1)
-					}
-					rt.stats.Asserts++
-					if !v1ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t8 := e0
-						v1 = meta.LoadField(t8, 448, 64)
-						v1ok = true
-					}
-					t7 := v1
-					buf9_2[0] = t7
-					buf9_2[1] = args[1]
-					t9 := ext5(m, buf9_2)
-					if t9 != 1 {
-						rt.stats.AssertFailures++
-						m.Report("ftOnStore", "read-write race", t9, 1)
+						m.Report("ftOnStore", "read-write race", t6, 1)
 					}
 					buf9_3[0] = args[1]
-					t10 := ext4(m, buf9_3)
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t11 := e0
-					meta.StoreField(t11, 384, 64, t10)
-					v0 = cachedStore(t10, 64, true)
-					v0ok = true
+					t7 := ext4(m, buf9_3)
+					meta.StoreField(e0, 384, 64, t7)
+					v0 = cachedStore(t7, 64, true)
 				}
 			}
 			mu1.Unlock()
@@ -2541,11 +1715,8 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c1.Fill(t1, t2, 512, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 576, 64, args[1])
+				e0 = c1.Entry((args[0] >> 3))
+				meta.StoreField(e0, 576, 64, args[1])
 			}
 			mu1.Unlock()
 			return 0
@@ -2559,11 +1730,8 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c1.Fill(t1, t2, 512, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 576, 64, (args[1] * args[2]))
+				e0 = c1.Entry((args[0] >> 3))
+				meta.StoreField(e0, 576, 64, (args[1] * args[2]))
 			}
 			mu1.Unlock()
 			return 0
@@ -2572,39 +1740,23 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 576, 64)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 576, 64)
 				t1 := v0
 				if t1 != 0 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
+					t2 := v0
+					t3, t4 := granules(args[0], t2, 3)
+					if t4 > 0 {
+						if t4 == 1 {
+							meta.StoreField(e0, 512, 8, 1)
+						} else {
+							c1.Fill(t3, t4, 512, 8, 1)
 						}
-						t4 := e0
-						v0 = meta.LoadField(t4, 576, 64)
-						v0ok = true
 					}
-					t3 := v0
-					t5, t6 := granules(args[0], t3, 3)
-					if t6 > 0 {
-						c1.Fill(t5, t6, 512, 8, 1)
-					}
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t7 := e0
-					meta.StoreField(t7, 576, 64, 0)
+					meta.StoreField(e0, 576, 64, 0)
 					v0 = cachedStore(0, 64, true)
-					v0ok = true
 				}
 			}
 			mu1.Unlock()
@@ -2614,18 +1766,11 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 512, 8), 8)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 512, 8), 8)
 				t1 := v0
 				if t1 != 0 {
 					rt.stats.AssertFailures++
@@ -2639,18 +1784,11 @@ func stagedCombinedNofuse(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			mu1.Lock()
 			{
 				rt.stats.Asserts++
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.SignExtend(meta.LoadField(t2, 512, 8), 8)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.SignExtend(meta.LoadField(e0, 512, 8), 8)
 				t1 := v0
 				if t1 != 0 {
 					rt.stats.AssertFailures++
@@ -2727,11 +1865,8 @@ func stagedMsanSplit(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c0.Fill(t1, t2, 0, 8, 18446744073709551615)
 				}
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 0, 64, args[1])
+				e0 = c1.Entry((args[0] >> 3))
+				meta.StoreField(e0, 0, 64, args[1])
 			}
 			return 0
 		},
@@ -2743,11 +1878,8 @@ func stagedMsanSplit(rt *Runtime) []vm.HandlerFn {
 				if t2 > 0 {
 					c0.Fill(t1, t2, 0, 8, 0)
 				}
-				if e0 == nil {
-					e0 = c1.Entry((args[0] >> 3))
-				}
-				t3 := e0
-				meta.StoreField(t3, 0, 64, (args[1] * args[2]))
+				e0 = c1.Entry((args[0] >> 3))
+				meta.StoreField(e0, 0, 64, (args[1] * args[2]))
 			}
 			return 0
 		},
@@ -2755,38 +1887,18 @@ func stagedMsanSplit(rt *Runtime) []vm.HandlerFn {
 		func(m *vm.Machine, tid uint64, args []uint64) uint64 {
 			var e0 []uint64
 			var v0 uint64
-			var v0ok bool
 			{
-				if !v0ok {
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t2 := e0
-					v0 = meta.LoadField(t2, 0, 64)
-					v0ok = true
-				}
+				e0 = c1.Entry((args[0] >> 3))
+				v0 = meta.LoadField(e0, 0, 64)
 				t1 := v0
 				if t1 != 0 {
-					if !v0ok {
-						if e0 == nil {
-							e0 = c1.Entry((args[0] >> 3))
-						}
-						t4 := e0
-						v0 = meta.LoadField(t4, 0, 64)
-						v0ok = true
+					t2 := v0
+					t3, t4 := granules(args[0], t2, 3)
+					if t4 > 0 {
+						c0.Fill(t3, t4, 0, 8, 18446744073709551615)
 					}
-					t3 := v0
-					t5, t6 := granules(args[0], t3, 3)
-					if t6 > 0 {
-						c0.Fill(t5, t6, 0, 8, 18446744073709551615)
-					}
-					if e0 == nil {
-						e0 = c1.Entry((args[0] >> 3))
-					}
-					t7 := e0
-					meta.StoreField(t7, 0, 64, 0)
+					meta.StoreField(e0, 0, 64, 0)
 					v0 = cachedStore(0, 64, true)
-					v0ok = true
 				}
 			}
 			return 0

@@ -14,6 +14,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/instrument"
 	"repro/internal/mir"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -371,6 +372,74 @@ func TestFig5MemoryDispatchesPerAccess(t *testing.T) {
 		if accesses == 0 || mem != c.want*accesses {
 			t.Errorf("%s: %d memory dispatches for %d loads and stores, want %d per access",
 				c.name, mem, accesses, c.want)
+		}
+	}
+}
+
+// Lookup CSE (§5.4) across fused parts: a fused load or store hook
+// fetches the coalesced page-table entry once, and tainttrack's
+// one-granule mem2taint.get/set reads and writes it through that fetch.
+// Fused, an access then issues one page-table operation per dispatch;
+// unfused, each of the four hooks issues its own. Operations of the
+// allocation hooks are counted apart: only those inside memory hooks
+// count.
+func TestFig5PageTableOpsPerAccess(t *testing.T) {
+	p, err := workloads.Build("fft", workloads.SizeTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts compiler.Options
+		want uint64
+	}{
+		{"fused", compiler.DefaultOptions(), 2},
+		{"nofuse", compiler.NoFuseOptions(), 4},
+	} {
+		a, err := analyses.CompileCombined(c.opts, analyses.Fig5Combination...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := instrument.Apply(p, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := a.NewRuntime()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := vm.New(inst, vm.Config{TrackShadow: a.NeedShadow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pageTableOps := func() (n uint64) {
+			for _, gt := range rt.GroupTraffic() {
+				if strings.Split(gt.Label, ".")[1] == compiler.ImplPageTable.String() {
+					n += gt.Stats.Gets() + gt.Stats.Sets() + gt.Stats.Iters
+				}
+			}
+			return n
+		}
+		var memOps uint64
+		m.Handlers = append([]vm.HandlerFn(nil), rt.Handlers()...)
+		for id, cat := range a.HookCategories() {
+			if h := m.Handlers[id]; cat == "mem" && h != nil {
+				m.Handlers[id] = func(m *vm.Machine, tid uint64, args []uint64) uint64 {
+					before := pageTableOps()
+					r := h(m, tid, args)
+					memOps += pageTableOps() - before
+					return r
+				}
+			}
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ops := m.Metrics().Ops
+		accesses := ops[mir.OpLoad] + ops[mir.OpStore]
+		if accesses == 0 || memOps != c.want*accesses {
+			t.Errorf("%s: %d page-table operations in memory hooks for %d loads and stores, want %d per access",
+				c.name, memOps, accesses, c.want)
 		}
 	}
 }

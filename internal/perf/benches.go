@@ -364,8 +364,9 @@ func reportBench() Bench {
 }
 
 // dispatchBenches is the analysis-dispatch half of the suite: every
-// dispatch workload on the staged handlers, closure-emitter twins of
-// msan and eraser, and the repeat-filing path.
+// dispatch workload on the staged handlers, the Fig 5 combination's
+// fused hooks, closure-emitter twins of msan and eraser, and the
+// repeat-filing path.
 func dispatchBenches() []Bench {
 	accesses := func() *mir.Program { return dispatchProgram(false, nil) }
 	withLocks := func() *mir.Program { return dispatchProgram(true, nil) }
@@ -373,6 +374,9 @@ func dispatchBenches() []Bench {
 		dispatchBench("dispatch/uaf", "uaf", accesses),
 		dispatchBench("dispatch/msan", "msan", accesses),
 		dispatchBench("dispatch/eraser", "eraser", withLocks),
+		dispatchBenchOf("dispatch/combined", "combined", withLocks, func() (*compiler.Analysis, error) {
+			return analyses.CompileCombined(compiler.DefaultOptions(), analyses.Fig5Combination...)
+		}),
 		closureDispatchBench("dispatch/msan/closures", "msan", accesses),
 		closureDispatchBench("dispatch/eraser/closures", "eraser", withLocks),
 		dispatchBench("dispatch/uaf/arith", "uaf", arithProgram),

@@ -109,41 +109,3 @@ func TestWorkloadsRoundTripMIRText(t *testing.T) {
 		})
 	}
 }
-
-// The MIR optimizer must preserve every workload's observable behavior
-// (exit value) while strictly reducing executed instructions.
-func TestOptimizerPreservesWorkloadBehavior(t *testing.T) {
-	for _, name := range []string{"bzip2", "gobmk", "mcf", "fft", "radiosity", "memcached", "ffmpeg"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			plain := MustBuild(name, SizeTiny)
-			opt := MustBuild(name, SizeTiny)
-			removed := mir.Optimize(opt)
-			if err := opt.Verify(); err != nil {
-				t.Fatalf("optimized program invalid: %v", err)
-			}
-			r1 := runProg(t, plain)
-			r2 := runProg(t, opt)
-			if r1.Exit != r2.Exit {
-				t.Fatalf("exit changed: %d vs %d", r1.Exit, r2.Exit)
-			}
-			if removed > 0 && r2.Steps >= r1.Steps {
-				t.Fatalf("optimizer removed %d instrs but steps did not drop (%d vs %d)",
-					removed, r1.Steps, r2.Steps)
-			}
-		})
-	}
-}
-
-func runProg(t *testing.T, p *mir.Program) *vm.Result {
-	t.Helper()
-	m, err := vm.New(p, vm.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}

@@ -29,7 +29,11 @@
 # change read lower, and the median paired ratio change ÷ base. It fails
 # the micro suite when one bench, or the geomean of all, is slower in at
 # least 9 of 10 rounds with a median ratio above 1.15
-# (perf.GateThreshold).
+# (perf.GateThreshold). For a figbench suite it also prints, per side,
+# the legs under alda_over_ref: the median over rounds of the geomean
+# over cells of reference ÷ plain and of ALDA ÷ plain, each a ratio of
+# the cell's median leg times in the per-cell table figbench writes to
+# its stderr. They show whether the ALDA leg or the reference leg moved.
 #
 # REV is exported with `git archive` into the work directory and built
 # there, so the script needs no network and leaves the checkout alone.
@@ -109,14 +113,36 @@ names() {
 	sed -n 's/^    "\(.*\)": {$/\1/p' "$work/$1/names.json"
 }
 
-# figrun SIDE SUITE ROUND OUT runs one figbench round.
+# figrun SIDE SUITE ROUND OUT runs one figbench round; its stderr goes
+# to SIDE/logs/SUITE.ROUND.log.
 figrun() {
 	local dir=$work/$1
-	"${pin[@]}" "$dir/figbench" --workload "$2" --seed $(($3 + 1)) --out-dir "$dir/run" 2>>"$dir/$2.log" | tail -n 1 >"$4"
+	local log=$dir/logs/$2.$(printf 'r%02d' "$3").log
+	mkdir -p "$dir/logs"
+	"${pin[@]}" "$dir/figbench" --workload "$2" --seed $(($3 + 1)) --out-dir "$dir/run" 2>"$log" | tail -n 1 >"$4"
 	grep -q '"correct":true' "$4" || {
-		echo "ab: the $1 build failed a verdict in $2 round $(($3 + 1)); see $dir/$2.log" >&2
+		echo "ab: the $1 build failed a verdict in $2 round $(($3 + 1)); see $log" >&2
 		return 1
 	}
+}
+
+# median prints the median of the numbers on stdin, one a line.
+median() {
+	sort -g | awk '{ v[NR] = $1 } END { if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+# legs SIDE SUITE prints SIDE's median over rounds of the geomean over
+# cells of reference ÷ plain and ALDA ÷ plain. A table row reads: cell,
+# plain_ms, ref_ms, alda_ms, alda/pl, (q1-q3), alda/ref.
+legs() {
+	local f rows
+	rows=$(for f in "$work/$1/logs/$2".r*.log; do
+		awk '$1 == "cell" && $2 == "plain_ms" { t = 1; next }
+			t && NF == 7 && $2 > 0 { n++; r += log($3 / $2); a += log($4 / $2) }
+			END { if (n) printf "%.6f %.6f\n", exp(r / n), exp(a / n) }' "$f"
+	done)
+	printf '%-6s ref/plain %.4f  alda/plain %.4f  (%d rounds)\n' "$1" \
+		"$(cut -d' ' -f1 <<<"$rows" | median)" "$(cut -d' ' -f2 <<<"$rows" | median)" "$(wc -l <<<"$rows")"
 }
 
 status=0
@@ -155,5 +181,10 @@ for suite in "${suites[@]}"; do
 	done
 	echo "== $suite: $rev (base) against the working tree (change), $rounds rounds"
 	"$work/change/aldabench" -compare "$work/base/$suite,$work/change/$suite" || status=1
+	if [ "$suite" != micro ]; then
+		echo "legs, geomean over cells, median over rounds:"
+		legs base "$suite"
+		legs change "$suite"
+	fi
 done
 exit $status
