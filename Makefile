@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only,
 # no external dependencies).
 
-.PHONY: all build test race vet bench benchgate experiments examples fmt cover fuzz faults conform replay-conform metrics serve-smoke obs-live-smoke staged
+.PHONY: all build test race vet bench benchgate experiments examples fmt cover fuzz faults conform replay-conform metrics serve-smoke obs-live-smoke staged loc
 
 all: build vet test
 
@@ -120,6 +120,11 @@ examples:
 	go run ./examples/libsanitizer
 	go run ./examples/taintflow
 	go run ./examples/combined
+
+# Hand-written non-test Go lines: every tracked .go file except tests,
+# figbench/ (the benchmark) and the generated staged handler table.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^figbench/' -e 'staged_handlers\.go$$' | xargs cat | wc -l
 
 fmt:
 	gofmt -w .

@@ -1,7 +1,9 @@
 // Command aldaexplain dumps ALDAcc's compilation plan for an analysis:
 // coalescing groups, chosen containers with shadow factors, entry
-// layouts, and per-handler lookup-savings — the "why is my analysis
-// fast (or not)" tool. Where the cold split (compiler.SplitOptions)
+// layouts, fused hooks, and for each dispatched handler or fused hook
+// its metadata sites and the lookups CSE saves on every path, counted
+// from the lowered handler table — the "why is my analysis fast (or
+// not)" tool. Where the cold split (compiler.SplitOptions)
 // changes the layout, it prints that plan after the full one; -compare
 // adds the ds-only and naive plans.
 //

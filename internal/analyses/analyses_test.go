@@ -2,6 +2,7 @@ package analyses
 
 import (
 	"bytes"
+	"fmt"
 	"go/format"
 	"os"
 	"strings"
@@ -68,25 +69,39 @@ func TestCombinedSourcesCompile(t *testing.T) {
 	}
 }
 
-// TestPlanSavesNothingWithoutCSE: with CSE off every access does its
-// own lookup, so the plan of the ds-only and naive builds reports no
-// lookup saved by any handler, for the eight analyses and the Figure 5
-// combination alike.
+// TestPlanSavesNothingWithoutCSE: at every ablation point, each handler
+// line of the plan saves at most as many lookups as it has sites, and
+// with CSE off, where every access does its own lookup, it saves none,
+// for the eight analyses and the Figure 5 combination alike.
 func TestPlanSavesNothingWithoutCSE(t *testing.T) {
 	subjects := [][]string{Fig5Combination}
 	for _, n := range Names() {
 		subjects = append(subjects, []string{n})
 	}
 	for _, names := range subjects {
-		for _, opts := range []compiler.Options{compiler.DSOnlyOptions(), compiler.NaiveOptions()} {
-			a, err := CompileCombined(opts, names...)
+		for _, point := range compiler.AblationMatrix() {
+			a, err := CompileCombined(point.Opts, names...)
 			if err != nil {
 				t.Fatal(err)
 			}
+			lines := 0
 			for _, line := range strings.Split(a.Plan(), "\n") {
-				if strings.HasPrefix(line, "handler ") && !strings.HasSuffix(line, " 0 lookups saved by CSE+coalescing") {
-					t.Errorf("%s, cse=%v: %s", strings.Join(names, "+"), opts.CSE, line)
+				rest, ok := strings.CutPrefix(line, "handler ")
+				if !ok {
+					continue
 				}
+				lines++
+				_, counts, _ := strings.Cut(rest, ": ")
+				var sites, saved int
+				if _, err := fmt.Sscanf(counts, "%d access sites, %d lookups saved by CSE+coalescing", &sites, &saved); err != nil {
+					t.Fatalf("%s, %s: %q: %v", strings.Join(names, "+"), point.Name, line, err)
+				}
+				if saved > sites || !point.Opts.CSE && saved != 0 {
+					t.Errorf("%s, %s (cse=%v): %s", strings.Join(names, "+"), point.Name, point.Opts.CSE, line)
+				}
+			}
+			if lines == 0 {
+				t.Errorf("%s, %s: plan has no handler line", strings.Join(names, "+"), point.Name)
 			}
 		}
 	}

@@ -58,15 +58,14 @@ type cacheEntry struct {
 	err  error
 }
 
-// DefaultCompileCacheCap bounds the process-wide compile cache. Sized
-// for the full evaluation matrix (8 analyses × 14 ablation legs plus
-// combined variants) with headroom; a server tuning for many tenants
-// can raise or shrink it with SetCompileCacheCap.
-const DefaultCompileCacheCap = 256
+// compileCacheCap bounds the process-wide compile cache. Sized for the
+// full evaluation matrix (8 analyses × 8 ablation legs plus combined
+// variants) with headroom.
+const compileCacheCap = 256
 
 var (
 	cacheMu      sync.Mutex
-	cacheCap     = DefaultCompileCacheCap
+	cacheCap     = compileCacheCap // lowered only by the eviction tests
 	cacheEntries = map[cacheKey]*list.Element{}
 	cacheLRU     = list.New() // front = most recently used; values are *cacheEntry
 	cacheHits    atomic.Uint64
@@ -116,34 +115,6 @@ func CachedCompile(name string, opts Options, build func() (*Analysis, error)) (
 	return entry.a, entry.err
 }
 
-// SetCompileCacheCap resizes the cache bound (minimum 1), evicting
-// least-recently-used entries if the new capacity is already exceeded.
-// Returns the previous capacity.
-func SetCompileCacheCap(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	prev := cacheCap
-	cacheCap = n
-	for cacheLRU.Len() > cacheCap {
-		oldest := cacheLRU.Back()
-		victim := oldest.Value.(*cacheEntry)
-		cacheLRU.Remove(oldest)
-		delete(cacheEntries, victim.key)
-		cacheEvicts.Add(1)
-	}
-	return prev
-}
-
-// CompileCacheLen reports the number of live cached entries.
-func CompileCacheLen() int {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	return cacheLRU.Len()
-}
-
 // CompileCacheStats reports cache hits, misses (compiles performed) and
 // LRU evictions since process start or the last reset.
 func CompileCacheStats() (hits, misses, evictions uint64) {
@@ -151,7 +122,7 @@ func CompileCacheStats() (hits, misses, evictions uint64) {
 }
 
 // ResetCompileCache drops all cached analyses and zeroes the counters;
-// for tests. The capacity is left as configured.
+// for tests.
 func ResetCompileCache() {
 	cacheMu.Lock()
 	cacheEntries = map[cacheKey]*list.Element{}

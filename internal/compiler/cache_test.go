@@ -83,14 +83,32 @@ func TestCachedCompileSingleflight(t *testing.T) {
 	}
 }
 
+// setCacheCap bounds the compile cache at n for one test.
+func setCacheCap(t *testing.T, n int) {
+	cacheMu.Lock()
+	cacheCap = n
+	cacheMu.Unlock()
+	t.Cleanup(func() {
+		cacheMu.Lock()
+		cacheCap = compileCacheCap
+		cacheMu.Unlock()
+	})
+}
+
+// cacheLen reports the number of live cached entries.
+func cacheLen() int {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	return cacheLRU.Len()
+}
+
 // TestCacheLRUEviction: inserting past the capacity evicts the least
 // recently used key, a re-request of the victim recompiles, and the
 // eviction counter tracks exactly the drops.
 func TestCacheLRUEviction(t *testing.T) {
 	ResetCompileCache()
 	defer ResetCompileCache()
-	defer SetCompileCacheCap(DefaultCompileCacheCap)
-	SetCompileCacheCap(2)
+	setCacheCap(t, 2)
 
 	var builds atomic.Int32
 	build := func() (*Analysis, error) {
@@ -112,7 +130,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("hit returned a different pointer")
 	}
 	mustCompile("c")
-	if n := CompileCacheLen(); n != 2 {
+	if n := cacheLen(); n != 2 {
 		t.Fatalf("cache len = %d, want 2", n)
 	}
 	if _, _, ev := CompileCacheStats(); ev != 1 {
@@ -129,36 +147,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheCapShrinkEvicts: shrinking the capacity below the live
-// population evicts immediately, oldest first.
-func TestCacheCapShrinkEvicts(t *testing.T) {
-	ResetCompileCache()
-	defer ResetCompileCache()
-	defer SetCompileCacheCap(DefaultCompileCacheCap)
-	SetCompileCacheCap(8)
-	build := func() (*Analysis, error) { return &Analysis{}, nil }
-	for _, n := range []string{"a", "b", "c", "d"} {
-		if _, err := CachedCompile(n, DefaultOptions(), build); err != nil {
-			t.Fatal(err)
-		}
-	}
-	SetCompileCacheCap(1)
-	if n := CompileCacheLen(); n != 1 {
-		t.Fatalf("cache len after shrink = %d, want 1", n)
-	}
-	if _, _, ev := CompileCacheStats(); ev != 3 {
-		t.Fatalf("evictions = %d, want 3", ev)
-	}
-	// The survivor is the most recently used ("d"): requesting it hits.
-	h0, _, _ := CompileCacheStats()
-	if _, err := CachedCompile("d", DefaultOptions(), build); err != nil {
-		t.Fatal(err)
-	}
-	if h1, _, _ := CompileCacheStats(); h1 != h0+1 {
-		t.Error("most-recently-used entry did not survive the shrink")
-	}
-}
-
 // TestCacheEvictionDoesNotBreakSingleflight: hammer a capacity-2 cache
 // from many goroutines over a keyspace that forces constant eviction,
 // with compiles that linger long enough to be evicted mid-flight.
@@ -168,8 +156,7 @@ func TestCacheCapShrinkEvicts(t *testing.T) {
 func TestCacheEvictionDoesNotBreakSingleflight(t *testing.T) {
 	ResetCompileCache()
 	defer ResetCompileCache()
-	defer SetCompileCacheCap(DefaultCompileCacheCap)
-	SetCompileCacheCap(2)
+	setCacheCap(t, 2)
 
 	names := []string{"a", "b", "c", "d", "e"}
 	var wg sync.WaitGroup
@@ -197,7 +184,7 @@ func TestCacheEvictionDoesNotBreakSingleflight(t *testing.T) {
 	if evicts == 0 {
 		t.Error("keyspace of 5 over capacity 2 produced no evictions")
 	}
-	if n := CompileCacheLen(); n > 2 {
+	if n := cacheLen(); n > 2 {
 		t.Errorf("cache len = %d exceeds capacity 2", n)
 	}
 }

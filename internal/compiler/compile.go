@@ -2,11 +2,9 @@ package compiler
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/parser"
 	"repro/internal/lang/sema"
@@ -79,7 +77,6 @@ type FusedSpec struct {
 // package instrument.
 type Analysis struct {
 	Info   *sema.Info
-	Access *access.Result
 	Layout *Layout
 	Opts   Options
 	Rules  []Rule
@@ -142,12 +139,7 @@ func CompileProgram(prog *ast.Program, opts Options) (*Analysis, error) {
 	traceStage("sema", t)
 
 	t = time.Now()
-	acc := access.Analyze(info)
-	accessNS := int64(time.Since(t))
-	traceStage("access", t)
-
-	t = time.Now()
-	lay, err := buildLayout(info, acc, opts)
+	lay, err := buildLayout(info, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +147,6 @@ func CompileProgram(prog *ast.Program, opts Options) (*Analysis, error) {
 	traceStage("layout", t)
 	a := &Analysis{
 		Info:       info,
-		Access:     acc,
 		Layout:     lay,
 		Opts:       opts,
 		HandlerIDs: make(map[string]int),
@@ -191,7 +182,7 @@ func CompileProgram(prog *ast.Program, opts Options) (*Analysis, error) {
 		}
 	}
 	a.Stats = CompileStats{
-		SemaNS: semaNS, AccessNS: accessNS, LayoutNS: layoutNS,
+		SemaNS: semaNS, LayoutNS: layoutNS,
 		LowerNS: lowerNS, FuseNS: fuseNS,
 		Groups: len(lay.Groups), Coalesced: coalesced,
 		FusedHooks: len(a.Fused), Rules: len(a.Rules),
@@ -444,7 +435,8 @@ func CountLOC(src string) int {
 
 // Plan renders the compilation plan — the aldaexplain output: the
 // handler backend, groups, container choices, shadow factors, entry
-// layouts and per-handler CSE slots.
+// layouts, fused hooks, and per entry of the lowered handler table its
+// metadata sites and the lookups CSE saves.
 func (a *Analysis) Plan() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ALDAcc plan (coalesce=%v cse=%v select=%v granularity=%dB)\n",
@@ -490,29 +482,15 @@ func (a *Analysis) Plan() string {
 		}
 		b.WriteString(")\n")
 	}
-	// Handler access/CSE summary.
-	names := make([]string, 0, len(a.Access.PerHandler))
-	for n := range a.Access.PerHandler {
-		names = append(names, n)
+	// One line per entry of the lowered handler table: what runs.
+	lhs, err := lowerHandlers(a)
+	if err != nil {
+		fmt.Fprintf(&b, "handler table: %v\n", err)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		ha := a.Access.PerHandler[n]
-		classes := make(map[string]int)
-		for _, s := range ha.Sites {
-			gid := a.Layout.ByMeta[s.Meta.Name].GroupID
-			// Without CSE every access does its own lookup: none is saved.
-			if a.Opts.CSE && len(s.KeyClasses) > 0 && !strings.HasPrefix(s.KeyClasses[0], "!") {
-				classes[fmt.Sprintf("g%d|%s", gid, s.KeyClasses[0])]++
-			}
+	for _, lh := range lhs {
+		if lh != nil {
+			fmt.Fprintf(&b, "handler %s: %d access sites, %d lookups saved by CSE+coalescing\n", lh.name, lh.sites, lh.saved)
 		}
-		saved := 0
-		for _, c := range classes {
-			if c > 1 {
-				saved += c - 1
-			}
-		}
-		fmt.Fprintf(&b, "handler %s: %d access sites, %d lookups saved by CSE+coalescing\n", n, len(ha.Sites), saved)
 	}
 	return b.String()
 }

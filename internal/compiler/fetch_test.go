@@ -263,3 +263,41 @@ insert after LoadInst call h($1, $r, sizeof($r))
 		"get m container", "set m container", "store m e:-",
 		"get m container", "set m container", "get m container")
 }
+
+// TestClassifyPurity: a key's class is its canonical form, so two
+// `m[a + 8]` uses share one entry slot, while a key that reads metadata
+// is impure and `n[m[a]]` gets no slot.
+func TestClassifyPurity(t *testing.T) {
+	src := `
+address := pointer
+v := int64
+m = map(address, v)
+n = map(v, v)
+h(address a) {
+    m[a + 8] = 1;
+    m[a + 8] = 2;
+    n[m[a]] = 3;
+}
+insert after LoadInst call h($1)
+`
+	got, _ := fetchTags(t, src, DefaultOptions(), "h")
+	checkTags(t, "purity", got, "store m e:none", "store m e:all", "store n e:-")
+}
+
+// TestPlanLookupCounts: Plan's handler line counts a keyed site as a
+// saved lookup only where the fetch tags show it issues no container
+// operation on any path.
+func TestPlanLookupCounts(t *testing.T) {
+	for _, c := range []struct{ name, body, want string }{
+		{"CSE'd repeat", `a[p] = 1; a[p] = 2;`, "2 access sites, 1 lookups saved"},
+		{"fetch in one if arm", `if (x > 0) { a[p] = 1; } a[p] = 2;`, "2 access sites, 0 lookups saved"},
+		{"one-granule range after a fetch", `a[p] = 1; alda_assert(a.get(p, 1), 0, "r");`, "2 access sites, 1 lookups saved"},
+		{"wider range after a fetch", `a[p] = 1; alda_assert(a.get(p, 8), 0, "r");`, "2 access sites, 0 lookups saved"},
+	} {
+		src := fetchDecls + "h(address p, v x) { " + c.body + " }\ninsert after LoadInst call h($1, sizeof($r))\n"
+		want := "handler h: " + c.want + " by CSE+coalescing"
+		if plan := compileT(t, src, DefaultOptions()).Plan(); !strings.Contains(plan, want+"\n") {
+			t.Errorf("%s: plan lacks %q:\n%s", c.name, want, plan)
+		}
+	}
+}

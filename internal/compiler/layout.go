@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/access"
 	"repro/internal/lang/ast"
 	"repro/internal/lang/sema"
 	"repro/internal/meta"
@@ -178,7 +177,7 @@ var TestPerturbCoalescedTemplates bool
 
 // buildLayout runs metadata coalescing (§5.2) and data-structure
 // selection (§5.3).
-func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, error) {
+func buildLayout(info *sema.Info, opts Options) (*Layout, error) {
 	lay := &Layout{ByMeta: make(map[string]*Member)}
 
 	// 1. Partition metadata objects into groups.
@@ -189,7 +188,7 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 	}
 	var buckets []*bucket
 	bySig := make(map[string]*bucket)
-	calls, queried := mapCalls(info)
+	calls, queried, perAccess := walkHandlers(info)
 	for _, m := range info.MetaOrder {
 		sig := keySig(m)
 		if (!opts.Coalesce || queried[m.Name]) && sig != "<global>" {
@@ -206,12 +205,11 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 		b.metas = append(b.metas, m)
 	}
 
-	// 1b. Cold split (Options.SplitCold): the access analysis assumes
-	// every branch occurs, so coalescing groups members by key type
-	// alone. In a group that per-access handlers touch, the members only
-	// per-event handlers touch move to a cold group right after it.
+	// 1b. Cold split (Options.SplitCold): coalescing groups members by
+	// key type alone, as if every branch occurred. In a group that
+	// per-access handlers touch, the members only per-event handlers
+	// touch move to a cold group right after it.
 	if opts.SplitCold && opts.Coalesce {
-		hot := perAccessMembers(info, acc)
 		var split []*bucket
 		for _, b := range buckets {
 			split = append(split, b)
@@ -220,7 +218,7 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 			}
 			var keep, cold []*sema.MetaObj
 			for _, m := range b.metas {
-				if hot[m.Name] {
+				if perAccess[m.Name] {
 					keep = append(keep, m)
 				} else {
 					cold = append(cold, m)
@@ -390,17 +388,18 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 		lay.Groups = append(lay.Groups, g)
 	}
 
-	// A pair table answers point reads and writes only. Reject here what
-	// the lowering cannot emit for one, so Compile fails rather than
-	// NewRuntime.
+	// Reject here what the lowering cannot emit, so Compile fails rather
+	// than NewRuntime. A ranged form covers a byte range of granules of
+	// a map's one key dimension, and an interned lock id names no bytes.
+	// A pair table answers point reads and writes only.
 	for _, c := range calls {
-		if lay.Groups[lay.ByMeta[c.meta].GroupID].Key2Type == nil {
-			continue
-		}
+		mem := lay.ByMeta[c.meta]
 		switch {
-		case c.ranged:
+		case c.ranged && len(mem.Meta.Keys) > 1:
 			return nil, fmt.Errorf("compiler: handler %s: range %s on %s requires a single-dimension container-backed map", c.handler, c.method, c.meta)
-		case c.method == "has" || c.method == "remove":
+		case c.ranged && interned(mem.Meta.Keys[0]):
+			return nil, fmt.Errorf("compiler: handler %s: range %s on %s: its interned lock id keys cover no byte range", c.handler, c.method, c.meta)
+		case (c.method == "has" || c.method == "remove") && lay.Groups[mem.GroupID].Key2Type != nil:
 			return nil, fmt.Errorf("compiler: handler %s: %s unsupported on %s", c.handler, c.method, c.meta)
 		}
 	}
@@ -409,42 +408,39 @@ func buildLayout(info *sema.Info, acc *access.Result, opts Options) (*Layout, er
 	return lay, nil
 }
 
-// perAccessMembers returns the metadata objects that some handler
-// inserted at a load or store touches: the per-access members. Every
-// other insertion point (allocation, lock, library call, spawn, ...)
-// counts as a per-event point.
-func perAccessMembers(info *sema.Info, acc *access.Result) map[string]bool {
-	out := make(map[string]bool)
-	for _, d := range info.Inserts {
-		if d.PointKind == ast.FuncPoint || (d.Point != "LoadInst" && d.Point != "StoreInst") {
-			continue
-		}
-		for _, s := range acc.PerHandler[d.Handler].Sites {
-			out[s.Meta.Name] = true
-		}
-	}
-	return out
-}
-
 // mapCall is one map method call in a handler body.
 type mapCall struct {
 	handler, method, meta string
 	ranged                bool // set(k, v, n) or get(k, n)
 }
 
-// mapCalls lists the map method calls of every handler, in declaration
-// order, and returns the maps some handler queries with map.has. Their
-// answer is per-key presence, which the hash map and the array map
-// track exactly but shadow memory and the page table do not (they
-// materialize whole chunks or pages), and which a coalesced entry would
-// blur (any member's access materializes it). Such maps therefore get a
-// group of their own and never an address-space container.
-func mapCalls(info *sema.Info) ([]mapCall, map[string]bool) {
-	var calls []mapCall
-	queried := make(map[string]bool)
+// walkHandlers walks every handler body once, in declaration order. It
+// returns the map method calls; the maps some handler queries with
+// map.has; and the per-access members, the metadata objects that some
+// handler inserted at a load or store reads or writes. Every other
+// insertion point (allocation, lock, library call, spawn, ...) counts
+// as a per-event point.
+//
+// A map.has answer is per-key presence, which the hash map and the
+// array map track exactly but shadow memory and the page table do not
+// (they materialize whole chunks or pages), and which a coalesced entry
+// would blur (any member's access materializes it). Queried maps
+// therefore get a group of their own and never an address-space
+// container.
+func walkHandlers(info *sema.Info) (calls []mapCall, queried, perAccess map[string]bool) {
+	queried, perAccess = make(map[string]bool), make(map[string]bool)
+	loadStore := make(map[string]bool)
+	for _, d := range info.Inserts {
+		if d.PointKind != ast.FuncPoint && (d.Point == "LoadInst" || d.Point == "StoreInst") {
+			loadStore[d.Handler] = true
+		}
+	}
 	var handler string
 	var expr func(e ast.Expr)
 	expr = func(e ast.Expr) {
+		if m := info.ExprTypes[e].Meta; m != nil && loadStore[handler] {
+			perAccess[m.Name] = true
+		}
 		switch x := e.(type) {
 		case *ast.MethodExpr:
 			if vt := info.ExprTypes[x.Recv]; vt.Kind == sema.KMapRef {
@@ -496,7 +492,7 @@ func mapCalls(info *sema.Info) ([]mapCall, map[string]bool) {
 		handler = h.Name
 		stmts(h.Decl.Body)
 	}
-	return calls, queried
+	return calls, queried, perAccess
 }
 
 // fillTemplate writes a member's initial state into the group template.

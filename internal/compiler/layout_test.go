@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -206,6 +207,75 @@ insert after LoadInst call h($1, $1)
 				t.Errorf("%s under %s: Compile err = %v, want %q", c.body, opts.Fingerprint(), err, want)
 			}
 		}
+	}
+}
+
+// TestRangedFormNeedsByteKeys: a ranged set or get covers a byte range
+// of granules of a map's one key dimension, so Compile rejects it on a
+// map keyed by a bounded lock id, whose keys are interned, and on a map
+// with a bounded inner key. Before the rejection, `held.set(l, 1, 1)`
+// wrote entry l % 16 while `held[l]` read the interned id, and the
+// assert below failed (got=0 want=1) on a program that locks 3.
+func TestRangedFormNeedsByteKeys(t *testing.T) {
+	for _, c := range []struct{ src, err string }{
+		{`
+lid := lockid : 16
+v := int64
+held = map(lid, v)
+onLock(lid l) { held.set(l, 1, 1); alda_assert(held[l], 1, "ranged set not visible"); }
+insert after LockInst call onLock($1)
+`, "compiler: handler onLock: range set on held: its interned lock id keys cover no byte range"},
+		{`
+address := pointer
+tid := threadid : 8
+v := int64
+m = map(address, map(tid, v))
+h(address a, tid t) { alda_assert(m[a].get(t, 8), 0, "range"); }
+insert after LoadInst call h($1, $t)
+`, "compiler: handler h: range get on m requires a single-dimension container-backed map"},
+	} {
+		for _, opts := range []Options{DefaultOptions(), NaiveOptions()} {
+			if _, err := Compile(c.src, opts); err == nil || err.Error() != c.err {
+				t.Errorf("under %s: Compile err = %v, want %q", opts.Fingerprint(), err, c.err)
+			}
+		}
+	}
+}
+
+// TestSplitColdTouchedMembers: a load handler's member stays per-access
+// however the handler touches it: through a set method, a ranged
+// builtin, or inside another map's key. Only the member an allocation
+// handler alone touches moves to the cold group.
+func TestSplitColdTouchedMembers(t *testing.T) {
+	src := `
+address := pointer
+lid := lockid : 64
+v := int64
+viaMethod = map(address, set(lid))
+viaRange = map(address, v)
+viaKey = map(address, v)
+perEvent = map(address, v)
+other = map(v, v)
+onLoad(address p, lid l) {
+    viaMethod[p].add(l);
+    alda_assert(viaRange.get(p, 8), 0, "range");
+    other[viaKey[p]] = 1;
+}
+onMalloc(address p, v s) { perEvent[p] = s; }
+insert after LoadInst call onLoad($1, $1)
+insert after func malloc call onMalloc($r, $1)
+`
+	var got []string
+	for _, g := range compileT(t, src, SplitOptions()).Layout.Groups {
+		got = append(got, fmt.Sprintf("%v cold=%v", g.MemberNames(), g.Cold))
+	}
+	want := []string{
+		"[viaMethod viaRange viaKey] cold=false",
+		"[perEvent] cold=true",
+		"[other] cold=false",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("split groups:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -44,6 +44,12 @@ type lHandler struct {
 	vals    []vslotUse // value CSE slots
 	scratch []int      // words of each bit-vector set-operation scratch buffer
 	extBufs []int      // argument count of each external call site
+
+	// sites counts the nodes that read or write metadata (entry uses,
+	// value-slot reads, ranged builtins, has and remove); saved, the
+	// keyed ones among them that issue no container operation on any
+	// path.
+	sites, saved int
 }
 
 // vslotUse is what tagFetches learned about one value slot.
@@ -543,9 +549,12 @@ func (hc *hcompiler) memberLocation(mem *Member, keys []ast.Expr) (*lLoc, error)
 	return l, nil
 }
 
-// classify canonicalizes a key expression the way access.Classify does,
-// but names parameters by hook-argument position so fused handlers
-// share classes across bodies. Impure expressions get a unique "!" id.
+// classify canonicalizes a key expression: two occurrences with the
+// same class evaluate to the same value within one invocation (handler
+// bodies cannot mutate parameters). Parameters are named by
+// hook-argument position, so fused handlers share classes across
+// bodies. An impure expression (a metadata read, or a call other than
+// ptr_offset of pure operands) gets a unique "!" id, so it never CSEs.
 func (hc *hcompiler) classify(e ast.Expr) string {
 	unique := func() string {
 		hc.uniq++
@@ -793,10 +802,7 @@ func (hc *hcompiler) mapMethod(x *ast.MethodExpr, recvT sema.VType) (lExpr, erro
 	allKeys := append(indexKeys(x.Recv), x.Args[0])
 
 	isRange := (x.Name == "set" && len(x.Args) == 3) || (x.Name == "get" && len(x.Args) == 2)
-	if isRange {
-		if len(mem.InnerDomains) > 0 || g.Impl == ImplGlobal || g.Key2Type != nil {
-			return nil, fmt.Errorf("range %s on %s requires a single-dimension container-backed map", x.Name, mo.Name)
-		}
+	if isRange { // buildLayout rejected ranges on multi-key and interned maps
 		if mem.IsSet == 1 {
 			return nil, fmt.Errorf("range %s on set-valued map %s", x.Name, mo.Name)
 		}
@@ -805,8 +811,8 @@ func (hc *hcompiler) mapMethod(x *ast.MethodExpr, recvT sema.VType) (lExpr, erro
 			off: mem.BitOff, width: mem.Width, signed: mem.Signed, slot: -1,
 		}
 		// The range's first granule is the entry a fetch of the same key
-		// class selects, unless that fetch interns its key.
-		if hc.useCSE && !interned(g.KeyType) {
+		// class selects.
+		if hc.useCSE {
 			r.class = hc.entryClass(g, allKeys[:1])
 		}
 		var err error
@@ -1016,13 +1022,13 @@ type fetchPass struct {
 }
 
 // tagFetches tags every entry-slot use, value-slot read and ranged
-// builtin of lh, and fills lh.vals. Both emitters follow the tags alone,
-// so they still issue the same container operations. A value slot is
-// filled only where its entry slot is (a load or store of it fetched
-// the entry), and nothing empties an entry slot; stores and removes
-// empty the value slots they may alias. A hash slot's entry may detach
-// on a rehash, so its uses keep the generation check and never count as
-// filled.
+// builtin of lh, fills lh.vals, and counts lh's sites and the lookups
+// they save. Both emitters follow the tags alone, so they still issue
+// the same container operations. A value slot is filled only where its
+// entry slot is (a load or store of it fetched the entry), and nothing
+// empties an entry slot; stores and removes empty the value slots they
+// may alias. A hash slot's entry may detach on a rehash, so its uses
+// keep the generation check and never count as filled.
 func tagFetches(lh *lHandler, slots map[string]int) {
 	p := &fetchPass{lh: lh, slots: slots}
 	p.cur.tags = make([]fetchTag, len(lh.slots)+len(lh.vals))
@@ -1070,6 +1076,16 @@ func (p *fetchPass) stmts(list []lStmt) {
 	}
 }
 
+// site counts one metadata site, and a saved lookup where it is keyed
+// and issues no container operation on any path. Global members have
+// no container: they count as sites only.
+func (p *fetchPass) site(keyed, free bool) {
+	p.lh.sites++
+	if keyed && free {
+		p.lh.saved++
+	}
+}
+
 // entry tags an entry fetch. A slotted entry's keys are pure, so
 // skipping them changes nothing.
 func (p *fetchPass) entry(en *lEntry) {
@@ -1083,6 +1099,7 @@ func (p *fetchPass) entry(en *lEntry) {
 		en.fetch = p.cur.tags[en.slot]
 		p.cur.tags[en.slot] = fetchAll
 	}
+	p.site(en.impl != ImplGlobal, en.fetch == fetchAll)
 }
 
 func (p *fetchPass) offset(l *lLoc) {
@@ -1111,6 +1128,8 @@ func (p *fetchPass) expr(e lExpr) {
 			}
 			if x.fetch != fetchAll {
 				p.entry(x.loc.entry)
+			} else {
+				p.site(x.loc.entry.impl != ImplGlobal, true)
 			}
 			*p.val(s) = fetchAll
 			return
@@ -1179,8 +1198,10 @@ func (p *fetchPass) expr(e lExpr) {
 		for _, lst := range x.inval {
 			p.empty(lst, -1)
 		}
+		p.site(true, false)
 	case *lHas:
 		p.expr(x.key)
+		p.site(true, false)
 	case *lAssert:
 		p.expr(x.got)
 		p.expr(x.want)
@@ -1192,12 +1213,15 @@ func (p *fetchPass) expr(e lExpr) {
 }
 
 // through gives a range its entry slot where the slot is filled on
-// every path. Hash slots never are.
+// every path (hash slots never are); a constant one-byte range through
+// it is one granule and issues no container operation.
 func (p *fetchPass) through(x *lRange) {
 	x.slot = -1
 	if s, ok := p.slots[x.class]; ok && p.cur.tags[s] == fetchAll {
 		x.slot = s
 	}
+	n, isConst := x.n.(*lConst)
+	p.site(true, x.slot >= 0 && isConst && n.v == 1)
 }
 
 func (p *fetchPass) set(s lSet) {

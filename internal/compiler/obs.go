@@ -30,8 +30,10 @@ func traceStage(name string, start time.Time) {
 // counts of one compilation. Times are volatile (host-dependent);
 // decision counts are deterministic for a given (source, Options).
 type CompileStats struct {
-	ParseNS  int64
-	SemaNS   int64
+	ParseNS int64
+	SemaNS  int64
+	// AccessNS is always 0: no separate access pass runs. The field
+	// stays while figbench reports it as compiler.access_ms.
 	AccessNS int64
 	LayoutNS int64
 	LowerNS  int64
