@@ -85,8 +85,10 @@ benchgate:
 	BENCHTIME=$(BENCHTIME) bash scripts/ab.sh HEAD micro
 
 # Regenerate the paper's evaluation tables (EXPERIMENTS.md's source).
+# The replay grid needs recorded plain-run traces: -trace-out records
+# the missing ones into traces/ and reuses them on later runs.
 experiments:
-	go run ./cmd/aldabench -exp all -size small -reps 5
+	go run ./cmd/aldabench -exp all -size small -reps 5 -trace-out traces/
 
 # Observability smoke: run one deterministic sweep with the metrics
 # registry, overhead attribution, and Chrome-trace export all on, then

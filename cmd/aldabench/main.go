@@ -162,7 +162,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the sweep's observability counters to this file; a .prom extension selects the Prometheus text exposition, anything else JSON (both deterministic under -virtual)")
 	promValidate := flag.String("prom-validate", "", "strictly validate a Prometheus text exposition file and exit (0 = valid)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in Perfetto / chrome://tracing)")
-	attrib := flag.String("attrib", "", "run the overhead-attribution report for this analysis (e.g. uaf, msan) instead of -exp")
+	attrib := flag.String("attrib", "", "run the overhead-attribution report for this staged variant (an analysis such as uaf or msan, or e.g. eraser/dsonly) instead of -exp")
 	attribPrograms := flag.String("attrib-programs", "", "comma-separated workloads for -attrib (default: a representative set)")
 	traceOut := flag.String("trace-out", "", "directory for recorded replay traces; missing workload traces are recorded there (enables -exp replay)")
 	traceIn := flag.String("trace-in", "", "directory of previously recorded replay traces; a missing trace is an error (enables -exp replay)")

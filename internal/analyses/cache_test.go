@@ -1,6 +1,7 @@
 package analyses
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/compiler"
@@ -59,5 +60,33 @@ func TestCompileMemoized(t *testing.T) {
 		if _, ok := ft.Externals[name]; !ok {
 			t.Errorf("cached analysis missing external %q", name)
 		}
+	}
+}
+
+// TestVariants: every staged variant resolves by name to a staged,
+// memoized analysis; an unknown name fails, and so does a variant that
+// would build closures.
+func TestVariants(t *testing.T) {
+	for _, v := range StagedVariants() {
+		a, err := Variant(v.Name)
+		if err != nil {
+			t.Errorf("%s: %v", v.Name, err)
+			continue
+		}
+		if b, _ := Variant(v.Name); b != a {
+			t.Errorf("%s: a second lookup compiled again", v.Name)
+		}
+	}
+	if _, err := Variant("eraser/bogus"); err == nil {
+		t.Error("no error for an unknown variant")
+	}
+	compiler.ResetCompileCache()
+	compiler.TestForceClosures = true
+	defer func() {
+		compiler.TestForceClosures = false
+		compiler.ResetCompileCache()
+	}()
+	if _, err := Variant("eraser"); err == nil || !strings.Contains(err.Error(), "closures (forced by test)") {
+		t.Errorf("eraser on closures: err %v, want a refusal", err)
 	}
 }

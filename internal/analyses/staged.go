@@ -1,6 +1,7 @@
 package analyses
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/compiler"
@@ -18,23 +19,63 @@ type StagedVariant struct {
 	Opts     compiler.NamedOptions
 }
 
-// StagedVariants lists the configurations the figures and the
-// repository benchmark run: the eight shipped analyses at
-// DefaultOptions, Eraser at DSOnlyOptions (Figure 4's ablation column),
-// the Figure 5 combination fused and unfused, and MSan with its cold
-// member split out (the pgo and mem experiments).
+// StagedVariants lists every configuration the experiments and the
+// repository benchmark run, which are the ones staged: the eight
+// shipped analyses at DefaultOptions, Eraser under the ablation's
+// optimization subsets (ds-only is Figure 4's column), UAF at the
+// sub-word granularities of the §5.1 sweep, the Figure 5 combination
+// fused and unfused, and MSan with its cold member split out (the pgo
+// and mem experiments). The harness reaches analyses only through
+// Variant, by these names.
 func StagedVariants() []StagedVariant {
 	full := compiler.NamedOptions{Name: "full", Opts: compiler.DefaultOptions()}
 	var out []StagedVariant
 	for _, n := range Names() {
 		out = append(out, StagedVariant{Name: n, Analyses: []string{n}, Opts: full})
 	}
+	of := func(analysis, config string, opts compiler.Options) StagedVariant {
+		return StagedVariant{Name: analysis + "/" + config, Analyses: []string{analysis}, Opts: compiler.NamedOptions{Name: config, Opts: opts}}
+	}
+	noCSE, noCoalesce := compiler.DefaultOptions(), compiler.DefaultOptions()
+	noCSE.CSE, noCoalesce.Coalesce = false, false
+	out = append(out,
+		of("eraser", "dsonly", compiler.DSOnlyOptions()),
+		of("eraser", "nocse", noCSE),
+		of("eraser", "nocoalesce", noCoalesce),
+		of("eraser", "naive", compiler.NaiveOptions()),
+	)
+	for _, g := range []int{1, 2, 4} {
+		out = append(out, of("uaf", fmt.Sprintf("gran%d", g), compiler.DefaultOptions().WithGranularity(g)))
+	}
 	return append(out,
-		StagedVariant{Name: "eraser/dsonly", Analyses: []string{"eraser"}, Opts: compiler.NamedOptions{Name: "dsonly", Opts: compiler.DSOnlyOptions()}},
 		StagedVariant{Name: "combined", Analyses: Fig5Combination, Opts: full},
 		StagedVariant{Name: "combined/nofuse", Analyses: Fig5Combination, Opts: compiler.NamedOptions{Name: "nofuse", Opts: compiler.NoFuseOptions()}},
-		StagedVariant{Name: "msan/split", Analyses: []string{"msan"}, Opts: compiler.NamedOptions{Name: "split", Opts: compiler.SplitOptions()}},
+		of("msan", "split", compiler.SplitOptions()),
 	)
+}
+
+// Variant compiles the staged variant of that name, memoized like
+// Compile and CompileCombined. It fails when the staged table has no
+// entry for the variant, so nothing that names its configurations this
+// way runs on the closure emitter unnoticed.
+func Variant(name string) (*compiler.Analysis, error) {
+	for _, v := range StagedVariants() {
+		if v.Name != name {
+			continue
+		}
+		var a *compiler.Analysis
+		var err error
+		if len(v.Analyses) == 1 {
+			a, err = Compile(v.Analyses[0], v.Opts.Opts)
+		} else {
+			a, err = CompileCombined(v.Opts.Opts, v.Analyses...)
+		}
+		if err == nil && !a.Staged() {
+			return nil, fmt.Errorf("analyses: variant %s runs on %s (run `make staged`)", name, a.HandlerBackend())
+		}
+		return a, err
+	}
+	return nil, fmt.Errorf("analyses: unknown variant %q", name)
 }
 
 // StagedGenerator is the command that regenerates the staged table.

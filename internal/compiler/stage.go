@@ -15,14 +15,14 @@ import (
 	"repro/internal/vm"
 )
 
-// Ahead-of-time staged handlers. The shipped analyses at the
-// configurations the figures run have their handler tables printed to
-// Go by the Go-text emitter and checked in (staged_handlers.go,
-// regenerated by `make staged`). Compile computes a key from everything
-// the lowering consumes and looks it up; NewRuntime then instantiates
-// the staged table instead of building closures. Everything without an
-// entry — runtime-supplied sources, other ablation points — keeps the
-// closure emitter.
+// Ahead-of-time staged handlers. Every configuration the experiments
+// run (the variants package analyses lists) has its handler table
+// printed to Go by the Go-text emitter and checked in
+// (staged_handlers.go, regenerated by `make staged`). Compile computes
+// a key from everything the lowering consumes and looks it up;
+// NewRuntime then instantiates the staged table instead of building
+// closures. Everything without an entry — runtime-supplied sources,
+// configurations no experiment runs — keeps the closure emitter.
 
 // stagedFactory instantiates a staged handler table on a runtime whose
 // containers NewRuntime has already built.

@@ -45,9 +45,10 @@ func TestStagedKeyHits(t *testing.T) {
 }
 
 // TestClosureReasons: everything outside the staged set builds
-// closures, and says why; the MSan cold split is staged.
+// closures, and says why; the MSan cold split is staged. The naive and
+// no-CSE cases use MSan, whose ablation points no experiment runs.
 func TestClosureReasons(t *testing.T) {
-	eraser := analyses.MustSource("eraser")
+	eraser, msan := analyses.MustSource("eraser"), analyses.MustSource("msan")
 	noCSE := compiler.DefaultOptions()
 	noCSE.CSE = false
 	for _, c := range []struct {
@@ -55,8 +56,8 @@ func TestClosureReasons(t *testing.T) {
 		opts      compiler.Options
 		want      string
 	}{
-		{"naive", eraser, compiler.NaiveOptions(), "closures (no staged entry)"},
-		{"no-cse", eraser, noCSE, "closures (no staged entry)"},
+		{"msan-naive", msan, compiler.NaiveOptions(), "closures (no staged entry)"},
+		{"msan-no-cse", msan, noCSE, "closures (no staged entry)"},
 		{"gran4", eraser, compiler.DefaultOptions().WithGranularity(4), "closures (no staged entry)"},
 		{"runtime-supplied", eraser + "\nconst EXTRA = 1\n", compiler.DefaultOptions(), "closures (no staged entry)"},
 	} {
@@ -64,7 +65,7 @@ func TestClosureReasons(t *testing.T) {
 			t.Errorf("%s: %s, want %s", c.name, got, c.want)
 		}
 	}
-	if got := mustCompile(t, analyses.MustSource("msan"), compiler.SplitOptions()).HandlerBackend(); !strings.HasPrefix(got, "staged (") {
+	if got := mustCompile(t, msan, compiler.SplitOptions()).HandlerBackend(); !strings.HasPrefix(got, "staged (") {
 		t.Errorf("msan-split: %s, want staged (…)", got)
 	}
 }

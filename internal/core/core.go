@@ -213,7 +213,14 @@ func RunInstrumented(inst *mir.Program, a *compiler.Analysis, opt RunOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	m, err := vm.New(inst, opt.vmConfig(a.NeedShadow))
+	return RunRuntime(inst, rt, opt)
+}
+
+// RunRuntime executes an already-instrumented program under a runtime
+// the caller built, which keeps the metadata for the caller to inspect
+// after the run (§6.2's footprint).
+func RunRuntime(inst *mir.Program, rt *compiler.Runtime, opt RunOptions) (*vm.Result, error) {
+	m, err := vm.New(inst, opt.vmConfig(rt.A.NeedShadow))
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +229,7 @@ func RunInstrumented(inst *mir.Program, a *compiler.Analysis, opt RunOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	observe(opt, m, a.HandlerNames(), rt)
+	observe(opt, m, rt.A.HandlerNames(), rt)
 	return res, nil
 }
 

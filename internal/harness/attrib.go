@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/analyses"
-	"repro/internal/compiler"
 )
 
 // Overhead attribution: instead of reporting one opaque overhead factor
@@ -75,7 +74,7 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 	if len(programs) == 0 {
 		programs = DefaultAttribPrograms()
 	}
-	a, err := analyses.Compile(analysis, compiler.DefaultOptions())
+	a, err := analyses.Variant(analysis)
 	if err != nil {
 		return nil, err
 	}
@@ -88,17 +87,11 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 	// The split reads every cell's counters, which a checkpoint keeps
 	// only for metrics sweeps, so attribution always measures afresh.
 	cfg.CheckpointPath, cfg.Resume = "", false
-	cells, err := cfg.sweep(&gridSpec{
-		name:     "attrib",
-		measured: []string{"inst"},
-		programs: programs,
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			if col < 0 {
-				return c.runnerPlain(w)
-			}
-			return c.runnerALDA(a, w)
-		},
-	})
+	g, err := gridSpec{name: "attrib", programs: programs}.measure(column{name: "inst", variant: analysis})
+	if err != nil {
+		return nil, err
+	}
+	cells, err := cfg.sweep(&g)
 	if err != nil && !cfg.KeepGoing {
 		return nil, err
 	}

@@ -54,3 +54,16 @@ func TestVirtualGoldenGranularity(t *testing.T) {
 	}
 	checkGolden(t, "virtual_gran_tiny", buf.String())
 }
+
+// TestVirtualGoldenAblate pins the ablation grid. Virtual time counts
+// steps and hook dispatches, which the handler backend does not change,
+// so staging a configuration leaves this table byte-identical.
+func TestVirtualGoldenAblate(t *testing.T) {
+	cfg := virtualGridConfig()
+	var buf bytes.Buffer
+	cfg.Out = &buf
+	if _, err := Ablate(cfg); err != nil {
+		t.Fatalf("ablate: %v", err)
+	}
+	checkGolden(t, "virtual_ablate_tiny", buf.String())
+}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/instrument"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -37,58 +36,37 @@ var Fig5Programs = append(append([]string{}, Fig4Programs...), "memcached", "sor
 // the 20-program suite (normalized overhead; Figure 3).
 func Fig3(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	msan, err := analyses.Compile("msan", compiler.DefaultOptions())
+	g, err := gridSpec{
+		name:     "fig3",
+		title:    fmt.Sprintf("Figure 3: LLVM-style hand-tuned MSan vs ALDA MSan (size=%s, reps=%d)", cfg.Size, cfg.Reps),
+		programs: Fig3Programs,
+	}.measure(
+		column{name: "hand-MSan", hand: handMSan},
+		column{name: "ALDAcc-MSan", variant: "msan"},
+	)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.runGrid(gridSpec{
-		name:     "fig3",
-		title:    fmt.Sprintf("Figure 3: LLVM-style hand-tuned MSan vs ALDA MSan (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: []string{"hand-MSan", "ALDAcc-MSan"},
-		programs: Fig3Programs,
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			switch col {
-			case -1:
-				return c.runnerPlain(w)
-			case 0:
-				return c.runnerBaseline(func() baselines.Baseline { return baselines.NewMSan(vm.AddrSpace) }, w)
-			default:
-				return c.runnerALDA(msan, w)
-			}
-		},
-	})
+	return cfg.runGrid(g)
 }
 
 // Fig4 compares hand-tuned Eraser, ALDAcc-full Eraser and the
 // ALDAcc-ds-only ablation on Splash2 (Figure 4).
 func Fig4(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	full, err := analyses.Compile("eraser", compiler.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	dsOnly, err := analyses.Compile("eraser", compiler.DSOnlyOptions())
-	if err != nil {
-		return nil, err
-	}
-	return cfg.runGrid(gridSpec{
+	g, err := gridSpec{
 		name:     "fig4",
 		title:    fmt.Sprintf("Figure 4: hand-tuned Eraser vs ALDAcc Eraser on Splash2 (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: []string{"hand-tuned", "ALDAcc-full", "ALDAcc-ds-only"},
 		programs: Fig4Programs,
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			switch col {
-			case -1:
-				return c.runnerPlain(w)
-			case 0:
-				return c.runnerBaseline(func() baselines.Baseline { return baselines.NewEraser() }, w)
-			case 1:
-				return c.runnerALDA(full, w)
-			default:
-				return c.runnerALDA(dsOnly, w)
-			}
-		},
-	})
+	}.measure(
+		column{name: "hand-tuned", hand: handEraser},
+		column{name: "ALDAcc-full", variant: "eraser"},
+		column{name: "ALDAcc-ds-only", variant: "eraser/dsonly"},
+	)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.runGrid(g)
 }
 
 // Fig5 runs Eraser, FastTrack, UAF and index taint-tracking
@@ -96,30 +74,10 @@ func Fig4(cfg Config) (*Table, error) {
 // analysis), reporting the combined-analysis speedup (Figure 5).
 func Fig5(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	parts := analyses.Fig5Combination
-	var individual []*compiler.Analysis
-	for _, n := range parts {
-		a, err := analyses.Compile(n, compiler.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		individual = append(individual, a)
-	}
-	combined, err := analyses.CompileCombined(compiler.DefaultOptions(), parts...)
-	if err != nil {
-		return nil, err
-	}
-	noFuseOpts := compiler.DefaultOptions()
-	noFuseOpts.FuseHandlers = false
-	combinedNoFuse, err := analyses.CompileCombined(noFuseOpts, parts...)
-	if err != nil {
-		return nil, err
-	}
-	t, err := cfg.runGrid(gridSpec{
-		name:     "fig5",
-		title:    fmt.Sprintf("Figure 5: individual analyses (summed) vs combined analysis (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: []string{"eraser", "fasttrack", "uaf", "indexTT", "comb-nofuse", "combined"},
-		columns:  []string{"eraser", "fasttrack", "uaf", "indexTT", "sum", "comb-nofuse", "combined"},
+	g, err := gridSpec{
+		name:    "fig5",
+		title:   fmt.Sprintf("Figure 5: individual analyses (summed) vs combined analysis (size=%s, reps=%d)", cfg.Size, cfg.Reps),
+		columns: []string{"eraser", "fasttrack", "uaf", "indexTT", "sum", "comb-nofuse", "combined"},
 		finish: func(m []float64) []float64 {
 			sum := m[0] + m[1] + m[2] + m[3]
 			return []float64{m[0], m[1], m[2], m[3], sum, m[4], m[5]}
@@ -136,19 +94,18 @@ func Fig5(cfg Config) (*Table, error) {
 			return []string{e[0], e[1], e[2], e[3], sumErr, e[4], e[5]}
 		},
 		programs: Fig5Programs,
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			switch {
-			case col < 0:
-				return c.runnerPlain(w)
-			case col < len(individual):
-				return c.runnerALDA(individual[col], w)
-			case col == len(individual):
-				return c.runnerALDA(combinedNoFuse, w)
-			default:
-				return c.runnerALDA(combined, w)
-			}
-		},
-	})
+	}.measure(
+		column{name: "eraser", variant: "eraser"},
+		column{name: "fasttrack", variant: "fasttrack"},
+		column{name: "uaf", variant: "uaf"},
+		column{name: "indexTT", variant: "tainttrack"},
+		column{name: "comb-nofuse", variant: "combined/nofuse"},
+		column{name: "combined", variant: "combined"},
+	)
+	if err != nil {
+		return nil, err
+	}
+	t, err := cfg.runGrid(g)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +130,7 @@ type Table3Row struct {
 // positives unique to the hand-tuned (LLVM-style) MSan.
 func Table3(cfg Config) ([]Table3Row, error) {
 	cfg = cfg.withDefaults()
-	msan, err := analyses.Compile("msan", compiler.DefaultOptions())
+	msan, err := analyses.Variant("msan")
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +155,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		hand, err := core.RunBaseline(p, func() baselines.Baseline { return baselines.NewMSan(vm.AddrSpace) }, cfg.Opt)
+		hand, err := core.RunBaseline(p, handMSan, cfg.Opt)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +238,7 @@ func LibSan(cfg Config) ([]LibSanResult, error) {
 	var out []LibSanResult
 	fmt.Fprintln(cfg.Out, "Section 6.4.1: library-specific sanitizers on real-world bug classes")
 	for _, c := range cases {
-		a, err := analyses.Compile(c.san, compiler.DefaultOptions())
+		a, err := analyses.Variant(c.san)
 		if err != nil {
 			return nil, err
 		}
@@ -313,75 +270,45 @@ func LibSan(cfg Config) ([]LibSanResult, error) {
 // answer to §3.2.1's profile-guided future work) on MSan: by key type,
 // addr2label and addr2size coalesce, but only the allocation handlers
 // touch addr2size, so the split moves it to a cold page-table group and
-// halves the per-access shadow entry. Both columns run staged handlers.
-// The grid keeps the name pgo, under which older checkpoints were
-// written.
+// halves the per-access shadow entry. The grid keeps the name pgo,
+// under which older checkpoints were written.
 func PGO(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	var compiled []*compiler.Analysis
-	for _, opts := range []compiler.Options{compiler.DefaultOptions(), compiler.SplitOptions()} {
-		a, err := analyses.Compile("msan", opts)
-		if err != nil {
-			return nil, err
-		}
-		compiled = append(compiled, a)
-	}
-	return cfg.runGrid(gridSpec{
+	g, err := gridSpec{
 		name:     "pgo",
 		title:    fmt.Sprintf("Cold split: full vs split coalescing, ALDA MSan (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: []string{"full", "split"},
 		programs: []string{"bzip2", "libquantum", "mcf", "hmmer", "fft", "sort", "memcached"},
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			if col < 0 {
-				return c.runnerPlain(w)
-			}
-			return c.runnerALDA(compiled[col], w)
-		},
-	})
+	}.measure(
+		column{name: "full", variant: "msan"},
+		column{name: "split", variant: "msan/split"},
+	)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.runGrid(g)
 }
 
 // Ablate measures Eraser under finer optimization combinations than
-// Figure 4: full, CSE off, coalescing off, both off (ds-only), and the
-// naive configuration (hash maps + tree sets everywhere).
+// Figure 4: full, CSE off, coalescing off, both off (ds-only, Figure 4's
+// column), and the naive configuration (hash maps + tree sets
+// everywhere).
 func Ablate(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	mk := func(coalesce, cse, smart bool) compiler.Options {
-		o := compiler.DefaultOptions()
-		o.Coalesce, o.CSE, o.SmartSelect = coalesce, cse, smart
-		return o
-	}
-	configs := []struct {
-		name string
-		opts compiler.Options
-	}{
-		{"full", mk(true, true, true)},
-		{"no-cse", mk(true, false, true)},
-		{"no-coalesce", mk(false, true, true)},
-		{"ds-only", mk(false, false, true)},
-		{"naive", mk(false, false, false)},
-	}
-	var compiled []*compiler.Analysis
-	var names []string
-	for _, c := range configs {
-		a, err := analyses.Compile("eraser", c.opts)
-		if err != nil {
-			return nil, err
-		}
-		compiled = append(compiled, a)
-		names = append(names, c.name)
-	}
-	return cfg.runGrid(gridSpec{
+	g, err := gridSpec{
 		name:     "ablate",
 		title:    fmt.Sprintf("Ablation: Eraser under ALDAcc optimization subsets (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: names,
 		programs: []string{"fft", "lu_c", "radix", "water_ns", "radiosity"},
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			if col < 0 {
-				return c.runnerPlain(w)
-			}
-			return c.runnerALDA(compiled[col], w)
-		},
-	})
+	}.measure(
+		column{name: "full", variant: "eraser"},
+		column{name: "no-cse", variant: "eraser/nocse"},
+		column{name: "no-coalesce", variant: "eraser/nocoalesce"},
+		column{name: "ds-only", variant: "eraser/dsonly"},
+		column{name: "naive", variant: "eraser/naive"},
+	)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.runGrid(g)
 }
 
 // MemRow is one memory-footprint measurement (bytes of analysis
@@ -398,13 +325,26 @@ type MemRow struct {
 // Mem reruns §6.2's memory comparison: metadata footprint of the
 // hand-tuned implementations vs the ALDAcc-compiled ones, measured at
 // the end of one run. MSan compares on single-threaded programs, Eraser
-// on Splash2.
+// on Splash2. Each run goes through core with cfg.Opt, so the run
+// budgets bound it as they bound every grid cell.
 func Mem(cfg Config) ([]MemRow, error) {
 	cfg = cfg.withDefaults()
-	var out []MemRow
-
-	measureALDA := func(a *compiler.Analysis, w string) (uint64, error) {
+	// footprint runs col on workload w once and returns the metadata
+	// bytes it ends with.
+	footprint := func(col column, w string) (uint64, error) {
 		p, err := workloads.Build(w, cfg.Size)
+		if err != nil {
+			return 0, err
+		}
+		if col.hand != nil {
+			var b baselines.Baseline
+			_, err := core.RunBaseline(p, func() baselines.Baseline { b = col.hand(); return b }, cfg.Opt)
+			if err != nil {
+				return 0, err
+			}
+			return b.Footprint(), nil
+		}
+		a, err := analyses.Variant(col.variant)
 		if err != nil {
 			return 0, err
 		}
@@ -416,77 +356,41 @@ func Mem(cfg Config) ([]MemRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		m, err := vm.New(inst, vm.Config{TrackShadow: a.NeedShadow, Seed: cfg.Opt.Seed})
-		if err != nil {
-			return 0, err
-		}
-		m.Handlers = rt.Handlers()
-		if _, err := m.Run(); err != nil {
+		if _, err := core.RunRuntime(inst, rt, cfg.Opt); err != nil {
 			return 0, err
 		}
 		return rt.MetadataBytes(), nil
 	}
-	measureHand := func(b baselines.Baseline, w string) (uint64, error) {
-		p, err := workloads.Build(w, cfg.Size)
-		if err != nil {
-			return 0, err
-		}
-		inst, err := baselines.InstrumentBaseline(p, b)
-		if err != nil {
-			return 0, err
-		}
-		m, err := vm.New(inst, vm.Config{TrackShadow: b.NeedShadow(), Seed: cfg.Opt.Seed})
-		if err != nil {
-			return 0, err
-		}
-		m.Handlers = b.Handlers()
-		if _, err := m.Run(); err != nil {
-			return 0, err
-		}
-		return b.Footprint(), nil
-	}
 
 	fmt.Fprintln(cfg.Out, "Memory: analysis metadata footprint after one run (hand-tuned vs ALDAcc)")
-	msan, err := analyses.Compile("msan", compiler.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	// Coalescing by key type folds the addr2size sidecar into the
+	// Coalescing by key type folds MSan's addr2size sidecar into the
 	// shadow entry (2 words); the cold split moves it back out, so
 	// measure both.
-	msanSplit, err := analyses.Compile("msan", compiler.SplitOptions())
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range []string{"bzip2", "libquantum", "memcached", "sort"} {
-		hb, err := measureHand(baselines.NewMSan(vm.AddrSpace), w)
-		if err != nil {
-			return nil, err
+	var out []MemRow
+	for _, set := range []struct {
+		analysis, split string
+		hand            func() baselines.Baseline
+		programs        []string
+	}{
+		{"msan", "msan/split", handMSan, []string{"bzip2", "libquantum", "memcached", "sort"}},
+		{"eraser", "", handEraser, []string{"fft", "lu_c", "water_ns", "radiosity"}},
+	} {
+		for _, w := range set.programs {
+			row := MemRow{Workload: set.analysis + "/" + w}
+			var err error
+			if row.HandBytes, err = footprint(column{hand: set.hand}, w); err != nil {
+				return nil, err
+			}
+			if row.ALDABytes, err = footprint(column{variant: set.analysis}, w); err != nil {
+				return nil, err
+			}
+			if set.split != "" {
+				if row.SplitBytes, err = footprint(column{variant: set.split}, w); err != nil {
+					return nil, err
+				}
+			}
+			out = append(out, row)
 		}
-		ab, err := measureALDA(msan, w)
-		if err != nil {
-			return nil, err
-		}
-		sb, err := measureALDA(msanSplit, w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, MemRow{Workload: "msan/" + w, HandBytes: hb, ALDABytes: ab, SplitBytes: sb})
-	}
-	eraser, err := analyses.Compile("eraser", compiler.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range []string{"fft", "lu_c", "water_ns", "radiosity"} {
-		hb, err := measureHand(baselines.NewEraser(), w)
-		if err != nil {
-			return nil, err
-		}
-		ab, err := measureALDA(eraser, w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, MemRow{Workload: "eraser/" + w, HandBytes: hb, ALDABytes: ab})
 	}
 	for _, r := range out {
 		ratio := float64(r.ALDABytes) / float64(r.HandBytes)
@@ -508,29 +412,18 @@ func Mem(cfg Config) ([]MemRow, error) {
 // and costs more range work per allocation event.
 func Granularity(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	grans := []int{1, 2, 4, 8}
-	var compiled []*compiler.Analysis
-	var names []string
-	for _, g := range grans {
-		opts := compiler.DefaultOptions()
-		opts.Granularity = g
-		a, err := analyses.Compile("uaf", opts)
-		if err != nil {
-			return nil, err
-		}
-		compiled = append(compiled, a)
-		names = append(names, fmt.Sprintf("g=%dB", g))
-	}
-	return cfg.runGrid(gridSpec{
+	g, err := gridSpec{
 		name:     "gran",
 		title:    fmt.Sprintf("Granularity sweep (§5.1): UAF checker at byte/quarter/half/word (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: names,
 		programs: []string{"memcached", "sort", "bzip2", "mcf"},
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			if col < 0 {
-				return c.runnerPlain(w)
-			}
-			return c.runnerALDA(compiled[col], w)
-		},
-	})
+	}.measure(
+		column{name: "g=1B", variant: "uaf/gran1"},
+		column{name: "g=2B", variant: "uaf/gran2"},
+		column{name: "g=4B", variant: "uaf/gran4"},
+		column{name: "g=8B", variant: "uaf"},
+	)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.runGrid(g)
 }

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/analyses"
 	"repro/internal/baselines"
 	"repro/internal/compiler"
 	"repro/internal/core"
@@ -151,37 +152,62 @@ func runsToCover(warm *vm.Result, n int) int {
 	return max(1, min(int((minCellVirtual+v-1)/v), maxRepeats))
 }
 
-// runnerPlain builds the uninstrumented runner for a workload.
-func (c Config) runnerPlain(name string) (func() (*vm.Result, error), error) {
-	p, err := workloads.Build(name, c.Size)
-	if err != nil {
-		return nil, err
-	}
-	return func() (*vm.Result, error) { return core.RunPlain(p, c.Opt) }, nil
+// column is one measured configuration of a grid, declared as data: a
+// staged variant (analyses.Variant) run live or driven from the
+// workload's recorded trace, or a hand-tuned baseline.
+type column struct {
+	name    string
+	variant string
+	replay  bool
+	hand    func() baselines.Baseline
 }
 
-// runnerALDA builds the runner for a compiled ALDA analysis on a
-// workload; the program is instrumented once, runtimes are fresh per
-// run.
-func (c Config) runnerALDA(a *compiler.Analysis, name string) (func() (*vm.Result, error), error) {
-	p, err := workloads.Build(name, c.Size)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := instrument.Apply(p, a)
-	if err != nil {
-		return nil, err
-	}
-	return func() (*vm.Result, error) { return core.RunInstrumented(inst, a, c.Opt) }, nil
-}
+// The hand-tuned baselines the figures compare against.
+func handMSan() baselines.Baseline   { return baselines.NewMSan(vm.AddrSpace) }
+func handEraser() baselines.Baseline { return baselines.NewEraser() }
 
-// runnerBaseline builds the runner for a hand-tuned baseline.
-func (c Config) runnerBaseline(factory func() baselines.Baseline, name string) (func() (*vm.Result, error), error) {
-	p, err := workloads.Build(name, c.Size)
-	if err != nil {
-		return nil, err
+// measure returns g with cols as its measured columns and the runner
+// that turns them into cells; column -1 is the plain run. A cell builds
+// its workload, and instruments it once, before its first run; each run
+// gets a fresh runtime. Every variant compiles here, so a grid naming
+// one that is unknown or not staged fails before it measures.
+func (g gridSpec) measure(cols ...column) (gridSpec, error) {
+	compiled := make([]*compiler.Analysis, len(cols))
+	for i, col := range cols {
+		g.measured = append(g.measured, col.name)
+		if col.hand == nil {
+			a, err := analyses.Variant(col.variant)
+			if err != nil {
+				return g, err
+			}
+			compiled[i] = a
+		}
 	}
-	return func() (*vm.Result, error) { return core.RunBaseline(p, factory, c.Opt) }, nil
+	g.runner = func(c Config, w string, i int) (runnerFn, error) {
+		p, err := workloads.Build(w, c.Size)
+		if err != nil {
+			return nil, err
+		}
+		opt := c.Opt
+		switch {
+		case i < 0:
+			return func() (*vm.Result, error) { return core.RunPlain(p, opt) }, nil
+		case cols[i].hand != nil:
+			return func() (*vm.Result, error) { return core.RunBaseline(p, cols[i].hand, opt) }, nil
+		}
+		a := compiled[i]
+		inst, err := instrument.Apply(p, a)
+		if err != nil {
+			return nil, err
+		}
+		if cols[i].replay {
+			if opt.ReplayTrace, err = loadTraceFile(c.tracePath(w)); err != nil {
+				return nil, err
+			}
+		}
+		return func() (*vm.Result, error) { return core.RunInstrumented(inst, a, opt) }, nil
+	}
+	return g, nil
 }
 
 // Row is one workload's measurements across configurations.

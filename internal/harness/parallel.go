@@ -36,7 +36,9 @@ type gridSpec struct {
 	// ("fig3").
 	name  string
 	title string
-	// measured are the measured configuration columns, in order.
+	// measured are the measured configuration columns, in order. The
+	// experiments set measured and runner from their column
+	// declarations (measure).
 	measured []string
 	// columns are the rendered column names; nil means the measured
 	// columns render as-is. Use with finish to add derived columns.

@@ -10,10 +10,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/analyses"
-	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -151,27 +148,6 @@ func loadTraceFile(path string) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// runnerReplay builds the trace-driven runner for a compiled analysis
-// on a workload: the instrumented program replays the workload's
-// recorded plain trace instead of re-executing live.
-func (c Config) runnerReplay(a *compiler.Analysis, name string) (runnerFn, error) {
-	p, err := workloads.Build(name, c.Size)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := instrument.Apply(p, a)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := loadTraceFile(c.tracePath(name))
-	if err != nil {
-		return nil, err
-	}
-	opt := c.Opt
-	opt.ReplayTrace = tr
-	return func() (*vm.Result, error) { return core.RunInstrumented(inst, a, opt) }, nil
-}
-
 // Replay measures live analysis runs against trace-driven replay runs
 // of the same analyses, normalized to the uninstrumented baseline. The
 // trailing summary line reports the average replay saving per analysis.
@@ -180,32 +156,19 @@ func Replay(cfg Config) (*Table, error) {
 	if err := cfg.ensureTraces(ReplayPrograms); err != nil {
 		return nil, err
 	}
-	var compiled []*compiler.Analysis
-	var measured []string
+	var cols []column
 	for _, n := range ReplayAnalyses {
-		a, err := analyses.Compile(n, compiler.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		compiled = append(compiled, a)
-		measured = append(measured, n+"-live", n+"-replay")
+		cols = append(cols, column{name: n + "-live", variant: n}, column{name: n + "-replay", variant: n, replay: true})
 	}
-	t, err := cfg.runGrid(gridSpec{
+	g, err := gridSpec{
 		name:     "replay",
 		title:    fmt.Sprintf("Record/replay: live analysis vs trace-driven replay (size=%s, reps=%d)", cfg.Size, cfg.Reps),
-		measured: measured,
 		programs: ReplayPrograms,
-		runner: func(c Config, w string, col int) (runnerFn, error) {
-			if col < 0 {
-				return c.runnerPlain(w)
-			}
-			a := compiled[col/2]
-			if col%2 == 0 {
-				return c.runnerALDA(a, w)
-			}
-			return c.runnerReplay(a, w)
-		},
-	})
+	}.measure(cols...)
+	if err != nil {
+		return nil, err
+	}
+	t, err := cfg.runGrid(g)
 	if err != nil {
 		return nil, err
 	}

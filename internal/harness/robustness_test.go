@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -254,5 +256,16 @@ func TestSerialAbortPreserved(t *testing.T) {
 	}))
 	if err == nil || !strings.Contains(err.Error(), "fake p/m") {
 		t.Fatalf("err = %v, want the failing cell's wrapped error", err)
+	}
+}
+
+// TestMemObeysHeapBudget: Mem runs its hand and ALDA cells through core
+// with the sweep's run options, so the heap budget bounds them as it
+// bounds every grid cell.
+func TestMemObeysHeapBudget(t *testing.T) {
+	rows, err := Mem(Config{Size: workloads.SizeTiny, Opt: core.RunOptions{MaxHeapBytes: 1 << 8}})
+	var re *vm.RunError
+	if !errors.As(err, &re) || re.Kind != vm.KindHeapLimit {
+		t.Fatalf("Mem under a 256-byte heap budget: %d rows, err %v; want a HeapLimit failure", len(rows), err)
 	}
 }
