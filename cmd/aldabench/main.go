@@ -12,7 +12,7 @@
 //	aldabench -exp fig4 -parallel 8 -virtual   # deterministic virtual timing
 //	aldabench -exp all -checkpoint sweep.jsonl # stream completed cells to JSONL
 //	aldabench -exp all -checkpoint sweep.jsonl -resume   # continue a killed sweep
-//	aldabench -exp fig4 -virtual -fault-seed 20          # inject a deterministic fault
+//	aldabench -exp fig4 -virtual -fault-seed 20          # inject a deterministic fault (exits 1)
 //	aldabench -exp replay -trace-out traces/   # record plain traces, replay per analysis
 //	aldabench -exp replay -trace-in traces/    # reuse previously recorded traces
 //	aldabench -exp fig4 -virtual -metrics-out m.prom     # Prometheus text exposition
@@ -31,17 +31,19 @@
 // Fault tolerance: each cell runs crash-isolated — a VM trap, resource
 // budget overrun (-cell-timeout, -max-heap) or injected fault degrades
 // that one cell to an ERR(<kind>) table entry (error taxonomy: Trap,
-// StepLimit, HeapLimit, Deadline, LibFault) while the rest of the sweep
-// completes (-keep-going, on by default). Deadline failures — the only
-// load-dependent kind — are retried with exponential backoff up to
-// -retries times. -checkpoint streams completed cells to a JSONL file
-// and -resume replays them, so an interrupted sweep picks up where it
-// was killed; under -virtual the resumed tables are byte-identical to
-// an uninterrupted run.
+// StepLimit, HeapLimit, Deadline, LibFault) while every other cell
+// still runs. A Deadline failure — the only load-dependent kind — runs
+// again once, after a wait of 50 to 100 ms. Every requested experiment
+// runs, and -metrics-out and -trace are written, but a sweep in which
+// any experiment failed (a degraded cell included) exits 1.
+// -checkpoint streams completed cells to a JSONL file and -resume
+// replays them, so an interrupted sweep picks up where it was killed;
+// under -virtual the resumed tables are byte-identical to an
+// uninterrupted run.
 //
-// Fault injection (-fault-seed, or the explicit -fault-malloc-nth,
-// -fault-panic-nth, -fault-sched-perturb) applies one deterministic
-// fault plan to every cell — the harness hardening testbed.
+// Fault injection (-fault-seed) applies one deterministic fault plan to
+// every run — the harness hardening testbed. The plain runs that record
+// replay traces run without it, since the traces outlive the sweep.
 package main
 
 import (
@@ -56,7 +58,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/perf"
-	"repro/internal/vm"
 	"repro/internal/vm/faults"
 	"repro/internal/workloads"
 )
@@ -146,16 +147,11 @@ func main() {
 	parallel := flag.Int("parallel", 0, "workload-row worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	virtual := flag.Bool("virtual", false, "deterministic virtual timing (steps+hooks) instead of wall-clock")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
-	keepGoing := flag.Bool("keep-going", true, "degrade failed cells to ERR(<kind>) entries instead of aborting the sweep")
-	retries := flag.Int("retries", 1, "extra attempts for retryable (Deadline) cell failures")
 	checkpoint := flag.String("checkpoint", "", "JSONL file streaming completed cells (enables -resume)")
 	resume := flag.Bool("resume", false, "replay completed cells from -checkpoint instead of re-measuring them")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-run VM deadline (0 = none); overruns degrade as ERR(Deadline)")
 	maxHeap := flag.Uint64("max-heap", 0, "per-run simulated-heap budget in bytes (0 = none); overruns degrade as ERR(HeapLimit)")
-	faultSeed := flag.Int64("fault-seed", 0, "derive a deterministic fault plan (malloc-fail / handler-panic / sched-perturb) from this seed (0 = none)")
-	faultMallocNth := flag.Uint64("fault-malloc-nth", 0, "make the nth simulated allocation return NULL (0 = off)")
-	faultPanicNth := flag.Uint64("fault-panic-nth", 0, "panic at the nth analysis hook dispatch (0 = off)")
-	faultSchedPerturb := flag.Uint64("fault-sched-perturb", 0, "perturb the deterministic scheduler seed (0 = off)")
+	faultSeed := flag.Int64("fault-seed", 0, "derive a deterministic fault plan (malloc-fail / handler-panic / sched-perturb) from this seed and apply it to every run (0 = none)")
 	benchJSON := flag.Bool("bench-json", false, "run the BenchHotPath micro-suite, or the benches named as arguments, and write BENCH_<rev>.json")
 	benchTime := flag.Duration("benchtime", 100*time.Millisecond, "per-bench time budget for -bench-json (0 = single-batch smoke)")
 	compare := flag.String("compare", "", "BASE,CHANGE: pair two directories of rounds, one subdirectory per round (scripts/ab.sh writes them), print each metric's medians, quartiles, win count and median paired ratio, and fail when a micro bench or their geomean is slower in 9 of 10 rounds by more than 15%")
@@ -187,18 +183,9 @@ func main() {
 		runBench(*benchTime, flag.Args(), *compare)
 	}
 
-	var size workloads.Size
-	switch *sizeFlag {
-	case "tiny":
-		size = workloads.SizeTiny
-	case "small":
-		size = workloads.SizeSmall
-	case "medium":
-		size = workloads.SizeMedium
-	case "large":
-		size = workloads.SizeLarge
-	default:
-		fmt.Fprintf(os.Stderr, "unknown size %q\n", *sizeFlag)
+	size, err := workloads.ParseSize(*sizeFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -208,8 +195,6 @@ func main() {
 		Out:            os.Stdout,
 		Parallelism:    *parallel,
 		Virtual:        *virtual,
-		KeepGoing:      *keepGoing,
-		Retries:        *retries,
 		CheckpointPath: *checkpoint,
 		Resume:         *resume,
 	}
@@ -300,22 +285,18 @@ func main() {
 		}
 	}
 
-	spec := vm.FaultSpec{
-		MallocFailNth:   *faultMallocNth,
-		HandlerPanicNth: *faultPanicNth,
-		SchedPerturb:    *faultSchedPerturb,
-	}
 	if *faultSeed != 0 {
 		plan := faults.FromSeed(*faultSeed)
-		spec = plan.Spec()
+		cfg.Opt.Faults = plan.Spec()
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "fault plan: seed=%d mode=%s nth=%d\n", plan.Seed, plan.Mode, plan.Nth)
 		}
 	}
-	if !spec.Zero() {
-		cfg.CellFaults = func(program, column string) vm.FaultSpec { return spec }
-	}
 
+	// Every requested experiment runs to the end, and the observability
+	// files are written, whatever fails; any failure makes the exit
+	// status 1.
+	failed := false
 	if *attrib != "" {
 		var programs []string
 		if *attribPrograms != "" {
@@ -323,20 +304,21 @@ func main() {
 		}
 		if _, err := harness.Attrib(cfg, *attrib, programs); err != nil {
 			fmt.Fprintf(os.Stderr, "attrib: %v\n", err)
-			os.Exit(1)
+			failed = true
 		}
-		finishObs()
-		return
-	}
-
-	for _, e := range experiments {
-		if *exp != "all" && *exp != e.name {
-			continue
-		}
-		if err := e.run(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-			os.Exit(1)
+	} else {
+		for _, e := range experiments {
+			if *exp != "all" && *exp != e.name {
+				continue
+			}
+			if err := e.run(cfg); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+				failed = true
+			}
 		}
 	}
 	finishObs()
+	if failed {
+		os.Exit(1)
+	}
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -83,8 +84,12 @@ func main() {
 		return
 	}
 
-	size := parseSize(*sizeFlag)
-	bug := parseBug(*bugFlag)
+	size, serr := workloads.ParseSize(*sizeFlag)
+	bug, berr := workloads.ParseBug(*bugFlag)
+	if err := cmp.Or(serr, berr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var p *mir.Program
 	if *mirFile != "" {
 		src, rerr := os.ReadFile(*mirFile)
@@ -130,46 +135,6 @@ func main() {
 		return
 	}
 	fmt.Printf("%d report(s):\n%s", len(res.Reports), vm.FormatReports(res.Reports))
-}
-
-func parseSize(s string) workloads.Size {
-	switch s {
-	case "tiny":
-		return workloads.SizeTiny
-	case "small":
-		return workloads.SizeSmall
-	case "medium":
-		return workloads.SizeMedium
-	case "large":
-		return workloads.SizeLarge
-	}
-	fmt.Fprintf(os.Stderr, "unknown size %q\n", s)
-	os.Exit(2)
-	return 0
-}
-
-func parseBug(s string) workloads.Bug {
-	switch s {
-	case "none":
-		return workloads.BugNone
-	case "uninit":
-		return workloads.BugUninit
-	case "ssl-leak":
-		return workloads.BugSSLLeak
-	case "ssl-shutdown":
-		return workloads.BugSSLShutdown
-	case "zlib-uninit":
-		return workloads.BugZlibUninit
-	case "uaf":
-		return workloads.BugUAF
-	case "race":
-		return workloads.BugRace
-	case "taint":
-		return workloads.BugTaint
-	}
-	fmt.Fprintf(os.Stderr, "unknown bug %q\n", s)
-	os.Exit(2)
-	return 0
 }
 
 func fatal(err error) {

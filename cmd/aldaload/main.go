@@ -9,10 +9,9 @@
 //	aldaload -url http://localhost:8080 -n 500 -c 16 -workloads sort,fft -analyses uaf,msan
 //	aldaload -url http://localhost:8080 -n 100 -c 8 -fault-seed-every 5   # chaos mix
 //
-// Every 429/503 is retried with equal-jitter exponential backoff (the
-// same discipline as the harness retry path) up to -retry-budget total
-// wait per job; a 5xx or an exhausted budget is a hard failure and the
-// exit status is non-zero. The summary line is machine-grepped by the
+// Every 429/503 is retried with equal-jitter exponential backoff up to
+// -retry-budget total wait per job; a 5xx or an exhausted budget is a
+// hard failure and the exit status is non-zero. The summary line is machine-grepped by the
 // serve-smoke CI step and now carries tail latency (per-job wall time
 // from submit to terminal response, backoff waits included — what a
 // client actually experienced):

@@ -21,37 +21,42 @@ type StagedVariant struct {
 
 // StagedVariants lists every configuration the experiments and the
 // repository benchmark run, which are the ones staged: the eight
-// shipped analyses at DefaultOptions, Eraser under the ablation's
+// shipped analyses at full optimization, Eraser under the ablation's
 // optimization subsets (ds-only is Figure 4's column), UAF at the
 // sub-word granularities of the §5.1 sweep, the Figure 5 combination
 // fused and unfused, and MSan with its cold member split out (the pgo
-// and mem experiments). The harness reaches analyses only through
-// Variant, by these names.
+// and mem experiments). Each runs at a point of
+// compiler.AblationMatrix, named after it, so conformance checks every
+// point an experiment measures. The harness reaches analyses only
+// through Variant, by these names.
 func StagedVariants() []StagedVariant {
-	full := compiler.NamedOptions{Name: "full", Opts: compiler.DefaultOptions()}
+	point := map[string]compiler.NamedOptions{}
+	for _, p := range compiler.AblationMatrix() {
+		point[p.Name] = p
+	}
 	var out []StagedVariant
 	for _, n := range Names() {
-		out = append(out, StagedVariant{Name: n, Analyses: []string{n}, Opts: full})
+		out = append(out, StagedVariant{Name: n, Analyses: []string{n}, Opts: point["full"]})
 	}
-	of := func(analysis, config string, opts compiler.Options) StagedVariant {
-		return StagedVariant{Name: analysis + "/" + config, Analyses: []string{analysis}, Opts: compiler.NamedOptions{Name: config, Opts: opts}}
+	for _, v := range []struct {
+		name     string
+		analyses []string
+		point    string
+	}{
+		{"eraser/dsonly", []string{"eraser"}, "dsonly"},
+		{"eraser/nocse", []string{"eraser"}, "nocse"},
+		{"eraser/nocoalesce", []string{"eraser"}, "nocoalesce"},
+		{"eraser/naive", []string{"eraser"}, "naive"},
+		{"uaf/gran1", []string{"uaf"}, "gran1"},
+		{"uaf/gran2", []string{"uaf"}, "gran2"},
+		{"uaf/gran4", []string{"uaf"}, "gran4"},
+		{"combined", Fig5Combination, "full"},
+		{"combined/nofuse", Fig5Combination, "nofuse"},
+		{"msan/split", []string{"msan"}, "split"},
+	} {
+		out = append(out, StagedVariant{Name: v.name, Analyses: v.analyses, Opts: point[v.point]})
 	}
-	noCSE, noCoalesce := compiler.DefaultOptions(), compiler.DefaultOptions()
-	noCSE.CSE, noCoalesce.Coalesce = false, false
-	out = append(out,
-		of("eraser", "dsonly", compiler.DSOnlyOptions()),
-		of("eraser", "nocse", noCSE),
-		of("eraser", "nocoalesce", noCoalesce),
-		of("eraser", "naive", compiler.NaiveOptions()),
-	)
-	for _, g := range []int{1, 2, 4} {
-		out = append(out, of("uaf", fmt.Sprintf("gran%d", g), compiler.DefaultOptions().WithGranularity(g)))
-	}
-	return append(out,
-		StagedVariant{Name: "combined", Analyses: Fig5Combination, Opts: full},
-		StagedVariant{Name: "combined/nofuse", Analyses: Fig5Combination, Opts: compiler.NamedOptions{Name: "nofuse", Opts: compiler.NoFuseOptions()}},
-		of("msan", "split", compiler.SplitOptions()),
-	)
+	return out
 }
 
 // Variant compiles the staged variant of that name, memoized like

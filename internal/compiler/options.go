@@ -126,15 +126,19 @@ type NamedOptions struct {
 }
 
 // AblationMatrix returns every optimization configuration the paper's
-// Figure 4 ablates plus the cold split and the granularity variants of
-// §5.1, full-opt first. This is the option matrix the conformance
-// subsystem sweeps: every entry must produce identical analysis
-// verdicts on identical inputs — the configurations change layout and
-// speed, never meaning.
+// Figure 4 and the ablation experiment measure, plus the cold split and
+// the granularity variants of §5.1, full-opt first. This is the option
+// matrix the conformance subsystem sweeps: every entry must produce
+// identical analysis verdicts on identical inputs — the configurations
+// change layout and speed, never meaning.
 func AblationMatrix() []NamedOptions {
+	noCSE, noCoalesce := DefaultOptions(), DefaultOptions()
+	noCSE.CSE, noCoalesce.Coalesce = false, false
 	return []NamedOptions{
 		{Name: "full", Opts: DefaultOptions()},
 		{Name: "nofuse", Opts: NoFuseOptions()},
+		{Name: "nocse", Opts: noCSE},
+		{Name: "nocoalesce", Opts: noCoalesce},
 		{Name: "dsonly", Opts: DSOnlyOptions()},
 		{Name: "naive", Opts: NaiveOptions()},
 		{Name: "split", Opts: SplitOptions()},

@@ -68,7 +68,9 @@ func DefaultAttribPrograms() []string {
 // attributes the overhead. Rows fan out across Config.Parallelism like
 // any grid's, and each row's two cells run as paired rounds; with
 // Config.Metrics set the per-cell counters also merge into the
-// registry, and virtual-mode tables are deterministic.
+// registry, and virtual-mode tables are deterministic. Like a grid's,
+// the error is the lowest-indexed failed cell's, returned with the
+// complete table.
 func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error) {
 	cfg = cfg.withDefaults()
 	if len(programs) == 0 {
@@ -92,9 +94,6 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 		return nil, err
 	}
 	cells, err := cfg.sweep(&g)
-	if err != nil && !cfg.KeepGoing {
-		return nil, err
-	}
 
 	mode := "wall"
 	if cfg.Virtual {
@@ -113,7 +112,7 @@ func Attrib(cfg Config, analysis string, programs []string) (*AttribTable, error
 		t.Rows = append(t.Rows, attribRow(program, plain, inst, catOf))
 	}
 	t.Render(cfg.Out)
-	return t, nil
+	return t, err
 }
 
 // mulDiv returns a·b÷c rounded down, exact in 128-bit arithmetic and

@@ -34,7 +34,9 @@ type Config struct {
 	// each round such a configuration runs several times and keeps its
 	// fastest run (see rounds and runsToCover).
 	Reps int
-	// Opt is the VM configuration.
+	// Opt is the VM configuration of every run. Its fault plan
+	// (Opt.Faults) reaches every run but the plain runs that record
+	// replay traces (ensureTraces).
 	Opt core.RunOptions
 	// Out receives rendered tables (nil ⇒ io.Discard).
 	Out io.Writer
@@ -57,19 +59,6 @@ type Config struct {
 	// no progress output). Cells complete in nondeterministic order
 	// under parallelism, so keep Progress separate from Out.
 	Progress io.Writer
-	// KeepGoing degrades failed cells instead of aborting the sweep: a
-	// cell whose run fails (a vm.RunError, a build error, or a panic in
-	// workload construction) renders as ERR(<kind>) and every other
-	// cell still runs. Off, the sweep keeps the serial first-error
-	// behavior: the lowest-indexed failure aborts it.
-	KeepGoing bool
-	// Retries re-measures a cell up to this many extra times when its
-	// failure is retryable (vm.KindDeadline — the one load-dependent
-	// kind). The wait between attempts starts at 100ms and doubles,
-	// capped per-wait at 2s with deterministic equal-jitter
-	// decorrelation, and capped in total at 30s so a flapping cell
-	// cannot stall a sweep indefinitely (retry.go).
-	Retries int
 	// CheckpointPath appends one JSONL record per completed cell
 	// (degraded cells included) to this file. Empty disables
 	// checkpointing.
@@ -81,9 +70,9 @@ type Config struct {
 	// mode a row with cells left to measure measures its plain cell
 	// again, since every round times it.
 	Resume bool
-	// CellFaults selects the fault-injection spec for a cell (nil ⇒
-	// none). column is the rendered column name, "base" for the
-	// uninstrumented baseline.
+	// CellFaults selects the fault-injection spec for a grid cell in
+	// place of Opt.Faults (nil ⇒ Opt.Faults for every cell). column is
+	// the rendered column name, "base" for the uninstrumented baseline.
 	CellFaults func(program, column string) vm.FaultSpec
 	// Metrics, when non-nil, collects per-cell observability counters
 	// into this registry: each cell runs with a private obs.Shard that

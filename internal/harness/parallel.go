@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -22,10 +21,10 @@ import (
 // independent of worker interleaving.
 //
 // Cells stay the unit of failure: each run is behind recover(),
-// failures carry the vm.RunError taxonomy, retryable kinds get bounded
-// backoff retries, with Config.KeepGoing a failed cell degrades to an
-// ERR(<kind>) entry, and completed cells stream to the JSONL checkpoint
-// (Config.CheckpointPath) so an interrupted sweep resumes.
+// failures carry the vm.RunError taxonomy, a Deadline failure runs
+// again once, a failed cell degrades to an ERR(<kind>) entry while
+// every other cell still runs, and completed cells stream to the JSONL
+// checkpoint (Config.CheckpointPath) so an interrupted sweep resumes.
 
 // runnerFn produces one measured VM run.
 type runnerFn = func() (*vm.Result, error)
@@ -66,39 +65,20 @@ func (g *gridSpec) colName(col int) string {
 }
 
 // forEachCell runs f for every index in [0, n) across the configured
-// worker count; a grid passes its rows. Without KeepGoing, a failure
-// skips the higher-indexed cells that have not started yet and the
-// error of the lowest-indexed failing cell is returned (matching what a
-// serial sweep would have reported first: a lower-indexed cell still
-// runs, and may fail first). With KeepGoing, every cell runs regardless
-// of failures; the lowest-indexed error is still returned so callers
-// know the sweep degraded.
+// worker count; a grid passes its rows. Every index runs whatever
+// fails, and the error of the lowest-indexed failure is returned: the
+// one a serial sweep would have hit first.
 func (c Config) forEachCell(n int, f func(i int) error) error {
 	workers := max(1, min(c.Parallelism, n))
-	var (
-		firstIdx atomic.Int64 // lowest failing index so far; n if none
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	firstIdx.Store(int64(n))
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	cells := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range cells {
-				if !c.KeepGoing && int64(i) > firstIdx.Load() {
-					continue
-				}
-				if err := f(i); err != nil {
-					mu.Lock()
-					if int64(i) < firstIdx.Load() {
-						firstIdx.Store(int64(i))
-						firstErr = err
-					}
-					mu.Unlock()
-				}
+				errs[i] = f(i)
 			}
 		}()
 	}
@@ -107,7 +87,12 @@ func (c Config) forEachCell(n int, f func(i int) error) error {
 	}
 	close(cells)
 	wg.Wait()
-	return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cellResult is one cell of a grid: what measuring it found, and while
@@ -118,20 +103,18 @@ func (c Config) forEachCell(n int, f func(i int) error) error {
 // per-round ratios), zero for the plain cell and when either failed.
 // shard holds the counters of the cell's runs (a resumed cell's
 // recorded counters), and runs counts those runs, warm-up included.
+// retried marks a cell that used its one retry.
 type cellResult struct {
-	done, resumed bool
-	wall          time.Duration
-	overhead      float64
-	err           error
-	shard         *obs.Shard
-	runs          uint64
-	tries         int
-	start         time.Time
+	done, resumed, retried bool
+	wall                   time.Duration
+	overhead               float64
+	err                    error
+	shard                  *obs.Shard
+	runs                   uint64
+	start                  time.Time
 
 	col     int
 	cc      Config // the cell's fault spec, counter shard and trace tid
-	policy  retryPolicy
-	spent   time.Duration // waited on retries
 	fn      runnerFn
 	warm    *vm.Result
 	repeats int             // runs per round
@@ -157,19 +140,17 @@ func (c Config) leg(g *gridSpec, ri, col int, ce *cellResult) *cellResult {
 		ce.cc.Opt.Trace = c.Trace
 		ce.cc.Opt.TraceTID = int64(ri*(len(g.measured)+1) + col + 1)
 	}
-	ce.policy = retryPolicy{Base: retryBackoff, Max: retryMaxBackoff, Budget: retryBudget,
-		Seed: cellRetrySeed(g.name, program+"/"+g.colName(col))}
 	return ce
 }
 
 // run runs the cell once: as the warm-up when round is negative, which
 // builds its runner first, and else in that round, keeping the round's
-// fastest wall. Retryable failures are retried with backoff from the
-// cell's retry budget; a failed run adds no counters, and a retried
+// fastest wall. The cell's first run to fail with a retryable kind runs
+// again after retryWait; a failed run adds no counters, and a retried
 // warm-up starts from a clean shard. A panic out of a workload builder,
 // instrumentation or a handler degrades to an error.
 func (ce *cellResult) run(g *gridSpec, program string, round int) error {
-	for ; ; ce.tries++ {
+	for {
 		err := func() (err error) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -199,15 +180,11 @@ func (ce *cellResult) run(g *gridSpec, program string, round int) error {
 			return nil
 		}()
 		var re *vm.RunError
-		if err == nil || ce.tries >= ce.cc.Retries || !errors.As(err, &re) || !re.Retryable() {
+		if ce.retried || !errors.As(err, &re) || !re.Retryable() {
 			return err
 		}
-		d, ok := ce.policy.delay(ce.tries, ce.spent)
-		if !ok { // retry budget exhausted
-			return err
-		}
-		retrySleep(d)
-		ce.spent += d
+		ce.retried = true
+		time.Sleep(retryWait(cellRetrySeed(g.name, program+"/"+g.colName(ce.col))))
 	}
 }
 
@@ -218,7 +195,8 @@ func (ce *cellResult) run(g *gridSpec, program string, round int) error {
 // rotates from pass to pass and by row, until every leg has run as
 // often as runsToCover asks. A leg's round time is its fastest run of
 // the round, and a cell's overhead the median of its per-round ratios
-// to the plain leg. Without KeepGoing the first failure ends the row.
+// to the plain leg. A failed leg sits out the rest of the row, and a
+// failed plain leg ends the rounds.
 func (c Config) measureRow(g *gridSpec, ri int, row []cellResult) {
 	if !c.Virtual && slices.ContainsFunc(row, func(ce cellResult) bool { return !ce.done }) {
 		// The plain leg's round times divide every ratio, so a resumed
@@ -236,16 +214,9 @@ func (c Config) measureRow(g *gridSpec, ri int, row []cellResult) {
 	if len(legs) == 0 {
 		return
 	}
-	// fail records a leg's failure and reports whether the row goes on.
-	fail := func(ce *cellResult, err error) bool {
-		ce.err, ce.done = err, true
-		return c.KeepGoing
-	}
 	for _, ce := range legs {
 		ce.start = time.Now()
-		if err := ce.run(g, program, -1); err != nil && !fail(ce, err) {
-			return
-		}
+		ce.err = ce.run(g, program, -1)
 	}
 	if !c.Virtual && plain.err == nil {
 		rounds, passes := c.rounds(plain.warm), 0
@@ -262,9 +233,7 @@ func (c Config) measureRow(g *gridSpec, ri int, row []cellResult) {
 					if ce.err != nil || j >= ce.repeats {
 						continue
 					}
-					if err := ce.run(g, program, r); err != nil && !fail(ce, err) {
-						return
-					}
+					ce.err = ce.run(g, program, r)
 				}
 			}
 		}
@@ -369,8 +338,8 @@ func (c Config) report(g *gridSpec, key string, tid int, ce *cellResult, fp stri
 		} else if ckpt != nil {
 			r.AddVolatile("harness.checkpoint.appended", 1)
 		}
-		if ce.tries > 0 {
-			r.AddVolatile("harness.cells.retries", uint64(ce.tries))
+		if ce.retried {
+			r.AddVolatile("harness.cells.retries", 1)
 		}
 		if ce.err != nil {
 			r.Add("harness.cells.err."+errKindLabel(ce.err), 1)
@@ -410,10 +379,12 @@ func (c Config) report(g *gridSpec, key string, tid int, ce *cellResult, fp stri
 }
 
 // runGrid measures every cell of the grid, assembles the Table in row
-// and column order, and renders it to c.Out.
+// and column order, and renders it to c.Out. The error is the
+// lowest-indexed failed cell's, returned with the complete table; the
+// table is nil only when the checkpoint could not be read or opened.
 func (c Config) runGrid(g gridSpec) (*Table, error) {
 	cells, err := c.sweep(&g)
-	if err != nil && !c.KeepGoing {
+	if cells == nil {
 		return nil, err
 	}
 	stride := len(g.measured) + 1
@@ -457,5 +428,5 @@ func (c Config) runGrid(g gridSpec) (*Table, error) {
 	}
 	t.computeAverages()
 	t.Render(c.Out)
-	return t, nil
+	return t, err
 }

@@ -45,7 +45,9 @@ func (c Config) tracePath(w string) string {
 // plain run each, written atomically). With TraceRecord off a missing
 // trace is an error: a -trace-in directory is expected to be complete.
 // Runs before the grid computes its checkpoint fingerprint, so freshly
-// recorded traces participate in it.
+// recorded traces participate in it. Recording runs without the fault
+// plan: a trace outlives the sweep in TraceDir, and a later fault-free
+// sweep would replay the injected failure.
 func (c Config) ensureTraces(programs []string) error {
 	if c.TraceDir == "" {
 		return fmt.Errorf("harness: replay experiment needs Config.TraceDir (-trace-out or -trace-in)")
@@ -53,6 +55,8 @@ func (c Config) ensureTraces(programs []string) error {
 	if err := os.MkdirAll(c.TraceDir, 0o755); err != nil {
 		return err
 	}
+	opt := c.Opt
+	opt.Faults = vm.FaultSpec{}
 	for _, w := range programs {
 		path := c.tracePath(w)
 		if _, err := os.Stat(path); err == nil {
@@ -65,7 +69,7 @@ func (c Config) ensureTraces(programs []string) error {
 		if err != nil {
 			return fmt.Errorf("harness: building %s for trace recording: %w", w, err)
 		}
-		data, _, err := core.RecordTrace(p, c.Opt)
+		data, _, err := core.RecordTrace(p, opt)
 		if err != nil {
 			// A verdict-grade failure still yields a complete trace whose
 			// terminal reproduces it at replay; only infrastructure errors
@@ -151,6 +155,8 @@ func loadTraceFile(path string) (*trace.Trace, error) {
 // Replay measures live analysis runs against trace-driven replay runs
 // of the same analyses, normalized to the uninstrumented baseline. The
 // trailing summary line reports the average replay saving per analysis.
+// Like any grid's, the error is the lowest-indexed failed cell's,
+// returned with the complete table.
 func Replay(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.ensureTraces(ReplayPrograms); err != nil {
@@ -169,7 +175,7 @@ func Replay(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	t, err := cfg.runGrid(g)
-	if err != nil {
+	if t == nil {
 		return nil, err
 	}
 	for i, n := range ReplayAnalyses {
@@ -179,5 +185,5 @@ func Replay(cfg Config) (*Table, error) {
 		}
 	}
 	fmt.Fprintln(cfg.Out)
-	return t, nil
+	return t, err
 }

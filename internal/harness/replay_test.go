@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -21,7 +23,6 @@ func replayTestConfig(dir string) Config {
 		Size:        workloads.SizeTiny,
 		Virtual:     true,
 		Parallelism: 4,
-		KeepGoing:   true,
 		TraceDir:    filepath.Join(dir, "traces"),
 		TraceRecord: true,
 	}
@@ -79,6 +80,32 @@ func TestReplayMissingTrace(t *testing.T) {
 	_, err := Replay(cfg)
 	if err == nil || !strings.Contains(err.Error(), "missing recorded trace") {
 		t.Fatalf("want missing-trace error, got %v", err)
+	}
+}
+
+// TestReplayRecordsWithoutFaults: the plain runs that record the traces
+// run without the sweep's fault plan, since a trace outlives the sweep
+// and later fault-free sweeps replay it. Under a plan that fails every
+// run's second allocation, every recorded trace still ends in a
+// successful exit, while the measured cells report the fault.
+func TestReplayRecordsWithoutFaults(t *testing.T) {
+	cfg := replayTestConfig(t.TempDir())
+	cfg.Opt.Faults = vm.FaultSpec{MallocFailNth: 2}
+	_, err := Replay(cfg)
+	wantKind(t, err, vm.KindLibFault)
+	for _, w := range ReplayPrograms {
+		tr, err := loadTraceFile(cfg.tracePath(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := tr.Cursor()
+		rec, err := c.NextRecord()
+		for err == nil && rec.Kind == trace.RecBatch {
+			rec, err = c.NextRecord()
+		}
+		if err != nil || rec.Kind != trace.RecEnd {
+			t.Errorf("%s: trace ends in %+v (err %v), want a successful end", w, rec, err)
+		}
 	}
 }
 

@@ -3,149 +3,64 @@ package harness
 import (
 	"bytes"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/vm"
 )
 
-// TestRetryScheduleDeterministic: the schedule is a pure function of
-// the policy — same seed, same waits, every time. No sleeping involved.
+// TestRetryScheduleDeterministic: a cell's wait is a pure function of
+// its seed — same seed, same wait, every time. No sleeping involved.
 func TestRetryScheduleDeterministic(t *testing.T) {
-	p := retryPolicy{Base: 100 * time.Millisecond, Max: 2 * time.Second, Budget: 30 * time.Second, Seed: 42}
-	var a, b []time.Duration
-	for try := 0; try < 8; try++ {
-		d1, ok1 := p.delay(try, 0)
-		d2, ok2 := p.delay(try, 0)
-		if !ok1 || !ok2 {
-			t.Fatalf("try %d: schedule exhausted unexpectedly", try)
+	for i := uint64(0); i < 1000; i++ {
+		seed := retrySplitmix(i)
+		if d := retryWait(seed); d != retryWait(seed) {
+			t.Fatalf("seed %d: wait not deterministic", seed)
 		}
-		a, b = append(a, d1), append(b, d2)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("try %d: schedule not deterministic (%v vs %v)", i, a[i], b[i])
+	if cellRetrySeed("fig4", "fft/base") != cellRetrySeed("fig4", "fft/base") {
+		t.Fatal("cell seed not deterministic")
+	}
+}
+
+// TestRetryWait: a cell's one wait lands in [50, 100] ms with both ends
+// reachable.
+func TestRetryWait(t *testing.T) {
+	const lo, hi = 50 * time.Millisecond, 100 * time.Millisecond
+	if retryWait(0) != lo || retryWait(uint64(lo)) != hi {
+		t.Fatalf("ends: %v and %v, want %v and %v", retryWait(0), retryWait(uint64(lo)), lo, hi)
+	}
+	for i := uint64(0); i < 1000; i++ {
+		seed := retrySplitmix(i)
+		if d := retryWait(seed); d < lo || d > hi {
+			t.Fatalf("seed %d: wait %v outside [%v, %v]", seed, d, lo, hi)
 		}
 	}
 }
 
-// TestRetryJitterBounds: each wait lands in [d/2, d] for the pre-jitter
-// doubling d, capped at Max — equal jitter keeps a floor under the
-// backoff while decorrelating colliding cells.
-func TestRetryJitterBounds(t *testing.T) {
-	base := 100 * time.Millisecond
-	max := 2 * time.Second
-	for seed := uint64(0); seed < 50; seed++ {
-		p := retryPolicy{Base: base, Max: max, Seed: seed}
-		for try := 0; try < 10; try++ {
-			pre := base
-			for i := 0; i < try; i++ {
-				pre *= 2
-				if pre >= max {
-					pre = max
-					break
-				}
-			}
-			d, ok := p.delay(try, 0)
-			if !ok {
-				t.Fatalf("seed %d try %d: exhausted without a budget", seed, try)
-			}
-			if d < pre/2 || d > pre {
-				t.Fatalf("seed %d try %d: delay %v outside [%v, %v]", seed, try, d, pre/2, pre)
-			}
-		}
-	}
-}
-
-// TestRetryDistinctSeedsDecorrelate: two cells with different seeds
-// must not share the identical schedule (the thundering-herd fix).
+// TestRetryDistinctSeedsDecorrelate: two cells draw different waits, so
+// cells that failed together retry apart (the thundering-herd fix).
 func TestRetryDistinctSeedsDecorrelate(t *testing.T) {
-	p1 := retryPolicy{Base: 100 * time.Millisecond, Max: 2 * time.Second, Seed: cellRetrySeed("fig4", "fft/ALDAcc-full")}
-	p2 := retryPolicy{Base: 100 * time.Millisecond, Max: 2 * time.Second, Seed: cellRetrySeed("fig4", "fft/base")}
-	same := true
-	for try := 0; try < 6; try++ {
-		d1, _ := p1.delay(try, 0)
-		d2, _ := p2.delay(try, 0)
-		if d1 != d2 {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("distinct cells produced identical jittered schedules")
+	if retryWait(cellRetrySeed("fig4", "fft/ALDAcc-full")) == retryWait(cellRetrySeed("fig4", "fft/base")) {
+		t.Fatal("distinct cells drew the same wait")
 	}
 }
 
-// TestRetryBudgetCutsSchedule: once the accumulated wait would cross
-// the budget, the schedule reports exhaustion.
-func TestRetryBudgetCutsSchedule(t *testing.T) {
-	p := retryPolicy{Base: 100 * time.Millisecond, Max: time.Second, Budget: 300 * time.Millisecond, Seed: 7}
-	var spent time.Duration
-	waits := 0
-	for try := 0; try < 100; try++ {
-		d, ok := p.delay(try, spent)
-		if !ok {
-			break
-		}
-		spent += d
-		waits++
-	}
-	if spent > p.Budget {
-		t.Fatalf("schedule overspent its budget: %v > %v", spent, p.Budget)
-	}
-	if waits == 0 || waits >= 100 {
-		t.Fatalf("waits = %d, want a small positive count bounded by the budget", waits)
-	}
-}
-
-// TestRetryMaxBackoffCaps: the pre-jitter wait stops doubling at Max
-// and never overflows even for absurd try counts.
-func TestRetryMaxBackoffCaps(t *testing.T) {
-	p := retryPolicy{Base: 100 * time.Millisecond, Max: time.Second, Seed: 3}
-	for _, try := range []int{5, 20, 63, 200} {
-		d, ok := p.delay(try, 0)
-		if !ok {
-			t.Fatalf("try %d: exhausted without a budget", try)
-		}
-		if d <= 0 || d > time.Second {
-			t.Fatalf("try %d: delay %v outside (0, Max]", try, d)
-		}
-	}
-	// No Max: deep tries must saturate, not wrap negative.
-	pn := retryPolicy{Base: time.Second, Seed: 3}
-	if d, ok := pn.delay(200, 0); !ok || d <= 0 {
-		t.Fatalf("uncapped deep try: delay %v ok=%v, want positive", d, ok)
-	}
-}
-
-// TestMeasureCellRetriesUseJitteredSchedule: the sweep path sleeps the
-// policy's waits, verified through the clock seam without real sleeps.
+// TestMeasureCellRetriesUseJitteredSchedule: the sweep waits the cell's
+// own retryWait before its one retry.
 func TestMeasureCellRetriesUseJitteredSchedule(t *testing.T) {
-	var slept []time.Duration
-	oldSleep := retrySleep
-	retrySleep = func(d time.Duration) { slept = append(slept, d) }
-	defer func() { retrySleep = oldSleep }()
-
-	var attempts atomic.Int64
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 3, Out: &bytes.Buffer{}, KeepGoing: true}
+	var attempts []time.Time
+	cfg := Config{Virtual: true, Parallelism: 1, Out: &bytes.Buffer{}}
 	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
-		attempts.Add(1)
+		attempts = append(attempts, time.Now())
 		return nil, &vm.RunError{Kind: vm.KindDeadline, Msg: "deadline exceeded"}
 	}))
-	if err != nil {
-		t.Fatalf("KeepGoing grid aborted: %v", err)
+	wantKind(t, err, vm.KindDeadline)
+	if len(attempts) != 2 {
+		t.Fatalf("attempts = %d, want 2 (initial + 1 retry)", len(attempts))
 	}
-	if attempts.Load() != 4 {
-		t.Fatalf("attempts = %d, want 4 (initial + 3 retries)", attempts.Load())
-	}
-	if len(slept) != 3 {
-		t.Fatalf("sleeps = %d, want 3", len(slept))
-	}
-	for i, d := range slept {
-		pre := 100 * time.Millisecond << i
-		if d < pre/2 || d > pre {
-			t.Fatalf("sleep %d = %v outside jitter window [%v, %v]", i, d, pre/2, pre)
-		}
+	if gap, want := attempts[1].Sub(attempts[0]), retryWait(cellRetrySeed("fake", "p/m")); gap < want {
+		t.Fatalf("retried after %v, want at least the cell's wait %v", gap, want)
 	}
 }
 

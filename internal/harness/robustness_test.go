@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/vm"
@@ -22,7 +21,6 @@ func tinyVirtual(out *bytes.Buffer) Config {
 		Virtual:     true,
 		Parallelism: 4,
 		Out:         out,
-		KeepGoing:   true,
 	}
 }
 
@@ -30,9 +28,20 @@ func tinyVirtual(out *bytes.Buffer) Config {
 // contains.
 func countERR(s string) int { return strings.Count(s, "ERR(") }
 
+// wantKind fails the test unless err is a vm.RunError of kind k: the
+// error a degraded sweep returns beside its complete table.
+func wantKind(t *testing.T, err error, k vm.ErrKind) {
+	t.Helper()
+	var re *vm.RunError
+	if !errors.As(err, &re) || re.Kind != k {
+		t.Fatalf("err = %v, want a %v failure", err, k)
+	}
+}
+
 // TestFaultInjectedCellDegrades is the acceptance scenario: an injected
 // nth-malloc fault in one cell yields a complete figure with exactly
-// one ERR(LibFault) cell; every other cell still measures.
+// one ERR(LibFault) cell, and the cell's error; every other cell still
+// measures.
 func TestFaultInjectedCellDegrades(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyVirtual(&buf)
@@ -43,9 +52,7 @@ func TestFaultInjectedCellDegrades(t *testing.T) {
 		return vm.FaultSpec{}
 	}
 	tbl, err := Fig4(cfg)
-	if err != nil {
-		t.Fatalf("KeepGoing sweep aborted: %v", err)
-	}
+	wantKind(t, err, vm.KindLibFault)
 	out := buf.String()
 	if n := countERR(out); n != 1 {
 		t.Fatalf("ERR cells = %d, want exactly 1\n%s", n, out)
@@ -64,7 +71,8 @@ func TestFaultInjectedCellDegrades(t *testing.T) {
 }
 
 // TestHandlerPanicCellDegrades: a panicking analysis handler in one
-// cell degrades to ERR(Trap) without killing the worker pool.
+// cell degrades to ERR(Trap) without killing the worker pool, and the
+// figure comes back complete with the Trap.
 func TestHandlerPanicCellDegrades(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyVirtual(&buf)
@@ -74,8 +82,10 @@ func TestHandlerPanicCellDegrades(t *testing.T) {
 		}
 		return vm.FaultSpec{}
 	}
-	if _, err := Fig4(cfg); err != nil {
-		t.Fatalf("KeepGoing sweep aborted: %v", err)
+	tbl, err := Fig4(cfg)
+	wantKind(t, err, vm.KindTrap)
+	if len(tbl.Rows) != len(Fig4Programs) {
+		t.Fatalf("rows = %d, want the full figure (%d)", len(tbl.Rows), len(Fig4Programs))
 	}
 	out := buf.String()
 	if n := countERR(out); n != 1 {
@@ -88,7 +98,8 @@ func TestHandlerPanicCellDegrades(t *testing.T) {
 
 // TestBaseCellFaultDegradesRow: when the uninstrumented baseline cell
 // fails, the row renders ERR in the base column and "-" for every
-// overhead (a ratio against a failed denominator is meaningless).
+// overhead (a ratio against a failed denominator is meaningless), and
+// the sweep returns the base cell's LibFault.
 func TestBaseCellFaultDegradesRow(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyVirtual(&buf)
@@ -98,8 +109,10 @@ func TestBaseCellFaultDegradesRow(t *testing.T) {
 		}
 		return vm.FaultSpec{}
 	}
-	if _, err := Fig4(cfg); err != nil {
-		t.Fatalf("KeepGoing sweep aborted: %v", err)
+	tbl, err := Fig4(cfg)
+	wantKind(t, err, vm.KindLibFault)
+	if len(tbl.Rows) != len(Fig4Programs) {
+		t.Fatalf("rows = %d, want the full figure (%d)", len(tbl.Rows), len(Fig4Programs))
 	}
 	out := buf.String()
 	var radixLine string
@@ -113,13 +126,12 @@ func TestBaseCellFaultDegradesRow(t *testing.T) {
 	}
 }
 
-// TestKeepGoingRunsAllCells pins the forEachCell satellite fix: with
-// KeepGoing set, a failing cell no longer causes unstarted cells to be
-// skipped, at any parallelism — and the lowest-indexed error is still
-// reported.
+// TestKeepGoingRunsAllCells: the sweep keeps going past a failing cell
+// at any parallelism, so no cell is skipped, and the lowest-indexed
+// error is reported.
 func TestKeepGoingRunsAllCells(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
-		cfg := Config{Parallelism: parallelism, KeepGoing: true}
+		cfg := Config{Parallelism: parallelism}
 		var ran atomic.Int64
 		err := cfg.forEachCell(16, func(i int) error {
 			ran.Add(1)
@@ -135,14 +147,6 @@ func TestKeepGoingRunsAllCells(t *testing.T) {
 			t.Errorf("parallelism=%d: err = %v, want %v", parallelism, err, errIndexed(3))
 		}
 	}
-}
-
-// stubRetrySleep makes retry waits take no wall time for the rest of
-// the test.
-func stubRetrySleep(t *testing.T) {
-	old := retrySleep
-	retrySleep = func(time.Duration) {}
-	t.Cleanup(func() { retrySleep = old })
 }
 
 // fakeGrid builds a minimal 1-program × 1-column grid whose measured
@@ -163,23 +167,22 @@ func fakeGrid(fn runnerFn) gridSpec {
 }
 
 // TestRetryableCellRecovers: a cell that fails with the retryable kind
-// (Deadline) and then succeeds must land as a measured value, within
-// the bounded retry budget.
+// (Deadline) and then succeeds must land as a measured value after its
+// one retry.
 func TestRetryableCellRecovers(t *testing.T) {
 	var attempts atomic.Int64
-	stubRetrySleep(t)
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 2, Out: &bytes.Buffer{}}
+	cfg := Config{Virtual: true, Parallelism: 1, Out: &bytes.Buffer{}}
 	tbl, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
-		if attempts.Add(1) <= 2 {
+		if attempts.Add(1) == 1 {
 			return nil, &vm.RunError{Kind: vm.KindDeadline, Msg: "deadline 1ms exceeded"}
 		}
 		return &vm.Result{Steps: 300}, nil
 	}))
 	if err != nil {
-		t.Fatalf("retries did not rescue the cell: %v", err)
+		t.Fatalf("the retry did not rescue the cell: %v", err)
 	}
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3 (two retries)", attempts.Load())
+	if attempts.Load() != 2 {
+		t.Fatalf("attempts = %d, want 2 (one retry)", attempts.Load())
 	}
 	if len(tbl.Rows) != 1 || tbl.Rows[0].Overheads[0] != 3.0 {
 		t.Fatalf("rescued cell mismeasured: %+v", tbl.Rows)
@@ -187,17 +190,21 @@ func TestRetryableCellRecovers(t *testing.T) {
 }
 
 // TestNonRetryableKindsFailFast: deterministic kinds are never retried
-// — re-running a deterministic VM can only reproduce the failure.
+// — re-running a deterministic VM can only reproduce the failure. The
+// sweep returns the failure, named by grid and cell, with its table.
 func TestNonRetryableKindsFailFast(t *testing.T) {
 	var attempts atomic.Int64
-	stubRetrySleep(t)
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 5, KeepGoing: true, Out: &bytes.Buffer{}}
-	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
+	cfg := Config{Virtual: true, Parallelism: 1, Out: &bytes.Buffer{}}
+	tbl, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
 		attempts.Add(1)
 		return nil, &vm.RunError{Kind: vm.KindTrap, Msg: "bad store"}
 	}))
-	if err != nil {
-		t.Fatalf("KeepGoing grid aborted: %v", err)
+	wantKind(t, err, vm.KindTrap)
+	if !strings.Contains(err.Error(), "fake p/m") {
+		t.Errorf("err = %v, want it to name the failing cell", err)
+	}
+	if tbl == nil || len(tbl.Rows) != 1 || tbl.Rows[0].Errs[0] != "Trap" {
+		t.Errorf("table = %+v, want the one row with its degraded cell", tbl)
 	}
 	if attempts.Load() != 1 {
 		t.Fatalf("attempts = %d, want 1 (Trap is not retryable)", attempts.Load())
@@ -205,21 +212,18 @@ func TestNonRetryableKindsFailFast(t *testing.T) {
 }
 
 // TestRetryBudgetBounded: a cell that never stops timing out is
-// degraded after exactly Retries extra attempts, not retried forever.
+// degraded after its one retry, not retried forever.
 func TestRetryBudgetBounded(t *testing.T) {
 	var attempts atomic.Int64
 	var buf bytes.Buffer
-	stubRetrySleep(t)
-	cfg := Config{Virtual: true, Parallelism: 1, Retries: 2, KeepGoing: true, Out: &buf}
+	cfg := Config{Virtual: true, Parallelism: 1, Out: &buf}
 	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
 		attempts.Add(1)
 		return nil, &vm.RunError{Kind: vm.KindDeadline, Msg: "deadline 1ms exceeded"}
 	}))
-	if err != nil {
-		t.Fatalf("KeepGoing grid aborted: %v", err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3 (initial + 2 retries)", attempts.Load())
+	wantKind(t, err, vm.KindDeadline)
+	if attempts.Load() != 2 {
+		t.Fatalf("attempts = %d, want 2 (initial + 1 retry)", attempts.Load())
 	}
 	if !strings.Contains(buf.String(), "ERR(Deadline)") {
 		t.Fatalf("exhausted retries did not degrade:\n%s", buf.String())
@@ -230,7 +234,7 @@ func TestRetryBudgetBounded(t *testing.T) {
 // the VM) is recovered per cell and renders as ERR(panic).
 func TestBuilderPanicDegrades(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Virtual: true, Parallelism: 2, KeepGoing: true, Out: &buf}
+	cfg := Config{Virtual: true, Parallelism: 2, Out: &buf}
 	g := fakeGrid(nil)
 	g.runner = func(c Config, program string, col int) (runnerFn, error) {
 		if col == 0 {
@@ -238,24 +242,11 @@ func TestBuilderPanicDegrades(t *testing.T) {
 		}
 		return func() (*vm.Result, error) { return &vm.Result{Steps: 100}, nil }, nil
 	}
-	if _, err := cfg.withDefaults().runGrid(g); err != nil {
-		t.Fatalf("KeepGoing grid aborted: %v", err)
+	if _, err := cfg.withDefaults().runGrid(g); errKindLabel(err) != "panic" {
+		t.Fatalf("err = %v, want the builder's panic", err)
 	}
 	if !strings.Contains(buf.String(), "ERR(panic)") {
 		t.Fatalf("builder panic not degraded:\n%s", buf.String())
-	}
-}
-
-// TestSerialAbortPreserved: without KeepGoing the pre-existing
-// first-error contract holds — the sweep aborts and returns the
-// failing cell's error.
-func TestSerialAbortPreserved(t *testing.T) {
-	cfg := Config{Virtual: true, Parallelism: 1, Out: &bytes.Buffer{}}
-	_, err := cfg.withDefaults().runGrid(fakeGrid(func() (*vm.Result, error) {
-		return nil, &vm.RunError{Kind: vm.KindTrap, Msg: "bad store"}
-	}))
-	if err == nil || !strings.Contains(err.Error(), "fake p/m") {
-		t.Fatalf("err = %v, want the failing cell's wrapped error", err)
 	}
 }
 
@@ -268,4 +259,11 @@ func TestMemObeysHeapBudget(t *testing.T) {
 	if !errors.As(err, &re) || re.Kind != vm.KindHeapLimit {
 		t.Fatalf("Mem under a 256-byte heap budget: %d rows, err %v; want a HeapLimit failure", len(rows), err)
 	}
+}
+
+// TestTable3ReturnsInjectedFault: Table 3 runs under the sweep's fault
+// plan like every other run, and returns the fault.
+func TestTable3ReturnsInjectedFault(t *testing.T) {
+	_, err := Table3(Config{Size: workloads.SizeTiny, Opt: core.RunOptions{Faults: vm.FaultSpec{MallocFailNth: 2}}})
+	wantKind(t, err, vm.KindLibFault)
 }

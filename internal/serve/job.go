@@ -178,30 +178,19 @@ func clamp[T uint64 | time.Duration](req, def, max T) T {
 // parseSize maps the request spelling to a workloads.Size; empty means
 // tiny (the serving sweet spot: jobs are interactive, not benchmarks).
 func parseSize(s string) (workloads.Size, error) {
-	switch s {
-	case "", "tiny":
+	if s == "" {
 		return workloads.SizeTiny, nil
-	case "small":
-		return workloads.SizeSmall, nil
-	case "medium":
-		return workloads.SizeMedium, nil
-	case "large":
-		return workloads.SizeLarge, nil
 	}
-	return 0, fmt.Errorf("unknown size %q (want tiny|small|medium|large)", s)
+	return workloads.ParseSize(s)
 }
 
-// parseBug maps the request spelling to a workloads.Bug.
+// parseBug maps the request spelling to a workloads.Bug; empty means
+// none.
 func parseBug(s string) (workloads.Bug, error) {
-	for b := workloads.BugNone; b <= workloads.BugTaint; b++ {
-		if b.String() == s {
-			return b, nil
-		}
-	}
 	if s == "" {
 		return workloads.BugNone, nil
 	}
-	return 0, fmt.Errorf("unknown bug %q", s)
+	return workloads.ParseBug(s)
 }
 
 // faultSpec resolves the request's fault fields: explicit nth fields

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -141,7 +139,7 @@ func readJournal(path, fp string) (*Recovered, error) {
 			if rec.Type != "hdr" {
 				return nil, fmt.Errorf("journal %s: missing header", path)
 			}
-			if !fingerprintMatches(rec.Fp, fp) {
+			if rec.Fp != fp {
 				return nil, fmt.Errorf("journal %s: fingerprint mismatch: journal %q, server %q", path, rec.Fp, fp)
 			}
 			if rec.V != journalVersion {
@@ -172,19 +170,6 @@ func readJournal(path, fp string) (*Recovered, error) {
 		}
 	}
 	return out, nil
-}
-
-// fingerprintMatches reports whether a journal header fingerprint
-// recovers under the server's. A journal written with the adaptive
-// loop on ends its fingerprint with " adapt=N"; its jobs' results did
-// not depend on N, so it recovers under the static server too.
-func fingerprintMatches(journal, server string) bool {
-	n, ok := strings.CutPrefix(journal, server+" adapt=")
-	if !ok {
-		return journal == server
-	}
-	_, err := strconv.ParseUint(n, 10, 64)
-	return err == nil
 }
 
 // append writes and fsyncs one record, honoring the injected fault

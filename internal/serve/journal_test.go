@@ -88,37 +88,19 @@ func TestJournalTornTrailingLine(t *testing.T) {
 
 // TestJournalFingerprintMismatch: a journal written under different
 // server limits must refuse to replay — the results would not be
-// comparable.
+// comparable. So must one whose header adds " adapt=N", written by a
+// server that ran the adaptive profile loop.
 func TestJournalFingerprintMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	j, _, err := OpenJournal(path, "fp1", JournalFaults{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if _, _, err := OpenJournal(path, "fp2", JournalFaults{}); err == nil ||
-		!strings.Contains(err.Error(), "fingerprint mismatch") {
-		t.Fatalf("err = %v, want fingerprint mismatch", err)
-	}
-}
-
-// TestFingerprintMatchesAdaptSuffix: a journal whose fingerprint is
-// the server's plus " adapt=N" (written with the adaptive profile loop
-// on) recovers; any other difference is still a mismatch.
-func TestFingerprintMatchesAdaptSuffix(t *testing.T) {
-	for _, c := range []struct {
-		journal string
-		want    bool
-	}{
-		{"fp1", true},
-		{"fp1 adapt=2", true},
-		{"fp1 adapt=", false},
-		{"fp1 adapt=x", false},
-		{"fp2 adapt=2", false},
-		{"fp1 adapt=2 x", false},
-	} {
-		if got := fingerprintMatches(c.journal, "fp1"); got != c.want {
-			t.Errorf("fingerprintMatches(%q, fp1) = %v, want %v", c.journal, got, c.want)
+	for _, journalFp := range []string{"fp1", "fp2 adapt=1"} {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		j, _, err := OpenJournal(path, journalFp, JournalFaults{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if _, _, err := OpenJournal(path, "fp2", JournalFaults{}); err == nil ||
+			!strings.Contains(err.Error(), "fingerprint mismatch") {
+			t.Fatalf("journal %q: err = %v, want fingerprint mismatch", journalFp, err)
 		}
 	}
 }
@@ -191,11 +173,11 @@ func resultJSON(t *testing.T, r *JobResult) string {
 
 // TestRecoverThreadedJobOnInterpreter recovers testdata/
 // two_tier_journal.jsonl, written by a server that still had the
-// closure-threaded tier and ran the adaptive profile loop after one job:
-// its header fingerprint ends " adapt=1" and it holds an adapt record.
-// Job j1 (engine "interp") is done; j2, the same request with engine
-// "threaded", was accepted but never finished. The recovered server
-// must accept the header, skip the adapt record, keep j1's status, and
+// closure-threaded tier and the adaptive profile loop: it holds an
+// adapt record. Job j1 (engine "interp") is done; j2, the same request
+// with engine "threaded", was accepted but never finished. The
+// recovered server must accept the header, skip the adapt record, keep
+// j1's status, and
 // run j2 on the interpreter to the JobResult that the same request
 // with engine "interp" yields — which is also the result the two-tier
 // server journaled for j1.

@@ -38,6 +38,16 @@ func (s Size) String() string {
 	return "large"
 }
 
+// ParseSize returns the Size whose String is s.
+func ParseSize(s string) (Size, error) {
+	for z := SizeTiny; z <= SizeLarge; z++ {
+		if z.String() == s {
+			return z, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown size %q (want tiny|small|medium|large)", s)
+}
+
 // scale returns base multiplied by the size factor.
 func (s Size) scale(base int64) int64 {
 	switch s {
@@ -97,6 +107,16 @@ func (b Bug) String() string {
 		return "taint"
 	}
 	return fmt.Sprintf("bug(%d)", int(b))
+}
+
+// ParseBug returns the Bug whose String is s.
+func ParseBug(s string) (Bug, error) {
+	for b := BugNone; b <= BugTaint; b++ {
+		if b.String() == s {
+			return b, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown bug %q", s)
 }
 
 // Spec describes one workload generator.

@@ -74,6 +74,31 @@ func TestUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestParseSpellings: ParseSize and ParseBug invert String for every
+// size and bug, and reject any other spelling.
+func TestParseSpellings(t *testing.T) {
+	for _, z := range []Size{SizeTiny, SizeSmall, SizeMedium, SizeLarge} {
+		if got, err := ParseSize(z.String()); err != nil || got != z {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", z.String(), got, err, z)
+		}
+	}
+	for _, b := range []Bug{BugNone, BugUninit, BugSSLLeak, BugSSLShutdown, BugZlibUninit, BugUAF, BugRace, BugTaint} {
+		if got, err := ParseBug(b.String()); err != nil || got != b {
+			t.Errorf("ParseBug(%q) = %v, %v; want %v", b.String(), got, err, b)
+		}
+	}
+	for _, s := range []string{"", "huge", "Tiny", "tiny "} {
+		if _, err := ParseSize(s); err == nil {
+			t.Errorf("ParseSize(%q) accepted an unknown size", s)
+		}
+	}
+	for _, s := range []string{"", "bogus", "UAF", "bug(8)"} {
+		if _, err := ParseBug(s); err == nil {
+			t.Errorf("ParseBug(%q) accepted an unknown bug", s)
+		}
+	}
+}
+
 func TestSuites(t *testing.T) {
 	if got := len(Suite("specint")); got != 9 {
 		t.Errorf("specint suite has %d entries, want 9", got)
